@@ -1,10 +1,18 @@
 //! The three inversion-attack methods (§III-B2, Fig. 2a, Table II).
+//!
+//! The two enumeration attacks ([`BruteForce`], [`TimeBased`]) vary one
+//! hidden timestep around steps that stay put, so each hands its oracle
+//! whole *sweeps* ([`BlackBox::predict_proba_sweep`]): a template of the
+//! known steps, the hidden slot, and a matrix with one 4-hot candidate
+//! per row — one sweep per instance for the time-based attack, one per
+//! enumerated location for brute force. Scores are then read off the
+//! answers in enumeration order.
 
 use serde::{Deserialize, Serialize};
 
 use pelican_mobility::{entry_slot, FeatureSpace, DURATION_BINS, ENTRY_SLOTS, MINUTES_PER_DAY};
 use pelican_nn::{Sequence, SequenceModel, Step};
-use pelican_tensor::softmax_temperature_in_place;
+use pelican_tensor::{softmax_temperature_in_place, Matrix};
 
 use crate::adversary::Instance;
 use crate::oracle::BlackBox;
@@ -62,6 +70,9 @@ pub fn interest_locations(
         }
         fn predict_proba(&mut self, xs: &[Step]) -> Step {
             self.0.predict_proba(xs)
+        }
+        fn predict_proba_sweep(&mut self, template: &[Step], slot: usize, c: &Matrix) -> Vec<Step> {
+            self.0.predict_proba_sweep(template, slot, c)
         }
         fn input_gradient(&mut self, _xs: &Sequence, _target: usize) -> (f32, Sequence) {
             unreachable!("interest probing is black-box only")
@@ -132,22 +143,18 @@ impl AttackMethod {
     }
 }
 
-/// Assembles the two-step model input for a candidate value of the hidden
-/// step. Known steps are encoded from their sessions; a hidden non-target
-/// step (adversary A3) is filled with the *expected-context relaxation*:
-/// the prior over locations and uniform time blocks — a dense vector the
-/// LSTM consumes like any other.
-fn assemble(
-    space: &FeatureSpace,
-    prior: &Prior,
-    instance: &Instance,
-    candidate: &Step,
-) -> Sequence {
+/// The two-step model input around the hidden step: known steps are
+/// encoded from their sessions; a hidden non-target step (adversary A3)
+/// is filled with the *expected-context relaxation* — the prior over
+/// locations and uniform time blocks, a dense vector the LSTM consumes
+/// like any other. The target step is left empty: it is the slot a
+/// candidate goes in.
+fn template(space: &FeatureSpace, prior: &Prior, instance: &Instance) -> Sequence {
     let target = instance.target_step();
     (0..2)
         .map(|step| {
             if step == target {
-                candidate.clone()
+                Step::new()
             } else if let Some(s) = &instance.known[step] {
                 space.encode_session(s)
             } else {
@@ -155,6 +162,39 @@ fn assemble(
             }
         })
         .collect()
+}
+
+/// [`template`] with `candidate` in the hidden slot.
+fn assemble(space: &FeatureSpace, prior: &Prior, instance: &Instance, candidate: Step) -> Sequence {
+    let mut xs = template(space, prior, instance);
+    xs[instance.target_step()] = candidate;
+    xs
+}
+
+/// Asks the oracle one sweep — every `(location, entry slot, duration
+/// bin)` of `candidates` in the instance's hidden slot — and raises
+/// `scores[l]` to the best `confidence(l_t | l, e, d) · p(l)` seen. Costs
+/// one query per candidate.
+fn sweep_scores<M: BlackBox>(
+    model: &mut M,
+    space: &FeatureSpace,
+    prior: &Prior,
+    instance: &Instance,
+    candidates: &[(usize, usize, usize)],
+    scores: &mut [f64],
+) {
+    let mut rows = Matrix::zeros(candidates.len(), space.dim());
+    for (r, &(l, e, d)) in candidates.iter().enumerate() {
+        space.encode_into(l, e, d, instance.day_of_week, rows.row_mut(r));
+    }
+    let template = template(space, prior, instance);
+    let answers = model.predict_proba_sweep(&template, instance.target_step(), &rows);
+    for (&(l, _, _), confidences) in candidates.iter().zip(&answers) {
+        let score = confidences[instance.observed_output] as f64 * prior.prob(l);
+        if score > scores[l] {
+            scores[l] = score;
+        }
+    }
 }
 
 /// The soft "average" step used for steps the adversary neither knows nor
@@ -204,20 +244,13 @@ impl BruteForce {
         let mut scores = zero_scores(prior);
         let mut queries = 0u64;
         let n = self.max_locations.map_or(space.n_locations, |m| m.min(space.n_locations));
-        for (l, best) in scores.iter_mut().enumerate().take(n) {
-            let p_l = prior.prob(l);
-            for e in 0..ENTRY_SLOTS {
-                for d in 0..DURATION_BINS {
-                    let candidate = space.encode(l, e, d, instance.day_of_week);
-                    let xs = assemble(space, prior, instance, &candidate);
-                    let conf = model.predict_proba(&xs)[instance.observed_output] as f64;
-                    queries += 1;
-                    let score = conf * p_l;
-                    if score > *best {
-                        *best = score;
-                    }
-                }
-            }
+        // One sweep per location keeps the candidate buffer at one
+        // location's `(entry, duration)` grid whatever the campus size.
+        for l in 0..n {
+            let grid: Vec<_> =
+                (0..ENTRY_SLOTS).flat_map(|e| (0..DURATION_BINS).map(move |d| (l, e, d))).collect();
+            sweep_scores(model, space, prior, instance, &grid, &mut scores);
+            queries += grid.len() as u64;
         }
         (Ranking::from_scores(scores), queries)
     }
@@ -253,24 +286,18 @@ impl TimeBased {
         instance: &Instance,
     ) -> (Ranking, u64) {
         let mut scores = zero_scores(prior);
-        let mut queries = 0u64;
         let entry_slots = self.candidate_entry_slots(instance);
-        for &l in interest {
-            let p_l = prior.prob(l);
-            for (d, slots) in entry_slots.iter().enumerate() {
-                for &e in slots {
-                    let candidate = space.encode(l, e, d, instance.day_of_week);
-                    let xs = assemble(space, prior, instance, &candidate);
-                    let conf = model.predict_proba(&xs)[instance.observed_output] as f64;
-                    queries += 1;
-                    let score = conf * p_l;
-                    if score > scores[l] {
-                        scores[l] = score;
-                    }
-                }
-            }
-        }
-        (Ranking::from_scores(scores), queries)
+        let candidates: Vec<_> = interest
+            .iter()
+            .flat_map(|&l| {
+                entry_slots
+                    .iter()
+                    .enumerate()
+                    .flat_map(move |(d, slots)| slots.iter().map(move |&e| (l, e, d)))
+            })
+            .collect();
+        sweep_scores(model, space, prior, instance, &candidates, &mut scores);
+        (Ranking::from_scores(scores), candidates.len() as u64)
     }
 
     /// For each candidate duration bin, the entry slots consistent with the
@@ -351,7 +378,7 @@ impl GradientDescent {
         let mut queries = 0u64;
         for _ in 0..self.iterations {
             let candidate = self.project(space, &z, instance.day_of_week);
-            let xs = assemble(space, prior, instance, &candidate);
+            let xs = assemble(space, prior, instance, candidate);
             let (_, grads) = model.input_gradient(&xs, instance.observed_output);
             queries += 1;
             for (zv, g) in z.iter_mut().zip(&grads[target_step]) {

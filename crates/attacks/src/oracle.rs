@@ -6,18 +6,28 @@
 //! access: confidence vectors out, nothing else. [`BlackBox`] captures
 //! exactly that interface (plus the input-gradient oracle the
 //! gradient-descent attack needs), so attack methods are generic over
-//! *what* answers their queries. A plain [`SequenceModel`] is the
-//! deployed model; [`CachedBlackBox`] wraps one with a [`LogitCache`]
-//! that remembers raw logits per query fingerprint. Defenses
-//! ([`pelican_nn::Postprocess`], temperature) only transform the
-//! logits→confidence mapping, never the logits, so a cache filled under
-//! one defense answers the same queries under *any other defense of the
-//! same weights* without a single forward pass — the incremental-audit
-//! optimization the training gate's escalation ladder exploits.
+//! *what* answers their queries. Queries come in two shapes: a single
+//! sequence ([`BlackBox::predict_proba`], the interest probes) and a
+//! *sweep* ([`BlackBox::predict_proba_sweep`]) — the enumeration attacks'
+//! thousand candidates for one hidden timestep around the same known
+//! steps, handed over whole so an oracle holding the model can answer
+//! them through [`SequenceModel::logits_sweep`] instead of a thousand
+//! forward passes.
+//!
+//! A plain [`SequenceModel`] is the deployed model; [`CachedBlackBox`]
+//! wraps one with a [`LogitCache`] that remembers raw logits per query
+//! fingerprint. Defenses ([`pelican_nn::Postprocess`], temperature) only
+//! transform the logits→confidence mapping, never the logits, so a cache
+//! filled under one defense answers the same queries under *any other
+//! defense of the same weights* without a single forward pass — the
+//! incremental-audit optimization the training gate's escalation ladder
+//! exploits. A cached sweep splits into hits and misses and runs only the
+//! misses, as one smaller sweep.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
-use pelican_nn::{query_hash, Sequence, SequenceModel, Step};
+use pelican_nn::{query_hash, sweep_query_hashes, Sequence, SequenceModel, Step};
+use pelican_tensor::Matrix;
 
 /// Black-box (plus gradient-oracle) access to a deployed model.
 pub trait BlackBox {
@@ -26,6 +36,16 @@ pub trait BlackBox {
     /// The deployed confidence vector for a query — what the paper's
     /// adversary observes.
     fn predict_proba(&mut self, xs: &[Step]) -> Step;
+    /// The deployed confidence vectors for a sweep of queries: answer `i`
+    /// is for `template` with row `i` of `candidates` at timestep `slot`
+    /// (`template[slot]` itself is ignored), exactly as if each had been
+    /// asked through [`BlackBox::predict_proba`] in row order.
+    fn predict_proba_sweep(
+        &mut self,
+        template: &[Step],
+        slot: usize,
+        candidates: &Matrix,
+    ) -> Vec<Step>;
     /// Input-gradient oracle used by the gradient-descent attack (a
     /// white-box concession the paper also grants that method).
     fn input_gradient(&mut self, xs: &Sequence, target: usize) -> (f32, Sequence);
@@ -38,6 +58,15 @@ impl BlackBox for SequenceModel {
 
     fn predict_proba(&mut self, xs: &[Step]) -> Step {
         SequenceModel::predict_proba(self, xs)
+    }
+
+    fn predict_proba_sweep(
+        &mut self,
+        template: &[Step],
+        slot: usize,
+        candidates: &Matrix,
+    ) -> Vec<Step> {
+        SequenceModel::predict_proba_sweep(self, template, slot, candidates)
     }
 
     fn input_gradient(&mut self, xs: &Sequence, target: usize) -> (f32, Sequence) {
@@ -113,6 +142,43 @@ impl BlackBox for CachedBlackBox<'_, '_> {
             self.cache.logits.insert(key, logits.clone());
             self.model.proba_from_logits(logits, key)
         }
+    }
+
+    /// Hits, misses and cache contents end up exactly as the
+    /// one-at-a-time loop would leave them: a candidate is a miss the
+    /// first time its fingerprint is seen — in the cache or earlier in
+    /// this sweep — and a hit after that. Only the misses reach the
+    /// model, as one sub-sweep.
+    fn predict_proba_sweep(
+        &mut self,
+        template: &[Step],
+        slot: usize,
+        candidates: &Matrix,
+    ) -> Vec<Step> {
+        let keys = sweep_query_hashes(template, slot, candidates);
+        let mut missed = Vec::new();
+        for (row, &key) in keys.iter().enumerate() {
+            // The empty placeholder makes a later duplicate a hit; it is
+            // filled before anything reads it.
+            if let Entry::Vacant(vacant) = self.cache.logits.entry(key) {
+                vacant.insert(Step::new());
+                missed.push(row);
+            }
+        }
+        self.cache.misses += missed.len() as u64;
+        self.cache.hits += (keys.len() - missed.len()) as u64;
+        let mut fresh = Matrix::zeros(missed.len(), candidates.cols());
+        for (r, &row) in missed.iter().enumerate() {
+            fresh.row_mut(r).copy_from_slice(candidates.row(row));
+        }
+        for (logits, &row) in
+            self.model.logits_sweep(template, slot, &fresh).into_iter().zip(&missed)
+        {
+            self.cache.logits.insert(keys[row], logits);
+        }
+        keys.iter()
+            .map(|key| self.model.proba_from_logits(self.cache.logits[key].clone(), *key))
+            .collect()
     }
 
     fn input_gradient(&mut self, xs: &Sequence, target: usize) -> (f32, Sequence) {

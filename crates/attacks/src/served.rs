@@ -30,7 +30,8 @@
 use std::collections::HashMap;
 
 use pelican_mobility::FeatureSpace;
-use pelican_nn::{query_hash, Sequence, SequenceModel, Step};
+use pelican_nn::{query_hash, sweep_query_hashes, Sequence, SequenceModel, Step};
+use pelican_tensor::Matrix;
 
 use crate::adversary::Instance;
 use crate::eval::{evaluate_attack, AttackEvaluation};
@@ -117,6 +118,23 @@ impl BlackBox for RecordingBlackBox {
         vec![1.0 / self.output_dim as f32; self.output_dim]
     }
 
+    fn predict_proba_sweep(
+        &mut self,
+        template: &[Step],
+        slot: usize,
+        candidates: &Matrix,
+    ) -> Vec<Step> {
+        let keys = sweep_query_hashes(template, slot, candidates);
+        for (row, key) in keys.into_iter().enumerate() {
+            if self.seen.insert(key, ()).is_none() {
+                let mut xs = template.to_vec();
+                xs[slot] = candidates.row(row).to_vec();
+                self.queries.push(xs);
+            }
+        }
+        vec![vec![1.0 / self.output_dim as f32; self.output_dim]; candidates.rows()]
+    }
+
     fn input_gradient(&mut self, _xs: &Sequence, _target: usize) -> (f32, Sequence) {
         unreachable!("the served interface exposes no gradient oracle")
     }
@@ -137,16 +155,31 @@ impl<'a> ReplayBlackBox<'a> {
     }
 }
 
+impl ReplayBlackBox<'_> {
+    fn served(&self, key: u64) -> Step {
+        self.answers.get(&key).cloned().expect(
+            "replay hit a query that was never served — the query set must be enumerated before scoring",
+        )
+    }
+}
+
 impl BlackBox for ReplayBlackBox<'_> {
     fn output_dim(&self) -> usize {
         self.output_dim
     }
 
     fn predict_proba(&mut self, xs: &[Step]) -> Step {
-        self.answers
-            .get(&query_hash(xs))
-            .cloned()
-            .expect("replay hit a query that was never served — the query set must be enumerated before scoring")
+        self.served(query_hash(xs))
+    }
+
+    fn predict_proba_sweep(
+        &mut self,
+        template: &[Step],
+        slot: usize,
+        candidates: &Matrix,
+    ) -> Vec<Step> {
+        let keys = sweep_query_hashes(template, slot, candidates);
+        keys.into_iter().map(|key| self.served(key)).collect()
     }
 
     fn input_gradient(&mut self, _xs: &Sequence, _target: usize) -> (f32, Sequence) {

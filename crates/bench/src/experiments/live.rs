@@ -15,6 +15,9 @@
 //!
 //! Results go to stdout and to `BENCH_live_loop.json`; the CI
 //! `live-report` step parses the JSON and fails on any contract flag.
+//! The record is stamped with its host (cores, commit), and when the
+//! file it replaces recorded the same run at another commit, that file's
+//! wall times stay in the new one as the `before` row.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -244,14 +247,50 @@ pub fn table(run: &LiveReportRun) -> Table {
     t
 }
 
+/// The rest of the line after the first `"key": ` in `text`, without a
+/// trailing comma — every top-level field of the record sits on a line
+/// of its own.
+fn field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    let start = text.find(&format!("\"{key}\": "))? + key.len() + 4;
+    let line = text[start..].lines().next()?;
+    Some(line.trim_end().trim_end_matches(','))
+}
+
+/// The `before` row of a new record: what `previous` (the tracked file
+/// about to be replaced) measured, if it recorded this very run —
+/// same seed, cohort and fingerprint — at another commit. A re-run at
+/// the same commit keeps the `before` it already had. `null` otherwise.
+fn before_row(previous: Option<&str>, run: &LiveReportRun, host: &str) -> String {
+    let same_run = |p: &str| {
+        field(p, "seed") == Some(&run.seed.to_string())
+            && field(p, "users") == Some(&run.users.to_string())
+            && field(p, "fingerprint") == Some(&format!("\"{:#018x}\"", run.outcome.fingerprint()))
+    };
+    let Some(previous) = previous.filter(|p| same_run(p)) else { return "null".to_owned() };
+    let previous_host = field(previous, "host").unwrap_or("null");
+    if previous_host == host {
+        return field(previous, "before").unwrap_or("null").to_owned();
+    }
+    let walls: Vec<&str> = previous
+        .lines()
+        .filter(|l| l.contains("\"workers\": "))
+        .filter_map(|l| field(l, "wall_ms")?.split(',').next())
+        .collect();
+    format!("{{\"host\": {previous_host}, \"wall_ms\": [{}]}}", walls.join(", "))
+}
+
 /// Serializes the sweep to the documented `BENCH_live_loop.json` schema.
 /// Fingerprints are hex strings (u64 does not survive JSON doubles).
-pub fn to_json(run: &LiveReportRun) -> String {
+/// `host` is [`crate::report::host_stamp`]; `previous` is the tracked
+/// file this record replaces, for the `before` row.
+pub fn to_json(run: &LiveReportRun, host: &str, previous: Option<&str>) -> String {
     let o = &run.outcome;
     let mut out = String::from("{\n");
     out.push_str("  \"experiment\": \"live-report\",\n");
     out.push_str(&format!("  \"seed\": {},\n", run.seed));
     out.push_str(&format!("  \"users\": {},\n", run.users));
+    out.push_str(&format!("  \"host\": {host},\n"));
+    out.push_str(&format!("  \"before\": {},\n", before_row(previous, run, host)));
     out.push_str(&format!("  \"widths\": [{}],\n", WIDTHS.map(|w| w.to_string()).join(", ")));
     out.push_str(&format!("  \"fingerprint\": \"{:#018x}\",\n", o.fingerprint()));
     out.push_str("  \"fingerprints_match\": true,\n");
@@ -309,7 +348,23 @@ mod tests {
         assert!(run.runs.iter().all(|r| r.fingerprint == fp));
         assert!(run.quiescent_equivalent);
         assert!(run.quiescent_served > 0);
-        let json = to_json(&run);
+        let host = r#"{"cores": 2, "commit": "bbbbbbb"}"#;
+        let json = to_json(&run, host, None);
+        assert!(json.contains("\"before\": null"), "nothing tracked to compare with");
+        // The same run recorded at another commit becomes the before row…
+        let older = to_json(&run, r#"{"cores": 4, "commit": "aaaaaaa"}"#, None);
+        let walls: Vec<String> = run.runs.iter().map(|r| format!("{:.3}", r.wall_ms)).collect();
+        let before = format!(
+            r#""before": {{"host": {{"cores": 4, "commit": "aaaaaaa"}}, "wall_ms": [{}]}}"#,
+            walls.join(", ")
+        );
+        let newer = to_json(&run, host, Some(&older));
+        assert!(newer.contains(&before), "{newer}");
+        // …a re-run at the same commit keeps it, and another run's record
+        // (another seed) contributes nothing.
+        assert!(to_json(&run, host, Some(&newer)).contains(&before));
+        let other = older.replace("\"seed\": 42", "\"seed\": 43");
+        assert!(to_json(&run, host, Some(&other)).contains("\"before\": null"));
         assert!(json.contains("\"experiment\": \"live-report\""));
         assert!(json.contains("\"fingerprints_match\": true"));
         assert!(json.contains("\"misses\": 0"));

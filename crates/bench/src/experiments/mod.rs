@@ -411,7 +411,8 @@ fn run_live_report(config: &RunConfig) {
     );
     println!("{}", live::table(&run).render());
     print!("{}", run.outcome.render());
-    let json = live::to_json(&run);
+    let previous = std::fs::read_to_string("BENCH_live_loop.json").ok();
+    let json = live::to_json(&run, &crate::report::host_stamp(), previous.as_deref());
     match std::fs::write("BENCH_live_loop.json", &json) {
         Ok(()) => println!("wrote BENCH_live_loop.json"),
         Err(e) => eprintln!("could not write BENCH_live_loop.json: {e}"),

@@ -1,4 +1,5 @@
-//! Plain-text table formatting for experiment reports.
+//! Plain-text table formatting for experiment reports, and the host stamp
+//! tracked `BENCH_*` records carry.
 
 /// A simple fixed-width table builder for terminal reports.
 ///
@@ -75,6 +76,26 @@ impl Table {
 /// Formats a fraction as a percentage with one decimal (`0.776` → `77.6`).
 pub fn pct(fraction: f64) -> String {
     format!("{:.1}", fraction * 100.0)
+}
+
+/// The host a tracked bench record was taken on, as a JSON object:
+/// `{"cores": N, "commit": "<short hash>[+dirty]"}` — a wall time
+/// without them cannot be compared with anything. `commit` is
+/// `unknown` outside a git checkout.
+pub fn host_stamp() -> String {
+    let git = |args: &[&str]| {
+        let out = std::process::Command::new("git").args(args).output().ok()?;
+        out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_owned())
+    };
+    let commit = match git(&["rev-parse", "--short", "HEAD"]) {
+        Some(head) if git(&["status", "--porcelain"]).is_some_and(|s| !s.is_empty()) => {
+            format!("{head}+dirty")
+        }
+        Some(head) => head,
+        None => "unknown".to_owned(),
+    };
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    format!("{{\"cores\": {cores}, \"commit\": \"{commit}\"}}")
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use pelican_nn::ModelEnvelope;
 use pelican_sim::LinkProfile;
-use pelican_tensor::{FlopGuard, ThreadFlopGuard};
+use pelican_tensor::ThreadFlopGuard;
 
 /// Where a computation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -92,30 +92,15 @@ impl ResourceUsage {
     }
 }
 
-/// Runs `f`, attributing its floating-point work to `tier`.
+/// Runs `f`, attributing *this thread's* floating-point work to `tier`.
 ///
-/// Returns the closure's output along with the resources consumed.
-/// Measurement nests safely (the FLOP counter is a global monotone
-/// counter), but concurrent measurements attribute interleaved work to
-/// both scopes — run experiments sequentially when exact cycle counts
-/// matter.
-pub fn measure<T>(tier: ComputeTier, f: impl FnOnce() -> T) -> (T, ResourceUsage) {
-    let guard = FlopGuard::start();
-    let wall = std::time::Instant::now();
-    let out = f();
-    let host_elapsed = wall.elapsed();
-    let flops = guard.stop();
-    (out, usage_of(tier, flops, host_elapsed))
-}
-
-/// Runs `f`, attributing only *this thread's* floating-point work to
-/// `tier`.
-///
-/// Unlike [`measure`], concurrent measurements on other threads do not
-/// interleave: each thread mirrors its own FLOP contributions, so a
-/// worker pool can measure per-job costs that are bit-identical for any
-/// pool width. The closure must not spawn threads of its own — work done
-/// elsewhere is not attributed.
+/// Returns the closure's output along with the resources consumed. Each
+/// thread mirrors its own FLOP contributions, so work recorded
+/// concurrently on other threads — a trainer-pool worker, another test —
+/// never leaks into the measurement: a worker pool measures per-job
+/// costs, and a serving shard per-batch service times, that are
+/// bit-identical whatever else the process is doing. The closure must
+/// not spawn threads of its own — work done elsewhere is not attributed.
 pub fn measure_thread<T>(tier: ComputeTier, f: impl FnOnce() -> T) -> (T, ResourceUsage) {
     let guard = ThreadFlopGuard::start();
     let wall = std::time::Instant::now();
@@ -126,7 +111,7 @@ pub fn measure_thread<T>(tier: ComputeTier, f: impl FnOnce() -> T) -> (T, Resour
 }
 
 /// Converts an already-measured FLOP count (and host wall time) into the
-/// [`ResourceUsage`] a [`measure`] call around the same work would
+/// [`ResourceUsage`] a [`measure_thread`] call around the same work would
 /// report.
 ///
 /// The lockstep trainer pool measures per-user FLOPs *inside* a fused
@@ -196,7 +181,7 @@ mod tests {
     #[test]
     fn measure_attributes_flops() {
         let a = Matrix::zeros(16, 16);
-        let ((), usage) = measure(ComputeTier::Device, || {
+        let ((), usage) = measure_thread(ComputeTier::Device, || {
             let _ = a.matmul(&a);
         });
         assert_eq!(usage.flops, 2 * 16 * 16 * 16);
@@ -207,10 +192,10 @@ mod tests {
     #[test]
     fn cloud_is_faster_per_flop() {
         let a = Matrix::zeros(32, 32);
-        let ((), cloud) = measure(ComputeTier::Cloud, || {
+        let ((), cloud) = measure_thread(ComputeTier::Cloud, || {
             let _ = a.matmul(&a);
         });
-        let ((), device) = measure(ComputeTier::Device, || {
+        let ((), device) = measure_thread(ComputeTier::Device, || {
             let _ = a.matmul(&a);
         });
         assert_eq!(cloud.flops, device.flops, "same work");
@@ -222,7 +207,7 @@ mod tests {
         let mut total = ResourceUsage::zero();
         let a = Matrix::zeros(8, 8);
         for _ in 0..3 {
-            let ((), u) = measure(ComputeTier::Device, || {
+            let ((), u) = measure_thread(ComputeTier::Device, || {
                 let _ = a.matmul(&a);
             });
             total.accumulate(&u);

@@ -13,7 +13,7 @@ use pelican_nn::{
 };
 
 use crate::personalize::{personalize, PersonalizationConfig, PersonalizationMethod};
-use crate::platform::{measure, ComputeTier, NetworkLink, ResourceUsage};
+use crate::platform::{measure_thread, ComputeTier, NetworkLink, ResourceUsage};
 use crate::privacy::PrivacyLayer;
 
 /// Errors surfaced by the Pelican service API.
@@ -99,7 +99,7 @@ impl CloudTrainer {
         samples: &[Sample],
         seed: u64,
     ) -> (SequenceModel, FitReport, ResourceUsage) {
-        let ((model, report), usage) = measure(ComputeTier::Cloud, || {
+        let ((model, report), usage) = measure_thread(ComputeTier::Cloud, || {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut model = SequenceModel::general_lstm(
                 input_dim,
@@ -159,7 +159,7 @@ impl DevicePersonalizer {
     ) -> Result<PersonalizationOutcome, ServiceError> {
         let download_time = self.link.model_transfer_time(general);
         let general_model = general.decode()?;
-        let ((model, fit), usage) = measure(ComputeTier::Device, || {
+        let ((model, fit), usage) = measure_thread(ComputeTier::Device, || {
             personalize(&general_model, samples, method, &self.config)
         });
         Ok(PersonalizationOutcome { model, fit, usage, download_time })
@@ -173,7 +173,7 @@ impl DevicePersonalizer {
         model: &mut SequenceModel,
         new_samples: &[Sample],
     ) -> (FitReport, ResourceUsage) {
-        measure(ComputeTier::Device, || fit(model, new_samples, &self.config.train))
+        measure_thread(ComputeTier::Device, || fit(model, new_samples, &self.config.train))
     }
 }
 

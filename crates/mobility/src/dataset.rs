@@ -98,16 +98,34 @@ impl FeatureSpace {
         duration_bin: usize,
         dow: usize,
     ) -> Step {
+        let mut x = vec![0.0; self.dim()];
+        self.encode_into(location, entry_slot, duration_bin, dow, &mut x);
+        x
+    }
+
+    /// [`FeatureSpace::encode`] into a caller's all-zero buffer (e.g. one
+    /// row of a candidate matrix): sets the four hot entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index exceeds its block width or `x.len() != self.dim()`.
+    pub fn encode_into(
+        &self,
+        location: usize,
+        entry_slot: usize,
+        duration_bin: usize,
+        dow: usize,
+        x: &mut [f32],
+    ) {
         assert!(location < self.n_locations, "location {location} out of range");
         assert!(entry_slot < ENTRY_SLOTS, "entry slot {entry_slot} out of range");
         assert!(duration_bin < DURATION_BINS, "duration bin {duration_bin} out of range");
         assert!(dow < DAYS_PER_WEEK, "day of week {dow} out of range");
-        let mut x = vec![0.0; self.dim()];
+        assert_eq!(x.len(), self.dim(), "buffer is not one step wide");
         x[location] = 1.0;
         x[self.entry_offset() + entry_slot] = 1.0;
         x[self.duration_offset() + duration_bin] = 1.0;
         x[self.dow_offset() + dow] = 1.0;
-        x
     }
 
     /// Encodes a session.

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::chunk::ChunkBatch;
+use crate::sweep::SweepStep;
 use crate::{Dropout, Linear, Lstm, Sequence, Step};
 
 /// One layer of a [`crate::SequenceModel`].
@@ -40,6 +41,27 @@ impl Layer {
             Layer::Lstm(l) => l.infer_batch(xs),
             Layer::Linear(l) => l.infer_batch(xs),
             Layer::Dropout(d) => d.infer_batch(xs),
+        }
+    }
+
+    /// Inference over the `candidates` of a sweep; every candidate's
+    /// output is bit-identical to [`Layer::infer`] on its assembled
+    /// sequence. See [`Lstm::infer_sweep`].
+    pub(crate) fn infer_sweep(&self, xs: Vec<SweepStep>, candidates: usize) -> Vec<SweepStep> {
+        match self {
+            Layer::Lstm(l) => l.infer_sweep(&xs, candidates),
+            Layer::Linear(l) => l.infer_sweep(&xs),
+            Layer::Dropout(_) => xs,
+        }
+    }
+
+    /// FLOPs [`Layer::infer`] records per timestep — a function of the
+    /// layer's shape alone.
+    pub(crate) fn infer_step_flops(&self) -> u64 {
+        match self {
+            Layer::Lstm(l) => l.infer_step_flops(),
+            Layer::Linear(l) => l.infer_step_flops(),
+            Layer::Dropout(_) => 0,
         }
     }
 

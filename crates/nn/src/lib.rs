@@ -47,6 +47,7 @@ pub mod metrics;
 pub mod model;
 pub mod optim;
 pub mod serialize;
+mod sweep;
 pub mod train;
 
 pub use dropout::Dropout;
@@ -56,7 +57,7 @@ pub use lockstep::{fit_lockstep, LockstepJob, LockstepOutcome};
 pub use loss::{softmax_cross_entropy, softmax_cross_entropy_chunk};
 pub use lstm::Lstm;
 pub use metrics::{top_k_accuracy, TopKAccuracy};
-pub use model::{query_hash, ModelBuilder, Postprocess, SequenceModel};
+pub use model::{query_hash, sweep_query_hashes, ModelBuilder, Postprocess, SequenceModel};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use serialize::{ModelCodecError, ModelEnvelope};
 pub use train::{

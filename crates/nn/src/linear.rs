@@ -5,6 +5,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::chunk::ChunkBatch;
+use crate::sweep::SweepStep;
 use crate::{Sequence, Step};
 
 /// A fully-connected layer, `y = W·x + b`, applied per timestep.
@@ -128,6 +129,18 @@ impl Linear {
             out.push(rows);
         }
         out
+    }
+
+    /// Inference over the candidates of a sweep (see [`crate::sweep`]):
+    /// a shared timestep is answered once, a per-candidate one through
+    /// the batch kernel, each row bit-identical to [`Linear::infer`].
+    pub(crate) fn infer_sweep(&self, xs: &[SweepStep]) -> Vec<SweepStep> {
+        xs.iter().map(|x| x.project(&self.w).add_bias(&self.b)).collect()
+    }
+
+    /// FLOPs one inference timestep records: the weight matvec.
+    pub(crate) fn infer_step_flops(&self) -> u64 {
+        2 * self.w.len() as u64
     }
 
     /// Training-mode forward pass; caches inputs for [`Linear::backward`].

@@ -12,6 +12,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::chunk::ChunkBatch;
+use crate::sweep::SweepStep;
 use crate::{Sequence, Step};
 
 /// Activations cached for one timestep during the forward pass.
@@ -287,6 +288,58 @@ impl Lstm {
             }
         }
         out
+    }
+
+    /// Inference over the candidates of a sweep (see [`crate::sweep`]).
+    ///
+    /// Each half of the gate pre-activation — `W_ih·x_t` and
+    /// `W_hh·h_{t-1} + b` — is computed once while its operand is shared
+    /// by every candidate and once per candidate after that, so the
+    /// timesteps before the varied slot run a single time, the slot
+    /// itself pays only the (row-sparse) input projection per candidate,
+    /// and known later steps pay only the recurrent half. The two halves
+    /// are combined as `z_ih + (z_hh + b)` and pushed through the gate
+    /// arithmetic of [`Lstm::infer`], so candidate `r`'s hidden states
+    /// are bit-identical to inferring its assembled sequence alone.
+    /// Recorded FLOPs are whatever the kernels that ran recorded; the
+    /// model tops them up to the per-candidate total.
+    pub(crate) fn infer_sweep(&self, xs: &[SweepStep], candidates: usize) -> Vec<SweepStep> {
+        let hd = self.hidden;
+        let mut h = SweepStep::Shared(vec![0.0; hd]);
+        let mut c = SweepStep::Shared(vec![0.0; hd]);
+        let mut out = Vec::with_capacity(xs.len());
+        for x in xs {
+            let z_ih = x.project(&self.w_ih);
+            let z_hh = h.project(&self.w_hh).add_bias(&self.b);
+            let shared = matches!((&z_ih, &z_hh), (SweepStep::Shared(_), SweepStep::Shared(_)));
+            let rows = if shared { 1 } else { candidates };
+            let mut h_new = Matrix::zeros(rows, hd);
+            let mut c_new = Matrix::zeros(rows, hd);
+            for r in 0..rows {
+                let (zi, zh, c_prev) = (z_ih.row(r), z_hh.row(r), c.row(r));
+                let (h_row, c_row) = (h_new.row_mut(r), c_new.row_mut(r));
+                for k in 0..hd {
+                    let ig = sigmoid(zi[k] + zh[k]);
+                    let fg = sigmoid(zi[hd + k] + zh[hd + k]);
+                    let gg = (zi[2 * hd + k] + zh[2 * hd + k]).tanh();
+                    let og = sigmoid(zi[3 * hd + k] + zh[3 * hd + k]);
+                    c_row[k] = fg * c_prev[k] + ig * gg;
+                    h_row[k] = og * c_row[k].tanh();
+                }
+            }
+            (h, c) = if shared {
+                (SweepStep::Shared(h_new.into_vec()), SweepStep::Shared(c_new.into_vec()))
+            } else {
+                (SweepStep::PerCandidate(h_new), SweepStep::PerCandidate(c_new))
+            };
+            out.push(h.clone());
+        }
+        out
+    }
+
+    /// FLOPs one inference timestep records: the two gate matvecs.
+    pub(crate) fn infer_step_flops(&self) -> u64 {
+        2 * (self.w_ih.len() + self.w_hh.len()) as u64
     }
 
     /// Training-mode forward pass; caches activations for [`Lstm::backward`].

@@ -3,9 +3,10 @@
 use rand::{Rng, RngExt as _};
 use serde::{Deserialize, Serialize};
 
-use pelican_tensor::{softmax_temperature_in_place, Matrix};
+use pelican_tensor::{record_flops, softmax_temperature_in_place, Matrix, ThreadFlopGuard};
 
 use crate::chunk::ChunkBatch;
+use crate::sweep::SweepStep;
 use crate::{Dropout, Layer, Linear, Lstm, Sequence, Step};
 
 /// Inference-time post-processing of confidence vectors.
@@ -96,14 +97,60 @@ fn renormalize(probs: &mut [f32]) {
 /// query hash stays valid across defense changes as long as the weights
 /// are untouched.
 pub fn query_hash(xs: &[Step]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = QueryHasher::new();
     for step in xs {
+        h.step(step);
+    }
+    h.finish()
+}
+
+/// [`query_hash`] one timestep at a time. The hash is a running fold
+/// over the steps, so a copy taken after a shared prefix resumes it for
+/// every query that continues that prefix without rehashing it.
+#[derive(Clone, Copy)]
+struct QueryHasher(u64);
+
+impl QueryHasher {
+    /// The hash of the empty sequence.
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds in the next timestep.
+    fn step(&mut self, step: &[f32]) {
         for &v in step {
-            h ^= v.to_bits() as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
+            self.0 ^= v.to_bits() as u64;
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
         }
     }
-    h
+
+    /// The [`query_hash`] of the steps folded in so far.
+    fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// [`query_hash`] of every query of a sweep — `template` with row `i` of
+/// `candidates` at `slot` — hashing the shared prefix once.
+///
+/// # Panics
+///
+/// Panics if `slot` is outside `template`.
+pub fn sweep_query_hashes(template: &[Step], slot: usize, candidates: &Matrix) -> Vec<u64> {
+    let mut prefix = QueryHasher::new();
+    for step in &template[..slot] {
+        prefix.step(step);
+    }
+    (0..candidates.rows())
+        .map(|r| {
+            let mut h = prefix;
+            h.step(candidates.row(r));
+            for step in &template[slot + 1..] {
+                h.step(step);
+            }
+            h.finish()
+        })
+        .collect()
 }
 
 /// A sequence classification model: stacked layers whose final timestep
@@ -283,6 +330,76 @@ impl SequenceModel {
         cur.into_iter()
             .map(|mut seq| seq.pop().expect("sequence length preserved by all layers"))
             .collect()
+    }
+
+    /// [`SequenceModel::logits`] of a *sweep*: one logit vector per row of
+    /// `candidates`, answering `template` with that row at timestep
+    /// `slot` (`template[slot]` itself is ignored). This is the query
+    /// shape of the enumeration attacks — a thousand candidates for one
+    /// hidden step around the same known steps — and it costs far less
+    /// than the independent calls: the layer stack runs the shared prefix
+    /// `template[..slot]` once, computes once every pre-activation half
+    /// no candidate has influenced yet, projects the candidate rows
+    /// through [`Matrix::matmul_transpose_sparse`] at O(non-zeros) each,
+    /// and carries all candidates through the remaining layers as one
+    /// batch (see [`Lstm::infer_sweep`]). Layers above the last LSTM see
+    /// only the final timestep, the only one the logits read.
+    ///
+    /// Row `i` is bit-identical to `logits` of the assembled sequence,
+    /// and the recorded FLOPs are exactly what the independent calls
+    /// record — the nominal count, whatever was shared or skipped — so
+    /// compute priced from FLOPs costs a sweep like the loop it replaces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is outside `template`.
+    pub fn logits_sweep(&self, template: &[Step], slot: usize, candidates: &Matrix) -> Vec<Step> {
+        assert!(slot < template.len(), "slot {slot} outside a {}-step template", template.len());
+        let n = candidates.rows();
+        if n == 0 {
+            return Vec::new();
+        }
+        let recorded = ThreadFlopGuard::start();
+        let mut cur: Vec<SweepStep> = template
+            .iter()
+            .enumerate()
+            .map(|(t, x)| {
+                if t == slot {
+                    SweepStep::PerCandidate(candidates.clone())
+                } else {
+                    SweepStep::Shared(x.clone())
+                }
+            })
+            .collect();
+        let recurrent =
+            self.layers.iter().rposition(|l| matches!(l, Layer::Lstm(_))).map_or(0, |i| i + 1);
+        for (i, layer) in self.layers.iter().enumerate() {
+            if i == recurrent {
+                cur.drain(..cur.len() - 1);
+            }
+            cur = layer.infer_sweep(cur, n);
+        }
+        let per_query: u64 = self.layers.iter().map(Layer::infer_step_flops).sum();
+        record_flops(n as u64 * template.len() as u64 * per_query - recorded.stop());
+        match cur.pop().expect("sequence length preserved by all layers") {
+            SweepStep::Shared(logits) => vec![logits; n],
+            SweepStep::PerCandidate(rows) => (0..n).map(|r| rows.row(r).to_vec()).collect(),
+        }
+    }
+
+    /// [`SequenceModel::predict_proba`] of a sweep (see
+    /// [`SequenceModel::logits_sweep`]): each candidate's logits go
+    /// through the confidence pipeline under its own query's hash, so row
+    /// `i` is bit-identical to `predict_proba` of the assembled sequence.
+    pub fn predict_proba_sweep(
+        &self,
+        template: &[Step],
+        slot: usize,
+        candidates: &Matrix,
+    ) -> Vec<Step> {
+        let keys = sweep_query_hashes(template, slot, candidates);
+        let logits = self.logits_sweep(template, slot, candidates);
+        logits.into_iter().zip(keys).map(|(l, key)| self.proba_from_logits(l, key)).collect()
     }
 
     /// Confidence scores for the final timestep: temperature-scaled softmax

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pelican_nn::{Postprocess, Sequence, SequenceModel};
-use pelican_tensor::FlopGuard;
+use pelican_tensor::ThreadFlopGuard;
 
 const INPUT_DIM: usize = 6;
 
@@ -101,14 +101,14 @@ fn batched_flop_accounting_matches_sequential() {
     let m = model();
     let qs = queries(17);
     let sequential = {
-        let guard = FlopGuard::start();
+        let guard = ThreadFlopGuard::start();
         for q in &qs {
             let _ = m.predict_proba(q);
         }
         guard.stop()
     };
     let batched = {
-        let guard = FlopGuard::start();
+        let guard = ThreadFlopGuard::start();
         let _ = m.predict_proba_batch(&qs);
         guard.stop()
     };

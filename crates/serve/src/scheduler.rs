@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use pelican::platform::{measure, ComputeTier};
+use pelican::platform::{measure_thread, ComputeTier};
 use pelican_nn::{ModelCodecError, Sequence, Step};
 
 use crate::registry::{Lookup, ShardedRegistry};
@@ -226,7 +226,7 @@ impl<'a> ServeEngine<'a> {
         }
 
         let registry = self.registry;
-        let (answered, usage) = measure(self.tier, || {
+        let (answered, usage) = measure_thread(self.tier, || {
             let mut answered: Vec<(usize, Step, Lookup)> = Vec::with_capacity(batch.requests.len());
             for (user_id, members) in &groups {
                 let (model, lookup) = match registry.get(*user_id) {
@@ -380,5 +380,40 @@ mod tests {
         // Distinct unenrolled users share the general model, so the whole
         // fallback group costs a single registry lookup.
         assert_eq!(registry.stats().fallbacks, 1, "fallback rows fuse into one group");
+    }
+
+    #[test]
+    fn service_times_ignore_flops_burned_on_another_thread() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let general = pelican_nn::SequenceModel::single_lstm(4, 6, 3, 0.0, &mut rng);
+        let registry = ShardedRegistry::new(general, RegistryConfig { shards: 2, hot_capacity: 4 });
+        let requests: Vec<Request> = (0..6).map(|i| request(i, 2, i as u64)).collect();
+        let batch = Batch { shard: 0, dispatched_us: 10, requests };
+        let engine = ServeEngine::new(&registry, ComputeTier::Device);
+        let service_times = |engine: &ServeEngine<'_>| -> Vec<u64> {
+            let completions = engine.execute(&batch).expect("envelopes decode");
+            completions.iter().map(|c| c.service_us).collect()
+        };
+        let quiet = service_times(&engine);
+
+        // Serving while the trainer pool trains is the product: a
+        // neighbour records FLOPs the whole time the batch is re-served,
+        // and not one of them may be billed to the batch.
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let (burning_tx, burning_rx) = std::sync::mpsc::channel();
+        let noisy: Vec<Vec<u64>> = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let a = pelican_tensor::Matrix::filled(64, 64, 0.5);
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    std::hint::black_box(a.matmul(&a));
+                    let _ = burning_tx.send(());
+                }
+            });
+            burning_rx.recv().expect("the neighbour is burning");
+            let noisy = (0..200).map(|_| service_times(&engine)).collect();
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            noisy
+        });
+        assert!(noisy.iter().all(|times| *times == quiet), "a neighbour's FLOPs leaked in");
     }
 }

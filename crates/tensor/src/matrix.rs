@@ -149,7 +149,10 @@ impl Matrix {
     /// Matrix product `self · rhs`.
     ///
     /// Uses an `i-k-j` loop ordering so the inner loop streams over
-    /// contiguous rows of both operands.
+    /// contiguous rows of both operands (and vectorises across outputs).
+    /// Every output element sums its `a·b` products in strict ascending
+    /// `k` order, skipping the terms whose `self` entry is zero; the
+    /// recorded FLOP count is the nominal `2·m·k·n` regardless of skips.
     ///
     /// # Panics
     ///
@@ -235,10 +238,46 @@ impl Matrix {
         out
     }
 
+    /// Matrix product `self · rhsᵀ` for row-sparse `self` — many
+    /// [`Matrix::matvec`] calls against one weight matrix, at a cost of
+    /// O(non-zeros) per row instead of O(`cols`).
+    ///
+    /// `rhs` is transposed once so that [`Matrix::matmul`]'s `i-k-j` loop
+    /// applies: each non-zero `self[i][k]` adds one scaled row of `rhsᵀ`
+    /// to the whole output row (vectorised across outputs), and a zero
+    /// entry costs one comparison. How much is skipped is decided by each
+    /// row's own non-zeros — a dense row simply skips nothing. Every
+    /// output still sums its products in ascending `k` order from `+0.0`,
+    /// and a skipped `w · ±0.0` term could only have added `±0.0` to a
+    /// sum that is never `-0.0`, so each output row has the bits of
+    /// `rhs.matvec(row)`. That argument needs finite weights (`0 · NaN`
+    /// and `0 · ∞` are NaN, not zero), so a non-finite `rhs` takes the
+    /// dense [`Matrix::matmul_transpose`] instead. Records the same
+    /// nominal `2·m·k·n` FLOPs as the `m` matvecs either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != rhs.cols()`.
+    pub fn matmul_transpose_sparse(&self, rhs: &Matrix) -> Matrix {
+        assert_eq!(
+            self.cols, rhs.cols,
+            "matmul_transpose_sparse dimension mismatch: {}x{} · ({}x{})ᵀ",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        if rhs.data.iter().all(|w| w.is_finite()) {
+            self.matmul(&rhs.transpose())
+        } else {
+            self.matmul_transpose(rhs)
+        }
+    }
+
     /// Matrix-vector product `self · x`.
     ///
-    /// Skips zero inputs, which makes one-hot encoded feature vectors (the
-    /// common case in this workspace) nearly free.
+    /// A dense dot product per output row, summed in ascending `k` order:
+    /// zero inputs are multiplied like any other, so a one-hot `x` costs
+    /// as much as a dense one. Sparsity is exploited in
+    /// [`Matrix::matmul_transpose_sparse`], which answers many sparse
+    /// `x` rows at once with the same bits per output.
     ///
     /// # Panics
     ///
@@ -484,6 +523,58 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let b = Matrix::from_rows(&[&[1.0, 0.5, -1.0], &[2.0, -2.0, 0.25]]);
         assert_eq!(a.matmul_transpose(&b), a.matmul(&b.transpose()));
+    }
+
+    /// Rows with 0, 1, 4 and every entry non-zero, `-0.0` among the zeros.
+    fn sparse_rows(cols: usize) -> Matrix {
+        let mut x = Matrix::zeros(4, cols);
+        x.row_mut(0)[2] = -0.0;
+        x.row_mut(1)[3] = 1.0;
+        for (n, k) in [0, 4, 5, cols - 1].into_iter().enumerate() {
+            x.row_mut(2)[k] = 0.3 - 0.41 * n as f32;
+        }
+        x.row_mut(2)[1] = -0.0;
+        for (k, v) in x.row_mut(3).iter_mut().enumerate() {
+            *v = 0.17 + (k as f32 * 0.77).sin();
+        }
+        x
+    }
+
+    #[test]
+    fn sparse_rows_product_has_the_bits_and_flops_of_matvec() {
+        let (cols, outs) = (11, 7);
+        let w = Matrix::from_vec(
+            outs,
+            cols,
+            (0..outs * cols).map(|i| (i as f32 * 1.37).cos() * 0.9).collect(),
+        );
+        let x = sparse_rows(cols);
+        let guard = crate::flops::ThreadFlopGuard::start();
+        let rows: Vec<Vec<f32>> = (0..x.rows()).map(|r| w.matvec(x.row(r))).collect();
+        let matvec_flops = guard.stop();
+        let guard = crate::flops::ThreadFlopGuard::start();
+        let fused = x.matmul_transpose_sparse(&w);
+        assert_eq!(guard.stop(), matvec_flops, "FLOP parity broken");
+        for (r, row) in rows.iter().enumerate() {
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(fused.row(r)), bits(row), "row {r} diverged bitwise");
+        }
+    }
+
+    #[test]
+    fn sparse_rows_product_surfaces_a_non_finite_weight_a_zero_would_skip() {
+        let mut w = Matrix::filled(3, 11, 0.5);
+        w[(1, 6)] = f32::NAN; // column 6 is zero in every sparse row
+        w[(2, 7)] = f32::INFINITY;
+        let x = sparse_rows(11);
+        let fused = x.matmul_transpose_sparse(&w);
+        for r in 0..x.rows() {
+            let dense = w.matvec(x.row(r));
+            assert!(dense[1].is_nan() && fused[(r, 1)].is_nan(), "row {r}: 0·NaN is NaN");
+            assert!(dense[2].is_nan() || dense[2].is_infinite());
+            assert_eq!(dense[2].is_nan(), fused[(r, 2)].is_nan(), "row {r}: 0·∞ is NaN");
+            assert_eq!(dense[0].to_bits(), fused[(r, 0)].to_bits());
+        }
     }
 
     #[test]

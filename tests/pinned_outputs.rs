@@ -1,0 +1,137 @@
+//! Exact outputs, pinned across commits.
+//!
+//! The fingerprints and virtual-clock metrics are pure functions of the
+//! seed, and the benchmark's `check` holds two runs of *one* commit to
+//! that — nothing else compares a commit with its parent. These constants
+//! were recorded at the commit before the audit sweeps landed (PR 11,
+//! `ea62e73`): a change that only makes the host faster, or only deletes
+//! code, must leave every one of them as it is. A change that means to
+//! move the reproduction re-records them and says so.
+
+use std::sync::Arc;
+
+use pelican::platform::ComputeTier;
+use pelican::{DefenseKind, PersonalizationConfig};
+use pelican_live::{bootstrap_jobs, run_live, DriftConfig, DriftMetric, LiveConfig};
+use pelican_mobility::{CampusConfig, DatasetBuilder, MobilityDataset, Scale, SpatialLevel};
+use pelican_nn::{SequenceModel, TrainConfig};
+use pelican_serve::{RegistryConfig, SchedulerConfig, ShardedRegistry, SimServeConfig};
+use pelican_store::{EnvelopeStore, MemBackend, StoreConfig};
+use pelican_train::{AuditConfig, AuditGate, GateOutcome, GateVerdict, PipelineConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+fn tiny_setting() -> (MobilityDataset, SequenceModel, std::ops::Range<usize>) {
+    let dataset =
+        DatasetBuilder::new(CampusConfig::for_scale(Scale::Tiny), 13).build(SpatialLevel::Building);
+    let mut rng = StdRng::seed_from_u64(13);
+    let general =
+        SequenceModel::general_lstm(dataset.space.dim(), 12, dataset.n_locations(), 0.1, &mut rng);
+    let n = dataset.users.len();
+    (dataset, general, (n - 3)..n)
+}
+
+/// The eager-trigger live loop of `crates/live/tests/live_loop.rs`, one
+/// trainer wide.
+fn live_config() -> LiveConfig {
+    LiveConfig {
+        pipeline: PipelineConfig {
+            workers: 1,
+            personalization: PersonalizationConfig {
+                train: TrainConfig { epochs: 2, ..TrainConfig::default() },
+                hidden_dim: 12,
+                ..PersonalizationConfig::default()
+            },
+            audit: AuditConfig { max_instances: 3, ..AuditConfig::default() },
+            ..PipelineConfig::default()
+        },
+        serve: SimServeConfig {
+            scheduler: SchedulerConfig { max_batch: 4, max_delay_us: 900 },
+            tier: ComputeTier::Cloud,
+            network: None,
+        },
+        drift: DriftConfig {
+            metric: DriftMetric::TopKAgreement { k: 1, min_agreement: 1.01 },
+            min_new_samples: 4,
+            window: 6,
+        },
+        us_per_minute: 1_000,
+        bootstrap_minutes: 7 * 24 * 60,
+        horizon_minutes: 14 * 24 * 60,
+        train_fraction: 0.8,
+        round_interval_us: 200_000,
+        rollback_tolerance: 0.5,
+    }
+}
+
+#[test]
+fn tiny_live_loop_fingerprint_is_the_recorded_one() {
+    let (dataset, general, users) = tiny_setting();
+    let store = EnvelopeStore::open(
+        Arc::new(MemBackend::new()),
+        StoreConfig { shards: 2, ..StoreConfig::default() },
+    )
+    .expect("open empty store");
+    let registry = ShardedRegistry::with_store(
+        general.clone(),
+        RegistryConfig { shards: 2, hot_capacity: 8 },
+        Arc::new(store),
+    );
+    let live = run_live(&dataset, users, &registry, &general, &live_config()).expect("live run");
+    assert_eq!(live.fingerprint(), 0xb4d5_3f02_aefe_9d7d, "the live-loop reproduction moved");
+    assert_eq!(live.retrains.len(), 23);
+    let reaudit = &live.reaudit;
+    assert_eq!(
+        (reaudit.audits, reaudit.queries, reaudit.hits, reaudit.misses),
+        (7, 936, 1104, 0),
+        "the warm re-audits moved"
+    );
+}
+
+#[test]
+fn fixed_seed_gate_outcomes_are_the_recorded_ones() {
+    let (dataset, general, users) = tiny_setting();
+    let subject = bootstrap_jobs(&dataset, users, &live_config()).remove(0).subject;
+    let admit = |config: AuditConfig| -> GateOutcome {
+        AuditGate::new(config).admit_with_cache(general.clone(), &dataset.space, &subject).1
+    };
+
+    // The untrained general model leaks at the base defense and passes
+    // two rungs up, on logits cached by the first audit.
+    assert_eq!(
+        admit(AuditConfig::default()),
+        GateOutcome {
+            verdict: GateVerdict::Escalated,
+            defense: DefenseKind::Temperature { temperature: 1e-3 },
+            rungs_climbed: 2,
+            initial_leakage: 0.75,
+            final_leakage: 0.25,
+            audits: 3,
+            queries: 3456,
+            cached: 2352,
+            cache_misses: 1176,
+        }
+    );
+    // A zero budget at k = every location: leakage is 1.0 under any
+    // defense, so the gate climbs the whole ladder and comes out flagged.
+    let n = dataset.n_locations();
+    assert_eq!(
+        admit(AuditConfig {
+            max_leakage: 0.0,
+            ks: vec![1, n],
+            audit_k: n,
+            ..AuditConfig::default()
+        }),
+        GateOutcome {
+            verdict: GateVerdict::Exhausted,
+            defense: DefenseKind::Temperature { temperature: 1e-5 },
+            rungs_climbed: 3,
+            initial_leakage: 1.0,
+            final_leakage: 1.0,
+            audits: 4,
+            queries: 4416,
+            cached: 3336,
+            cache_misses: 1176,
+        }
+    );
+}
