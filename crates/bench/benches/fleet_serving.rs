@@ -1,12 +1,15 @@
 //! Criterion bench behind the fleet-serving subsystem: fused batched
 //! inference vs. one-query-at-a-time serving for the same model.
 //!
-//! The batched path answers B same-model queries with two matrix–matrix
-//! products per timestep (weights stream through memory once per batch)
-//! instead of 2·B matrix–vector products, and skips the per-step
-//! activation-cache allocations of the scalar path — while returning
-//! bit-identical probabilities. The gap should open from batch ≈ 8 and
-//! widen with batch size and hidden width.
+//! Both run the same inference step (`predict_proba` is the one-row
+//! batch), so the rows differ only in what a batch amortises: one
+//! packing, one set of output allocations and one FLOP top-up per call
+//! instead of per query. The queries are real encoded sessions — four
+//! non-zeros a step — which is what the step's sparse input projection
+//! exploits; that every answer has the bits of the dense training-mode
+//! forward pass is pinned in `crates/nn/tests/infer_equivalence.rs`.
+//! B = 2 is the batch the sim-driven scheduler actually seals on the
+//! repo benchmark's `serve_steady`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -15,8 +18,7 @@ use pelican_mobility::{Scale, SpatialLevel};
 use pelican_nn::Sequence;
 
 fn bench_fleet_serving(c: &mut Criterion) {
-    // A wider LSTM than the Tiny default so the weight matrices outgrow
-    // L1 and the batch path's cache reuse is visible.
+    // The hidden width the repo benchmark serves at (Tiny defaults to 12).
     let scenario = Scenario::builder(Scale::Tiny, SpatialLevel::Building)
         .seed(42)
         .personal_users(1)
@@ -27,13 +29,8 @@ fn bench_fleet_serving(c: &mut Criterion) {
     let queries: Vec<Sequence> =
         (0..32).map(|i| user.test[i % user.test.len()].xs.clone()).collect();
 
-    // The whole point: fused batches must not change a single bit.
-    for (q, fused) in queries.iter().zip(model.predict_proba_batch(&queries)) {
-        assert_eq!(model.predict_proba(q), fused, "batched serving must be bit-identical");
-    }
-
     let mut group = c.benchmark_group("fleet_serving");
-    for batch in [1usize, 8, 32] {
+    for batch in [1usize, 2, 8, 32] {
         let slice = &queries[..batch];
         group.bench_function(format!("unbatched/b{batch}"), |b| {
             b.iter(|| {

@@ -2,8 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
+use pelican_tensor::Matrix;
+
 use crate::chunk::ChunkBatch;
-use crate::sweep::SweepStep;
 use crate::{Dropout, Linear, Lstm, Sequence, Step};
 
 /// One layer of a [`crate::SequenceModel`].
@@ -44,12 +45,13 @@ impl Layer {
         }
     }
 
-    /// Inference over the `candidates` of a sweep; every candidate's
-    /// output is bit-identical to [`Layer::infer`] on its assembled
-    /// sequence. See [`Lstm::infer_sweep`].
-    pub(crate) fn infer_sweep(&self, xs: Vec<SweepStep>, candidates: usize) -> Vec<SweepStep> {
+    /// Inference over the candidates of a sweep, one matrix per timestep
+    /// (see [`crate::sweep`]); every candidate's output is bit-identical
+    /// to [`Layer::infer`] on its assembled sequence. See
+    /// [`Lstm::infer_sweep`].
+    pub(crate) fn infer_sweep(&self, xs: Vec<Matrix>) -> Vec<Matrix> {
         match self {
-            Layer::Lstm(l) => l.infer_sweep(&xs, candidates),
+            Layer::Lstm(l) => l.infer_sweep(&xs),
             Layer::Linear(l) => l.infer_sweep(&xs),
             Layer::Dropout(_) => xs,
         }

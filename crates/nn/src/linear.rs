@@ -1,11 +1,12 @@
 //! Fully-connected layer applied independently to each timestep.
 
+use std::sync::OnceLock;
+
 use pelican_tensor::Matrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::chunk::ChunkBatch;
-use crate::sweep::SweepStep;
 use crate::{Sequence, Step};
 
 /// A fully-connected layer, `y = W·x + b`, applied per timestep.
@@ -29,6 +30,9 @@ pub struct Linear {
     /// Packed input cache written by [`Linear::forward_chunk_packed`].
     #[serde(skip)]
     chunk_inputs: Option<ChunkBatch>,
+    /// Whether `w` is all finite; see [`Linear::infer_rows`].
+    #[serde(skip)]
+    finite: OnceLock<bool>,
 }
 
 impl Linear {
@@ -43,6 +47,7 @@ impl Linear {
             grad_b: Vec::new(),
             cache_inputs: Vec::new(),
             chunk_inputs: None,
+            finite: OnceLock::new(),
         }
     }
 
@@ -62,6 +67,7 @@ impl Linear {
             grad_b: Vec::new(),
             cache_inputs: Vec::new(),
             chunk_inputs: None,
+            finite: OnceLock::new(),
         }
     }
 
@@ -98,11 +104,32 @@ impl Linear {
         xs.iter().map(|x| self.apply(x)).collect()
     }
 
+    /// `W·x + b` for every row of `x`, each output row with the bits of
+    /// [`Linear::infer`] on it. Finite weights go through
+    /// [`Matrix::matmul_transpose_sparse`] — hidden states are dense, so
+    /// what that buys is its amortised transpose when a sweep brings many
+    /// rows — and non-finite ones through the dense product; finiteness
+    /// is scanned once and kept until [`Linear::visit_params`] hands the
+    /// weights out.
+    fn infer_rows(&self, x: &Matrix) -> Matrix {
+        let mut ys = if *self.finite.get_or_init(|| self.w.is_finite()) {
+            x.matmul_transpose_sparse(&self.w)
+        } else {
+            x.matmul_transpose(&self.w)
+        };
+        for row in ys.as_mut_slice().chunks_exact_mut(self.b.len()) {
+            for (yv, &bv) in row.iter_mut().zip(&self.b) {
+                *yv += bv;
+            }
+        }
+        ys
+    }
+
     /// Batched inference: every timestep of every sequence is packed into
-    /// one matrix and multiplied against the weights in a single pass, so
-    /// the weight matrix streams through memory once per batch instead of
-    /// once per timestep. Bit-identical to per-sequence [`Linear::infer`],
-    /// with the same recorded FLOP count.
+    /// one matrix and answered by one product (four accumulator chains
+    /// per row instead of a matrix–vector product's one). Bit-identical
+    /// to per-sequence [`Linear::infer`], with the same recorded FLOP
+    /// count.
     pub fn infer_batch<S: AsRef<[Step]>>(&self, xs: &[S]) -> Vec<Sequence> {
         let total_steps: usize = xs.iter().map(|s| s.as_ref().len()).sum();
         let mut packed = Matrix::zeros(total_steps, self.input_dim());
@@ -113,29 +140,16 @@ impl Linear {
                 r += 1;
             }
         }
-        let ys = packed.matmul_transpose(&self.w);
-        let mut out = Vec::with_capacity(xs.len());
-        let mut r = 0;
-        for seq in xs {
-            let mut rows = Vec::with_capacity(seq.as_ref().len());
-            for _ in seq.as_ref() {
-                let mut y = ys.row(r).to_vec();
-                for (yv, &bv) in y.iter_mut().zip(&self.b) {
-                    *yv += bv;
-                }
-                rows.push(y);
-                r += 1;
-            }
-            out.push(rows);
-        }
-        out
+        let ys = self.infer_rows(&packed);
+        let mut rows = ys.as_slice().chunks_exact(self.b.len()).map(<[f32]>::to_vec);
+        xs.iter().map(|seq| rows.by_ref().take(seq.as_ref().len()).collect()).collect()
     }
 
     /// Inference over the candidates of a sweep (see [`crate::sweep`]):
-    /// a shared timestep is answered once, a per-candidate one through
-    /// the batch kernel, each row bit-identical to [`Linear::infer`].
-    pub(crate) fn infer_sweep(&self, xs: &[SweepStep]) -> Vec<SweepStep> {
-        xs.iter().map(|x| x.project(&self.w).add_bias(&self.b)).collect()
+    /// a timestep every candidate shares is one row and answered once,
+    /// each row bit-identical to [`Linear::infer`].
+    pub(crate) fn infer_sweep(&self, xs: &[Matrix]) -> Vec<Matrix> {
+        xs.iter().map(|x| self.infer_rows(x)).collect()
     }
 
     /// FLOPs one inference timestep records: the weight matvec.
@@ -250,6 +264,7 @@ impl Linear {
         if !self.trainable {
             return;
         }
+        self.finite = OnceLock::new();
         if let Some(gw) = self.grad_w.as_mut() {
             f(self.w.as_mut_slice(), gw.as_mut_slice());
         }

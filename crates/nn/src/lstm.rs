@@ -7,12 +7,14 @@
 //! gradients are what make the gradient-descent model-inversion attack of
 //! §III-B possible.
 
+use std::sync::OnceLock;
+
 use pelican_tensor::{sigmoid, Matrix};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::chunk::ChunkBatch;
-use crate::sweep::SweepStep;
+use crate::sweep::shared_row;
 use crate::{Sequence, Step};
 
 /// Activations cached for one timestep during the forward pass.
@@ -98,6 +100,9 @@ pub struct Lstm {
     /// Flat chunk caches written by [`Lstm::forward_chunk`].
     #[serde(skip)]
     chunk_cache: ChunkCache,
+    /// Whether `w_ih` and `w_hh` are all finite; see [`Lstm::project`].
+    #[serde(skip)]
+    finite: OnceLock<bool>,
 }
 
 impl Lstm {
@@ -118,6 +123,7 @@ impl Lstm {
             grad_b: Vec::new(),
             cache: Vec::new(),
             chunk_cache: ChunkCache::default(),
+            finite: OnceLock::new(),
         }
     }
 
@@ -144,6 +150,7 @@ impl Lstm {
             grad_b: Vec::new(),
             cache: Vec::new(),
             chunk_cache: ChunkCache::default(),
+            finite: OnceLock::new(),
         }
     }
 
@@ -215,129 +222,145 @@ impl Lstm {
         (h_out, c, cache)
     }
 
-    /// Inference-mode forward pass over a sequence; returns hidden states
-    /// for every timestep. No caches are written.
-    pub fn infer(&self, xs: &[Step]) -> Sequence {
-        let mut h = vec![0.0; self.hidden];
-        let mut c = vec![0.0; self.hidden];
-        let mut out = Vec::with_capacity(xs.len());
-        for x in xs {
-            let (h_new, c_new, _) = self.step(x, &h, &c);
-            h = h_new;
-            c = c_new;
-            out.push(h.clone());
+    /// `rows · wᵀ` for one of this layer's weight matrices, each output
+    /// row with the bits of `w.matvec(row)`: finite weights are read only
+    /// where a row is non-zero ([`Matrix::matmul_transpose_sparse`]), a
+    /// non-finite layer takes the dense product so that `0 · NaN` and
+    /// `0 · ∞` surface. Finiteness of `w_ih` and `w_hh` is scanned on the
+    /// first inference and kept until [`Lstm::visit_params`] — the only
+    /// place they change — hands them out. Both products record the
+    /// nominal `2 · rows · w.len()` FLOPs.
+    fn project(&self, rows: &Matrix, w: &Matrix) -> Matrix {
+        if *self.finite.get_or_init(|| self.w_ih.is_finite() && self.w_hh.is_finite()) {
+            rows.matmul_transpose_sparse(w)
+        } else {
+            rows.matmul_transpose(w)
         }
-        out
+    }
+
+    /// One inference timestep for a set of sequences — the one place
+    /// inference forms gate pre-activations, `z = W_ih·x + (W_hh·h + b)`
+    /// in the grouping of the training-mode `step`, and applies the cell
+    /// update. `x` and the state `(h, c)` hold one row per sequence, or a
+    /// single row that every sequence shares (a sweep); the new state has
+    /// one row per sequence unless everything was shared.
+    ///
+    /// What a served query is makes most of the nominal work vanish in
+    /// [`Lstm::project`]: an encoded session step has four non-zeros, so
+    /// its input projection reads four columns of `W_ih`, and at `t = 0`
+    /// every `h` row is zero, so `W_hh` is not read at all — `+0.0 + b`
+    /// and `f · 0 + i·g` are still evaluated, which keeps a `-0.0` bias
+    /// and NaN gates bit-exact.
+    fn infer_step(&self, x: &Matrix, h: &Matrix, c: &Matrix) -> (Matrix, Matrix) {
+        let hd = self.hidden;
+        let z_ih = self.project(x, &self.w_ih);
+        let mut z_hh = self.project(h, &self.w_hh);
+        for row in z_hh.as_mut_slice().chunks_exact_mut(4 * hd) {
+            for (v, &bv) in row.iter_mut().zip(&self.b) {
+                *v += bv;
+            }
+        }
+        let rows = x.rows().max(h.rows());
+        let mut h_new = Matrix::zeros(rows, hd);
+        let mut c_new = Matrix::zeros(rows, hd);
+        for r in 0..rows {
+            let (zi, zh, c_prev) = (shared_row(&z_ih, r), shared_row(&z_hh, r), shared_row(c, r));
+            let (h_row, c_row) = (h_new.row_mut(r), c_new.row_mut(r));
+            for k in 0..hd {
+                let ig = sigmoid(zi[k] + zh[k]);
+                let fg = sigmoid(zi[hd + k] + zh[hd + k]);
+                let gg = (zi[2 * hd + k] + zh[2 * hd + k]).tanh();
+                let og = sigmoid(zi[3 * hd + k] + zh[3 * hd + k]);
+                c_row[k] = fg * c_prev[k] + ig * gg;
+                h_row[k] = og * c_row[k].tanh();
+            }
+        }
+        (h_new, c_new)
+    }
+
+    /// Inference-mode forward pass over a sequence; returns hidden states
+    /// for every timestep. No caches are written: this is the one-row
+    /// case of [`Lstm::infer_batch`], bit-identical to the training-mode
+    /// [`Lstm::forward`] and recording the same FLOPs.
+    pub fn infer(&self, xs: &[Step]) -> Sequence {
+        self.infer_batch(&[xs]).pop().expect("one sequence in, one out")
     }
 
     /// Batched inference over `B` sequences through the *same* parameters.
     ///
-    /// Where [`Lstm::infer`] performs two matrix–vector products per
-    /// timestep per sequence, this fuses the gate pre-activations of all
-    /// sequences that are still active at timestep `t` into two
-    /// matrix–matrix products (`X_t · W_ihᵀ` and `H_{t-1} · W_hhᵀ`), so the
-    /// weight matrices stream through memory once per timestep instead of
-    /// once per query. Per-element accumulation order is unchanged, so the
-    /// returned hidden states are bit-identical to running [`Lstm::infer`]
-    /// on each sequence alone, and the FLOP count recorded for platform
-    /// cost simulation is exactly the sum of the unbatched counts.
+    /// The sequences still active at timestep `t` advance together
+    /// through `Lstm::infer_step`: their inputs and states are packed
+    /// into matrices once, so no per-sequence vectors are allocated along
+    /// the way, and rows too dense to skip anything run on the four
+    /// independent accumulator chains of [`Matrix::matmul_transpose`]
+    /// instead of the single serial chain of a matrix–vector product.
+    /// (The weights are *not* read once per batch — that kernel walks
+    /// them once per row.) Per-element accumulation order is that of
+    /// [`Lstm::forward`], so the returned hidden states are bit-identical
+    /// to running each sequence alone, and the FLOP count recorded for
+    /// platform cost simulation is the nominal two products per row and
+    /// timestep, whatever was skipped.
     ///
     /// Sequences may have different lengths (shorter ones simply drop out
     /// of the active set). Returns one hidden-state sequence per input.
     pub fn infer_batch<S: AsRef<[Step]>>(&self, xs: &[S]) -> Vec<Sequence> {
-        let b = xs.len();
-        let h = self.hidden;
-        let input_dim = self.input_dim();
-        let max_t = xs.iter().map(|s| s.as_ref().len()).max().unwrap_or(0);
-        let mut hs = Matrix::zeros(b, h);
-        let mut cs = Matrix::zeros(b, h);
         let mut out: Vec<Sequence> =
             xs.iter().map(|s| Vec::with_capacity(s.as_ref().len())).collect();
-        for t in 0..max_t {
-            let active: Vec<usize> = (0..b).filter(|&i| t < xs[i].as_ref().len()).collect();
-            let rows = active.len();
-            let mut x_t = Matrix::zeros(rows, input_dim);
-            let mut h_prev = Matrix::zeros(rows, h);
+        // The sequences still running; row `r` of the state is `active[r]`'s.
+        let mut active: Vec<usize> = (0..xs.len()).collect();
+        let mut h = Matrix::zeros(xs.len(), self.hidden);
+        let mut c = Matrix::zeros(xs.len(), self.hidden);
+        for t in 0.. {
+            let running: Vec<usize> =
+                (0..active.len()).filter(|&r| t < xs[active[r]].as_ref().len()).collect();
+            if running.is_empty() {
+                break;
+            }
+            if running.len() < active.len() {
+                let keep = |state: &Matrix| {
+                    let mut kept = Matrix::zeros(running.len(), self.hidden);
+                    for (r, &old) in running.iter().enumerate() {
+                        kept.row_mut(r).copy_from_slice(state.row(old));
+                    }
+                    kept
+                };
+                (h, c) = (keep(&h), keep(&c));
+                active = running.iter().map(|&r| active[r]).collect();
+            }
+            let mut x_t = Matrix::zeros(active.len(), self.input_dim());
             for (r, &i) in active.iter().enumerate() {
                 x_t.row_mut(r).copy_from_slice(&xs[i].as_ref()[t]);
-                h_prev.row_mut(r).copy_from_slice(hs.row(i));
             }
-            let mut z = x_t.matmul_transpose(&self.w_ih);
-            let zh = h_prev.matmul_transpose(&self.w_hh);
-            for r in 0..rows {
-                let z_row = z.row_mut(r);
-                for ((zv, &hv), &bv) in z_row.iter_mut().zip(zh.row(r)).zip(&self.b) {
-                    *zv += hv + bv;
-                }
-            }
+            (h, c) = self.infer_step(&x_t, &h, &c);
             for (r, &i) in active.iter().enumerate() {
-                let z_row = z.row(r);
-                let c_row = cs.row_mut(i);
-                let mut h_new = vec![0.0; h];
-                for k in 0..h {
-                    let ig = sigmoid(z_row[k]);
-                    let fg = sigmoid(z_row[h + k]);
-                    let gg = z_row[2 * h + k].tanh();
-                    let og = sigmoid(z_row[3 * h + k]);
-                    let c = fg * c_row[k] + ig * gg;
-                    c_row[k] = c;
-                    h_new[k] = og * c.tanh();
-                }
-                hs.row_mut(i).copy_from_slice(&h_new);
-                out[i].push(h_new);
+                out[i].push(h.row(r).to_vec());
             }
         }
         out
     }
 
-    /// Inference over the candidates of a sweep (see [`crate::sweep`]).
-    ///
-    /// Each half of the gate pre-activation — `W_ih·x_t` and
-    /// `W_hh·h_{t-1} + b` — is computed once while its operand is shared
-    /// by every candidate and once per candidate after that, so the
-    /// timesteps before the varied slot run a single time, the slot
-    /// itself pays only the (row-sparse) input projection per candidate,
-    /// and known later steps pay only the recurrent half. The two halves
-    /// are combined as `z_ih + (z_hh + b)` and pushed through the gate
-    /// arithmetic of [`Lstm::infer`], so candidate `r`'s hidden states
-    /// are bit-identical to inferring its assembled sequence alone.
-    /// Recorded FLOPs are whatever the kernels that ran recorded; the
-    /// model tops them up to the per-candidate total.
-    pub(crate) fn infer_sweep(&self, xs: &[SweepStep], candidates: usize) -> Vec<SweepStep> {
-        let hd = self.hidden;
-        let mut h = SweepStep::Shared(vec![0.0; hd]);
-        let mut c = SweepStep::Shared(vec![0.0; hd]);
-        let mut out = Vec::with_capacity(xs.len());
-        for x in xs {
-            let z_ih = x.project(&self.w_ih);
-            let z_hh = h.project(&self.w_hh).add_bias(&self.b);
-            let shared = matches!((&z_ih, &z_hh), (SweepStep::Shared(_), SweepStep::Shared(_)));
-            let rows = if shared { 1 } else { candidates };
-            let mut h_new = Matrix::zeros(rows, hd);
-            let mut c_new = Matrix::zeros(rows, hd);
-            for r in 0..rows {
-                let (zi, zh, c_prev) = (z_ih.row(r), z_hh.row(r), c.row(r));
-                let (h_row, c_row) = (h_new.row_mut(r), c_new.row_mut(r));
-                for k in 0..hd {
-                    let ig = sigmoid(zi[k] + zh[k]);
-                    let fg = sigmoid(zi[hd + k] + zh[hd + k]);
-                    let gg = (zi[2 * hd + k] + zh[2 * hd + k]).tanh();
-                    let og = sigmoid(zi[3 * hd + k] + zh[3 * hd + k]);
-                    c_row[k] = fg * c_prev[k] + ig * gg;
-                    h_row[k] = og * c_row[k].tanh();
-                }
-            }
-            (h, c) = if shared {
-                (SweepStep::Shared(h_new.into_vec()), SweepStep::Shared(c_new.into_vec()))
-            } else {
-                (SweepStep::PerCandidate(h_new), SweepStep::PerCandidate(c_new))
-            };
-            out.push(h.clone());
-        }
-        out
+    /// Inference over the candidates of a sweep (see [`crate::sweep`]):
+    /// [`Lstm::infer_step`] with whatever no candidate has touched yet —
+    /// the state before the varied slot, the input of a known later step
+    /// — carried as a single shared row, so each half of the gate
+    /// pre-activation is computed once while its operand is shared and
+    /// once per candidate after that. Candidate `r`'s hidden states are
+    /// bit-identical to inferring its assembled sequence alone. Recorded
+    /// FLOPs are whatever the products that ran recorded; the model tops
+    /// them up to the per-candidate total.
+    pub(crate) fn infer_sweep(&self, xs: &[Matrix]) -> Vec<Matrix> {
+        let mut h = Matrix::zeros(1, self.hidden);
+        let mut c = Matrix::zeros(1, self.hidden);
+        xs.iter()
+            .map(|x| {
+                (h, c) = self.infer_step(x, &h, &c);
+                h.clone()
+            })
+            .collect()
     }
 
-    /// FLOPs one inference timestep records: the two gate matvecs.
+    /// FLOPs one inference timestep records per sequence: the two gate
+    /// products at their nominal size.
     pub(crate) fn infer_step_flops(&self) -> u64 {
         2 * (self.w_ih.len() + self.w_hh.len()) as u64
     }
@@ -642,6 +665,7 @@ impl Lstm {
         if !self.trainable {
             return;
         }
+        self.finite = OnceLock::new();
         if let Some(g) = self.grad_w_ih.as_mut() {
             f(self.w_ih.as_mut_slice(), g.as_mut_slice());
         }

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use pelican_tensor::{record_flops, softmax_temperature_in_place, Matrix, ThreadFlopGuard};
 
 use crate::chunk::ChunkBatch;
-use crate::sweep::SweepStep;
+use crate::sweep::shared_row;
 use crate::{Dropout, Layer, Linear, Lstm, Sequence, Step};
 
 /// Inference-time post-processing of confidence vectors.
@@ -301,32 +301,53 @@ impl SequenceModel {
     }
 
     /// Inference-mode forward pass returning raw logits for the final
-    /// timestep. No dropout, no caches, no temperature.
+    /// timestep. No dropout, no caches, no temperature: the one-row case
+    /// of [`SequenceModel::logits_batch`].
     pub fn logits(&self, xs: &[Step]) -> Step {
-        assert!(!xs.is_empty(), "cannot run a model on an empty sequence");
-        let mut cur = self.layers[0].infer(xs);
-        for layer in &self.layers[1..] {
-            cur = layer.infer(&cur);
-        }
-        cur.pop().expect("sequence length preserved by all layers")
+        self.logits_batch(&[xs]).pop().expect("one sequence in, one logit row out")
+    }
+
+    /// Index of the first layer above the last LSTM. From there on no
+    /// layer carries state between timesteps, so inference feeds those
+    /// layers the final timestep alone — the only one the logits read.
+    fn head_start(&self) -> usize {
+        self.layers.iter().rposition(|l| matches!(l, Layer::Lstm(_))).map_or(0, |i| i + 1)
+    }
+
+    /// Tops this thread's FLOP counter up to what inference nominally
+    /// costs — every layer run on all `steps` timesteps — given the count
+    /// `since` recorded for what actually ran, so compute priced from
+    /// FLOPs does not move with what inference shares or skips.
+    fn record_nominal_flops(&self, steps: usize, since: ThreadFlopGuard) {
+        let per_step: u64 = self.layers.iter().map(Layer::infer_step_flops).sum();
+        record_flops(steps as u64 * per_step - since.stop());
     }
 
     /// Batched [`SequenceModel::logits`]: one final-timestep logit vector
-    /// per input sequence, computed through the fused batch path of every
-    /// layer (see [`Lstm::infer_batch`]). Bit-identical to the unbatched
-    /// method per row, with identical recorded FLOPs.
+    /// per input sequence, all sequences advancing together through every
+    /// layer (see [`Lstm::infer_batch`]); the layers above the last LSTM
+    /// see only each sequence's final timestep. Bit-identical per row to
+    /// the training-mode [`SequenceModel::forward`] without dropout, and
+    /// the recorded FLOPs are the nominal count of every layer run on
+    /// every timestep.
     pub fn logits_batch<S: AsRef<[Step]>>(&self, xs: &[S]) -> Vec<Step> {
         assert!(
             xs.iter().all(|s| !s.as_ref().is_empty()),
             "cannot run a model on an empty sequence"
         );
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        let mut cur = self.layers[0].infer_batch(xs);
-        for layer in &self.layers[1..] {
+        let steps = xs.iter().map(|s| s.as_ref().len()).sum();
+        let recorded = ThreadFlopGuard::start();
+        let head = self.head_start();
+        let mut cur: Vec<Sequence> = xs.iter().map(|s| s.as_ref().to_vec()).collect();
+        for (i, layer) in self.layers.iter().enumerate() {
+            if i == head {
+                for seq in &mut cur {
+                    seq.drain(..seq.len() - 1);
+                }
+            }
             cur = layer.infer_batch(&cur);
         }
+        self.record_nominal_flops(steps, recorded);
         cur.into_iter()
             .map(|mut seq| seq.pop().expect("sequence length preserved by all layers"))
             .collect()
@@ -339,11 +360,11 @@ impl SequenceModel {
     /// hidden step around the same known steps — and it costs far less
     /// than the independent calls: the layer stack runs the shared prefix
     /// `template[..slot]` once, computes once every pre-activation half
-    /// no candidate has influenced yet, projects the candidate rows
-    /// through [`Matrix::matmul_transpose_sparse`] at O(non-zeros) each,
-    /// and carries all candidates through the remaining layers as one
-    /// batch (see [`Lstm::infer_sweep`]). Layers above the last LSTM see
-    /// only the final timestep, the only one the logits read.
+    /// no candidate has influenced yet, projects the candidate rows at
+    /// O(non-zeros) each, and carries all candidates through the
+    /// remaining layers as one batch (see [`Lstm::infer_sweep`]). Layers
+    /// above the last LSTM see only the final timestep, the only one the
+    /// logits read.
     ///
     /// Row `i` is bit-identical to `logits` of the assembled sequence,
     /// and the recorded FLOPs are exactly what the independent calls
@@ -360,31 +381,27 @@ impl SequenceModel {
             return Vec::new();
         }
         let recorded = ThreadFlopGuard::start();
-        let mut cur: Vec<SweepStep> = template
+        let mut cur: Vec<Matrix> = template
             .iter()
             .enumerate()
             .map(|(t, x)| {
                 if t == slot {
-                    SweepStep::PerCandidate(candidates.clone())
+                    candidates.clone()
                 } else {
-                    SweepStep::Shared(x.clone())
+                    Matrix::from_vec(1, x.len(), x.clone())
                 }
             })
             .collect();
-        let recurrent =
-            self.layers.iter().rposition(|l| matches!(l, Layer::Lstm(_))).map_or(0, |i| i + 1);
+        let head = self.head_start();
         for (i, layer) in self.layers.iter().enumerate() {
-            if i == recurrent {
+            if i == head {
                 cur.drain(..cur.len() - 1);
             }
-            cur = layer.infer_sweep(cur, n);
+            cur = layer.infer_sweep(cur);
         }
-        let per_query: u64 = self.layers.iter().map(Layer::infer_step_flops).sum();
-        record_flops(n as u64 * template.len() as u64 * per_query - recorded.stop());
-        match cur.pop().expect("sequence length preserved by all layers") {
-            SweepStep::Shared(logits) => vec![logits; n],
-            SweepStep::PerCandidate(rows) => (0..n).map(|r| rows.row(r).to_vec()).collect(),
-        }
+        self.record_nominal_flops(n * template.len(), recorded);
+        let logits = cur.pop().expect("sequence length preserved by all layers");
+        (0..n).map(|r| shared_row(&logits, r).to_vec()).collect()
     }
 
     /// [`SequenceModel::predict_proba`] of a sweep (see

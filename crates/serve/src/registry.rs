@@ -517,17 +517,21 @@ impl ShardedRegistry {
         // lock, so no publisher can interleave a newer version between
         // the fetch and the cache fill. Store I/O failures degrade to
         // the fallback model rather than erroring the serving path.
-        let from_store = match shard.cold.get(&user_id) {
-            Some(entry) => Some((entry.envelope.clone(), entry.version)),
+        let mut fetched_version = None;
+        let envelope = match shard.cold.get(&user_id) {
+            Some(entry) => Some(entry.envelope.clone()),
             None => self.store.as_ref().and_then(|store| {
                 let version = store.latest_version(user_id as u64)?;
-                let envelope = store.fetch(user_id as u64, version).ok()?;
-                Some((envelope, version))
+                fetched_version = Some(version);
+                store.fetch(user_id as u64, version).ok()
             }),
         };
-        if let Some((envelope, version)) = from_store {
+        if let Some(envelope) = envelope {
             let model = Arc::new(envelope.decode()?);
-            shard.cold.insert(user_id, ColdEntry { envelope, version });
+            // Only bytes that came from the store are new to the cold map.
+            if let Some(version) = fetched_version {
+                shard.cold.insert(user_id, ColdEntry { envelope, version });
+            }
             shard.misses += 1;
             if shard.hot.len() >= capacity {
                 let (&lru, _) = shard

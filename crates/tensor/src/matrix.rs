@@ -26,6 +26,17 @@ pub struct Matrix {
     data: Vec<f32>,
 }
 
+/// Rows from which [`Matrix::matmul_transpose_sparse`] transposes its
+/// weights. Measured at the shapes served (256 × 119, 256 × 64), the
+/// transpose costs ten dense row products and the loop it enables saves
+/// half of one per dense row and under a microsecond per 4-hot row:
+/// served batches (≤ 32 rows) stay below, attack sweeps (72–960) above.
+const SPARSE_TRANSPOSE_ROWS: usize = 64;
+
+/// A row gathers its non-zeros when they number at most `cols / 4`: a
+/// gathered term's strided read costs about two dense ones.
+const SPARSE_ROW_GAIN: usize = 4;
+
 impl Matrix {
     /// Creates a `rows × cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
@@ -200,60 +211,75 @@ impl Matrix {
             "matmul_transpose dimension mismatch: {}x{} · ({}x{})ᵀ",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let cols = self.cols;
         let mut out = Matrix::zeros(self.rows, rhs.rows);
         for i in 0..self.rows {
-            let a_row = &self.data[i * cols..(i + 1) * cols];
-            let out_row = &mut out.data[i * rhs.rows..(i + 1) * rhs.rows];
-            let mut j = 0;
-            while j + 4 <= rhs.rows {
-                let b0 = &rhs.data[j * cols..(j + 1) * cols];
-                let b1 = &rhs.data[(j + 1) * cols..(j + 2) * cols];
-                let b2 = &rhs.data[(j + 2) * cols..(j + 3) * cols];
-                let b3 = &rhs.data[(j + 3) * cols..(j + 4) * cols];
-                let (mut acc0, mut acc1, mut acc2, mut acc3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for (k, &a) in a_row.iter().enumerate() {
-                    acc0 += a * b0[k];
-                    acc1 += a * b1[k];
-                    acc2 += a * b2[k];
-                    acc3 += a * b3[k];
-                }
-                out_row[j] = acc0;
-                out_row[j + 1] = acc1;
-                out_row[j + 2] = acc2;
-                out_row[j + 3] = acc3;
-                j += 4;
-            }
-            while j < rhs.rows {
-                let b_row = &rhs.data[j * cols..(j + 1) * cols];
-                let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                out_row[j] = acc;
-                j += 1;
-            }
+            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
+            rhs.dot_rows(a_row, &mut out.data[i * rhs.rows..(i + 1) * rhs.rows]);
         }
         record_flops(2 * self.rows as u64 * self.cols as u64 * rhs.rows as u64);
         out
     }
 
-    /// Matrix product `self · rhsᵀ` for row-sparse `self` — many
-    /// [`Matrix::matvec`] calls against one weight matrix, at a cost of
-    /// O(non-zeros) per row instead of O(`cols`).
+    /// `out[j] = self.row(j) · x` — the row kernel of
+    /// [`Matrix::matmul_transpose`]; records no FLOPs.
+    #[inline]
+    fn dot_rows(&self, x: &[f32], out: &mut [f32]) {
+        let cols = self.cols;
+        let x = &x[..cols]; // one check here lets the loops below go unchecked
+        let mut j = 0;
+        while j + 4 <= self.rows {
+            let b0 = &self.data[j * cols..(j + 1) * cols];
+            let b1 = &self.data[(j + 1) * cols..(j + 2) * cols];
+            let b2 = &self.data[(j + 2) * cols..(j + 3) * cols];
+            let b3 = &self.data[(j + 3) * cols..(j + 4) * cols];
+            let (mut acc0, mut acc1, mut acc2, mut acc3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+            for (k, &a) in x.iter().enumerate() {
+                acc0 += a * b0[k];
+                acc1 += a * b1[k];
+                acc2 += a * b2[k];
+                acc3 += a * b3[k];
+            }
+            out[j] = acc0;
+            out[j + 1] = acc1;
+            out[j + 2] = acc2;
+            out[j + 3] = acc3;
+            j += 4;
+        }
+        while j < self.rows {
+            let b_row = &self.data[j * cols..(j + 1) * cols];
+            let mut acc = 0.0;
+            for (&a, &b) in x.iter().zip(b_row) {
+                acc += a * b;
+            }
+            out[j] = acc;
+            j += 1;
+        }
+    }
+
+    /// Matrix product `self · rhsᵀ` for **finite** `rhs` that reads only
+    /// what each `self` row makes it read — many [`Matrix::matvec`] calls
+    /// against one weight matrix at O(non-zeros) per sparse row.
     ///
-    /// `rhs` is transposed once so that [`Matrix::matmul`]'s `i-k-j` loop
-    /// applies: each non-zero `self[i][k]` adds one scaled row of `rhsᵀ`
-    /// to the whole output row (vectorised across outputs), and a zero
-    /// entry costs one comparison. How much is skipped is decided by each
-    /// row's own non-zeros — a dense row simply skips nothing. Every
-    /// output still sums its products in ascending `k` order from `+0.0`,
-    /// and a skipped `w · ±0.0` term could only have added `±0.0` to a
-    /// sum that is never `-0.0`, so each output row has the bits of
+    /// A few rows (a served batch) are answered one by one straight off
+    /// the row-major `rhs`: a row's non-zero `(k, x_k)` are collected and
+    /// every output is `Σ x_k · rhs[j][k]` over them, so an all-zero row
+    /// never touches `rhs`; a row too dense to gain from the gather takes
+    /// the dense row kernel of [`Matrix::matmul_transpose`]. From
+    /// `SPARSE_TRANSPOSE_ROWS` rows up (an attack sweep) one transpose
+    /// of `rhs` is amortised and [`Matrix::matmul`]'s `i-k-j` loop
+    /// applies: each non-zero adds one scaled row of `rhsᵀ` to the whole
+    /// output row, vectorised across outputs. Which of the three runs is
+    /// decided here from the rows alone.
+    ///
+    /// All three sum every output's products in ascending `k` from
+    /// `+0.0`, and a skipped `w · ±0.0` term could only have added `±0.0`
+    /// to a sum that is never `-0.0`, so each output row has the bits of
     /// `rhs.matvec(row)`. That argument needs finite weights (`0 · NaN`
-    /// and `0 · ∞` are NaN, not zero), so a non-finite `rhs` takes the
-    /// dense [`Matrix::matmul_transpose`] instead. Records the same
-    /// nominal `2·m·k·n` FLOPs as the `m` matvecs either way.
+    /// and `0 · ∞` are NaN, not zero): the caller establishes
+    /// [`Matrix::is_finite`] of `rhs` once per set of weights, not per
+    /// product, and sends a non-finite `rhs` to
+    /// [`Matrix::matmul_transpose`]. Records the nominal `2·m·k·n` FLOPs
+    /// of the `m` matvecs whatever was skipped.
     ///
     /// # Panics
     ///
@@ -264,20 +290,46 @@ impl Matrix {
             "matmul_transpose_sparse dimension mismatch: {}x{} · ({}x{})ᵀ",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        if rhs.data.iter().all(|w| w.is_finite()) {
-            self.matmul(&rhs.transpose())
-        } else {
-            self.matmul_transpose(rhs)
+        if self.rows >= SPARSE_TRANSPOSE_ROWS {
+            return self.matmul(&rhs.transpose());
         }
+        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        let mut non_zeros: Vec<(usize, f32)> = Vec::new();
+        for i in 0..self.rows {
+            let x = &self.data[i * self.cols..(i + 1) * self.cols];
+            let out_row = &mut out.data[i * rhs.rows..(i + 1) * rhs.rows];
+            non_zeros.clear();
+            non_zeros.extend(x.iter().copied().enumerate().filter(|&(_, v)| v != 0.0));
+            if non_zeros.len() * SPARSE_ROW_GAIN > self.cols {
+                rhs.dot_rows(x, out_row);
+            } else if !non_zeros.is_empty() {
+                for (o, w) in out_row.iter_mut().zip(rhs.data.chunks_exact(rhs.cols)) {
+                    let mut acc = 0.0;
+                    for &(k, v) in &non_zeros {
+                        acc += v * w[k];
+                    }
+                    *o = acc;
+                }
+            }
+        }
+        record_flops(2 * self.rows as u64 * self.cols as u64 * rhs.rows as u64);
+        out
+    }
+
+    /// Whether every element is finite (neither NaN nor ±∞).
+    pub fn is_finite(&self) -> bool {
+        self.data.iter().fold(true, |ok, v| ok & v.is_finite())
     }
 
     /// Matrix-vector product `self · x`.
     ///
-    /// A dense dot product per output row, summed in ascending `k` order:
-    /// zero inputs are multiplied like any other, so a one-hot `x` costs
-    /// as much as a dense one. Sparsity is exploited in
-    /// [`Matrix::matmul_transpose_sparse`], which answers many sparse
-    /// `x` rows at once with the same bits per output.
+    /// A dense dot product per output row on one serial accumulation
+    /// chain, summed in ascending `k` order: zero inputs are multiplied
+    /// like any other, so a one-hot `x` costs as much as a dense one and
+    /// a non-finite weight always surfaces. Training's sequential path
+    /// and the test oracles use it; inference goes through
+    /// [`Matrix::matmul_transpose_sparse`] (finite weights) or
+    /// [`Matrix::matmul_transpose`], whose rows carry the same bits.
     ///
     /// # Panics
     ///
@@ -548,32 +600,38 @@ mod tests {
             cols,
             (0..outs * cols).map(|i| (i as f32 * 1.37).cos() * 0.9).collect(),
         );
-        let x = sparse_rows(cols);
-        let guard = crate::flops::ThreadFlopGuard::start();
-        let rows: Vec<Vec<f32>> = (0..x.rows()).map(|r| w.matvec(x.row(r))).collect();
-        let matvec_flops = guard.stop();
-        let guard = crate::flops::ThreadFlopGuard::start();
-        let fused = x.matmul_transpose_sparse(&w);
-        assert_eq!(guard.stop(), matvec_flops, "FLOP parity broken");
-        for (r, row) in rows.iter().enumerate() {
-            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(fused.row(r)), bits(row), "row {r} diverged bitwise");
+        // A few rows are answered row by row (skipped, gathered, dense);
+        // the same rows repeated past the threshold share one transpose.
+        let few = sparse_rows(cols);
+        let mut many = Matrix::zeros(SPARSE_TRANSPOSE_ROWS + 3, cols);
+        for r in 0..many.rows() {
+            many.row_mut(r).copy_from_slice(few.row(r % few.rows()));
+        }
+        for x in [few, many] {
+            let guard = crate::flops::ThreadFlopGuard::start();
+            let rows: Vec<Vec<f32>> = (0..x.rows()).map(|r| w.matvec(x.row(r))).collect();
+            let matvec_flops = guard.stop();
+            let guard = crate::flops::ThreadFlopGuard::start();
+            let fused = x.matmul_transpose_sparse(&w);
+            assert_eq!(guard.stop(), matvec_flops, "FLOP parity broken");
+            for (r, row) in rows.iter().enumerate() {
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(fused.row(r)), bits(row), "row {r} diverged bitwise");
+            }
         }
     }
 
     #[test]
-    fn sparse_rows_product_surfaces_a_non_finite_weight_a_zero_would_skip() {
-        let mut w = Matrix::filled(3, 11, 0.5);
-        w[(1, 6)] = f32::NAN; // column 6 is zero in every sparse row
-        w[(2, 7)] = f32::INFINITY;
-        let x = sparse_rows(11);
-        let fused = x.matmul_transpose_sparse(&w);
-        for r in 0..x.rows() {
-            let dense = w.matvec(x.row(r));
-            assert!(dense[1].is_nan() && fused[(r, 1)].is_nan(), "row {r}: 0·NaN is NaN");
-            assert!(dense[2].is_nan() || dense[2].is_infinite());
-            assert_eq!(dense[2].is_nan(), fused[(r, 2)].is_nan(), "row {r}: 0·∞ is NaN");
-            assert_eq!(dense[0].to_bits(), fused[(r, 0)].to_bits());
+    fn is_finite_sees_every_non_finite_element() {
+        let w = Matrix::filled(3, 11, 0.5);
+        assert!(w.is_finite());
+        assert!(Matrix::zeros(0, 4).is_finite());
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for at in [(0, 0), (1, 6), (2, 10)] {
+                let mut w = w.clone();
+                w[at] = bad;
+                assert!(!w.is_finite(), "{bad} at {at:?} went unseen");
+            }
         }
     }
 

@@ -3,10 +3,13 @@
 //! The fingerprints and virtual-clock metrics are pure functions of the
 //! seed, and the benchmark's `check` holds two runs of *one* commit to
 //! that — nothing else compares a commit with its parent. These constants
-//! were recorded at the commit before the audit sweeps landed (PR 11,
-//! `ea62e73`): a change that only makes the host faster, or only deletes
-//! code, must leave every one of them as it is. A change that means to
-//! move the reproduction re-records them and says so.
+//! were recorded at the commit before the code under them was rewritten
+//! for speed — the live loop and the gate outcomes before the audit
+//! sweeps landed (PR 11, `ea62e73`), the serving pass before the sparse
+//! inference step did (PR 12, `f08af5b`): a change that only makes the
+//! host faster, or only deletes code, must leave every one of them as it
+//! is. A change that means to move the reproduction re-records them and
+//! says so.
 
 use std::sync::Arc;
 
@@ -15,7 +18,10 @@ use pelican::{DefenseKind, PersonalizationConfig};
 use pelican_live::{bootstrap_jobs, run_live, DriftConfig, DriftMetric, LiveConfig};
 use pelican_mobility::{CampusConfig, DatasetBuilder, MobilityDataset, Scale, SpatialLevel};
 use pelican_nn::{SequenceModel, TrainConfig};
-use pelican_serve::{RegistryConfig, SchedulerConfig, ShardedRegistry, SimServeConfig};
+use pelican_serve::{
+    simulate_serving, CloudNetwork, RegistryConfig, Request, SchedulerConfig, ShardedRegistry,
+    SimServeConfig, TrafficConfig, TrafficGenerator,
+};
 use pelican_store::{EnvelopeStore, MemBackend, StoreConfig};
 use pelican_train::{AuditConfig, AuditGate, GateOutcome, GateVerdict, PipelineConfig};
 use rand::rngs::StdRng;
@@ -64,19 +70,25 @@ fn live_config() -> LiveConfig {
     }
 }
 
-#[test]
-fn tiny_live_loop_fingerprint_is_the_recorded_one() {
-    let (dataset, general, users) = tiny_setting();
+/// A registry of two shards, each keeping `hot_capacity` decoded models,
+/// over an empty in-memory store.
+fn store_backed_registry(general: &SequenceModel, hot_capacity: usize) -> ShardedRegistry {
     let store = EnvelopeStore::open(
         Arc::new(MemBackend::new()),
         StoreConfig { shards: 2, ..StoreConfig::default() },
     )
     .expect("open empty store");
-    let registry = ShardedRegistry::with_store(
+    ShardedRegistry::with_store(
         general.clone(),
-        RegistryConfig { shards: 2, hot_capacity: 8 },
+        RegistryConfig { shards: 2, hot_capacity },
         Arc::new(store),
-    );
+    )
+}
+
+#[test]
+fn tiny_live_loop_fingerprint_is_the_recorded_one() {
+    let (dataset, general, users) = tiny_setting();
+    let registry = store_backed_registry(&general, 8);
     let live = run_live(&dataset, users, &registry, &general, &live_config()).expect("live run");
     assert_eq!(live.fingerprint(), 0xb4d5_3f02_aefe_9d7d, "the live-loop reproduction moved");
     assert_eq!(live.retrains.len(), 23);
@@ -133,5 +145,57 @@ fn fixed_seed_gate_outcomes_are_the_recorded_ones() {
             cached: 3336,
             cache_misses: 1176,
         }
+    );
+}
+
+#[test]
+fn tiny_serving_pass_is_the_recorded_one() {
+    // Twelve enrolled users with a model each and two clients on the
+    // general fallback, behind a registry that keeps four models decoded:
+    // most lookups decode cold bytes. 600 Zipf/burst arrivals carrying
+    // real encoded sessions, over the default cloud network.
+    let (dataset, general, _) = tiny_setting();
+    let (enrolled, clients) = (12, 14);
+    let registry = store_backed_registry(&general, 2);
+    for user in 0..enrolled {
+        let mut rng = StdRng::seed_from_u64(100 + user as u64);
+        let (dim, classes) = (dataset.space.dim(), dataset.n_locations());
+        registry.enroll(user, &SequenceModel::general_lstm(dim, 12, classes, 0.1, &mut rng));
+    }
+    let samples: Vec<_> = (0..dataset.users.len()).map(|u| dataset.user_samples(u)).collect();
+    let mut cursors = vec![0usize; clients];
+    let traffic = TrafficConfig { requests: 600, users: clients, seed: 13, ..Default::default() };
+    let requests: Vec<Request> = TrafficGenerator::new(traffic)
+        .enumerate()
+        .map(|(id, arrival)| {
+            let client = arrival.user_index;
+            let pool = &samples[client % samples.len()];
+            let xs = pool[cursors[client] % pool.len()].xs.clone();
+            cursors[client] += 1;
+            Request { id, user_id: client, arrival_us: arrival.at_us, xs }
+        })
+        .collect();
+    let config = SimServeConfig {
+        scheduler: SchedulerConfig { max_batch: 4, max_delay_us: 900 },
+        tier: ComputeTier::Cloud,
+        network: Some(CloudNetwork { seed: 13, ..CloudNetwork::default() }),
+    };
+    let served = simulate_serving(&registry, &requests, &config).expect("envelopes decode");
+
+    assert_eq!(served.served.len(), requests.len(), "every query is answered");
+    assert_eq!(served.fingerprint(), 0xcf90_97f3_1aba_8b16, "the serving trace moved");
+    // FNV-1a over the bits of every confidence served, in seal order.
+    let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+    for completion in served.completions.iter().flatten() {
+        for p in &completion.probs {
+            fnv = (fnv ^ p.to_bits() as u64).wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+    assert_eq!(fnv, 0x47e1_0a70_b8ed_fc54, "a served confidence moved");
+    let stats = registry.stats();
+    assert_eq!(
+        (stats.hits, stats.misses, stats.evictions, stats.fallbacks, stats.cold_models),
+        (210, 170, 166, 24, 12),
+        "the registry's lookup counters moved"
     );
 }
