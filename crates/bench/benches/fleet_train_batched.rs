@@ -1,18 +1,16 @@
-//! Criterion bench behind lockstep batched training: epoch throughput of
-//! the fused multi-model kernels vs. sequential per-job dispatch, on a
-//! single worker.
+//! Criterion bench of cohort dispatch vs. per-job dispatch: epoch
+//! throughput of the training stage at several cohort sizes, on a single
+//! worker.
 //!
 //! The timed region is the pipeline's *training stage* — envelope decode,
-//! warm-start prep and the epoch loop — which is the stage lockstep
-//! dispatch accelerates; the audit and publication stages execute
-//! identical code in both dispatch modes and are excluded. Everything
-//! runs at pool width 1, so the ratio between rows isolates what the
-//! fused kernels buy (GEMM-shaped chunk steps and weight-matrix cache
-//! reuse across the cohort) from thread-level parallelism — the
-//! acceptance bar is ≥ 1.3× sequential epoch throughput at cohort ≥ 8.
-//! Every cohort size trains bit-identical weights (asserted before timing
-//! starts; end-to-end publication identity is covered by the pipeline's
-//! determinism tests), so the cohort size is purely a throughput knob.
+//! warm-start prep and the epoch loop; the audit and publication stages
+//! execute identical code in both dispatch modes and are excluded.
+//! Everything runs at pool width 1. Every row trains through the same
+//! `pelican_nn::fit` (a cohort only shares the general-envelope decode),
+//! so the rows are expected flat — the evidence for deleting the cohort
+//! machinery. Every cohort size trains bit-identical weights (asserted
+//! before timing starts; end-to-end publication identity is covered by
+//! the pipeline's determinism tests).
 //!
 //! The shape is the `Small` fleet's (119-dim input, hidden 64, ~250
 //! samples/job, default batch 32) with the epoch count cut to keep

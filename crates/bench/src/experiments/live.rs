@@ -247,38 +247,6 @@ pub fn table(run: &LiveReportRun) -> Table {
     t
 }
 
-/// The rest of the line after the first `"key": ` in `text`, without a
-/// trailing comma — every top-level field of the record sits on a line
-/// of its own.
-fn field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let start = text.find(&format!("\"{key}\": "))? + key.len() + 4;
-    let line = text[start..].lines().next()?;
-    Some(line.trim_end().trim_end_matches(','))
-}
-
-/// The `before` row of a new record: what `previous` (the tracked file
-/// about to be replaced) measured, if it recorded this very run —
-/// same seed, cohort and fingerprint — at another commit. A re-run at
-/// the same commit keeps the `before` it already had. `null` otherwise.
-fn before_row(previous: Option<&str>, run: &LiveReportRun, host: &str) -> String {
-    let same_run = |p: &str| {
-        field(p, "seed") == Some(&run.seed.to_string())
-            && field(p, "users") == Some(&run.users.to_string())
-            && field(p, "fingerprint") == Some(&format!("\"{:#018x}\"", run.outcome.fingerprint()))
-    };
-    let Some(previous) = previous.filter(|p| same_run(p)) else { return "null".to_owned() };
-    let previous_host = field(previous, "host").unwrap_or("null");
-    if previous_host == host {
-        return field(previous, "before").unwrap_or("null").to_owned();
-    }
-    let walls: Vec<&str> = previous
-        .lines()
-        .filter(|l| l.contains("\"workers\": "))
-        .filter_map(|l| field(l, "wall_ms")?.split(',').next())
-        .collect();
-    format!("{{\"host\": {previous_host}, \"wall_ms\": [{}]}}", walls.join(", "))
-}
-
 /// Serializes the sweep to the documented `BENCH_live_loop.json` schema.
 /// Fingerprints are hex strings (u64 does not survive JSON doubles).
 /// `host` is [`crate::report::host_stamp`]; `previous` is the tracked
@@ -290,7 +258,13 @@ pub fn to_json(run: &LiveReportRun, host: &str, previous: Option<&str>) -> Strin
     out.push_str(&format!("  \"seed\": {},\n", run.seed));
     out.push_str(&format!("  \"users\": {},\n", run.users));
     out.push_str(&format!("  \"host\": {host},\n"));
-    out.push_str(&format!("  \"before\": {},\n", before_row(previous, run, host)));
+    let same_run = [
+        ("seed", run.seed.to_string()),
+        ("users", run.users.to_string()),
+        ("fingerprint", format!("\"{:#018x}\"", o.fingerprint())),
+    ];
+    let before = crate::report::before_row(previous, host, &same_run, "workers");
+    out.push_str(&format!("  \"before\": {before},\n"));
     out.push_str(&format!("  \"widths\": [{}],\n", WIDTHS.map(|w| w.to_string()).join(", ")));
     out.push_str(&format!("  \"fingerprint\": \"{:#018x}\",\n", o.fingerprint()));
     out.push_str("  \"fingerprints_match\": true,\n");

@@ -9,7 +9,7 @@
 //! | [`defense`] | Fig. 5a, Fig. 5b, Fig. 5c |
 //! | [`ablation`] | defense comparison, interest threshold, GD config, freeze depth |
 //! | [`serving`] | fleet-serving throughput/latency (beyond the paper; ROADMAP north star) |
-//! | [`training`] | fleet-training pipeline: parallel personalization + audit gate; lockstep batched-cohort sweep (beyond the paper) |
+//! | [`training`] | fleet-training pipeline: parallel personalization + audit gate; cohort-dispatch sweep (beyond the paper) |
 //! | [`network`] | device↔cloud network simulation: link-mix × retry sweep, contention, cloud RTT (beyond the paper) |
 //! | [`cosim`] | closed-loop network/compute co-simulation: open vs. closed loops, width invariance, sim-driven scheduler fidelity (beyond the paper) |
 //! | [`sim_scale`] | sim-core scaling: timer-wheel events/sec, memory and shard invariance at 10⁴–10⁶ devices (beyond the paper) |
@@ -155,7 +155,7 @@ static REGISTRY: &[Entry] = &[
     },
     Entry {
         name: "train-batched",
-        description: "lockstep batched training: epoch throughput vs cohort size, fused share",
+        description: "cohort vs per-job dispatch: training-stage epoch throughput vs cohort size",
         run: run_train_batched,
     },
     Entry {
@@ -328,13 +328,15 @@ fn run_train_report(config: &RunConfig) {
 }
 
 fn run_train_batched(config: &RunConfig) {
-    banner("Lockstep batched training — fused cohorts vs sequential dispatch", config);
+    banner("Batched training — cohort dispatch vs per-job dispatch", config);
     let run = training::run_batched(config);
     println!("trained weights and FLOP counts verified bit-identical across cohort sizes;");
     println!("wall clock covers the training stage only (audit and publication run identical");
-    println!("code in both dispatch modes); single worker, so speedup is the fused-kernel win\n");
+    println!("code in both dispatch modes); single worker, every row through the same `fit`,");
+    println!("so the expected speedup is flat\n");
     println!("{}", training::batched_table(&run).render());
-    let json = training::to_json(&run);
+    let previous = std::fs::read_to_string("BENCH_train_batched.json").ok();
+    let json = training::to_json(&run, &crate::report::host_stamp(), previous.as_deref());
     match std::fs::write("BENCH_train_batched.json", &json) {
         Ok(()) => println!("wrote BENCH_train_batched.json"),
         Err(e) => eprintln!("could not write BENCH_train_batched.json: {e}"),

@@ -98,6 +98,42 @@ pub fn host_stamp() -> String {
     format!("{{\"cores\": {cores}, \"commit\": \"{commit}\"}}")
 }
 
+/// The rest of the line after the first `"key": ` in `text`, without a
+/// trailing comma — every top-level field of a tracked record sits on a
+/// line of its own.
+fn field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    let start = text.find(&format!("\"{key}\": "))? + key.len() + 4;
+    let line = text[start..].lines().next()?;
+    Some(line.trim_end().trim_end_matches(','))
+}
+
+/// The `before` row of a new tracked record: what `previous` (the file
+/// about to be replaced) measured, if it recorded this very run — every
+/// `same_run` field reads the given serialized value — on another host
+/// stamp. A re-run at the same stamp keeps the `before` it already had.
+/// `null` otherwise. The wall times are the `wall_ms` of the lines that
+/// carry `row_key`.
+pub fn before_row(
+    previous: Option<&str>,
+    host: &str,
+    same_run: &[(&str, String)],
+    row_key: &str,
+) -> String {
+    let is_same =
+        |p: &str| same_run.iter().all(|(key, value)| field(p, key) == Some(value.as_str()));
+    let Some(previous) = previous.filter(|p| is_same(p)) else { return "null".to_owned() };
+    let previous_host = field(previous, "host").unwrap_or("null");
+    if previous_host == host {
+        return field(previous, "before").unwrap_or("null").to_owned();
+    }
+    let walls: Vec<&str> = previous
+        .lines()
+        .filter(|l| l.contains(&format!("\"{row_key}\": ")))
+        .filter_map(|l| field(l, "wall_ms")?.split(',').next())
+        .collect();
+    format!("{{\"host\": {previous_host}, \"wall_ms\": [{}]}}", walls.join(", "))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -108,10 +108,10 @@ pub fn personalize(
 ///
 /// `personalize(g, s, m, c)` ≡ `prepare(g, m, c)` followed by
 /// [`pelican_nn::fit`] with `c.train` (for methods that train). Splitting
-/// the two lets the lockstep trainer pool construct a whole cohort's
-/// initial models — consuming each user's init RNG exactly as the
-/// sequential path would — and then train them together through
-/// [`pelican_nn::fit_lockstep`].
+/// the two lets the trainer pool construct a whole cohort's initial
+/// models from one decode of the general envelope — consuming each
+/// user's init RNG exactly as the per-job path would — and then train
+/// them through [`pelican_nn::fit_lockstep`].
 pub fn prepare(
     general: &SequenceModel,
     method: PersonalizationMethod,

@@ -235,8 +235,8 @@ mod tests {
         let a = Matrix::zeros(16, 16);
         let stop = std::sync::atomic::AtomicBool::new(false);
         let ((), usage) = std::thread::scope(|scope| {
-            // A noisy neighbour hammers the global FLOP counter the whole
-            // time; the per-thread measurement must not see any of it.
+            // A noisy neighbour records FLOPs the whole time; the
+            // per-thread measurement must not see any of it.
             scope.spawn(|| {
                 let b = Matrix::zeros(8, 8);
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {

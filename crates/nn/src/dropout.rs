@@ -94,16 +94,18 @@ impl Dropout {
         xs.clone()
     }
 
-    /// Lockstep training-mode forward pass over a packed chunk, masking
-    /// the batch in place.
+    /// Training-mode forward pass over a packed chunk, masking the batch
+    /// in place.
     ///
     /// Each sample consumes exactly one counter-based mask draw in chunk
-    /// order — the same draw indices the sequential path's per-sample
-    /// [`Dropout::forward`] calls would consume (the backward pass draws
-    /// nothing, so running all forwards first leaves every sample's draw
-    /// index unchanged). A zero rate consumes no draws and passes the
-    /// batch through untouched, matching [`Dropout::forward`]. Masked
-    /// outputs are bit-identical to the sequential path.
+    /// order — the same draw indices per-sample [`Dropout::forward`]
+    /// calls would consume (the backward pass draws nothing, so running
+    /// all forwards first leaves every sample's draw index unchanged). A
+    /// zero rate consumes no draws and passes the batch through
+    /// untouched, matching [`Dropout::forward`] — which is what lets
+    /// [`crate::fit`] run a rate-zero dropout inside the frozen prefix
+    /// once, and why a drawing one ends that prefix. Masked outputs are
+    /// bit-identical to the per-sample calls.
     pub(crate) fn forward_chunk_packed(&mut self, mut x: ChunkBatch) -> ChunkBatch {
         self.chunk_lens = x.lens.clone();
         if self.rate == 0.0 {
@@ -132,7 +134,7 @@ impl Dropout {
         x
     }
 
-    /// Lockstep backward pass through the flat masks cached by
+    /// Backward pass through the flat masks cached by
     /// [`Dropout::forward_chunk_packed`], scaling the gradient batch in
     /// place.
     ///

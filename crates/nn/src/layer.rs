@@ -67,6 +67,14 @@ impl Layer {
         }
     }
 
+    /// FLOPs one timestep of training records: the forward products, the
+    /// input-gradient products and, when trainable, the weight-gradient
+    /// updates, each the size of the weights — a function of the layer's
+    /// shape and `trainable` alone, whatever [`crate::fit`] skips.
+    pub(crate) fn train_step_flops(&self) -> u64 {
+        self.infer_step_flops() * if self.is_trainable() { 3 } else { 2 }
+    }
+
     /// Training-mode forward pass (caches activations).
     pub fn forward(&mut self, xs: &Sequence) -> Sequence {
         match self {
@@ -85,10 +93,10 @@ impl Layer {
         }
     }
 
-    /// Lockstep training-mode forward pass over a packed chunk through the
-    /// fused batch kernels; bit-identical (outputs, caches and recorded
-    /// FLOPs) to calling [`Layer::forward`] once per sample in chunk
-    /// order. See [`Lstm::forward_chunk_packed`].
+    /// Training-mode forward pass over a packed chunk through the fused
+    /// batch kernels; outputs and caches are bit-identical to calling
+    /// [`Layer::forward`] once per sample in chunk order. See
+    /// [`Lstm::forward_chunk_packed`].
     pub(crate) fn forward_chunk_packed(&mut self, x: ChunkBatch) -> ChunkBatch {
         match self {
             Layer::Lstm(l) => l.forward_chunk_packed(x),
@@ -97,14 +105,19 @@ impl Layer {
         }
     }
 
-    /// Lockstep backward pass over a packed chunk; bit-identical gradients
-    /// and recorded FLOPs to calling [`Layer::backward`] once per sample
-    /// in chunk order. See [`Lstm::backward_chunk_packed`].
-    pub(crate) fn backward_chunk_packed(&mut self, grad: ChunkBatch) -> ChunkBatch {
+    /// Backward pass over a packed chunk; parameter gradients are
+    /// bit-identical to calling [`Layer::backward`] once per sample in
+    /// chunk order, and so are the input gradients, which are formed only
+    /// if `want_input_grad`. See [`Lstm::backward_chunk_packed`].
+    pub(crate) fn backward_chunk_packed(
+        &mut self,
+        grad: ChunkBatch,
+        want_input_grad: bool,
+    ) -> Option<ChunkBatch> {
         match self {
-            Layer::Lstm(l) => l.backward_chunk_packed(grad),
-            Layer::Linear(l) => l.backward_chunk_packed(grad),
-            Layer::Dropout(d) => d.backward_chunk_packed(grad),
+            Layer::Lstm(l) => l.backward_chunk_packed(grad, want_input_grad),
+            Layer::Linear(l) => l.backward_chunk_packed(grad, want_input_grad),
+            Layer::Dropout(d) => Some(d.backward_chunk_packed(grad)),
         }
     }
 

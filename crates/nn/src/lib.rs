@@ -54,7 +54,7 @@ pub use dropout::Dropout;
 pub use layer::Layer;
 pub use linear::Linear;
 pub use lockstep::{fit_lockstep, LockstepJob, LockstepOutcome};
-pub use loss::{softmax_cross_entropy, softmax_cross_entropy_chunk};
+pub use loss::softmax_cross_entropy;
 pub use lstm::Lstm;
 pub use metrics::{top_k_accuracy, TopKAccuracy};
 pub use model::{query_hash, sweep_query_hashes, ModelBuilder, Postprocess, SequenceModel};

@@ -193,14 +193,12 @@ impl Linear {
         grad_out.iter().map(|g| self.w.matvec_transpose(g)).collect()
     }
 
-    /// Lockstep training-mode forward pass over a packed chunk; keeps the
-    /// packed inputs (by move — no clone) for
-    /// [`Linear::backward_chunk_packed`].
+    /// Training-mode forward pass over a packed chunk; keeps the packed
+    /// inputs (by move — no clone) for [`Linear::backward_chunk_packed`].
     ///
     /// One GEMM over every timestep of every sample plus a per-row bias
-    /// add — the [`Linear::infer_batch`] discipline — so outputs and
-    /// recorded FLOPs are bit-identical to calling [`Linear::forward`]
-    /// per sample.
+    /// add — the [`Linear::infer_batch`] discipline — so outputs are
+    /// bit-identical to calling [`Linear::forward`] per sample.
     pub(crate) fn forward_chunk_packed(&mut self, x: ChunkBatch) -> ChunkBatch {
         let mut ys = x.rows.matmul_transpose(&self.w);
         for r in 0..ys.rows() {
@@ -213,21 +211,25 @@ impl Linear {
         out
     }
 
-    /// Lockstep backward pass over a packed chunk.
+    /// Backward pass over a packed chunk.
     ///
     /// Weight-gradient accumulation runs as one fused
     /// [`Matrix::rank_updates`] with contributions in natural packed row
-    /// order — exactly the order the sequential path applies them
-    /// (sample-major, timestep-ascending) — and the input gradients of
-    /// every timestep of every sample come from a single GEMM.
-    /// Bit-identical state and recorded FLOPs versus calling
-    /// [`Linear::backward`] once per sample in chunk order.
+    /// order — exactly the order [`Linear::backward`] called once per
+    /// sample in chunk order applies them (sample-major,
+    /// timestep-ascending) — and the input gradients of every timestep of
+    /// every sample, formed only if `want_input_grad`, come from a single
+    /// GEMM. Bit-identical to the per-sample calls.
     ///
     /// # Panics
     ///
     /// Panics if called before [`Linear::forward_chunk_packed`] or with
     /// mismatched gradient shapes.
-    pub(crate) fn backward_chunk_packed(&mut self, grad: ChunkBatch) -> ChunkBatch {
+    pub(crate) fn backward_chunk_packed(
+        &mut self,
+        grad: ChunkBatch,
+        want_input_grad: bool,
+    ) -> Option<ChunkBatch> {
         let cached = self.chunk_inputs.as_ref().expect("backward_chunk_packed before forward");
         assert_eq!(
             grad.lens, cached.lens,
@@ -253,8 +255,10 @@ impl Linear {
         // One GEMM for every timestep of every sample: `G · W` matches the
         // per-row bits of `matvec_transpose(g)` (same k order, same
         // zero-skip on the gradient element).
-        let dx = grad.rows.matmul(&self.w);
-        ChunkBatch { lens: grad.lens, offsets: grad.offsets, rows: dx }
+        want_input_grad.then(|| {
+            let dx = grad.rows.matmul(&self.w);
+            ChunkBatch { lens: grad.lens, offsets: grad.offsets, rows: dx }
+        })
     }
 
     /// Visits `(param, grad)` pairs as flat slices; used by optimizers.

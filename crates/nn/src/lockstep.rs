@@ -1,52 +1,24 @@
-//! Lockstep batched training of many same-shape user models.
+//! Training a cohort of user models: [`crate::fit`] on each job in turn.
 //!
 //! The fleet personalization pipeline trains one [`SequenceModel`] per
-//! user. Run sequentially (see [`crate::fit`]), every LSTM timestep is a
-//! GEMV-shaped product that streams the weight matrices through memory
-//! once per sample. [`fit_lockstep`] instead drives a *cohort* of user
-//! training jobs epoch-by-epoch and mini-batch-by-mini-batch in lockstep,
-//! pushing each user's whole mini-batch through the fused chunk kernels
-//! ([`SequenceModel::forward_chunk`] /
-//! [`SequenceModel::backward_chunk_from_logits`]): each LSTM timestep's
-//! gate computation becomes one GEMM over the chunk's active samples, the
-//! `Linear` head becomes one GEMM over every timestep of every sample,
-//! and weight-gradient accumulation becomes one fused
-//! [`pelican_tensor::Matrix::rank_updates`] per weight matrix.
-//!
-//! # The bit-identity contract
-//!
-//! The repo's signature guarantee carries over from the batched *serving*
-//! path (`Lstm::infer_batch`): every user's trained weights, epoch
-//! losses, and recorded FLOPs are **bit-identical** to running
-//! [`crate::fit`] on that user alone. The discipline:
-//!
-//! * every fused kernel preserves strict per-row `k`-order accumulation
-//!   and the sequential zero-skip rules, so forward activations and
-//!   backward gradients match bit for bit;
-//! * gradient contributions feed the fused rank-update kernels in exactly
-//!   the order the sequential loop applies them (sample-major, timestep
-//!   descending for LSTM, ascending for `Linear`);
-//! * per-user RNG streams are untouched: each job keeps its own shuffle
-//!   RNG seeded from its `shuffle_seed`, and dropout draws one
-//!   counter-based mask per sample in chunk order — the same indices the
-//!   sequential per-sample forwards would consume;
-//! * gradient averaging stays **per user**: each job owns its optimizer
-//!   (and its Adam moment state), and `optimizer.step` sees only that
-//!   user's model and that user's chunk length. Nothing is averaged
-//!   across users.
+//! user and can hand a worker a *cohort* of jobs at once. Nothing crosses
+//! users: the optimizer (and its Adam moments), the shuffle RNG, the
+//! dropout draws and the frozen-prefix cache all belong to one job,
+//! gradients are averaged per user, and no kernel spans two users'
+//! mini-batches. Advancing the jobs of a cohort together is therefore
+//! unobservable, and the cohort driver is a map over [`crate::fit`] —
+//! which is where every mini-batch meets the packed chunk kernels — that
+//! takes, around each call, the per-job measurement the pipeline prices
+//! device time from.
 
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use pelican_tensor::ThreadFlopGuard;
 
-use pelican_tensor::thread_flops_now;
+use crate::train::{fit, FitReport};
+use crate::{Sample, SequenceModel, TrainConfig};
 
-use crate::chunk::ChunkBatch;
-use crate::train::{shuffle, FitReport};
-use crate::{softmax_cross_entropy_chunk, Sample, SequenceModel, Step, TrainConfig};
-
-/// One user's training job in a lockstep cohort.
+/// One user's training job in a cohort.
 #[derive(Debug)]
 pub struct LockstepJob<'a> {
     /// The user's model, trained in place.
@@ -60,137 +32,37 @@ pub struct LockstepJob<'a> {
 /// Per-user outcome of a [`fit_lockstep`] cohort.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LockstepOutcome {
-    /// The user's training report — bit-identical to what [`crate::fit`]
-    /// would have returned for the same job.
+    /// The user's training report — what [`crate::fit`] returned.
     pub fit: FitReport,
-    /// FLOPs attributable to this user's job (the cohort driver is
-    /// single-threaded, so per-user thread-counter deltas partition the
-    /// cohort's total exactly). Equal to the sequential path's count.
+    /// FLOPs this thread recorded during the job's [`crate::fit`] call.
     pub flops: u64,
-    /// Host wall-clock time spent on this user's chunks.
+    /// Host wall-clock time of that call.
     pub host_elapsed: Duration,
 }
 
-/// Trains a cohort of user models in lockstep through the fused chunk
-/// kernels.
-///
-/// Jobs advance epoch-by-epoch and mini-batch-by-mini-batch together;
-/// jobs with fewer epochs or chunks simply drop out of the active set
-/// (the ragged-cohort analogue of `infer_batch`'s active-set handling).
-/// Each user's weights, [`FitReport`], and recorded FLOPs are
-/// bit-identical to calling [`crate::fit`] on that job alone — see the
-/// module docs for the full contract.
+/// Trains every job of a cohort with [`crate::fit`], in job order,
+/// measuring each call.
 ///
 /// # Panics
 ///
-/// Panics if any job has no samples or a zero batch size (the same
-/// preconditions as [`crate::fit`]).
+/// Panics if any job has no samples or a zero batch size (the
+/// preconditions of [`crate::fit`]).
 pub fn fit_lockstep(jobs: &mut [LockstepJob<'_>]) -> Vec<LockstepOutcome> {
-    struct UserState {
-        rng: StdRng,
-        order: Vec<usize>,
-        epoch_loss: f32,
-        outcome: LockstepOutcome,
-    }
-    for job in jobs.iter() {
-        assert!(!job.samples.is_empty(), "cannot fit on an empty dataset");
-        assert!(job.config.batch_size > 0, "batch size must be positive");
-    }
-    let mut optimizers: Vec<_> = jobs.iter().map(|j| j.config.make_optimizer()).collect();
-    let mut states: Vec<UserState> = jobs
-        .iter()
-        .map(|j| UserState {
-            rng: StdRng::seed_from_u64(j.config.shuffle_seed),
-            order: (0..j.samples.len()).collect(),
-            epoch_loss: 0.0,
-            outcome: LockstepOutcome {
-                fit: FitReport {
-                    epoch_losses: Vec::with_capacity(j.config.epochs),
-                    steps: 0,
-                    samples_per_epoch: j.samples.len(),
-                },
-                flops: 0,
-                host_elapsed: Duration::ZERO,
-            },
+    jobs.iter_mut()
+        .map(|job| {
+            let wall = Instant::now();
+            let flops = ThreadFlopGuard::start();
+            let fit = fit(job.model, job.samples, &job.config);
+            LockstepOutcome { fit, flops: flops.stop(), host_elapsed: wall.elapsed() }
         })
-        .collect();
-    let max_epochs = jobs.iter().map(|j| j.config.epochs).max().unwrap_or(0);
-    for epoch in 0..max_epochs {
-        for (job, st) in jobs.iter().zip(&mut states) {
-            if epoch < job.config.epochs {
-                shuffle(&mut st.order, &mut st.rng);
-                st.epoch_loss = 0.0;
-            }
-        }
-        let max_chunks = jobs
-            .iter()
-            .map(|j| {
-                if epoch < j.config.epochs {
-                    j.samples.len().div_ceil(j.config.batch_size)
-                } else {
-                    0
-                }
-            })
-            .max()
-            .unwrap_or(0);
-        for chunk_index in 0..max_chunks {
-            for ((job, st), optimizer) in jobs.iter_mut().zip(&mut states).zip(&mut optimizers) {
-                if epoch >= job.config.epochs {
-                    continue;
-                }
-                let start = chunk_index * job.config.batch_size;
-                if start >= st.order.len() {
-                    continue;
-                }
-                let end = (start + job.config.batch_size).min(st.order.len());
-                let chunk = &st.order[start..end];
-
-                let wall = Instant::now();
-                let flops_before = thread_flops_now();
-
-                // Pack the mini-batch straight from the samples (no
-                // per-sequence clones) and keep the whole round trip in
-                // packed form; the input gradients the packed backward
-                // returns are unused here, so they are simply dropped
-                // without unpacking.
-                let batch = ChunkBatch::pack(
-                    chunk.iter().map(|&idx| &job.samples[idx].xs),
-                    job.model.input_dim(),
-                );
-                let outs = job.model.forward_chunk_packed(batch);
-                let rows: Vec<(&[f32], usize)> = chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &idx)| (outs.last_row(j), job.samples[idx].target))
-                    .collect();
-                let scored = softmax_cross_entropy_chunk(&rows);
-                let mut per_sample: Vec<(usize, Step)> = Vec::with_capacity(chunk.len());
-                for ((loss, dlogits), &idx) in scored.into_iter().zip(chunk) {
-                    st.epoch_loss += loss;
-                    per_sample.push((job.samples[idx].xs.len(), dlogits));
-                }
-                job.model.backward_chunk_from_logits_packed(per_sample);
-                optimizer.step(job.model, chunk.len());
-                st.outcome.fit.steps += 1;
-
-                st.outcome.flops += thread_flops_now().wrapping_sub(flops_before);
-                st.outcome.host_elapsed += wall.elapsed();
-            }
-        }
-        for (job, st) in jobs.iter().zip(&mut states) {
-            if epoch < job.config.epochs {
-                st.outcome.fit.epoch_losses.push(st.epoch_loss / job.samples.len() as f32);
-            }
-        }
-    }
-    states.into_iter().map(|st| st.outcome).collect()
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fit;
-    use rand::RngExt as _;
+    use rand::rngs::StdRng;
+    use rand::{RngExt as _, SeedableRng};
 
     fn toy_samples(n: usize, classes: usize, seed: u64) -> Vec<Sample> {
         let mut rng = StdRng::seed_from_u64(seed);

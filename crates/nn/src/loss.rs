@@ -30,32 +30,9 @@ pub fn softmax_cross_entropy(logits: &[f32], target: usize) -> (f32, Vec<f32>) {
     (loss, grad)
 }
 
-/// [`softmax_cross_entropy`] over a chunk of samples, in order.
-///
-/// Each `(logits, target)` pair is scored exactly as the scalar function
-/// would score it, in slice order — so losses and gradients are
-/// bit-identical to the sequential path, just gathered for the lockstep
-/// training driver.
-///
-/// # Panics
-///
-/// Panics if any target is out of range or any logit row is empty.
-pub fn softmax_cross_entropy_chunk(rows: &[(&[f32], usize)]) -> Vec<(f32, Vec<f32>)> {
-    rows.iter().map(|&(logits, target)| softmax_cross_entropy(logits, target)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunk_matches_scalar_per_row() {
-        let rows: Vec<(&[f32], usize)> = vec![(&[0.3, -0.7, 1.2], 2), (&[10.0, 0.0, -1.0], 1)];
-        let chunk = softmax_cross_entropy_chunk(&rows);
-        for (&(logits, target), got) in rows.iter().zip(&chunk) {
-            assert_eq!(&softmax_cross_entropy(logits, target), got);
-        }
-    }
 
     #[test]
     fn uniform_logits_give_log_n_loss() {

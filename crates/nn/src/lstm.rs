@@ -31,7 +31,8 @@ struct StepCache {
 }
 
 /// Flat activation caches for one whole chunk, written by
-/// [`Lstm::forward_chunk`] and consumed by [`Lstm::backward_chunk`].
+/// [`Lstm::forward_chunk_packed`] and consumed by
+/// [`Lstm::backward_chunk_packed`].
 ///
 /// Rows are packed sample-major (`offsets[i] + t` addresses sample `i`,
 /// timestep `t`), so the entire chunk needs a handful of allocations
@@ -97,7 +98,7 @@ pub struct Lstm {
     grad_b: Vec<f32>,
     #[serde(skip)]
     cache: Vec<StepCache>,
-    /// Flat chunk caches written by [`Lstm::forward_chunk`].
+    /// Flat chunk caches written by [`Lstm::forward_chunk_packed`].
     #[serde(skip)]
     chunk_cache: ChunkCache,
     /// Whether `w_ih` and `w_hh` are all finite; see [`Lstm::project`].
@@ -226,10 +227,11 @@ impl Lstm {
     /// row with the bits of `w.matvec(row)`: finite weights are read only
     /// where a row is non-zero ([`Matrix::matmul_transpose_sparse`]), a
     /// non-finite layer takes the dense product so that `0 · NaN` and
-    /// `0 · ∞` surface. Finiteness of `w_ih` and `w_hh` is scanned on the
-    /// first inference and kept until [`Lstm::visit_params`] — the only
-    /// place they change — hands them out. Both products record the
-    /// nominal `2 · rows · w.len()` FLOPs.
+    /// `0 · ∞` surface. Finiteness of `w_ih` and `w_hh` is scanned on
+    /// first use and kept until [`Lstm::visit_params`] — the only place
+    /// they change — hands them out, so a layer in training rescans once
+    /// per optimizer step. Both products record the nominal
+    /// `2 · rows · w.len()` FLOPs.
     fn project(&self, rows: &Matrix, w: &Matrix) -> Matrix {
         if *self.finite.get_or_init(|| self.w_ih.is_finite() && self.w_hh.is_finite()) {
             rows.matmul_transpose_sparse(w)
@@ -381,17 +383,21 @@ impl Lstm {
         out
     }
 
-    /// Lockstep training-mode forward pass over a packed chunk.
+    /// Training-mode forward pass over a packed chunk.
     ///
     /// The fused-batch analogue of [`Lstm::forward`]: the input-to-hidden
-    /// pre-activations of the whole chunk run as one GEMM up front (the
+    /// pre-activations of the whole chunk run as one product up front (the
     /// input side has no recurrent dependence on `t`), and per timestep
-    /// only the recurrent half runs — one GEMM over the active samples'
-    /// previous hidden states (the [`Lstm::infer_batch`] discipline). Flat
-    /// activation caches are written for [`Lstm::backward_chunk_packed`].
-    /// Hidden states, caches and recorded FLOPs are bit-identical to
-    /// calling [`Lstm::forward`] on each sequence alone. Sequences may be
-    /// ragged; shorter ones drop out of the active set.
+    /// only the recurrent half runs — one product over the active samples'
+    /// previous hidden states (the [`Lstm::infer_batch`] discipline). Both
+    /// go through [`Lstm::project`], so what a training sample is pays off
+    /// as it does for a served query: a 4-hot input row gathers four
+    /// columns of `W_ih`, and the all-zero state at `t = 0` reads nothing
+    /// of `W_hh`. Flat activation caches are written for
+    /// [`Lstm::backward_chunk_packed`]. Hidden states and caches are
+    /// bit-identical to calling [`Lstm::forward`] on each sequence alone;
+    /// the products record their nominal FLOPs. Sequences may be ragged;
+    /// shorter ones drop out of the active set.
     pub(crate) fn forward_chunk_packed(&mut self, x: ChunkBatch) -> ChunkBatch {
         let ChunkBatch { lens, offsets, rows: x_all } = x;
         let b = lens.len();
@@ -399,10 +405,9 @@ impl Lstm {
         let total = offsets[b];
         let max_t = lens.iter().copied().max().unwrap_or(0);
 
-        // Each output row of the fused input GEMM is the same `x · W_ihᵀ`
-        // dot product the per-timestep path computes, and the recorded
-        // FLOPs sum to the identical per-timestep total.
-        let z_ih = x_all.matmul_transpose(&self.w_ih);
+        // Each output row of the fused input product is the same
+        // `x · W_ihᵀ` dot product the per-timestep path computes.
+        let z_ih = self.project(&x_all, &self.w_ih);
 
         let mut gates = vec![0.0f32; total * 4 * h];
         let mut c_all = vec![0.0f32; total * h];
@@ -415,7 +420,7 @@ impl Lstm {
             let rows = active.len();
             // Only the recurrent half still advances timestep by timestep:
             // pack the active samples' previous hidden states and run one
-            // GEMM against `W_hh`.
+            // product against `W_hh`.
             let mut h_prev = Matrix::zeros(rows, h);
             if t > 0 {
                 for (r, &i) in active.iter().enumerate() {
@@ -423,7 +428,7 @@ impl Lstm {
                     h_prev.row_mut(r).copy_from_slice(&h_all[prev..prev + h]);
                 }
             }
-            let zh = h_prev.matmul_transpose(&self.w_hh);
+            let zh = self.project(&h_prev, &self.w_hh);
             for (r, &i) in active.iter().enumerate() {
                 let row = offsets[i] + t;
                 let zi = z_ih.row(row);
@@ -434,7 +439,7 @@ impl Lstm {
                 let c_prev: &[f32] = if t == 0 { &[] } else { &c_done[(row - 1) * h..] };
                 let tanh_row = &mut tanh_c_all[row * h..(row + 1) * h];
                 let h_row = &mut h_all[row * h..(row + 1) * h];
-                // `zi + (zh + b)` — the sequential path's `z += zh + b`
+                // `zi + (zh + b)` — the per-sample `step`'s `z += zh + b`
                 // grouping; f32 addition is not associative.
                 for k in 0..h {
                     let gi = sigmoid(zi[k] + (zh_row[k] + self.b[k]));
@@ -464,23 +469,30 @@ impl Lstm {
         out
     }
 
-    /// Lockstep backpropagation through time over a packed chunk.
+    /// Backpropagation through time over a packed chunk.
     ///
     /// The fused-batch analogue of [`Lstm::backward`]: the per-timestep
     /// gate gradients of all active samples are packed into one `DZ_t`
-    /// matrix so the input- and hidden-gradient products run as two GEMMs
-    /// per timestep, and the weight-gradient accumulation runs as one
-    /// fused [`Matrix::rank_updates`] per weight matrix with contributions
-    /// ordered exactly as the sequential path applies them (sample-major,
-    /// timestep-descending). Parameter gradients, input gradients and
-    /// recorded FLOPs are bit-identical to calling [`Lstm::backward`]
+    /// matrix so the hidden-gradient product runs as one GEMM per
+    /// timestep — none at `t = 0`, whose result nothing reads — and the
+    /// weight-gradient accumulation runs as one fused
+    /// [`Matrix::rank_updates`] per weight matrix with contributions
+    /// ordered exactly as per-sample calls apply them (sample-major,
+    /// timestep-descending). The input gradients, one GEMM for the whole
+    /// chunk, are formed only if `want_input_grad`: the lowest trainable
+    /// layer of a model in training has no use for them. Parameter and
+    /// input gradients are bit-identical to calling [`Lstm::backward`]
     /// once per sample in chunk order.
     ///
     /// # Panics
     ///
     /// Panics if called before [`Lstm::forward_chunk_packed`] or with
     /// mismatched gradient shapes.
-    pub(crate) fn backward_chunk_packed(&mut self, grad: ChunkBatch) -> ChunkBatch {
+    pub(crate) fn backward_chunk_packed(
+        &mut self,
+        grad: ChunkBatch,
+        want_input_grad: bool,
+    ) -> Option<ChunkBatch> {
         let b = grad.samples();
         let cache = &self.chunk_cache;
         assert_eq!(
@@ -537,27 +549,24 @@ impl Lstm {
                     dc_row[k] = dc * gf;
                 }
             }
-            // Input and hidden gradients for all active samples in two
-            // GEMMs. `DZ_t · W` walks each row's `k` ascending with the
-            // same zero-skip as `matvec_transpose(dz)`, so the bits match
-            // the sequential per-sample products.
-            // Only the hidden gradient is recurrent (needed at `t - 1`);
-            // the input gradients are deferred to one chunk-wide GEMM
-            // after the loop.
-            let dh_t = dz_t.matmul(&self.w_hh);
+            // The hidden gradient is recurrent: `t - 1` reads it, so
+            // `t = 0` does not form it. `DZ_t · W_hh` walks each row's
+            // `k` ascending with the same zero-skip as
+            // `matvec_transpose(dz)`, so the bits match the per-sample
+            // products. The input gradients are deferred to
+            // one chunk-wide GEMM after the loop.
+            if t > 0 {
+                let dh_t = dz_t.matmul(&self.w_hh);
+                for (r, &i) in active.iter().enumerate() {
+                    dh_carry.row_mut(i).copy_from_slice(dh_t.row(r));
+                }
+            }
             for (r, &i) in active.iter().enumerate() {
-                let row = cache.offsets[i] + t;
-                dh_carry.row_mut(i).copy_from_slice(dh_t.row(r));
-                dz_all.row_mut(row).copy_from_slice(dz_t.row(r));
+                dz_all.row_mut(cache.offsets[i] + t).copy_from_slice(dz_t.row(r));
             }
         }
-        // Input gradients for every timestep of every sample in a single
-        // GEMM: row `offsets[i] + t` of `DZ · W_ih` is the same k-ascending
-        // zero-skipping dot the sequential `matvec_transpose(dz)` computes,
-        // and the result lands already in packed order.
-        let dx_all = dz_all.matmul(&self.w_ih);
         if self.trainable {
-            // Sequential training applies rank-1 gradient updates sample by
+            // Per-sample calls apply rank-1 gradient updates sample by
             // sample, each with `t` descending; feed the fused kernel the
             // contributions in exactly that order.
             let zero_h = vec![0.0f32; h];
@@ -591,7 +600,14 @@ impl Lstm {
                 }
             }
         }
-        ChunkBatch { lens: grad.lens, offsets: grad.offsets, rows: dx_all }
+        // Input gradients for every timestep of every sample in a single
+        // GEMM: row `offsets[i] + t` of `DZ · W_ih` is the same k-ascending
+        // zero-skipping dot the per-sample `matvec_transpose(dz)` computes,
+        // and the result lands already in packed order.
+        want_input_grad.then(|| {
+            let dx_all = dz_all.matmul(&self.w_ih);
+            ChunkBatch { lens: grad.lens, offsets: grad.offsets, rows: dx_all }
+        })
     }
 
     /// Backpropagation through time.

@@ -5,7 +5,6 @@ use serde::{Deserialize, Serialize};
 
 use pelican_tensor::{record_flops, softmax_temperature_in_place, Matrix, ThreadFlopGuard};
 
-use crate::chunk::ChunkBatch;
 use crate::sweep::shared_row;
 use crate::{Dropout, Layer, Linear, Lstm, Sequence, Step};
 
@@ -479,8 +478,13 @@ impl SequenceModel {
         self.logits_batch(xs).iter().map(|row| pelican_tensor::top_k(row, k)).collect()
     }
 
-    /// Training-mode forward pass (dropout active, caches written).
-    /// Returns the full output sequence of the last layer.
+    /// Training-mode forward pass of one sequence (dropout active, caches
+    /// written). Returns the full output sequence of the last layer.
+    ///
+    /// [`crate::fit`] does not run this: it drives the packed chunk
+    /// kernels, which produce the same bits. It stays as the per-sample
+    /// half of [`SequenceModel::input_gradient`] and as the oracle the
+    /// equivalence suites train and infer against.
     pub fn forward(&mut self, xs: &Sequence) -> Sequence {
         assert!(!xs.is_empty(), "cannot run a model on an empty sequence");
         let mut cur = self.layers[0].forward(xs);
@@ -494,7 +498,9 @@ impl SequenceModel {
     ///
     /// Accumulates parameter gradients in trainable layers and returns the
     /// gradient with respect to every input timestep — the quantity the
-    /// gradient-descent inversion attack consumes.
+    /// gradient-descent inversion attack consumes — so it runs through
+    /// every layer, frozen or not, where [`crate::fit`] stops at the
+    /// lowest trainable one.
     ///
     /// # Panics
     ///
@@ -506,76 +512,6 @@ impl SequenceModel {
         grads[last] = dlogits;
         for layer in self.layers.iter_mut().rev() {
             grads = layer.backward(&grads);
-        }
-        grads
-    }
-
-    /// Lockstep training-mode forward pass over a chunk of sequences
-    /// (dropout active, chunk caches written). Returns the full output
-    /// sequence of the last layer per sample; bit-identical to calling
-    /// [`SequenceModel::forward`] once per sample in chunk order.
-    ///
-    /// Convenience wrapper over [`SequenceModel::forward_chunk_packed`] —
-    /// the packed form the lockstep trainer drives — paying one pack and
-    /// one unpack at the model boundary.
-    pub fn forward_chunk(&mut self, xs: &[Sequence]) -> Vec<Sequence> {
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        let batch = ChunkBatch::pack(xs.iter(), self.input_dim());
-        self.forward_chunk_packed(batch).unpack()
-    }
-
-    /// Lockstep training-mode forward pass over a packed chunk (dropout
-    /// active, chunk caches written). The whole layer stack passes one
-    /// flat sample-major batch from layer to layer — no per-sample or
-    /// per-timestep allocations at the boundaries. Bit-identical outputs,
-    /// caches and recorded FLOPs to calling [`SequenceModel::forward`]
-    /// once per sample in chunk order.
-    pub(crate) fn forward_chunk_packed(&mut self, batch: ChunkBatch) -> ChunkBatch {
-        assert!(batch.lens.iter().all(|&len| len > 0), "cannot run a model on an empty sequence");
-        let mut cur = batch;
-        for layer in &mut self.layers {
-            cur = layer.forward_chunk_packed(cur);
-        }
-        cur
-    }
-
-    /// Lockstep backward pass from per-sample gradients on the final
-    /// timestep's logits — the chunk analogue of
-    /// [`SequenceModel::backward_from_logits`]. `per_sample` pairs each
-    /// sample's sequence length with its logit gradient. Accumulated
-    /// parameter gradients (and returned input gradients) are
-    /// bit-identical to running the sequential method once per sample in
-    /// chunk order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`SequenceModel::forward_chunk`] in this
-    /// round.
-    pub fn backward_chunk_from_logits(&mut self, per_sample: Vec<(usize, Step)>) -> Vec<Sequence> {
-        self.backward_chunk_from_logits_packed(per_sample).unpack()
-    }
-
-    /// Packed form of [`SequenceModel::backward_chunk_from_logits`]: the
-    /// gradient batch starts as one zero matrix with each sample's logit
-    /// gradient written into its final-timestep row, then flows backward
-    /// through the packed chunk kernels of every layer.
-    pub(crate) fn backward_chunk_from_logits_packed(
-        &mut self,
-        per_sample: Vec<(usize, Step)>,
-    ) -> ChunkBatch {
-        let lens: Vec<usize> = per_sample.iter().map(|(seq_len, _)| *seq_len).collect();
-        let offsets = ChunkBatch::offsets_of(&lens);
-        let total = offsets[lens.len()];
-        let width = per_sample.first().map_or(0, |(_, dlogits)| dlogits.len());
-        let mut rows = Matrix::zeros(total, width);
-        for (i, (seq_len, dlogits)) in per_sample.into_iter().enumerate() {
-            rows.row_mut(offsets[i] + seq_len - 1).copy_from_slice(&dlogits);
-        }
-        let mut grads = ChunkBatch { lens, offsets, rows };
-        for layer in self.layers.iter_mut().rev() {
-            grads = layer.backward_chunk_packed(grads);
         }
         grads
     }

@@ -10,9 +10,12 @@ use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use pelican_tensor::{record_flops, ThreadFlopGuard};
+
+use crate::chunk::ChunkBatch;
 use crate::{
-    metrics::evaluate_top_k, softmax_cross_entropy, Adam, Optimizer, Sample, SequenceModel, Sgd,
-    TopKAccuracy,
+    metrics::evaluate_top_k, softmax_cross_entropy, Adam, Layer, Optimizer, Sample, SequenceModel,
+    Sgd, TopKAccuracy,
 };
 
 /// Which optimizer family [`fit`] instantiates.
@@ -96,17 +99,41 @@ impl FitReport {
     }
 }
 
-/// Trains `model` on `samples` under `config`.
+/// Trains `model` on `samples` under `config` — the one training driver.
 ///
 /// Gradients are accumulated per mini-batch and applied as means. Sample
 /// order is reshuffled every epoch from `config.shuffle_seed`.
 ///
+/// Every mini-batch goes through the packed chunk kernels
+/// ([`Lstm::forward_chunk_packed`](crate::Lstm) and its backward), and
+/// the job does only what its model's freeze pattern makes it need —
+/// transfer learning trains a layer or two on top of a frozen stack:
+///
+/// * the *frozen deterministic prefix* — the leading layers that are
+///   neither trainable nor a [`Dropout`](crate::Dropout) that draws — is
+///   run once per sample, during the first epoch, and its packed output
+///   is reused by every later epoch;
+/// * the backward pass stops at the lowest trainable layer, which forms
+///   no input gradient; with nothing trainable it does not run at all.
+///
+/// Weights, losses and dropout draws are bit-identical to the per-sample
+/// loop — [`SequenceModel::forward`], [`softmax_cross_entropy`],
+/// [`SequenceModel::backward_from_logits`] per sample, then
+/// `Optimizer::step` — which `tests/fit_equivalence.rs` keeps as the
+/// reference trainer. So are the recorded FLOPs: each mini-batch tops
+/// this thread's counter up to what that loop records for it,
+/// `timesteps × Σ Layer::train_step_flops`, so compute priced from FLOPs
+/// (device time, every virtual instant) does not move with what is
+/// skipped or reused.
+///
 /// # Panics
 ///
-/// Panics if `samples` is empty or `config.batch_size == 0`.
+/// Panics if `samples` is empty, holds an empty sequence, or
+/// `config.batch_size == 0`.
 pub fn fit(model: &mut SequenceModel, samples: &[Sample], config: &TrainConfig) -> FitReport {
     assert!(!samples.is_empty(), "cannot fit on an empty dataset");
     assert!(config.batch_size > 0, "batch size must be positive");
+    assert!(samples.iter().all(|s| !s.xs.is_empty()), "cannot run a model on an empty sequence");
     let mut optimizer = config.make_optimizer();
     let mut order: Vec<usize> = (0..samples.len()).collect();
     let mut rng = StdRng::seed_from_u64(config.shuffle_seed);
@@ -115,18 +142,63 @@ pub fn fit(model: &mut SequenceModel, samples: &[Sample], config: &TrainConfig) 
         steps: 0,
         samples_per_epoch: samples.len(),
     };
-    for _epoch in 0..config.epochs {
+    let input_dim = model.input_dim();
+    let step_flops: u64 = model.layers().iter().map(Layer::train_step_flops).sum();
+    let prefix = model
+        .layers()
+        .iter()
+        .take_while(|l| !l.is_trainable() && !matches!(l, Layer::Dropout(d) if d.rate() > 0.0))
+        .count();
+    // The backward pass runs from the top layer down to this one.
+    let lowest_trainable =
+        model.layers().iter().position(Layer::is_trainable).unwrap_or(model.layers().len());
+    // The prefix's output for every sample, in sample order.
+    let mut prefix_out: Option<ChunkBatch> = None;
+    for epoch in 0..config.epochs {
         shuffle(&mut order, &mut rng);
         let mut epoch_loss = 0.0;
         for chunk in order.chunks(config.batch_size) {
-            for &idx in chunk {
-                let s = &samples[idx];
-                let out = model.forward(&s.xs);
-                let logits = out.last().expect("nonempty sequence");
-                let (loss, dlogits) = softmax_cross_entropy(logits, s.target);
-                epoch_loss += loss;
-                model.backward_from_logits(s.xs.len(), dlogits);
+            let layers = model.layers_mut();
+            let recorded = ThreadFlopGuard::start();
+            let mut cur = if epoch == 0 || prefix == 0 {
+                let xs = chunk.iter().map(|&idx| &samples[idx].xs);
+                let mut cur = ChunkBatch::pack(xs, input_dim);
+                for layer in &mut layers[..prefix] {
+                    cur = layer.forward_chunk_packed(cur);
+                }
+                if prefix > 0 {
+                    prefix_out
+                        .get_or_insert_with(|| {
+                            let lens = samples.iter().map(|s| s.xs.len()).collect();
+                            ChunkBatch::zeros(lens, cur.rows.cols())
+                        })
+                        .scatter(chunk, &cur);
+                }
+                cur
+            } else {
+                prefix_out.as_ref().expect("the first epoch saw every sample").gather(chunk)
+            };
+            for layer in &mut layers[prefix..] {
+                cur = layer.forward_chunk_packed(cur);
             }
+            let forward_flops = recorded.stop();
+
+            let mut grads = ChunkBatch::zeros(cur.lens.clone(), cur.rows.cols());
+            for (j, &idx) in chunk.iter().enumerate() {
+                let (loss, dlogits) = softmax_cross_entropy(cur.last_row(j), samples[idx].target);
+                epoch_loss += loss;
+                grads.last_row_mut(j).copy_from_slice(&dlogits);
+            }
+
+            let recorded = ThreadFlopGuard::start();
+            let mut grads = Some(grads);
+            for at in (lowest_trainable..layers.len()).rev() {
+                let grad = grads.take().expect("every layer above the lowest trainable passes one");
+                grads = layers[at].backward_chunk_packed(grad, at > lowest_trainable);
+            }
+            let nominal = cur.total() as u64 * step_flops;
+            record_flops(nominal - forward_flops - recorded.stop());
+
             optimizer.step(model, chunk.len());
             report.steps += 1;
         }
@@ -135,7 +207,7 @@ pub fn fit(model: &mut SequenceModel, samples: &[Sample], config: &TrainConfig) 
     report
 }
 
-pub(crate) fn shuffle(order: &mut [usize], rng: &mut StdRng) {
+fn shuffle(order: &mut [usize], rng: &mut StdRng) {
     for i in (1..order.len()).rev() {
         let j = rng.random_range(0..=i);
         order.swap(i, j);

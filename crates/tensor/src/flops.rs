@@ -1,4 +1,4 @@
-//! Process-wide floating-point-operation accounting.
+//! Per-thread floating-point-operation accounting.
 //!
 //! The Pelican paper compares the *compute cost* of cloud-side general-model
 //! training against device-side transfer-learning personalization
@@ -7,41 +7,32 @@
 //! this crate performs and letting the platform layer convert counts into
 //! simulated cycles.
 //!
-//! The counter is a relaxed atomic: exact interleaving across threads does
-//! not matter, only the total.
+//! Each thread counts its own work in a thread-local cell and nothing is
+//! shared: a measurement reads only what its own thread recorded, so it
+//! is exact whatever else the process is running, and a kernel call pays
+//! no atomic. Work spread over a pool is summed from the per-job
+//! measurements its workers take.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static FLOPS: AtomicU64 = AtomicU64::new(0);
-
-/// FLOPs performed by *fused batched* kernels (a subset of [`FLOPS`]).
-///
-/// Batched kernels record into both counters, so `batched / total` is the
-/// fraction of work that went through a fused path — the number the
-/// `train-report` experiment uses to show how much of an epoch the
-/// lockstep path actually GEMM-ified. Equality of the *total* counter
-/// between a batched and a sequential run is the FLOP-parity contract.
-static BATCHED_FLOPS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// Per-thread mirror of the global counter, so one thread's work can
-    /// be measured exactly even while other threads record concurrently.
+    /// FLOPs this thread has recorded since it started.
     static THREAD_FLOPS: Cell<u64> = const { Cell::new(0) };
 
-    /// Per-thread mirror of [`BATCHED_FLOPS`].
+    /// The subset of [`THREAD_FLOPS`] recorded by *fused batched*
+    /// kernels, which record into both: `batched / total` is the
+    /// fraction of work that went through a fused path — the number the
+    /// `train-batched` experiment reports.
     static THREAD_BATCHED_FLOPS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Adds `n` floating-point operations to the process-wide counter (and
-/// this thread's mirror).
+/// Adds `n` floating-point operations to this thread's counter.
 ///
 /// Kernels in this crate call this internally; external code only needs it
 /// when implementing custom kernels that should participate in overhead
 /// accounting.
 #[inline]
 pub fn record_flops(n: u64) {
-    FLOPS.fetch_add(n, Ordering::Relaxed);
     THREAD_FLOPS.with(|c| c.set(c.get().wrapping_add(n)));
 }
 
@@ -51,25 +42,10 @@ pub fn record_flops(n: u64) {
 /// Batched kernels call [`record_flops`] with the same count a sequence of
 /// their scalar equivalents would have recorded (the FLOP-parity
 /// contract), then call this with that count. The tag is therefore always
-/// a subset of the total: `batched_flops_now() <= flops_now()`.
+/// a subset of the total: `thread_batched_flops_now() <= thread_flops_now()`.
 #[inline]
 pub fn note_batched_flops(n: u64) {
-    BATCHED_FLOPS.fetch_add(n, Ordering::Relaxed);
     THREAD_BATCHED_FLOPS.with(|c| c.set(c.get().wrapping_add(n)));
-}
-
-/// Returns the total number of FLOPs recorded since process start (or the
-/// last [`reset_flops`]).
-#[inline]
-pub fn flops_now() -> u64 {
-    FLOPS.load(Ordering::Relaxed)
-}
-
-/// Returns the FLOPs recorded by fused batched kernels since process
-/// start (or the last [`reset_flops`]).
-#[inline]
-pub fn batched_flops_now() -> u64 {
-    BATCHED_FLOPS.load(Ordering::Relaxed)
 }
 
 /// FLOPs recorded by fused batched kernels on *this thread* since it
@@ -77,45 +53,6 @@ pub fn batched_flops_now() -> u64 {
 #[inline]
 pub fn thread_batched_flops_now() -> u64 {
     THREAD_BATCHED_FLOPS.with(Cell::get)
-}
-
-/// Resets the process-wide FLOP counters (total and batched) to zero.
-///
-/// Prefer [`FlopGuard`] for scoped measurement; resetting a global counter
-/// from concurrent experiments will interleave their counts.
-pub fn reset_flops() {
-    FLOPS.store(0, Ordering::Relaxed);
-    BATCHED_FLOPS.store(0, Ordering::Relaxed);
-}
-
-/// Measures the FLOPs performed between construction and [`FlopGuard::stop`].
-///
-/// # Example
-///
-/// ```
-/// use pelican_tensor::{FlopGuard, Matrix};
-///
-/// let guard = FlopGuard::start();
-/// let a = Matrix::zeros(8, 8);
-/// let _ = a.matmul(&a);
-/// let spent = guard.stop();
-/// assert_eq!(spent, 2 * 8 * 8 * 8); // 2·m·k·n for GEMM
-/// ```
-#[derive(Debug)]
-pub struct FlopGuard {
-    start: u64,
-}
-
-impl FlopGuard {
-    /// Begins a scoped measurement at the current counter value.
-    pub fn start() -> Self {
-        Self { start: flops_now() }
-    }
-
-    /// Ends the measurement and returns the FLOPs recorded in between.
-    pub fn stop(self) -> u64 {
-        flops_now().saturating_sub(self.start)
-    }
 }
 
 /// FLOPs recorded by *this thread* since it started.
@@ -127,11 +64,23 @@ pub fn thread_flops_now() -> u64 {
 /// Measures the FLOPs this thread performs between construction and
 /// [`ThreadFlopGuard::stop`].
 ///
-/// Unlike [`FlopGuard`], the measurement is exact even while other
-/// threads record concurrently — each thread mirrors its own
-/// contributions — which is what makes per-job cost accounting
-/// deterministic across trainer-pool widths. The measured closure must
-/// stay on one thread; work it spawns elsewhere is not attributed.
+/// The measurement is exact even while other threads record
+/// concurrently — each thread counts only its own contributions — which
+/// is what makes per-job cost accounting deterministic across
+/// trainer-pool widths. The measured closure must stay on one thread;
+/// work it spawns elsewhere is not attributed.
+///
+/// # Example
+///
+/// ```
+/// use pelican_tensor::{Matrix, ThreadFlopGuard};
+///
+/// let guard = ThreadFlopGuard::start();
+/// let a = Matrix::zeros(8, 8);
+/// let _ = a.matmul(&a);
+/// let spent = guard.stop();
+/// assert_eq!(spent, 2 * 8 * 8 * 8); // 2·m·k·n for GEMM
+/// ```
 #[derive(Debug)]
 pub struct ThreadFlopGuard {
     start: u64,
@@ -155,17 +104,17 @@ mod tests {
 
     #[test]
     fn guard_measures_delta() {
-        let g = FlopGuard::start();
+        let g = ThreadFlopGuard::start();
         record_flops(123);
         assert_eq!(g.stop(), 123);
     }
 
     #[test]
     fn counter_accumulates() {
-        let before = flops_now();
+        let before = thread_flops_now();
         record_flops(7);
         record_flops(3);
-        assert_eq!(flops_now() - before, 10);
+        assert_eq!(thread_flops_now() - before, 10);
     }
 
     #[test]
@@ -184,8 +133,8 @@ mod tests {
     fn thread_guard_ignores_other_threads() {
         let guard = ThreadFlopGuard::start();
         record_flops(11);
-        // A concurrent thread records into the global counter (and its
-        // own mirror), but must not perturb this thread's measurement.
+        // A concurrent thread records into its own counter and must not
+        // perturb this thread's measurement.
         std::thread::spawn(|| record_flops(1_000)).join().unwrap();
         record_flops(4);
         assert_eq!(guard.stop(), 15);

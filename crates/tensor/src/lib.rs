@@ -12,7 +12,7 @@
 //! * **Determinism.** All randomness flows through caller-provided
 //!   [`rand::Rng`] values so experiments are exactly repeatable from a seed.
 //! * **Work accounting.** Every kernel reports the floating-point operations
-//!   it performs to a process-wide [`flops`] counter. The Pelican platform
+//!   it performs to its thread's [`flops`] counter. The Pelican platform
 //!   simulation converts these counts into simulated CPU cycles to reproduce
 //!   the paper's cloud-vs-device overhead comparison (§V-C2) without needing
 //!   the authors' Titan-X testbed.
@@ -34,8 +34,7 @@ pub mod matrix;
 pub mod ops;
 
 pub use flops::{
-    batched_flops_now, flops_now, note_batched_flops, record_flops, reset_flops,
-    thread_batched_flops_now, thread_flops_now, FlopGuard, ThreadFlopGuard,
+    note_batched_flops, record_flops, thread_batched_flops_now, thread_flops_now, ThreadFlopGuard,
 };
 pub use init::{xavier_uniform, Init};
 pub use matrix::Matrix;

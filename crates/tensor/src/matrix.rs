@@ -326,10 +326,12 @@ impl Matrix {
     /// A dense dot product per output row on one serial accumulation
     /// chain, summed in ascending `k` order: zero inputs are multiplied
     /// like any other, so a one-hot `x` costs as much as a dense one and
-    /// a non-finite weight always surfaces. Training's sequential path
-    /// and the test oracles use it; inference goes through
-    /// [`Matrix::matmul_transpose_sparse`] (finite weights) or
-    /// [`Matrix::matmul_transpose`], whose rows carry the same bits.
+    /// a non-finite weight always surfaces. This is the oracle: the
+    /// per-sample `forward` behind `input_gradient` and the reference
+    /// loops of the equivalence suites use it, while training and
+    /// inference go through [`Matrix::matmul_transpose_sparse`] (finite
+    /// weights) or [`Matrix::matmul_transpose`], whose rows carry the
+    /// same bits.
     ///
     /// # Panics
     ///

@@ -13,9 +13,9 @@
 //!   seeds derive from [`pool::user_seed`], so parallel output is
 //!   **bit-identical** to sequential output for any worker count. With a
 //!   [`pipeline::PipelineConfig::cohort`] size set, the steal unit becomes
-//!   a [`pool::form_cohorts`] cohort of same-shape jobs trained together
-//!   through the fused [`pelican_nn::fit_lockstep`] kernels — same bits,
-//!   higher throughput.
+//!   a [`pool::form_cohorts`] cohort of same-shape jobs that share one
+//!   decode of the general envelope and train one after another through
+//!   [`pelican_nn::fit_lockstep`] — same bits, same trainer.
 //! * [`job`] — per-user [`job::TrainJob`]s: fresh personalization
 //!   (Fig. 4 step 2, via [`pelican::DevicePersonalizer::personalize`]) or
 //!   warm-start updates (step 4, via

@@ -28,7 +28,7 @@ use pelican_nn::{
     fit_lockstep, FitReport, LockstepJob, LockstepOutcome, ModelEnvelope, SequenceModel,
 };
 use pelican_serve::ShardedRegistry;
-use pelican_tensor::{thread_flops_now, FlopGuard};
+use pelican_tensor::thread_flops_now;
 
 use crate::audit::{AuditConfig, AuditGate, GateOutcome};
 use crate::job::{JobKind, TrainJob};
@@ -51,13 +51,15 @@ pub struct PipelineConfig {
     pub link: NetworkLink,
     /// Red-team configuration of the audit gate.
     pub audit: AuditConfig,
-    /// Lockstep cohort size: `0` or `1` dispatches per-user jobs one at a
-    /// time (the classic path); `B ≥ 2` groups up to `B` consecutive
-    /// same-shape jobs into one cohort that a worker trains together
-    /// through the fused [`pelican_nn::fit_lockstep`] kernels. Trained
-    /// weights, fit reports and simulated durations are bit-identical for
-    /// every value (see [`crate::pool::form_cohorts`] for the contract);
-    /// only throughput changes.
+    /// Cohort size: `0` or `1` dispatches per-user jobs one at a time;
+    /// `B ≥ 2` groups up to `B` consecutive same-shape jobs into one
+    /// cohort that a worker takes as a unit, decoding the general
+    /// envelope once and training the jobs in turn
+    /// ([`pelican_nn::fit_lockstep`], a map over [`pelican_nn::fit`]).
+    /// Trained weights, fit reports and simulated durations are
+    /// bit-identical for every value (see [`crate::pool::form_cohorts`]
+    /// for the contract), and `BENCH_train_batched.json` shows the wall
+    /// clock flat in it.
     pub cohort: usize,
 }
 
@@ -86,6 +88,8 @@ struct Candidate {
     started: Instant,
     train_simulated: Duration,
     audit_simulated: Duration,
+    /// FLOPs the worker thread recorded training and auditing this job.
+    flops: u64,
 }
 
 /// The fleet-training pipeline.
@@ -162,18 +166,16 @@ impl FleetTrainer {
         }
     }
 
-    /// Trains a whole cohort of jobs in lockstep through the fused
-    /// batched kernels, returning each job's candidate model, fit report
-    /// and device-tier resource usage **in job order**.
+    /// Trains a whole cohort of jobs, returning each job's candidate
+    /// model, fit report and device-tier resource usage **in job order**.
     ///
     /// Per job this is bit-identical to [`FleetTrainer::train_candidate`]
     /// wrapped in a device-tier measurement: model construction consumes
-    /// each user's init RNG exactly as the sequential path would, training
-    /// runs through [`pelican_nn::fit_lockstep`] (whose kernels preserve
-    /// the sequential accumulation order and FLOP counts), and the usage
-    /// is rebuilt from per-user FLOP deltas with [`usage_of`] — so the
-    /// simulated durations the network replay consumes do not depend on
-    /// the cohort size.
+    /// each user's init RNG exactly as the per-job path would, training
+    /// runs through [`pelican_nn::fit_lockstep`] ([`pelican_nn::fit`] on
+    /// each job in turn), and the usage is rebuilt from per-user FLOP
+    /// deltas with [`usage_of`] — so the simulated durations the network
+    /// replay consumes do not depend on the cohort size.
     pub fn train_candidates_lockstep(
         &self,
         general: &ModelEnvelope,
@@ -227,7 +229,7 @@ impl FleetTrainer {
                 trains,
             });
         }
-        // Phase 2 — fused lockstep training of every job that trains
+        // Phase 2 — training of every job that trains
         // (Reuse jobs ship the prepared model untrained, as sequentially).
         let mut trained_at = Vec::new();
         let mut lockstep: Vec<LockstepJob> = Vec::new();
@@ -266,8 +268,8 @@ impl FleetTrainer {
     /// into `registry` as they clear the gate. Returns the per-job
     /// outcomes (job order) plus throughput/latency/audit aggregates.
     ///
-    /// With [`PipelineConfig::cohort`] ≥ 2 the pool steals whole lockstep
-    /// cohorts instead of single jobs; everything in the report except
+    /// With [`PipelineConfig::cohort`] ≥ 2 the pool steals whole cohorts
+    /// instead of single jobs; everything in the report except
     /// wall-clock numbers (and publication versions under >1 workers) is
     /// bit-identical either way.
     pub fn run(
@@ -278,10 +280,10 @@ impl FleetTrainer {
         registry: &ShardedRegistry,
     ) -> TrainReport {
         let wall = Instant::now();
-        let flop_guard = FlopGuard::start();
         let general_envelope = ModelEnvelope::encode(general);
 
         let mut outcomes: Vec<Option<JobOutcome>> = jobs.iter().map(|_| None).collect();
+        let mut flops = 0u64;
         let pool = TrainerPool::new(self.config.workers);
         // Publisher side, on the calling thread: hot-swap each audited
         // envelope the moment it arrives, concurrently with the
@@ -297,7 +299,9 @@ impl FleetTrainer {
                 started,
                 train_simulated,
                 audit_simulated,
+                flops: job_flops,
             } = c;
+            flops += job_flops;
             let envelope_bytes = envelope.len();
             let version = registry.enroll_envelope(user_id, envelope);
             let outcome = JobOutcome {
@@ -314,11 +318,11 @@ impl FleetTrainer {
             outcomes[index] = Some(outcome);
         };
         if self.config.cohort > 1 {
-            // Lockstep dispatch: the steal unit is a cohort of consecutive
+            // Cohort dispatch: the steal unit is a cohort of consecutive
             // same-shape jobs. Warm jobs key on envelope length (a fixed
             // byte width per architecture); a key collision would only
-            // merge cohorts, never change any per-job result — the fused
-            // kernels are per-user and shape-agnostic.
+            // merge cohorts, never change any per-job result — every job
+            // trains alone.
             let cohorts = form_cohorts(jobs, self.config.cohort, |job| match &job.kind {
                 JobKind::Fresh => 0,
                 JobKind::WarmStart { envelope } => 1 | ((envelope.len() as u64) << 1),
@@ -348,6 +352,7 @@ impl FleetTrainer {
                                 started,
                                 train_simulated: train_usage.simulated,
                                 audit_simulated: audit_usage.simulated,
+                                flops: train_usage.flops + audit_usage.flops,
                             }
                         })
                         .collect::<Vec<Candidate>>()
@@ -383,6 +388,7 @@ impl FleetTrainer {
                         started,
                         train_simulated: train_usage.simulated,
                         audit_simulated: audit_usage.simulated,
+                        flops: train_usage.flops + audit_usage.flops,
                     }
                 },
                 &mut publish,
@@ -396,7 +402,7 @@ impl FleetTrainer {
                 .map(|o| o.expect("every job was trained, audited and published"))
                 .collect(),
             wall.elapsed(),
-            flop_guard.stop(),
+            flops,
         )
     }
 }

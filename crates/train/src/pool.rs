@@ -96,7 +96,7 @@ impl TrainerPool {
     }
 }
 
-/// Partitions a job list into lockstep cohorts: consecutive runs of at
+/// Partitions a job list into cohorts: consecutive runs of at
 /// most `cohort` jobs that share a shape key, preserving job order.
 ///
 /// # The dispatch-order contract
@@ -110,8 +110,8 @@ impl TrainerPool {
 /// * a cohort becomes the unit the pool steals (instead of a single
 ///   job), and within a cohort, results are produced in job order;
 /// * each job's *simulated* training duration is bit-identical to its
-///   sequential duration (the lockstep kernels record exactly the
-///   sequential FLOP counts, measured per user), so replaying a report
+///   per-job duration (every job trains alone through the same
+///   `pelican_nn::fit`, its FLOPs measured per user), so replaying a report
 ///   through the network simulator yields the same publication instants
 ///   for every `cohort` value and every pool width.
 ///

@@ -48,8 +48,9 @@ pub struct TrainReport {
     pub outcomes: Vec<JobOutcome>,
     /// Host wall-clock time of the whole run.
     pub wall: Duration,
-    /// Total floating-point operations spent (training + audits), summed
-    /// across all workers.
+    /// Total floating-point operations spent (training + audits): the
+    /// sum of what each job's worker thread recorded for it, so nothing
+    /// else running in the process leaks in.
     pub flops: u64,
     /// Enroll latencies sorted ascending, built once at construction so
     /// percentile queries never re-clone or re-sort the outcomes.

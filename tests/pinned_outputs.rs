@@ -6,7 +6,8 @@
 //! were recorded at the commit before the code under them was rewritten
 //! for speed — the live loop and the gate outcomes before the audit
 //! sweeps landed (PR 11, `ea62e73`), the serving pass before the sparse
-//! inference step did (PR 12, `f08af5b`): a change that only makes the
+//! inference step did (PR 12, `f08af5b`), the enrolment before `fit`
+//! stopped running the per-sample loop (PR 13, `56e340b`): a change that only makes the
 //! host faster, or only deletes code, must leave every one of them as it
 //! is. A change that means to move the reproduction re-records them and
 //! says so.
@@ -17,13 +18,15 @@ use pelican::platform::ComputeTier;
 use pelican::{DefenseKind, PersonalizationConfig};
 use pelican_live::{bootstrap_jobs, run_live, DriftConfig, DriftMetric, LiveConfig};
 use pelican_mobility::{CampusConfig, DatasetBuilder, MobilityDataset, Scale, SpatialLevel};
-use pelican_nn::{SequenceModel, TrainConfig};
+use pelican_nn::{ModelEnvelope, SequenceModel, TrainConfig};
 use pelican_serve::{
     simulate_serving, CloudNetwork, RegistryConfig, Request, SchedulerConfig, ShardedRegistry,
     SimServeConfig, TrafficConfig, TrafficGenerator,
 };
 use pelican_store::{EnvelopeStore, MemBackend, StoreConfig};
-use pelican_train::{AuditConfig, AuditGate, GateOutcome, GateVerdict, PipelineConfig};
+use pelican_train::{
+    cohort_jobs, run_pipeline, AuditConfig, AuditGate, GateOutcome, GateVerdict, PipelineConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -198,4 +201,31 @@ fn tiny_serving_pass_is_the_recorded_one() {
         (210, 170, 166, 24, 12),
         "the registry's lookup counters moved"
     );
+}
+
+#[test]
+fn tiny_enrolment_is_the_recorded_one() {
+    // The one-shot pipeline on the last three users: TL-FE from the
+    // general model — a frozen stack under one fresh LSTM and the head —
+    // three epochs each, audited and published.
+    let (dataset, general, users) = tiny_setting();
+    let jobs = cohort_jobs(&dataset, users, 0.8);
+    let registry = store_backed_registry(&general, 8);
+    let mut config = live_config().pipeline;
+    config.personalization.train.epochs = 3;
+    let report = run_pipeline(config, &general, &dataset.space, &jobs, &registry);
+
+    // FNV-1a over the bytes of every published envelope, in job order.
+    let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+    for job in &jobs {
+        let (model, _) = registry.get(job.user_id).expect("published model decodes");
+        for &byte in ModelEnvelope::encode(&model).as_bytes() {
+            fnv = (fnv ^ byte as u64).wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+    assert_eq!(fnv, 0x79d9_6c3c_7fc3_5633, "a published weight moved");
+    assert_eq!(report.flops, 102_382_668, "the FLOPs training and audits record moved");
+    let train_ns: Vec<u128> =
+        report.outcomes.iter().map(|o| o.train_simulated.as_nanos()).collect();
+    assert_eq!(train_ns, [1_667_405, 1_886_801, 1_755_164], "a job's simulated device time moved");
 }
