@@ -9,14 +9,23 @@
 //!   log; the ratio is reported by `repro store-report`).
 //! * `replay/*` — `EnvelopeStore::open` over a prebuilt log: the full
 //!   committed-prefix scan, CRC checks and index build.
-//! * `fetch_latest` — the read-through path a registry cold miss takes.
+//! * `fetch_latest/*` — the read-through path a registry cold miss
+//!   takes: one ranged read, one CRC pass, one payload copy, at the live
+//!   loop's 32 KB (hidden-12) and the hidden-64 model's 332 KB envelope.
+//! * `crc32/*` — the checksum every one of those paths runs once per
+//!   record, by itself, at the same two sizes (bytes per second is
+//!   `size / mean`).
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use pelican_nn::ModelEnvelope;
+use pelican_store::record::crc32;
 use pelican_store::{EnvelopeStore, MemBackend, StoreConfig};
+
+/// Envelope sizes of the hidden-12 (live loop) and hidden-64 models.
+const ENVELOPE_SIZES: [(&str, usize); 2] = [("32k", 32 * 1024), ("332k", 332 * 1024)];
 
 /// A model-shaped payload: structured regions (compressible) plus a
 /// varying stripe so versions differ.
@@ -77,19 +86,33 @@ fn bench_store_log(c: &mut Criterion) {
         });
     }
 
-    group.bench_function("fetch_latest", |b| {
-        let disk = build_log(16, 8, PAYLOAD, false);
-        let store = EnvelopeStore::open(
-            Arc::new(disk),
-            StoreConfig { shards: 4, ..StoreConfig::default() },
-        )
-        .expect("open");
-        let mut user = 0u64;
-        b.iter(|| {
-            user = (user + 1) % 16;
-            store.fetch_latest(user).expect("fetch").expect("published")
+    group.finish();
+
+    let mut group = c.benchmark_group("fetch_latest");
+    for (label, bytes) in ENVELOPE_SIZES {
+        group.bench_function(label, |b| {
+            let disk = build_log(16, 4, bytes, false);
+            let store = EnvelopeStore::open(
+                Arc::new(disk),
+                StoreConfig { shards: 4, ..StoreConfig::default() },
+            )
+            .expect("open");
+            let mut user = 0u64;
+            b.iter(|| {
+                user = (user + 1) % 16;
+                store.fetch_latest(user).expect("fetch").expect("published")
+            });
         });
-    });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("crc32");
+    for (label, bytes) in ENVELOPE_SIZES {
+        group.bench_function(label, |b| {
+            let envelope = envelope(1, bytes);
+            b.iter(|| crc32(black_box(envelope.as_bytes())));
+        });
+    }
     group.finish();
 }
 

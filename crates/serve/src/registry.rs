@@ -521,9 +521,10 @@ impl ShardedRegistry {
         let envelope = match shard.cold.get(&user_id) {
             Some(entry) => Some(entry.envelope.clone()),
             None => self.store.as_ref().and_then(|store| {
-                let version = store.latest_version(user_id as u64)?;
+                let (version, envelope) =
+                    store.fetch_latest_with_version(user_id as u64).ok()??;
                 fetched_version = Some(version);
-                store.fetch(user_id as u64, version).ok()
+                Some(envelope)
             }),
         };
         if let Some(envelope) = envelope {

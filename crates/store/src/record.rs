@@ -13,8 +13,25 @@
 //!
 //! All integers are little-endian. `flags` bit 0 marks an
 //! LZSS-compressed payload (`len` stored bytes inflate to `raw_len`).
-//! The CRC covers every byte between the record magic and the CRC field
-//! itself (user through payload).
+//! The CRC (CRC-32/IEEE, [`crc32`]) covers every byte between the record
+//! magic and the CRC field itself (user through payload), so one pass
+//! over `29 - 4 + len` bytes seals or verifies a record; nothing else is
+//! checksummed.
+//!
+//! A decoded [`Record`] is a *view*: its payload borrows the buffer it
+//! was decoded from ([`decode_record`], [`scan_segment`]), and
+//! [`encode_record`] writes from a borrowed payload. Nothing in this
+//! module copies payload bytes except the one `extend_from_slice` into
+//! the output of `encode_record`; a caller that needs the payload past
+//! the buffer's life copies it once, after it verified.
+//!
+//! Because the CRC covers the whole body and the framing around it is
+//! constant (magic in front, commit byte behind), a record's encoding is
+//! a function of its fields alone: re-encoding a verified view yields
+//! the bytes it was decoded from. Compaction relies on this to move a
+//! survivor by verifying its stored bytes and appending them verbatim,
+//! where decode → re-encode would checksum and copy the payload twice to
+//! write the same bytes.
 //!
 //! **The trailing commit byte is the write-ahead commit record.** A
 //! publication is durable if and only if its commit byte (preceded by a
@@ -44,9 +61,11 @@ pub const RECORD_OVERHEAD: usize = 4 + 8 + 8 + 1 + 4 + 4 + 4 + 1;
 /// `flags` bit 0: payload is LZSS-compressed.
 pub const FLAG_COMPRESSED: u8 = 0b0000_0001;
 
-/// One decoded publication record (payload still raw/compressed bytes).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
+/// One publication record (payload still raw/compressed bytes), borrowing
+/// its payload: from the envelope on the way in, from the scanned buffer
+/// on the way out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Record<'a> {
     /// The publishing user.
     pub user: u64,
     /// Registry-assigned monotone publication version.
@@ -56,10 +75,10 @@ pub struct Record {
     /// Uncompressed payload length.
     pub raw_len: u32,
     /// Payload exactly as stored (compressed when flagged).
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
-impl Record {
+impl Record<'_> {
     /// Whether the payload must be inflated before use.
     pub fn is_compressed(&self) -> bool {
         self.flags & FLAG_COMPRESSED != 0
@@ -82,18 +101,33 @@ pub enum ScanEnd {
     Torn,
 }
 
-/// CRC-32 (IEEE 802.3), table-driven; the table is built at compile time.
+/// CRC-32 (IEEE 802.3), slicing-by-16: sixteen input bytes per step, one
+/// lookup per byte in sixteen tables built at compile time, then the
+/// classic bytewise loop over the <16-byte tail. Table 0 is the bytewise
+/// table; table `k` maps a byte to its contribution `k` bytes further on
+/// (the state after that byte followed by `k` zero bytes).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = build_crc_table();
+    const T: [[u32; 256]; 16] = build_crc_tables();
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut steps = bytes.chunks_exact(16);
+    for step in &mut steps {
+        // The running CRC folds into the first four bytes; after that
+        // the sixteen lookups are independent of one another.
+        let head = crc.to_le_bytes();
+        crc = 0;
+        for (i, &b) in step.iter().enumerate() {
+            let b = if i < 4 { b ^ head[i] } else { b };
+            crc ^= T[15 - i][b as usize];
+        }
+    }
+    for &b in steps.remainder() {
+        crc = (crc >> 8) ^ T[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -102,10 +136,20 @@ const fn build_crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
 /// Encodes a segment header.
@@ -157,7 +201,7 @@ pub fn encode_record(out: &mut Vec<u8>, record: &Record) {
     out.push(record.flags);
     out.extend_from_slice(&record.raw_len.to_le_bytes());
     out.extend_from_slice(&(record.payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&record.payload);
+    out.extend_from_slice(record.payload);
     let crc = crc32(&out[body_start..]);
     out.extend_from_slice(&crc.to_le_bytes());
     out.push(COMMIT_BYTE);
@@ -169,8 +213,9 @@ pub fn encode_record(out: &mut Vec<u8>, record: &Record) {
 /// record — including a matching CRC and the commit marker — is present
 /// and valid; `None` means the bytes at `offset` are a torn tail (or
 /// corruption, which recovery treats identically: the committed prefix
-/// ends here).
-pub fn decode_record(bytes: &[u8], offset: usize) -> Option<(Record, usize)> {
+/// ends here). The record's payload borrows `bytes`, and
+/// `bytes[offset..next_offset]` is the record's verified encoding.
+pub fn decode_record(bytes: &[u8], offset: usize) -> Option<(Record<'_>, usize)> {
     let fixed_front = 4 + 8 + 8 + 1 + 4 + 4;
     if bytes.len() < offset + fixed_front {
         return None;
@@ -197,17 +242,17 @@ pub fn decode_record(bytes: &[u8], offset: usize) -> Option<(Record, usize)> {
     if at[total - 1] != COMMIT_BYTE {
         return None;
     }
-    Some((Record { user, version, flags, raw_len, payload: payload.to_vec() }, offset + total))
+    Some((Record { user, version, flags, raw_len, payload }, offset + total))
 }
 
 /// Walks a segment's records from just past the header, yielding each
-/// committed record's `(start_offset, record)` and where the committed
-/// prefix ends.
+/// committed record's `(start_offset, record)` — views into `bytes`, no
+/// payload is copied — and where the committed prefix ends.
 ///
 /// The returned offset is the truncation point when the end is
 /// [`ScanEnd::Torn`]: every byte before it belongs to a committed
 /// record (or the header), every byte after it is unreachable garbage.
-pub fn scan_segment(bytes: &[u8]) -> (Vec<(u64, Record)>, usize, ScanEnd) {
+pub fn scan_segment(bytes: &[u8]) -> (Vec<(u64, Record<'_>)>, usize, ScanEnd) {
     let mut records = Vec::new();
     let mut offset = HEADER_LEN.min(bytes.len());
     loop {
@@ -228,8 +273,18 @@ pub fn scan_segment(bytes: &[u8]) -> (Vec<(u64, Record)>, usize, ScanEnd) {
 mod tests {
     use super::*;
 
-    fn record(user: u64, version: u64, payload: &[u8]) -> Record {
-        Record { user, version, flags: 0, raw_len: payload.len() as u32, payload: payload.to_vec() }
+    fn record(user: u64, version: u64, payload: &[u8]) -> Record<'_> {
+        Record { user, version, flags: 0, raw_len: payload.len() as u32, payload }
+    }
+
+    /// The byte-at-a-time table loop `crc32` replaced, kept as the oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let table = build_crc_tables()[0];
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
     }
 
     #[test]
@@ -237,6 +292,33 @@ mod tests {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // 43 bytes: two full 16-byte steps and an 11-byte tail.
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference_at_every_length_and_offset() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut noise = |len: usize| -> Vec<u8> {
+            (0..len)
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (x >> 56) as u8
+                })
+                .collect()
+        };
+        // Every tail length around zero to eight steps, at every
+        // alignment of the slice start within a step.
+        let buf = noise(16 + 130);
+        for start in 0..16 {
+            for len in 0..=130 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "start {start} len {len}");
+            }
+        }
+        // The hidden-64 envelope size: ~21k steps.
+        let big = noise(332 * 1024);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
     }
 
     #[test]

@@ -30,13 +30,14 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use bytes::Bytes;
 use pelican_nn::ModelEnvelope;
 
 use crate::backend::StorageBackend;
 use crate::compress::{compress, decompress};
 use crate::record::{
-    decode_header, encode_header, encode_record, scan_segment, Record, ScanEnd, FLAG_COMPRESSED,
-    HEADER_LEN,
+    decode_header, decode_record, encode_header, encode_record, scan_segment, Record, ScanEnd,
+    FLAG_COMPRESSED, HEADER_LEN,
 };
 
 /// Sizing and behaviour knobs for [`EnvelopeStore`].
@@ -404,25 +405,16 @@ impl EnvelopeStore {
         let shard_no = self.shard_of(user);
         let mut shard = self.lock(shard_no);
 
+        // The record borrows its payload: the envelope's own bytes, or
+        // the compressed form when that is actually smaller.
         let raw = envelope.as_bytes();
-        let mut flags = 0u8;
-        let payload: std::borrow::Cow<'_, [u8]> = if self.config.compress {
-            let packed = compress(raw);
-            if packed.len() < raw.len() {
-                flags |= FLAG_COMPRESSED;
-                packed.into()
-            } else {
-                raw.into()
-            }
-        } else {
-            raw.into()
-        };
+        let packed = self.config.compress.then(|| compress(raw)).filter(|p| p.len() < raw.len());
         let record = Record {
             user,
             version,
-            flags,
+            flags: if packed.is_some() { FLAG_COMPRESSED } else { 0 },
             raw_len: raw.len() as u32,
-            payload: payload.into_owned(),
+            payload: packed.as_deref().unwrap_or(raw),
         };
 
         // Roll the active segment before appending so a record never
@@ -477,14 +469,7 @@ impl EnvelopeStore {
     /// Returns [`StoreError`] when the backend fails or the record was
     /// mutilated on disk after recovery.
     pub fn fetch_latest(&self, user: u64) -> Result<Option<ModelEnvelope>, StoreError> {
-        let entry = {
-            let shard = self.lock(self.shard_of(user));
-            shard.index.get(&user).and_then(|h| h.last()).copied()
-        };
-        match entry {
-            Some(e) => Ok(Some(self.read_entry(self.shard_of(user), &e)?)),
-            None => Ok(None),
-        }
+        Ok(self.fetch_latest_with_version(user)?.map(|(_, envelope)| envelope))
     }
 
     /// Fetches the newest committed envelope for a user together with
@@ -532,21 +517,21 @@ impl EnvelopeStore {
         self.read_entry(shard_no, &entry)
     }
 
-    /// Reads and verifies one indexed record, inflating when needed.
+    /// Reads and verifies one indexed record, inflating when needed; a
+    /// raw payload is copied once, out of the verified view.
     fn read_entry(
         &self,
         shard_no: usize,
         entry: &VersionEntry,
     ) -> Result<ModelEnvelope, StoreError> {
+        let corrupt = || StoreError::Corrupt { segment: entry.segment, offset: entry.offset };
         let name = segment_name(shard_no as u32, entry.segment);
         let bytes = self.backend.read_range(&name, entry.offset, entry.stored_len as usize)?;
-        let (record, _) = crate::record::decode_record(&bytes, 0)
-            .ok_or(StoreError::Corrupt { segment: entry.segment, offset: entry.offset })?;
+        let (record, _) = decode_record(&bytes, 0).ok_or_else(corrupt)?;
         let payload = if record.is_compressed() {
-            decompress(&record.payload, record.raw_len as usize)
-                .map_err(|_| StoreError::Corrupt { segment: entry.segment, offset: entry.offset })?
+            decompress(record.payload, record.raw_len as usize).map_err(|_| corrupt())?.into()
         } else {
-            record.payload
+            Bytes::copy_from_slice(record.payload)
         };
         Ok(ModelEnvelope::from_bytes(payload))
     }
@@ -581,13 +566,10 @@ impl EnvelopeStore {
         // Gather survivors in deterministic (user, version) order.
         let mut users: Vec<u64> = shard.index.keys().copied().collect();
         users.sort_unstable();
-        let mut survivors: Vec<(u64, VersionEntry)> = Vec::new();
-        for &user in &users {
-            let history = &shard.index[&user];
-            let keep_from = history.len().saturating_sub(retain);
-            for e in &history[keep_from..] {
-                survivors.push((user, *e));
-            }
+        let mut survivors: Vec<VersionEntry> = Vec::new();
+        for user in &users {
+            let history = &shard.index[user];
+            survivors.extend(&history[history.len().saturating_sub(retain)..]);
         }
 
         // Rewrite survivors into fresh segments numbered after the old
@@ -596,14 +578,15 @@ impl EnvelopeStore {
         let mut fresh_segments: HashMap<u64, u64> = HashMap::new();
         let mut seq = shard.active + 1;
         let mut buf: Vec<u8> = encode_header(shard_no as u32, seq);
-        for (user, entry) in survivors {
+        for entry in survivors {
             let name = segment_name(shard_no as u32, entry.segment);
             let bytes = self.backend.read_range(&name, entry.offset, entry.stored_len as usize)?;
-            let (record, _) = crate::record::decode_record(&bytes, 0)
+            // Verify the survivor (CRC + commit byte), then move its
+            // stored bytes verbatim: re-encoding a verified record
+            // writes these same bytes (see `crate::record`).
+            let (record, end) = decode_record(&bytes, 0)
                 .ok_or(StoreError::Corrupt { segment: entry.segment, offset: entry.offset })?;
-            if buf.len() as u64 + record.encoded_len() as u64 > self.config.segment_bytes
-                && buf.len() > HEADER_LEN
-            {
+            if buf.len() as u64 + end as u64 > self.config.segment_bytes && buf.len() > HEADER_LEN {
                 let name = segment_name(shard_no as u32, seq);
                 self.backend.append(&name, &buf)?;
                 self.backend.sync(&name)?;
@@ -612,15 +595,8 @@ impl EnvelopeStore {
                 buf = encode_header(shard_no as u32, seq);
             }
             let offset = buf.len() as u64;
-            encode_record(&mut buf, &record);
-            fresh_index.entry(user).or_default().push(VersionEntry {
-                version: record.version,
-                segment: seq,
-                offset,
-                stored_len: record.encoded_len() as u32,
-                raw_len: record.raw_len,
-                compressed: record.is_compressed(),
-            });
+            buf.extend_from_slice(&bytes[..end]);
+            push_entry(&mut fresh_index, &record, seq, offset);
         }
         let name = segment_name(shard_no as u32, seq);
         self.backend.append(&name, &buf)?;
@@ -735,6 +711,15 @@ mod tests {
         (store, backend)
     }
 
+    /// Flips one bit of a stored file (29 = the record's fixed front, so
+    /// `record offset + 29 + i` is payload byte `i`).
+    fn flip_bit(disk: &MemBackend, name: &str, pos: u64) {
+        let mut bytes = disk.read(name).unwrap();
+        bytes[pos as usize] ^= 0x01;
+        disk.truncate(name, 0).unwrap();
+        disk.append(name, &bytes).unwrap();
+    }
+
     #[test]
     fn append_fetch_round_trip() {
         let (store, _) = open_mem(StoreConfig::default());
@@ -837,6 +822,32 @@ mod tests {
     }
 
     #[test]
+    fn compaction_refuses_a_survivor_that_no_longer_verifies() {
+        let config = StoreConfig { shards: 1, ..StoreConfig::default() };
+        let (store, backend) = open_mem(config);
+        store.append(5, 1, &envelope(1, 200)).unwrap();
+        let entry = store.append(5, 2, &envelope(2, 200)).unwrap();
+
+        // Flip one payload bit of the newest record behind a reopened
+        // store's back (the index is built before the damage).
+        let disk = backend.snapshot();
+        let victim = EnvelopeStore::open(Arc::new(disk.clone()), config).expect("clean reopen");
+        let name = segment_name(0, entry.segment);
+        flip_bit(&disk, &name, entry.offset + 29 + 100);
+
+        // Compaction copies stored bytes verbatim, so it must verify
+        // them first: the flipped bit is an error, never a "survivor".
+        assert!(matches!(
+            victim.compact(),
+            Err(StoreError::Corrupt { segment, offset })
+                if (segment, offset) == (entry.segment, entry.offset)
+        ));
+        assert_eq!(disk.list().unwrap(), vec![name], "nothing written, nothing removed");
+        assert_eq!(victim.fetch(5, 1).unwrap().as_bytes(), &vec![1u8; 200][..]);
+        assert!(matches!(victim.fetch(5, 2), Err(StoreError::Corrupt { .. })));
+    }
+
+    #[test]
     fn compression_shrinks_compressible_payloads_transparently() {
         let plain = StoreConfig { shards: 1, compress: false, ..StoreConfig::default() };
         let packed = StoreConfig { shards: 1, compress: true, ..StoreConfig::default() };
@@ -888,6 +899,28 @@ mod tests {
         let reopened = EnvelopeStore::open(Arc::new(crash), config).expect("reopen");
         assert_eq!(reopened.versions(1), vec![1, 2, 3]);
         assert_eq!(reopened.fetch(1, 3).unwrap().as_bytes(), &vec![3u8; 60][..]);
+    }
+
+    #[test]
+    fn a_full_length_tail_that_fails_its_checksum_is_torn() {
+        // A crash can leave the file at its final length with the last
+        // record's bytes only partly written: length and commit byte
+        // look fine, only the CRC can tell. Truncation-only crash points
+        // (tests/recovery.rs) never exercise that.
+        let config = StoreConfig { shards: 1, ..StoreConfig::default() };
+        let (store, backend) = open_mem(config);
+        store.append(1, 1, &envelope(1, 120)).unwrap();
+        let last = store.append(1, 2, &envelope(2, 120)).unwrap();
+
+        let crash = backend.snapshot();
+        let name = segment_name(0, 0);
+        flip_bit(&crash, &name, last.offset + 29 + 60);
+
+        let recovered = EnvelopeStore::open(Arc::new(crash.clone()), config).expect("recover");
+        assert_eq!(recovered.recovery().torn_segments, 1);
+        assert_eq!(recovered.recovery().torn_bytes, last.stored_len as u64);
+        assert_eq!(recovered.versions(1), vec![1]);
+        assert_eq!(crash.size(&name).unwrap(), last.offset);
     }
 
     #[test]
