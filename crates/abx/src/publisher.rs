@@ -24,10 +24,10 @@ use pelican::platform::{measure_thread, ComputeTier};
 use pelican::DefenseKind;
 use pelican_nn::{ModelEnvelope, SequenceModel};
 use pelican_serve::ShardedRegistry;
+use pelican_sim::{fnv1a, FNV_BASIS};
 use pelican_store::StoreError;
 use pelican_train::{FleetTrainer, TrainJob, TrainerPool};
 
-use crate::report::fnv64;
 use crate::splitter::{Arm, CohortSplit};
 
 /// One user's experiment publication state.
@@ -112,13 +112,13 @@ pub fn publish_arms(
                     Arm::Holdout => unreachable!("other() never yields the holdout"),
                 };
                 let envelope = ModelEnvelope::encode(&defended(&base, other));
-                let hash = fnv64(envelope.as_bytes());
+                let hash = fnv1a(FNV_BASIS, envelope.as_bytes());
                 (Some(registry.try_enroll_envelope(job.user_id, envelope)?), Some(hash))
             }
             Arm::Holdout => (None, None),
         };
         let active = ModelEnvelope::encode(&defended(&base, own_rung));
-        let active_hash = fnv64(active.as_bytes());
+        let active_hash = fnv1a(FNV_BASIS, active.as_bytes());
         let envelope_bytes = active.len() as u64;
         let active_version = registry.try_enroll_envelope(job.user_id, active)?;
         publications.push(ArmPublication {

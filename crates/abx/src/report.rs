@@ -2,30 +2,14 @@
 //! determinism fingerprint over all of it.
 
 use pelican_serve::SimServeOutcome;
+use pelican_sim::fnv1a;
 use pelican_train::StalenessWindow;
 
 use crate::splitter::{Arm, CohortSplit};
 use crate::verdict::{ArmStats, Verdict};
 
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte slice — the same cheap stable hash the live loop's
-/// report uses for envelope identity.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_BASIS;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 fn fold(h: &mut u64, value: u64) {
-    for b in value.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
+    *h = fnv1a(*h, &value.to_le_bytes());
 }
 
 /// One user's publication, reduced to what reports and fingerprints
@@ -229,13 +213,7 @@ impl AbxOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_the_reference_vectors() {
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_ne!(fnv64(b"ab"), fnv64(b"ba"));
-    }
+    use pelican_sim::FNV_BASIS;
 
     #[test]
     fn fold_is_order_sensitive() {

@@ -16,7 +16,7 @@ use pelican_bench::experiments::{self, PAPER_SET};
 use pelican_bench::parse_args;
 
 const USAGE: &str = "usage: repro <experiment> [--scale tiny|small|paper] [--seed N] [--users N] \
-                     [--instances N] [--devices N] [--cohort B]
+                     [--instances N] [--devices N]
        repro --list    (every experiment with its description)
        repro all       (paper figures/tables in paper order)";
 

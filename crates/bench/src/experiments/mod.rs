@@ -9,7 +9,7 @@
 //! | [`defense`] | Fig. 5a, Fig. 5b, Fig. 5c |
 //! | [`ablation`] | defense comparison, interest threshold, GD config, freeze depth |
 //! | [`serving`] | fleet-serving throughput/latency (beyond the paper; ROADMAP north star) |
-//! | [`training`] | fleet-training pipeline: parallel personalization + audit gate; cohort-dispatch sweep (beyond the paper) |
+//! | [`training`] | fleet-training pipeline: parallel personalization + audit gate (beyond the paper) |
 //! | [`network`] | device↔cloud network simulation: link-mix × retry sweep, contention, cloud RTT (beyond the paper) |
 //! | [`cosim`] | closed-loop network/compute co-simulation: open vs. closed loops, width invariance, sim-driven scheduler fidelity (beyond the paper) |
 //! | [`sim_scale`] | sim-core scaling: timer-wheel events/sec, memory and shard invariance at 10⁴–10⁶ devices (beyond the paper) |
@@ -152,11 +152,6 @@ static REGISTRY: &[Entry] = &[
         name: "train-report",
         description: "fleet training: parallel personalization, audit gate, enroll latency",
         run: run_train_report,
-    },
-    Entry {
-        name: "train-batched",
-        description: "cohort vs per-job dispatch: training-stage epoch throughput vs cohort size",
-        run: run_train_batched,
     },
     Entry {
         name: "net-report",
@@ -327,22 +322,6 @@ fn run_train_report(config: &RunConfig) {
     println!(" speedup is host wall clock, so it reflects this machine's core count)");
 }
 
-fn run_train_batched(config: &RunConfig) {
-    banner("Batched training — cohort dispatch vs per-job dispatch", config);
-    let run = training::run_batched(config);
-    println!("trained weights and FLOP counts verified bit-identical across cohort sizes;");
-    println!("wall clock covers the training stage only (audit and publication run identical");
-    println!("code in both dispatch modes); single worker, every row through the same `fit`,");
-    println!("so the expected speedup is flat\n");
-    println!("{}", training::batched_table(&run).render());
-    let previous = std::fs::read_to_string("BENCH_train_batched.json").ok();
-    let json = training::to_json(&run, &crate::report::host_stamp(), previous.as_deref());
-    match std::fs::write("BENCH_train_batched.json", &json) {
-        Ok(()) => println!("wrote BENCH_train_batched.json"),
-        Err(e) => eprintln!("could not write BENCH_train_batched.json: {e}"),
-    }
-}
-
 fn run_net_report(config: &RunConfig) {
     banner("Fleet network — simulated device↔cloud contention", config);
     let run = network::run(config);
@@ -396,7 +375,7 @@ fn run_sim_scale(config: &RunConfig) {
     let run = sim_scale::run(config);
     println!("fingerprints bit-identical across 1/2/8 shards at every population\n");
     println!("{}", sim_scale::table(&run).render());
-    let json = sim_scale::to_json(&run);
+    let json = sim_scale::to_json(&run, &crate::report::host_stamp());
     match std::fs::write("BENCH_sim_scale.json", &json) {
         Ok(()) => println!("wrote BENCH_sim_scale.json"),
         Err(e) => eprintln!("could not write BENCH_sim_scale.json: {e}"),

@@ -217,10 +217,13 @@ pub fn table(run: &SimScaleRun) -> Table {
 
 /// Serializes the sweep to the documented `BENCH_sim_scale.json` schema.
 /// Fingerprints are hex strings (u64 does not survive JSON doubles).
-pub fn to_json(run: &SimScaleRun) -> String {
+/// `host` is [`crate::report::host_stamp`]: the shard speedups mean
+/// nothing without the core count they were taken on.
+pub fn to_json(run: &SimScaleRun, host: &str) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"experiment\": \"sim-scale\",\n");
     out.push_str(&format!("  \"seed\": {},\n", run.seed));
+    out.push_str(&format!("  \"host\": {host},\n"));
     out.push_str(&format!("  \"shards\": [{}],\n", SHARDS.map(|s| s.to_string()).join(", ")));
     out.push_str("  \"populations\": [\n");
     for (i, pop) in run.populations.iter().enumerate() {
@@ -267,7 +270,8 @@ mod tests {
         assert!(pop.events > 0);
         assert_eq!(pop.timed_out, 0);
         assert!(pop.p95_rtt_us > 0);
-        let json = to_json(&run);
+        let json = to_json(&run, r#"{"cores": 2, "commit": "bbbbbbb"}"#);
+        assert!(json.contains(r#""host": {"cores": 2, "commit": "bbbbbbb"},"#));
         assert!(json.contains("\"devices\": 600"));
         assert!(json.contains("\"fingerprints_match\": true"));
         assert!(json.contains(&format!("{:#018x}", pop.fingerprint)));

@@ -5,9 +5,18 @@
 //! a formatted report, driven by the `repro` binary:
 //!
 //! ```text
-//! repro table2|table3|table4|fig2a|fig2b|fig2c|fig3a|fig3b|fig3c|fig5a|fig5b|fig5c|overhead|all
-//!       [--scale tiny|small|paper] [--seed N] [--users N] [--instances N]
+//! repro <experiment> [--scale tiny|small|paper] [--seed N] [--users N]
+//!       [--instances N] [--devices N]
+//! repro --list    every experiment with its description
+//! repro all       the paper's figures and tables, in paper order
 //! ```
+//!
+//! The experiments are the rows of [`experiments`]' registry: the paper's
+//! `fig2a`–`fig5c`, `table2`–`table4` and `overhead`, the `ablate-*`
+//! sweeps, and the fleet reports beyond the paper (`serve-report`,
+//! `train-report`, `net-report`, `cosim-report`, `sim-scale`,
+//! `store-report`, `live-report`, `ab-report`). `--devices` sets the
+//! population of the fleet-scale ones.
 //!
 //! Scales trade fidelity for runtime; the *shape* of every result (who
 //! wins, by what factor, where crossovers fall) is preserved at `small`,
@@ -33,21 +42,11 @@ pub struct RunConfig {
     /// Device population override for fleet-scale experiments
     /// (None = the experiment's default population ladder).
     pub devices: Option<usize>,
-    /// Lockstep cohort size for the training pipeline (None = the
-    /// experiment's default; 0/1 = sequential per-job dispatch).
-    pub cohort: Option<usize>,
 }
 
 impl Default for RunConfig {
     fn default() -> Self {
-        Self {
-            scale: Scale::Small,
-            seed: 42,
-            users: None,
-            instances_per_user: 8,
-            devices: None,
-            cohort: None,
-        }
+        Self { scale: Scale::Small, seed: 42, users: None, instances_per_user: 8, devices: None }
     }
 }
 
@@ -106,14 +105,9 @@ pub fn parse_args(args: &[String]) -> Result<RunConfig, String> {
                 }
                 config.devices = Some(n);
             }
-            "--cohort" => {
-                let v = take("--cohort")?;
-                config.cohort = Some(v.parse().map_err(|_| format!("bad cohort size '{v}'"))?);
-            }
             other => {
                 return Err(format!(
-                    "unknown flag '{other}' (valid: --scale --seed --users --instances --devices \
-                     --cohort)"
+                    "unknown flag '{other}' (valid: --scale --seed --users --instances --devices)"
                 ))
             }
         }
@@ -160,14 +154,5 @@ mod tests {
         assert_eq!(c.devices, Some(10_000));
         assert!(parse_args(&s(&["--devices", "0"])).is_err());
         assert!(parse_args(&s(&["--devices", "lots"])).is_err());
-    }
-
-    #[test]
-    fn parse_cohort() {
-        let c = parse_args(&s(&["--cohort", "8"])).unwrap();
-        assert_eq!(c.cohort, Some(8));
-        assert_eq!(parse_args(&[]).unwrap().cohort, None);
-        assert_eq!(parse_args(&s(&["--cohort", "0"])).unwrap().cohort, Some(0));
-        assert!(parse_args(&s(&["--cohort", "many"])).is_err());
     }
 }

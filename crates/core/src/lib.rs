@@ -50,6 +50,6 @@ pub mod workbench;
 
 pub use defenses::DefenseKind;
 pub use personalize::{personalize, prepare, PersonalizationConfig, PersonalizationMethod};
-pub use platform::{usage_of, ComputeTier, NetworkLink, ResourceUsage};
+pub use platform::{ComputeTier, NetworkLink, ResourceUsage};
 pub use privacy::{reduction_in_leakage, PrivacyLayer};
 pub use system::{CloudTrainer, Deployment, DevicePersonalizer, PelicanService, ServiceError};

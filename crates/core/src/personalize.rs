@@ -107,11 +107,9 @@ pub fn personalize(
 /// the deterministic prefix of [`personalize`].
 ///
 /// `personalize(g, s, m, c)` ≡ `prepare(g, m, c)` followed by
-/// [`pelican_nn::fit`] with `c.train` (for methods that train). Splitting
-/// the two lets the trainer pool construct a whole cohort's initial
-/// models from one decode of the general envelope — consuming each
-/// user's init RNG exactly as the per-job path would — and then train
-/// them through [`pelican_nn::fit_lockstep`].
+/// [`pelican_nn::fit`] with `c.train` (for methods that train). It
+/// consumes the init RNG seeded from `c.seed` and nothing else, so the
+/// untrained model is a pure function of its arguments.
 pub fn prepare(
     general: &SequenceModel,
     method: PersonalizationMethod,

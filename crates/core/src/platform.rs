@@ -107,23 +107,9 @@ pub fn measure_thread<T>(tier: ComputeTier, f: impl FnOnce() -> T) -> (T, Resour
     let out = f();
     let host_elapsed = wall.elapsed();
     let flops = guard.stop();
-    (out, usage_of(tier, flops, host_elapsed))
-}
-
-/// Converts an already-measured FLOP count (and host wall time) into the
-/// [`ResourceUsage`] a [`measure_thread`] call around the same work would
-/// report.
-///
-/// The lockstep trainer pool measures per-user FLOPs *inside* a fused
-/// cohort (via per-user thread-counter deltas) and rebuilds each user's
-/// usage with this function; because the fused kernels record exactly the
-/// sequential FLOP counts, the resulting simulated durations — and every
-/// publication instant computed from them — are bit-identical to the
-/// sequential path.
-pub fn usage_of(tier: ComputeTier, flops: u64, host_elapsed: Duration) -> ResourceUsage {
     let cycles = (flops as f64 / tier.flops_per_cycle()).ceil() as u64;
     let simulated = Duration::from_secs_f64(cycles as f64 / tier.clock_hz());
-    ResourceUsage { flops, cycles, simulated, host_elapsed }
+    (out, ResourceUsage { flops, cycles, simulated, host_elapsed })
 }
 
 /// A simulated network link between device and cloud.

@@ -46,17 +46,17 @@ use pelican_serve::{
     ServeFlow, ServeHarness, ShardedRegistry, SimServeConfig, KIND_SHIFT,
 };
 use pelican_sim::{
-    JobReport, JobSpec, JobStatus, LinkProfile, LinkSpec, SimControl, Simulator, Stage,
-    TransferPolicy, Workload,
+    fnv1a, JobReport, JobSpec, JobStatus, LinkProfile, LinkSpec, SimControl, Simulator, Stage,
+    TransferPolicy, Workload, FNV_BASIS,
 };
 use pelican_store::StoreError;
 use pelican_train::{
-    form_cohorts, AuditSubject, FleetTrainer, GateOutcome, JobKind, LogitCache, PipelineConfig,
-    TrainJob, TrainerPool,
+    AuditSubject, FleetTrainer, GateOutcome, JobKind, LogitCache, PipelineConfig, TrainJob,
+    TrainerPool,
 };
 
 use crate::drift::{DriftConfig, DriftDetector};
-use crate::report::{fnv64, LiveOutcome, ReauditStats, RetrainRecord};
+use crate::report::{LiveOutcome, ReauditStats, RetrainRecord};
 
 /// Job-id namespace of re-train occupancy jobs (the serving flow owns
 /// kinds 0–2); payloads are a monotone dispatch sequence, never reused.
@@ -466,7 +466,10 @@ impl LiveFlow<'_> {
         let space = self.space;
         let general_envelope = &self.general_envelope;
         let pool = TrainerPool::new(trainer.config().workers);
-        let audit_one = |job: &TrainJob, candidate: SequenceModel, train_us: u64| {
+        let results: Vec<RetrainResult> = pool.run(&jobs, |_, job| {
+            let ((candidate, _fit), train_usage) = measure_thread(ComputeTier::Device, || {
+                trainer.train_candidate(general_envelope, job)
+            });
             let ((published, gate, cache), audit_usage) =
                 measure_thread(ComputeTier::Device, || {
                     trainer.gate().admit_with_cache(candidate, space, &job.subject)
@@ -476,44 +479,10 @@ impl LiveFlow<'_> {
                 published_model: published,
                 gate,
                 cache,
-                train_simulated_us: train_us,
+                train_simulated_us: train_usage.simulated.as_micros() as u64,
                 audit_simulated_us: audit_usage.simulated.as_micros() as u64,
             }
-        };
-        let results: Vec<RetrainResult> = if trainer.config().cohort > 1 {
-            // Lockstep dispatch: the steal unit is a cohort of warm jobs
-            // with same-size envelopes (a fixed byte width per
-            // architecture). `pool.run` returns cohorts in job order and
-            // each cohort's results are in job order, so flattening
-            // preserves the publication order — and every per-job
-            // simulated duration is bit-identical to the per-job path, so
-            // the occupancy ends (the publication instants) are too.
-            let cohorts = form_cohorts(&jobs, trainer.config().cohort, |job| match &job.kind {
-                JobKind::WarmStart { envelope } => envelope.len() as u64,
-                JobKind::Fresh => unreachable!("retrain rounds only dispatch warm jobs"),
-            });
-            pool.run(&cohorts, |_, range| {
-                let chunk = &jobs[range.clone()];
-                trainer
-                    .train_candidates_lockstep(general_envelope, chunk)
-                    .into_iter()
-                    .zip(chunk)
-                    .map(|((candidate, _fit, train_usage), job)| {
-                        audit_one(job, candidate, train_usage.simulated.as_micros() as u64)
-                    })
-                    .collect::<Vec<RetrainResult>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            pool.run(&jobs, |_, job| {
-                let ((candidate, _fit), train_usage) = measure_thread(ComputeTier::Device, || {
-                    trainer.train_candidate(general_envelope, job)
-                });
-                audit_one(job, candidate, train_usage.simulated.as_micros() as u64)
-            })
-        };
+        });
 
         // Each job's exact device cost occupies the shared trainer
         // resource; publication happens when the occupancy ends.
@@ -608,7 +577,7 @@ impl LiveFlow<'_> {
             gate: p.gate,
             rolled_back,
             envelope_bytes: p.envelope.len(),
-            envelope_hash: fnv64(p.envelope.as_bytes()),
+            envelope_hash: fnv1a(FNV_BASIS, p.envelope.as_bytes()),
         });
         Ok(())
     }

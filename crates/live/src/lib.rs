@@ -36,4 +36,4 @@ pub mod report;
 
 pub use drift::{DriftConfig, DriftDetector, DriftMetric, DriftScore};
 pub use flow::{bootstrap_jobs, live_stream, run_live, LiveConfig, LiveError, LiveStream};
-pub use report::{fnv64, LiveOutcome, ReauditStats, RetrainRecord};
+pub use report::{LiveOutcome, ReauditStats, RetrainRecord};

@@ -2,6 +2,7 @@
 //! drift-triggered re-train, and the zero-cost re-audit sweeps.
 
 use pelican_serve::SimServeOutcome;
+use pelican_sim::{fnv1a, FNV_BASIS};
 use pelican_tensor::nearest_rank;
 use pelican_train::{GateOutcome, TrainReport};
 
@@ -83,22 +84,6 @@ pub struct LiveOutcome {
     pub pending_at_end: usize,
 }
 
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// FNV-1a over a byte slice.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    fold(FNV_BASIS, bytes)
-}
-
 impl LiveOutcome {
     /// Determinism fingerprint of the whole loop: the serving trace, plus
     /// every publication's (user, virtual times, rollback flag, envelope
@@ -107,21 +92,21 @@ impl LiveOutcome {
     /// host completion order — so the fingerprint is bit-identical
     /// across trainer-pool widths.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = fold(FNV_BASIS, &self.serve.fingerprint().to_le_bytes());
+        let mut h = fnv1a(FNV_BASIS, &self.serve.fingerprint().to_le_bytes());
         for r in &self.retrains {
-            h = fold(h, &(r.user_id as u64).to_le_bytes());
-            h = fold(h, &r.detect_us.to_le_bytes());
-            h = fold(h, &r.round_us.to_le_bytes());
-            h = fold(h, &r.publish_us.to_le_bytes());
-            h = fold(h, &[u8::from(r.rolled_back)]);
-            h = fold(h, &r.envelope_hash.to_le_bytes());
-            h = fold(h, &r.gate.queries.to_le_bytes());
-            h = fold(h, &r.gate.cache_misses.to_le_bytes());
+            h = fnv1a(h, &(r.user_id as u64).to_le_bytes());
+            h = fnv1a(h, &r.detect_us.to_le_bytes());
+            h = fnv1a(h, &r.round_us.to_le_bytes());
+            h = fnv1a(h, &r.publish_us.to_le_bytes());
+            h = fnv1a(h, &[u8::from(r.rolled_back)]);
+            h = fnv1a(h, &r.envelope_hash.to_le_bytes());
+            h = fnv1a(h, &r.gate.queries.to_le_bytes());
+            h = fnv1a(h, &r.gate.cache_misses.to_le_bytes());
         }
-        h = fold(h, &self.reaudit.audits.to_le_bytes());
-        h = fold(h, &self.reaudit.hits.to_le_bytes());
-        h = fold(h, &self.reaudit.misses.to_le_bytes());
-        h = fold(h, &self.drift_marks.to_le_bytes());
+        h = fnv1a(h, &self.reaudit.audits.to_le_bytes());
+        h = fnv1a(h, &self.reaudit.hits.to_le_bytes());
+        h = fnv1a(h, &self.reaudit.misses.to_le_bytes());
+        h = fnv1a(h, &self.drift_marks.to_le_bytes());
         h
     }
 

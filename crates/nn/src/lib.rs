@@ -40,7 +40,6 @@ mod chunk;
 pub mod dropout;
 pub mod layer;
 pub mod linear;
-pub mod lockstep;
 pub mod loss;
 pub mod lstm;
 pub mod metrics;
@@ -53,7 +52,6 @@ pub mod train;
 pub use dropout::Dropout;
 pub use layer::Layer;
 pub use linear::Linear;
-pub use lockstep::{fit_lockstep, LockstepJob, LockstepOutcome};
 pub use loss::softmax_cross_entropy;
 pub use lstm::Lstm;
 pub use metrics::{top_k_accuracy, TopKAccuracy};

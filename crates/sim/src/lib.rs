@@ -95,5 +95,5 @@ pub use engine::{
 };
 pub use link::{mix64, DeviceLink, Discipline, LinkMix, LinkProfile, LinkSpec, StragglerConfig};
 pub use report::{completion_percentile, stage_stats, StageStats};
-pub use trace::{fingerprint, TraceEvent};
+pub use trace::{fingerprint, fnv1a, TraceEvent, FNV_BASIS};
 pub use wheel::TimerWheel;

@@ -155,20 +155,27 @@ impl TraceEvent {
     }
 }
 
-/// FNV-1a offset basis — the fingerprint of an empty trace.
-pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a offset basis — the fingerprint of an empty trace, and the
+/// hash every [`fnv1a`] fold starts from.
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into a running 64-bit FNV-1a hash — the one byte fold
+/// behind every sim, live and abx fingerprint. Folding two slices in
+/// turn equals folding their concatenation.
+#[inline]
+pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
 
 /// Folds one event into a running FNV-1a hash. The engine streams every
 /// transition through this, so fingerprints are available even when the
 /// trace itself is not retained ([`crate::TraceLevel::Fingerprint`]).
-pub(crate) fn extend(mut h: u64, event: &TraceEvent) -> u64 {
-    for word in event.words() {
-        for byte in word.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+pub(crate) fn extend(h: u64, event: &TraceEvent) -> u64 {
+    event.words().iter().fold(h, |h, word| fnv1a(h, &word.to_le_bytes()))
 }
 
 /// FNV-1a over the packed trace: equal fingerprints ⇔ (with overwhelming
@@ -193,6 +200,14 @@ mod tests {
         assert_ne!(fingerprint(&a), fingerprint(&b));
         assert_ne!(fingerprint(&a), fingerprint(&a[..1]));
         assert_ne!(fingerprint(&[]), fingerprint(&a));
+    }
+
+    #[test]
+    fn fnv_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(FNV_BASIS, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_BASIS, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_ne!(fnv1a(FNV_BASIS, b"ab"), fnv1a(FNV_BASIS, b"ba"));
+        assert_eq!(fnv1a(fnv1a(FNV_BASIS, b"a"), b"b"), fnv1a(FNV_BASIS, b"ab"));
     }
 
     #[test]

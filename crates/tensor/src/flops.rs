@@ -18,12 +18,6 @@ use std::cell::Cell;
 thread_local! {
     /// FLOPs this thread has recorded since it started.
     static THREAD_FLOPS: Cell<u64> = const { Cell::new(0) };
-
-    /// The subset of [`THREAD_FLOPS`] recorded by *fused batched*
-    /// kernels, which record into both: `batched / total` is the
-    /// fraction of work that went through a fused path — the number the
-    /// `train-batched` experiment reports.
-    static THREAD_BATCHED_FLOPS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Adds `n` floating-point operations to this thread's counter.
@@ -34,25 +28,6 @@ thread_local! {
 #[inline]
 pub fn record_flops(n: u64) {
     THREAD_FLOPS.with(|c| c.set(c.get().wrapping_add(n)));
-}
-
-/// Tags `n` already-recorded FLOPs as having gone through a fused batched
-/// kernel.
-///
-/// Batched kernels call [`record_flops`] with the same count a sequence of
-/// their scalar equivalents would have recorded (the FLOP-parity
-/// contract), then call this with that count. The tag is therefore always
-/// a subset of the total: `thread_batched_flops_now() <= thread_flops_now()`.
-#[inline]
-pub fn note_batched_flops(n: u64) {
-    THREAD_BATCHED_FLOPS.with(|c| c.set(c.get().wrapping_add(n)));
-}
-
-/// FLOPs recorded by fused batched kernels on *this thread* since it
-/// started.
-#[inline]
-pub fn thread_batched_flops_now() -> u64 {
-    THREAD_BATCHED_FLOPS.with(Cell::get)
 }
 
 /// FLOPs recorded by *this thread* since it started.
@@ -115,18 +90,6 @@ mod tests {
         record_flops(7);
         record_flops(3);
         assert_eq!(thread_flops_now() - before, 10);
-    }
-
-    #[test]
-    fn batched_tag_is_a_subset_of_total() {
-        let total = ThreadFlopGuard::start();
-        let batched_before = thread_batched_flops_now();
-        record_flops(40);
-        note_batched_flops(40); // a fused kernel tags what it recorded
-        record_flops(10); // a scalar kernel records untagged
-        let batched = thread_batched_flops_now().wrapping_sub(batched_before);
-        assert_eq!(total.stop(), 50);
-        assert_eq!(batched, 40);
     }
 
     #[test]

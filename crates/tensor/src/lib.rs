@@ -33,9 +33,7 @@ pub mod init;
 pub mod matrix;
 pub mod ops;
 
-pub use flops::{
-    note_batched_flops, record_flops, thread_batched_flops_now, thread_flops_now, ThreadFlopGuard,
-};
+pub use flops::{record_flops, thread_flops_now, ThreadFlopGuard};
 pub use init::{xavier_uniform, Init};
 pub use matrix::Matrix;
 pub use ops::{

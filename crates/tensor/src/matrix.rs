@@ -6,7 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::flops::{note_batched_flops, record_flops};
+use crate::flops::record_flops;
 
 /// A dense row-major matrix of `f32` values.
 ///
@@ -453,7 +453,7 @@ impl Matrix {
     ///
     /// Records the same FLOP count as the equivalent sequence of
     /// [`rank_one_update`](Self::rank_one_update) calls (`2·len` per pair,
-    /// regardless of zero-skips) and tags it as batched-kernel work.
+    /// regardless of zero-skips).
     ///
     /// # Panics
     ///
@@ -476,9 +476,7 @@ impl Matrix {
                 }
             }
         }
-        let flops = 2 * self.data.len() as u64 * updates.len() as u64;
-        record_flops(flops);
-        note_batched_flops(flops);
+        record_flops(2 * self.data.len() as u64 * updates.len() as u64);
     }
 
     /// Multiplies every element by `alpha`.
@@ -676,14 +674,11 @@ mod tests {
 
         let mut fused = Matrix::filled(4, 3, 0.25);
         let fused_guard = crate::flops::ThreadFlopGuard::start();
-        let batched_before = crate::flops::thread_batched_flops_now();
         fused.rank_updates(0.7, &updates);
         let fused_flops = fused_guard.stop();
-        let fused_batched = crate::flops::thread_batched_flops_now().wrapping_sub(batched_before);
 
         assert_eq!(seq.data, fused.data, "fused rank updates diverged bitwise");
         assert_eq!(seq_flops, fused_flops, "FLOP parity broken");
-        assert_eq!(fused_batched, fused_flops, "fused work must be tagged batched");
     }
 
     #[test]

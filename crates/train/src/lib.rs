@@ -11,11 +11,7 @@
 //! * [`pool`] — a work-stealing trainer pool over `std::thread` +
 //!   channels. Per-user jobs are stolen from a shared queue; per-user
 //!   seeds derive from [`pool::user_seed`], so parallel output is
-//!   **bit-identical** to sequential output for any worker count. With a
-//!   [`pipeline::PipelineConfig::cohort`] size set, the steal unit becomes
-//!   a [`pool::form_cohorts`] cohort of same-shape jobs that share one
-//!   decode of the general envelope and train one after another through
-//!   [`pelican_nn::fit_lockstep`] — same bits, same trainer.
+//!   **bit-identical** to sequential output for any worker count.
 //! * [`job`] — per-user [`job::TrainJob`]s: fresh personalization
 //!   (Fig. 4 step 2, via [`pelican::DevicePersonalizer::personalize`]) or
 //!   warm-start updates (step 4, via
@@ -104,7 +100,7 @@ pub use network::{
 };
 pub use pelican_attacks::LogitCache;
 pub use pipeline::{run_pipeline, FleetTrainer, PipelineConfig};
-pub use pool::{form_cohorts, user_seed, TrainerPool};
+pub use pool::{user_seed, TrainerPool};
 pub use report::{JobOutcome, TrainReport};
 pub use rollback::{run_rollback_study, RollbackConfig, RollbackOutcome, RollbackReport};
 pub use staleness::{count_degraded_after_swap, StalenessWindow};

@@ -96,55 +96,6 @@ impl TrainerPool {
     }
 }
 
-/// Partitions a job list into cohorts: consecutive runs of at
-/// most `cohort` jobs that share a shape key, preserving job order.
-///
-/// # The dispatch-order contract
-///
-/// Cohort formation must never reorder *publication instants*, and this
-/// helper is written so it cannot:
-///
-/// * cohorts are **consecutive index ranges** — job `i` is always in a
-///   cohort that ends before job `i + 1`'s begins, so iterating cohorts
-///   in order and members in range order visits jobs in job order;
-/// * a cohort becomes the unit the pool steals (instead of a single
-///   job), and within a cohort, results are produced in job order;
-/// * each job's *simulated* training duration is bit-identical to its
-///   per-job duration (every job trains alone through the same
-///   `pelican_nn::fit`, its FLOPs measured per user), so replaying a report
-///   through the network simulator yields the same publication instants
-///   for every `cohort` value and every pool width.
-///
-/// The regression tests pin this: live-loop and network-replay
-/// fingerprints are asserted invariant across cohort sizes and worker
-/// counts.
-///
-/// A `cohort` of 0 or 1 yields one range per job (the sequential
-/// dispatch). Jobs with different shape keys never share a cohort — a
-/// new key starts a new range even mid-run.
-pub fn form_cohorts<J>(
-    jobs: &[J],
-    cohort: usize,
-    mut shape_of: impl FnMut(&J) -> u64,
-) -> Vec<std::ops::Range<usize>> {
-    let cap = cohort.max(1);
-    let mut out = Vec::new();
-    let mut start = 0;
-    let mut key = None;
-    for (i, job) in jobs.iter().enumerate() {
-        let k = shape_of(job);
-        if i > start && (Some(k) != key || i - start >= cap) {
-            out.push(start..i);
-            start = i;
-        }
-        key = Some(k);
-    }
-    if start < jobs.len() {
-        out.push(start..jobs.len());
-    }
-    out
-}
-
 /// Derives a per-user seed from the pipeline's base seed.
 ///
 /// `stream` separates independent uses for the same user (layer init vs.
@@ -208,34 +159,6 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         let _ = TrainerPool::new(0);
-    }
-
-    #[test]
-    fn cohorts_partition_the_job_list_in_order() {
-        let jobs: Vec<u64> = vec![0, 0, 0, 0, 0, 1, 1, 0];
-        let ranges = form_cohorts(&jobs, 3, |&j| j);
-        assert_eq!(ranges, vec![0..3, 3..5, 5..7, 7..8]);
-        // The ranges cover every index exactly once, in order.
-        let covered: Vec<usize> = ranges.iter().flat_map(|r| r.clone()).collect();
-        assert_eq!(covered, (0..jobs.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn cohort_of_zero_or_one_is_the_sequential_dispatch() {
-        let jobs = [7u64; 5];
-        for cohort in [0, 1] {
-            let ranges = form_cohorts(&jobs, cohort, |&j| j);
-            assert_eq!(ranges.len(), 5, "one range per job");
-            assert!(ranges.iter().all(|r| r.len() == 1));
-        }
-        assert!(form_cohorts(&[] as &[u64], 4, |&j| j).is_empty());
-    }
-
-    #[test]
-    fn shape_changes_split_cohorts_mid_run() {
-        let jobs: Vec<u64> = vec![5, 5, 9, 5, 5];
-        let ranges = form_cohorts(&jobs, 10, |&j| j);
-        assert_eq!(ranges, vec![0..2, 2..3, 3..5]);
     }
 
     #[test]

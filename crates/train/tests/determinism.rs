@@ -1,6 +1,7 @@
 //! Parallel-vs-sequential determinism: the same cohort personalized with
-//! 1, 2 and 8 workers must produce bit-identical model weights and
-//! bit-identical audit verdicts. This is the contract that makes the
+//! 1, 2 and 8 workers must produce bit-identical model weights, audit
+//! verdicts, fit reports, FLOP counts and simulated device durations (the
+//! input every network replay consumes). This is the contract that makes the
 //! trainer pool safe to scale — worker count is a pure throughput knob,
 //! never a behaviour knob.
 
@@ -49,20 +50,8 @@ fn run(
     dataset: &MobilityDataset,
     jobs: &[TrainJob],
 ) -> (TrainReport, Vec<Vec<u8>>) {
-    run_cohort(workers, 0, general, dataset, jobs)
-}
-
-/// Same, with a lockstep cohort size.
-fn run_cohort(
-    workers: usize,
-    cohort: usize,
-    general: &SequenceModel,
-    dataset: &MobilityDataset,
-    jobs: &[TrainJob],
-) -> (TrainReport, Vec<Vec<u8>>) {
     let registry = ShardedRegistry::new(general.clone(), RegistryConfig::default());
-    let config = PipelineConfig { cohort, ..config(workers) };
-    let report = FleetTrainer::new(config).run(general, &dataset.space, jobs, &registry);
+    let report = FleetTrainer::new(config(workers)).run(general, &dataset.space, jobs, &registry);
     let envelopes = jobs
         .iter()
         .map(|job| {
@@ -91,64 +80,35 @@ fn one_two_and_eight_workers_publish_bit_identical_models() {
                 "audit verdict for user {} must not depend on worker count",
                 seq.user_id
             );
-            assert_eq!(seq.fit.epoch_losses, par.fit.epoch_losses);
-        }
-    }
-}
-
-#[test]
-fn lockstep_cohorts_are_bit_identical_for_any_width_and_cohort_size() {
-    // The 1/2/8-worker determinism contract, re-run with lockstep cohorts
-    // enabled: neither the pool width nor the cohort size may change a
-    // single published bit, a fit report, an audit verdict, or a simulated
-    // device duration (the input every network replay consumes).
-    let (general, dataset, jobs) = setting();
-    let (sequential, sequential_envelopes) = run(1, &general, &dataset, &jobs);
-
-    for workers in [1usize, 2, 8] {
-        for cohort in [2usize, 8] {
-            let (lockstep, lockstep_envelopes) =
-                run_cohort(workers, cohort, &general, &dataset, &jobs);
+            assert_eq!(seq.fit, par.fit);
             assert_eq!(
-                sequential_envelopes, lockstep_envelopes,
-                "{workers}-worker cohort-{cohort} weights must be bit-identical to sequential"
+                seq.train_simulated, par.train_simulated,
+                "simulated training duration for user {} must not depend on worker count",
+                seq.user_id
             );
-            for (seq, lock) in sequential.outcomes.iter().zip(&lockstep.outcomes) {
-                assert_eq!(seq.user_id, lock.user_id, "outcomes stay in job order");
-                assert_eq!(seq.gate, lock.gate);
-                assert_eq!(seq.fit, lock.fit);
-                assert_eq!(
-                    seq.train_simulated, lock.train_simulated,
-                    "simulated training duration for user {} must not depend on the cohort",
-                    seq.user_id
-                );
-                assert_eq!(seq.audit_simulated, lock.audit_simulated);
-            }
+            assert_eq!(seq.audit_simulated, par.audit_simulated);
+            assert_eq!(seq.envelope_bytes, par.envelope_bytes);
         }
+        assert_eq!(sequential.flops, parallel.flops, "FLOP parity broken at {workers} workers");
     }
 }
 
 #[test]
-fn network_replay_fingerprint_is_cohort_invariant() {
-    // The report a lockstep run produces replays through the
-    // discrete-event network simulator to the exact same timeline as the
-    // per-job run: every download, upload and publication instant derives
-    // from the per-job simulated durations, which lockstep preserves
-    // bit-for-bit.
+fn network_replay_fingerprint_is_width_invariant() {
+    // A report replays through the discrete-event network simulator to
+    // the same timeline whatever pool produced it: every download, upload
+    // and publication instant derives from the per-job simulated
+    // durations, which do not depend on the worker count.
     let (general, dataset, jobs) = setting();
     let general_bytes = ModelEnvelope::encode(&general).len() as u64;
     let net = NetworkConfig::default();
-    let replay = |workers: usize, cohort: usize| {
-        let (report, _) = run_cohort(workers, cohort, &general, &dataset, &jobs);
+    let replay = |workers: usize| {
+        let (report, _) = run(workers, &general, &dataset, &jobs);
         simulate_fleet_network(&report, general_bytes, &net).fingerprint()
     };
-    let sequential = replay(1, 0);
-    for (workers, cohort) in [(1, 2), (2, 8), (8, 3)] {
-        assert_eq!(
-            replay(workers, cohort),
-            sequential,
-            "network timeline moved at workers {workers}, cohort {cohort}"
-        );
+    let sequential = replay(1);
+    for workers in [2usize, 8] {
+        assert_eq!(replay(workers), sequential, "network timeline moved at {workers} workers");
     }
 }
 
