@@ -15,18 +15,32 @@
 //! forward passes.
 //!
 //! A plain [`SequenceModel`] is the deployed model; [`CachedBlackBox`]
-//! wraps one with a [`LogitCache`] that remembers raw logits per query
-//! fingerprint. Defenses ([`pelican_nn::Postprocess`], temperature) only
-//! transform the logits→confidence mapping, never the logits, so a cache
-//! filled under one defense answers the same queries under *any other
-//! defense of the same weights* without a single forward pass — the
-//! incremental-audit optimization the training gate's escalation ladder
-//! exploits. A cached sweep splits into hits and misses and runs only the
-//! misses, as one smaller sweep.
+//! wraps one with a [`LogitCache`], which remembers two things per query
+//! fingerprint, each valid for as long as what it is keyed to stays put:
+//!
+//! * **Logits — keyed to all the weights.** Defenses
+//!   ([`pelican_nn::Postprocess`], temperature) only transform the
+//!   logits→confidence mapping, never the logits, so a cache filled
+//!   under one defense answers the same queries under *any other defense
+//!   of the same weights* without a single forward pass — the
+//!   incremental-audit optimization the training gate's escalation
+//!   ladder exploits. A cached sweep splits into hits and misses and
+//!   runs only the misses, as one smaller sweep. Nothing checks this
+//!   tier: a weight update invalidates it, so a candidate gets a fresh
+//!   one.
+//! * **Prefix activations — keyed to the frozen prefix.** A re-train of
+//!   a transfer-learned model moves only the layers above its frozen
+//!   prefix ([`SequenceModel::prefix_identity`]), and a user's audit asks
+//!   the same questions every time, so the prefix's answers to them
+//!   ([`PrefixTier`]) outlive the candidate: a logit miss runs the prefix
+//!   only if this tier has not seen the query, then the layers above it.
+//!   This tier *is* checked — [`CachedBlackBox::new`] binds it to the
+//!   model's prefix identity and empties it on a mismatch — because it
+//!   is the part handed from one candidate to the next on purpose.
 
 use std::collections::hash_map::{Entry, HashMap};
 
-use pelican_nn::{query_hash, sweep_query_hashes, Sequence, SequenceModel, Step};
+use pelican_nn::{sweep_query_hashes, PrefixTier, Sequence, SequenceModel, Step};
 use pelican_tensor::Matrix;
 
 /// Black-box (plus gradient-oracle) access to a deployed model.
@@ -74,18 +88,31 @@ impl BlackBox for SequenceModel {
     }
 }
 
-/// Raw logits memoized per query fingerprint, with hit/miss accounting.
+/// Raw logits memoized per query fingerprint, with hit/miss accounting,
+/// and beside them what the model's frozen prefix answered each query.
 ///
-/// Valid across *defense* changes (temperature, post-processing) of one
-/// set of weights; any weight update invalidates it — create a fresh
-/// cache per candidate model.
+/// The logits are valid across *defense* changes (temperature,
+/// post-processing) of one set of weights; any weight update invalidates
+/// them — create a fresh cache per candidate model. [`LogitCache::prefix`]
+/// survives any update that leaves the frozen prefix alone, so a fresh
+/// cache may start from its predecessor's.
 #[derive(Debug, Clone, Default)]
 pub struct LogitCache {
-    logits: HashMap<u64, Step>,
+    /// Query hash → row of `logits`. Rows are handed out in the order
+    /// queries first miss, which is the order their logits arrive in.
+    rows: HashMap<u64, u32>,
+    /// The cached logits, one row per query, flat: a `Vec` per query
+    /// would cost a quarter more memory than the logits themselves.
+    logits: Vec<f32>,
     /// Queries answered from the cache (no forward pass).
     pub hits: u64,
     /// Queries that ran a real forward pass (and filled the cache).
     pub misses: u64,
+    /// The second tier: frozen-prefix activations of the queries that
+    /// missed the logits, with its own hit/miss counters. Move it into a
+    /// successor candidate's cache to spare that candidate's audit the
+    /// prefix; [`CachedBlackBox::new`] checks that it still applies.
+    pub prefix: PrefixTier,
 }
 
 impl LogitCache {
@@ -94,14 +121,14 @@ impl LogitCache {
         Self::default()
     }
 
-    /// Distinct queries cached.
+    /// Distinct queries whose logits are cached.
     pub fn len(&self) -> usize {
-        self.logits.len()
+        self.rows.len()
     }
 
-    /// Whether nothing is cached yet.
+    /// Whether no logits are cached yet.
     pub fn is_empty(&self) -> bool {
-        self.logits.is_empty()
+        self.rows.is_empty()
     }
 }
 
@@ -114,14 +141,17 @@ impl LogitCache {
 /// defense is deployed at query time.
 #[derive(Debug)]
 pub struct CachedBlackBox<'m, 'c> {
-    model: &'m mut SequenceModel,
+    model: &'m SequenceModel,
     cache: &'c mut LogitCache,
 }
 
 impl<'m, 'c> CachedBlackBox<'m, 'c> {
-    /// Wraps a model with a cache. The cache must only ever have seen
-    /// queries answered by these exact weights.
-    pub fn new(model: &'m mut SequenceModel, cache: &'c mut LogitCache) -> Self {
+    /// Wraps a model with a cache. The cached logits must only ever have
+    /// seen queries answered by these exact weights; the prefix tier is
+    /// bound to the model here ([`PrefixTier::bind`]), which empties it
+    /// unless it was filled by this very frozen prefix.
+    pub fn new(model: &'m SequenceModel, cache: &'c mut LogitCache) -> Self {
+        cache.prefix.bind(model);
         Self { model, cache }
     }
 }
@@ -131,24 +161,19 @@ impl BlackBox for CachedBlackBox<'_, '_> {
         self.model.output_dim()
     }
 
+    /// The one-row sweep at the last timestep.
     fn predict_proba(&mut self, xs: &[Step]) -> Step {
-        let key = query_hash(xs);
-        if let Some(logits) = self.cache.logits.get(&key) {
-            self.cache.hits += 1;
-            self.model.proba_from_logits(logits.clone(), key)
-        } else {
-            self.cache.misses += 1;
-            let logits = self.model.logits(xs);
-            self.cache.logits.insert(key, logits.clone());
-            self.model.proba_from_logits(logits, key)
-        }
+        let (last, _) = xs.split_last().expect("cannot query a model with an empty sequence");
+        let row = Matrix::from_vec(1, last.len(), last.clone());
+        let mut answer = self.predict_proba_sweep(xs, xs.len() - 1, &row);
+        answer.pop().expect("one candidate in, one answer out")
     }
 
     /// Hits, misses and cache contents end up exactly as the
     /// one-at-a-time loop would leave them: a candidate is a miss the
     /// first time its fingerprint is seen — in the cache or earlier in
     /// this sweep — and a hit after that. Only the misses reach the
-    /// model, as one sub-sweep.
+    /// model, as one sub-sweep through the prefix tier.
     fn predict_proba_sweep(
         &mut self,
         template: &[Step],
@@ -158,32 +183,54 @@ impl BlackBox for CachedBlackBox<'_, '_> {
         let keys = sweep_query_hashes(template, slot, candidates);
         let mut missed = Vec::new();
         for (row, &key) in keys.iter().enumerate() {
-            // The empty placeholder makes a later duplicate a hit; it is
-            // filled before anything reads it.
-            if let Entry::Vacant(vacant) = self.cache.logits.entry(key) {
-                vacant.insert(Step::new());
+            // Claiming the next row makes a later duplicate a hit; the
+            // row is filled before anything reads it.
+            let next = u32::try_from(self.cache.rows.len()).expect("fewer than 2^32 queries");
+            if let Entry::Vacant(vacant) = self.cache.rows.entry(key) {
+                vacant.insert(next);
                 missed.push(row);
             }
         }
         self.cache.misses += missed.len() as u64;
         self.cache.hits += (keys.len() - missed.len()) as u64;
-        let mut fresh = Matrix::zeros(missed.len(), candidates.cols());
-        for (r, &row) in missed.iter().enumerate() {
-            fresh.row_mut(r).copy_from_slice(candidates.row(row));
-        }
-        for (logits, &row) in
-            self.model.logits_sweep(template, slot, &fresh).into_iter().zip(&missed)
-        {
-            self.cache.logits.insert(keys[row], logits);
-        }
+        let fresh_keys: Vec<u64> = missed.iter().map(|&row| keys[row]).collect();
+        let logits = self.model.logits_sweep_tiered(
+            template,
+            slot,
+            candidates.select_rows(&missed),
+            &fresh_keys,
+            &mut self.cache.prefix,
+        );
+        // In row order, so that a duplicate finds its row filled: a miss
+        // is answered from the logits in hand, which first go into the
+        // cache — the next free row is the one it claimed; a hit from
+        // the cache.
+        let width = self.model.output_dim();
+        self.cache.logits.reserve_exact(missed.len() * width);
+        let mut fresh_logits = logits.into_iter().zip(missed).peekable();
         keys.iter()
-            .map(|key| self.model.proba_from_logits(self.cache.logits[key].clone(), *key))
+            .enumerate()
+            .map(|(row, &key)| {
+                let logits = match fresh_logits.next_if(|(_, missed)| *missed == row) {
+                    Some((logits, _)) => {
+                        self.cache.logits.extend_from_slice(&logits);
+                        logits
+                    }
+                    None => {
+                        let at = self.cache.rows[&key] as usize * width;
+                        self.cache.logits[at..at + width].to_vec()
+                    }
+                };
+                self.model.proba_from_logits(logits, key)
+            })
             .collect()
     }
 
+    /// Gradients are not black-box replayable: passed through uncached,
+    /// on a copy of the model, since the backward pass writes caches
+    /// into the layers it runs through.
     fn input_gradient(&mut self, xs: &Sequence, target: usize) -> (f32, Sequence) {
-        // Gradients are not black-box replayable; pass through uncached.
-        self.model.input_gradient(xs, target)
+        self.model.clone().input_gradient(xs, target)
     }
 }
 
@@ -201,17 +248,17 @@ mod tests {
     #[test]
     fn cached_answers_are_bit_identical_and_counted() {
         let reference = model();
-        let mut m = model();
+        let m = model();
         let mut cache = LogitCache::new();
         let queries: Vec<Sequence> = (0..6).map(|i| vec![vec![0.1 * i as f32; 4]; 2]).collect();
 
-        let mut oracle = CachedBlackBox::new(&mut m, &mut cache);
+        let mut oracle = CachedBlackBox::new(&m, &mut cache);
         for xs in &queries {
             assert_eq!(oracle.predict_proba(xs), reference.predict_proba(xs));
         }
         assert_eq!((cache.hits, cache.misses), (0, 6), "first pass is all misses");
 
-        let mut oracle = CachedBlackBox::new(&mut m, &mut cache);
+        let mut oracle = CachedBlackBox::new(&m, &mut cache);
         for xs in &queries {
             assert_eq!(oracle.predict_proba(xs), reference.predict_proba(xs));
         }
@@ -224,28 +271,67 @@ mod tests {
         let mut m = model();
         let mut cache = LogitCache::new();
         let xs = vec![vec![0.3; 4]; 2];
-        let _ = CachedBlackBox::new(&mut m, &mut cache).predict_proba(&xs);
+        let _ = CachedBlackBox::new(&m, &mut cache).predict_proba(&xs);
 
         // Sharpen the temperature (the audit gate's escalation): the
         // cached logits must replay the *new* defense bit-identically,
         // without a forward pass.
         m.set_temperature(1e-3);
         let expected = m.predict_proba(&xs);
-        let answer = CachedBlackBox::new(&mut m, &mut cache).predict_proba(&xs);
+        let answer = CachedBlackBox::new(&m, &mut cache).predict_proba(&xs);
         assert_eq!(answer, expected);
         assert_eq!((cache.hits, cache.misses), (1, 1));
     }
 
     #[test]
     fn gradient_oracle_passes_through() {
-        let mut m = model();
+        let m = model();
         let mut cache = LogitCache::new();
         let xs = vec![vec![0.2; 4]; 2];
         let mut reference = model();
         let (loss_ref, grads_ref) = reference.input_gradient(&xs, 1);
-        let (loss, grads) = CachedBlackBox::new(&mut m, &mut cache).input_gradient(&xs, 1);
+        let (loss, grads) = CachedBlackBox::new(&m, &mut cache).input_gradient(&xs, 1);
         assert_eq!(loss, loss_ref);
         assert_eq!(grads, grads_ref);
         assert!(cache.is_empty(), "gradients never populate the logit cache");
+    }
+
+    /// `general_lstm` with its first LSTM frozen: a one-layer prefix.
+    fn frozen_base(seed: u64) -> SequenceModel {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut m = SequenceModel::general_lstm(4, 6, 5, 0.0, &mut rng);
+        m.layers_mut()[0].set_trainable(false);
+        m
+    }
+
+    #[test]
+    fn a_successor_inherits_the_prefix_tier_and_a_stranger_does_not() {
+        let queries: Vec<Sequence> = (0..6).map(|i| vec![vec![0.1 * i as f32; 4]; 2]).collect();
+        let ask = |m: &SequenceModel, cache: &mut LogitCache| {
+            let mut oracle = CachedBlackBox::new(m, cache);
+            for xs in &queries {
+                assert_eq!(oracle.predict_proba(xs), m.predict_proba(xs));
+            }
+        };
+        let predecessor = frozen_base(8);
+        let mut first = LogitCache::new();
+        ask(&predecessor, &mut first);
+        assert_eq!((first.prefix.hits, first.prefix.misses, first.prefix.len()), (0, 6, 6));
+
+        // New weights above the same prefix: fresh logits, inherited tier.
+        let mut successor = predecessor.clone();
+        let donor = frozen_base(9);
+        successor.layers_mut()[2] = donor.layers()[2].clone();
+        let mut second = LogitCache::new();
+        second.prefix = first.prefix;
+        ask(&successor, &mut second);
+        assert_eq!((second.hits, second.misses), (0, 6), "the logits are the candidate's own");
+        assert_eq!((second.prefix.hits, second.prefix.misses), (6, 6), "the prefix ran for none");
+
+        // Another base altogether: the tier is emptied, not believed.
+        let mut third = LogitCache::new();
+        third.prefix = second.prefix;
+        ask(&donor, &mut third);
+        assert_eq!((third.prefix.hits, third.prefix.misses, third.prefix.len()), (6, 12, 6));
     }
 }

@@ -5,14 +5,24 @@
 //! 0.68 h (time-based) for 100 users; the machine-independent claim is the
 //! ~120× gap between brute force and the time-based enumeration, which this
 //! bench reproduces per instance.
+//!
+//! `gate_admission` times what the audit gate makes of those attacks: one
+//! whole admission (time-based, A1, three instances — the live loop's
+//! gate) of a TL-FE candidate, from nothing (`cold`: a user's first
+//! admission) and starting from the prefix tier the previous admission
+//! handed back (`warm`: every re-train after it), at the live loop's
+//! hidden width and at the paper-scale one.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use pelican::workbench::Scenario;
+use pelican::{CloudTrainer, PersonalizationConfig};
 use pelican_attacks::{
     interest_locations, Adversary, AttackMethod, BruteForce, GradientDescent, PriorKind, TimeBased,
 };
-use pelican_mobility::{Scale, SpatialLevel};
+use pelican_mobility::{CampusConfig, DatasetBuilder, Scale, SpatialLevel};
+use pelican_nn::{ModelEnvelope, TrainConfig};
+use pelican_train::{cohort_jobs, AuditConfig, FleetTrainer, PipelineConfig};
 
 fn bench_attacks(c: &mut Criterion) {
     let scenario =
@@ -48,5 +58,62 @@ fn bench_attacks(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_attacks);
+/// The repo benchmark's `live_retrain` world (Small campus, M_G trained
+/// three epochs on 4 000 pooled samples, two personalization epochs), so
+/// `cold/h12` is the admission its `audit.admit_ms` probe times.
+fn bench_gate_admission(c: &mut Criterion) {
+    let dataset = DatasetBuilder::new(CampusConfig::for_scale(Scale::Small), 42)
+        .build(SpatialLevel::Building);
+    let space = &dataset.space;
+    let mut pooled = dataset.pooled_samples(0..dataset.users.len() / 2);
+    pooled.truncate(4000);
+    let last = dataset.users.len() - 1;
+    let job = cohort_jobs(&dataset, last..last + 1, 0.8).remove(0);
+
+    let mut group = c.benchmark_group("gate_admission");
+    group.sample_size(10);
+    for hidden in [12, 64] {
+        let train = TrainConfig { epochs: 3, ..TrainConfig::default() };
+        let (general, _, _) = CloudTrainer::new(train, hidden, 0.1).train(
+            space.dim(),
+            dataset.n_locations(),
+            &pooled,
+            42,
+        );
+        let trainer = FleetTrainer::new(PipelineConfig {
+            personalization: PersonalizationConfig {
+                train: TrainConfig { epochs: 2, ..TrainConfig::default() },
+                hidden_dim: hidden,
+                ..PersonalizationConfig::default()
+            },
+            audit: AuditConfig { max_instances: 3, ..AuditConfig::default() },
+            ..PipelineConfig::default()
+        });
+        let (candidate, _) = trainer.train_candidate(&ModelEnvelope::encode(&general), &job);
+        let gate = trainer.gate();
+
+        group.bench_function(format!("cold/h{hidden}"), |b| {
+            b.iter(|| gate.admit_with_cache(candidate.clone(), space, &job.subject).1)
+        });
+        // The live loop's cycle: each admission starts from the tier the
+        // one before it handed back.
+        let mut tier = gate.admit_with_cache(candidate.clone(), space, &job.subject).2.prefix;
+        group.bench_function(format!("warm/h{hidden}"), |b| {
+            b.iter(|| {
+                let inherited = std::mem::take(&mut tier);
+                let (_, outcome, cache) =
+                    gate.admit_inheriting(candidate.clone(), space, &job.subject, inherited);
+                tier = cache.prefix;
+                outcome
+            })
+        });
+        assert!(
+            tier.hits > 0 && tier.misses == tier.len() as u64,
+            "warm admissions ran the prefix"
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_attacks, bench_gate_admission);
 criterion_main!(benches);

@@ -2,13 +2,16 @@
 //! virtual clock, width invariance at 1/2/8 pool workers, zero-cost
 //! re-audit sweeps, and the quiescent-case equivalence gate.
 //!
-//! Three contracts are **asserted** before any number is reported:
+//! Four contracts are **asserted** before any number is reported:
 //!
 //! * the loop's fingerprint is bit-identical for every pool width in
 //!   [`WIDTHS`] — host scheduling must never leak into the virtual
 //!   timeline;
 //! * re-audit sweeps of unchanged candidates pay **zero** forward passes
 //!   (every oracle query answers from a warm logit cache);
+//! * the per-user prefix tiers count the same hits and misses at every
+//!   width (reported as `prefix`: audit queries whose frozen-prefix
+//!   activations a re-train's admission found already computed);
 //! * with a drift trigger that can never fire, the loop reduces exactly
 //!   to the one-shot pipeline plus serving pass: same durable envelope
 //!   bytes per user, same serving-trace fingerprint.
@@ -180,6 +183,11 @@ pub fn run(config: &RunConfig) -> LiveReportRun {
                 "{workers}-worker loop fingerprint diverged from 1-worker"
             );
             assert_eq!(live.retrains.len(), reference.retrains.len());
+            assert_eq!(
+                (live.prefix_hits, live.prefix_misses),
+                (reference.prefix_hits, reference.prefix_misses),
+                "{workers}-worker prefix-tier counters diverged from 1-worker"
+            );
         } else {
             assert!(!live.retrains.is_empty(), "the eager trigger must re-train");
             assert_eq!(live.reaudit.misses, 0, "a re-audit sweep ran a forward pass");
@@ -287,6 +295,10 @@ pub fn to_json(run: &LiveReportRun, host: &str, previous: Option<&str>) -> Strin
         "  \"reaudit\": {{\"audits\": {}, \"queries\": {}, \"hits\": {}, \"misses\": {}}},\n",
         o.reaudit.audits, o.reaudit.queries, o.reaudit.hits, o.reaudit.misses,
     ));
+    out.push_str(&format!(
+        "  \"prefix\": {{\"hits\": {}, \"misses\": {}}},\n",
+        o.prefix_hits, o.prefix_misses,
+    ));
     out.push_str(&format!("  \"retrain_forward_passes\": {},\n", o.retrain_forward_passes()));
     out.push_str(&format!("  \"forward_passes_saved\": {},\n", o.forward_passes_saved()));
     out.push_str(&format!("  \"quiescent_equivalent\": {},\n", run.quiescent_equivalent));
@@ -342,6 +354,8 @@ mod tests {
         assert!(json.contains("\"experiment\": \"live-report\""));
         assert!(json.contains("\"fingerprints_match\": true"));
         assert!(json.contains("\"misses\": 0"));
+        assert!(json.contains(&format!("\"prefix\": {{\"hits\": {}, ", run.outcome.prefix_hits)));
+        assert!(run.outcome.prefix_hits > 0, "re-train admissions must reuse the frozen prefix");
         assert!(json.contains("\"quiescent_equivalent\": true"));
         assert!(json.contains(&format!("{fp:#018x}")));
         // Balanced braces/brackets — a cheap well-formedness check; CI

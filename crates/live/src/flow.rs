@@ -6,7 +6,8 @@
 //! 1. **Bootstrap** — the unmodified one-shot pipeline
 //!    ([`FleetTrainer::run`]) personalizes every user on their enrollment
 //!    window and publishes durably through the registry's write-ahead
-//!    store; each user's audit fills a warm [`LogitCache`].
+//!    store; the [`LogitCache`] each user's admission filled stays with
+//!    the loop, warm.
 //! 2. **Serve** — post-enrollment sessions from the mobility generator
 //!    become query arrivals ([`MobilityTraffic`]) into the sim-driven
 //!    batch scheduler ([`serve_harness`]): diurnal rhythm, churn and
@@ -17,15 +18,21 @@
 //!    round timer collects marked users and dispatches warm-start jobs
 //!    on the work-stealing [`TrainerPool`]: fetch the published envelope
 //!    (and rollback target) from the durable store, re-train on the
-//!    fresh samples, re-audit through [`AuditGate::admit_with_cache`].
-//!    Each job's exact simulated device cost then occupies a shared
-//!    trainer resource on the event heap, so publication instants are on
-//!    the same clock the queries flow on.
+//!    fresh samples, re-audit through [`AuditGate::admit_inheriting`].
+//!    A re-train cannot move the frozen base of a transfer-learned
+//!    model, so each job takes along its user's prefix tier — what that
+//!    base answered the audit's queries last time — and the admission
+//!    runs only the layers above it, at the same simulated cost. Each
+//!    job's exact simulated device cost then occupies a shared trainer
+//!    resource on the event heap, so publication instants are on the
+//!    same clock the queries flow on.
 //! 4. **Publish / rollback** — passing candidates publish through the
 //!    registry's durable hot-swap path *while queries keep flowing*; a
 //!    candidate that regresses against its predecessor on the very
 //!    window that triggered it is reverted with
-//!    [`ShardedRegistry::rollback`]. When a round's last job lands, every
+//!    [`ShardedRegistry::rollback`] — the user keeps the predecessor's
+//!    logits, and gets the prefix tier back, which fits predecessor and
+//!    successor alike. When a round's last job lands, every
 //!    *unchanged* user is re-audited from their warm logit cache — zero
 //!    forward passes.
 //!
@@ -37,10 +44,11 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Mutex;
 
 use pelican::platform::{measure_thread, ComputeTier};
 use pelican_mobility::{train_test_split, FeatureSpace, MobilityDataset, Session, SessionCursor};
-use pelican_nn::{ModelCodecError, ModelEnvelope, Sample, SequenceModel};
+use pelican_nn::{ModelCodecError, ModelEnvelope, PrefixTier, Sample, SequenceModel};
 use pelican_serve::{
     job_id, serve_harness, MobilityTraffic, MobilityTrafficConfig, Request, RollbackError,
     ServeFlow, ServeHarness, ShardedRegistry, SimServeConfig, KIND_SHIFT,
@@ -278,7 +286,9 @@ struct UserState {
     /// The audit subject of the user's last admitted candidate (history
     /// grows on successful re-trains; the holdout never changes).
     subject: AuditSubject,
-    /// Logit cache keyed to the currently published weights.
+    /// Logit cache keyed to the currently published weights. Its prefix
+    /// tier travels with the user's in-flight re-train and comes back
+    /// with the publication.
     cache: LogitCache,
     detector: DriftDetector,
     /// Sessions observed since the last successful re-train (history
@@ -414,7 +424,9 @@ impl LiveFlow<'_> {
             window: Vec<Sample>,
         }
         let store = self.registry.store().expect("checked in run_live").clone();
-        let mut jobs: Vec<TrainJob> = Vec::with_capacity(marked.len());
+        // Each job with its user's prefix tier, for the one worker that
+        // runs it to take.
+        let mut jobs: Vec<(TrainJob, Mutex<PrefixTier>)> = Vec::with_capacity(marked.len());
         let mut metas: Vec<JobMeta> = Vec::with_capacity(marked.len());
         for &user_id in &marked {
             let state = self.users.get_mut(&user_id).expect("marked users are enrolled");
@@ -443,12 +455,15 @@ impl LiveFlow<'_> {
             let window = state.detector.drain();
             let mut subject = state.subject.clone();
             subject.history.extend(std::mem::take(&mut state.live_sessions));
-            jobs.push(TrainJob {
-                user_id,
-                kind: JobKind::WarmStart { envelope },
-                train: window.clone(),
-                subject: subject.clone(),
-            });
+            jobs.push((
+                TrainJob {
+                    user_id,
+                    kind: JobKind::WarmStart { envelope },
+                    train: window.clone(),
+                    subject: subject.clone(),
+                },
+                Mutex::new(std::mem::take(&mut state.cache.prefix)),
+            ));
             metas.push(JobMeta {
                 user_id,
                 marked_us: state.marked_us,
@@ -466,13 +481,14 @@ impl LiveFlow<'_> {
         let space = self.space;
         let general_envelope = &self.general_envelope;
         let pool = TrainerPool::new(trainer.config().workers);
-        let results: Vec<RetrainResult> = pool.run(&jobs, |_, job| {
+        let results: Vec<RetrainResult> = pool.run(&jobs, |_, (job, prefix)| {
             let ((candidate, _fit), train_usage) = measure_thread(ComputeTier::Device, || {
                 trainer.train_candidate(general_envelope, job)
             });
+            let prefix = std::mem::take(&mut *prefix.lock().expect("taken once, by this job"));
             let ((published, gate, cache), audit_usage) =
                 measure_thread(ComputeTier::Device, || {
-                    trainer.gate().admit_with_cache(candidate, space, &job.subject)
+                    trainer.gate().admit_inheriting(candidate, space, &job.subject, prefix)
                 });
             RetrainResult {
                 envelope: ModelEnvelope::encode(&published),
@@ -558,9 +574,12 @@ impl LiveFlow<'_> {
         self.registry.try_enroll_envelope(p.user_id, p.envelope.clone())?;
         let state = self.users.get_mut(&p.user_id).expect("pending users are enrolled");
         if rolled_back {
-            // Revert to the fetched predecessor; the warm cache and
-            // subject still describe the (restored) published weights.
+            // Revert to the fetched predecessor; the warm logits and
+            // subject still describe the (restored) published weights,
+            // and the prefix tier the candidate's admission used is as
+            // good for them.
             self.registry.rollback(p.user_id, p.prev_version)?;
+            state.cache.prefix = p.cache.prefix;
         } else {
             state.subject = p.subject;
             state.cache = p.cache;
@@ -673,22 +692,22 @@ pub fn run_live(
     // Phase 1: the unmodified one-shot pipeline over the bootstrap
     // window. With no drift this is the whole story — the quiescent loop
     // publishes exactly these envelopes and nothing else.
+    // Every user keeps the cache their admission filled: it replays the
+    // published model, so a re-audit of unchanged weights pays zero
+    // forward passes from the first round on.
     let jobs = bootstrap_jobs(dataset, users.clone(), config);
-    let bootstrap = trainer.run(general, space, &jobs, registry);
+    let mut caches: HashMap<usize, LogitCache> = HashMap::new();
+    let bootstrap = trainer.run_keeping_caches(general, space, &jobs, registry, |user, cache| {
+        caches.insert(user, cache);
+    });
 
-    // Warm each user's logit cache by re-auditing the published model
-    // once (host-side, no sim events, no store writes): after this,
-    // every re-audit of unchanged weights pays zero forward passes.
     let mut states: HashMap<usize, UserState> = HashMap::new();
     for job in &jobs {
-        let model = registry.get(job.user_id)?.0;
-        let mut cache = LogitCache::new();
-        trainer.gate().audit_cached(&model, space, &job.subject, &mut cache);
         states.insert(
             job.user_id,
             UserState {
                 subject: job.subject.clone(),
-                cache,
+                cache: caches.remove(&job.user_id).expect("every bootstrap job was admitted"),
                 detector: DriftDetector::new(config.drift),
                 live_sessions: Vec::new(),
                 status: UserStatus::Idle,
@@ -733,7 +752,10 @@ pub fn run_live(
     }
     let serve_outcome = flow.serve.into_outcome(sim)?;
     let pending_at_end = flow.users.values().filter(|s| s.status != UserStatus::Idle).count();
+    let tiers = || flow.users.values().map(|s| &s.cache.prefix);
     Ok(LiveOutcome {
+        prefix_hits: tiers().map(|t| t.hits).sum(),
+        prefix_misses: tiers().map(|t| t.misses).sum(),
         bootstrap,
         serve: serve_outcome,
         retrains: flow.retrains,

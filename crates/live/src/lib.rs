@@ -11,7 +11,7 @@
 //!        │ (each arrival = labeled sample)          │ responses
 //!        ▼                                          ▼
 //!  DriftDetector ──mark──► round timer ──► TrainerPool (warm-start)
-//!        ▲                                          │ admit_with_cache
+//!        ▲                                          │ admit_inheriting
 //!        │          durable publish / rollback ◄────┘
 //!        └────────── pelican-store ◄── ShardedRegistry
 //! ```
@@ -25,7 +25,11 @@
 //!   scheduling out of the virtual timeline.
 //! * **Zero-cost re-audits** — a re-audit of an unchanged candidate
 //!   replays its warm [`pelican_train::LogitCache`] and pays **zero**
-//!   forward passes ([`ReauditStats::misses`] stays 0).
+//!   forward passes ([`ReauditStats::misses`] stays 0). A *changed*
+//!   candidate's admission pays forward passes only above the frozen
+//!   base a re-train cannot move: each user's
+//!   [`pelican_nn::PrefixTier`] keeps what the base answered
+//!   ([`LiveOutcome::prefix_hits`]).
 //! * **Quiescent equivalence** — with a drift trigger that never fires,
 //!   the run reduces exactly to today's one-shot pipeline plus serving
 //!   pass: same published envelope bytes, same serving fingerprint.

@@ -82,6 +82,15 @@ pub struct LiveOutcome {
     pub drift_marks: u64,
     /// Users still marked or in-flight when the event heap drained.
     pub pending_at_end: usize,
+    /// Audit queries, summed over every user, whose frozen-prefix
+    /// activations were already in the user's prefix tier — work the
+    /// re-trains' admissions did not repeat. Host-side bookkeeping: what
+    /// a hit saves is not priced on the virtual clock, so neither counter
+    /// is part of [`LiveOutcome::fingerprint`].
+    pub prefix_hits: u64,
+    /// Audit queries that ran the frozen prefix (each user's first
+    /// admission, and any query a later one asked for the first time).
+    pub prefix_misses: u64,
 }
 
 impl LiveOutcome {
@@ -176,8 +185,14 @@ impl LiveOutcome {
             self.staleness_p95_us(),
         ));
         out.push_str(&format!(
-            "re-audits   {} runs, {} queries: {} cached, {} forward passes\n",
-            self.reaudit.audits, self.reaudit.queries, self.reaudit.hits, self.reaudit.misses,
+            "re-audits   {} runs, {} queries: {} cached, {} forward passes; \
+             frozen prefix reused for {} audit queries, run for {}\n",
+            self.reaudit.audits,
+            self.reaudit.queries,
+            self.reaudit.hits,
+            self.reaudit.misses,
+            self.prefix_hits,
+            self.prefix_misses,
         ));
         out
     }

@@ -7,7 +7,9 @@ use std::sync::Arc;
 
 use pelican::platform::ComputeTier;
 use pelican::PersonalizationConfig;
-use pelican_live::{bootstrap_jobs, live_stream, run_live, DriftConfig, DriftMetric, LiveConfig};
+use pelican_live::{
+    bootstrap_jobs, live_stream, run_live, DriftConfig, DriftMetric, LiveConfig, LiveOutcome,
+};
 use pelican_mobility::{CampusConfig, DatasetBuilder, MobilityDataset, Scale, SpatialLevel};
 use pelican_nn::{SequenceModel, TrainConfig};
 use pelican_serve::{
@@ -129,15 +131,14 @@ fn quiescent_loop_reduces_to_the_one_shot_pipeline() {
 #[test]
 fn drifting_loop_is_width_invariant_and_reaudits_for_free() {
     let (dataset, general, users) = tiny_setting();
+    let cohort = || users.clone();
 
     let narrow_registry = store_backed_registry(&general);
-    let narrow =
-        run_live(&dataset, users.clone(), &narrow_registry, &general, &fast_config(1, eager()))
-            .expect("1-worker run");
+    let narrow = run_live(&dataset, cohort(), &narrow_registry, &general, &fast_config(1, eager()))
+        .expect("1-worker run");
     let wide_registry = store_backed_registry(&general);
-    let wide =
-        run_live(&dataset, users.clone(), &wide_registry, &general, &fast_config(2, eager()))
-            .expect("2-worker run");
+    let wide = run_live(&dataset, cohort(), &wide_registry, &general, &fast_config(2, eager()))
+        .expect("2-worker run");
 
     assert!(!narrow.retrains.is_empty(), "an eager trigger must re-train");
     assert_eq!(
@@ -156,7 +157,7 @@ fn drifting_loop_is_width_invariant_and_reaudits_for_free() {
     // Durable histories agree byte-for-byte per user.
     let narrow_store = narrow_registry.store().unwrap().clone();
     let wide_store = wide_registry.store().unwrap().clone();
-    for u in users {
+    for u in cohort() {
         let a = narrow_store.fetch_latest(u as u64).unwrap();
         let b = wide_store.fetch_latest(u as u64).unwrap();
         assert_eq!(
@@ -176,4 +177,38 @@ fn drifting_loop_is_width_invariant_and_reaudits_for_free() {
         assert!(r.publish_us >= r.round_us && r.round_us >= r.detect_us);
         assert!(r.train_simulated_us > 0);
     }
+
+    // The prefix tiers: each job touches only its own user's, so the
+    // counters are width-invariant too; every forward pass of every
+    // admission asked one, and the re-trains' were mostly answered — a
+    // re-train cannot move the frozen base.
+    let widest_registry = store_backed_registry(&general);
+    let widest = run_live(&dataset, cohort(), &widest_registry, &general, &fast_config(8, eager()))
+        .expect("8-worker run");
+    assert_eq!(widest.fingerprint(), narrow.fingerprint());
+    let tier = |live: &LiveOutcome| (live.prefix_hits, live.prefix_misses);
+    assert_eq!(tier(&narrow), tier(&wide));
+    assert_eq!(tier(&narrow), tier(&widest));
+    let admitted = |live: &LiveOutcome| {
+        live.bootstrap.outcomes.iter().map(|o| o.gate.cache_misses).sum::<u64>()
+            + live.retrain_forward_passes()
+    };
+    assert_eq!(narrow.prefix_hits + narrow.prefix_misses, admitted(&narrow));
+    assert!(narrow.prefix_hits * 10 > narrow.retrain_forward_passes() * 9, "{:?}", tier(&narrow));
+
+    // Every publication rolled back (no accuracy clears a tolerance of
+    // −2): the user keeps the predecessor and gets the tier back, so the
+    // next re-train's admission still finds it.
+    let reverted_registry = store_backed_registry(&general);
+    let reverting = LiveConfig { rollback_tolerance: -2.0, ..fast_config(2, eager()) };
+    let reverted = run_live(&dataset, cohort(), &reverted_registry, &general, &reverting)
+        .expect("rollback run");
+    assert!(reverted.retrains.len() > 3 && reverted.rollbacks() == reverted.retrains.len());
+    assert_eq!(reverted.reaudit.misses, 0, "a rolled-back user's logits still fit");
+    assert_eq!(reverted.prefix_hits + reverted.prefix_misses, admitted(&reverted));
+    assert!(
+        reverted.prefix_hits * 10 > reverted.retrain_forward_passes() * 9,
+        "{:?}",
+        tier(&reverted)
+    );
 }

@@ -58,6 +58,7 @@ pub use metrics::{top_k_accuracy, TopKAccuracy};
 pub use model::{query_hash, sweep_query_hashes, ModelBuilder, Postprocess, SequenceModel};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use serialize::{ModelCodecError, ModelEnvelope};
+pub use sweep::PrefixTier;
 pub use train::{
     fit, grid_search, time_series_folds, EvalReport, FitReport, GridPoint, TrainConfig,
 };

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 use pelican_tensor::{record_flops, softmax_temperature_in_place, Matrix, ThreadFlopGuard};
 
-use crate::sweep::shared_row;
+use crate::sweep::{shared_row, PrefixTier};
 use crate::{Dropout, Layer, Linear, Lstm, Sequence, Step};
 
 /// Inference-time post-processing of confidence vectors.
@@ -105,7 +105,8 @@ pub fn query_hash(xs: &[Step]) -> u64 {
 
 /// [`query_hash`] one timestep at a time. The hash is a running fold
 /// over the steps, so a copy taken after a shared prefix resumes it for
-/// every query that continues that prefix without rehashing it.
+/// every query that continues that prefix without rehashing it. The same
+/// fold over weights gives [`SequenceModel::prefix_identity`].
 #[derive(Clone, Copy)]
 struct QueryHasher(u64);
 
@@ -115,12 +116,24 @@ impl QueryHasher {
         Self(0xcbf2_9ce4_8422_2325)
     }
 
+    /// Folds in one word.
+    fn word(&mut self, word: u64) {
+        self.0 ^= word;
+        self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+    }
+
     /// Folds in the next timestep.
     fn step(&mut self, step: &[f32]) {
         for &v in step {
-            self.0 ^= v.to_bits() as u64;
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+            self.word(v.to_bits() as u64);
         }
+    }
+
+    /// Folds in a weight matrix: its shape, then its bits.
+    fn matrix(&mut self, m: &Matrix) {
+        self.word(m.rows() as u64);
+        self.word(m.cols() as u64);
+        self.step(m.as_slice());
     }
 
     /// The [`query_hash`] of the steps folded in so far.
@@ -232,15 +245,7 @@ impl SequenceModel {
 
     /// Number of output classes.
     pub fn output_dim(&self) -> usize {
-        self.layers
-            .iter()
-            .rev()
-            .find_map(|l| match l {
-                Layer::Lstm(l) => Some(l.output_dim()),
-                Layer::Linear(l) => Some(l.output_dim()),
-                Layer::Dropout(_) => None,
-            })
-            .expect("model has at least one parameterized layer")
+        width_after(&self.layers).expect("model has at least one parameterized layer")
     }
 
     /// The inference-time softmax temperature (1.0 = disabled).
@@ -352,6 +357,46 @@ impl SequenceModel {
             .collect()
     }
 
+    /// Number of leading layers a re-train of this model cannot change
+    /// the inference-time answer of: the frozen layers below the first
+    /// trainable one, up to the last of them that has weights and no
+    /// further than the last LSTM (above it only the final timestep
+    /// flows, which is not worth keeping). A [`Dropout`] is the identity
+    /// at inference, so — unlike in [`crate::fit`], where an active one
+    /// ends the run — it sits inside the prefix like any frozen layer.
+    /// TL-FE gives `lstm₁ → dropout → lstm₂`, TL-FT `lstm₁`, a model
+    /// trained from scratch nothing.
+    fn frozen_prefix(&self) -> usize {
+        let below_head = &self.layers[..self.head_start()];
+        let frozen = below_head.iter().take_while(|l| !l.is_trainable()).count();
+        below_head[..frozen].iter().rposition(|l| l.param_count() > 0).map_or(0, |i| i + 1)
+    }
+
+    /// Identity of the frozen prefix (see [`PrefixTier`]): a fold over
+    /// the shapes and weight bits of its layers. Two models with equal
+    /// identities answer every query identically up to the prefix's
+    /// output — which is what versions of one user's transfer-learned
+    /// model do, and what lets a [`PrefixTier`] outlive a re-train.
+    /// Costs one pass over the prefix's weights.
+    pub fn prefix_identity(&self) -> u64 {
+        let mut h = QueryHasher::new();
+        for layer in &self.layers[..self.frozen_prefix()] {
+            match layer {
+                Layer::Lstm(l) => {
+                    h.matrix(l.weight_ih());
+                    h.matrix(l.weight_hh());
+                    h.step(l.bias());
+                }
+                Layer::Linear(l) => {
+                    h.matrix(l.weight());
+                    h.step(l.bias());
+                }
+                Layer::Dropout(_) => {}
+            }
+        }
+        h.finish()
+    }
+
     /// [`SequenceModel::logits`] of a *sweep*: one logit vector per row of
     /// `candidates`, answering `template` with that row at timestep
     /// `slot` (`template[slot]` itself is ignored). This is the query
@@ -369,30 +414,91 @@ impl SequenceModel {
     /// and the recorded FLOPs are exactly what the independent calls
     /// record — the nominal count, whatever was shared or skipped — so
     /// compute priced from FLOPs costs a sweep like the loop it replaces.
+    /// This is [`SequenceModel::logits_sweep_tiered`] with nothing
+    /// remembered.
     ///
     /// # Panics
     ///
     /// Panics if `slot` is outside `template`.
     pub fn logits_sweep(&self, template: &[Step], slot: usize, candidates: &Matrix) -> Vec<Step> {
+        self.sweep(template, slot, candidates.clone(), None)
+    }
+
+    /// [`SequenceModel::logits_sweep`] that runs the model's frozen
+    /// prefix only for the candidates `tier` has not seen: `keys[i]` is
+    /// the [`query_hash`] of candidate `i`'s assembled query
+    /// ([`sweep_query_hashes`]). The prefix runs the steps before `slot`
+    /// (one shared row) and the missing candidates; their activations
+    /// from `slot` on go into the tier, every candidate's come back out
+    /// of it, and the layers above the prefix run once over all of them.
+    /// Answers and recorded FLOPs are those of `logits_sweep`, bit for
+    /// bit, whatever the tier held — a remembered answer is still priced
+    /// as a computed one. A model without a frozen prefix leaves the tier
+    /// untouched.
+    ///
+    /// `tier` must be bound to this model ([`PrefixTier::bind`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is outside `template` or `keys` does not have one
+    /// hash per candidate.
+    pub fn logits_sweep_tiered(
+        &self,
+        template: &[Step],
+        slot: usize,
+        candidates: Matrix,
+        keys: &[u64],
+        tier: &mut PrefixTier,
+    ) -> Vec<Step> {
+        assert_eq!(keys.len(), candidates.rows(), "one query hash per candidate");
+        debug_assert!(tier.is_bound_to(self), "tier holds another prefix's activations");
+        self.sweep(template, slot, candidates, Some((keys, tier)))
+    }
+
+    /// The one sweep body. Without a tier (or without a frozen prefix)
+    /// the prefix is empty, every candidate is missing and nothing is
+    /// kept — the layer stack simply runs top to bottom.
+    fn sweep(
+        &self,
+        template: &[Step],
+        slot: usize,
+        candidates: Matrix,
+        tier: Option<(&[u64], &mut PrefixTier)>,
+    ) -> Vec<Step> {
         assert!(slot < template.len(), "slot {slot} outside a {}-step template", template.len());
         let n = candidates.rows();
         if n == 0 {
             return Vec::new();
         }
         let recorded = ThreadFlopGuard::start();
-        let mut cur: Vec<Matrix> = template
-            .iter()
-            .enumerate()
-            .map(|(t, x)| {
-                if t == slot {
-                    candidates.clone()
-                } else {
-                    Matrix::from_vec(1, x.len(), x.clone())
-                }
-            })
-            .collect();
+        let prefix = if tier.is_some() { self.frozen_prefix() } else { 0 };
+        let kept = template.len() - slot;
+        let width = width_after(&self.layers[..prefix]).unwrap_or(0);
+        let mut tier = tier.filter(|_| prefix > 0).map(|(keys, tier)| {
+            let (starts, missing) = tier.reserve(keys, kept, width);
+            (tier, starts, missing)
+        });
+        let to_run = match &tier {
+            Some((_, _, missing)) if missing.len() < n => candidates.select_rows(missing),
+            _ => candidates,
+        };
+
+        let shared = |x: &Step| Matrix::from_vec(1, x.len(), x.clone());
+        let mut cur: Vec<Matrix> = template[..slot].iter().map(shared).collect();
+        if to_run.rows() > 0 {
+            cur.push(to_run);
+            cur.extend(template[slot + 1..].iter().map(shared));
+        }
+        for layer in &self.layers[..prefix] {
+            cur = layer.infer_sweep(cur);
+        }
+        if let Some((tier, starts, missing)) = &mut tier {
+            tier.store(starts, missing, &cur[slot..]);
+            cur.truncate(slot);
+            cur.extend(tier.gather(starts, kept, width));
+        }
         let head = self.head_start();
-        for (i, layer) in self.layers.iter().enumerate() {
+        for (i, layer) in self.layers.iter().enumerate().skip(prefix) {
             if i == head {
                 cur.drain(..cur.len() - 1);
             }
@@ -559,6 +665,16 @@ impl SequenceModel {
         let body: Vec<String> = self.layers.iter().map(Layer::describe).collect();
         format!("{} @T={}", body.join(" -> "), self.temperature)
     }
+}
+
+/// Width of what a layer stack puts out: the output dimension of its
+/// last layer that has one.
+fn width_after(layers: &[Layer]) -> Option<usize> {
+    layers.iter().rev().find_map(|l| match l {
+        Layer::Lstm(l) => Some(l.output_dim()),
+        Layer::Linear(l) => Some(l.output_dim()),
+        Layer::Dropout(_) => None,
+    })
 }
 
 /// Builder for [`SequenceModel`]; see [`SequenceModel::builder`].

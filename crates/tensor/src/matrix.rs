@@ -157,6 +157,19 @@ impl Matrix {
         self.data
     }
 
+    /// The given rows, in the given order, as a matrix of their own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is out of bounds.
+    pub fn select_rows(&self, rows: &[usize]) -> Matrix {
+        let mut data = Vec::with_capacity(rows.len() * self.cols);
+        for &r in rows {
+            data.extend_from_slice(self.row(r));
+        }
+        Matrix { rows: rows.len(), cols: self.cols, data }
+    }
+
     /// Matrix product `self · rhs`.
     ///
     /// Uses an `i-k-j` loop ordering so the inner loop streams over
@@ -560,6 +573,16 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let i = Matrix::identity(3);
         assert_eq!(a.matmul(&i), a);
+    }
+
+    #[test]
+    fn select_rows_picks_repeats_and_reorders() {
+        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
+        assert_eq!(
+            a.select_rows(&[2, 0, 2]),
+            Matrix::from_rows(&[&[5.0, 6.0], &[1.0, 2.0], &[5.0, 6.0]])
+        );
+        assert_eq!(a.select_rows(&[]).shape(), (0, 2));
     }
 
     #[test]

@@ -17,6 +17,20 @@
 //! Audits are deterministic: probes, priors and instances all derive from
 //! the gate's seed, so the same candidate always receives the same
 //! verdict — bit-identical across the trainer pool's worker counts.
+//!
+//! **The cache contract.** An audit answers its queries through a
+//! [`LogitCache`] of two tiers. The *logits* belong to one candidate's
+//! weights: [`AuditGate::admit_inheriting`] fills them on the first rung
+//! and replays them on every later one, and hands them back so that
+//! [`AuditGate::audit_cached`] can re-verify the unchanged published
+//! model with zero forward passes; they are never carried to another
+//! candidate. The *prefix activations* belong to the frozen prefix the
+//! user's models share across re-trains, so an admission may start from
+//! its predecessor's ([`LogitCache::prefix`]) and then runs only the
+//! layers above the prefix; a tier that does not fit the candidate is
+//! detected and emptied, never trusted. Either way the gate's outcome,
+//! the logit counters and the FLOPs recorded — the audit's simulated
+//! cost — are those of an audit from nothing.
 
 use pelican::DefenseKind;
 use pelican_attacks::prior::random_probes;
@@ -25,7 +39,7 @@ use pelican_attacks::{
     CachedBlackBox, Instance, LogitCache, Prior, PriorKind, TimeBased,
 };
 use pelican_mobility::{FeatureSpace, Session};
-use pelican_nn::SequenceModel;
+use pelican_nn::{PrefixTier, SequenceModel};
 
 /// Everything the gate needs to know about the user being audited.
 ///
@@ -228,8 +242,10 @@ impl AuditGate {
     /// [`AuditGate::admit`]'s escalation ladder does between rungs: the
     /// first audit fills the cache, and every re-audit under a sharper
     /// temperature re-scores its candidates from cached logits without a
-    /// single new forward pass. Never reuse a cache across candidates
-    /// (weight changes invalidate it).
+    /// single new forward pass. Never reuse the cached logits across
+    /// candidates (weight changes invalidate them, and nothing checks);
+    /// the cache's prefix tier is checked against `model` and may come
+    /// from anywhere.
     pub fn audit_cached(
         &self,
         model: &SequenceModel,
@@ -246,8 +262,7 @@ impl AuditGate {
             .collect();
         let prior = Prior::of_kind(c.prior, space, &subject.history, model, c.seed ^ 0x9d);
         let probes = random_probes(space, c.probe_count, c.seed ^ 0x1f);
-        let mut attacked = model.clone();
-        let mut oracle = CachedBlackBox::new(&mut attacked, cache);
+        let mut oracle = CachedBlackBox::new(model, cache);
         let interest = interest_locations_in(&mut oracle, &probes, c.interest_threshold);
         evaluate_attack(&c.method, &mut oracle, space, &prior, &interest, &instances, &c.ks)
     }
@@ -270,13 +285,33 @@ impl AuditGate {
     /// is keyed to the released candidate's weights, so a later
     /// [`AuditGate::audit_cached`] of the same published model (policy
     /// re-verification of an unchanged candidate) replays it entirely
-    /// and pays zero forward passes. Discard the cache the moment the
-    /// user's weights change (e.g. after a warm-start re-train).
+    /// and pays zero forward passes. Drop its logits the moment the
+    /// user's weights change (e.g. after a warm-start re-train); its
+    /// prefix tier can go on to the re-trained candidate's admission.
+    /// This is [`AuditGate::admit_inheriting`] from an empty tier.
     pub fn admit_with_cache(
+        &self,
+        candidate: SequenceModel,
+        space: &FeatureSpace,
+        subject: &AuditSubject,
+    ) -> (SequenceModel, GateOutcome, LogitCache) {
+        self.admit_inheriting(candidate, space, subject, PrefixTier::new())
+    }
+
+    /// The admission itself: [`AuditGate::admit_with_cache`] starting
+    /// from `prefix`, the prefix tier of the cache the user's previous
+    /// admission handed back. Where the candidate still has its
+    /// predecessor's frozen prefix (a warm-start re-train of a
+    /// transfer-learned model), the audit runs only the layers above it;
+    /// where it does not, the tier is emptied and the audit runs
+    /// everything. Model, outcome and logit counters do not depend on
+    /// what `prefix` held.
+    pub fn admit_inheriting(
         &self,
         mut candidate: SequenceModel,
         space: &FeatureSpace,
         subject: &AuditSubject,
+        prefix: PrefixTier,
     ) -> (SequenceModel, GateOutcome, LogitCache) {
         let c = &self.config;
         c.base_defense.apply(&mut candidate);
@@ -286,6 +321,7 @@ impl AuditGate {
         // weights, so every re-audit below replays cached logits instead
         // of re-running forward passes.
         let mut cache = LogitCache::new();
+        cache.prefix = prefix;
         let mut eval = self.audit_cached(&candidate, space, subject, &mut cache);
         let initial_leakage = eval.accuracy(c.audit_k);
         let mut final_leakage = initial_leakage;

@@ -25,6 +25,8 @@ use pelican_mobility::FeatureSpace;
 use pelican_nn::{FitReport, ModelEnvelope, SequenceModel};
 use pelican_serve::ShardedRegistry;
 
+use pelican_attacks::LogitCache;
+
 use crate::audit::{AuditConfig, AuditGate, GateOutcome};
 use crate::job::{JobKind, TrainJob};
 use crate::pool::{user_seed, TrainerPool};
@@ -67,6 +69,8 @@ struct Candidate {
     user_id: usize,
     envelope: ModelEnvelope,
     gate: GateOutcome,
+    /// The cache the gate filled, keyed to the published weights.
+    cache: LogitCache,
     fit: FitReport,
     warm: bool,
     started: Instant,
@@ -161,6 +165,22 @@ impl FleetTrainer {
         jobs: &[TrainJob],
         registry: &ShardedRegistry,
     ) -> TrainReport {
+        self.run_keeping_caches(general, space, jobs, registry, |_, _| {})
+    }
+
+    /// [`FleetTrainer::run`] that hands `keep` each published user's id
+    /// and the cache their admission filled
+    /// ([`AuditGate::admit_with_cache`]), on the calling thread in
+    /// publication order — for a caller that goes on auditing the models
+    /// it just published.
+    pub fn run_keeping_caches(
+        &self,
+        general: &SequenceModel,
+        space: &FeatureSpace,
+        jobs: &[TrainJob],
+        registry: &ShardedRegistry,
+        mut keep: impl FnMut(usize, LogitCache),
+    ) -> TrainReport {
         let wall = Instant::now();
         let general_envelope = ModelEnvelope::encode(general);
 
@@ -176,6 +196,7 @@ impl FleetTrainer {
                 user_id,
                 envelope,
                 gate,
+                cache,
                 fit,
                 warm,
                 started,
@@ -186,6 +207,7 @@ impl FleetTrainer {
             flops += job_flops;
             let envelope_bytes = envelope.len();
             let version = registry.enroll_envelope(user_id, envelope);
+            keep(user_id, cache);
             let outcome = JobOutcome {
                 user_id,
                 version,
@@ -212,14 +234,16 @@ impl FleetTrainer {
                 let ((candidate, fit), train_usage) = measure_thread(ComputeTier::Device, || {
                     self.train_candidate(&general_envelope, job)
                 });
-                let ((published, gate), audit_usage) = measure_thread(ComputeTier::Device, || {
-                    self.gate.admit(candidate, space, &job.subject)
-                });
+                let ((published, gate, cache), audit_usage) =
+                    measure_thread(ComputeTier::Device, || {
+                        self.gate.admit_with_cache(candidate, space, &job.subject)
+                    });
                 Candidate {
                     index,
                     user_id: job.user_id,
                     envelope: ModelEnvelope::encode(&published),
                     gate,
+                    cache,
                     fit,
                     warm: job.is_warm(),
                     started,

@@ -8,16 +8,17 @@
 //! identical through either route — rankings and query counts, the logit
 //! cache's hits, misses and size (cold, on a warm replay, across a ladder
 //! escalation, with duplicate candidates inside one sweep), and the audit
-//! gate's full outcome.
+//! gate's full outcome — also for an admission that starts from its
+//! predecessor's prefix tier instead of from nothing.
 
-use pelican::DefenseKind;
+use pelican::{prepare, DefenseKind, PersonalizationConfig, PersonalizationMethod};
 use pelican_attacks::prior::random_probes;
 use pelican_attacks::{
     evaluate_attack, interest_locations_in, Adversary, AttackEvaluation, AttackMethod, BlackBox,
     BruteForce, CachedBlackBox, Instance, LogitCache, Prior, TimeBased,
 };
 use pelican_mobility::{FeatureSpace, Session, SpatialLevel};
-use pelican_nn::{Sequence, SequenceModel, Step};
+use pelican_nn::{fit, Sample, Sequence, SequenceModel, Step, TrainConfig};
 use pelican_tensor::Matrix;
 use pelican_train::{AuditConfig, AuditGate, AuditSubject, GateOutcome, GateVerdict};
 use rand::rngs::StdRng;
@@ -130,14 +131,14 @@ fn a_cached_sweep_leaves_the_cache_as_the_loop_would() {
             let (mut swept_cache, mut looped_cache) = (LogitCache::new(), LogitCache::new());
             let mut both = |swept_cache: &mut LogitCache, looped_cache: &mut LogitCache| {
                 let swept = method.run(
-                    &mut CachedBlackBox::new(&mut swept_model, swept_cache),
+                    &mut CachedBlackBox::new(&swept_model, swept_cache),
                     &space,
                     &prior,
                     &interest,
                     &inst,
                 );
                 let looped = method.run(
-                    &mut OneAtATime(CachedBlackBox::new(&mut looped_model, looped_cache)),
+                    &mut OneAtATime(CachedBlackBox::new(&looped_model, looped_cache)),
                     &space,
                     &prior,
                     &interest,
@@ -183,8 +184,7 @@ fn reference_audit(
         .collect();
     let prior = Prior::of_kind(c.prior, &space, &subject.history, model, c.seed ^ 0x9d);
     let probes = random_probes(&space, c.probe_count, c.seed ^ 0x1f);
-    let mut attacked = model.clone();
-    let mut oracle = OneAtATime(CachedBlackBox::new(&mut attacked, cache));
+    let mut oracle = OneAtATime(CachedBlackBox::new(model, cache));
     let interest = interest_locations_in(&mut oracle, &probes, c.interest_threshold);
     evaluate_attack(&c.method, &mut oracle, &space, &prior, &interest, &instances, &c.ks)
 }
@@ -272,6 +272,55 @@ fn the_gate_admits_like_a_gate_built_on_the_loop() {
                 assert_eq!(replay.accuracy(audit_k), expected_replay.accuracy(audit_k), "{what}");
                 assert_eq!(replay.accuracy(audit_k), outcome.final_leakage, "{what}");
             }
+        }
+    }
+}
+
+#[test]
+fn a_warm_admission_after_a_re_train_admits_like_the_loop_gate_from_cold() {
+    let (space, subject) = (space(), subject(3));
+    let train = TrainConfig { epochs: 2, ..TrainConfig::default() };
+    let samples: Vec<Sample> = triples(8)
+        .iter()
+        .map(|t| {
+            let xs = vec![space.encode_session(&t[0]), space.encode_session(&t[1])];
+            Sample::new(xs, space.location_of(&t[2]))
+        })
+        .collect();
+    for method in [
+        PersonalizationMethod::TlFeatureExtract,
+        PersonalizationMethod::TlFineTune,
+        PersonalizationMethod::Lstm,
+    ] {
+        for adversary in ADVERSARIES {
+            let what = format!("{method:?} {adversary}");
+            let config = AuditConfig { adversary, max_instances: 2, ..AuditConfig::default() };
+            let gate = AuditGate::new(config.clone());
+            let personal =
+                PersonalizationConfig { hidden_dim: 8, ..PersonalizationConfig::default() };
+            let mut predecessor = prepare(&model(9), method, &personal);
+            fit(&mut predecessor, &samples[..4], &train);
+            let (_, first, cache) = gate.admit_with_cache(predecessor.clone(), &space, &subject);
+            let prefix = cache.prefix;
+            // From-scratch models have no frozen prefix and never
+            // consult the tier; the others ran it once per forward pass.
+            let scratch = method == PersonalizationMethod::Lstm;
+            let consulted = |passes: u64| if scratch { 0 } else { passes };
+            assert_eq!((prefix.hits, prefix.misses), (0, consulted(first.cache_misses)), "{what}");
+
+            // The warm-start re-train: more epochs, on fresh samples.
+            let mut successor = predecessor;
+            fit(&mut successor, &samples[4..], &train);
+            let (expected, expected_cache) = reference_admit(&config, successor.clone(), &subject);
+            let (_, outcome, cache) = gate.admit_inheriting(successor, &space, &subject, prefix);
+            assert_eq!(outcome, expected, "{what}");
+            assert_eq!(cache_state(&cache), cache_state(&expected_cache), "{what}");
+            // Every forward pass of the warm admission asked the tier,
+            // which had seen all but the queries a changed interest set
+            // brought in.
+            let asked = cache.prefix.hits + cache.prefix.misses - consulted(first.cache_misses);
+            assert_eq!(asked, consulted(outcome.cache_misses), "{what}");
+            assert!(scratch || cache.prefix.hits * 2 > outcome.cache_misses, "{what}: tier unused");
         }
     }
 }
