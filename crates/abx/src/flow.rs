@@ -52,8 +52,8 @@ use pelican_live::{bootstrap_jobs, live_stream, LiveConfig};
 use pelican_mobility::MobilityDataset;
 use pelican_nn::{ModelCodecError, ModelEnvelope, SequenceModel};
 use pelican_serve::{
-    job_id, serve_harness, Request, RollbackError, SchedulerConfig, ServeFlow, ServeHarness,
-    ShardedRegistry, SimServeConfig, KIND_SHIFT,
+    job_id, serve_harness, split_job_id, Request, RollbackError, SchedulerConfig, ServeFlow,
+    ServeHarness, ShardedRegistry, SimServeConfig,
 };
 use pelican_sim::{
     JobReport, JobSpec, LinkProfile, LinkSpec, SimControl, Simulator, Stage, TransferPolicy,
@@ -488,18 +488,16 @@ impl AbxFlow<'_> {
 impl Workload for AbxFlow<'_> {
     fn on_job_end(&mut self, job: &JobReport, sim: &mut SimControl) {
         self.ensure_checkpoint(sim);
+        let (kind, payload) = split_job_id(job.id);
         if ServeFlow::handles(job.id) {
-            let kind = job.id >> KIND_SHIFT;
-            let payload = (job.id & ((1 << KIND_SHIFT) - 1)) as usize;
             self.serve.on_job_end(job, sim);
             // KIND_BATCH = 1: the queue/service split of batch `payload`
             // is final once the inner flow processed the job end.
             if kind == 1 && self.error.is_none() {
-                self.scan_batch(payload, sim);
+                self.scan_batch(payload as usize, sim);
             }
         } else {
-            let payload = job.id & ((1 << KIND_SHIFT) - 1);
-            match job.id >> KIND_SHIFT {
+            match kind {
                 KIND_ATTACK => self.uplink_arrived(payload, sim),
                 KIND_FLIP => self.flip_landed(payload, job.end_us),
                 kind => debug_assert!(false, "unexpected job kind {kind}"),

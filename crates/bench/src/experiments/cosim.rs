@@ -15,24 +15,21 @@
 //! * **Width invariance** — the closed-loop trace fingerprint is
 //!   identical whether the underlying rounds were trained by a 1-, 2- or
 //!   8-worker pool.
-//! * **Scheduler fidelity** — the sim-driven batch scheduler reproduces
-//!   the legacy offline `coalesce` compositions exactly when there is no
-//!   network, and produces *different* compositions once uplink jitter
-//!   shifts ingress times.
+//! * **Scheduler reactivity** — the sim-driven batch scheduler produces
+//!   *different* compositions once uplink jitter shifts ingress times.
 
 use pelican::workbench::{Scenario, ScenarioSizing};
 use pelican::PersonalizationConfig;
 use pelican_mobility::{Scale, SpatialLevel};
 use pelican_nn::{ModelEnvelope, SequenceModel, TrainConfig};
 use pelican_serve::{
-    batch_compositions, simulate_serving, BatchScheduler, CloudNetwork, RegistryConfig, Request,
-    SchedulerConfig, ShardedRegistry, SimServeConfig, SimServeOutcome, TrafficConfig,
-    TrafficGenerator,
+    simulate_serving, CloudNetwork, RegistryConfig, Request, SchedulerConfig, ShardedRegistry,
+    SimServeConfig, SimServeOutcome, TrafficConfig, TrafficGenerator,
 };
 use pelican_sim::{LinkMix, LinkProfile, RetryPolicy, StragglerConfig, TransferPolicy};
 use pelican_train::{
     cohort_jobs, cosimulate_fleet, AuditConfig, CosimReport, FleetTrainer, LoopMode, NetworkConfig,
-    PipelineConfig, TrainJob, TrainReport, UplinkMode,
+    PipelineConfig, RoundRecord, TrainJob, TrainReport, UplinkMode,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,7 +55,7 @@ pub struct CosimRun {
     /// `(workers, closed-loop fingerprint)` per trainer-pool width — all
     /// fingerprints equal, asserted.
     pub width_fingerprints: Vec<(usize, u64)>,
-    /// Sim-driven scheduler without a network (matches legacy, asserted).
+    /// Sim-driven scheduler without a network.
     pub serve_quiet: SimServeOutcome,
     /// Sim-driven scheduler under uplink jitter (compositions differ
     /// from quiet, asserted).
@@ -137,9 +134,8 @@ fn failing_network(config: &RunConfig, jobs: &[TrainJob], general_bytes: u64) ->
     }
 }
 
-/// Scheduler-fidelity leg: a synthetic registry under seeded traffic,
-/// scheduled offline, sim-driven without a network, and sim-driven under
-/// heavy uplink jitter.
+/// Scheduler leg: a synthetic registry under seeded traffic, scheduled
+/// without a network and under heavy uplink jitter.
 fn serve_side(config: &RunConfig) -> (SimServeOutcome, SimServeOutcome) {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5E12);
     let general = SequenceModel::single_lstm(6, 8, 4, 0.0, &mut rng);
@@ -172,12 +168,6 @@ fn serve_side(config: &RunConfig) -> (SimServeOutcome, SimServeOutcome) {
     };
     let quiet = simulate_serving(&registry, &requests, &sim_config(None))
         .expect("registry envelopes decode");
-    let legacy = BatchScheduler::new(scheduler, registry.shard_count()).coalesce(requests.clone());
-    assert_eq!(
-        quiet.compositions(),
-        batch_compositions(&legacy),
-        "jitter-free sim-driven batching must match the legacy coalesce output"
-    );
     let jitter = CloudNetwork {
         mix: LinkMix::cellular_heavy()
             .with_stragglers(StragglerConfig { fraction: 0.3, slowdown: 6.0 }),
@@ -274,7 +264,7 @@ pub fn run(config: &RunConfig) -> CosimRun {
         );
     }
 
-    // Contract 4: scheduler fidelity (asserts inside).
+    // Contract 4: scheduler reactivity (asserts inside).
     let (serve_quiet, serve_jitter) = serve_side(config);
 
     CosimRun {
@@ -317,7 +307,10 @@ pub fn table(run: &CosimRun) -> Table {
             report.timed_out().to_string(),
             report.completed_in_round(0).to_string(),
             report.completed_in_round(1).to_string(),
-            format!("{:.1}", report.round_percentile_us(1, 0.95) as f64 / 1e3),
+            format!(
+                "{:.1}",
+                report.round_percentile_us(1, RoundRecord::span_us, 0.95) as f64 / 1e3
+            ),
             format!("{:016x}", report.fingerprint()),
         ]);
     }
@@ -333,20 +326,11 @@ pub fn width_table(run: &CosimRun) -> Table {
     t
 }
 
-/// Scheduler-fidelity table: the sim-driven scheduler with and without
-/// uplink jitter.
+/// Scheduler table: the sim-driven scheduler with and without uplink
+/// jitter.
 pub fn serve_table(run: &CosimRun) -> Table {
-    let mut t = Table::new(&[
-        "network",
-        "batches",
-        "mean-batch",
-        "queue-p95(us)",
-        "dropped",
-        "matches-legacy",
-    ]);
-    for (name, outcome, matches) in
-        [("none", &run.serve_quiet, "yes"), ("jittery", &run.serve_jitter, "no (reacts)")]
-    {
+    let mut t = Table::new(&["network", "batches", "mean-batch", "queue-p95(us)", "dropped"]);
+    for (name, outcome) in [("none", &run.serve_quiet), ("jittery", &run.serve_jitter)] {
         let served: usize = outcome.batches.iter().map(|b| b.requests.len()).sum();
         let mean = if outcome.batches.is_empty() {
             0.0
@@ -362,7 +346,6 @@ pub fn serve_table(run: &CosimRun) -> Table {
             format!("{mean:.2}"),
             pelican_tensor::nearest_rank(&queues, 0.95).unwrap_or(0).to_string(),
             outcome.dropped.to_string(),
-            matches.to_string(),
         ]);
     }
     t
@@ -375,7 +358,7 @@ mod tests {
     #[test]
     fn cosim_report_runs_and_holds_its_contracts_at_tiny_scale() {
         // run() itself asserts agreement, divergence, width invariance
-        // and scheduler fidelity — reaching the tables is the test.
+        // and scheduler reactivity — reaching the tables is the test.
         let config = RunConfig {
             scale: Scale::Tiny,
             users: Some(4),

@@ -11,7 +11,7 @@
 //! | [`serving`] | fleet-serving throughput/latency (beyond the paper; ROADMAP north star) |
 //! | [`training`] | fleet-training pipeline: parallel personalization + audit gate (beyond the paper) |
 //! | [`network`] | device↔cloud network simulation: link-mix × retry sweep, contention, cloud RTT (beyond the paper) |
-//! | [`cosim`] | closed-loop network/compute co-simulation: open vs. closed loops, width invariance, sim-driven scheduler fidelity (beyond the paper) |
+//! | [`cosim`] | closed-loop network/compute co-simulation: open vs. closed loops, width invariance, sim-driven scheduler reactivity (beyond the paper) |
 //! | [`sim_scale`] | sim-core scaling: timer-wheel events/sec, memory and shard invariance at 10⁴–10⁶ devices (beyond the paper) |
 //! | [`store`] | durable model store: log throughput, crash-recovery probe, rollback-under-traffic staleness (beyond the paper) |
 //! | [`live`] | streaming personalization loop: retrain latency/staleness, width invariance, zero-cost re-audits (beyond the paper) |
@@ -342,7 +342,7 @@ fn run_cosim_report(config: &RunConfig) {
     let run = cosim::run(config);
     println!(
         "general envelope {} kB; agreement, divergence, width-invariance and \
-         scheduler-fidelity contracts verified",
+         scheduler-reactivity contracts verified",
         run.general_bytes / 1024,
     );
     println!("\nopen-loop replay vs. closed-loop co-simulation (two training rounds):");

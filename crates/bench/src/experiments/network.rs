@@ -1,13 +1,14 @@
-//! Fleet-network experiment (`net-report`): replay one fleet-training
-//! run through the `pelican-sim` discrete-event simulator across a
-//! link-mix × retry-policy sweep, plus the cloud-serving round-trip path.
+//! Fleet-network experiment (`net-report`): one fleet-training run
+//! priced as a one-round co-simulation (`cosimulate_fleet`) on the
+//! `pelican-sim` virtual clock across a link-mix × retry-policy sweep,
+//! plus the cloud-serving round-trip path.
 //!
 //! Two contracts are asserted on every run, not just in tests:
 //!
 //! * **Determinism** — the pipeline is run at two trainer-pool widths;
-//!   both replays must produce bit-identical event traces and latency
-//!   breakdowns (per-job simulated compute comes from exact per-thread
-//!   FLOP counts, so pool width is invisible to the network).
+//!   both co-simulations must produce bit-identical event traces and
+//!   latency breakdowns (per-job simulated compute comes from exact
+//!   per-thread FLOP counts, so pool width is invisible to the network).
 //! * **Contention** — a shared cloud uplink must yield strictly higher
 //!   p95 enroll latency than the uncontended per-device baseline, with
 //!   real queueing (non-zero p95 queue component).
@@ -19,8 +20,8 @@ use pelican_nn::{ModelEnvelope, TrainConfig};
 use pelican_serve::{run_fleet, CloudNetwork, FleetConfig, RegistryConfig, ShardedRegistry};
 use pelican_sim::{Discipline, LinkMix, LinkProfile, RetryPolicy, StragglerConfig, TransferPolicy};
 use pelican_train::{
-    cohort_jobs, simulate_fleet_network, AuditConfig, FleetTrainer, NetComponent, NetTrainReport,
-    NetworkConfig, PipelineConfig, TrainReport, UplinkMode,
+    cohort_jobs, cosimulate_fleet, AuditConfig, CosimReport, FleetTrainer, LoopMode, NetworkConfig,
+    PipelineConfig, RoundRecord, TrainReport, UplinkMode,
 };
 
 use crate::report::Table;
@@ -34,23 +35,23 @@ pub struct NetOutcome {
     pub mix: &'static str,
     /// Retry-policy column label.
     pub retry: &'static str,
-    /// The simulated fleet network report.
-    pub report: NetTrainReport,
+    /// The one-round co-simulation of the fleet on that network.
+    pub report: CosimReport,
 }
 
 /// Everything `net-report` produces.
 #[derive(Debug, Clone)]
 pub struct NetworkRun {
-    /// The training report the simulations replay (width-1 reference).
+    /// The training report the simulations price (width-1 reference).
     pub train: TrainReport,
     /// General-envelope download size (bytes).
     pub general_bytes: u64,
     /// The link-mix × retry-policy sweep.
     pub sweep: Vec<NetOutcome>,
     /// Uncontended per-device baseline (all-wifi).
-    pub baseline: NetTrainReport,
+    pub baseline: CosimReport,
     /// Same fleet on a shared FIFO wifi uplink.
-    pub contended: NetTrainReport,
+    pub contended: CosimReport,
 }
 
 /// The sweep's link mixes. Stragglers ride along in every row so the
@@ -129,19 +130,24 @@ pub fn run(config: &RunConfig) -> NetworkRun {
         )
     };
 
-    // Acceptance contract 1: different trainer-pool widths replay to
+    // One finished round, so open vs. closed is moot.
+    let simulate = |train: &TrainReport, net: &NetworkConfig| {
+        cosimulate_fleet(&[train], general_bytes, net, LoopMode::Open)
+    };
+
+    // Acceptance contract 1: different trainer-pool widths run to
     // bit-identical traces and breakdowns.
     let train = train_at(1);
     let train_wide = train_at(2);
     let net_config = NetworkConfig { seed: config.seed ^ 0x11E7, ..NetworkConfig::default() };
-    let narrow = simulate_fleet_network(&train, general_bytes, &net_config);
-    let wide = simulate_fleet_network(&train_wide, general_bytes, &net_config);
+    let narrow = simulate(&train, &net_config);
+    let wide = simulate(&train_wide, &net_config);
     assert_eq!(
         narrow.sim.trace, wide.sim.trace,
-        "1- and 2-worker runs must replay bit-identical event traces"
+        "1- and 2-worker runs must produce bit-identical event traces"
     );
     assert_eq!(narrow.fingerprint(), wide.fingerprint());
-    assert_eq!(narrow.enrolls, wide.enrolls, "latency breakdowns must match across widths");
+    assert_eq!(narrow.records, wide.records, "latency breakdowns must match across widths");
 
     // Acceptance contract 2: shared-uplink contention strictly raises
     // p95 over the uncontended per-device baseline (same link class, so
@@ -152,21 +158,20 @@ pub fn run(config: &RunConfig) -> NetworkRun {
         seed: config.seed ^ 0x11E7,
         ..NetworkConfig::default()
     };
-    let baseline = simulate_fleet_network(&train, general_bytes, &wifi(UplinkMode::PerDevice));
-    let contended = simulate_fleet_network(
+    let baseline = simulate(&train, &wifi(UplinkMode::PerDevice));
+    let contended = simulate(
         &train,
-        general_bytes,
         &wifi(UplinkMode::Shared { profile: LinkProfile::wifi(), discipline: Discipline::Fifo }),
     );
     assert!(
-        contended.enroll_percentile_us(0.95) > baseline.enroll_percentile_us(0.95),
+        enroll_us(&contended, 0.95) > enroll_us(&baseline, 0.95),
         "shared uplink must strictly raise p95: {} vs {} µs",
-        contended.enroll_percentile_us(0.95),
-        baseline.enroll_percentile_us(0.95)
+        enroll_us(&contended, 0.95),
+        enroll_us(&baseline, 0.95)
     );
     if jobs.len() >= 2 {
         assert!(
-            contended.component_percentile_us(NetComponent::Queue, 0.95) > 0,
+            contended.round_percentile_us(0, |r| r.queue_us, 0.95) > 0,
             "a shared uplink with simultaneous releases must queue"
         );
     }
@@ -186,15 +191,17 @@ pub fn run(config: &RunConfig) -> NetworkRun {
                 seed: config.seed ^ 0x11E7,
                 ..NetworkConfig::default()
             };
-            NetOutcome {
-                mix: mix_name,
-                retry: retry_name,
-                report: simulate_fleet_network(&train, general_bytes, &cell),
-            }
+            NetOutcome { mix: mix_name, retry: retry_name, report: simulate(&train, &cell) }
         })
         .collect();
 
     NetworkRun { train, general_bytes, sweep, baseline, contended }
+}
+
+/// Percentile of release → publication over the one round's completed
+/// devices (µs).
+fn enroll_us(report: &CosimReport, q: f64) -> u64 {
+    report.round_percentile_us(0, RoundRecord::span_us, q)
 }
 
 /// Main sweep table: one row per link-mix × retry-policy cell.
@@ -218,14 +225,14 @@ pub fn table(run: &NetworkRun) -> Table {
         t.row(&[
             cell.mix.to_string(),
             cell.retry.to_string(),
-            ms(r.enroll_percentile_us(0.50)),
-            ms(r.enroll_percentile_us(0.95)),
-            ms(r.component_percentile_us(NetComponent::Queue, 0.95)),
-            ms(r.component_percentile_us(NetComponent::Transfer, 0.95)),
-            ms(r.component_percentile_us(NetComponent::Train, 0.95)),
-            ms(r.component_percentile_us(NetComponent::Audit, 0.95)),
+            ms(enroll_us(r, 0.50)),
+            ms(enroll_us(r, 0.95)),
+            ms(r.round_percentile_us(0, |d| d.queue_us, 0.95)),
+            ms(r.round_percentile_us(0, |d| d.transfer_us, 0.95)),
+            ms(r.round_percentile_us(0, |d| d.train_us, 0.95)),
+            ms(r.round_percentile_us(0, |d| d.audit_us, 0.95)),
             r.stragglers().to_string(),
-            ms(r.straggler_p95_us()),
+            ms(r.straggler_p95_us(0)),
             r.timed_out().to_string(),
         ]);
     }
@@ -239,9 +246,9 @@ pub fn contention_table(run: &NetworkRun) -> Table {
     for (name, report) in [("per-device", &run.baseline), ("shared-fifo", &run.contended)] {
         t.row(&[
             name.to_string(),
-            ms(report.enroll_percentile_us(0.50)),
-            ms(report.enroll_percentile_us(0.95)),
-            ms(report.component_percentile_us(NetComponent::Queue, 0.95)),
+            ms(enroll_us(report, 0.50)),
+            ms(enroll_us(report, 0.95)),
+            ms(report.round_percentile_us(0, |r| r.queue_us, 0.95)),
             format!("{:016x}", report.fingerprint()),
         ]);
     }
@@ -323,7 +330,7 @@ mod tests {
         assert_eq!(run.sweep.len(), 6, "3 mixes x 2 retry policies");
         assert!(run.general_bytes > 0);
         for cell in &run.sweep {
-            assert_eq!(cell.report.enrolls.len(), run.train.outcomes.len());
+            assert_eq!(cell.report.records.len(), run.train.outcomes.len());
         }
         let rendered = table(&run).render();
         assert!(rendered.contains("all-wifi") && rendered.contains("timeout+backoff"));

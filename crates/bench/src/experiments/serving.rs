@@ -29,10 +29,11 @@ fn requests_for(scale: Scale) -> usize {
 /// One serving run per compute tier (same traffic, same registry shape).
 ///
 /// The full fleet is deliberately re-executed per tier rather than
-/// re-costing one run's FLOPs: `measure` attributes work to a tier at
-/// execution time, keeping the latency pipeline identical to what the
-/// engine really does, and even at `paper` scale the second run costs
-/// only a few extra seconds.
+/// re-costing one run's FLOPs: the engine attributes each batch's work
+/// to its tier at execution time (`measure_thread`) and the batch then
+/// occupies its shard for that long, so a tier changes what queues
+/// behind what; even at `paper` scale the second run costs only a few
+/// extra seconds.
 pub fn run(config: &RunConfig) -> Vec<FleetOutcome> {
     let scenario: Scenario = super::scenario(config, SpatialLevel::Building);
     let fleet = |tier: ComputeTier| FleetConfig {

@@ -50,8 +50,8 @@ use pelican::platform::{measure_thread, ComputeTier};
 use pelican_mobility::{train_test_split, FeatureSpace, MobilityDataset, Session, SessionCursor};
 use pelican_nn::{ModelCodecError, ModelEnvelope, PrefixTier, Sample, SequenceModel};
 use pelican_serve::{
-    job_id, serve_harness, MobilityTraffic, MobilityTrafficConfig, Request, RollbackError,
-    ServeFlow, ServeHarness, ShardedRegistry, SimServeConfig, KIND_SHIFT,
+    job_id, serve_harness, split_job_id, MobilityTraffic, MobilityTrafficConfig, Request,
+    RollbackError, ServeFlow, ServeHarness, ShardedRegistry, SimServeConfig,
 };
 use pelican_sim::{
     fnv1a, JobReport, JobSpec, JobStatus, LinkProfile, LinkSpec, SimControl, Simulator, Stage,
@@ -639,18 +639,17 @@ fn top1_accuracy(model: &SequenceModel, window: &[Sample]) -> f64 {
 
 impl Workload for LiveFlow<'_> {
     fn on_job_end(&mut self, job: &JobReport, sim: &mut SimControl) {
+        let (kind, payload) = split_job_id(job.id);
         if ServeFlow::handles(job.id) {
             // An arriving query is also a fresh labeled sample; observe
             // it before the scheduler buffers it, at the same instant.
-            let payload = (job.id & ((1 << KIND_SHIFT) - 1)) as usize;
-            if job.id >> KIND_SHIFT == 0 && job.status == JobStatus::Completed {
-                self.observe_arrival(payload, job.end_us, sim);
+            if kind == 0 && job.status == JobStatus::Completed {
+                self.observe_arrival(payload as usize, job.end_us, sim);
             }
             self.serve.on_job_end(job, sim);
         } else {
-            debug_assert_eq!(job.id >> KIND_SHIFT, KIND_RETRAIN);
-            let seq = job.id & ((1 << KIND_SHIFT) - 1);
-            self.publish_retrain(seq, job.end_us, sim);
+            debug_assert_eq!(kind, KIND_RETRAIN);
+            self.publish_retrain(payload, job.end_us, sim);
         }
     }
 

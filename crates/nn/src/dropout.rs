@@ -51,11 +51,6 @@ impl Dropout {
         self.rate
     }
 
-    /// Inference-mode forward pass: the identity.
-    pub fn infer(&self, xs: &[Step]) -> Sequence {
-        xs.to_vec()
-    }
-
     /// Batched inference-mode forward pass: the identity on every sequence.
     pub fn infer_batch<S: AsRef<[Step]>>(&self, xs: &[S]) -> Vec<Sequence> {
         xs.iter().map(|s| s.as_ref().to_vec()).collect()
@@ -186,7 +181,7 @@ mod tests {
     fn inference_is_identity() {
         let d = Dropout::new(0.5, 1);
         let xs = vec![vec![1.0, 2.0, 3.0]];
-        assert_eq!(d.infer(&xs), xs);
+        assert_eq!(d.infer_batch(&[&xs]), [xs]);
     }
 
     #[test]

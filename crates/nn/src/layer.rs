@@ -25,18 +25,9 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// Inference-mode forward pass.
-    pub fn infer(&self, xs: &[Step]) -> Sequence {
-        match self {
-            Layer::Lstm(l) => l.infer(xs),
-            Layer::Linear(l) => l.infer(xs),
-            Layer::Dropout(d) => d.infer(xs),
-        }
-    }
-
     /// Batched inference over independent sequences sharing this layer's
     /// parameters; see [`Lstm::infer_batch`]. Outputs are bit-identical to
-    /// calling [`Layer::infer`] on each sequence alone.
+    /// a batch of one per sequence.
     pub fn infer_batch<S: AsRef<[Step]>>(&self, xs: &[S]) -> Vec<Sequence> {
         match self {
             Layer::Lstm(l) => l.infer_batch(xs),
@@ -47,7 +38,7 @@ impl Layer {
 
     /// Inference over the candidates of a sweep, one matrix per timestep
     /// (see [`crate::sweep`]); every candidate's output is bit-identical
-    /// to [`Layer::infer`] on its assembled sequence. See
+    /// to [`Layer::infer_batch`] on its assembled sequence. See
     /// [`Lstm::infer_sweep`].
     pub(crate) fn infer_sweep(&self, xs: Vec<Matrix>) -> Vec<Matrix> {
         match self {
@@ -57,8 +48,8 @@ impl Layer {
         }
     }
 
-    /// FLOPs [`Layer::infer`] records per timestep — a function of the
-    /// layer's shape alone.
+    /// FLOPs [`Layer::infer_batch`] records per timestep of each sequence
+    /// — a function of the layer's shape alone.
     pub(crate) fn infer_step_flops(&self) -> u64 {
         match self {
             Layer::Lstm(l) => l.infer_step_flops(),

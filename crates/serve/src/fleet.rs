@@ -1,18 +1,18 @@
 //! End-to-end fleet harness: enroll a scenario, synthesize traffic,
-//! coalesce, execute, report.
+//! serve it on the virtual clock, report.
 //!
 //! This is the piece the `fleet_serve` example, the `serve-report`
 //! experiment and the serving benchmarks all drive: one deterministic
 //! function from (scenario, knobs) to a [`ServeReport`].
 //!
-//! With [`FleetConfig::cloud`] set, the whole serving tier runs on the
-//! [`pelican_sim`] virtual clock through
-//! [`crate::simserve::simulate_serving`]: each query crosses its
-//! client's own (seeded, heterogeneous) uplink before it can be batched,
-//! shard buffers seal on sim timer events, fused batches occupy their
-//! shard's compute resource (back-to-back batches queue), and responses
+//! Every run goes through [`crate::simserve::simulate_serving`]: shard
+//! buffers seal on sim timer events and fused batches occupy their
+//! shard's compute resource (back-to-back batches queue), on-device and
+//! in the cloud alike. [`FleetConfig::cloud`] describes the deployment,
+//! not the scheduler: when set, each query also crosses its client's own
+//! (seeded, heterogeneous) uplink before it can be batched and responses
 //! return over one shared, contended cloud egress link — so batch
-//! compositions genuinely react to network jitter. The round-trip
+//! compositions genuinely react to network jitter — and the round-trip
 //! summary lands in [`FleetOutcome::network`].
 
 use pelican::platform::ComputeTier;
@@ -24,7 +24,7 @@ use pelican_tensor::nearest_rank;
 
 use crate::metrics::{MetricsSink, ServeReport};
 use crate::registry::{RegistryConfig, RegistryStats, ShardedRegistry};
-use crate::scheduler::{BatchScheduler, Request, SchedulerConfig, ServeEngine};
+use crate::scheduler::{Request, SchedulerConfig};
 use crate::simserve::{simulate_serving, SimServeConfig};
 use crate::traffic::{TrafficConfig, TrafficGenerator};
 
@@ -48,8 +48,8 @@ pub struct FleetConfig {
     /// Distinct query sequences cached per client (cycled round-robin).
     pub queries_per_user: usize,
     /// Cloud-deployment network path. `None` serves on-device (queries
-    /// pay no network); `Some` routes every round trip through the
-    /// discrete-event simulator.
+    /// pay no network, only batching and shard occupancy); `Some` adds
+    /// each client's uplink and the shared egress to the same timeline.
     pub cloud: Option<CloudNetwork>,
 }
 
@@ -195,48 +195,30 @@ pub fn run_fleet(
         })
         .collect();
 
+    // One timeline for both deployments: arrivals (over client uplinks
+    // when there is a network), deadline timers, shard-serial fused
+    // compute and egress responses all run on the sim's event heap.
+    let sim_config =
+        SimServeConfig { scheduler: config.scheduler, tier: config.tier, network: config.cloud };
+    let outcome = simulate_serving(&registry, &requests, &sim_config)?;
     let mut sink = MetricsSink::default();
-    let network = match &config.cloud {
-        // Cloud deployment: the whole tier runs on the sim's virtual
-        // clock — uplink ingress, deadline timers, shard-serial fused
-        // compute and egress responses on one event heap.
-        Some(cloud) => {
-            let sim_config = SimServeConfig {
-                scheduler: config.scheduler,
-                tier: config.tier,
-                network: Some(*cloud),
-            };
-            let outcome = simulate_serving(&registry, &requests, &sim_config)?;
-            for (batch, completions) in outcome.batches.iter().zip(&outcome.completions) {
-                sink.record(batch, completions);
-            }
-            let mut rtts: Vec<u64> = outcome.served.iter().map(|s| s.rtt_us()).collect();
-            rtts.sort_unstable();
-            Some(CloudRtt {
-                requests: rtts.len(),
-                dropped: outcome.dropped,
-                rtt_p50_us: nearest_rank(&rtts, 0.50).unwrap_or(0),
-                rtt_p95_us: nearest_rank(&rtts, 0.95).unwrap_or(0),
-                rtt_p99_us: nearest_rank(&rtts, 0.99).unwrap_or(0),
-                uplink_wait_p95_us: stage_stats(&outcome.sim, "uplink").wait_p95_us,
-                egress_wait_p95_us: stage_stats(&outcome.sim, "response").wait_p95_us,
-                fingerprint: outcome.fingerprint(),
-            })
+    for (batch, completions) in outcome.batches.iter().zip(&outcome.completions) {
+        sink.record(batch, completions);
+    }
+    let network = config.cloud.map(|_| {
+        let mut rtts: Vec<u64> = outcome.served.iter().map(|s| s.rtt_us()).collect();
+        rtts.sort_unstable();
+        CloudRtt {
+            requests: rtts.len(),
+            dropped: outcome.dropped,
+            rtt_p50_us: nearest_rank(&rtts, 0.50).unwrap_or(0),
+            rtt_p95_us: nearest_rank(&rtts, 0.95).unwrap_or(0),
+            rtt_p99_us: nearest_rank(&rtts, 0.99).unwrap_or(0),
+            uplink_wait_p95_us: stage_stats(&outcome.sim, "uplink").wait_p95_us,
+            egress_wait_p95_us: stage_stats(&outcome.sim, "response").wait_p95_us,
+            fingerprint: outcome.fingerprint(),
         }
-        // On-device serving: no network to react to, so the offline
-        // coalescing path (whose semantics the regression tests pin) is
-        // exact and cheaper.
-        None => {
-            let scheduler = BatchScheduler::new(config.scheduler, registry.shard_count());
-            let batches = scheduler.coalesce(requests);
-            let engine = ServeEngine::new(&registry, config.tier);
-            for batch in &batches {
-                let batch_completions = engine.execute(batch)?;
-                sink.record(batch, &batch_completions);
-            }
-            None
-        }
-    };
+    });
 
     let stats = registry.stats();
     Ok(FleetOutcome { report: sink.report(config.tier, stats.clone()), stats, network })

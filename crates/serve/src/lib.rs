@@ -21,8 +21,9 @@
 //! * [`traffic`] — a seeded open-loop generator with Zipf-skewed user
 //!   popularity and bursty arrivals, the load shape campus WiFi mobility
 //!   actually produces.
-//! * [`scheduler`] — size/deadline coalescing of same-shard requests into
-//!   batches, executed through the fused
+//! * [`scheduler`] + [`simserve`] — size/deadline coalescing of
+//!   same-shard requests into batches, sealed by timers on the
+//!   [`pelican_sim`] virtual clock and executed through the fused
 //!   [`pelican_nn::SequenceModel::predict_proba_batch`] kernels with FLOP
 //!   accounting attributed to a [`pelican::ComputeTier`]. The per-user
 //!   privacy layer (§V-B temperature sharpening) applies per batch row,
@@ -31,15 +32,14 @@
 //!   p50/p95/p99 simulated latency, all deterministic.
 //!
 //! [`fleet::run_fleet`] wires the four together for the `fleet_serve`
-//! example and the `serve-report` experiment. With
-//! [`fleet::FleetConfig::cloud`] set, the whole tier runs on the
-//! [`pelican_sim`] virtual clock via [`simserve`]: queries cross their
-//! client's seeded uplink before they can be batched, shard buffers seal
-//! on sim timer events, fused batches occupy their shard's compute
+//! example and the `serve-report` experiment. Every run — on-device or
+//! cloud — is one [`simserve::simulate_serving`] pass: shard buffers seal
+//! on sim timer events and fused batches occupy their shard's compute
 //! resource (back-to-back batches queue, and each completion carries a
-//! queue/service split), responses return over one shared contended
-//! egress link, and the round-trip summary lands in
-//! [`fleet::FleetOutcome::network`].
+//! queue/service split). With [`fleet::FleetConfig::cloud`] set, queries
+//! also cross their client's seeded uplink before they can be batched,
+//! responses return over one shared contended egress link, and the
+//! round-trip summary lands in [`fleet::FleetOutcome::network`].
 //!
 //! # Example
 //!
@@ -76,10 +76,10 @@ pub mod traffic;
 pub use fleet::{run_fleet, CloudNetwork, CloudRtt, FleetConfig, FleetOutcome};
 pub use metrics::{MetricsSink, ServeReport};
 pub use registry::{Lookup, RegistryConfig, RegistryStats, RollbackError, ShardedRegistry};
-pub use scheduler::{Batch, BatchScheduler, Completion, Request, SchedulerConfig, ServeEngine};
+pub use scheduler::{Batch, Completion, Request, SchedulerConfig, ServeEngine};
 pub use simserve::{
-    batch_compositions, job_id, serve_harness, simulate_serving, ServeFlow, ServeHarness,
-    ServedRequest, SimServeConfig, SimServeOutcome, KIND_SHIFT,
+    job_id, serve_harness, simulate_serving, split_job_id, ServeFlow, ServeHarness, ServedRequest,
+    SimServeConfig, SimServeOutcome,
 };
 pub use traffic::{
     Arrival, MobilityTraffic, MobilityTrafficConfig, TrafficConfig, TrafficGenerator,

@@ -122,7 +122,8 @@ pub struct ServeReport {
     /// 99th-percentile simulated latency, µs.
     pub p99_us: u64,
     /// Median shard-compute queueing per request, µs (see
-    /// [`Completion::queue_us`]; zero on the offline path).
+    /// [`Completion::queue_us`]; non-zero whenever a sealed batch found
+    /// its shard busy, on-device as in the cloud).
     pub queue_p50_us: u64,
     /// 95th-percentile shard-compute queueing, µs.
     pub queue_p95_us: u64,
@@ -238,7 +239,7 @@ mod tests {
         assert_eq!(report.p50_us, 13);
         assert_eq!(report.p99_us, 15);
         assert_eq!(report.service_p95_us, 5, "service split mirrors the completions");
-        assert_eq!(report.queue_p95_us, 0, "offline completions never queue");
+        assert_eq!(report.queue_p95_us, 0, "these completions found their shard idle");
         assert!(report.throughput_qps > 0.0);
         assert!(!report.render().is_empty());
     }

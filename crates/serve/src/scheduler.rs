@@ -1,13 +1,15 @@
-//! Request coalescing and fused batch execution.
+//! Request coalescing vocabulary and fused batch execution.
 //!
 //! The scheduler turns an open-loop arrival stream into shard-local
 //! batches: requests for the same registry shard accumulate until either
 //! `max_batch` requests are waiting or the oldest has waited `max_delay`,
-//! the classic throughput/latency trade of batched serving. The engine
-//! then executes a batch by grouping its requests per user model and
-//! driving each group through the fused
-//! [`SequenceModel::predict_proba_batch`] path, attributing the simulated
-//! compute to a [`ComputeTier`].
+//! the classic throughput/latency trade of batched serving. The sealing
+//! itself runs on the simulator's virtual clock ([`crate::simserve`]);
+//! this module holds what it seals ([`Request`], [`SchedulerConfig`],
+//! [`Batch`], [`Completion`]) and the engine that executes a batch by
+//! grouping its requests per user model and driving each group through
+//! the fused [`SequenceModel::predict_proba_batch`] path, attributing the
+//! simulated compute to a [`ComputeTier`].
 //!
 //! [`SequenceModel::predict_proba_batch`]: pelican_nn::SequenceModel::predict_proba_batch
 
@@ -35,7 +37,7 @@ pub struct Request {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// Flush a shard's buffer as soon as it holds this many requests.
-    /// Must be positive ([`BatchScheduler::new`] panics on zero — an
+    /// Must be positive ([`crate::serve_harness`] panics on zero — an
     /// empty batch could never dispatch).
     pub max_batch: usize,
     /// Flush a shard's buffer once its oldest request has waited this many
@@ -67,84 +69,6 @@ pub struct Batch {
     pub requests: Vec<Request>,
 }
 
-/// Deterministic size/deadline batcher over shard-local buffers.
-#[derive(Debug, Clone)]
-pub struct BatchScheduler {
-    config: SchedulerConfig,
-    n_shards: usize,
-}
-
-impl BatchScheduler {
-    /// Creates a scheduler for a registry with `n_shards` shards (use
-    /// [`ShardedRegistry::shard_count`] so batches stay shard-local).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_shards` or `config.max_batch` is zero.
-    pub fn new(config: SchedulerConfig, n_shards: usize) -> Self {
-        assert!(n_shards > 0, "scheduler needs at least one shard");
-        assert!(config.max_batch > 0, "max_batch must be positive");
-        Self { config, n_shards }
-    }
-
-    /// Coalesces an arrival-ordered request stream into dispatch-ordered
-    /// batches. Every request appears in exactly one batch; a batch is
-    /// dispatched either the moment it fills (`max_batch`) or when its
-    /// oldest request's deadline (`arrival + max_delay`) expires.
-    pub fn coalesce(&self, mut requests: Vec<Request>) -> Vec<Batch> {
-        requests.sort_by_key(|r| (r.arrival_us, r.id));
-        let mut buffers: Vec<Vec<Request>> = vec![Vec::new(); self.n_shards];
-        let mut deadlines: Vec<u64> = vec![u64::MAX; self.n_shards];
-        let mut batches: Vec<Batch> = Vec::new();
-
-        for request in requests {
-            let now = request.arrival_us;
-            self.flush_expired(&mut buffers, &mut deadlines, now, &mut batches);
-            let shard = request.user_id % self.n_shards;
-            if buffers[shard].is_empty() {
-                deadlines[shard] = now.saturating_add(self.config.max_delay_us);
-            }
-            buffers[shard].push(request);
-            if buffers[shard].len() >= self.config.max_batch {
-                batches.push(Batch {
-                    shard,
-                    dispatched_us: now,
-                    requests: std::mem::take(&mut buffers[shard]),
-                });
-                deadlines[shard] = u64::MAX;
-            }
-        }
-        self.flush_expired(&mut buffers, &mut deadlines, u64::MAX, &mut batches);
-        batches
-    }
-
-    /// Dispatches every buffered batch whose deadline has passed, in
-    /// deterministic (deadline, shard) order.
-    fn flush_expired(
-        &self,
-        buffers: &mut [Vec<Request>],
-        deadlines: &mut [u64],
-        now: u64,
-        batches: &mut Vec<Batch>,
-    ) {
-        let mut due: Vec<(u64, usize)> = deadlines
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d != u64::MAX && d <= now)
-            .map(|(shard, &d)| (d, shard))
-            .collect();
-        due.sort_unstable();
-        for (deadline, shard) in due {
-            batches.push(Batch {
-                shard,
-                dispatched_us: deadline,
-                requests: std::mem::take(&mut buffers[shard]),
-            });
-            deadlines[shard] = u64::MAX;
-        }
-    }
-}
-
 /// A served request: its answer plus everything needed for latency and
 /// cache accounting.
 #[derive(Debug, Clone)]
@@ -159,9 +83,9 @@ pub struct Completion {
     pub dispatched_us: u64,
     /// Simulated µs the sealed batch waited for its shard's compute
     /// resource after dispatch, mirroring the sim's
-    /// [`pelican_sim::StageReport`] queue/service split. Zero on the
-    /// offline [`BatchScheduler::coalesce`] path, where shard compute is
-    /// assumed idle; the sim-driven scheduler fills in real queueing
+    /// [`pelican_sim::StageReport`] queue/service split. Zero as
+    /// [`ServeEngine::execute`] returns it; the sim-driven scheduler
+    /// back-fills the real queueing when the batch's shard occupancy ends
     /// (back-to-back batches occupy the shard and cannot overlap).
     pub queue_us: u64,
     /// Simulated compute time of the whole fused batch, in µs — the
@@ -270,6 +194,7 @@ impl<'a> ServeEngine<'a> {
 mod tests {
     use super::*;
     use crate::registry::RegistryConfig;
+    use crate::simserve::{simulate_serving, SimServeConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -277,14 +202,24 @@ mod tests {
         Request { id, user_id, arrival_us, xs: vec![vec![0.1; 4]; 2] }
     }
 
-    fn scheduler(max_batch: usize, max_delay_us: u64) -> BatchScheduler {
-        BatchScheduler::new(SchedulerConfig { max_batch, max_delay_us }, 2)
+    /// The batches the sim-driven scheduler seals over a two-shard
+    /// registry with no network, in seal order.
+    fn batches(max_batch: usize, max_delay_us: u64, requests: Vec<Request>) -> Vec<Batch> {
+        let mut rng = StdRng::seed_from_u64(5);
+        let general = pelican_nn::SequenceModel::single_lstm(4, 6, 3, 0.0, &mut rng);
+        let registry = ShardedRegistry::new(general, RegistryConfig { shards: 2, hot_capacity: 4 });
+        let config = SimServeConfig {
+            scheduler: SchedulerConfig { max_batch, max_delay_us },
+            tier: ComputeTier::Cloud,
+            network: None,
+        };
+        simulate_serving(&registry, &requests, &config).expect("envelopes decode").batches
     }
 
     #[test]
     fn full_buffers_dispatch_immediately() {
-        let s = scheduler(2, 1_000_000);
-        let batches = s.coalesce(vec![request(0, 0, 10), request(1, 2, 20), request(2, 4, 30)]);
+        let batches =
+            batches(2, 1_000_000, vec![request(0, 0, 10), request(1, 2, 20), request(2, 4, 30)]);
         assert_eq!(batches.len(), 2);
         assert_eq!(batches[0].dispatched_us, 20, "filled at the second arrival");
         assert_eq!(batches[0].requests.len(), 2);
@@ -293,8 +228,7 @@ mod tests {
 
     #[test]
     fn deadlines_bound_waiting() {
-        let s = scheduler(100, 50);
-        let batches = s.coalesce(vec![request(0, 0, 0), request(1, 0, 500)]);
+        let batches = batches(100, 50, vec![request(0, 0, 0), request(1, 0, 500)]);
         assert_eq!(batches.len(), 2, "50µs deadline splits arrivals 500µs apart");
         assert_eq!(batches[0].dispatched_us, 50);
         assert_eq!(batches[1].dispatched_us, 550);
@@ -302,18 +236,15 @@ mod tests {
 
     #[test]
     fn late_flushes_still_report_the_deadline_as_dispatch_time() {
-        // A deadline-expired buffer is only *noticed* at the next event
-        // (a much-later arrival, or end of stream), but the batch must
-        // report the deadline itself — that is when a real clock would
-        // have sealed it, and the sim-driven scheduler pins exactly this.
-        let s = scheduler(100, 50);
-        // Flushed by a much-later arrival on the other shard.
-        let batches = s.coalesce(vec![request(0, 0, 10), request(1, 1, 9_000)]);
-        assert_eq!(batches[0].dispatched_us, 60, "not 9000: the deadline sealed it");
-        // Flushed by end of stream.
-        let batches = s.coalesce(vec![request(0, 0, 10)]);
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].dispatched_us, 60, "end-of-stream flush reports the deadline");
+        // A batch sealed by its deadline reports the deadline itself as
+        // its dispatch time, whatever the next event on the clock is.
+        // Next event: a much-later arrival on the other shard.
+        let sealed = batches(100, 50, vec![request(0, 0, 10), request(1, 1, 9_000)]);
+        assert_eq!(sealed[0].dispatched_us, 60, "not 9000: the deadline sealed it");
+        // Next event: none, the stream ends.
+        let sealed = batches(100, 50, vec![request(0, 0, 10)]);
+        assert_eq!(sealed.len(), 1);
+        assert_eq!(sealed[0].dispatched_us, 60, "end-of-stream flush reports the deadline");
     }
 
     #[test]
@@ -321,8 +252,7 @@ mod tests {
         // max_delay_us == 0 is legal: every request's deadline expires on
         // arrival, so each flushes as a singleton and max_batch never
         // fills — batching disabled, not a panic.
-        let s = scheduler(16, 0);
-        let batches = s.coalesce(vec![request(0, 0, 5), request(1, 0, 5), request(2, 0, 40)]);
+        let batches = batches(16, 0, vec![request(0, 0, 5), request(1, 0, 5), request(2, 0, 40)]);
         assert_eq!(batches.len(), 3, "one batch per arrival, even for simultaneous ones");
         for (batch, (id, at)) in batches.iter().zip([(0, 5), (1, 5), (2, 40)]) {
             assert_eq!(batch.requests.len(), 1);
@@ -333,9 +263,8 @@ mod tests {
 
     #[test]
     fn batches_are_shard_local_and_lossless() {
-        let s = scheduler(4, 100);
         let requests: Vec<Request> = (0..20).map(|i| request(i, i % 5, (i as u64) * 10)).collect();
-        let batches = s.coalesce(requests);
+        let batches = batches(4, 100, requests);
         let mut seen: Vec<usize> = Vec::new();
         for batch in &batches {
             for r in &batch.requests {
@@ -372,7 +301,7 @@ mod tests {
                 "fused answers must be bit-identical to unbatched ones"
             );
             assert!(c.service_us > 0);
-            assert_eq!(c.queue_us, 0, "offline execution assumes an idle shard");
+            assert_eq!(c.queue_us, 0, "queueing is the scheduler's to fill in");
             assert_eq!(c.finish_us(), c.dispatched_us + c.service_us);
         }
         assert_eq!(completions[6].lookup, Lookup::Fallback);

@@ -1,16 +1,15 @@
 //! The batch scheduler as a reactive workload on the simulator's virtual
 //! clock — one timeline for arrivals, batching, compute and responses.
 //!
-//! The offline [`BatchScheduler::coalesce`] replays an arrival stream on
-//! its own idealized clock: buffers seal at recorded timestamps, fused
-//! compute is priced after the fact and batches implicitly overlap. This
-//! module closes the loop instead. [`simulate_serving`] runs the whole
-//! serving tier inside one reactive [`pelican_sim::Simulator::run`] pass:
+//! This is the only scheduler the product has: on-device or cloud, a
+//! serving latency comes out of [`simulate_serving`], which runs the
+//! whole serving tier inside one reactive [`pelican_sim::Simulator::run`]
+//! pass:
 //!
 //! * every query **arrival** is a sim job — a transfer over the client's
 //!   own (seeded, heterogeneous) uplink when a [`CloudNetwork`] is
 //!   configured, a zero-stage job releasing at the client send time when
-//!   serving on-path — so the scheduler sees *cloud-ingress* times that
+//!   serving on-device — so the scheduler sees *ingress* times that
 //!   already include contention, jitter and drops;
 //! * shard buffers seal on **sim timer events**: the `max_delay`
 //!   deadline is an [`pelican_sim::SimControl::set_timer`] timer on the
@@ -26,10 +25,11 @@
 //! * **responses** return over the shared contended egress link, closing
 //!   the round trip on the same event heap.
 //!
-//! With no network and no compute contention the sealed compositions are
-//! exactly what the offline scheduler produces (pinned by tests and the
-//! `cosim-report` experiment); under network jitter the compositions
-//! genuinely change — batching finally reacts to the network.
+//! With no network the sealed compositions are a pure function of the
+//! arrival times — `tests/scheduler_props.rs` compares them against a
+//! replay-the-timestamps reference on random streams; under network
+//! jitter the compositions genuinely change — batching reacts to the
+//! network.
 
 use std::collections::HashMap;
 
@@ -47,15 +47,13 @@ use crate::scheduler::{Batch, Completion, Request, SchedulerConfig, ServeEngine}
 /// Everything the sim-driven serving pass needs besides the requests.
 #[derive(Debug, Clone, Copy)]
 pub struct SimServeConfig {
-    /// Coalescing knobs (same meaning as the offline scheduler's; the
-    /// deadline now lives on the virtual clock).
+    /// Coalescing knobs; the deadline lives on the virtual clock.
     pub scheduler: SchedulerConfig,
     /// Tier fused batches are costed on.
     pub tier: ComputeTier,
     /// Device↔cloud network. `None` feeds arrivals straight into the
-    /// scheduler at their send times (no uplink, no egress) — the
-    /// configuration whose batch compositions match the offline
-    /// scheduler exactly.
+    /// scheduler at their send times (no uplink, no egress): on-device
+    /// serving, where only batching and shard occupancy cost time.
     pub network: Option<CloudNetwork>,
 }
 
@@ -105,22 +103,15 @@ impl SimServeOutcome {
         self.sim.fingerprint()
     }
 
-    /// The batch compositions alone — see [`batch_compositions`] — for
-    /// comparing scheduling decisions across network conditions (and
-    /// against the offline scheduler).
+    /// Each batch's scheduling identity — `(shard, dispatched_us, member
+    /// request ids in order)` — for comparing scheduling decisions across
+    /// network conditions (and against the test oracle).
     pub fn compositions(&self) -> Vec<(usize, u64, Vec<usize>)> {
-        batch_compositions(&self.batches)
+        self.batches
+            .iter()
+            .map(|b| (b.shard, b.dispatched_us, b.requests.iter().map(|r| r.id).collect()))
+            .collect()
     }
-}
-
-/// Each batch's scheduling identity — `(shard, dispatched_us, member
-/// request ids in order)` — the one shape every scheduler-fidelity
-/// comparison (sim-driven vs. offline, quiet vs. jittery) agrees on.
-pub fn batch_compositions(batches: &[Batch]) -> Vec<(usize, u64, Vec<usize>)> {
-    batches
-        .iter()
-        .map(|b| (b.shard, b.dispatched_us, b.requests.iter().map(|r| r.id).collect()))
-        .collect()
 }
 
 /// Job-id namespace width on the shared heap: the top byte tags the job
@@ -128,7 +119,7 @@ pub fn batch_compositions(batches: &[Batch]) -> Vec<(usize, u64, Vec<usize>)> {
 /// composing extra job classes onto the same heap (like the live
 /// personalization loop) must tag them with kinds above
 /// [`ServeFlow::handles`]'s range.
-pub const KIND_SHIFT: u32 = 56;
+const KIND_SHIFT: u32 = 56;
 const KIND_ARRIVAL: u64 = 0;
 const KIND_BATCH: u64 = 1;
 const KIND_RESPONSE: u64 = 2;
@@ -144,14 +135,19 @@ pub fn job_id(kind: u64, payload: u64) -> u64 {
     (kind << KIND_SHIFT) | payload
 }
 
+/// Splits a namespaced job id into `(kind, payload)` — the inverse of
+/// [`job_id`].
+pub fn split_job_id(id: u64) -> (u64, u64) {
+    (id >> KIND_SHIFT, id & ((1 << KIND_SHIFT) - 1))
+}
+
 /// Runs the serving tier on the simulator's virtual clock: arrivals
 /// (optionally over client uplinks), deadline/fill sealing, shard-serial
 /// fused compute and egress responses all on one event heap.
 ///
-/// Requests are normalized to `(arrival, id)` order first, exactly like
-/// the offline scheduler, so the outcome is invariant under permutation
-/// of the input vector. Identical inputs produce bit-identical outcomes,
-/// trace included.
+/// Requests are normalized to `(arrival, id)` order first, so the
+/// outcome is invariant under permutation of the input vector. Identical
+/// inputs produce bit-identical outcomes, trace included.
 ///
 /// # Errors
 ///
@@ -284,12 +280,11 @@ pub struct ServeFlow<'a> {
     ingested: HashMap<usize, (usize, u64)>,
     /// Per-shard open buffers, in ingress order.
     buffers: Vec<Vec<Request>>,
-    /// Per-shard open-buffer deadlines (`u64::MAX` = no open buffer),
-    /// exactly the bookkeeping [`crate::scheduler::BatchScheduler`]
-    /// keeps — sealing decisions are made from this table, never from
-    /// event arrival order, so same-instant ties (an arrival landing
-    /// exactly on a deadline, two shards expiring together) resolve
-    /// identically to the offline scheduler.
+    /// Per-shard open-buffer deadlines (`u64::MAX` = no open buffer).
+    /// Sealing decisions are made from this table, never from event
+    /// arrival order, so same-instant ties (an arrival landing exactly
+    /// on a deadline, two shards expiring together) resolve the same
+    /// way whichever event the heap pops first.
     deadlines: Vec<u64>,
     batches: Vec<Batch>,
     completions: Vec<Vec<Completion>>,
@@ -304,7 +299,7 @@ impl ServeFlow<'_> {
     /// the inner flow's [`Workload::on_job_end`] and keeps its own job
     /// classes in higher kinds.
     pub fn handles(job_id: u64) -> bool {
-        job_id >> KIND_SHIFT <= KIND_RESPONSE
+        split_job_id(job_id).0 <= KIND_RESPONSE
     }
 
     /// Shards this flow schedules over. Timer keys below this count
@@ -373,9 +368,9 @@ impl ServeFlow<'_> {
     }
 
     /// Seals every buffer whose deadline has passed, in deterministic
-    /// `(deadline, shard)` order — the mirror of the offline scheduler's
-    /// `flush_expired`, run before any buffering at the same instant so
-    /// an arrival landing exactly on a deadline opens a *fresh* buffer.
+    /// `(deadline, shard)` order — run before any buffering at the same
+    /// instant so an arrival landing exactly on a deadline opens a
+    /// *fresh* buffer.
     fn flush_expired(&mut self, now: u64, sim: &mut SimControl) {
         let mut due: Vec<(u64, usize)> = self
             .deadlines
@@ -479,8 +474,9 @@ impl ServeFlow<'_> {
 
 impl Workload for ServeFlow<'_> {
     fn on_job_end(&mut self, job: &JobReport, sim: &mut SimControl) {
-        let payload = (job.id & ((1 << KIND_SHIFT) - 1)) as usize;
-        match job.id >> KIND_SHIFT {
+        let (kind, payload) = split_job_id(job.id);
+        let payload = payload as usize;
+        match kind {
             KIND_ARRIVAL => {
                 let request =
                     self.pending.remove(&payload).expect("one arrival job per pending request");
@@ -510,7 +506,6 @@ impl Workload for ServeFlow<'_> {
 mod tests {
     use super::*;
     use crate::registry::RegistryConfig;
-    use crate::scheduler::BatchScheduler;
     use pelican_sim::{LinkMix, RetryPolicy, StragglerConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -539,34 +534,15 @@ mod tests {
     }
 
     #[test]
-    fn jitter_free_compositions_match_the_offline_scheduler_exactly() {
-        let registry = registry(2);
-        let requests = stream(40);
-        let scheduler_config = SchedulerConfig { max_batch: 4, max_delay_us: 900 };
-        let sim = simulate_serving(&registry, &requests, &config(scheduler_config, None))
-            .expect("envelopes decode");
-        let offline = BatchScheduler::new(scheduler_config, 2).coalesce(requests);
-        assert_eq!(
-            sim.compositions(),
-            batch_compositions(&offline),
-            "with no network the virtual clock reproduces the offline scheduler"
-        );
-        assert_eq!(sim.dropped, 0);
-        assert_eq!(sim.served.len(), 40);
-    }
-
-    #[test]
     fn same_instant_ties_match_the_offline_scheduler() {
         let registry = registry(2);
         // An arrival landing exactly on its shard's deadline must not
-        // join the sealing batch — the offline scheduler flushes the
-        // expired buffer first, and so must the virtual clock.
+        // join the sealing batch: the expired buffer is flushed first,
+        // whichever of the two same-instant events the heap pops first.
         let scheduler_config = SchedulerConfig { max_batch: 100, max_delay_us: 100 };
         let requests = vec![request(0, 0, 0), request(1, 0, 100)];
         let sim = simulate_serving(&registry, &requests, &config(scheduler_config, None))
             .expect("envelopes decode");
-        let offline = BatchScheduler::new(scheduler_config, 2).coalesce(requests);
-        assert_eq!(sim.compositions(), batch_compositions(&offline));
         assert_eq!(sim.batches.len(), 2, "the tie arrival opens a fresh buffer");
         assert_eq!(sim.batches[0].dispatched_us, 100);
         assert_eq!(sim.batches[1].dispatched_us, 200);
@@ -577,8 +553,6 @@ mod tests {
         let requests = vec![request(0, 1, 0), request(1, 0, 0)];
         let sim = simulate_serving(&registry, &requests, &config(scheduler_config, None))
             .expect("envelopes decode");
-        let offline = BatchScheduler::new(scheduler_config, 2).coalesce(requests);
-        assert_eq!(sim.compositions(), batch_compositions(&offline));
         assert_eq!(sim.batches[0].shard, 0, "shard 0 seals first on equal deadlines");
         assert_eq!(sim.batches[1].shard, 1);
     }

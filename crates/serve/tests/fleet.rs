@@ -105,3 +105,23 @@ fn cloud_deployment_pays_rtt_deterministically() {
     let c = run_fleet(&s, &cloud(12)).expect("fleet runs");
     assert_ne!(net_a.fingerprint, c.network.expect("cloud path").fingerprint);
 }
+
+#[test]
+fn saturated_on_device_serving_queues_on_its_shard() {
+    let s = scenario();
+    // One shard, singleton batches, arrivals far closer together than
+    // one device-tier inference: batches seal faster than the shard can
+    // run them, so they must wait for it — on-device too.
+    let mut cfg = config(300);
+    cfg.registry.shards = 1;
+    cfg.scheduler.max_batch = 1;
+    cfg.tier = ComputeTier::Device;
+    cfg.traffic.mean_interarrival_us = 1.0;
+    let report = run_fleet(&s, &cfg).expect("fleet runs").report;
+    assert!(report.service_p50_us > 10, "arrivals outpace service: {report:?}");
+    assert!(report.queue_p95_us > 0, "back-to-back batches wait for the shard");
+    assert!(
+        report.p95_us > report.queue_p95_us,
+        "a latency contains its own queueing and a non-zero service"
+    );
+}

@@ -1,20 +1,18 @@
-//! Closed-loop network/compute co-simulation of multi-round fleet
-//! training — the network's outcomes feed back into what gets trained.
-//!
-//! [`crate::simulate_fleet_network`] prices a *finished* pipeline run:
-//! every device's download, train, audit and upload replay on the
-//! virtual clock regardless of what the network did to anyone. That
-//! open-loop view is exactly right for costing one round, and exactly
-//! wrong the moment training spans rounds: a device whose download timed
-//! out never produced a model, so its warm-start round should not exist
-//! — yet the post-hoc replay prices it anyway.
+//! Network/compute co-simulation of fleet training — one round or many,
+//! with the network's outcomes optionally feeding back into what gets
+//! trained.
 //!
 //! [`cosimulate_fleet`] runs R training rounds through the reactive
-//! engine (a reactive [`pelican_sim::Simulator::run`]) on one event heap:
+//! engine ([`pelican_sim::Simulator::run`]) on one event heap:
 //!
-//! * every device's round is a four-stage sim job (download → train →
-//!   audit → upload), with train/audit durations and upload sizes drawn
-//!   from that round's deterministic [`TrainReport`];
+//! * every device's round is a four-stage sim job — **download** the
+//!   general envelope over the device's own (seeded, heterogeneous) link,
+//!   **train** and **audit** for that round's exact simulated durations
+//!   (from its deterministic [`TrainReport`]), then **upload** the
+//!   published envelope over that link or queued on one *shared* cloud
+//!   uplink ([`UplinkMode`]) — so downloads overlap other devices'
+//!   training, uploads contend, stragglers straggle, and transfers can
+//!   time out and retry with backoff;
 //! * a device's round `r + 1` is **injected at the virtual instant its
 //!   round `r` ended** — retries and contention reorder those arrivals,
 //!   so publication order is a network outcome, not a list order;
@@ -27,21 +25,72 @@
 //!   divergent exactly when a timeout fires. The `cosim-report`
 //!   experiment asserts both directions on every run.
 //!
+//! Pricing one *finished* round (what `net-report` does) is the
+//! one-round case, where the two modes cannot differ. Across rounds the
+//! open loop is wrong by construction: a device whose download timed out
+//! never produced a model, yet its warm-start round is priced anyway.
+//!
 //! Because every per-round input is bit-identical across trainer-pool
-//! widths (exact per-thread FLOP measurement, per-user seeds), the
-//! closed-loop trace fingerprint is too — co-simulation inherits the
-//! reproduction's width-invariance contract.
+//! widths (exact per-thread FLOP measurement, per-user seeds, link
+//! assignment from the fleet seed), the event trace, every
+//! [`RoundRecord`] and the fingerprint are too: pool width is a
+//! host-compute knob that must not change the simulated timeline.
 
 use std::collections::HashMap;
 
 use pelican_sim::{
-    DeviceLink, JobReport, JobSpec, JobStatus, LinkSpec, SimControl, SimOutcome, Simulator, Stage,
-    Workload,
+    DeviceLink, Discipline, JobReport, JobSpec, JobStatus, LinkMix, LinkProfile, LinkSpec,
+    SimControl, SimOutcome, Simulator, Stage, TransferPolicy, Workload,
 };
 use pelican_tensor::nearest_rank;
 
-use crate::network::NetworkConfig;
 use crate::report::TrainReport;
+
+/// Where publication uploads go.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum UplinkMode {
+    /// Each device uploads over its own link — the uncontended baseline.
+    PerDevice,
+    /// Every device queues its upload on one shared cloud-ingress link.
+    Shared {
+        /// Shape of the shared uplink.
+        profile: LinkProfile,
+        /// How contending uploads share it.
+        discipline: Discipline,
+    },
+}
+
+/// Network shape of a fleet-training run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NetworkConfig {
+    /// Per-device link assignment (wifi/WAN/cellular mix + stragglers).
+    pub mix: LinkMix,
+    /// Upload routing: per-device or shared-contended.
+    pub uplink: UplinkMode,
+    /// Timeout/retry policy of general-model downloads.
+    pub download: TransferPolicy,
+    /// Timeout/retry policy of publication uploads.
+    pub upload: TransferPolicy,
+    /// Fleet seed for link assignment.
+    pub seed: u64,
+}
+
+impl Default for NetworkConfig {
+    /// A campus mix uploading to one shared fair-share WAN uplink, no
+    /// timeouts.
+    fn default() -> Self {
+        Self {
+            mix: LinkMix::campus(),
+            uplink: UplinkMode::Shared {
+                profile: LinkProfile::wan(),
+                discipline: Discipline::FairShare,
+            },
+            download: TransferPolicy::default(),
+            upload: TransferPolicy::default(),
+            seed: 0x11EE7,
+        }
+    }
+}
 
 /// Whether network outcomes feed back into the training timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,6 +130,16 @@ pub struct RoundRecord {
     pub release_us: u64,
     /// When the round completed or failed (µs).
     pub end_us: u64,
+    /// Contention + retry/backoff delay across both transfers (µs). With
+    /// the three components below it tiles a completed round's
+    /// [`Self::span_us`] exactly.
+    pub queue_us: u64,
+    /// Uncontended transfer cost of download + upload (µs).
+    pub transfer_us: u64,
+    /// Simulated on-device training (µs).
+    pub train_us: u64,
+    /// Simulated privacy audit (µs).
+    pub audit_us: u64,
     /// Transfer attempts spent (2 = no retries anywhere).
     pub attempts: u32,
     /// Whether the round completed (false: retries exhausted).
@@ -139,17 +198,39 @@ impl CosimReport {
         self.records.iter().filter(|r| r.round == round && r.completed).count()
     }
 
-    /// Nearest-rank percentile of round `round`'s release→publish span
-    /// over completed device-rounds (µs; 0 if none).
-    pub fn round_percentile_us(&self, round: usize, q: f64) -> u64 {
-        let mut spans: Vec<u64> = self
-            .records
-            .iter()
-            .filter(|r| r.round == round && r.completed)
-            .map(RoundRecord::span_us)
-            .collect();
-        spans.sort_unstable();
-        nearest_rank(&spans, q).unwrap_or(0)
+    /// Straggler devices in the cohort (every device has a round 0).
+    pub fn stragglers(&self) -> usize {
+        self.records.iter().filter(|r| r.round == 0 && r.straggler).count()
+    }
+
+    /// Nearest-rank percentile of `field` — [`RoundRecord::span_us`] for
+    /// the release→publish span, `|r| r.queue_us` for one component —
+    /// over round `round`'s completed device-rounds (µs; 0 if none).
+    pub fn round_percentile_us(
+        &self,
+        round: usize,
+        field: impl Fn(&RoundRecord) -> u64,
+        q: f64,
+    ) -> u64 {
+        self.percentile_us(|r| r.round == round, field, q)
+    }
+
+    /// p95 release→publish span of round `round`'s completed stragglers
+    /// (µs; 0 if none).
+    pub fn straggler_p95_us(&self, round: usize) -> u64 {
+        self.percentile_us(|r| r.round == round && r.straggler, RoundRecord::span_us, 0.95)
+    }
+
+    fn percentile_us(
+        &self,
+        subset: impl Fn(&RoundRecord) -> bool,
+        field: impl Fn(&RoundRecord) -> u64,
+        q: f64,
+    ) -> u64 {
+        let mut values: Vec<u64> =
+            self.records.iter().filter(|r| r.completed && subset(r)).map(field).collect();
+        values.sort_unstable();
+        nearest_rank(&values, q).unwrap_or(0)
     }
 
     /// Whether publications arrived in a different order than device
@@ -173,30 +254,44 @@ impl CosimReport {
     pub fn render(&self) -> String {
         let ms = |us: u64| us as f64 / 1e3;
         let mut out = format!(
-            "{:?} loop: {} devices x {} rounds -> {} scheduled, {} skipped, {} timed out; trace {:016x}\n",
+            "{:?} loop: {} devices ({} stragglers) x {} rounds -> {} scheduled, {} skipped, {} timed out; trace {:016x}\n",
             self.mode,
             self.devices,
+            self.stragglers(),
             self.rounds,
             self.scheduled(),
             self.skipped(),
             self.timed_out(),
             self.fingerprint(),
         );
+        type Field = fn(&RoundRecord) -> u64;
+        let components: [(&str, Field); 4] = [
+            ("queue", |r| r.queue_us),
+            ("transfer", |r| r.transfer_us),
+            ("train", |r| r.train_us),
+            ("audit", |r| r.audit_us),
+        ];
         for round in 0..self.rounds {
             out.push_str(&format!(
                 "  round {round}: {} published, span p50 {:.1} ms  p95 {:.1} ms\n",
                 self.completed_in_round(round),
-                ms(self.round_percentile_us(round, 0.50)),
-                ms(self.round_percentile_us(round, 0.95)),
+                ms(self.round_percentile_us(round, RoundRecord::span_us, 0.50)),
+                ms(self.round_percentile_us(round, RoundRecord::span_us, 0.95)),
             ));
+            for (name, field) in components {
+                out.push_str(&format!(
+                    "    {name:<9} p50 {:.1} ms  p95 {:.1} ms\n",
+                    ms(self.round_percentile_us(round, field, 0.50)),
+                    ms(self.round_percentile_us(round, field, 0.95)),
+                ));
+            }
         }
         out
     }
 }
 
 /// Round index rides in the job id's high bits so round 0 ids are plain
-/// user ids — which keeps single-round co-simulation traces bit-identical
-/// to the legacy open-loop replay.
+/// user ids — a one-round trace names its jobs by user alone.
 const ROUND_SHIFT: u32 = 48;
 
 fn job_id(round: usize, user_id: usize) -> u64 {
@@ -238,15 +333,15 @@ pub fn cosimulate_fleet(
         .map(|o| config.mix.assign(config.seed, o.user_id as u64))
         .collect();
 
-    // Link table, exactly as the open-loop replay lays it out: the
-    // shared uplink (if any) is link 0; per-device FIFO links follow.
+    // Link table: the shared uplink (if any) is link 0; per-device FIFO
+    // links follow.
     let mut links: Vec<LinkSpec> = Vec::with_capacity(devices.len() + 1);
     let shared_uplink = match config.uplink {
-        crate::network::UplinkMode::Shared { profile, discipline } => {
+        UplinkMode::Shared { profile, discipline } => {
             links.push(LinkSpec { profile, discipline });
             true
         }
-        crate::network::UplinkMode::PerDevice => false,
+        UplinkMode::PerDevice => false,
     };
     let device_link_base = links.len();
     links.extend(devices.iter().map(|d| LinkSpec::fifo(d.profile)));
@@ -342,20 +437,32 @@ impl Workload for CosimFlow<'_> {
         let user_id = (job.id & ((1 << ROUND_SHIFT) - 1)) as usize;
         let device = self.device_of[&user_id];
         let completed = job.status == JobStatus::Completed;
-        // Transfer stages only: compute stages always report one attempt
-        // and would inflate the retry accounting.
-        let attempts = job
-            .stages
-            .iter()
-            .filter(|s| matches!(s.label, "download" | "upload"))
-            .map(|s| s.attempts)
-            .sum();
+        // Attempts count transfer stages only: compute stages always
+        // report one attempt and would inflate the retry accounting.
+        let (mut queue_us, mut transfer_us, mut attempts) = (0, 0, 0);
+        let (mut train_us, mut audit_us) = (0, 0);
+        for s in &job.stages {
+            match s.label {
+                "download" | "upload" => {
+                    queue_us += s.wait_us();
+                    transfer_us += s.ideal_us;
+                    attempts += s.attempts;
+                }
+                "train" => train_us = s.span_us(),
+                "audit" => audit_us = s.span_us(),
+                _ => {}
+            }
+        }
         self.records.push(RoundRecord {
             user_id,
             round,
             straggler: self.devices[device].straggler,
             release_us: job.release_us,
             end_us: job.end_us,
+            queue_us,
+            transfer_us,
+            train_us,
+            audit_us,
             attempts,
             completed,
         });
@@ -379,13 +486,10 @@ impl Workload for CosimFlow<'_> {
 mod tests {
     use super::*;
     use crate::audit::{GateOutcome, GateVerdict};
-    use crate::network::UplinkMode;
     use crate::report::JobOutcome;
     use pelican::DefenseKind;
     use pelican_nn::FitReport;
-    use pelican_sim::{
-        Discipline, LinkMix, LinkProfile, RetryPolicy, StragglerConfig, TransferPolicy,
-    };
+    use pelican_sim::{RetryPolicy, StragglerConfig};
     use std::time::Duration;
 
     /// A synthetic round: deterministic per-device durations and upload
@@ -424,6 +528,130 @@ mod tests {
             seed: 3,
             ..NetworkConfig::default()
         }
+    }
+
+    /// One finished round priced on its own — what `net-report` runs.
+    fn one_round(report: &TrainReport, config: &NetworkConfig) -> CosimReport {
+        cosimulate_fleet(&[report], 80_000, config, LoopMode::Open)
+    }
+
+    #[test]
+    fn components_partition_the_enroll_latency_exactly() {
+        let fresh = synthetic_round(6, 0);
+        let warm = synthetic_round(6, 1);
+        let net =
+            cosimulate_fleet(&[&fresh, &warm], 80_000, &NetworkConfig::default(), LoopMode::Open);
+        assert_eq!(net.records.len(), 12);
+        assert_eq!(net.timed_out(), 0);
+        for r in &net.records {
+            assert!(r.completed);
+            assert_eq!(
+                r.queue_us + r.transfer_us + r.train_us + r.audit_us,
+                r.span_us(),
+                "the four components tile the end-to-end latency"
+            );
+            assert_eq!(r.attempts, 2, "no timeouts ⇒ one attempt per transfer");
+        }
+    }
+
+    #[test]
+    fn shared_uplink_contention_raises_p95_strictly() {
+        let report = synthetic_round(8, 0);
+        let wifi_fleet = |uplink| NetworkConfig {
+            mix: LinkMix::all_wifi(),
+            uplink,
+            seed: 5,
+            ..NetworkConfig::default()
+        };
+        let baseline = one_round(&report, &wifi_fleet(UplinkMode::PerDevice));
+        let contended = one_round(
+            &report,
+            &wifi_fleet(UplinkMode::Shared {
+                profile: LinkProfile::wifi(),
+                discipline: Discipline::Fifo,
+            }),
+        );
+        // Same link class, so any increase is pure queueing — and with
+        // every device releasing at t = 0, uploads must collide.
+        let span_p95 = |net: &CosimReport| net.round_percentile_us(0, RoundRecord::span_us, 0.95);
+        assert!(
+            span_p95(&contended) > span_p95(&baseline),
+            "contended {} µs must beat uncontended {} µs",
+            span_p95(&contended),
+            span_p95(&baseline)
+        );
+        assert!(contended.round_percentile_us(0, |r| r.queue_us, 0.95) > 0);
+        assert_eq!(baseline.round_percentile_us(0, |r| r.queue_us, 0.95), 0);
+        // Train/audit components are untouched by the network shape.
+        for q in [0.5, 0.95] {
+            assert_eq!(
+                contended.round_percentile_us(0, |r| r.train_us, q),
+                baseline.round_percentile_us(0, |r| r.train_us, q)
+            );
+            assert_eq!(
+                contended.round_percentile_us(0, |r| r.audit_us, q),
+                baseline.round_percentile_us(0, |r| r.audit_us, q)
+            );
+        }
+    }
+
+    #[test]
+    fn the_simulated_timeline_is_independent_of_pool_width() {
+        // Two reports that differ only in schedule-dependent fields
+        // (worker count, host wall clock, versions) must run to
+        // bit-identical traces and records.
+        let a = synthetic_round(5, 0);
+        let mut outcomes = a.outcomes.clone();
+        for o in &mut outcomes {
+            o.version += 7; // publication order differs across widths
+            o.enroll_latency = Duration::from_millis(99); // host time differs
+        }
+        let b = TrainReport::new(8, outcomes, Duration::from_millis(123), 1_000);
+        let config = NetworkConfig::default();
+        let net_a = one_round(&a, &config);
+        let net_b = one_round(&b, &config);
+        assert_eq!(net_a.fingerprint(), net_b.fingerprint());
+        assert_eq!(net_a.sim.trace, net_b.sim.trace);
+        assert_eq!(net_a.records, net_b.records);
+    }
+
+    #[test]
+    fn stragglers_are_marked_and_slower() {
+        let report = synthetic_round(24, 0);
+        let config = NetworkConfig {
+            uplink: UplinkMode::PerDevice,
+            download: TransferPolicy::default(),
+            ..straggling(0.3, 20.0)
+        };
+        let net = one_round(&report, &config);
+        let stragglers = net.stragglers();
+        assert!(stragglers > 0, "30% injection over 24 devices");
+        assert!(stragglers < 24);
+        let worst_normal =
+            net.records.iter().filter(|r| !r.straggler).map(RoundRecord::span_us).max().unwrap();
+        for r in net.records.iter().filter(|r| r.straggler) {
+            assert!(
+                r.span_us() > worst_normal,
+                "a 20x straggler ({} µs) must trail every normal device ({} µs)",
+                r.span_us(),
+                worst_normal
+            );
+        }
+        assert!(net.straggler_p95_us(0) > worst_normal);
+    }
+
+    #[test]
+    fn tight_timeouts_without_retries_fail_stragglers() {
+        let report = synthetic_round(16, 0);
+        // Downloads must finish within 40 ms: fine on wifi (~72 kB in
+        // ~14 ms), hopeless at 50x slowdown.
+        let config = NetworkConfig { uplink: UplinkMode::PerDevice, ..straggling(0.25, 50.0) };
+        let net = one_round(&report, &config);
+        assert_eq!(net.timed_out(), net.stragglers(), "exactly the stragglers fail");
+        assert!(net.timed_out() > 0);
+        let completed = net.records.iter().filter(|r| r.completed).count();
+        assert_eq!(completed + net.timed_out(), 16);
+        assert!(!net.render().is_empty());
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //!   seeds derive from [`pool::user_seed`], so parallel output is
 //!   **bit-identical** to sequential output for any worker count.
 //! * [`job`] — per-user [`job::TrainJob`]s: fresh personalization
-//!   (Fig. 4 step 2, via [`pelican::DevicePersonalizer::personalize`]) or
-//!   warm-start updates (step 4, via
-//!   [`pelican::DevicePersonalizer::update`]) from the user's currently
-//!   published envelope.
+//!   (Fig. 4 step 2, via [`pelican::personalize()`]) or warm-start updates
+//!   (step 4, [`pelican_nn::fit`] from the current parameters) of the
+//!   user's currently published envelope.
 //! * [`audit`] — the privacy-audit gate: every candidate model is
 //!   attacked with the [`pelican_attacks`] suite before release, and the
 //!   gate escalates the deployed defense (a ladder of
@@ -35,16 +34,15 @@
 //! * [`staleness`] — the detection→last-swap window measurement itself,
 //!   shared with any other flow that swaps a fleet back (e.g. the A/B
 //!   losing-arm flip in `pelican-abx`).
-//! * [`network`] — replays a pipeline run through the [`pelican_sim`]
-//!   discrete-event simulator: downloads overlap training across the
-//!   fleet, uploads queue on a shared uplink, stragglers straggle, and
-//!   the whole timeline is bit-identical across pool widths.
-//! * [`cosim`] — closes the loop over multiple training rounds: network
-//!   outcomes feed back (a timed-out download means the device never
-//!   trains that round, retries reorder warm-start arrivals, audit
-//!   compute and publication uploads share the same virtual clock),
-//!   with open-loop replay and closed-loop co-simulation bit-identical
-//!   exactly when nothing fails.
+//! * [`cosim`] — runs one or more pipeline rounds through the
+//!   [`pelican_sim`] discrete-event simulator: downloads overlap training
+//!   across the fleet, uploads queue on a shared uplink, stragglers
+//!   straggle, and the whole timeline is bit-identical across pool
+//!   widths. Over several rounds network outcomes can feed back (a
+//!   timed-out download means the device never trains that round,
+//!   retries reorder warm-start arrivals, audit compute and publication
+//!   uploads share the same virtual clock), with open-loop replay and
+//!   closed-loop co-simulation bit-identical exactly when nothing fails.
 //!
 //! # Example
 //!
@@ -83,7 +81,6 @@
 pub mod audit;
 pub mod cosim;
 pub mod job;
-pub mod network;
 pub mod pipeline;
 pub mod pool;
 pub mod report;
@@ -93,11 +90,10 @@ pub mod staleness;
 pub use audit::{AuditConfig, AuditGate, AuditSubject, GateOutcome, GateVerdict};
 // The cache type `AuditGate::admit_with_cache` hands back; re-exported so
 // incremental re-audit callers need no direct `pelican_attacks` edge.
-pub use cosim::{cosimulate_fleet, CosimReport, LoopMode, Publication, RoundRecord};
-pub use job::{cohort_jobs, JobKind, TrainJob};
-pub use network::{
-    simulate_fleet_network, NetComponent, NetEnroll, NetTrainReport, NetworkConfig, UplinkMode,
+pub use cosim::{
+    cosimulate_fleet, CosimReport, LoopMode, NetworkConfig, Publication, RoundRecord, UplinkMode,
 };
+pub use job::{cohort_jobs, JobKind, TrainJob};
 pub use pelican_attacks::LogitCache;
 pub use pipeline::{run_pipeline, FleetTrainer, PipelineConfig};
 pub use pool::{user_seed, TrainerPool};

@@ -19,8 +19,8 @@
 
 use std::time::{Duration, Instant};
 
-use pelican::platform::{measure_thread, ComputeTier, NetworkLink};
-use pelican::{DefenseKind, DevicePersonalizer, PersonalizationConfig, PersonalizationMethod};
+use pelican::platform::{measure_thread, ComputeTier};
+use pelican::{DefenseKind, PersonalizationConfig, PersonalizationMethod};
 use pelican_mobility::FeatureSpace;
 use pelican_nn::{FitReport, ModelEnvelope, SequenceModel};
 use pelican_serve::ShardedRegistry;
@@ -44,8 +44,6 @@ pub struct PipelineConfig {
     /// Device-side training hyperparameters. The `seed` and
     /// `train.shuffle_seed` fields are overridden per user.
     pub personalization: PersonalizationConfig,
-    /// The device↔cloud link paid for each general-model download.
-    pub link: NetworkLink,
     /// Red-team configuration of the audit gate.
     pub audit: AuditConfig,
 }
@@ -57,7 +55,6 @@ impl Default for PipelineConfig {
             base_seed: 42,
             method: PersonalizationMethod::TlFeatureExtract,
             personalization: PersonalizationConfig::default(),
-            link: NetworkLink::wifi(),
             audit: AuditConfig::default(),
         }
     }
@@ -105,13 +102,13 @@ impl FleetTrainer {
         &self.config
     }
 
-    /// A personalizer with this user's derived seeds (stream 0 for layer
-    /// init, stream 1 for epoch shuffling).
-    fn personalizer_for(&self, user_id: usize) -> DevicePersonalizer {
+    /// The training hyperparameters with this user's derived seeds
+    /// (stream 0 for layer init, stream 1 for epoch shuffling).
+    fn personalization_for(&self, user_id: usize) -> PersonalizationConfig {
         let mut cfg = self.config.personalization.clone();
         cfg.seed = user_seed(self.config.base_seed, user_id as u64, 0);
         cfg.train = cfg.train.reseeded(user_seed(self.config.base_seed, user_id as u64, 1));
-        DevicePersonalizer::new(cfg, self.config.link)
+        cfg
     }
 
     /// The pipeline's audit gate — shared with callers (like the live
@@ -134,13 +131,12 @@ impl FleetTrainer {
         general: &ModelEnvelope,
         job: &TrainJob,
     ) -> (SequenceModel, FitReport) {
-        let personalizer = self.personalizer_for(job.user_id);
+        let cfg = self.personalization_for(job.user_id);
         match &job.kind {
             JobKind::Fresh => {
-                let outcome = personalizer
-                    .personalize(general, &job.train, self.config.method)
-                    .expect("freshly encoded general envelope always decodes");
-                (outcome.model, outcome.fit)
+                let general =
+                    general.decode().expect("freshly encoded general envelope always decodes");
+                pelican::personalize(&general, &job.train, self.config.method, &cfg)
             }
             JobKind::WarmStart { envelope } => {
                 let mut model = envelope.decode().expect("published envelope always decodes");
@@ -148,7 +144,7 @@ impl FleetTrainer {
                 // state: strip it so warm training sees clean logits; the
                 // gate re-decides the defense from scratch below.
                 DefenseKind::None.apply(&mut model);
-                let (fit, _usage) = personalizer.update(&mut model, &job.train);
+                let fit = pelican_nn::fit(&mut model, &job.train, &cfg.train);
                 (model, fit)
             }
         }

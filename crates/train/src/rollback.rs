@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use pelican_nn::{Postprocess, SequenceModel, Step};
-use pelican_serve::{RegistryConfig, ShardedRegistry};
+use pelican_serve::{job_id, split_job_id, RegistryConfig, ShardedRegistry};
 use pelican_sim::{
     mix64, stage_stats, Discipline, JobReport, JobSpec, LinkProfile, LinkSpec, RetryPolicy,
     SimControl, Simulator, Stage, TransferPolicy, Workload,
@@ -36,19 +36,12 @@ use pelican_store::{EnvelopeStore, MemBackend, StoreConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Job-id namespacing: kind in the top byte, payload below (the same
-/// convention as `pelican_serve::simserve` and `pelican_train::cosim`).
-const KIND_SHIFT: u32 = 56;
+/// Job kinds, namespaced by [`pelican_serve::job_id`] (kind in the top
+/// byte, payload below).
 const KIND_QUERY: u64 = 1;
 const KIND_REGRESS: u64 = 2;
 const KIND_CANARY: u64 = 3;
 const KIND_PUSH: u64 = 4;
-const PAYLOAD_MASK: u64 = (1 << KIND_SHIFT) - 1;
-
-fn job_id(kind: u64, payload: u64) -> u64 {
-    debug_assert!(payload <= PAYLOAD_MASK);
-    (kind << KIND_SHIFT) | payload
-}
 
 /// The answer a client acts on: argmax of the *served confidences*
 /// (`predict_proba`), which is where the postprocess applies — a raw
@@ -264,8 +257,7 @@ impl RollbackFlow<'_> {
 
 impl Workload for RollbackFlow<'_> {
     fn on_job_end(&mut self, job: &JobReport, sim: &mut SimControl) {
-        let kind = job.id >> KIND_SHIFT;
-        let payload = job.id & PAYLOAD_MASK;
+        let (kind, payload) = split_job_id(job.id);
         match kind {
             KIND_QUERY => {
                 let user = payload as usize % self.cfg.users;

@@ -10,8 +10,8 @@ use pelican_mobility::{CampusConfig, DatasetBuilder, MobilityDataset, Scale, Spa
 use pelican_nn::{ModelEnvelope, SequenceModel, TrainConfig};
 use pelican_serve::{RegistryConfig, ShardedRegistry};
 use pelican_train::{
-    cohort_jobs, simulate_fleet_network, AuditConfig, FleetTrainer, NetworkConfig, PipelineConfig,
-    TrainJob, TrainReport,
+    cohort_jobs, cosimulate_fleet, AuditConfig, FleetTrainer, LoopMode, NetworkConfig,
+    PipelineConfig, TrainJob, TrainReport,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -95,7 +95,7 @@ fn one_two_and_eight_workers_publish_bit_identical_models() {
 
 #[test]
 fn network_replay_fingerprint_is_width_invariant() {
-    // A report replays through the discrete-event network simulator to
+    // A report runs through the discrete-event network co-simulation to
     // the same timeline whatever pool produced it: every download, upload
     // and publication instant derives from the per-job simulated
     // durations, which do not depend on the worker count.
@@ -104,7 +104,7 @@ fn network_replay_fingerprint_is_width_invariant() {
     let net = NetworkConfig::default();
     let replay = |workers: usize| {
         let (report, _) = run(workers, &general, &dataset, &jobs);
-        simulate_fleet_network(&report, general_bytes, &net).fingerprint()
+        cosimulate_fleet(&[&report], general_bytes, &net, LoopMode::Open).fingerprint()
     };
     let sequential = replay(1);
     for workers in [2usize, 8] {

@@ -11,8 +11,7 @@
 //!    round is absent from the closed-loop timeline only;
 //! 3. the closed-loop trace fingerprint is identical across 1/2/8-worker
 //!    trainer pools;
-//! 4. the sim-driven batch scheduler reproduces the offline `coalesce`
-//!    output with no network and reshapes its batches under uplink
+//! 4. the sim-driven batch scheduler reshapes its batches under uplink
 //!    jitter.
 //!
 //! Run with: `cargo run --release --example fleet_cosim`
@@ -22,8 +21,8 @@ use pelican::PersonalizationConfig;
 use pelican_mobility::{Scale, SpatialLevel};
 use pelican_nn::{ModelEnvelope, SequenceModel, TrainConfig};
 use pelican_serve::{
-    batch_compositions, simulate_serving, BatchScheduler, CloudNetwork, RegistryConfig, Request,
-    SchedulerConfig, ShardedRegistry, SimServeConfig,
+    simulate_serving, CloudNetwork, RegistryConfig, Request, SchedulerConfig, ShardedRegistry,
+    SimServeConfig,
 };
 use pelican_sim::{LinkMix, LinkProfile, RetryPolicy, StragglerConfig, TransferPolicy};
 use pelican_train::{
@@ -130,8 +129,7 @@ fn main() {
     }
     println!("determinism   : closed-loop trace identical at 1, 2 and 8 workers ✓");
 
-    // 4. Sim-driven scheduler: offline-identical without a network,
-    // reshaped under jitter.
+    // 4. Sim-driven scheduler: batches reshaped under jitter.
     let mut rng = StdRng::seed_from_u64(0x5E12);
     let general = SequenceModel::single_lstm(6, 8, 4, 0.0, &mut rng);
     let registry = ShardedRegistry::new(general, RegistryConfig { shards: 4, hot_capacity: 8 });
@@ -155,12 +153,6 @@ fn main() {
     };
     let quiet =
         simulate_serving(&registry, &requests, &sim_config(None)).expect("envelopes decode");
-    let legacy = BatchScheduler::new(scheduler, registry.shard_count()).coalesce(requests.clone());
-    assert_eq!(
-        quiet.compositions(),
-        batch_compositions(&legacy),
-        "no network ⇒ sim-driven batching matches the offline scheduler"
-    );
     let jitter = CloudNetwork {
         mix: LinkMix::cellular_heavy()
             .with_stragglers(StragglerConfig { fraction: 0.3, slowdown: 6.0 }),
@@ -171,7 +163,7 @@ fn main() {
         .expect("envelopes decode");
     assert_ne!(quiet.compositions(), shaken.compositions(), "jitter must reshape batches");
     println!(
-        "scheduler     : {} offline-identical batches -> {} batches under jitter ({} dropped) ✓",
+        "scheduler     : {} batches without a network -> {} batches under jitter ({} dropped) ✓",
         quiet.batches.len(),
         shaken.batches.len(),
         shaken.dropped,

@@ -1,9 +1,9 @@
-//! Fleet networking: train a cohort, then replay it through the
-//! discrete-event device↔cloud simulator.
+//! Fleet networking: train a cohort, then price it as a one-round
+//! co-simulation on the discrete-event device↔cloud simulator.
 //!
 //! Drives the full `pelican-sim` integration end to end: the trainer
 //! pool personalizes and audits a small cohort (per-job simulated device
-//! costs measured exactly per thread), the simulator replays the fleet —
+//! costs measured exactly per thread), the simulator runs the fleet —
 //! general-model downloads over heterogeneous seeded links overlapping
 //! other devices' training, publication uploads queued on one shared
 //! cloud uplink, stragglers injected — and cloud-deployed serving pays
@@ -20,9 +20,14 @@ use pelican_nn::{ModelEnvelope, TrainConfig};
 use pelican_serve::{run_fleet, CloudNetwork, FleetConfig, RegistryConfig, ShardedRegistry};
 use pelican_sim::{Discipline, LinkMix, LinkProfile, StragglerConfig};
 use pelican_train::{
-    cohort_jobs, simulate_fleet_network, AuditConfig, FleetTrainer, NetComponent, NetworkConfig,
-    PipelineConfig, UplinkMode,
+    cohort_jobs, cosimulate_fleet, AuditConfig, CosimReport, FleetTrainer, LoopMode, NetworkConfig,
+    PipelineConfig, RoundRecord, TrainReport, UplinkMode,
 };
+
+/// p95 of release → publication over the round's completed devices (µs).
+fn enroll_p95_us(report: &CosimReport) -> u64 {
+    report.round_percentile_us(0, RoundRecord::span_us, 0.95)
+}
 
 fn main() {
     let scenario =
@@ -60,14 +65,18 @@ fn main() {
         seed: 0xF1EE7,
         ..NetworkConfig::default()
     };
-    let narrow_sim = simulate_fleet_network(&report, general_bytes, &net);
-    let wide_sim = simulate_fleet_network(&wide, general_bytes, &net);
+    // One finished round, so open vs. closed is moot.
+    let simulate = |report: &TrainReport, net: &NetworkConfig| {
+        cosimulate_fleet(&[report], general_bytes, net, LoopMode::Open)
+    };
+    let narrow_sim = simulate(&report, &net);
+    let wide_sim = simulate(&wide, &net);
     assert_eq!(narrow_sim.sim.trace, wide_sim.sim.trace, "trace must ignore pool width");
-    assert_eq!(narrow_sim.enrolls, wide_sim.enrolls, "breakdowns must ignore pool width");
+    assert_eq!(narrow_sim.records, wide_sim.records, "breakdowns must ignore pool width");
     assert_eq!(
         narrow_sim.fingerprint(),
-        simulate_fleet_network(&report, general_bytes, &net).fingerprint(),
-        "same inputs must replay bit-identically"
+        simulate(&report, &net).fingerprint(),
+        "same inputs must run bit-identically"
     );
     println!(
         "determinism   : trace {:016x} identical at 1 and 4 workers ✓\n",
@@ -80,40 +89,39 @@ fn main() {
     // FIFO uplink — queueing alone must raise the p95.
     let wifi =
         |uplink| NetworkConfig { mix: LinkMix::all_wifi(), uplink, ..NetworkConfig::default() };
-    let baseline = simulate_fleet_network(&report, general_bytes, &wifi(UplinkMode::PerDevice));
-    let contended = simulate_fleet_network(
+    let baseline = simulate(&report, &wifi(UplinkMode::PerDevice));
+    let contended = simulate(
         &report,
-        general_bytes,
         &wifi(UplinkMode::Shared { profile: LinkProfile::wifi(), discipline: Discipline::Fifo }),
     );
     assert!(
-        contended.enroll_percentile_us(0.95) > baseline.enroll_percentile_us(0.95),
+        enroll_p95_us(&contended) > enroll_p95_us(&baseline),
         "shared uplink must strictly raise p95 enroll latency"
     );
-    assert!(contended.component_percentile_us(NetComponent::Queue, 0.95) > 0);
+    assert!(contended.round_percentile_us(0, |r| r.queue_us, 0.95) > 0);
     println!(
         "contention    : p95 {:.1} ms per-device -> {:.1} ms shared uplink ✓",
-        baseline.enroll_percentile_us(0.95) as f64 / 1e3,
-        contended.enroll_percentile_us(0.95) as f64 / 1e3,
+        enroll_p95_us(&baseline) as f64 / 1e3,
+        enroll_p95_us(&contended) as f64 / 1e3,
     );
 
     // Stragglers straggle: every straggler trails every normal device.
     if narrow_sim.stragglers() > 0 {
         let worst_normal = narrow_sim
-            .enrolls
+            .records
             .iter()
-            .filter(|e| !e.straggler)
-            .map(|e| e.enroll_us)
+            .filter(|r| !r.straggler)
+            .map(RoundRecord::span_us)
             .max()
             .unwrap_or(0);
-        for e in narrow_sim.enrolls.iter().filter(|e| e.straggler) {
-            assert!(e.enroll_us > worst_normal, "8x stragglers must finish last");
+        for r in narrow_sim.records.iter().filter(|r| r.straggler) {
+            assert!(r.span_us() > worst_normal, "8x stragglers must finish last");
         }
         println!(
             "stragglers    : {} of {} devices, p95 {:.1} ms ✓",
             narrow_sim.stragglers(),
-            narrow_sim.enrolls.len(),
-            narrow_sim.straggler_p95_us() as f64 / 1e3,
+            narrow_sim.devices,
+            narrow_sim.straggler_p95_us(0) as f64 / 1e3,
         );
     }
 
