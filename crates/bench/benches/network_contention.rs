@@ -8,11 +8,19 @@
 //! enough for the event queue (not setup) to dominate. Determinism is
 //! asserted before timing starts: identical inputs must produce
 //! bit-identical traces.
+//!
+//! The `sim_engine` rows are the engine's own layer row, as nn, audit
+//! and store have theirs: one passive fingerprint-level run of the
+//! tracked `sim-scale` fleet shape, ten trace events per device, so a
+//! row divided by its event count (50 000 and 1 000 000) is the cost of
+//! an event. At 5 000 devices everything the loop touches stays in a
+//! 2 MB L2; at 100 000 it does not, and the difference between the two
+//! per-event costs is what the memory system charges.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use pelican_sim::{
-    Discipline, JobSpec, LinkMix, LinkSpec, Passive, Simulator, Stage, StragglerConfig,
+    Discipline, JobSpec, LinkMix, LinkSpec, Passive, Simulator, Stage, StragglerConfig, TraceLevel,
     TransferPolicy,
 };
 
@@ -93,5 +101,18 @@ fn bench_network_contention(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_network_contention);
+fn bench_sim_engine(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sim_engine");
+    for (name, devices) in [("5k", 5_000usize), ("100k", 100_000)] {
+        let (links, specs) = pelican_bench::experiments::sim_scale::fleet(devices, 42);
+        let sim = Simulator::builder().links(links).trace(TraceLevel::Fingerprint).build();
+        assert_eq!(sim.run(&specs, &mut Passive).events(), 10 * devices as u64);
+        group.bench_function(format!("{name}-devices"), |b| {
+            b.iter(|| std::hint::black_box(sim.run(&specs, &mut Passive).fingerprint()))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_network_contention, bench_sim_engine);
 criterion_main!(benches);

@@ -375,7 +375,8 @@ fn run_sim_scale(config: &RunConfig) {
     let run = sim_scale::run(config);
     println!("fingerprints bit-identical across 1/2/8 shards at every population\n");
     println!("{}", sim_scale::table(&run).render());
-    let json = sim_scale::to_json(&run, &crate::report::host_stamp());
+    let previous = std::fs::read_to_string("BENCH_sim_scale.json").ok();
+    let json = sim_scale::to_json(&run, &crate::report::host_stamp(), previous.as_deref());
     match std::fs::write("BENCH_sim_scale.json", &json) {
         Ok(()) => println!("wrote BENCH_sim_scale.json"),
         Err(e) => eprintln!("could not write BENCH_sim_scale.json: {e}"),

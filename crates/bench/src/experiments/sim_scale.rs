@@ -11,10 +11,19 @@
 //! three fingerprints are bit-identical before any number is reported —
 //! a perf figure from a nondeterministic engine would be worthless.
 //!
+//! Every population gets one discarded warm-up run before its timed
+//! rows: in a fresh process the first run pays the first touch of the
+//! population's memory (~1 GB at 10⁶ devices), and without the warm-up
+//! that bill lands on whichever shard count is timed first — the
+//! 1-shard row every other row is compared with.
+//!
 //! Results go to stdout as a table and to `BENCH_sim_scale.json` in the
-//! working directory. The JSON schema is documented in the repository
+//! working directory; the record this one replaces, if it was taken at
+//! another commit or on another host, stays in the new one as the
+//! `before` block. The JSON schema is documented in the repository
 //! README under "Scaling & perf baseline"; the CI `sim-scale` step
-//! parses it and fails on fingerprint divergence.
+//! parses it and fails on fingerprint divergence — across shard counts,
+//! and against the tracked record's `before`.
 
 use std::time::Instant;
 
@@ -23,7 +32,7 @@ use pelican_sim::{
     TraceLevel, TransferPolicy,
 };
 
-use crate::report::Table;
+use crate::report::{field, Table};
 use crate::RunConfig;
 
 /// Devices per shared fair-share uplink group.
@@ -78,8 +87,10 @@ pub struct SimScaleRun {
 
 /// The scaling fleet: per-device FIFO last-hop links, one fair-share WAN
 /// uplink per 64-device group, one three-stage enrollment job per
-/// device with releases spread over ~250 ms of virtual time.
-fn fleet(devices: usize, seed: u64) -> (Vec<LinkSpec>, Vec<JobSpec>) {
+/// device with releases spread over ~250 ms of virtual time — ten trace
+/// events per device. (The `sim_engine` criterion rows time this shape
+/// too.)
+pub fn fleet(devices: usize, seed: u64) -> (Vec<LinkSpec>, Vec<JobSpec>) {
     let groups = devices.div_ceil(GROUP);
     let mix = LinkMix::campus();
     let mut links: Vec<LinkSpec> =
@@ -138,14 +149,19 @@ pub fn run(config: &RunConfig) -> SimScaleRun {
     let mut results = Vec::new();
     for &devices in &populations {
         let (links, specs) = fleet(devices, config.seed);
-        let mut runs: Vec<ShardRun> = Vec::new();
-        let mut baseline = None;
-        for shards in SHARDS {
-            let sim = Simulator::builder()
+        let simulator = |shards| {
+            Simulator::builder()
                 .links(links.clone())
                 .shards(shards)
                 .trace(TraceLevel::Fingerprint)
-                .build();
+                .build()
+        };
+        // Discarded: first touch of this population's memory.
+        drop(simulator(1).run(&specs, &mut Passive));
+        let mut runs: Vec<ShardRun> = Vec::new();
+        let mut baseline = None;
+        for shards in SHARDS {
+            let sim = simulator(shards);
             let started = Instant::now();
             let out = sim.run(&specs, &mut Passive);
             let wall = started.elapsed();
@@ -215,15 +231,63 @@ pub fn table(run: &SimScaleRun) -> Table {
     t
 }
 
+/// The `before` block of a new record: what `previous` (the file about
+/// to be replaced) measured for the populations of `run`, if it was
+/// taken with the same seed on another host stamp — its host, and per
+/// population the fingerprint and the wall times in shard order. A
+/// re-run at the same stamp keeps the `before` it already had. `null`
+/// with nothing to compare with. One line, like every top-level field.
+fn before_block(previous: Option<&str>, host: &str, run: &SimScaleRun) -> String {
+    let null = || "null".to_owned();
+    let Some(previous) = previous.filter(|p| field(p, "seed") == Some(&run.seed.to_string()))
+    else {
+        return null();
+    };
+    let previous_host = field(previous, "host").unwrap_or("null");
+    if previous_host == host {
+        return field(previous, "before").map_or_else(null, str::to_owned);
+    }
+    // The previous record's own `before` line names populations too.
+    let body: Vec<&str> =
+        previous.lines().filter(|l| !l.trim_start().starts_with("\"before\"")).collect();
+    let body = body.join("\n");
+    let populations: Vec<String> = run
+        .populations
+        .iter()
+        .filter_map(|pop| {
+            let block = body.split("\"devices\": ").skip(1).find(|block| {
+                block.split(',').next().map(str::trim) == Some(&pop.devices.to_string())
+            })?;
+            let walls: Vec<&str> = block
+                .lines()
+                .filter(|l| l.contains("\"shards\": "))
+                .filter_map(|l| field(l, "wall_ms")?.split(',').next())
+                .collect();
+            Some(format!(
+                "{{\"devices\": {}, \"fingerprint\": {}, \"wall_ms\": [{}]}}",
+                pop.devices,
+                field(block, "fingerprint")?,
+                walls.join(", ")
+            ))
+        })
+        .collect();
+    if populations.is_empty() {
+        return null();
+    }
+    format!("{{\"host\": {previous_host}, \"populations\": [{}]}}", populations.join(", "))
+}
+
 /// Serializes the sweep to the documented `BENCH_sim_scale.json` schema.
 /// Fingerprints are hex strings (u64 does not survive JSON doubles).
 /// `host` is [`crate::report::host_stamp`]: the shard speedups mean
-/// nothing without the core count they were taken on.
-pub fn to_json(run: &SimScaleRun, host: &str) -> String {
+/// nothing without the core count they were taken on. `previous` is the
+/// tracked file this record replaces, for the `before` block.
+pub fn to_json(run: &SimScaleRun, host: &str, previous: Option<&str>) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"experiment\": \"sim-scale\",\n");
     out.push_str(&format!("  \"seed\": {},\n", run.seed));
     out.push_str(&format!("  \"host\": {host},\n"));
+    out.push_str(&format!("  \"before\": {},\n", before_block(previous, host, run)));
     out.push_str(&format!("  \"shards\": [{}],\n", SHARDS.map(|s| s.to_string()).join(", ")));
     out.push_str("  \"populations\": [\n");
     for (i, pop) in run.populations.iter().enumerate() {
@@ -270,8 +334,10 @@ mod tests {
         assert!(pop.events > 0);
         assert_eq!(pop.timed_out, 0);
         assert!(pop.p95_rtt_us > 0);
-        let json = to_json(&run, r#"{"cores": 2, "commit": "bbbbbbb"}"#);
+        let host = r#"{"cores": 2, "commit": "bbbbbbb"}"#;
+        let json = to_json(&run, host, None);
         assert!(json.contains(r#""host": {"cores": 2, "commit": "bbbbbbb"},"#));
+        assert!(json.contains("\"before\": null,"), "nothing tracked to compare with");
         assert!(json.contains("\"devices\": 600"));
         assert!(json.contains("\"fingerprints_match\": true"));
         assert!(json.contains(&format!("{:#018x}", pop.fingerprint)));
@@ -286,5 +352,29 @@ mod tests {
         }
         let table = table(&run).render();
         assert!(table.contains("600"));
+
+        // The same sweep recorded at another commit becomes the before
+        // block: its host, and per population this run also covers its
+        // fingerprint and its wall times in shard order…
+        let older = to_json(&run, r#"{"cores": 4, "commit": "aaaaaaa"}"#, None);
+        let newer = to_json(&run, host, Some(&older));
+        let walls: Vec<String> = pop.runs.iter().map(|r| format!("{:.3}", r.wall_ms)).collect();
+        let before = format!(
+            "\"before\": {{\"host\": {{\"cores\": 4, \"commit\": \"aaaaaaa\"}}, \"populations\": \
+             [{{\"devices\": 600, \"fingerprint\": \"{:#018x}\", \"wall_ms\": [{}]}}]}},",
+            pop.fingerprint,
+            walls.join(", ")
+        );
+        assert!(newer.contains(&before), "{newer}");
+        // …a re-run at the same stamp keeps it (and is not confused by the
+        // populations the before line itself names)…
+        assert!(to_json(&run, host, Some(&newer)).contains(&before));
+        // …and a record of other populations, or another seed, is no
+        // comparison at all.
+        let other = RunConfig { devices: Some(300), ..RunConfig::default() };
+        let other = super::run(&other);
+        assert!(to_json(&other, host, Some(&older)).contains("\"before\": null,"));
+        let reseeded = SimScaleRun { seed: run.seed + 1, ..run.clone() };
+        assert!(to_json(&reseeded, host, Some(&older)).contains("\"before\": null,"));
     }
 }

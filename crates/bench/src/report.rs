@@ -101,7 +101,7 @@ pub fn host_stamp() -> String {
 /// The rest of the line after the first `"key": ` in `text`, without a
 /// trailing comma — every top-level field of a tracked record sits on a
 /// line of its own.
-fn field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+pub(crate) fn field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
     let start = text.find(&format!("\"{key}\": "))? + key.len() + 4;
     let line = text[start..].lines().next()?;
     Some(line.trim_end().trim_end_matches(','))

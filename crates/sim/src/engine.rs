@@ -20,12 +20,47 @@
 //!
 //! Fleet scale: the event queue is a hierarchical
 //! [timer wheel](crate::wheel) (O(1) schedule/fire instead of a binary
-//! heap's O(log n)), and jobs, stage specs and stage reports live in
-//! index-based arenas so the hot loop does no per-event allocation.
-//! Passive runs on a [`SimulatorBuilder::shards`]`(n)` simulator
-//! partition links and devices into shard-local event queues on `n`
-//! threads and then merge deterministically (see [`crate::shard`]) —
-//! the trace fingerprint is bit-identical for any shard count.
+//! heap's O(log n)). Passive runs on a [`SimulatorBuilder::shards`]`(n)`
+//! simulator partition links and devices into shard-local event queues
+//! on `n` threads and then merge deterministically (see
+//! [`crate::shard`]) — the trace fingerprint is bit-identical for any
+//! shard count.
+//!
+//! Layout: at 10⁵ devices more than half of an event's cost is waiting
+//! for memory, so what the loop touches per event is kept small and
+//! flat. The public [`Stage`] (72 bytes, a 40-byte [`TransferPolicy`]
+//! inside) is what callers write; the loop runs on private records.
+//!
+//! * An event is 16 bytes — `u32` job / stage / link indices, a `u64`
+//!   token, epoch or timer key — so a wheel entry is 32.
+//! * A job is a 32-byte row, a stage a 24-byte record (compute: a
+//!   duration; transfer: bytes, link, and an index into the run's table
+//!   of distinct policies), each in its own arena; a job's stages are
+//!   contiguous. A stage's label goes straight into its
+//!   [`StageReport`] slot at admission — nothing else reads it.
+//! * A link's state carries the link's latency and bandwidth, so no
+//!   handler walks the link table, and a simulator that runs unsharded
+//!   addresses link state by link id directly.
+//!
+//! The `u32` indices put a ceiling on a run: fewer than 2³² links, jobs
+//! and stages (initial and injected together). Every narrowing goes
+//! through one checked helper, so a run that would cross the ceiling
+//! panics naming the arena instead of wrapping an index.
+//!
+//! Allocation: the loop makes no allocator call per event. The three
+//! arenas are sized for the initial jobs before any is admitted; an idle
+//! FIFO link with an empty queue puts an arrival straight into service,
+//! so a link's queue exists only once two transfers have contended for
+//! it; finished fair-share flows leave through one scratch buffer the
+//! runner owns. What remains is amortised growth, in two places: a FIFO
+//! queue or a fair link's flow list deepening under contention, and a
+//! wheel slot seeing a bigger batch than it has held before. (Injected
+//! jobs grow the arenas by doubling, like any `Vec`.)
+//!
+//! A FIFO link serves one transfer at a time at full bandwidth, so what
+//! it charges for service is the transfer's uncontended cost — the very
+//! `ideal_us` the stage's report was given when the stage was entered.
+//! The loop reads it back from the report instead of dividing again.
 //!
 //! Determinism: the event queue orders by `(time, insertion sequence)`,
 //! so simultaneous events resolve in scheduling order and the entire run
@@ -37,9 +72,9 @@
 //! in the engine; seeds only enter through what callers build (e.g.
 //! [`crate::LinkMix::assign`]).
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
-use crate::link::{Discipline, LinkSpec};
+use crate::link::{transfer_us, Discipline, LinkSpec};
 use crate::trace::{self, TraceEvent};
 use crate::wheel::TimerWheel;
 
@@ -172,9 +207,10 @@ impl StageReport {
     }
 }
 
-/// Arena slot reserved before a stage runs; never visible through a
-/// [`JobView`] (record ranges stop at the last stage actually entered).
-const EMPTY_REPORT: StageReport =
+/// A stage's report slot before the stage runs (admission fills in the
+/// label); never visible through a [`JobView`] — record ranges stop at
+/// the last stage actually entered.
+const UNENTERED_REPORT: StageReport =
     StageReport { label: "", submitted_us: 0, completed_us: 0, ideal_us: 0, attempts: 0 };
 
 /// Label-based lookup shared by [`JobReport`] and [`JobView`].
@@ -427,9 +463,11 @@ impl SimControl<'_, '_> {
     /// # Panics
     ///
     /// Panics if a transfer references a link outside the table or a
-    /// retry policy allows zero attempts.
+    /// retry policy allows zero attempts — or if the run would then hold
+    /// 2³² jobs, or 2³² stages over all its jobs: the engine indexes
+    /// both with `u32` and stops rather than let an index wrap.
     pub fn submit(&mut self, spec: JobSpec) {
-        validate(self.runner.links, &spec);
+        validate(self.runner.link_count, &spec);
         self.runner.admit(&spec, self.now);
     }
 
@@ -440,15 +478,33 @@ impl SimControl<'_, '_> {
     }
 }
 
-/// Panics unless every transfer stage references a known link and allows
-/// at least one attempt.
-fn validate(links: &[LinkSpec], spec: &JobSpec) {
+/// Panics unless every transfer stage references a link below
+/// `link_count` and allows at least one attempt.
+fn validate(link_count: usize, spec: &JobSpec) {
     for stage in &spec.stages {
         if let Stage::Transfer { link, policy, .. } = stage {
-            assert!(*link < links.len(), "transfer references unknown link {link}");
+            assert!(*link < link_count, "transfer references unknown link {link}");
             assert!(policy.retry.max_attempts >= 1, "retry policy needs >= 1 attempt");
         }
     }
+}
+
+/// Narrows an arena length or index to the `u32` the engine's events and
+/// records store it in. This is the one place a `usize` becomes a `u32`:
+/// past 2³² entries a bare `as` cast would wrap and the run would read
+/// another job's stage, so the run stops here instead.
+///
+/// # Panics
+///
+/// Panics, naming the arena and the length it reached, if `n` does not
+/// fit.
+pub(crate) fn arena_u32(n: usize, arena: &str) -> u32 {
+    u32::try_from(n).unwrap_or_else(|_| {
+        panic!(
+            "the {arena} arena reached {n} entries; the engine indexes it with u32 and \
+             holds fewer than 2^32"
+        )
+    })
 }
 
 /// The discrete-event simulator over a fixed link table. Built with
@@ -489,7 +545,9 @@ impl Default for SimulatorBuilder {
 
 impl SimulatorBuilder {
     /// Sets the link table (transfers index into it). Replaces any links
-    /// set earlier.
+    /// set earlier. The engine stores link ids as `u32`, so a table
+    /// holds fewer than 2³² links; [`SimulatorBuilder::build`] panics on
+    /// a longer one.
     pub fn links(mut self, links: impl IntoIterator<Item = LinkSpec>) -> Self {
         self.links = links.into_iter().collect();
         self
@@ -524,7 +582,12 @@ impl SimulatorBuilder {
     }
 
     /// Builds the simulator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the link table holds 2³² links or more.
     pub fn build(self) -> Simulator {
+        arena_u32(self.links.len(), "link");
         Simulator { links: self.links, shards: self.shards, trace: self.trace }
     }
 }
@@ -553,24 +616,18 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if a transfer (initial or injected) references a link
-    /// outside the table or a retry policy allows zero attempts.
+    /// outside the table or a retry policy allows zero attempts, or if
+    /// the run would hold 2³² jobs or stages (see [`SimControl::submit`]).
     pub fn run<W: Workload + ?Sized>(&self, initial: &[JobSpec], workload: &mut W) -> SimOutcome {
         for spec in initial {
-            validate(&self.links, spec);
+            validate(self.links.len(), spec);
         }
         if self.shards > 1 && workload.passive() {
             return crate::shard::run_sharded(&self.links, self.shards, self.trace, initial);
         }
-        let link_local: Vec<u32> = (0..self.links.len() as u32).collect();
-        let mut runner = Runner::new(
-            &self.links,
-            &link_local,
-            0..self.links.len(),
-            self.trace == TraceLevel::Full,
-        );
-        for spec in initial {
-            runner.admit(spec, 0);
-        }
+        let mut runner =
+            Runner::new(&self.links, None, 0..self.links.len(), self.trace == TraceLevel::Full);
+        runner.admit_initial(initial.iter());
         runner.run(workload);
         runner.into_outcome()
     }
@@ -580,59 +637,207 @@ impl Simulator {
 // Engine internals.
 // ---------------------------------------------------------------------
 
+/// A scheduled event: 16 bytes, so a wheel entry (`at`, `seq`, event) is
+/// 32. Jobs, stages and links are `u32` arena indices ([`arena_u32`]);
+/// a `FairJoin` names no link because its stage record does.
 #[derive(Debug)]
 enum Ev {
-    Release { job: usize },
-    ComputeDone { job: usize, stage: usize },
-    FifoDone { link: usize, token: u64 },
-    FairJoin { link: usize, job: usize, stage: usize, attempt: u32 },
-    FairCheck { link: usize, epoch: u64 },
-    Timeout { job: usize, stage: usize, attempt: u32 },
-    Resubmit { job: usize, stage: usize },
+    Release { job: u32 },
+    ComputeDone { job: u32, stage: u32 },
+    FifoDone { link: u32, token: u64 },
+    FairJoin(Xfer),
+    FairCheck { link: u32, epoch: u64 },
+    Timeout(Xfer),
+    Resubmit { job: u32, stage: u32 },
     Timer { key: u64 },
 }
 
-#[derive(Debug, Clone, Copy)]
-struct QueuedXfer {
-    job: usize,
-    stage: usize,
+/// One attempt at one transfer stage of one job: what a FIFO link queues
+/// and serves, a fair-share flow drains, and a `FairJoin` or `Timeout`
+/// is about.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Xfer {
+    job: u32,
+    stage: u32,
     attempt: u32,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct Flow {
-    job: usize,
-    stage: usize,
-    attempt: u32,
+    xfer: Xfer,
     remaining: f64,
 }
 
+/// One link as the loop sees it: its shape (copied from the
+/// [`LinkSpec`] at [`Runner::new`], so no handler walks the link table)
+/// beside its queue state.
 #[derive(Debug)]
-enum LinkState {
-    Fifo { queue: VecDeque<QueuedXfer>, current: Option<QueuedXfer>, token: u64 },
-    Fair { flows: Vec<Flow>, last_us: u64, epoch: u64 },
+struct LinkState {
+    latency_us: u64,
+    bytes_per_sec: f64,
+    sharing: Sharing,
 }
 
-/// Per-job run state — plain indices into the runner's arenas, so the
-/// job table is one flat `Vec` of `Copy` rows.
+#[derive(Debug)]
+enum Sharing {
+    /// `queue` holds what arrived while the link was busy; an idle link
+    /// with an empty queue serves an arrival without touching it, so a
+    /// link that never sees contention never allocates one.
+    Fifo {
+        queue: VecDeque<Xfer>,
+        current: Option<Xfer>,
+        token: u64,
+    },
+    Fair {
+        flows: Vec<Flow>,
+        last_us: u64,
+        epoch: u64,
+    },
+}
+
+impl LinkState {
+    fn new(spec: &LinkSpec) -> Self {
+        let sharing = match spec.discipline {
+            Discipline::Fifo => Sharing::Fifo { queue: VecDeque::new(), current: None, token: 0 },
+            Discipline::FairShare => Sharing::Fair { flows: Vec::new(), last_us: 0, epoch: 0 },
+        };
+        Self {
+            latency_us: spec.profile.latency_us,
+            bytes_per_sec: spec.profile.bytes_per_sec,
+            sharing,
+        }
+    }
+
+    /// Drains every active fair-share flow up to `t` at the equal-share
+    /// rate. Must run before any flow-set mutation.
+    fn fair_advance(&mut self, t: u64) {
+        let Sharing::Fair { flows, last_us, .. } = &mut self.sharing else {
+            unreachable!("fair_advance on a FIFO link");
+        };
+        let elapsed = t - *last_us;
+        *last_us = t;
+        if flows.is_empty() || elapsed == 0 {
+            return;
+        }
+        let drained = elapsed as f64 * self.bytes_per_sec / flows.len() as f64 / 1e6;
+        for flow in flows.iter_mut() {
+            flow.remaining -= drained;
+        }
+    }
+
+    /// When the flow set's next completion check is due, and the epoch
+    /// it is valid for (`None` with no flows).
+    fn fair_next_check(&self, t: u64) -> Option<(u64, u64)> {
+        let Sharing::Fair { flows, epoch, .. } = &self.sharing else {
+            unreachable!("fair_next_check on a FIFO link");
+        };
+        let min_remaining = flows.iter().map(|f| f.remaining).reduce(f64::min)?;
+        let per_flow_us = self.bytes_per_sec / flows.len() as f64 / 1e6;
+        let dt = (min_remaining.max(0.0) / per_flow_us).ceil() as u64;
+        Some((t + dt, *epoch))
+    }
+}
+
+/// One stage as the loop reads it: 24 bytes against [`Stage`]'s 72. The
+/// label is not here — admission writes it into the stage's report slot,
+/// the only place it is read from — and the 40-byte [`TransferPolicy`]
+/// is an index into the run's [`PolicyTable`].
+#[derive(Debug, Clone, Copy)]
+enum StageRec {
+    Compute { duration_us: u64 },
+    Transfer { bytes: u64, link: u32, policy: u32 },
+}
+
+/// The distinct [`TransferPolicy`]s of a run, interned at admission. A
+/// fleet deals one or two policies to all its stages, but nothing stops
+/// a caller dealing thousands, so lookup is a hash map — keyed on the
+/// policy's **bit pattern**: `backoff_factor` is an `f64`, and a NaN,
+/// which `==` never finds again, would grow a table searched with `==`
+/// by one entry per stage.
+#[derive(Debug, Default)]
+struct PolicyTable {
+    policies: Vec<TransferPolicy>,
+    ids: HashMap<[u64; 4], u32>,
+    /// The previous lookup: consecutive stages usually share a policy.
+    last: Option<([u64; 4], u32)>,
+}
+
+impl PolicyTable {
+    fn intern(&mut self, policy: &TransferPolicy) -> u32 {
+        let key = [
+            policy.timeout_us.unwrap_or(0),
+            u64::from(policy.retry.max_attempts) << 1 | u64::from(policy.timeout_us.is_some()),
+            policy.retry.backoff_us,
+            policy.retry.backoff_factor.to_bits(),
+        ];
+        if let Some((last_key, id)) = self.last {
+            if last_key == key {
+                return id;
+            }
+        }
+        let policies = &mut self.policies;
+        let id = *self.ids.entry(key).or_insert_with(|| {
+            policies.push(*policy);
+            arena_u32(policies.len() - 1, "transfer-policy")
+        });
+        self.last = Some((key, id));
+        id
+    }
+
+    fn get(&self, id: u32) -> &TransferPolicy {
+        &self.policies[id as usize]
+    }
+}
+
+/// Per-job run state: 32 bytes of plain indices, so the job table is one
+/// flat `Vec` of `Copy` rows, two to a cache line.
 #[derive(Debug, Clone, Copy)]
 struct JobRun {
     id: u64,
     release_us: u64,
-    spec_base: u32,
-    spec_len: u32,
-    report_base: u32,
+    /// The job's first slot in both the stage arena and the stage-report
+    /// arena (they grow in step, one slot per stage).
+    base: u32,
+    len: u32,
     cursor: u32,
+    /// Attempt number of the current transfer stage, from 1 — and 0 once
+    /// the job is terminal. No event carries attempt 0, so every
+    /// staleness check fails on a finished job without a status field;
+    /// `cursor` then tells how it ended (see [`JobRun::status`]).
     attempt: u32,
-    status: Option<JobStatus>,
 }
 
 impl JobRun {
+    /// The arena slot of the job's `stage`.
+    fn slot(&self, stage: u32) -> usize {
+        self.base as usize + stage as usize
+    }
+
+    fn running(&self) -> bool {
+        self.attempt != 0
+    }
+
+    /// Marks the job terminal where its cursor stands: past the last
+    /// stage it completed, on a stage it timed out there.
+    fn end(&mut self) {
+        self.attempt = 0;
+    }
+
+    fn status(&self) -> Option<JobStatus> {
+        if self.running() {
+            None
+        } else if self.cursor == self.len {
+            Some(JobStatus::Completed)
+        } else {
+            Some(JobStatus::TimedOut { stage: self.cursor as usize })
+        }
+    }
+
     /// Stage reports actually entered (terminal jobs only).
-    fn filled_len(&self, status: JobStatus) -> usize {
+    fn filled_len(&self, status: JobStatus) -> u32 {
         match status {
-            JobStatus::Completed => self.spec_len as usize,
-            JobStatus::TimedOut { stage } => stage + 1,
+            JobStatus::Completed => self.len,
+            JobStatus::TimedOut { .. } => self.cursor + 1,
         }
     }
 }
@@ -691,58 +896,53 @@ pub(crate) struct ShardRun {
 }
 
 pub(crate) struct Runner<'a> {
-    links: &'a [LinkSpec],
-    /// Global link id → index into `link_states` (identity when this
-    /// runner owns every link; shard-local positions otherwise).
-    link_local: &'a [u32],
+    /// Length of the global link table, for validating injected jobs.
+    link_count: usize,
+    /// Global link id → index into `link_states` on a shard. `None` when
+    /// this runner owns every link: an id is then its own index.
+    link_local: Option<&'a [u32]>,
     queue: TimerWheel<Ev>,
     seq: u64,
     link_states: Vec<LinkState>,
     jobs: Vec<JobRun>,
-    /// Flattened stage specs of every admitted job.
-    stage_specs: Vec<Stage>,
-    /// Stage-report arena; each job owns `[report_base, report_base +
-    /// spec_len)`, reserved at admission so the hot loop never allocates.
+    /// Stage records of every admitted job, flattened.
+    stages: Vec<StageRec>,
+    /// Stage-report arena, slot for slot beside `stages`: each job owns
+    /// `[base, base + len)`, written (labels included) at admission.
     stage_reports: Vec<StageReport>,
+    policies: PolicyTable,
     sink: TraceSink,
     log: Option<MergeLog>,
     /// Jobs that reached a terminal state during the current event,
     /// awaiting their `on_job_end` callback (drained in order).
-    finished: VecDeque<usize>,
+    finished: VecDeque<u32>,
+    /// `fair_check`'s finished flows; empty between events.
+    done_flows: Vec<Flow>,
 }
 
 impl<'a> Runner<'a> {
     /// A runner over the global `links` table owning the links in
     /// `owned` (ascending global ids, matching `link_local`'s mapping).
     pub(crate) fn new(
-        links: &'a [LinkSpec],
-        link_local: &'a [u32],
+        links: &[LinkSpec],
+        link_local: Option<&'a [u32]>,
         owned: impl IntoIterator<Item = usize>,
         store_trace: bool,
     ) -> Self {
-        let link_states = owned
-            .into_iter()
-            .map(|g| match links[g].discipline {
-                Discipline::Fifo => {
-                    LinkState::Fifo { queue: VecDeque::new(), current: None, token: 0 }
-                }
-                Discipline::FairShare => {
-                    LinkState::Fair { flows: Vec::new(), last_us: 0, epoch: 0 }
-                }
-            })
-            .collect();
         Self {
-            links,
+            link_count: links.len(),
             link_local,
             queue: TimerWheel::new(),
             seq: 0,
-            link_states,
+            link_states: owned.into_iter().map(|g| LinkState::new(&links[g])).collect(),
             jobs: Vec::new(),
-            stage_specs: Vec::new(),
+            stages: Vec::new(),
             stage_reports: Vec::new(),
+            policies: PolicyTable::default(),
             sink: TraceSink::new(store_trace),
             log: None,
             finished: VecDeque::new(),
+            done_flows: Vec::new(),
         }
     }
 
@@ -753,29 +953,44 @@ impl<'a> Runner<'a> {
         self.log = Some(MergeLog::default());
     }
 
+    /// Admits a run's initial jobs, in order, after sizing the three
+    /// arenas for them once.
+    pub(crate) fn admit_initial<'s>(&mut self, specs: impl Iterator<Item = &'s JobSpec> + Clone) {
+        let (jobs, stages) = specs
+            .clone()
+            .fold((0, 0), |(jobs, stages), spec| (jobs + 1, stages + spec.stages.len()));
+        self.jobs.reserve(jobs);
+        self.stages.reserve(stages);
+        self.stage_reports.reserve(stages);
+        for spec in specs {
+            self.admit(spec, 0);
+        }
+    }
+
     /// Registers a job (initial or injected) and schedules its release.
     /// This is the single stamping point for internal fields: the
     /// caller's spec is read, never mutated, and the release time is
     /// clamped to `floor_us` (0 for initial jobs, the current virtual
     /// instant for injections).
-    pub(crate) fn admit(&mut self, spec: &JobSpec, floor_us: u64) {
-        let j = self.jobs.len();
+    fn admit(&mut self, spec: &JobSpec, floor_us: u64) {
+        let job = arena_u32(self.jobs.len(), "job");
+        let base = arena_u32(self.stages.len(), "stage");
+        let len = arena_u32(spec.stages.len(), "stage");
+        for stage in &spec.stages {
+            self.stages.push(match *stage {
+                Stage::Compute { duration_us, .. } => StageRec::Compute { duration_us },
+                Stage::Transfer { link, bytes, ref policy, .. } => StageRec::Transfer {
+                    bytes,
+                    // `validate` bounded the link by a table `build` bounded.
+                    link: arena_u32(link, "link"),
+                    policy: self.policies.intern(policy),
+                },
+            });
+            self.stage_reports.push(StageReport { label: stage.label(), ..UNENTERED_REPORT });
+        }
         let release_us = spec.release_us.max(floor_us);
-        let spec_base = self.stage_specs.len() as u32;
-        self.stage_specs.extend_from_slice(&spec.stages);
-        let report_base = self.stage_reports.len() as u32;
-        self.stage_reports.resize(self.stage_reports.len() + spec.stages.len(), EMPTY_REPORT);
-        self.jobs.push(JobRun {
-            id: spec.id,
-            release_us,
-            spec_base,
-            spec_len: spec.stages.len() as u32,
-            report_base,
-            cursor: 0,
-            attempt: 1,
-            status: None,
-        });
-        self.push(release_us, Ev::Release { job: j });
+        self.jobs.push(JobRun { id: spec.id, release_us, base, len, cursor: 0, attempt: 1 });
+        self.push(release_us, Ev::Release { job });
     }
 
     fn push(&mut self, at: u64, ev: Ev) {
@@ -786,26 +1001,27 @@ impl<'a> Runner<'a> {
         self.queue.push(at, self.seq, ev);
     }
 
-    fn id(&self, j: usize) -> u64 {
-        self.jobs[j].id
+    /// Where `link`'s state lives in `link_states`.
+    fn state_index(&self, link: u32) -> usize {
+        match self.link_local {
+            Some(local) => local[link as usize] as usize,
+            None => link as usize,
+        }
     }
 
-    /// The job's stage spec at `stage`.
-    fn stage_spec(&self, j: usize, stage: usize) -> Stage {
-        self.stage_specs[self.jobs[j].spec_base as usize + stage]
+    /// Whether an event for `(job, stage)` still refers to the stage the
+    /// job is in.
+    fn in_stage(&self, j: u32, stage: u32) -> bool {
+        let job = &self.jobs[j as usize];
+        job.running() && job.cursor == stage
     }
 
-    /// The report slot of the job's current stage.
-    fn cur_report_mut(&mut self, j: usize) -> &mut StageReport {
-        let run = &self.jobs[j];
-        &mut self.stage_reports[(run.report_base + run.cursor) as usize]
-    }
-
-    /// Whether an event for `(job, stage, attempt)` still refers to the
-    /// job's live transfer attempt.
-    fn live(&self, j: usize, stage: usize, attempt: u32) -> bool {
-        let job = &self.jobs[j];
-        job.status.is_none() && job.cursor as usize == stage && job.attempt == attempt
+    /// Whether an event for `xfer` still refers to its job's live
+    /// transfer attempt (never, once the job is terminal: see
+    /// [`JobRun::attempt`]).
+    fn live(&self, xfer: Xfer) -> bool {
+        let job = &self.jobs[xfer.job as usize];
+        job.cursor == xfer.stage && job.attempt == xfer.attempt
     }
 
     pub(crate) fn run<W: Workload + ?Sized>(&mut self, workload: &mut W) {
@@ -822,34 +1038,35 @@ impl<'a> Runner<'a> {
                     workload.on_timer(key, &mut sim);
                 }
                 Ev::Release { job } => {
-                    self.sink.push(TraceEvent::JobReleased { t: at, job: self.id(job) });
+                    let id = self.jobs[job as usize].id;
+                    self.sink.push(TraceEvent::JobReleased { t: at, job: id });
                     self.start_stage(job, at);
                 }
                 Ev::ComputeDone { job, stage } => {
-                    if self.jobs[job].status.is_none() && self.jobs[job].cursor as usize == stage {
+                    if self.in_stage(job, stage) {
                         self.sink.push(TraceEvent::ComputeFinished {
                             t: at,
-                            job: self.id(job),
-                            stage,
+                            job: self.jobs[job as usize].id,
+                            stage: stage as usize,
                         });
                         self.complete_stage(job, at);
                     }
                 }
                 Ev::FifoDone { link, token } => self.fifo_done(link, token, at),
-                Ev::FairJoin { link, job, stage, attempt } => {
-                    if self.live(job, stage, attempt) {
-                        self.fair_join(link, job, stage, attempt, at);
+                Ev::FairJoin(xfer) => {
+                    if self.live(xfer) {
+                        self.fair_join(xfer, at);
                     }
                 }
                 Ev::FairCheck { link, epoch } => self.fair_check(link, epoch, at),
-                Ev::Timeout { job, stage, attempt } => {
-                    if self.live(job, stage, attempt) {
-                        self.timeout(job, stage, attempt, at);
+                Ev::Timeout(xfer) => {
+                    if self.live(xfer) {
+                        self.timeout(xfer, at);
                     }
                 }
                 Ev::Resubmit { job, stage } => {
-                    if self.jobs[job].status.is_none() && self.jobs[job].cursor as usize == stage {
-                        self.submit_transfer(job, at, false);
+                    if self.in_stage(job, stage) {
+                        self.resubmit(job, at);
                     }
                 }
             }
@@ -876,11 +1093,10 @@ impl<'a> Runner<'a> {
 
     /// Fills `out` with one terminal job's report, reusing its stage
     /// buffer (no allocation after the first few callbacks).
-    fn fill_report(&self, j: usize, out: &mut JobReport) {
-        let run = &self.jobs[j];
-        let status = run.status.expect("fill_report only runs on terminal jobs");
-        let base = run.report_base as usize;
-        let stages = &self.stage_reports[base..base + run.filled_len(status)];
+    fn fill_report(&self, j: u32, out: &mut JobReport) {
+        let run = &self.jobs[j as usize];
+        let status = run.status().expect("fill_report only runs on terminal jobs");
+        let stages = &self.stage_reports[run.slot(0)..run.slot(run.filled_len(status))];
         out.id = run.id;
         out.release_us = run.release_us;
         out.end_us = end_of(run.release_us, status, stages);
@@ -891,112 +1107,145 @@ impl<'a> Runner<'a> {
 
     /// Enters the job's current stage at time `t` (or completes the job
     /// if no stages remain).
-    fn start_stage(&mut self, j: usize, t: u64) {
-        let run = self.jobs[j];
-        if run.cursor >= run.spec_len {
-            self.jobs[j].status = Some(JobStatus::Completed);
+    fn start_stage(&mut self, j: u32, t: u64) {
+        let run = self.jobs[j as usize];
+        if run.cursor >= run.len {
+            self.jobs[j as usize].end();
             self.sink.push(TraceEvent::JobCompleted { t, job: run.id });
             self.finished.push_back(j);
             return;
         }
-        let cursor = run.cursor as usize;
-        let slot = (run.report_base + run.cursor) as usize;
-        match self.stage_specs[run.spec_base as usize + cursor] {
-            Stage::Compute { label, duration_us } => {
-                self.stage_reports[slot] = StageReport {
-                    label,
-                    submitted_us: t,
-                    completed_us: 0,
-                    ideal_us: duration_us,
-                    attempts: 1,
-                };
-                self.sink.push(TraceEvent::ComputeStarted { t, job: run.id, stage: cursor });
-                self.push(t + duration_us, Ev::ComputeDone { job: j, stage: cursor });
+        let slot = run.slot(run.cursor);
+        match self.stages[slot] {
+            StageRec::Compute { duration_us } => {
+                let report = &mut self.stage_reports[slot];
+                report.submitted_us = t;
+                report.ideal_us = duration_us;
+                report.attempts = 1;
+                self.sink.push(TraceEvent::ComputeStarted {
+                    t,
+                    job: run.id,
+                    stage: run.cursor as usize,
+                });
+                self.push(t + duration_us, Ev::ComputeDone { job: j, stage: run.cursor });
             }
-            Stage::Transfer { label, link, bytes, .. } => {
-                self.jobs[j].attempt = 1;
-                self.stage_reports[slot] = StageReport {
-                    label,
-                    submitted_us: t,
-                    completed_us: 0,
-                    ideal_us: self.links[link].profile.transfer_us(bytes),
-                    attempts: 1,
-                };
-                self.submit_transfer(j, t, true);
+            StageRec::Transfer { bytes, link, policy } => {
+                let link_state = &self.link_states[self.state_index(link)];
+                let ideal_us = transfer_us(link_state.latency_us, link_state.bytes_per_sec, bytes);
+                let report = &mut self.stage_reports[slot];
+                report.submitted_us = t;
+                report.ideal_us = ideal_us;
+                report.attempts = 1;
+                // `attempt` is 1 here: admission and `complete_stage` set it.
+                let xfer = Xfer { job: j, stage: run.cursor, attempt: 1 };
+                self.submit_transfer(xfer, run.id, link, policy, ideal_us, t);
             }
         }
     }
 
-    /// Submits the current transfer attempt to its link. `first` is false
-    /// for retry resubmissions (the stage report keeps its original
-    /// submission time).
-    fn submit_transfer(&mut self, j: usize, t: u64, first: bool) {
-        let stage = self.jobs[j].cursor as usize;
-        let Stage::Transfer { link, policy, .. } = self.stage_spec(j, stage) else {
-            unreachable!("submit_transfer on a compute stage");
+    /// Submits the job's next attempt at its current transfer stage
+    /// after a backoff (the stage report keeps its first submission
+    /// time).
+    fn resubmit(&mut self, j: u32, t: u64) {
+        let run = self.jobs[j as usize];
+        let slot = run.slot(run.cursor);
+        let StageRec::Transfer { link, policy, .. } = self.stages[slot] else {
+            unreachable!("resubmit on a compute stage");
         };
-        let attempt = self.jobs[j].attempt;
-        if !first {
-            self.cur_report_mut(j).attempts = attempt;
+        let report = &mut self.stage_reports[slot];
+        report.attempts = run.attempt;
+        let ideal_us = report.ideal_us;
+        let xfer = Xfer { job: j, stage: run.cursor, attempt: run.attempt };
+        self.submit_transfer(xfer, run.id, link, policy, ideal_us, t);
+    }
+
+    /// Submits one transfer attempt to its link. `ideal_us` is the
+    /// stage's uncontended cost — which is exactly what a FIFO link
+    /// charges for service, so it is not computed a second time.
+    fn submit_transfer(
+        &mut self,
+        xfer: Xfer,
+        id: u64,
+        link: u32,
+        policy: u32,
+        ideal_us: u64,
+        t: u64,
+    ) {
+        self.sink.push(TraceEvent::TransferQueued {
+            t,
+            job: id,
+            stage: xfer.stage as usize,
+            link: link as usize,
+            attempt: xfer.attempt,
+        });
+        if let Some(timeout_us) = self.policies.get(policy).timeout_us {
+            self.push(t + timeout_us, Ev::Timeout(xfer));
         }
-        self.sink.push(TraceEvent::TransferQueued { t, job: self.id(j), stage, link, attempt });
-        if let Some(timeout_us) = policy.timeout_us {
-            self.push(t + timeout_us, Ev::Timeout { job: j, stage, attempt });
-        }
-        let ls = self.link_local[link] as usize;
-        let start_fifo = match &mut self.link_states[ls] {
-            LinkState::Fifo { queue, current, .. } => {
-                queue.push_back(QueuedXfer { job: j, stage, attempt });
-                current.is_none()
-            }
-            LinkState::Fair { .. } => false,
-        };
-        match self.links[link].discipline {
-            Discipline::Fifo => {
-                if start_fifo {
-                    self.fifo_start_next(link, t);
+        let ls = self.state_index(link);
+        let state = &mut self.link_states[ls];
+        match &mut state.sharing {
+            Sharing::Fifo { queue, current, .. } => {
+                if current.is_none() && queue.is_empty() {
+                    self.fifo_start(link, xfer, id, ideal_us, t);
+                } else {
+                    queue.push_back(xfer);
+                    // Idle with a backlog: a completion on this link is
+                    // submitting its job's next stage before it drained
+                    // the queue. The backlog goes first.
+                    if current.is_none() {
+                        self.fifo_start_next(link, t);
+                    }
                 }
             }
-            Discipline::FairShare => {
-                let latency = self.links[link].profile.latency_us;
-                self.push(t + latency, Ev::FairJoin { link, job: j, stage, attempt });
+            Sharing::Fair { .. } => {
+                let joins_at = t + state.latency_us;
+                self.push(joins_at, Ev::FairJoin(xfer));
             }
         }
+    }
+
+    /// Puts `xfer` in service on the idle FIFO `link` for `service_us`.
+    fn fifo_start(&mut self, link: u32, xfer: Xfer, id: u64, service_us: u64, t: u64) {
+        let ls = self.state_index(link);
+        let Sharing::Fifo { current, token, .. } = &mut self.link_states[ls].sharing else {
+            unreachable!("fifo_start on a fair-share link");
+        };
+        debug_assert!(current.is_none(), "fifo_start on a busy link");
+        *current = Some(xfer);
+        *token += 1;
+        let token = *token;
+        self.sink.push(TraceEvent::TransferStarted {
+            t,
+            job: id,
+            stage: xfer.stage as usize,
+            link: link as usize,
+            attempt: xfer.attempt,
+        });
+        self.push(t + service_us, Ev::FifoDone { link, token });
     }
 
     /// Starts the next queued FIFO transfer if the link is idle. (It may
     /// already be busy again: completing a transfer can submit the same
     /// job's next stage to the same link, which restarts service before
     /// the completion handler regains control.)
-    fn fifo_start_next(&mut self, link: usize, t: u64) {
-        let ls = self.link_local[link] as usize;
-        let LinkState::Fifo { queue, current, token } = &mut self.link_states[ls] else {
+    fn fifo_start_next(&mut self, link: u32, t: u64) {
+        let ls = self.state_index(link);
+        let Sharing::Fifo { queue, current, .. } = &mut self.link_states[ls].sharing else {
             unreachable!("fifo_start_next on a fair-share link");
         };
         if current.is_some() {
             return;
         }
         let Some(next) = queue.pop_front() else { return };
-        *current = Some(next);
-        *token += 1;
-        let token = *token;
-        let Stage::Transfer { bytes, .. } = self.stage_spec(next.job, next.stage) else {
-            unreachable!("queued transfer is a transfer stage");
-        };
-        let service = self.links[link].profile.transfer_us(bytes);
-        self.sink.push(TraceEvent::TransferStarted {
-            t,
-            job: self.id(next.job),
-            stage: next.stage,
-            link,
-            attempt: next.attempt,
-        });
-        self.push(t + service, Ev::FifoDone { link, token });
+        let run = &self.jobs[next.job as usize];
+        let service_us = self.stage_reports[run.slot(next.stage)].ideal_us;
+        self.fifo_start(link, next, run.id, service_us, t);
     }
 
-    fn fifo_done(&mut self, link: usize, token: u64, t: u64) {
-        let ls = self.link_local[link] as usize;
-        let LinkState::Fifo { current, token: cur_token, .. } = &mut self.link_states[ls] else {
+    fn fifo_done(&mut self, link: u32, token: u64, t: u64) {
+        let ls = self.state_index(link);
+        let Sharing::Fifo { current, token: cur_token, .. } = &mut self.link_states[ls].sharing
+        else {
             return;
         };
         if *cur_token != token {
@@ -1005,184 +1254,179 @@ impl<'a> Runner<'a> {
         let done = current.take().expect("live token implies an in-flight transfer");
         self.sink.push(TraceEvent::TransferCompleted {
             t,
-            job: self.id(done.job),
-            stage: done.stage,
-            link,
+            job: self.jobs[done.job as usize].id,
+            stage: done.stage as usize,
+            link: link as usize,
             attempt: done.attempt,
         });
         self.complete_stage(done.job, t);
         self.fifo_start_next(link, t);
     }
 
-    /// Drains every active fair-share flow up to `t` at the equal-share
-    /// rate. Must run before any flow-set mutation.
-    fn fair_advance(&mut self, link: usize, t: u64) {
-        let bytes_per_sec = self.links[link].profile.bytes_per_sec;
-        let ls = self.link_local[link] as usize;
-        let LinkState::Fair { flows, last_us, .. } = &mut self.link_states[ls] else {
-            unreachable!("fair_advance on a FIFO link");
-        };
-        let elapsed = t - *last_us;
-        *last_us = t;
-        if flows.is_empty() || elapsed == 0 {
-            return;
-        }
-        let drained = elapsed as f64 * bytes_per_sec / flows.len() as f64 / 1e6;
-        for flow in flows.iter_mut() {
-            flow.remaining -= drained;
+    /// Schedules the next completion check for the fair-share `link`.
+    fn fair_schedule(&mut self, link: u32, t: u64) {
+        let ls = self.state_index(link);
+        if let Some((at, epoch)) = self.link_states[ls].fair_next_check(t) {
+            self.push(at, Ev::FairCheck { link, epoch });
         }
     }
 
-    /// Schedules the next completion check for a fair-share link.
-    fn fair_schedule(&mut self, link: usize, t: u64) {
-        let bytes_per_sec = self.links[link].profile.bytes_per_sec;
-        let ls = self.link_local[link] as usize;
-        let LinkState::Fair { flows, epoch, .. } = &mut self.link_states[ls] else {
-            unreachable!("fair_schedule on a FIFO link");
-        };
-        let Some(min_remaining) = flows.iter().map(|f| f.remaining).reduce(f64::min) else {
-            return;
-        };
-        let epoch = *epoch;
-        let per_flow_us = bytes_per_sec / flows.len() as f64 / 1e6;
-        let dt = (min_remaining.max(0.0) / per_flow_us).ceil() as u64;
-        self.push(t + dt, Ev::FairCheck { link, epoch });
-    }
-
-    fn fair_join(&mut self, link: usize, j: usize, stage: usize, attempt: u32, t: u64) {
-        self.fair_advance(link, t);
-        let Stage::Transfer { bytes, .. } = self.stage_spec(j, stage) else {
+    fn fair_join(&mut self, xfer: Xfer, t: u64) {
+        let run = &self.jobs[xfer.job as usize];
+        let id = run.id;
+        let StageRec::Transfer { bytes, link, .. } = self.stages[run.slot(xfer.stage)] else {
             unreachable!("joined transfer is a transfer stage");
         };
-        self.sink.push(TraceEvent::TransferStarted { t, job: self.id(j), stage, link, attempt });
-        let ls = self.link_local[link] as usize;
-        let LinkState::Fair { flows, epoch, .. } = &mut self.link_states[ls] else {
+        let ls = self.state_index(link);
+        let state = &mut self.link_states[ls];
+        state.fair_advance(t);
+        self.sink.push(TraceEvent::TransferStarted {
+            t,
+            job: id,
+            stage: xfer.stage as usize,
+            link: link as usize,
+            attempt: xfer.attempt,
+        });
+        let Sharing::Fair { flows, epoch, .. } = &mut state.sharing else {
             unreachable!("fair_join on a FIFO link");
         };
-        flows.push(Flow { job: j, stage, attempt, remaining: bytes as f64 });
+        flows.push(Flow { xfer, remaining: bytes as f64 });
         *epoch += 1;
         self.fair_schedule(link, t);
     }
 
-    fn fair_check(&mut self, link: usize, epoch: u64, t: u64) {
-        let ls = self.link_local[link] as usize;
-        {
-            let LinkState::Fair { epoch: cur, .. } = &self.link_states[ls] else { return };
-            if *cur != epoch {
-                return; // the flow set changed since this check was scheduled
-            }
+    fn fair_check(&mut self, link: u32, epoch: u64, t: u64) {
+        let ls = self.state_index(link);
+        let state = &mut self.link_states[ls];
+        let Sharing::Fair { epoch: cur, .. } = &state.sharing else { return };
+        if *cur != epoch {
+            return; // the flow set changed since this check was scheduled
         }
-        self.fair_advance(link, t);
-        let done: Vec<Flow> = {
-            let LinkState::Fair { flows, epoch, .. } = &mut self.link_states[ls] else {
-                unreachable!("fair_check on a FIFO link");
-            };
-            // Half a byte of slack absorbs float rounding in the drain.
-            let finished: Vec<Flow> =
-                flows.iter().copied().filter(|f| f.remaining <= 0.5).collect();
-            flows.retain(|f| f.remaining > 0.5);
-            *epoch += 1;
-            finished
+        state.fair_advance(t);
+        let Sharing::Fair { flows, epoch, .. } = &mut state.sharing else {
+            unreachable!("checked above");
         };
-        for flow in done {
+        // Finished flows leave in flow order, in the one pass that
+        // removes them. Half a byte of slack absorbs float rounding in
+        // the drain.
+        let mut done = std::mem::take(&mut self.done_flows);
+        flows.retain(|flow| {
+            let keep = flow.remaining > 0.5;
+            if !keep {
+                done.push(*flow);
+            }
+            keep
+        });
+        *epoch += 1;
+        for Flow { xfer, .. } in done.drain(..) {
             self.sink.push(TraceEvent::TransferCompleted {
                 t,
-                job: self.id(flow.job),
-                stage: flow.stage,
-                link,
-                attempt: flow.attempt,
+                job: self.jobs[xfer.job as usize].id,
+                stage: xfer.stage as usize,
+                link: link as usize,
+                attempt: xfer.attempt,
             });
-            self.complete_stage(flow.job, t);
+            self.complete_stage(xfer.job, t);
         }
+        self.done_flows = done;
         self.fair_schedule(link, t);
     }
 
-    fn timeout(&mut self, j: usize, stage: usize, attempt: u32, t: u64) {
-        let Stage::Transfer { link, policy, .. } = self.stage_spec(j, stage) else {
+    fn timeout(&mut self, xfer: Xfer, t: u64) {
+        let Xfer { job: j, stage, attempt } = xfer;
+        let run = self.jobs[j as usize];
+        let slot = run.slot(stage);
+        let StageRec::Transfer { link, policy, .. } = self.stages[slot] else {
             unreachable!("timeout on a compute stage");
         };
-        let ls = self.link_local[link] as usize;
+        let ls = self.state_index(link);
+        let state = &mut self.link_states[ls];
         // Withdraw the attempt from wherever it currently lives. A
         // pending FairJoin needs no removal: bumping the attempt below
         // invalidates it.
-        let (start_fifo, drop_flow) = match &mut self.link_states[ls] {
-            LinkState::Fifo { queue, current, token } => {
-                if current.is_some_and(|c| c.job == j && c.attempt == attempt) {
+        match &mut state.sharing {
+            Sharing::Fifo { queue, current, token } => {
+                if *current == Some(xfer) {
                     *current = None;
                     *token += 1; // orphan the in-flight FifoDone
-                    (true, false)
+                    self.fifo_start_next(link, t);
                 } else {
-                    queue.retain(|q| !(q.job == j && q.attempt == attempt));
-                    (false, false)
+                    queue.retain(|queued| *queued != xfer);
                 }
             }
-            LinkState::Fair { flows, .. } => {
-                (false, flows.iter().any(|f| f.job == j && f.attempt == attempt))
+            Sharing::Fair { flows, .. } => {
+                if flows.iter().any(|f| f.xfer == xfer) {
+                    state.fair_advance(t);
+                    let Sharing::Fair { flows, epoch, .. } = &mut state.sharing else {
+                        unreachable!("matched above");
+                    };
+                    flows.retain(|f| f.xfer != xfer);
+                    *epoch += 1;
+                    self.fair_schedule(link, t);
+                }
             }
-        };
-        if start_fifo {
-            self.fifo_start_next(link, t);
         }
-        if drop_flow {
-            self.fair_advance(link, t);
-            let LinkState::Fair { flows, epoch, .. } = &mut self.link_states[ls] else {
-                unreachable!("drop_flow only set for fair-share links");
-            };
-            flows.retain(|f| !(f.job == j && f.attempt == attempt));
-            *epoch += 1;
-            self.fair_schedule(link, t);
-        }
-        self.sink.push(TraceEvent::TransferTimedOut { t, job: self.id(j), stage, link, attempt });
-        if attempt < policy.retry.max_attempts {
-            self.jobs[j].attempt = attempt + 1;
-            let backoff = policy.retry.backoff_after(attempt);
-            self.push(t + backoff, Ev::Resubmit { job: j, stage });
+        let (stage_index, link_index) = (stage as usize, link as usize);
+        self.sink.push(TraceEvent::TransferTimedOut {
+            t,
+            job: run.id,
+            stage: stage_index,
+            link: link_index,
+            attempt,
+        });
+        let retry = self.policies.get(policy).retry;
+        if attempt < retry.max_attempts {
+            self.jobs[j as usize].attempt = attempt + 1;
+            self.push(t + retry.backoff_after(attempt), Ev::Resubmit { job: j, stage });
         } else {
             self.sink.push(TraceEvent::TransferAbandoned {
                 t,
-                job: self.id(j),
-                stage,
-                link,
+                job: run.id,
+                stage: stage_index,
+                link: link_index,
                 attempts: attempt,
             });
-            let report = self.cur_report_mut(j);
+            let report = &mut self.stage_reports[slot];
             report.completed_us = t;
             report.attempts = attempt;
-            self.jobs[j].status = Some(JobStatus::TimedOut { stage });
+            self.jobs[j as usize].end();
             self.finished.push_back(j);
         }
     }
 
     /// Finishes the job's current stage at `t` and enters the next one.
-    fn complete_stage(&mut self, j: usize, t: u64) {
-        let attempt = self.jobs[j].attempt;
-        let report = self.cur_report_mut(j);
+    fn complete_stage(&mut self, j: u32, t: u64) {
+        let run = &mut self.jobs[j as usize];
+        let report = &mut self.stage_reports[run.slot(run.cursor)];
         report.completed_us = t;
-        report.attempts = attempt;
-        self.jobs[j].cursor += 1;
-        self.jobs[j].attempt = 1;
+        report.attempts = run.attempt;
+        run.cursor += 1;
+        run.attempt = 1;
         self.start_stage(j, t);
     }
 
-    fn record_of(&self, run: &JobRun) -> JobRecord {
-        let status = run.status.expect("event loop runs every job to a terminal state");
-        let base = run.report_base as usize;
-        let len = run.filled_len(status);
-        let stages = &self.stage_reports[base..base + len];
-        JobRecord {
-            id: run.id,
-            release_us: run.release_us,
-            end_us: end_of(run.release_us, status, stages),
-            status,
-            stage_base: run.report_base,
-            stage_len: len as u32,
-        }
+    fn records(&self) -> Vec<JobRecord> {
+        self.jobs
+            .iter()
+            .map(|run| {
+                let status = run.status().expect("event loop runs every job to a terminal state");
+                let len = run.filled_len(status);
+                let stages = &self.stage_reports[run.slot(0)..run.slot(len)];
+                JobRecord {
+                    id: run.id,
+                    release_us: run.release_us,
+                    end_us: end_of(run.release_us, status, stages),
+                    status,
+                    stage_base: run.base,
+                    stage_len: len,
+                }
+            })
+            .collect()
     }
 
     pub(crate) fn into_outcome(self) -> SimOutcome {
-        let records = self.jobs.iter().map(|run| self.record_of(run)).collect();
         SimOutcome {
-            records,
+            records: self.records(),
             stage_arena: self.stage_reports,
             trace: self.sink.events,
             fingerprint: self.sink.hash,
@@ -1192,9 +1436,8 @@ impl<'a> Runner<'a> {
 
     /// Dismantles a finished shard run for the cross-shard merge.
     pub(crate) fn into_shard_run(self) -> ShardRun {
-        let records = self.jobs.iter().map(|run| self.record_of(run)).collect();
         ShardRun {
-            records,
+            records: self.records(),
             stage_arena: self.stage_reports,
             trace: self.sink.events,
             log: self.log.expect("shard runs record a merge log"),
@@ -1615,6 +1858,143 @@ mod tests {
         let owned = job.to_report();
         assert_eq!(owned.stage_report(&stages[0]), job.stage_report(&stages[0]).cloned().as_ref());
         assert_eq!(owned.total_us(), job.total_us());
+    }
+
+    #[test]
+    fn the_records_the_loop_streams_stay_small() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Ev>(), 16);
+        assert_eq!(size_of::<crate::wheel::Entry<Ev>>(), 32);
+        assert_eq!(size_of::<JobRun>(), 32);
+        assert!(size_of::<StageRec>() <= 32);
+        assert!(size_of::<StageRec>() < size_of::<Stage>() / 2);
+    }
+
+    #[test]
+    fn narrowing_accepts_everything_a_u32_holds() {
+        assert_eq!(arena_u32(0, "job"), 0);
+        assert_eq!(arena_u32(u32::MAX as usize, "job"), u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "the stage arena reached 4294967296 entries")]
+    fn narrowing_past_a_u32_panics_with_the_arena_and_its_length() {
+        // No 4 Gi allocation: the helper sees lengths, not arenas.
+        arena_u32(u32::MAX as usize + 1, "stage");
+    }
+
+    fn retrying(timeout_us: u64, backoff_factor: f64) -> TransferPolicy {
+        TransferPolicy {
+            timeout_us: Some(timeout_us),
+            retry: RetryPolicy::exponential(3, 4_000, backoff_factor),
+        }
+    }
+
+    #[test]
+    fn policies_that_differ_only_in_backoff_bits_behave_apart() {
+        // Two jobs, a link each, transfers that cannot finish inside their
+        // timeout; the policies differ in nothing but `backoff_factor`.
+        // 2.0 backs off 4 then 8 ms; NaN backs off 4 ms (NaN⁰ = 1) and
+        // then not at all (a NaN duration rounds to 0).
+        let nan = f64::NAN;
+        let other_nan = f64::from_bits(nan.to_bits() ^ 1);
+        assert!(other_nan.is_nan() && other_nan.to_bits() != nan.to_bits());
+        let links = vec![wifi_fifo(), wifi_fifo(), wifi_fifo()];
+        let jobs: Vec<JobSpec> = [2.0, nan, other_nan]
+            .into_iter()
+            .enumerate()
+            .map(|(i, factor)| JobSpec {
+                id: i as u64,
+                release_us: 0,
+                stages: vec![Stage::Transfer {
+                    label: "up",
+                    link: i,
+                    bytes: 1_250_000,
+                    policy: retrying(10_000, factor),
+                }],
+            })
+            .collect();
+        let mut runner = Runner::new(&links, None, 0..links.len(), true);
+        runner.admit_initial(jobs.iter());
+        assert_eq!(runner.policies.policies.len(), 3, "one entry per bit pattern");
+        runner.run(&mut Passive);
+        let out = runner.into_outcome();
+        let queued_at = |job| -> Vec<u64> {
+            out.trace
+                .iter()
+                .filter_map(|e| match *e {
+                    TraceEvent::TransferQueued { t, job: j, .. } if j == job => Some(t),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(queued_at(0), vec![0, 14_000, 32_000]);
+        assert_eq!(queued_at(1), vec![0, 14_000, 24_000]);
+        assert_eq!(queued_at(2), queued_at(1));
+        assert_eq!(out.timed_out(), 3);
+    }
+
+    #[test]
+    fn interning_is_by_bit_pattern_so_the_table_is_as_long_as_the_policies_are_many() {
+        let links = vec![wifi_fifo()];
+        let stages = |policy_of: &dyn Fn(u64) -> TransferPolicy| -> Vec<Stage> {
+            (0..10_000)
+                .map(|i| Stage::Transfer { label: "up", link: 0, bytes: 1, policy: policy_of(i) })
+                .collect()
+        };
+        // 10 000 distinct timeouts: 10 000 entries, found through the map
+        // (followed by a repeat of each, which must add nothing).
+        let mut distinct = stages(&|i| retrying(1_000 + i, 2.0));
+        distinct.extend(stages(&|i| retrying(1_000 + i, 2.0)));
+        // One NaN policy 10 000 times: one entry. A table searched with
+        // `==` would never find it again and would hold 10 000.
+        let same_nan = stages(&|_| retrying(1_000, f64::NAN));
+        let jobs = [
+            JobSpec { id: 0, release_us: 0, stages: distinct },
+            JobSpec { id: 1, release_us: 0, stages: same_nan },
+        ];
+        let mut runner = Runner::new(&links, None, 0..1, false);
+        runner.admit_initial(jobs.iter());
+        assert_eq!(runner.policies.policies.len(), 10_001);
+        assert_eq!(runner.policies.ids.len(), 10_001);
+        assert_eq!(runner.stages.len(), 30_000);
+        // `None` and `Some(0)` are different policies.
+        let mut table = PolicyTable::default();
+        let never = table.intern(&TransferPolicy::default());
+        let at_once = table.intern(&TransferPolicy { timeout_us: Some(0), ..Default::default() });
+        assert_ne!(never, at_once);
+        assert_eq!(table.intern(&TransferPolicy::default()), never);
+        assert_eq!(table.get(at_once).timeout_us, Some(0));
+    }
+
+    #[test]
+    fn an_uncontended_fifo_link_bumps_its_token_per_start_and_never_builds_a_queue() {
+        // Job 0 starts on arrival (token 1) and times out in flight
+        // (token 2, orphaning its FifoDone); job 1 starts on arrival on
+        // the idle link (token 3) and completes; the orphan then fires
+        // into an idle link.
+        let policy = TransferPolicy { timeout_us: Some(10_000), retry: RetryPolicy::none() };
+        let jobs = [
+            JobSpec {
+                id: 0,
+                release_us: 0,
+                stages: vec![Stage::Transfer { label: "up", link: 0, bytes: 1_250_000, policy }],
+            },
+            JobSpec { id: 1, release_us: 20_000, stages: vec![xfer(0, 12_500)] },
+        ];
+        let links = vec![wifi_fifo()];
+        let mut runner = Runner::new(&links, None, 0..1, true);
+        runner.admit_initial(jobs.iter());
+        runner.run(&mut Passive);
+        let Sharing::Fifo { queue, current, token } = &runner.link_states[0].sharing else {
+            panic!("link 0 is FIFO");
+        };
+        assert_eq!(*token, 3, "one bump per start, one per in-flight timeout");
+        assert!(current.is_none());
+        assert_eq!(queue.capacity(), 0, "no transfer ever waited, so no queue was allocated");
+        let out = runner.into_outcome();
+        assert_eq!(out.job(0).status(), JobStatus::TimedOut { stage: 0 });
+        assert_eq!(out.job(1).end_us(), 29_000);
     }
 
     #[test]

@@ -23,6 +23,13 @@ fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// [`LinkProfile::transfer_us`] over a bare `(latency, bandwidth)` pair:
+/// the engine keeps those two numbers beside each link's queue state and
+/// must price a transfer with this expression, not a copy of it.
+pub(crate) fn transfer_us(latency_us: u64, bytes_per_sec: f64, bytes: u64) -> u64 {
+    latency_us + (bytes as f64 / bytes_per_sec * 1e6).ceil() as u64
+}
+
 /// Static shape of one network path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkProfile {
@@ -66,7 +73,7 @@ impl LinkProfile {
     /// (latency plus serialization) — the empty-link FIFO bound every
     /// discipline is compared against.
     pub fn transfer_us(&self, bytes: u64) -> u64 {
-        self.latency_us + (bytes as f64 / self.bytes_per_sec * 1e6).ceil() as u64
+        transfer_us(self.latency_us, self.bytes_per_sec, bytes)
     }
 
     /// The same path degraded by a straggling device: bandwidth divided

@@ -24,11 +24,15 @@
 
 use std::collections::VecDeque;
 
-use crate::engine::{JobSpec, Passive, Runner, ShardRun, SimOutcome, Stage, TraceLevel, TraceSink};
+use crate::engine::{
+    arena_u32, JobSpec, Passive, Runner, ShardRun, SimOutcome, Stage, TraceLevel, TraceSink,
+};
 use crate::link::LinkSpec;
 use crate::wheel::TimerWheel;
 
-/// Union-find over link ids.
+/// Union-find over link ids (`u32`, like everywhere in the engine: the
+/// `as u32` casts of link ids in this file cannot truncate, because
+/// `SimulatorBuilder::build` bounds the table and `validate` every id).
 struct UnionFind {
     parent: Vec<u32>,
 }
@@ -165,13 +169,11 @@ pub(crate) fn run_sharded(
                 scope.spawn(move || {
                     let mut runner = Runner::new(
                         links,
-                        &part.link_local,
+                        Some(&part.link_local),
                         part.shard_links[s].iter().copied(),
                         true,
                     );
-                    for &j in &part.shard_jobs[s] {
-                        runner.admit(&specs[j], 0);
-                    }
+                    runner.admit_initial(part.shard_jobs[s].iter().map(|&j| &specs[j]));
                     runner.start_merge_log();
                     runner.run(&mut Passive);
                     runner.into_shard_run()
@@ -227,11 +229,15 @@ fn merge(
     }
     // Reassemble records in global spec order, rebasing each shard's
     // stage ranges into one concatenated arena.
-    let mut stage_arena = Vec::with_capacity(runs.iter().map(|r| r.stage_arena.len()).sum());
+    let merged_len = runs.iter().map(|r| r.stage_arena.len()).sum();
+    // Every rebased range ends inside the merged arena, so bounding its
+    // length bounds each offset and each `stage_base + offset` below.
+    arena_u32(merged_len, "merged stage-report");
+    let mut stage_arena = Vec::with_capacity(merged_len);
     let mut records = vec![None; specs.len()];
     let mut queues: Vec<VecDeque<_>> = Vec::with_capacity(runs.len());
     for run in runs {
-        let offset = stage_arena.len() as u32;
+        let offset = arena_u32(stage_arena.len(), "merged stage-report");
         stage_arena.extend_from_slice(&run.stage_arena);
         let mut rebased: VecDeque<_> = run.records.into();
         for rec in &mut rebased {

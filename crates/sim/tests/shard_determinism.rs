@@ -4,49 +4,15 @@
 //! contract the trainer-pool width invariance pins for the training
 //! pipeline, here for the sim core itself.
 
+mod common;
+
+use common::fleet;
 use pelican_sim::{
-    completion_percentile, JobSpec, LinkMix, LinkProfile, LinkSpec, Passive, Simulator, Stage,
-    TraceLevel, TransferPolicy,
+    completion_percentile, JobSpec, LinkProfile, LinkSpec, Passive, Simulator, Stage, TraceLevel,
+    TransferPolicy,
 };
 
 const DEVICES: usize = 10_000;
-const GROUP: usize = 64;
-
-/// A fleet of `devices` endpoints: each device owns a FIFO last-hop
-/// link and shares a fair-share uplink with its group, giving
-/// `devices / GROUP` independent link components — plenty for 8 shards.
-fn fleet(devices: usize) -> (Vec<LinkSpec>, Vec<JobSpec>) {
-    let groups = devices.div_ceil(GROUP);
-    let mix = LinkMix::campus();
-    let mut links: Vec<LinkSpec> =
-        (0..devices).map(|d| LinkSpec::fifo(mix.assign(0xF1EE7, d as u64).profile)).collect();
-    links.extend((0..groups).map(|_| LinkSpec::fair(LinkProfile::wan())));
-    let specs = (0..devices)
-        .map(|d| {
-            let uplink = devices + d / GROUP;
-            JobSpec {
-                id: d as u64,
-                release_us: (d as u64 % 997) * 250,
-                stages: vec![
-                    Stage::Transfer {
-                        label: "download",
-                        link: uplink,
-                        bytes: 120_000,
-                        policy: TransferPolicy::default(),
-                    },
-                    Stage::Compute { label: "train", duration_us: 4_000 + (d as u64 % 37) * 300 },
-                    Stage::Transfer {
-                        label: "upload",
-                        link: d,
-                        bytes: 40_000 + (d as u64 % 11) * 2_000,
-                        policy: TransferPolicy::default(),
-                    },
-                ],
-            }
-        })
-        .collect();
-    (links, specs)
-}
 
 #[test]
 fn fingerprints_are_invariant_across_1_2_and_8_shards_at_10k_devices() {
