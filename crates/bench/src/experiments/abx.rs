@@ -44,7 +44,7 @@ use crate::RunConfig;
 
 /// Trainer-pool widths every experiment is checked across.
 pub const WIDTHS: [usize; 3] = [1, 2, 8];
-/// Registry/store shards (must agree; shard invariance is sim-scale's job).
+/// Registry/store shards (must agree).
 const SHARDS: usize = 2;
 /// The treatment comparison: undefended vs. the ladder's hard rung.
 const TREATMENT: [DefenseKind; 2] =

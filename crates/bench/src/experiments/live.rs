@@ -46,7 +46,7 @@ use crate::RunConfig;
 
 /// Trainer-pool widths every run is checked across.
 pub const WIDTHS: [usize; 3] = [1, 2, 8];
-/// Registry/store shards (fixed; shard invariance is sim-scale's job).
+/// Registry/store shards (fixed).
 const SHARDS: usize = 4;
 
 /// One `(pool width)` timed run of the drifting loop.

@@ -12,7 +12,7 @@
 //! | [`training`] | fleet-training pipeline: parallel personalization + audit gate (beyond the paper) |
 //! | [`network`] | device↔cloud network simulation: link-mix × retry sweep, contention, cloud RTT (beyond the paper) |
 //! | [`cosim`] | closed-loop network/compute co-simulation: open vs. closed loops, width invariance, sim-driven scheduler reactivity (beyond the paper) |
-//! | [`sim_scale`] | sim-core scaling: timer-wheel events/sec, memory and shard invariance at 10⁴–10⁶ devices (beyond the paper) |
+//! | [`sim_scale`] | sim-core scaling: timer-wheel events/sec, memory and tail latency at 10⁴–10⁶ devices (beyond the paper) |
 //! | [`store`] | durable model store: log throughput, crash-recovery probe, rollback-under-traffic staleness (beyond the paper) |
 //! | [`live`] | streaming personalization loop: retrain latency/staleness, width invariance, zero-cost re-audits (beyond the paper) |
 //! | [`abx`] | closed-loop A/B experimentation of defense rungs: served-interface leakage verdicts, A/A null, flip-back rollout (beyond the paper) |
@@ -373,7 +373,6 @@ fn run_store_report(config: &RunConfig) {
 fn run_sim_scale(config: &RunConfig) {
     banner("Sim-core scaling — timer-wheel engine at fleet population", config);
     let run = sim_scale::run(config);
-    println!("fingerprints bit-identical across 1/2/8 shards at every population\n");
     println!("{}", sim_scale::table(&run).render());
     let previous = std::fs::read_to_string("BENCH_sim_scale.json").ok();
     let json = sim_scale::to_json(&run, &crate::report::host_stamp(), previous.as_deref());

@@ -20,11 +20,8 @@
 //!
 //! Fleet scale: the event queue is a hierarchical
 //! [timer wheel](crate::wheel) (O(1) schedule/fire instead of a binary
-//! heap's O(log n)). Passive runs on a [`SimulatorBuilder::shards`]`(n)`
-//! simulator partition links and devices into shard-local event queues
-//! on `n` threads and then merge deterministically (see
-//! [`crate::shard`]) — the trace fingerprint is bit-identical for any
-//! shard count.
+//! heap's O(log n)), and there is one of it: every run, passive or
+//! reactive, drains a single queue on the calling thread.
 //!
 //! Layout: at 10⁵ devices more than half of an event's cost is waiting
 //! for memory, so what the loop touches per event is kept small and
@@ -39,8 +36,7 @@
 //!   contiguous. A stage's label goes straight into its
 //!   [`StageReport`] slot at admission — nothing else reads it.
 //! * A link's state carries the link's latency and bandwidth, so no
-//!   handler walks the link table, and a simulator that runs unsharded
-//!   addresses link state by link id directly.
+//!   handler walks the link table; a link id is its state's index.
 //!
 //! The `u32` indices put a ceiling on a run: fewer than 2³² links, jobs
 //! and stages (initial and injected together). Every narrowing goes
@@ -413,9 +409,9 @@ pub trait Workload {
     }
 
     /// Declares that this workload never reacts (its callbacks are
-    /// no-ops). Passive runs skip report materialization and, on a
-    /// multi-shard simulator, execute sharded — both without changing a
-    /// single trace event. Reactive workloads must leave this `false`.
+    /// no-ops). Passive runs skip report materialization, without
+    /// changing a single trace event. Reactive workloads must leave this
+    /// `false`.
     fn passive(&self) -> bool {
         false
     }
@@ -436,19 +432,19 @@ impl Workload for Passive {
 
 /// The caller's handle into a running reactive simulation, valid for one
 /// callback invocation.
-pub struct SimControl<'c, 'a> {
+pub struct SimControl<'c> {
     now: u64,
-    runner: &'c mut Runner<'a>,
+    runner: &'c mut Runner,
 }
 
-impl SimControl<'_, '_> {
+impl SimControl<'_> {
     /// The current virtual time (µs).
     pub fn now(&self) -> u64 {
         self.now
     }
 
     /// Injects a new job. The spec is taken by value and never mutated:
-    /// all internal stamping happens in one place ([`Runner::admit`]),
+    /// all internal stamping happens in one place (`Runner::admit`),
     /// which clamps a release time in the past up to the current virtual
     /// instant (the clock never rewinds); the clamped time is what the
     /// job's report and trace carry.
@@ -467,7 +463,7 @@ impl SimControl<'_, '_> {
     /// 2³² jobs, or 2³² stages over all its jobs: the engine indexes
     /// both with `u32` and stops rather than let an index wrap.
     pub fn submit(&mut self, spec: JobSpec) {
-        validate(self.runner.link_count, &spec);
+        validate(self.runner.link_states.len(), &spec);
         self.runner.admit(&spec, self.now);
     }
 
@@ -498,7 +494,7 @@ fn validate(link_count: usize, spec: &JobSpec) {
 ///
 /// Panics, naming the arena and the length it reached, if `n` does not
 /// fit.
-pub(crate) fn arena_u32(n: usize, arena: &str) -> u32 {
+fn arena_u32(n: usize, arena: &str) -> u32 {
     u32::try_from(n).unwrap_or_else(|_| {
         panic!(
             "the {arena} arena reached {n} entries; the engine indexes it with u32 and \
@@ -512,20 +508,17 @@ pub(crate) fn arena_u32(n: usize, arena: &str) -> u32 {
 #[derive(Debug, Clone)]
 pub struct Simulator {
     links: Vec<LinkSpec>,
-    shards: usize,
     trace: TraceLevel,
 }
 
-/// Builder for [`Simulator`]: the link table plus the scale knobs
-/// (shard count, trace retention) that compose without positional
-/// arguments.
+/// Builder for [`Simulator`]: the link table plus trace retention,
+/// composed without positional arguments.
 ///
 /// ```
 /// use pelican_sim::{LinkProfile, LinkSpec, Simulator, TraceLevel};
 ///
 /// let sim = Simulator::builder()
 ///     .links(vec![LinkSpec::fifo(LinkProfile::wifi())])
-///     .shards(2)
 ///     .trace(TraceLevel::Fingerprint)
 ///     .build();
 /// assert_eq!(sim.link_count(), 1);
@@ -533,13 +526,12 @@ pub struct Simulator {
 #[derive(Debug, Clone)]
 pub struct SimulatorBuilder {
     links: Vec<LinkSpec>,
-    shards: usize,
     trace: TraceLevel,
 }
 
 impl Default for SimulatorBuilder {
     fn default() -> Self {
-        Self { links: Vec::new(), shards: 1, trace: TraceLevel::Full }
+        Self { links: Vec::new(), trace: TraceLevel::Full }
     }
 }
 
@@ -560,21 +552,6 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Number of shard threads for passive runs (default 1). Links and
-    /// devices partition into shard-local event queues whose traces merge
-    /// deterministically — the fingerprint is identical for every shard
-    /// count. Reactive workloads (a global sequential dependency) always
-    /// run single-shard regardless of this knob.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is 0.
-    pub fn shards(mut self, n: usize) -> Self {
-        assert!(n >= 1, "shard count must be >= 1");
-        self.shards = n;
-        self
-    }
-
     /// Trace retention level (default [`TraceLevel::Full`]).
     pub fn trace(mut self, level: TraceLevel) -> Self {
         self.trace = level;
@@ -588,7 +565,7 @@ impl SimulatorBuilder {
     /// Panics if the link table holds 2³² links or more.
     pub fn build(self) -> Simulator {
         arena_u32(self.links.len(), "link");
-        Simulator { links: self.links, shards: self.shards, trace: self.trace }
+        Simulator { links: self.links, trace: self.trace }
     }
 }
 
@@ -611,7 +588,7 @@ impl Simulator {
     /// function of links and specs, bit-identical trace included.
     ///
     /// Pure: identical inputs (and a deterministic workload) give
-    /// bit-identical outputs, for any shard count.
+    /// bit-identical outputs.
     ///
     /// # Panics
     ///
@@ -622,11 +599,7 @@ impl Simulator {
         for spec in initial {
             validate(self.links.len(), spec);
         }
-        if self.shards > 1 && workload.passive() {
-            return crate::shard::run_sharded(&self.links, self.shards, self.trace, initial);
-        }
-        let mut runner =
-            Runner::new(&self.links, None, 0..self.links.len(), self.trace == TraceLevel::Full);
+        let mut runner = Runner::new(&self.links, self.trace == TraceLevel::Full);
         runner.admit_initial(initial.iter());
         runner.run(workload);
         runner.into_outcome()
@@ -854,19 +827,19 @@ fn end_of(release_us: u64, status: JobStatus, stages: &[StageReport]) -> u64 {
 
 /// Streams every trace event into the running FNV fingerprint, storing
 /// the event itself only when the caller asked for a full trace.
-pub(crate) struct TraceSink {
+struct TraceSink {
     store: bool,
-    pub(crate) events: Vec<TraceEvent>,
-    pub(crate) hash: u64,
-    pub(crate) count: u64,
+    events: Vec<TraceEvent>,
+    hash: u64,
+    count: u64,
 }
 
 impl TraceSink {
-    pub(crate) fn new(store: bool) -> Self {
+    fn new(store: bool) -> Self {
         Self { store, events: Vec::new(), hash: trace::FNV_BASIS, count: 0 }
     }
 
-    pub(crate) fn push(&mut self, event: TraceEvent) {
+    fn push(&mut self, event: TraceEvent) {
         self.hash = trace::extend(self.hash, &event);
         self.count += 1;
         if self.store {
@@ -875,34 +848,10 @@ impl TraceSink {
     }
 }
 
-/// What one shard records so the cross-shard merge can replay the global
-/// `(time, seq)` order: for every popped event, in pop order, the times
-/// of the events its handler pushed and the number of trace events it
-/// emitted. See [`crate::shard`] for the replay argument.
-#[derive(Debug, Default)]
-pub(crate) struct MergeLog {
-    /// Deadlines of pushed events, flat, in push order.
-    pub(crate) push_times: Vec<u64>,
-    /// Per popped event: `(events pushed, trace events emitted)`.
-    pub(crate) pops: Vec<(u32, u32)>,
-}
-
-/// One shard's finished run, dismantled for the merge.
-pub(crate) struct ShardRun {
-    pub(crate) records: Vec<JobRecord>,
-    pub(crate) stage_arena: Vec<StageReport>,
-    pub(crate) trace: Vec<TraceEvent>,
-    pub(crate) log: MergeLog,
-}
-
-pub(crate) struct Runner<'a> {
-    /// Length of the global link table, for validating injected jobs.
-    link_count: usize,
-    /// Global link id → index into `link_states` on a shard. `None` when
-    /// this runner owns every link: an id is then its own index.
-    link_local: Option<&'a [u32]>,
+struct Runner {
     queue: TimerWheel<Ev>,
     seq: u64,
+    /// One state per link of the table, indexed by link id.
     link_states: Vec<LinkState>,
     jobs: Vec<JobRun>,
     /// Stage records of every admitted job, flattened.
@@ -912,7 +861,6 @@ pub(crate) struct Runner<'a> {
     stage_reports: Vec<StageReport>,
     policies: PolicyTable,
     sink: TraceSink,
-    log: Option<MergeLog>,
     /// Jobs that reached a terminal state during the current event,
     /// awaiting their `on_job_end` callback (drained in order).
     finished: VecDeque<u32>,
@@ -920,42 +868,25 @@ pub(crate) struct Runner<'a> {
     done_flows: Vec<Flow>,
 }
 
-impl<'a> Runner<'a> {
-    /// A runner over the global `links` table owning the links in
-    /// `owned` (ascending global ids, matching `link_local`'s mapping).
-    pub(crate) fn new(
-        links: &[LinkSpec],
-        link_local: Option<&'a [u32]>,
-        owned: impl IntoIterator<Item = usize>,
-        store_trace: bool,
-    ) -> Self {
+impl Runner {
+    fn new(links: &[LinkSpec], store_trace: bool) -> Self {
         Self {
-            link_count: links.len(),
-            link_local,
             queue: TimerWheel::new(),
             seq: 0,
-            link_states: owned.into_iter().map(|g| LinkState::new(&links[g])).collect(),
+            link_states: links.iter().map(LinkState::new).collect(),
             jobs: Vec::new(),
             stages: Vec::new(),
             stage_reports: Vec::new(),
             policies: PolicyTable::default(),
             sink: TraceSink::new(store_trace),
-            log: None,
             finished: VecDeque::new(),
             done_flows: Vec::new(),
         }
     }
 
-    /// Starts recording the merge log (shard runs only). Called after
-    /// the initial admissions: the merge seeds those releases itself
-    /// from the global spec order, so they must not appear in the log.
-    pub(crate) fn start_merge_log(&mut self) {
-        self.log = Some(MergeLog::default());
-    }
-
     /// Admits a run's initial jobs, in order, after sizing the three
     /// arenas for them once.
-    pub(crate) fn admit_initial<'s>(&mut self, specs: impl Iterator<Item = &'s JobSpec> + Clone) {
+    fn admit_initial<'s>(&mut self, specs: impl Iterator<Item = &'s JobSpec> + Clone) {
         let (jobs, stages) = specs
             .clone()
             .fold((0, 0), |(jobs, stages), spec| (jobs + 1, stages + spec.stages.len()));
@@ -995,18 +926,7 @@ impl<'a> Runner<'a> {
 
     fn push(&mut self, at: u64, ev: Ev) {
         self.seq += 1;
-        if let Some(log) = &mut self.log {
-            log.push_times.push(at);
-        }
         self.queue.push(at, self.seq, ev);
-    }
-
-    /// Where `link`'s state lives in `link_states`.
-    fn state_index(&self, link: u32) -> usize {
-        match self.link_local {
-            Some(local) => local[link as usize] as usize,
-            None => link as usize,
-        }
     }
 
     /// Whether an event for `(job, stage)` still refers to the stage the
@@ -1024,13 +944,11 @@ impl<'a> Runner<'a> {
         job.cursor == xfer.stage && job.attempt == xfer.attempt
     }
 
-    pub(crate) fn run<W: Workload + ?Sized>(&mut self, workload: &mut W) {
+    fn run<W: Workload + ?Sized>(&mut self, workload: &mut W) {
         let passive = workload.passive();
         let mut scratch = JobReport::default();
         while let Some(entry) = self.queue.pop() {
             let at = entry.at;
-            let push_mark = self.log.as_ref().map_or(0, |l| l.push_times.len());
-            let trace_mark = self.sink.count;
             match entry.item {
                 Ev::Timer { key } => {
                     self.sink.push(TraceEvent::TimerFired { t: at, key });
@@ -1083,11 +1001,6 @@ impl<'a> Runner<'a> {
                     workload.on_job_end(&scratch, &mut sim);
                 }
             }
-            if let Some(log) = &mut self.log {
-                let pushed = (log.push_times.len() - push_mark) as u32;
-                let traced = (self.sink.count - trace_mark) as u32;
-                log.pops.push((pushed, traced));
-            }
         }
     }
 
@@ -1130,7 +1043,7 @@ impl<'a> Runner<'a> {
                 self.push(t + duration_us, Ev::ComputeDone { job: j, stage: run.cursor });
             }
             StageRec::Transfer { bytes, link, policy } => {
-                let link_state = &self.link_states[self.state_index(link)];
+                let link_state = &self.link_states[link as usize];
                 let ideal_us = transfer_us(link_state.latency_us, link_state.bytes_per_sec, bytes);
                 let report = &mut self.stage_reports[slot];
                 report.submitted_us = t;
@@ -1181,8 +1094,7 @@ impl<'a> Runner<'a> {
         if let Some(timeout_us) = self.policies.get(policy).timeout_us {
             self.push(t + timeout_us, Ev::Timeout(xfer));
         }
-        let ls = self.state_index(link);
-        let state = &mut self.link_states[ls];
+        let state = &mut self.link_states[link as usize];
         match &mut state.sharing {
             Sharing::Fifo { queue, current, .. } => {
                 if current.is_none() && queue.is_empty() {
@@ -1206,8 +1118,8 @@ impl<'a> Runner<'a> {
 
     /// Puts `xfer` in service on the idle FIFO `link` for `service_us`.
     fn fifo_start(&mut self, link: u32, xfer: Xfer, id: u64, service_us: u64, t: u64) {
-        let ls = self.state_index(link);
-        let Sharing::Fifo { current, token, .. } = &mut self.link_states[ls].sharing else {
+        let Sharing::Fifo { current, token, .. } = &mut self.link_states[link as usize].sharing
+        else {
             unreachable!("fifo_start on a fair-share link");
         };
         debug_assert!(current.is_none(), "fifo_start on a busy link");
@@ -1229,8 +1141,8 @@ impl<'a> Runner<'a> {
     /// job's next stage to the same link, which restarts service before
     /// the completion handler regains control.)
     fn fifo_start_next(&mut self, link: u32, t: u64) {
-        let ls = self.state_index(link);
-        let Sharing::Fifo { queue, current, .. } = &mut self.link_states[ls].sharing else {
+        let Sharing::Fifo { queue, current, .. } = &mut self.link_states[link as usize].sharing
+        else {
             unreachable!("fifo_start_next on a fair-share link");
         };
         if current.is_some() {
@@ -1243,8 +1155,8 @@ impl<'a> Runner<'a> {
     }
 
     fn fifo_done(&mut self, link: u32, token: u64, t: u64) {
-        let ls = self.state_index(link);
-        let Sharing::Fifo { current, token: cur_token, .. } = &mut self.link_states[ls].sharing
+        let Sharing::Fifo { current, token: cur_token, .. } =
+            &mut self.link_states[link as usize].sharing
         else {
             return;
         };
@@ -1265,8 +1177,7 @@ impl<'a> Runner<'a> {
 
     /// Schedules the next completion check for the fair-share `link`.
     fn fair_schedule(&mut self, link: u32, t: u64) {
-        let ls = self.state_index(link);
-        if let Some((at, epoch)) = self.link_states[ls].fair_next_check(t) {
+        if let Some((at, epoch)) = self.link_states[link as usize].fair_next_check(t) {
             self.push(at, Ev::FairCheck { link, epoch });
         }
     }
@@ -1277,8 +1188,7 @@ impl<'a> Runner<'a> {
         let StageRec::Transfer { bytes, link, .. } = self.stages[run.slot(xfer.stage)] else {
             unreachable!("joined transfer is a transfer stage");
         };
-        let ls = self.state_index(link);
-        let state = &mut self.link_states[ls];
+        let state = &mut self.link_states[link as usize];
         state.fair_advance(t);
         self.sink.push(TraceEvent::TransferStarted {
             t,
@@ -1296,8 +1206,7 @@ impl<'a> Runner<'a> {
     }
 
     fn fair_check(&mut self, link: u32, epoch: u64, t: u64) {
-        let ls = self.state_index(link);
-        let state = &mut self.link_states[ls];
+        let state = &mut self.link_states[link as usize];
         let Sharing::Fair { epoch: cur, .. } = &state.sharing else { return };
         if *cur != epoch {
             return; // the flow set changed since this check was scheduled
@@ -1339,8 +1248,7 @@ impl<'a> Runner<'a> {
         let StageRec::Transfer { link, policy, .. } = self.stages[slot] else {
             unreachable!("timeout on a compute stage");
         };
-        let ls = self.state_index(link);
-        let state = &mut self.link_states[ls];
+        let state = &mut self.link_states[link as usize];
         // Withdraw the attempt from wherever it currently lives. A
         // pending FairJoin needs no removal: bumping the attempt below
         // invalidates it.
@@ -1424,23 +1332,13 @@ impl<'a> Runner<'a> {
             .collect()
     }
 
-    pub(crate) fn into_outcome(self) -> SimOutcome {
+    fn into_outcome(self) -> SimOutcome {
         SimOutcome {
             records: self.records(),
             stage_arena: self.stage_reports,
             trace: self.sink.events,
             fingerprint: self.sink.hash,
             events: self.sink.count,
-        }
-    }
-
-    /// Dismantles a finished shard run for the cross-shard merge.
-    pub(crate) fn into_shard_run(self) -> ShardRun {
-        ShardRun {
-            records: self.records(),
-            stage_arena: self.stage_reports,
-            trace: self.sink.events,
-            log: self.log.expect("shard runs record a merge log"),
         }
     }
 }
@@ -1914,7 +1812,7 @@ mod tests {
                 }],
             })
             .collect();
-        let mut runner = Runner::new(&links, None, 0..links.len(), true);
+        let mut runner = Runner::new(&links, true);
         runner.admit_initial(jobs.iter());
         assert_eq!(runner.policies.policies.len(), 3, "one entry per bit pattern");
         runner.run(&mut Passive);
@@ -1953,7 +1851,7 @@ mod tests {
             JobSpec { id: 0, release_us: 0, stages: distinct },
             JobSpec { id: 1, release_us: 0, stages: same_nan },
         ];
-        let mut runner = Runner::new(&links, None, 0..1, false);
+        let mut runner = Runner::new(&links, false);
         runner.admit_initial(jobs.iter());
         assert_eq!(runner.policies.policies.len(), 10_001);
         assert_eq!(runner.policies.ids.len(), 10_001);
@@ -1983,7 +1881,7 @@ mod tests {
             JobSpec { id: 1, release_us: 20_000, stages: vec![xfer(0, 12_500)] },
         ];
         let links = vec![wifi_fifo()];
-        let mut runner = Runner::new(&links, None, 0..1, true);
+        let mut runner = Runner::new(&links, true);
         runner.admit_initial(jobs.iter());
         runner.run(&mut Passive);
         let Sharing::Fifo { queue, current, token } = &runner.link_states[0].sharing else {
@@ -1995,45 +1893,5 @@ mod tests {
         let out = runner.into_outcome();
         assert_eq!(out.job(0).status(), JobStatus::TimedOut { stage: 0 });
         assert_eq!(out.job(1).end_us(), 29_000);
-    }
-
-    #[test]
-    fn sharded_passive_run_matches_sequential_exactly() {
-        // Two disjoint link components plus a linkless compute job; the
-        // merged 3-shard run must reproduce records and fingerprint.
-        let links = vec![wifi_fifo(), LinkSpec::fair(LinkProfile::cellular())];
-        let jobs: Vec<JobSpec> = (0..12)
-            .map(|i| JobSpec {
-                id: i,
-                release_us: (i % 5) * 400,
-                stages: match i % 3 {
-                    0 => vec![xfer((i % 2) as usize, 60_000 + i * 500)],
-                    1 => vec![Stage::Compute { label: "train", duration_us: 10_000 + i * 10 }],
-                    _ => vec![
-                        xfer(1, 20_000),
-                        Stage::Compute { label: "train", duration_us: 5_000 },
-                        xfer(0, 30_000),
-                    ],
-                },
-            })
-            .collect();
-        let seq = sim(links.clone()).run(&jobs, &mut Passive);
-        for shards in [2usize, 3, 8] {
-            let par = Simulator::builder()
-                .links(links.clone())
-                .shards(shards)
-                .build()
-                .run(&jobs, &mut Passive);
-            assert_eq!(par.fingerprint(), seq.fingerprint(), "{shards} shards");
-            assert_eq!(par.trace, seq.trace, "{shards} shards");
-            assert_eq!(par.events(), seq.events());
-            assert_eq!(par.job_count(), seq.job_count());
-            for (a, b) in par.jobs().zip(seq.jobs()) {
-                assert_eq!(a.id(), b.id());
-                assert_eq!(a.end_us(), b.end_us());
-                assert_eq!(a.status(), b.status());
-                assert_eq!(a.stages(), b.stages());
-            }
-        }
     }
 }

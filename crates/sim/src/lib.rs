@@ -13,13 +13,12 @@
 //!   [`JobSpec`]s (ordered compute/transfer stages) to completion.
 //!   Transfers contend on shared links, can time out (even while still
 //!   queued) and retry with exponential backoff. Simulators are
-//!   assembled with [`Simulator::builder`] (links, shard count, trace
-//!   retention) and run through one entry point, [`Simulator::run`],
-//!   generic over a [`Workload`]: pass [`Passive`] for a closed replay,
-//!   or a reactive workload that observes every job ending at virtual
-//!   time and injects new jobs and timer events mid-run — the hook the
-//!   serving scheduler and the closed-loop training co-simulation are
-//!   built on.
+//!   assembled with [`Simulator::builder`] (links, trace retention) and
+//!   run through one entry point, [`Simulator::run`], generic over a
+//!   [`Workload`]: pass [`Passive`] for a closed replay, or a reactive
+//!   workload that observes every job ending at virtual time and
+//!   injects new jobs and timer events mid-run — the hook the serving
+//!   scheduler and the closed-loop training co-simulation are built on.
 //! * [`wheel`] — the hierarchical [`TimerWheel`] behind the engine:
 //!   O(1) schedule/fire with a sorted far-future overflow bucket,
 //!   popping in exactly the `(time, seq)` order of the binary heap it
@@ -30,10 +29,10 @@
 //!   straggler injection.
 //! * [`trace`] — every engine transition in execution order, collapsed
 //!   to a [`fingerprint`] so end-to-end determinism (same seed ⇒
-//!   bit-identical traces, regardless of host, caller thread counts or
-//!   [`SimulatorBuilder::shards`] setting) is cheap to assert on every
-//!   run. At fleet scale, [`TraceLevel::Fingerprint`] streams the hash
-//!   without retaining events.
+//!   bit-identical traces, regardless of host or caller thread counts)
+//!   is cheap to assert on every run. At fleet scale,
+//!   [`TraceLevel::Fingerprint`] streams the hash without retaining
+//!   events.
 //! * [`report`] — per-stage queue/service latency splits using the
 //!   workspace's shared nearest-rank percentile helper.
 //!
@@ -84,7 +83,6 @@
 pub mod engine;
 pub mod link;
 pub mod report;
-pub(crate) mod shard;
 pub mod trace;
 pub mod wheel;
 

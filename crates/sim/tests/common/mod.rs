@@ -7,10 +7,8 @@ use pelican_sim::{JobSpec, LinkMix, LinkProfile, LinkSpec, Stage, TransferPolicy
 pub const GROUP: usize = 64;
 
 /// A fleet of `devices` endpoints: each device owns a FIFO last-hop
-/// link and shares a fair-share uplink with its group, giving
-/// `devices / GROUP` independent link components — plenty for 8 shards.
-/// Every device runs one download → train → upload job: ten trace
-/// events.
+/// link and shares a fair-share uplink with its group. Every device
+/// runs one download → train → upload job: ten trace events.
 pub fn fleet(devices: usize) -> (Vec<LinkSpec>, Vec<JobSpec>) {
     let groups = devices.div_ceil(GROUP);
     let mix = LinkMix::campus();

@@ -11,9 +11,10 @@
 //! make an engine change pass.
 //!
 //! * 32 seeded passive fleets from `sim_props.rs`'s generator widened to
-//!   0–6 stages per job, each run at both trace levels on 1 and 2
-//!   shards; [`the_fleets_reach_every_path_the_goldens_pin`] asserts the
-//!   set really exercises what it is here for.
+//!   0–6 stages per job, each run at both trace levels as [`Passive`]
+//!   and as a reactive workload that never reacts;
+//!   [`the_fleets_reach_every_path_the_goldens_pin`] asserts the set
+//!   really exercises what it is here for.
 //! * 4 reactive runs whose workload submits jobs and sets timers from
 //!   both callbacks.
 //! * One scripted FIFO link walked through idle → busy → idle → queued,
@@ -69,7 +70,7 @@ fn assert_golden(name: &str, expected: &[Golden], actual: &[Golden]) {
 
 /// One transfer or compute stage drawn from `hs`. Transfers stay inside
 /// the job's `group` of two links except for one draw in 64, which
-/// couples groups (so fleets have one to four link components).
+/// couples groups.
 fn stage(hs: u64, links: usize, group: usize) -> Stage {
     if hs.is_multiple_of(3) {
         return Stage::Compute { label: "compute", duration_us: hs % 50_000 };
@@ -123,18 +124,25 @@ fn fleet(seed: u64) -> (Vec<LinkSpec>, Vec<JobSpec>) {
     (link_table, specs)
 }
 
-fn run_passive(
+fn run_with(
     links: &[LinkSpec],
     specs: &[JobSpec],
-    shards: usize,
     level: TraceLevel,
+    workload: &mut impl Workload,
 ) -> SimOutcome {
-    Simulator::builder()
-        .links(links.to_vec())
-        .shards(shards)
-        .trace(level)
-        .build()
-        .run(specs, &mut Passive)
+    Simulator::builder().links(links.to_vec()).trace(level).build().run(specs, workload)
+}
+
+fn run_passive(links: &[LinkSpec], specs: &[JobSpec], level: TraceLevel) -> SimOutcome {
+    run_with(links, specs, level, &mut Passive)
+}
+
+/// A reactive workload that never reacts: `passive()` stays `false`, so
+/// the loop fills a report and calls back for every job that ends.
+struct Inert;
+
+impl Workload for Inert {
+    fn on_job_end(&mut self, _job: &JobReport, _sim: &mut SimControl) {}
 }
 
 /// The fingerprint's definition, restated over the public byte fold: a
@@ -176,17 +184,25 @@ fn assert_hash_is_the_trace(outcome: &SimOutcome, what: &str) {
     assert_eq!(outcome.fingerprint(), bytewise_fingerprint(&outcome.trace), "{what}: vs bytewise");
 }
 
-/// Runs fleet `seed` four ways (both trace levels, 1 and 2 shards),
-/// asserts they agree, and returns the full-trace 1-shard outcome.
+/// Runs fleet `seed` four ways (both trace levels, [`Passive`] and
+/// [`Inert`]), asserts they agree, and returns the full-trace passive
+/// outcome: all `passive()` selects is whether reports are filled, and
+/// that must not change a trace event.
 fn run_four_ways(seed: u64) -> SimOutcome {
     let (links, specs) = fleet(seed);
-    let full = run_passive(&links, &specs, 1, TraceLevel::Full);
+    let full = run_passive(&links, &specs, TraceLevel::Full);
     assert_hash_is_the_trace(&full, &format!("fleet {seed}"));
-    for (shards, level) in
-        [(1, TraceLevel::Fingerprint), (2, TraceLevel::Full), (2, TraceLevel::Fingerprint)]
-    {
-        let other = run_passive(&links, &specs, shards, level);
-        let what = format!("fleet {seed} at {shards} shard(s), {level:?}");
+    for (inert, level) in [
+        (false, TraceLevel::Fingerprint),
+        (true, TraceLevel::Full),
+        (true, TraceLevel::Fingerprint),
+    ] {
+        let other = if inert {
+            run_with(&links, &specs, level, &mut Inert)
+        } else {
+            run_passive(&links, &specs, level)
+        };
+        let what = format!("fleet {seed}, inert reactive: {inert}, {level:?}");
         assert_eq!(Golden::of(&other), Golden::of(&full), "{what}");
         match level {
             TraceLevel::Full => assert_eq!(other.trace, full.trace, "{what}"),
@@ -261,7 +277,6 @@ struct Coverage {
     fifo_started_from_queue: usize,
     empty_jobs: usize,
     six_stage_jobs: usize,
-    multi_component_fleets: usize,
 }
 
 #[test]
@@ -269,29 +284,9 @@ fn the_fleets_reach_every_path_the_goldens_pin() {
     let mut seen = Coverage::default();
     for seed in FLEET_SEEDS {
         let (links, specs) = fleet(seed);
-        let out = run_passive(&links, &specs, 1, TraceLevel::Full);
+        let out = run_passive(&links, &specs, TraceLevel::Full);
         seen.empty_jobs += specs.iter().filter(|s| s.stages.is_empty()).count();
         seen.six_stage_jobs += specs.iter().filter(|s| s.stages.len() == 6).count();
-        // Fleets where some job touches no link another job's links
-        // reach: at least two shards get real work.
-        let mut touched: Vec<Vec<usize>> = specs
-            .iter()
-            .map(|s| {
-                s.stages
-                    .iter()
-                    .filter_map(|st| match st {
-                        Stage::Transfer { link, .. } => Some(*link),
-                        Stage::Compute { .. } => None,
-                    })
-                    .collect()
-            })
-            .filter(|l: &Vec<usize>| !l.is_empty())
-            .collect();
-        let mut reach = touched.pop().unwrap_or_default();
-        while let Some(i) = touched.iter().position(|t| t.iter().any(|l| reach.contains(l))) {
-            reach.extend(touched.swap_remove(i));
-        }
-        seen.multi_component_fleets += usize::from(!touched.is_empty());
         // (job, stage, attempt) -> (queued at, started at).
         let mut attempts: HashMap<(u64, usize, u32), (u64, Option<u64>)> = HashMap::new();
         for event in &out.trace {
@@ -338,7 +333,6 @@ fn the_fleets_reach_every_path_the_goldens_pin() {
         ("FIFO transfers started from the queue", seen.fifo_started_from_queue),
         ("jobs without stages", seen.empty_jobs),
         ("jobs with six stages", seen.six_stage_jobs),
-        ("fleets with more than one link component", seen.multi_component_fleets),
     ];
     for (what, count) in floor {
         assert!(count >= 8, "only {count} {what} across the golden fleets: {seen:?}");
@@ -413,14 +407,7 @@ fn reactive_runs_replay_the_recorded_fingerprints() {
         let (links, specs) = fleet(seed);
         let run = |level| {
             let mut reactor = Reactor { seed, links: links.len(), budget: 60, next_id: 1_000 };
-            // A multi-shard builder: reactive workloads run on one queue
-            // whatever it says.
-            Simulator::builder()
-                .links(links.clone())
-                .shards(2)
-                .trace(level)
-                .build()
-                .run(&specs, &mut reactor)
+            run_with(&links, &specs, level, &mut reactor)
         };
         let full = run(TraceLevel::Full);
         assert_hash_is_the_trace(&full, &format!("reactive {seed}"));
@@ -472,7 +459,7 @@ fn a_fifo_link_walks_idle_busy_idle_queued_event_for_event() {
         JobSpec { id: 3, release_us: 200_000, stages: vec![xfer(0, None, RetryPolicy::none())] },
     ];
     let links = [LinkSpec::fifo(LinkProfile::wifi())];
-    let out = run_passive(&links, &specs, 1, TraceLevel::Full);
+    let out = run_passive(&links, &specs, TraceLevel::Full);
     use TraceEvent::*;
     let (stage, link) = (0, 0);
     let expected = vec![
@@ -530,7 +517,7 @@ fn fair_share_flows_that_finish_in_one_check_leave_in_join_order() {
     };
     let specs = vec![job(7, 100_000), job(3, 400_000), job(9, 100_000), job(5, 100_000)];
     let links = [LinkSpec::fair(LinkProfile::wifi())];
-    let out = run_passive(&links, &specs, 1, TraceLevel::Full);
+    let out = run_passive(&links, &specs, TraceLevel::Full);
     assert_hash_is_the_trace(&out, "fair-share batch");
     // Four flows at 3.125 bytes/µs each: the three small ones drain in
     // 32 ms, then job 3 has the link to itself for its last 300 kB.
@@ -574,14 +561,12 @@ fn timestamps_beyond_32_bits_replay_the_recorded_fingerprint() {
         spec.release_us += [1 << 32, 1 << 36, WEEK_US][j % 3];
         spec.id += [0, 1 << 24, 1 << 40][j % 3];
     }
-    let full = run_passive(&links, &specs, 1, TraceLevel::Full);
+    let full = run_passive(&links, &specs, TraceLevel::Full);
     assert_hash_is_the_trace(&full, "long timestamps");
     assert!(full.trace.iter().all(|e| e.time() >= 1 << 32));
     assert!(full.trace.iter().any(|e| e.time() >= WEEK_US));
-    for (shards, level) in [(1, TraceLevel::Fingerprint), (2, TraceLevel::Fingerprint)] {
-        let other = run_passive(&links, &specs, shards, level);
-        assert_eq!(Golden::of(&other), Golden::of(&full), "{shards} shard(s)");
-    }
+    let slim = run_passive(&links, &specs, TraceLevel::Fingerprint);
+    assert_eq!(Golden::of(&slim), Golden::of(&full));
     assert_golden(
         "long timestamps",
         &[Golden { fingerprint: 0x9a64_4e42_479c_d821, events: 210, timed_out: 11 }],

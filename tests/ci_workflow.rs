@@ -1,0 +1,49 @@
+//! The CI workflow must stay parseable YAML where it has twice stopped
+//! being: a step name is a plain scalar unless quoted, and a plain
+//! scalar may not contain `: `, may not contain ` #` (the rest becomes a
+//! comment) and may not end in `:`. Checked without a YAML parser — the
+//! container has none to depend on — by looking at every `name:` line.
+
+const WORKFLOW: &str = include_str!("../.github/workflows/ci.yml");
+
+/// Why `value` cannot stand unquoted after `name:`, if it cannot.
+fn plain_scalar_problem(value: &str) -> Option<&'static str> {
+    if value.starts_with('"') || value.starts_with('\'') {
+        None
+    } else if value.contains(": ") {
+        Some("contains \": \" (read as a nested mapping)")
+    } else if value.contains(" #") {
+        Some("contains \" #\" (the rest is read as a comment)")
+    } else if value.ends_with(':') {
+        Some("ends in \":\" (read as a mapping key)")
+    } else {
+        None
+    }
+}
+
+#[test]
+fn every_name_in_the_ci_workflow_is_quoted_or_a_safe_plain_scalar() {
+    let mut names = 0;
+    let problems: Vec<String> = WORKFLOW
+        .lines()
+        .enumerate()
+        .filter_map(|(i, line)| {
+            let text = line.trim();
+            let value = text.strip_prefix("- name:").or_else(|| text.strip_prefix("name:"))?;
+            names += 1;
+            let problem = plain_scalar_problem(value.trim())?;
+            Some(format!("ci.yml:{}: unquoted name {problem}: {}", i + 1, value.trim()))
+        })
+        .collect();
+    assert!(names >= 20, "only {names} `name:` lines found: the scan is not reading the workflow");
+    assert!(problems.is_empty(), "quote these step names:\n{}", problems.join("\n"));
+}
+
+#[test]
+fn the_guard_flags_each_way_a_plain_name_breaks() {
+    assert!(plain_scalar_problem("Fleet network example (one-round co-simulation: link)").is_some());
+    assert!(plain_scalar_problem("Build #2").is_some());
+    assert!(plain_scalar_problem("Build:").is_some());
+    assert!(plain_scalar_problem("Build (release)").is_none());
+    assert!(plain_scalar_problem("\"Sim engine (release: golden traces)\"").is_none());
+}
