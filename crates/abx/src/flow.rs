@@ -34,6 +34,15 @@
 //!    degraded-*after*-swap count is zero, reusing the exact
 //!    [`count_degraded_after_swap`] definition the rollback study uses.
 //!
+//! The loop composes on the serving tier by the rules in
+//! [`pelican_serve::simserve`]: job ends decode with [`ServeJob::of`], and
+//! every [`ServeJob::Batch`] end is scanned for per-arm traffic
+//! ([`crate::ArmStats::served`]), adversary answers and the losing
+//! cohort's log. Attack uplinks (the opening batches included) and flip
+//! pushes are [`Lane`]s of kinds 9 and 10 on two WAN links after
+//! serving's; the checkpoint timer key is `u64::MAX - 1`. The run fails
+//! with the serving tier's [`UpdateError`].
+//!
 //! Determinism: the split is a pure hash, training is width-invariant,
 //! attack query sets are answer-independent and everything else is a
 //! deterministic event heap — the outcome [`fingerprint`] is
@@ -50,16 +59,12 @@ use pelican_attacks::{truncate_top_k, ServedAdversary, ServedAnswer, ServedConfi
 use pelican_attacks::{Prior, PriorKind};
 use pelican_live::{bootstrap_jobs, live_stream, LiveConfig};
 use pelican_mobility::MobilityDataset;
-use pelican_nn::{ModelCodecError, ModelEnvelope, SequenceModel};
+use pelican_nn::{ModelEnvelope, SequenceModel};
 use pelican_serve::{
-    job_id, serve_harness, split_job_id, Request, RollbackError, SchedulerConfig, ServeFlow,
-    ServeHarness, ShardedRegistry, SimServeConfig,
+    serve_harness, Lane, Request, SchedulerConfig, ServeFlow, ServeHarness, ServeJob,
+    ShardedRegistry, SimServeConfig, UpdateError,
 };
-use pelican_sim::{
-    JobReport, JobSpec, LinkProfile, LinkSpec, SimControl, Simulator, Stage, TransferPolicy,
-    Workload,
-};
-use pelican_store::StoreError;
+use pelican_sim::{JobReport, JobSpec, LinkProfile, LinkSpec, SimControl, Simulator, Workload};
 use pelican_train::{count_degraded_after_swap, FleetTrainer, PipelineConfig, StalenessWindow};
 
 use crate::publisher::{defended, publish_arms, ArmPublication};
@@ -67,11 +72,11 @@ use crate::report::{AbxOutcome, AttackRecord, PublicationRecord, SwapKind, SwapR
 use crate::splitter::{Arm, CohortSplit, CohortSplitter};
 use crate::verdict::{prior_hit_rate, Verdict, VerdictConfig, VerdictEngine};
 
-/// Job-id namespace of adversary uplink batches (the serving flow owns
-/// kinds 0–2; the live loop uses 8).
+/// Job kind of adversary uplink batches (the serving flow owns 0–2; the
+/// live loop uses 8).
 const KIND_ATTACK: u64 = 9;
 
-/// Job-id namespace of post-verdict flip / promotion pushes.
+/// Job kind of post-verdict flip / promotion pushes.
 const KIND_FLIP: u64 = 10;
 
 /// Timer key of the verdict checkpoint — distinct from the serving
@@ -146,51 +151,6 @@ impl Default for AbxConfig {
     }
 }
 
-/// Why an experiment could not complete.
-#[derive(Debug)]
-pub enum AbxError {
-    /// A stored envelope failed to decode.
-    Codec(ModelCodecError),
-    /// The durable store failed an append.
-    Store(StoreError),
-    /// A losing-cohort flip-back failed.
-    Rollback(RollbackError),
-    /// The registry has no durable store attached — the experiment needs
-    /// version history for the shadow flip-back.
-    NoStore,
-}
-
-impl std::fmt::Display for AbxError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AbxError::Codec(e) => write!(f, "envelope decode failed: {e}"),
-            AbxError::Store(e) => write!(f, "durable store failed: {e}"),
-            AbxError::Rollback(e) => write!(f, "flip-back failed: {e}"),
-            AbxError::NoStore => write!(f, "A/B experiment requires a store-backed registry"),
-        }
-    }
-}
-
-impl std::error::Error for AbxError {}
-
-impl From<ModelCodecError> for AbxError {
-    fn from(e: ModelCodecError) -> Self {
-        AbxError::Codec(e)
-    }
-}
-
-impl From<StoreError> for AbxError {
-    fn from(e: StoreError) -> Self {
-        AbxError::Store(e)
-    }
-}
-
-impl From<RollbackError> for AbxError {
-    fn from(e: RollbackError) -> Self {
-        AbxError::Rollback(e)
-    }
-}
-
 /// One attacked user's front-door attack in flight.
 struct AttackState {
     user_id: usize,
@@ -217,27 +177,19 @@ struct AbxFlow<'a> {
     publications: &'a [ArmPublication],
     /// user id → index into `publications`.
     pub_index: HashMap<usize, usize>,
-    arms: [DefenseKind; 2],
+    config: &'a AbxConfig,
     attacks: Vec<AttackState>,
     engine: VerdictEngine,
-    /// Client send time of every background request, by request id.
-    stream_sent: Vec<u64>,
-    /// Injected attack request id → (attack slot, adversary query id,
-    /// uplink send time).
-    rid_map: HashMap<usize, (usize, usize, u64)>,
+    /// Injected attack request id → (attack slot, adversary query id).
+    rid_map: HashMap<usize, (usize, usize)>,
     next_rid: usize,
-    /// Outstanding uplink batches by `KIND_ATTACK` payload.
-    uplinks: HashMap<u64, (usize, u64, Vec<ServedQuery>)>,
-    next_uplink: u64,
-    uplink_link: usize,
-    push_link: usize,
-    query_bytes: u64,
-    response_top_k: usize,
-    audit_k: usize,
-    checkpoint_interval_us: u64,
+    /// Adversary query batches on the shared WAN uplink, with their
+    /// attack slot.
+    uplinks: Lane<(usize, Vec<ServedQuery>)>,
+    /// Post-verdict flip / promotion pushes on the FIFO WAN push link.
+    flips: Lane<FlipAction>,
     checkpoint_armed: bool,
     checkpoints: u64,
-    decided: bool,
     verdict: Option<(Verdict, [crate::verdict::ArmStats; 2])>,
     verdict_us: u64,
     /// Losing-cohort user → replica slot into `swap_times`.
@@ -249,29 +201,28 @@ struct AbxFlow<'a> {
     /// `(dispatched_us, slot, served-the-losing-rung)` per losing-cohort
     /// response after the verdict — the shared staleness log shape.
     flip_log: Vec<(u64, usize, bool)>,
-    /// Outstanding flip pushes by `KIND_FLIP` payload.
-    flips: HashMap<u64, FlipAction>,
-    next_flip: u64,
     attack_records: Vec<AttackRecord>,
     swaps: Vec<SwapRecord>,
-    error: Option<AbxError>,
+    error: Option<UpdateError>,
 }
 
 impl AbxFlow<'_> {
     /// Keeps exactly one checkpoint timer armed until the decision.
     fn ensure_checkpoint(&mut self, sim: &mut SimControl) {
-        if !self.checkpoint_armed && !self.decided {
-            sim.set_timer(sim.now() + self.checkpoint_interval_us, CHECKPOINT_KEY);
+        if !self.checkpoint_armed && self.verdict.is_none() {
+            sim.set_timer(sim.now() + self.config.checkpoint_interval_us, CHECKPOINT_KEY);
             self.checkpoint_armed = true;
         }
     }
 
-    fn sent_of(&self, request_id: usize) -> u64 {
-        if request_id < self.stream_sent.len() {
-            self.stream_sent[request_id]
-        } else {
-            self.rid_map[&request_id].2
-        }
+    /// The job carrying an adversary's next query batch up its uplink,
+    /// if it has one.
+    fn next_uplink(&mut self, slot: usize, release_us: u64) -> Option<JobSpec> {
+        let batch = self.attacks[slot].adversary.next_queries();
+        (!batch.is_empty()).then(|| {
+            let bytes = self.config.query_bytes * batch.len() as u64;
+            self.uplinks.job(release_us, bytes, (slot, batch))
+        })
     }
 
     /// Drains an adversary's next batch onto its uplink, or records its
@@ -280,29 +231,15 @@ impl AbxFlow<'_> {
         if self.attacks[slot].done {
             return;
         }
-        let batch = self.attacks[slot].adversary.next_queries();
-        if !batch.is_empty() {
-            let seq = self.next_uplink;
-            self.next_uplink += 1;
-            let now = sim.now();
-            sim.submit(JobSpec {
-                id: job_id(KIND_ATTACK, seq),
-                release_us: now,
-                stages: vec![Stage::Transfer {
-                    label: "abx-uplink",
-                    link: self.uplink_link,
-                    bytes: self.query_bytes * batch.len() as u64,
-                    policy: TransferPolicy::default(),
-                }],
-            });
-            self.uplinks.insert(seq, (slot, now, batch));
+        if let Some(job) = self.next_uplink(slot, sim.now()) {
+            sim.submit(job);
             return;
         }
         if self.attacks[slot].adversary.is_done() {
             let state = &mut self.attacks[slot];
             state.done = true;
             let eval = state.adversary.evaluation();
-            let accuracy = eval.accuracy(self.audit_k);
+            let accuracy = eval.accuracy(self.config.pipeline.audit.audit_k);
             let wire = state.adversary.queries_sent() as u64;
             self.engine.record_attack(state.arm, accuracy, state.baseline, wire);
             self.attack_records.push(AttackRecord {
@@ -317,16 +254,19 @@ impl AbxFlow<'_> {
         }
     }
 
-    /// An uplink batch reached the front door: inject every query into
-    /// the scheduler at the current virtual instant.
-    fn uplink_arrived(&mut self, seq: u64, sim: &mut SimControl) {
-        let (slot, sent_us, batch) =
-            self.uplinks.remove(&seq).expect("one end per submitted uplink");
+    /// An uplink batch sent at `sent_us` reached the front door: inject
+    /// every query into the scheduler at the current virtual instant.
+    fn uplink_arrived(
+        &mut self,
+        (slot, batch): (usize, Vec<ServedQuery>),
+        sent_us: u64,
+        sim: &mut SimControl,
+    ) {
         let user_id = self.attacks[slot].user_id;
         for q in batch {
             let rid = self.next_rid;
             self.next_rid += 1;
-            self.rid_map.insert(rid, (slot, q.id, sent_us));
+            self.rid_map.insert(rid, (slot, q.id));
             self.serve.inject(Request { id: rid, user_id, arrival_us: sent_us, xs: q.xs }, sim);
         }
     }
@@ -339,20 +279,15 @@ impl AbxFlow<'_> {
         let completions = self.serve.completions()[index].clone();
         let mut touched: Vec<usize> = Vec::new();
         for c in &completions {
-            let finish = c.finish_us();
+            let latency_us = c.finish_us().saturating_sub(self.serve.sent_us(c.request_id));
             if let Some(arm @ (Arm::A | Arm::B)) = self.split.arm_of(c.user_id) {
-                self.engine.observe_completion(
-                    arm,
-                    c.queue_us,
-                    c.service_us,
-                    finish.saturating_sub(self.sent_of(c.request_id)),
-                );
+                self.engine.observe_completion(arm, c.queue_us, c.service_us, latency_us);
             }
-            if let Some(&(slot, query_id, sent_us)) = self.rid_map.get(&c.request_id) {
+            if let Some(&(slot, query_id)) = self.rid_map.get(&c.request_id) {
                 self.attacks[slot].adversary.absorb(ServedAnswer {
                     id: query_id,
-                    probs: truncate_top_k(&c.probs, self.response_top_k),
-                    latency_us: finish.saturating_sub(sent_us),
+                    probs: truncate_top_k(&c.probs, self.config.response_top_k),
+                    latency_us,
                 });
                 touched.push(slot);
             }
@@ -384,7 +319,7 @@ impl AbxFlow<'_> {
     fn checkpoint(&mut self, sim: &mut SimControl) {
         self.checkpoint_armed = false;
         self.checkpoints += 1;
-        if self.decided || self.error.is_some() {
+        if self.verdict.is_some() || self.error.is_some() {
             return;
         }
         if self.attacks.iter().all(|a| a.done) {
@@ -399,59 +334,33 @@ impl AbxFlow<'_> {
     fn decide(&mut self, sim: &mut SimControl) {
         let now = sim.now();
         let (verdict, stats) = self.engine.decide();
-        self.decided = true;
         self.verdict_us = now;
         if let Some(winner) = verdict.winner() {
-            let rung = self.arms[winner.index()];
+            let rung = self.config.arms[winner.index()];
             for &user_id in self.split.arm(winner.other()) {
                 let p = &self.publications[self.pub_index[&user_id]];
                 let slot = self.swap_times.len();
                 self.losing_slot.insert(user_id, slot);
                 self.swap_times.push(0);
                 self.expected.insert(user_id, defended(&p.base, rung));
-                self.push_flip(
-                    FlipAction::FlipBack {
-                        user_id,
-                        slot,
-                        shadow_version: p
-                            .shadow_version
-                            .expect("treatment users carry a shadow version"),
-                    },
-                    p.envelope_bytes,
-                    now,
-                    sim,
-                );
+                let shadow_version =
+                    p.shadow_version.expect("treatment users carry a shadow version");
+                let flip = FlipAction::FlipBack { user_id, slot, shadow_version };
+                self.flips.submit(p.envelope_bytes, flip, sim);
             }
             for &user_id in &self.split.holdout {
                 let p = &self.publications[self.pub_index[&user_id]];
                 let envelope = ModelEnvelope::encode(&defended(&p.base, rung));
                 let bytes = envelope.len() as u64;
-                self.push_flip(FlipAction::Promote { user_id, envelope }, bytes, now, sim);
+                self.flips.submit(bytes, FlipAction::Promote { user_id, envelope }, sim);
             }
         }
         self.verdict = Some((verdict, stats));
     }
 
-    fn push_flip(&mut self, action: FlipAction, bytes: u64, now: u64, sim: &mut SimControl) {
-        let seq = self.next_flip;
-        self.next_flip += 1;
-        sim.submit(JobSpec {
-            id: job_id(KIND_FLIP, seq),
-            release_us: now,
-            stages: vec![Stage::Transfer {
-                label: "flip-push",
-                link: self.push_link,
-                bytes,
-                policy: TransferPolicy::default(),
-            }],
-        });
-        self.flips.insert(seq, action);
-    }
-
     /// A flip push landed: execute the swap through the registry's
     /// durable path and stamp the landing time.
-    fn flip_landed(&mut self, seq: u64, landed_us: u64) {
-        let action = self.flips.remove(&seq).expect("one end per submitted flip push");
+    fn flip_landed(&mut self, action: FlipAction, landed_us: u64) {
         if self.error.is_some() {
             return;
         }
@@ -488,20 +397,20 @@ impl AbxFlow<'_> {
 impl Workload for AbxFlow<'_> {
     fn on_job_end(&mut self, job: &JobReport, sim: &mut SimControl) {
         self.ensure_checkpoint(sim);
-        let (kind, payload) = split_job_id(job.id);
-        if ServeFlow::handles(job.id) {
+        if let Some(serve_job) = ServeJob::of(job.id) {
             self.serve.on_job_end(job, sim);
-            // KIND_BATCH = 1: the queue/service split of batch `payload`
-            // is final once the inner flow processed the job end.
-            if kind == 1 && self.error.is_none() {
-                self.scan_batch(payload as usize, sim);
+            // A batch's queue/service split is final once the inner flow
+            // processed its end.
+            if let ServeJob::Batch(index) = serve_job {
+                if self.error.is_none() {
+                    self.scan_batch(index, sim);
+                }
             }
+        } else if let Some(uplink) = self.uplinks.take(job.id) {
+            self.uplink_arrived(uplink, job.release_us, sim);
         } else {
-            match kind {
-                KIND_ATTACK => self.uplink_arrived(payload, sim),
-                KIND_FLIP => self.flip_landed(payload, job.end_us),
-                kind => debug_assert!(false, "unexpected job kind {kind}"),
-            }
+            let flip = self.flips.take(job.id).expect("the loop's last job kind");
+            self.flip_landed(flip, job.end_us);
         }
     }
 
@@ -521,7 +430,7 @@ impl Workload for AbxFlow<'_> {
 ///
 /// # Errors
 ///
-/// [`AbxError::NoStore`] when the registry has no durable store;
+/// [`UpdateError::NoStore`] when the registry has no durable store;
 /// otherwise codec / store / rollback failures surfaced from the loop.
 ///
 /// # Panics
@@ -536,9 +445,9 @@ pub fn run_abx(
     registry: &ShardedRegistry,
     general: &SequenceModel,
     config: &AbxConfig,
-) -> Result<AbxOutcome, AbxError> {
+) -> Result<AbxOutcome, UpdateError> {
     if registry.store().is_none() {
-        return Err(AbxError::NoStore);
+        return Err(UpdateError::NoStore);
     }
     let space = &dataset.space;
     let live_config = LiveConfig {
@@ -559,13 +468,9 @@ pub fn run_abx(
     let split = splitter.split(enrolled.iter().copied());
     split.assert_partitions(enrolled.iter().copied());
 
-    // Phase 2: train once, publish shadow-then-active per cohort, and
-    // label the registry's per-cohort traffic counters.
+    // Phase 2: train once, publish shadow-then-active per cohort.
     let trainer = FleetTrainer::new(config.pipeline.clone());
     let publications = publish_arms(&trainer, general, &jobs, &split, config.arms, registry)?;
-    for p in &publications {
-        registry.set_cohort(p.user_id, p.arm.index());
-    }
     let pub_index: HashMap<usize, usize> =
         publications.iter().enumerate().map(|(i, p)| (p.user_id, i)).collect();
 
@@ -617,9 +522,9 @@ pub fn run_abx(
     let stream = live_stream(dataset, users, &live_config);
     let ServeHarness { mut links, jobs: mut sim_jobs, flow: serve } =
         serve_harness(registry, &stream.requests, &config.serve);
-    let uplink_link = links.len();
+    let uplinks = Lane::new(KIND_ATTACK, "abx-uplink", links.len());
     links.push(LinkSpec::fair(LinkProfile::wan()));
-    let push_link = links.len();
+    let flips = Lane::new(KIND_FLIP, "flip-push", links.len());
     links.push(LinkSpec::fifo(LinkProfile::wan()));
 
     let mut flow = AbxFlow {
@@ -628,7 +533,7 @@ pub fn run_abx(
         split: &split,
         publications: &publications,
         pub_index,
-        arms: config.arms,
+        config,
         attacks,
         engine: VerdictEngine::new(
             VerdictConfig {
@@ -638,28 +543,18 @@ pub fn run_abx(
             },
             [split.a.len(), split.b.len()],
         ),
-        stream_sent: stream.requests.iter().map(|r| r.arrival_us).collect(),
         rid_map: HashMap::new(),
         next_rid: stream.requests.len(),
-        uplinks: HashMap::new(),
-        next_uplink: 0,
-        uplink_link,
-        push_link,
-        query_bytes: config.query_bytes,
-        response_top_k: config.response_top_k,
-        audit_k: audit.audit_k,
-        checkpoint_interval_us: config.checkpoint_interval_us,
+        uplinks,
+        flips,
         checkpoint_armed: false,
         checkpoints: 0,
-        decided: false,
         verdict: None,
         verdict_us: 0,
         losing_slot: HashMap::new(),
         swap_times: Vec::new(),
         expected: HashMap::new(),
         flip_log: Vec::new(),
-        flips: HashMap::new(),
-        next_flip: 0,
         attack_records: Vec::new(),
         swaps: Vec::new(),
         error: None,
@@ -667,25 +562,7 @@ pub fn run_abx(
 
     // Each adversary's opening probe batch rides an uplink job released
     // at time zero, alongside the background arrivals.
-    for slot in 0..flow.attacks.len() {
-        let batch = flow.attacks[slot].adversary.next_queries();
-        if batch.is_empty() {
-            continue;
-        }
-        let seq = flow.next_uplink;
-        flow.next_uplink += 1;
-        sim_jobs.push(JobSpec {
-            id: job_id(KIND_ATTACK, seq),
-            release_us: 0,
-            stages: vec![Stage::Transfer {
-                label: "abx-uplink",
-                link: uplink_link,
-                bytes: config.query_bytes * batch.len() as u64,
-                policy: TransferPolicy::default(),
-            }],
-        });
-        flow.uplinks.insert(seq, (slot, 0, batch));
-    }
+    sim_jobs.extend((0..flow.attacks.len()).filter_map(|slot| flow.next_uplink(slot, 0)));
 
     let sim = Simulator::builder().links(links).build().run(&sim_jobs, &mut flow);
     if let Some(e) = flow.error {
@@ -697,17 +574,13 @@ pub fn run_abx(
     );
     // A heap with no events at all (empty stream, zero attacks) never
     // fires the checkpoint; decide on the drained clock instead.
-    if !flow.decided {
-        flow.verdict = Some(flow.engine.decide());
-    }
-    let (verdict, arm_stats) = flow.verdict.expect("decided above");
+    let (verdict, arm_stats) = flow.verdict.unwrap_or_else(|| flow.engine.decide());
     let serve_outcome = flow.serve.into_outcome(sim)?;
 
     let flip_window = (!flow.swap_times.is_empty())
         .then(|| StalenessWindow::measure(flow.verdict_us, &flow.swap_times));
     let exposed_responses = flow.flip_log.iter().filter(|(_, _, degraded)| *degraded).count();
     let degraded_after_swap = count_degraded_after_swap(&flow.flip_log, &flow.swap_times);
-    let stats = registry.stats();
 
     Ok(AbxOutcome {
         split: split.clone(),
@@ -732,8 +605,6 @@ pub fn run_abx(
         flip_window,
         exposed_responses,
         degraded_after_swap,
-        cohort_queries: stats.cohort_queries,
-        cohort_hits: stats.cohort_hits,
         serve: serve_outcome,
     })
 }
@@ -841,9 +712,8 @@ mod tests {
                 assert!(narrow.flip_window.is_none());
             }
         }
-        // Cohort counters saw both treatment arms' traffic.
-        assert!(narrow.cohort_queries.len() >= 2);
-        assert!(narrow.cohort_queries[0] > 0 && narrow.cohort_queries[1] > 0);
+        // Both treatment arms served traffic.
+        assert!(narrow.arms.iter().all(|arm| arm.served > 0));
         let render = narrow.render();
         assert!(render.contains("verdict"), "render mentions the verdict: {render}");
     }
@@ -880,7 +750,7 @@ mod tests {
         let (dataset, general) = setting();
         let registry = ShardedRegistry::new(general.clone(), RegistryConfig::default());
         match run_abx(&dataset, 0..3, &registry, &general, &AbxConfig::default()) {
-            Err(AbxError::NoStore) => {}
+            Err(UpdateError::NoStore) => {}
             other => panic!("expected NoStore, got {other:?}"),
         }
     }

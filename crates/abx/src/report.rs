@@ -106,11 +106,6 @@ pub struct AbxOutcome {
     /// landed. The durable hot-swap contract makes this zero; the
     /// `ab-report` experiment asserts it.
     pub degraded_after_swap: usize,
-    /// Per-cohort query counters from the registry (`[A, B, holdout]`
-    /// order by label).
-    pub cohort_queries: Vec<u64>,
-    /// Per-cohort hot-hit counters from the registry.
-    pub cohort_hits: Vec<u64>,
     /// The underlying serving pass (batches, completions, sim trace).
     pub serve: SimServeOutcome,
 }

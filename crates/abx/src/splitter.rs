@@ -32,9 +32,8 @@ pub enum Arm {
 }
 
 impl Arm {
-    /// Dense cohort index: A = 0, B = 1, holdout = 2 — the registry
-    /// cohort label ([`pelican_serve::ShardedRegistry::set_cohort`]) and
-    /// the index into per-arm accumulators.
+    /// Dense cohort index: A = 0, B = 1, holdout = 2 — the index into
+    /// per-arm accumulators and the arm's entry in fingerprints.
     pub fn index(self) -> usize {
         match self {
             Arm::A => 0,

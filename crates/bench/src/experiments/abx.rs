@@ -249,13 +249,22 @@ pub fn table(run: &AbReportRun) -> Table {
 
 /// Serializes the sweep to the documented `BENCH_ab_leakage.json`
 /// schema. Fingerprints are hex strings (u64 does not survive JSON
-/// doubles).
-pub fn to_json(run: &AbReportRun) -> String {
+/// doubles). `host` is [`crate::report::host_stamp`]; `previous` is the
+/// tracked file this record replaces, for the `before` row.
+pub fn to_json(run: &AbReportRun, host: &str, previous: Option<&str>) -> String {
     let o = &run.outcome;
     let mut out = String::from("{\n");
     out.push_str("  \"experiment\": \"ab-report\",\n");
     out.push_str(&format!("  \"seed\": {},\n", run.seed));
     out.push_str(&format!("  \"enrolled\": {},\n", run.enrolled));
+    out.push_str(&format!("  \"host\": {host},\n"));
+    let same_run = [
+        ("seed", run.seed.to_string()),
+        ("enrolled", run.enrolled.to_string()),
+        ("fingerprint", format!("\"{:#018x}\"", o.fingerprint())),
+    ];
+    let before = crate::report::before_row(previous, host, &same_run, "workers");
+    out.push_str(&format!("  \"before\": {before},\n"));
     out.push_str(&format!("  \"widths\": [{}],\n", WIDTHS.map(|w| w.to_string()).join(", ")));
     out.push_str(&format!("  \"fingerprint\": \"{:#018x}\",\n", o.fingerprint()));
     out.push_str("  \"fingerprints_match\": true,\n");
@@ -342,7 +351,12 @@ mod tests {
         assert_eq!(run.outcome.verdict.winner(), Some(pelican_abx::Arm::B));
         assert_eq!(run.outcome.flip_backs(), run.outcome.split.a.len());
         assert_eq!(run.outcome.promotions(), run.outcome.split.holdout.len());
-        let json = to_json(&run);
+        let host = r#"{"cores": 2, "commit": "bbbbbbb"}"#;
+        let json = to_json(&run, host, None);
+        assert!(json.contains(&format!("\"host\": {host}")));
+        // The same run recorded on another host becomes the before row.
+        let older = to_json(&run, r#"{"cores": 4, "commit": "aaaaaaa"}"#, None);
+        assert!(to_json(&run, host, Some(&older)).contains(r#""before": {"host": {"cores": 4, "#));
         assert!(json.contains("\"experiment\": \"ab-report\""));
         assert!(json.contains("\"fingerprints_match\": true"));
         assert!(json.contains("\"disjoint\": true"));

@@ -412,7 +412,8 @@ fn run_ab_report(config: &RunConfig) {
     );
     println!("{}", abx::table(&run).render());
     print!("{}", run.outcome.render());
-    let json = abx::to_json(&run);
+    let previous = std::fs::read_to_string("BENCH_ab_leakage.json").ok();
+    let json = abx::to_json(&run, &crate::report::host_stamp(), previous.as_deref());
     match std::fs::write("BENCH_ab_leakage.json", &json) {
         Ok(()) => println!("wrote BENCH_ab_leakage.json"),
         Err(e) => eprintln!("could not write BENCH_ab_leakage.json: {e}"),

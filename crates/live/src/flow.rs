@@ -36,6 +36,13 @@
 //!    *unchanged* user is re-audited from their warm logit cache — zero
 //!    forward passes.
 //!
+//! The loop composes on the serving tier by the rules in
+//! [`pelican_serve::simserve`]: it decodes job ends with [`ServeJob::of`],
+//! watching [`ServeJob::Arrival`]s for drift samples; its re-train
+//! occupancies are a [`Lane`] of kind 8 on one trainer link after
+//! serving's; its round timer key is `u64::MAX`, above every shard key.
+//! It fails with the serving tier's [`UpdateError`].
+//!
 //! Determinism: weights, verdicts, publication instants and the unified
 //! trace are bit-identical for any trainer-pool width (per-user seeds,
 //! job-order submission, width-invariant simulated durations). When no
@@ -48,14 +55,13 @@ use std::sync::Mutex;
 
 use pelican::platform::{measure_thread, ComputeTier};
 use pelican_mobility::{train_test_split, FeatureSpace, MobilityDataset, Session, SessionCursor};
-use pelican_nn::{ModelCodecError, ModelEnvelope, PrefixTier, Sample, SequenceModel};
+use pelican_nn::{ModelEnvelope, PrefixTier, Sample, SequenceModel};
 use pelican_serve::{
-    job_id, serve_harness, split_job_id, MobilityTraffic, MobilityTrafficConfig, Request,
-    RollbackError, ServeFlow, ServeHarness, ShardedRegistry, SimServeConfig,
+    serve_harness, Lane, MobilityTraffic, MobilityTrafficConfig, Request, ServeFlow, ServeHarness,
+    ServeJob, ShardedRegistry, SimServeConfig, UpdateError,
 };
 use pelican_sim::{
-    fnv1a, JobReport, JobSpec, JobStatus, LinkProfile, LinkSpec, SimControl, Simulator, Stage,
-    TransferPolicy, Workload, FNV_BASIS,
+    fnv1a, JobReport, JobStatus, LinkProfile, LinkSpec, SimControl, Simulator, Workload, FNV_BASIS,
 };
 use pelican_store::StoreError;
 use pelican_train::{
@@ -66,8 +72,7 @@ use pelican_train::{
 use crate::drift::{DriftConfig, DriftDetector};
 use crate::report::{LiveOutcome, ReauditStats, RetrainRecord};
 
-/// Job-id namespace of re-train occupancy jobs (the serving flow owns
-/// kinds 0–2); payloads are a monotone dispatch sequence, never reused.
+/// Job kind of re-train occupancy jobs (the serving flow owns 0–2).
 const KIND_RETRAIN: u64 = 8;
 
 /// Timer key of the retrain round — the serving flow's keys are shard
@@ -122,51 +127,6 @@ impl Default for LiveConfig {
             round_interval_us: 300_000_000,
             rollback_tolerance: 0.5,
         }
-    }
-}
-
-/// Why a live run could not complete.
-#[derive(Debug)]
-pub enum LiveError {
-    /// A stored envelope failed to decode.
-    Codec(ModelCodecError),
-    /// The durable store failed an append or fetch.
-    Store(StoreError),
-    /// A safety-net rollback failed.
-    Rollback(RollbackError),
-    /// The registry has no durable store attached — the loop needs one
-    /// for warm-start fetches and rollback targets.
-    NoStore,
-}
-
-impl std::fmt::Display for LiveError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LiveError::Codec(e) => write!(f, "envelope decode failed: {e}"),
-            LiveError::Store(e) => write!(f, "durable store failed: {e}"),
-            LiveError::Rollback(e) => write!(f, "rollback failed: {e}"),
-            LiveError::NoStore => write!(f, "live loop requires a store-backed registry"),
-        }
-    }
-}
-
-impl std::error::Error for LiveError {}
-
-impl From<ModelCodecError> for LiveError {
-    fn from(e: ModelCodecError) -> Self {
-        LiveError::Codec(e)
-    }
-}
-
-impl From<StoreError> for LiveError {
-    fn from(e: StoreError) -> Self {
-        LiveError::Store(e)
-    }
-}
-
-impl From<RollbackError> for LiveError {
-    fn from(e: RollbackError) -> Self {
-        LiveError::Rollback(e)
     }
 }
 
@@ -299,25 +259,22 @@ struct UserState {
     marked_us: u64,
 }
 
-/// What the round dispatched and the publication callback still needs.
-struct PendingRetrain {
+/// What the round knew about a re-train when it dispatched it.
+struct Dispatched {
     user_id: usize,
     marked_us: u64,
     round_us: u64,
     /// Rollback target: the version the warm envelope was fetched as.
     prev_version: u64,
     prior_model: SequenceModel,
-    published_model: SequenceModel,
-    envelope: ModelEnvelope,
-    gate: GateOutcome,
-    cache: LogitCache,
     subject: AuditSubject,
     /// The fresh window the re-train consumed (also the rollback
     /// comparison set).
     window: Vec<Sample>,
-    train_simulated_us: u64,
-    audit_simulated_us: u64,
 }
+
+/// A dispatched re-train with its pool result, riding the trainer lane.
+type Retrain = (Dispatched, RetrainResult);
 
 /// One warm job's pool result.
 struct RetrainResult {
@@ -337,25 +294,23 @@ struct LiveFlow<'a> {
     trainer: &'a FleetTrainer,
     config: &'a LiveConfig,
     general_envelope: ModelEnvelope,
-    trainer_link: usize,
     samples: &'a [Sample],
     sessions: &'a [Session],
     users: HashMap<usize, UserState>,
     round_armed: bool,
-    inflight: usize,
-    next_seq: u64,
-    pending: HashMap<u64, PendingRetrain>,
+    /// Re-trains occupying the shared trainer resource, one job each.
+    retrain_lane: Lane<Retrain>,
     round_published: Vec<usize>,
     retrains: Vec<RetrainRecord>,
     reaudit: ReauditStats,
     drift_marks: u64,
-    error: Option<LiveError>,
+    error: Option<UpdateError>,
 }
 
 impl LiveFlow<'_> {
     /// Arms the round timer if no round is pending or running.
     fn arm_round(&mut self, now: u64, sim: &mut SimControl) {
-        if !self.round_armed && self.inflight == 0 {
+        if !self.round_armed && self.retrain_lane.in_flight() == 0 {
             sim.set_timer(now + self.config.round_interval_us, ROUND_KEY);
             self.round_armed = true;
         }
@@ -415,26 +370,18 @@ impl LiveFlow<'_> {
         }
         self.round_published.clear();
 
-        struct JobMeta {
-            user_id: usize,
-            marked_us: u64,
-            prev_version: u64,
-            prior_model: SequenceModel,
-            subject: AuditSubject,
-            window: Vec<Sample>,
-        }
         let store = self.registry.store().expect("checked in run_live").clone();
         // Each job with its user's prefix tier, for the one worker that
         // runs it to take.
         let mut jobs: Vec<(TrainJob, Mutex<PrefixTier>)> = Vec::with_capacity(marked.len());
-        let mut metas: Vec<JobMeta> = Vec::with_capacity(marked.len());
+        let mut dispatched: Vec<Dispatched> = Vec::with_capacity(marked.len());
         for &user_id in &marked {
             let state = self.users.get_mut(&user_id).expect("marked users are enrolled");
             state.status = UserStatus::Inflight;
             let (prev_version, envelope) = match store.fetch_latest_with_version(user_id as u64) {
                 Ok(Some(found)) => found,
                 Ok(None) => {
-                    self.error = Some(LiveError::Store(StoreError::UnknownVersion {
+                    self.error = Some(UpdateError::Store(StoreError::UnknownVersion {
                         user: user_id as u64,
                         version: 0,
                     }));
@@ -464,9 +411,10 @@ impl LiveFlow<'_> {
                 },
                 Mutex::new(std::mem::take(&mut state.cache.prefix)),
             ));
-            metas.push(JobMeta {
+            dispatched.push(Dispatched {
                 user_id,
                 marked_us: state.marked_us,
+                round_us: now,
                 prev_version,
                 prior_model,
                 subject,
@@ -502,56 +450,22 @@ impl LiveFlow<'_> {
 
         // Each job's exact device cost occupies the shared trainer
         // resource; publication happens when the occupancy ends.
-        for (meta, result) in metas.into_iter().zip(results) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            sim.submit(JobSpec {
-                id: job_id(KIND_RETRAIN, seq),
-                release_us: now,
-                stages: vec![Stage::Transfer {
-                    label: "retrain",
-                    link: self.trainer_link,
-                    bytes: result.train_simulated_us + result.audit_simulated_us,
-                    policy: TransferPolicy::default(),
-                }],
-            });
-            self.inflight += 1;
-            self.pending.insert(
-                seq,
-                PendingRetrain {
-                    user_id: meta.user_id,
-                    marked_us: meta.marked_us,
-                    round_us: now,
-                    prev_version: meta.prev_version,
-                    prior_model: meta.prior_model,
-                    published_model: result.published_model,
-                    envelope: result.envelope,
-                    gate: result.gate,
-                    cache: result.cache,
-                    subject: meta.subject,
-                    window: meta.window,
-                    train_simulated_us: result.train_simulated_us,
-                    audit_simulated_us: result.audit_simulated_us,
-                },
-            );
+        for (d, result) in dispatched.into_iter().zip(results) {
+            let occupancy_us = result.train_simulated_us + result.audit_simulated_us;
+            self.retrain_lane.submit(occupancy_us, (d, result), sim);
         }
     }
 
     /// A re-train's trainer occupancy ended: publish durably (queries
     /// keep flowing), apply the rollback safety net, and when the round
     /// drains, re-audit every unchanged user from their warm cache.
-    fn publish_retrain(&mut self, seq: u64, now: u64, sim: &mut SimControl) {
-        self.inflight -= 1;
-        let Some(p) = self.pending.remove(&seq) else {
-            debug_assert!(false, "one occupancy job per dispatched re-train");
-            return;
-        };
+    fn publish_retrain(&mut self, retrain: Retrain, now: u64, sim: &mut SimControl) {
         if self.error.is_none() {
-            if let Err(e) = self.finish_publication(p, now) {
+            if let Err(e) = self.finish_publication(retrain, now) {
                 self.error = Some(e);
             }
         }
-        if self.inflight == 0 && self.error.is_none() {
+        if self.retrain_lane.in_flight() == 0 && self.error.is_none() {
             if let Err(e) = self.reaudit_sweep() {
                 self.error = Some(e);
             }
@@ -563,40 +477,40 @@ impl LiveFlow<'_> {
         }
     }
 
-    fn finish_publication(&mut self, p: PendingRetrain, now: u64) -> Result<(), LiveError> {
+    fn finish_publication(&mut self, (d, r): Retrain, now: u64) -> Result<(), UpdateError> {
         // The safety net compares predecessor and successor on the very
         // window that triggered the re-train (both deterministic model
         // decodes — temperature defenses preserve top-1).
-        let prior_acc = top1_accuracy(&p.prior_model, &p.window);
-        let new_acc = top1_accuracy(&p.published_model, &p.window);
+        let prior_acc = top1_accuracy(&d.prior_model, &d.window);
+        let new_acc = top1_accuracy(&r.published_model, &d.window);
         let rolled_back = new_acc + self.config.rollback_tolerance < prior_acc;
 
-        self.registry.try_enroll_envelope(p.user_id, p.envelope.clone())?;
-        let state = self.users.get_mut(&p.user_id).expect("pending users are enrolled");
+        self.registry.try_enroll_envelope(d.user_id, r.envelope.clone())?;
+        let state = self.users.get_mut(&d.user_id).expect("pending users are enrolled");
         if rolled_back {
             // Revert to the fetched predecessor; the warm logits and
             // subject still describe the (restored) published weights,
             // and the prefix tier the candidate's admission used is as
             // good for them.
-            self.registry.rollback(p.user_id, p.prev_version)?;
-            state.cache.prefix = p.cache.prefix;
+            self.registry.rollback(d.user_id, d.prev_version)?;
+            state.cache.prefix = r.cache.prefix;
         } else {
-            state.subject = p.subject;
-            state.cache = p.cache;
+            state.subject = d.subject;
+            state.cache = r.cache;
         }
         state.status = UserStatus::Idle;
-        self.round_published.push(p.user_id);
+        self.round_published.push(d.user_id);
         self.retrains.push(RetrainRecord {
-            user_id: p.user_id,
-            detect_us: p.marked_us,
-            round_us: p.round_us,
+            user_id: d.user_id,
+            detect_us: d.marked_us,
+            round_us: d.round_us,
             publish_us: now,
-            train_simulated_us: p.train_simulated_us,
-            audit_simulated_us: p.audit_simulated_us,
-            gate: p.gate,
+            train_simulated_us: r.train_simulated_us,
+            audit_simulated_us: r.audit_simulated_us,
+            gate: r.gate,
             rolled_back,
-            envelope_bytes: p.envelope.len(),
-            envelope_hash: fnv1a(FNV_BASIS, p.envelope.as_bytes()),
+            envelope_bytes: r.envelope.len(),
+            envelope_hash: fnv1a(FNV_BASIS, r.envelope.as_bytes()),
         });
         Ok(())
     }
@@ -604,7 +518,7 @@ impl LiveFlow<'_> {
     /// Re-audits every user whose weights did not change this round —
     /// their warm logit caches answer every oracle query, so the sweep
     /// runs the full attack suite without a single forward pass.
-    fn reaudit_sweep(&mut self) -> Result<(), LiveError> {
+    fn reaudit_sweep(&mut self) -> Result<(), UpdateError> {
         let mut ids: Vec<usize> = self.users.keys().copied().collect();
         ids.sort_unstable();
         for user_id in ids {
@@ -639,17 +553,22 @@ fn top1_accuracy(model: &SequenceModel, window: &[Sample]) -> f64 {
 
 impl Workload for LiveFlow<'_> {
     fn on_job_end(&mut self, job: &JobReport, sim: &mut SimControl) {
-        let (kind, payload) = split_job_id(job.id);
-        if ServeFlow::handles(job.id) {
-            // An arriving query is also a fresh labeled sample; observe
-            // it before the scheduler buffers it, at the same instant.
-            if kind == 0 && job.status == JobStatus::Completed {
-                self.observe_arrival(payload as usize, job.end_us, sim);
+        match ServeJob::of(job.id) {
+            Some(serve_job) => {
+                // An arriving query is also a fresh labeled sample;
+                // observe it before the scheduler buffers it, at the same
+                // instant.
+                if let ServeJob::Arrival(id) = serve_job {
+                    if job.status == JobStatus::Completed {
+                        self.observe_arrival(id, job.end_us, sim);
+                    }
+                }
+                self.serve.on_job_end(job, sim);
             }
-            self.serve.on_job_end(job, sim);
-        } else {
-            debug_assert_eq!(kind, KIND_RETRAIN);
-            self.publish_retrain(payload, job.end_us, sim);
+            None => {
+                let retrain = self.retrain_lane.take(job.id).expect("the loop's only job kind");
+                self.publish_retrain(retrain, job.end_us, sim);
+            }
         }
     }
 
@@ -668,7 +587,7 @@ impl Workload for LiveFlow<'_> {
 ///
 /// # Errors
 ///
-/// [`LiveError::NoStore`] when the registry has no durable store;
+/// [`UpdateError::NoStore`] when the registry has no durable store;
 /// otherwise codec/store/rollback failures surfaced from the loop.
 ///
 /// # Panics
@@ -681,9 +600,9 @@ pub fn run_live(
     registry: &ShardedRegistry,
     general: &SequenceModel,
     config: &LiveConfig,
-) -> Result<LiveOutcome, LiveError> {
+) -> Result<LiveOutcome, UpdateError> {
     if registry.store().is_none() {
-        return Err(LiveError::NoStore);
+        return Err(UpdateError::NoStore);
     }
     let space = &dataset.space;
     let trainer = FleetTrainer::new(config.pipeline.clone());
@@ -731,14 +650,11 @@ pub fn run_live(
         trainer: &trainer,
         config,
         general_envelope: ModelEnvelope::encode(general),
-        trainer_link,
         samples: &stream.samples,
         sessions: &stream.sessions,
         users: states,
         round_armed: false,
-        inflight: 0,
-        next_seq: 0,
-        pending: HashMap::new(),
+        retrain_lane: Lane::new(KIND_RETRAIN, "retrain", trainer_link),
         round_published: Vec::new(),
         retrains: Vec::new(),
         reaudit: ReauditStats::default(),

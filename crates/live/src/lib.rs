@@ -39,5 +39,5 @@ pub mod flow;
 pub mod report;
 
 pub use drift::{DriftConfig, DriftDetector, DriftMetric, DriftScore};
-pub use flow::{bootstrap_jobs, live_stream, run_live, LiveConfig, LiveError, LiveStream};
+pub use flow::{bootstrap_jobs, live_stream, run_live, LiveConfig, LiveStream};
 pub use report::{LiveOutcome, ReauditStats, RetrainRecord};

@@ -75,11 +75,13 @@ pub mod traffic;
 
 pub use fleet::{run_fleet, CloudNetwork, CloudRtt, FleetConfig, FleetOutcome};
 pub use metrics::{MetricsSink, ServeReport};
-pub use registry::{Lookup, RegistryConfig, RegistryStats, RollbackError, ShardedRegistry};
+pub use registry::{
+    Lookup, RegistryConfig, RegistryStats, RollbackError, ShardedRegistry, UpdateError,
+};
 pub use scheduler::{Batch, Completion, Request, SchedulerConfig, ServeEngine};
 pub use simserve::{
-    job_id, serve_harness, simulate_serving, split_job_id, ServeFlow, ServeHarness, ServedRequest,
-    SimServeConfig, SimServeOutcome,
+    job_id, serve_harness, simulate_serving, split_job_id, Lane, ServeFlow, ServeHarness, ServeJob,
+    ServedRequest, SimServeConfig, SimServeOutcome,
 };
 pub use traffic::{
     Arrival, MobilityTraffic, MobilityTrafficConfig, TrafficConfig, TrafficGenerator,

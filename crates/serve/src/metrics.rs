@@ -138,19 +138,6 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Per-cohort `(queries, hot hits)` pairs, index = cohort id (see
-    /// [`crate::ShardedRegistry::set_cohort`]); empty when the run
-    /// labeled no cohorts. This is the arm traffic split an A/B
-    /// experiment reads without re-deriving it from traces.
-    pub fn cohort_split(&self) -> Vec<(u64, u64)> {
-        self.registry
-            .cohort_queries
-            .iter()
-            .zip(&self.registry.cohort_hits)
-            .map(|(&q, &h)| (q, h))
-            .collect()
-    }
-
     /// Multi-line human-readable summary.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -172,14 +159,6 @@ impl ServeReport {
             self.registry.evictions,
             self.fallback_share * 100.0
         ));
-        let cohorts = self.cohort_split();
-        if !cohorts.is_empty() {
-            out.push_str("cohorts    ");
-            for (c, (queries, hits)) in cohorts.iter().enumerate() {
-                out.push_str(&format!("[{c}] {queries} queries ({hits} hot)  "));
-            }
-            out.push('\n');
-        }
         out.push_str("batch-size histogram: ");
         let total: usize = self.batch_histogram.iter().map(|&(_, n)| n).sum();
         for &(size, count) in &self.batch_histogram {
@@ -242,23 +221,5 @@ mod tests {
         assert_eq!(report.queue_p95_us, 0, "these completions found their shard idle");
         assert!(report.throughput_qps > 0.0);
         assert!(!report.render().is_empty());
-    }
-
-    #[test]
-    fn cohort_split_surfaces_registry_counters() {
-        let mut sink = MetricsSink::default();
-        sink.record(&batch(1), &[completion(0, 0, 10, 5)]);
-        let plain = sink.report(ComputeTier::Device, RegistryStats::default());
-        assert!(plain.cohort_split().is_empty());
-        assert!(!plain.render().contains("cohorts"));
-
-        let stats = RegistryStats {
-            cohort_queries: vec![10, 7],
-            cohort_hits: vec![6, 2],
-            ..RegistryStats::default()
-        };
-        let split = sink.report(ComputeTier::Device, stats);
-        assert_eq!(split.cohort_split(), vec![(10, 6), (7, 2)]);
-        assert!(split.render().contains("[1] 7 queries (2 hot)"));
     }
 }

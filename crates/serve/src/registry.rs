@@ -96,13 +96,6 @@ pub struct RegistryStats {
     /// registry keeps only each user's current version, so this is the
     /// per-shard enrolled-user count.
     pub history_by_shard: Vec<u64>,
-    /// Lookups per labeled cohort (index = cohort id, see
-    /// [`ShardedRegistry::set_cohort`]); empty when no cohort was ever
-    /// labeled. Lookups from unlabeled users are not counted here.
-    pub cohort_queries: Vec<u64>,
-    /// Hot-cache hits per labeled cohort, parallel to
-    /// [`RegistryStats::cohort_queries`].
-    pub cohort_hits: Vec<u64>,
 }
 
 impl RegistryStats {
@@ -113,16 +106,6 @@ impl RegistryStats {
             0.0
         } else {
             self.hits as f64 / total as f64
-        }
-    }
-
-    /// Share of all lookups answered by the general fallback.
-    pub fn fallback_rate(&self) -> f64 {
-        let total = self.hits + self.misses + self.fallbacks;
-        if total == 0 {
-            0.0
-        } else {
-            self.fallbacks as f64 / total as f64
         }
     }
 
@@ -164,6 +147,53 @@ impl std::fmt::Display for RollbackError {
 
 impl std::error::Error for RollbackError {}
 
+/// Why a loop that updates models under live serving — the re-train
+/// loop of `pelican-live`, the A/B experiment of `pelican-abx` — could
+/// not complete.
+#[derive(Debug)]
+pub enum UpdateError {
+    /// A stored envelope failed to decode.
+    Codec(ModelCodecError),
+    /// The durable store failed an append or fetch.
+    Store(StoreError),
+    /// A rollback (safety net, losing-cohort flip-back) failed.
+    Rollback(RollbackError),
+    /// The registry has no durable store attached — the loops need one
+    /// for warm-start fetches and rollback targets.
+    NoStore,
+}
+
+impl std::fmt::Display for UpdateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            UpdateError::Codec(e) => write!(f, "envelope decode failed: {e}"),
+            UpdateError::Store(e) => write!(f, "durable store failed: {e}"),
+            UpdateError::Rollback(e) => write!(f, "rollback failed: {e}"),
+            UpdateError::NoStore => write!(f, "update loop requires a store-backed registry"),
+        }
+    }
+}
+
+impl std::error::Error for UpdateError {}
+
+impl From<ModelCodecError> for UpdateError {
+    fn from(e: ModelCodecError) -> Self {
+        UpdateError::Codec(e)
+    }
+}
+
+impl From<StoreError> for UpdateError {
+    fn from(e: StoreError) -> Self {
+        UpdateError::Store(e)
+    }
+}
+
+impl From<RollbackError> for UpdateError {
+    fn from(e: RollbackError) -> Self {
+        UpdateError::Rollback(e)
+    }
+}
+
 #[derive(Debug, Clone)]
 struct HotEntry {
     model: Arc<SequenceModel>,
@@ -176,18 +206,7 @@ struct ColdEntry {
     version: u64,
 }
 
-/// User → cohort labels and the per-cohort traffic counters they drive.
-/// One registry-wide table (not per shard): labels are written once per
-/// experiment setup and read per lookup, and a single lock keeps the
-/// queries/hits vectors trivially consistent.
-#[derive(Debug, Clone, Default)]
-struct CohortTable {
-    labels: HashMap<usize, usize>,
-    queries: Vec<u64>,
-    hits: Vec<u64>,
-}
-
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Shard {
     cold: HashMap<usize, ColdEntry>,
     hot: HashMap<usize, HotEntry>,
@@ -219,25 +238,8 @@ pub struct ShardedRegistry {
     /// version, so monotonicity survives restarts.
     versions: AtomicU64,
     rollbacks: AtomicU64,
-    /// Cohort labels + per-cohort traffic counters (A/B experiments).
-    cohorts: Mutex<CohortTable>,
     /// Durable cold tier retaining full version history (optional).
     store: Option<Arc<EnvelopeStore>>,
-}
-
-impl Clone for ShardedRegistry {
-    fn clone(&self) -> Self {
-        Self {
-            shards: self.shards.iter().map(|s| Mutex::new(self.lock(s).clone())).collect(),
-            general: Arc::clone(&self.general),
-            hot_capacity: self.hot_capacity,
-            fallbacks: AtomicU64::new(self.fallbacks.load(Ordering::Relaxed)),
-            versions: AtomicU64::new(self.versions.load(Ordering::Relaxed)),
-            rollbacks: AtomicU64::new(self.rollbacks.load(Ordering::Relaxed)),
-            cohorts: Mutex::new(self.cohorts.lock().expect("cohort mutex poisoned").clone()),
-            store: self.store.clone(),
-        }
-    }
 }
 
 impl ShardedRegistry {
@@ -256,7 +258,6 @@ impl ShardedRegistry {
             fallbacks: AtomicU64::new(0),
             versions: AtomicU64::new(0),
             rollbacks: AtomicU64::new(0),
-            cohorts: Mutex::new(CohortTable::default()),
             store: None,
         }
     }
@@ -315,43 +316,6 @@ impl ShardedRegistry {
     /// Borrows the shared general fallback model.
     pub fn general(&self) -> &SequenceModel {
         &self.general
-    }
-
-    /// Labels a user as belonging to cohort `cohort` (a small dense
-    /// index, e.g. arm A = 0, arm B = 1, holdout = 2). Subsequent
-    /// lookups for the user are tallied into
-    /// [`RegistryStats::cohort_queries`] / `cohort_hits`, so an A/B
-    /// experiment's traffic split is observable straight from the
-    /// registry instead of being re-derived from traces. Re-labeling
-    /// moves the user; past counts stay where they were earned.
-    pub fn set_cohort(&self, user_id: usize, cohort: usize) {
-        let mut table = self.lock_cohorts();
-        if table.queries.len() <= cohort {
-            table.queries.resize(cohort + 1, 0);
-            table.hits.resize(cohort + 1, 0);
-        }
-        table.labels.insert(user_id, cohort);
-    }
-
-    /// The cohort a user is labeled with, if any.
-    pub fn cohort_of(&self, user_id: usize) -> Option<usize> {
-        self.lock_cohorts().labels.get(&user_id).copied()
-    }
-
-    fn lock_cohorts(&self) -> MutexGuard<'_, CohortTable> {
-        self.cohorts.lock().expect("cohort mutex poisoned")
-    }
-
-    /// Tallies one lookup into its user's cohort (taken *after* the
-    /// shard lock is released; the table has its own lock).
-    fn note_cohort_lookup(&self, user_id: usize, lookup: Lookup) {
-        let mut table = self.lock_cohorts();
-        if let Some(&c) = table.labels.get(&user_id) {
-            table.queries[c] += 1;
-            if lookup == Lookup::Hot {
-                table.hits[c] += 1;
-            }
-        }
     }
 
     /// The single internal publication path every enrollment, hot-swap
@@ -507,8 +471,6 @@ impl ShardedRegistry {
             entry.last_used = tick;
             let model = Arc::clone(&entry.model);
             shard.hits += 1;
-            drop(shard);
-            self.note_cohort_lookup(user_id, Lookup::Hot);
             return Ok((model, Lookup::Hot));
         }
         // In-memory cold miss: read through to the durable log (a
@@ -544,13 +506,10 @@ impl ShardedRegistry {
                 shard.evictions += 1;
             }
             shard.hot.insert(user_id, HotEntry { model: Arc::clone(&model), last_used: tick });
-            drop(shard);
-            self.note_cohort_lookup(user_id, Lookup::Cold);
             return Ok((model, Lookup::Cold));
         }
         drop(shard);
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        self.note_cohort_lookup(user_id, Lookup::Fallback);
         Ok((Arc::clone(&self.general), Lookup::Fallback))
     }
 
@@ -577,9 +536,6 @@ impl ShardedRegistry {
             // in-memory view shard for shard.
             stats.history_by_shard = store.stats().retained_by_shard;
         }
-        let cohorts = self.lock_cohorts();
-        stats.cohort_queries = cohorts.queries.clone();
-        stats.cohort_hits = cohorts.hits.clone();
         stats
     }
 }
@@ -707,49 +663,6 @@ mod tests {
         assert_eq!(held.predict_proba(&xs), old.predict_proba(&xs), "reader finishes on v1");
         let (fresh, _) = r.get(6).unwrap();
         assert_eq!(fresh.predict_proba(&xs), model(4).predict_proba(&xs), "next get sees v2");
-    }
-
-    #[test]
-    fn cohort_counters_split_traffic_by_label() {
-        let r = registry(2, 2);
-        r.enroll(1, &model(1));
-        r.enroll(2, &model(2));
-        r.set_cohort(1, 0); // arm A
-        r.set_cohort(2, 1); // arm B
-        r.set_cohort(7, 2); // holdout, unenrolled -> fallback lookups
-
-        r.get(1).unwrap(); // cold
-        r.get(1).unwrap(); // hot
-        r.get(2).unwrap(); // cold
-        r.get(7).unwrap(); // fallback
-        r.get(99).unwrap(); // unlabeled: counted nowhere
-
-        assert_eq!(r.cohort_of(1), Some(0));
-        assert_eq!(r.cohort_of(99), None);
-        let stats = r.stats();
-        assert_eq!(stats.cohort_queries, vec![2, 1, 1]);
-        assert_eq!(stats.cohort_hits, vec![1, 0, 0]);
-        assert_eq!(stats.hits + stats.misses + stats.fallbacks, 5);
-
-        // The clone carries labels and counters with it.
-        let twin = r.clone();
-        assert_eq!(twin.stats().cohort_queries, vec![2, 1, 1]);
-        assert_eq!(twin.cohort_of(2), Some(1));
-
-        // Re-labeling moves the user; earned counts stay put.
-        r.set_cohort(2, 0);
-        r.get(2).unwrap();
-        let stats = r.stats();
-        assert_eq!(stats.cohort_queries, vec![3, 1, 1]);
-    }
-
-    #[test]
-    fn unlabeled_registries_report_empty_cohorts() {
-        let r = registry(2, 2);
-        r.enroll(1, &model(1));
-        r.get(1).unwrap();
-        let stats = r.stats();
-        assert!(stats.cohort_queries.is_empty() && stats.cohort_hits.is_empty());
     }
 
     #[test]

@@ -30,6 +30,17 @@
 //! replay-the-timestamps reference on random streams; under network
 //! jitter the compositions genuinely change — batching reacts to the
 //! network.
+//!
+//! # Composing on the serving tier
+//!
+//! The live loop, the A/B loop and the rollback drill run their own jobs
+//! on the heap of one [`serve_harness`]: each decodes job ends with
+//! [`ServeJob::of`], hands serving's to the inner [`ServeFlow`], and runs
+//! its own one-transfer jobs through a [`Lane`]. Serving's part of the
+//! trace stays bit-identical to [`simulate_serving`]'s if a loop's job
+//! kinds sit above serving's 0–2 ([`Lane::new`] asserts it; the drill
+//! uses 3–5, live 8, A/B 9–10), its links come after serving's, and its
+//! timer keys are at or above the shard count.
 
 use std::collections::HashMap;
 
@@ -115,10 +126,8 @@ impl SimServeOutcome {
 }
 
 /// Job-id namespace width on the shared heap: the top byte tags the job
-/// class, the low 56 bits carry the request/batch index. Workloads
-/// composing extra job classes onto the same heap (like the live
-/// personalization loop) must tag them with kinds above
-/// [`ServeFlow::handles`]'s range.
+/// class, the low 56 bits carry the request/batch index. Serving owns
+/// kinds 0–2 ([`ServeJob`]); composing loops take higher ones.
 const KIND_SHIFT: u32 = 56;
 const KIND_ARRIVAL: u64 = 0;
 const KIND_BATCH: u64 = 1;
@@ -139,6 +148,98 @@ pub fn job_id(kind: u64, payload: u64) -> u64 {
 /// [`job_id`].
 pub fn split_job_id(id: u64) -> (u64, u64) {
     (id >> KIND_SHIFT, id & ((1 << KIND_SHIFT) - 1))
+}
+
+fn assert_request_id(id: usize) {
+    assert!((id as u64) < 1 << KIND_SHIFT, "request id {id} outside job-id namespace");
+}
+
+/// A serving-tier job, decoded from its id on the shared heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServeJob {
+    /// Request `id` reached the scheduler, or was dropped on its uplink
+    /// (the job's status says which).
+    Arrival(usize),
+    /// Batch `index` finished occupying its shard: its completions in
+    /// [`ServeFlow::completions`] are final once the flow has seen the end.
+    Batch(usize),
+    /// Request `id`'s response crossed the egress.
+    Response(usize),
+}
+
+impl ServeJob {
+    /// Decodes a job id; `None` when the kind is a composing loop's own.
+    pub fn of(id: u64) -> Option<Self> {
+        let (kind, payload) = split_job_id(id);
+        let payload = payload as usize;
+        match kind {
+            KIND_ARRIVAL => Some(Self::Arrival(payload)),
+            KIND_BATCH => Some(Self::Batch(payload)),
+            KIND_RESPONSE => Some(Self::Response(payload)),
+            _ => None,
+        }
+    }
+}
+
+/// One class of a composing loop's own jobs: each moves bytes over one
+/// link in a single transfer stage and holds a payload until it ends.
+/// Job ids are `(kind, sequence number)`, numbered from 0.
+#[derive(Debug)]
+pub struct Lane<T> {
+    kind: u64,
+    label: &'static str,
+    link: usize,
+    next_seq: u64,
+    in_flight: HashMap<u64, T>,
+}
+
+impl<T> Lane<T> {
+    /// A lane of job kind `kind` whose transfers are labelled `label` and
+    /// cross link `link`. Panics if `kind` is serving's (0–2) or does not
+    /// fit the job id's top byte.
+    pub fn new(kind: u64, label: &'static str, link: usize) -> Self {
+        assert!(
+            kind > KIND_RESPONSE && kind >> (64 - KIND_SHIFT) == 0,
+            "lane kind {kind} outside the composing loops' namespace"
+        );
+        Self { kind, label, link, next_seq: 0, in_flight: HashMap::new() }
+    }
+
+    /// The next job of this lane — `bytes` over the lane's link, released
+    /// at `release_us` — with `payload` held until it ends.
+    pub fn job(&mut self, release_us: u64, bytes: u64, payload: T) -> JobSpec {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.in_flight.insert(seq, payload);
+        JobSpec {
+            id: job_id(self.kind, seq),
+            release_us,
+            stages: vec![Stage::Transfer {
+                label: self.label,
+                link: self.link,
+                bytes,
+                policy: TransferPolicy::default(),
+            }],
+        }
+    }
+
+    /// Submits the next job of this lane, released now.
+    pub fn submit(&mut self, bytes: u64, payload: T, sim: &mut SimControl) {
+        let job = self.job(sim.now(), bytes, payload);
+        sim.submit(job);
+    }
+
+    /// The payload of an ended job of this lane (panics if it is not in
+    /// flight); `None` for any other job id.
+    pub fn take(&mut self, id: u64) -> Option<T> {
+        let (kind, seq) = split_job_id(id);
+        (kind == self.kind).then(|| self.in_flight.remove(&seq).expect("one end per lane job"))
+    }
+
+    /// Jobs submitted and not yet ended.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight.len()
+    }
 }
 
 /// Runs the serving tier on the simulator's virtual clock: arrivals
@@ -171,10 +272,10 @@ pub fn simulate_serving(
 /// jobs and the scheduler-as-workload, *before* the simulator runs.
 ///
 /// [`simulate_serving`] assembles exactly these three pieces and runs
-/// them as-is; a composing workload (the live personalization loop)
-/// appends its own links and job classes, wraps [`ServeHarness::flow`]
-/// in its own [`Workload`], and drives the union on one event heap —
-/// when nothing extra is submitted, the trace is bit-identical to
+/// them as-is; a composing workload appends its own links and jobs,
+/// wraps [`ServeHarness::flow`] in its own [`Workload`], and drives the
+/// union on one event heap (see the module docs for the rules) — when
+/// nothing extra is submitted, the trace is bit-identical to
 /// [`simulate_serving`]'s.
 pub struct ServeHarness<'a> {
     /// Shard compute resources first (link `i` = shard `i`), then — in
@@ -228,7 +329,7 @@ pub fn serve_harness<'a>(
     let initial: Vec<JobSpec> = requests
         .iter()
         .map(|r| {
-            assert!((r.id as u64) < 1 << KIND_SHIFT, "request id outside job-id namespace");
+            assert_request_id(r.id);
             let stages = match &config.network {
                 Some(cloud) => vec![Stage::Transfer {
                     label: "uplink",
@@ -264,8 +365,8 @@ pub fn serve_harness<'a>(
 
 /// The scheduler-as-workload driving one serving pass. Built by
 /// [`serve_harness`]; either run directly (that is [`simulate_serving`])
-/// or delegated to from a composing [`Workload`] for every job id that
-/// [`ServeFlow::handles`] and every timer key below the shard count.
+/// or delegated to from a composing [`Workload`] for every job id
+/// [`ServeJob::of`] decodes and every timer key below the shard count.
 pub struct ServeFlow<'a> {
     engine: ServeEngine<'a>,
     config: SchedulerConfig,
@@ -294,21 +395,6 @@ pub struct ServeFlow<'a> {
 }
 
 impl ServeFlow<'_> {
-    /// Whether `job_id` lives in one of the serving namespaces (arrival,
-    /// batch, response). A composing workload delegates exactly these to
-    /// the inner flow's [`Workload::on_job_end`] and keeps its own job
-    /// classes in higher kinds.
-    pub fn handles(job_id: u64) -> bool {
-        split_job_id(job_id).0 <= KIND_RESPONSE
-    }
-
-    /// Shards this flow schedules over. Timer keys below this count
-    /// belong to the serving flow (buffer deadlines); composing
-    /// workloads must pick their own keys at or above it.
-    pub fn shard_count(&self) -> usize {
-        self.n_shards
-    }
-
     /// Hands the flow a request that did not exist when the harness was
     /// built — the dynamic-traffic entry point for composing workloads
     /// (e.g. an A/B experiment's adversary, whose next queries depend on
@@ -320,8 +406,10 @@ impl ServeFlow<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if the id collides with a request this flow already knows.
+    /// Panics if the id collides with a request this flow already knows
+    /// or is outside the 56-bit job-id namespace.
     pub fn inject(&mut self, request: Request, sim: &mut SimControl) {
+        assert_request_id(request.id);
         assert!(
             !self.sent_us.contains_key(&request.id) && !self.pending.contains_key(&request.id),
             "injected request id {} collides with an existing request",
@@ -329,6 +417,11 @@ impl ServeFlow<'_> {
         );
         self.sent_us.insert(request.id, request.arrival_us);
         self.ingest(request, sim.now(), sim);
+    }
+
+    /// Client send time of a request this flow knows, injected or not.
+    pub fn sent_us(&self, request_id: usize) -> u64 {
+        self.sent_us[&request_id]
     }
 
     /// Sealed batches so far, in seal order on the virtual clock — a
@@ -340,7 +433,7 @@ impl ServeFlow<'_> {
     /// Per-batch completions, parallel to [`Self::batches`]. The
     /// queue/service split of a batch is back-filled when its shard
     /// occupancy job finishes (so it is final by the time a composing
-    /// workload sees that batch's `KIND_BATCH` job end).
+    /// workload sees that batch's [`ServeJob::Batch`] end).
     pub fn completions(&self) -> &[Vec<Completion>] {
         &self.completions
     }
@@ -474,21 +567,18 @@ impl ServeFlow<'_> {
 
 impl Workload for ServeFlow<'_> {
     fn on_job_end(&mut self, job: &JobReport, sim: &mut SimControl) {
-        let (kind, payload) = split_job_id(job.id);
-        let payload = payload as usize;
-        match kind {
-            KIND_ARRIVAL => {
+        match ServeJob::of(job.id).expect("a serving job") {
+            ServeJob::Arrival(id) => {
                 let request =
-                    self.pending.remove(&payload).expect("one arrival job per pending request");
+                    self.pending.remove(&id).expect("one arrival job per pending request");
                 if job.status == JobStatus::Completed {
                     self.ingest(request, job.end_us, sim);
                 } else {
                     self.dropped += 1;
                 }
             }
-            KIND_BATCH => self.batch_done(payload, job, sim),
-            KIND_RESPONSE => self.finish(payload, job.end_us),
-            _ => unreachable!("unknown job-id namespace"),
+            ServeJob::Batch(index) => self.batch_done(index, job, sim),
+            ServeJob::Response(id) => self.finish(id, job.end_us),
         }
     }
 
@@ -641,10 +731,9 @@ mod tests {
         }
         impl Workload for Injector<'_> {
             fn on_job_end(&mut self, job: &JobReport, sim: &mut SimControl) {
-                if ServeFlow::handles(job.id) {
-                    self.serve.on_job_end(job, sim);
-                } else {
-                    self.serve.inject(request(100, 0, sim.now()), sim);
+                match ServeJob::of(job.id) {
+                    Some(_) => self.serve.on_job_end(job, sim),
+                    None => self.serve.inject(request(100, 0, sim.now()), sim),
                 }
             }
             fn on_timer(&mut self, key: u64, sim: &mut SimControl) {
@@ -668,26 +757,43 @@ mod tests {
         assert!(injected.done_us > injected.sent_us);
     }
 
-    #[test]
-    #[should_panic(expected = "collides")]
-    fn injecting_a_known_request_id_panics() {
+    /// Serves four requests through a probe workload that injects request
+    /// `id` on the first arrival it sees.
+    fn inject_on_first_arrival(id: usize) {
         let registry = registry(2);
         let cfg = config(SchedulerConfig { max_batch: 4, max_delay_us: 900 }, None);
-        let harness = serve_harness(&registry, &stream(4), &cfg);
-        let ServeHarness { links, jobs, flow } = harness;
-        // A probe workload that injects a colliding id on the first
-        // arrival it sees.
-        struct Collider<'a>(ServeFlow<'a>);
-        impl Workload for Collider<'_> {
+        let ServeHarness { links, jobs, flow } = serve_harness(&registry, &stream(4), &cfg);
+        struct Prober<'a>(ServeFlow<'a>, usize);
+        impl Workload for Prober<'_> {
             fn on_job_end(&mut self, job: &JobReport, sim: &mut SimControl) {
                 self.0.on_job_end(job, sim);
-                self.0.inject(request(0, 0, sim.now()), sim);
+                self.0.inject(request(self.1, 0, sim.now()), sim);
             }
             fn on_timer(&mut self, key: u64, sim: &mut SimControl) {
                 self.0.on_timer(key, sim);
             }
         }
-        Simulator::builder().links(links).build().run(&jobs, &mut Collider(flow));
+        Simulator::builder().links(links).build().run(&jobs, &mut Prober(flow, id));
+    }
+
+    #[test]
+    #[should_panic(expected = "collides")]
+    fn injecting_a_known_request_id_panics() {
+        inject_on_first_arrival(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside job-id namespace")]
+    fn injecting_an_id_outside_the_namespace_panics() {
+        // `job_id` only debug-asserts its payload: in a release build this
+        // id's response job would land in another kind.
+        inject_on_first_arrival(1 << KIND_SHIFT);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the composing loops' namespace")]
+    fn a_lane_cannot_take_a_serving_kind() {
+        Lane::<()>::new(KIND_RESPONSE, "probe", 0);
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //!
 //! The scenario reproduces the fleet operator's worst Tuesday. Every
 //! user's personalized model is published (v1) through a store-backed
-//! [`ShardedRegistry`], and queries flow continuously. At a known
-//! virtual instant a fleet-wide re-publication goes out with an
-//! over-aggressive noise postprocess — the models still decode and
-//! serve, but their top-1 answers are wrong (exactly the failure mode a
-//! type-check can't catch). A canary probe running on a timer compares
+//! [`ShardedRegistry`], and queries flow continuously through the
+//! serving tier ([`serve_harness`]: shard batches, deadline seals, shard
+//! occupancy on the cloud tier, no network). At a known virtual instant
+//! a fleet-wide re-publication goes out with an over-aggressive noise
+//! postprocess — the models still decode and serve, but their top-1
+//! answers are wrong (exactly the failure mode a type-check can't
+//! catch). A canary probe running on a timer compares
 //! served top-1 answers against a held-back v1 reference; when
 //! agreement drops below the floor, the operator pushes the prior
 //! envelope back to every serving replica over one **contended** egress
@@ -21,34 +23,42 @@
 //! carries that window, the degraded-answer counts before/after, the
 //! push queueing percentiles, and the run's determinism fingerprint.
 //!
+//! A query is read back from its batch's completion the way the A/B
+//! experiment reads its losing cohort: the batch bound the user's model
+//! when it sealed, so the query is logged at the batch's `dispatched_us`
+//! and judged by the confidences it was served. The drill's own jobs
+//! (kinds 3–5) and push link follow the rules of [`pelican_serve::simserve`].
+//!
 //! Everything is deterministic: models, probes, the regression noise,
 //! and the event schedule are pure functions of [`RollbackConfig`].
 
 use std::sync::Arc;
 
+use pelican::platform::ComputeTier;
 use pelican_nn::{Postprocess, SequenceModel, Step};
-use pelican_serve::{job_id, split_job_id, RegistryConfig, ShardedRegistry};
+use pelican_serve::{
+    job_id, serve_harness, split_job_id, Lane, RegistryConfig, Request, SchedulerConfig, ServeFlow,
+    ServeHarness, ServeJob, ShardedRegistry, SimServeConfig,
+};
 use pelican_sim::{
-    mix64, stage_stats, Discipline, JobReport, JobSpec, LinkProfile, LinkSpec, RetryPolicy,
-    SimControl, Simulator, Stage, TransferPolicy, Workload,
+    mix64, stage_stats, Discipline, JobReport, JobSpec, LinkProfile, LinkSpec, SimControl,
+    Simulator, Workload,
 };
 use pelican_store::{EnvelopeStore, MemBackend, StoreConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Job kinds, namespaced by [`pelican_serve::job_id`] (kind in the top
-/// byte, payload below).
-const KIND_QUERY: u64 = 1;
-const KIND_REGRESS: u64 = 2;
-const KIND_CANARY: u64 = 3;
-const KIND_PUSH: u64 = 4;
+/// The drill's own job kinds, above serving's 0–2: the regressed fleet
+/// publication, the canary chain and the rollback pushes.
+const KIND_REGRESS: u64 = 3;
+const KIND_CANARY: u64 = 4;
+const KIND_PUSH: u64 = 5;
 
 /// The answer a client acts on: argmax of the *served confidences*
 /// (`predict_proba`), which is where the postprocess applies — a raw
 /// top-k over logits would never see the regression. Ties break to the
 /// lowest class, deterministically.
-fn served_top1(model: &SequenceModel, probe: &[Step]) -> usize {
-    let probs = model.predict_proba(probe);
+fn top1(probs: &[f32]) -> usize {
     let mut best = 0;
     for (i, p) in probs.iter().enumerate() {
         if *p > probs[best] {
@@ -79,13 +89,12 @@ pub struct RollbackConfig {
     pub canary_agreement_floor: f64,
     /// Probe sequences per user in the canary set.
     pub canary_probes: usize,
-    /// Total query jobs; user `i % users` is queried at `i * gap`.
+    /// Total queries; user `i % users` sends probe `i % canary_probes`
+    /// at `i * gap`.
     pub queries: usize,
     /// Inter-query gap (µs). `queries * query_gap_us` is also the
     /// horizon past which an undetected regression stops the canary.
     pub query_gap_us: u64,
-    /// Serve-side compute occupancy per query (µs).
-    pub query_compute_us: u64,
     /// Bytes of one rollback push (envelope + transport framing).
     pub push_bytes: u64,
     /// The one shared egress path every push contends on.
@@ -112,7 +121,6 @@ impl Default for RollbackConfig {
             canary_probes: 4,
             queries: 600,
             query_gap_us: 1_500,
-            query_compute_us: 200,
             push_bytes: 64 * 1024,
             egress: LinkProfile::wan(),
             egress_discipline: Discipline::Fifo,
@@ -215,8 +223,10 @@ pub struct RollbackOutcome {
     pub probes: Vec<Vec<Step>>,
 }
 
-/// The reactive workload driving the study on the virtual clock.
+/// The reactive workload driving the study on the virtual clock: the
+/// serving tier plus the drill's regression, canary and pushes.
 struct RollbackFlow<'a> {
+    serve: ServeFlow<'a>,
     cfg: &'a RollbackConfig,
     registry: &'a ShardedRegistry,
     bad: &'a [SequenceModel],
@@ -227,9 +237,11 @@ struct RollbackFlow<'a> {
     horizon_us: u64,
     detected_at: Option<u64>,
     agreement_at_detection: f64,
+    /// Each user's rollback push on the shared egress link.
+    pushes: Lane<usize>,
     /// Per-user swap completion time, once rolled back.
     swaps: Vec<Option<u64>>,
-    /// `(end_us, user, degraded)` per served query.
+    /// `(dispatched_us, user, degraded)` per served query.
     query_log: Vec<(u64, usize, bool)>,
 }
 
@@ -242,7 +254,7 @@ impl RollbackFlow<'_> {
             let (served, _) = self.registry.get(user).expect("published envelopes decode");
             for (p, probe) in self.probes.iter().enumerate() {
                 total += 1;
-                if served_top1(&served, probe) == self.good_top1[user][p] {
+                if top1(&served.predict_proba(probe)) == self.good_top1[user][p] {
                     matches += 1;
                 }
             }
@@ -253,20 +265,35 @@ impl RollbackFlow<'_> {
     fn submit_canary(&self, tick: u64, at: u64, sim: &mut SimControl) {
         sim.submit(JobSpec { id: job_id(KIND_CANARY, tick), release_us: at, stages: Vec::new() });
     }
+
+    /// Batch `index` is done: log each of its queries at the instant the
+    /// batch sealed and bound its users' models.
+    fn log_batch(&mut self, index: usize) {
+        let dispatched_us = self.serve.batches()[index].dispatched_us;
+        for c in &self.serve.completions()[index] {
+            let probe = c.request_id % self.probes.len();
+            let degraded = top1(&c.probs) != self.good_top1[c.user_id][probe];
+            self.query_log.push((dispatched_us, c.user_id, degraded));
+        }
+    }
 }
 
 impl Workload for RollbackFlow<'_> {
     fn on_job_end(&mut self, job: &JobReport, sim: &mut SimControl) {
-        let (kind, payload) = split_job_id(job.id);
-        match kind {
-            KIND_QUERY => {
-                let user = payload as usize % self.cfg.users;
-                let probe_idx = payload as usize % self.probes.len();
-                let (served, _) = self.registry.get(user).expect("published envelopes decode");
-                let answer = served_top1(&served, &self.probes[probe_idx]);
-                let degraded = answer != self.good_top1[user][probe_idx];
-                self.query_log.push((job.end_us, user, degraded));
+        if let Some(serve_job) = ServeJob::of(job.id) {
+            self.serve.on_job_end(job, sim);
+            if let ServeJob::Batch(index) = serve_job {
+                self.log_batch(index);
             }
+            return;
+        }
+        if let Some(user) = self.pushes.take(job.id) {
+            self.registry.rollback(user, self.v1[user]).expect("v1 is retained in the durable log");
+            self.swaps[user] = Some(job.end_us);
+            return;
+        }
+        let (kind, tick) = split_job_id(job.id);
+        match kind {
             KIND_REGRESS => {
                 // The bad fleet publication: every user re-published with
                 // the over-noised postprocess, through the same durable
@@ -287,33 +314,18 @@ impl Workload for RollbackFlow<'_> {
                     // one shared egress link — this is where contention
                     // stretches the staleness window.
                     for user in 0..self.cfg.users {
-                        sim.submit(JobSpec {
-                            id: job_id(KIND_PUSH, user as u64),
-                            release_us: job.end_us,
-                            stages: vec![Stage::Transfer {
-                                label: "rollback-push",
-                                link: 0,
-                                bytes: self.cfg.push_bytes,
-                                policy: TransferPolicy {
-                                    timeout_us: None,
-                                    retry: RetryPolicy::none(),
-                                },
-                            }],
-                        });
+                        self.pushes.submit(self.cfg.push_bytes, user, sim);
                     }
                 } else if job.end_us + self.cfg.canary_interval_us <= self.horizon_us {
-                    self.submit_canary(payload + 1, job.end_us + self.cfg.canary_interval_us, sim);
+                    self.submit_canary(tick + 1, job.end_us + self.cfg.canary_interval_us, sim);
                 }
-            }
-            KIND_PUSH => {
-                let user = payload as usize;
-                self.registry
-                    .rollback(user, self.v1[user])
-                    .expect("v1 is retained in the durable log");
-                self.swaps[user] = Some(job.end_us);
             }
             _ => unreachable!("unknown job kind {kind}"),
         }
+    }
+
+    fn on_timer(&mut self, key: u64, sim: &mut SimControl) {
+        self.serve.on_timer(key, sim);
     }
 }
 
@@ -374,18 +386,31 @@ pub fn run_rollback_study(cfg: &RollbackConfig) -> RollbackOutcome {
                 .collect()
         })
         .collect();
-    let good_top1: Vec<Vec<usize>> =
-        reference.iter().map(|m| probes.iter().map(|p| served_top1(m, p)).collect()).collect();
+    let good_top1: Vec<Vec<usize>> = reference
+        .iter()
+        .map(|m| probes.iter().map(|p| top1(&m.predict_proba(p))).collect())
+        .collect();
 
-    // The schedule: queries at a fixed cadence, the regression drop, and
-    // the first canary (later canaries chain off completed ones).
-    let mut initial: Vec<JobSpec> = (0..cfg.queries)
-        .map(|i| JobSpec {
-            id: job_id(KIND_QUERY, i as u64),
-            release_us: i as u64 * cfg.query_gap_us,
-            stages: vec![Stage::Compute { label: "query", duration_us: cfg.query_compute_us }],
+    // The schedule: queries at a fixed cadence into the serving tier, the
+    // regression drop, and the first canary (later canaries chain off
+    // completed ones). The push link comes after serving's links.
+    let requests: Vec<Request> = (0..cfg.queries)
+        .map(|i| Request {
+            id: i,
+            user_id: i % cfg.users,
+            arrival_us: i as u64 * cfg.query_gap_us,
+            xs: probes[i % probes.len()].clone(),
         })
         .collect();
+    let serve_config = SimServeConfig {
+        scheduler: SchedulerConfig::default(),
+        tier: ComputeTier::Cloud,
+        network: None,
+    };
+    let ServeHarness { mut links, jobs: mut initial, flow: serve } =
+        serve_harness(&registry, &requests, &serve_config);
+    let pushes = Lane::new(KIND_PUSH, "rollback-push", links.len());
+    links.push(LinkSpec { profile: cfg.egress, discipline: cfg.egress_discipline });
     initial.push(JobSpec {
         id: job_id(KIND_REGRESS, 0),
         release_us: cfg.regress_at_us,
@@ -397,10 +422,8 @@ pub fn run_rollback_study(cfg: &RollbackConfig) -> RollbackOutcome {
         stages: Vec::new(),
     });
 
-    let sim = Simulator::builder()
-        .links([LinkSpec { profile: cfg.egress, discipline: cfg.egress_discipline }])
-        .build();
     let mut flow = RollbackFlow {
+        serve,
         cfg,
         registry: &registry,
         bad: &bad,
@@ -410,10 +433,12 @@ pub fn run_rollback_study(cfg: &RollbackConfig) -> RollbackOutcome {
         horizon_us: cfg.queries as u64 * cfg.query_gap_us,
         detected_at: None,
         agreement_at_detection: 1.0,
+        pushes,
         swaps: vec![None; cfg.users],
         query_log: Vec::with_capacity(cfg.queries),
     };
-    let outcome = sim.run(&initial, &mut flow);
+    let sim = Simulator::builder().links(links).build().run(&initial, &mut flow);
+    let outcome = flow.serve.into_outcome(sim).expect("published envelopes decode");
 
     let detected_at_us =
         flow.detected_at.expect("canary must detect the regression before the query horizon");
@@ -436,7 +461,7 @@ pub fn run_rollback_study(cfg: &RollbackConfig) -> RollbackOutcome {
         last_swap_us: window.last_swap_us,
         staleness_us: window.staleness_us(),
         exposure_us: window.exposure_us(cfg.regress_at_us),
-        push_wait_p95_us: stage_stats(&outcome, "rollback-push").wait_p95_us,
+        push_wait_p95_us: stage_stats(&outcome.sim, "rollback-push").wait_p95_us,
         queries_total: flow.query_log.len(),
         queries_degraded,
         queries_degraded_after_swap,

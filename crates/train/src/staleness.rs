@@ -8,7 +8,9 @@
 //! in total, and — the correctness gate — did any degraded answer slip
 //! out *after* its replica had already swapped? Extracting the
 //! measurement keeps the two flows honest about using identical
-//! definitions.
+//! definitions — down to the instant a query is logged: both serve their
+//! queries through the serving tier and log each one at its batch's
+//! `dispatched_us`, the seal that bound the model it was answered by.
 
 /// The detection→swap timeline of one fleet-wide swap-back, all times on
 /// the virtual clock (µs).
@@ -56,14 +58,14 @@ impl StalenessWindow {
     }
 }
 
-/// Counts log entries that are degraded *and* completed after their
+/// Counts log entries that are degraded *and* logged after their
 /// replica's swap — the number that must be zero if swapping restores
-/// exact prior behavior. `log` entries are `(end_us, replica, degraded)`
-/// with `replica` indexing `swap_times`; entries ending exactly at the
-/// swap instant belong to the old model (the swap is visible only to
-/// later lookups).
+/// exact prior behavior. `log` entries are `(at_us, replica, degraded)`
+/// with `replica` indexing `swap_times` and `at_us` the instant the
+/// answering model was bound; entries at exactly the swap instant belong
+/// to the old model (the swap is visible only to later lookups).
 pub fn count_degraded_after_swap(log: &[(u64, usize, bool)], swap_times: &[u64]) -> usize {
-    log.iter().filter(|(end, replica, degraded)| *degraded && *end > swap_times[*replica]).count()
+    log.iter().filter(|(at, replica, degraded)| *degraded && *at > swap_times[*replica]).count()
 }
 
 #[cfg(test)]

@@ -7,15 +7,19 @@
 //! for speed — the live loop and the gate outcomes before the audit
 //! sweeps landed (PR 11, `ea62e73`), the serving pass before the sparse
 //! inference step did (PR 12, `f08af5b`), the enrolment before `fit`
-//! stopped running the per-sample loop (PR 13, `56e340b`): a change that only makes the
-//! host faster, or only deletes code, must leave every one of them as it
-//! is. A change that means to move the reproduction re-records them and
+//! stopped running the per-sample loop (PR 13, `56e340b`), the A/B
+//! experiment and the rollback drill before the update studies were
+//! recomposed on the serving tier (PR 25, `12b4d0c`): a change that only
+//! makes the host faster, or only deletes code, must leave every one of
+//! them as it is. A change that means to move the reproduction re-records them and
 //! says so.
 
 use std::sync::Arc;
 
 use pelican::platform::ComputeTier;
 use pelican::{DefenseKind, PersonalizationConfig};
+use pelican_bench::experiments::abx;
+use pelican_bench::RunConfig;
 use pelican_live::{bootstrap_jobs, run_live, DriftConfig, DriftMetric, LiveConfig};
 use pelican_mobility::{CampusConfig, DatasetBuilder, MobilityDataset, Scale, SpatialLevel};
 use pelican_nn::{ModelEnvelope, SequenceModel, TrainConfig};
@@ -25,7 +29,8 @@ use pelican_serve::{
 };
 use pelican_store::{EnvelopeStore, MemBackend, StoreConfig};
 use pelican_train::{
-    cohort_jobs, run_pipeline, AuditConfig, AuditGate, GateOutcome, GateVerdict, PipelineConfig,
+    cohort_jobs, run_pipeline, run_rollback_study, AuditConfig, AuditGate, GateOutcome,
+    GateVerdict, PipelineConfig, RollbackConfig, RollbackReport,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -228,4 +233,43 @@ fn tiny_enrolment_is_the_recorded_one() {
     let train_ns: Vec<u128> =
         report.outcomes.iter().map(|o| o.train_simulated.as_nanos()).collect();
     assert_eq!(train_ns, [1_667_405, 1_886_801, 1_755_164], "a job's simulated device time moved");
+}
+
+#[test]
+fn tiny_ab_experiment_fingerprint_is_the_recorded_one() {
+    // `repro ab-report --scale tiny`, whose treatment run is also
+    // `fleet_abx`'s: the whole seed-42 tiny campus, undefended arm A
+    // against the hard rung in arm B, at 1/2/8 workers plus the A/A run.
+    let run = abx::run(&RunConfig { scale: Scale::Tiny, ..RunConfig::default() });
+    assert_eq!(run.outcome.fingerprint(), 0xef07_ed95_4145_405a, "the A/B experiment moved");
+}
+
+#[test]
+fn fleet_rollback_drill_is_the_recorded_one() {
+    // `fleet_rollback`'s drill. Recorded at `12b4d0c`; serving its queries
+    // through the serving tier moved only the fingerprint (was 0x481e…da8a).
+    let report = run_rollback_study(&RollbackConfig { users: 8, ..RollbackConfig::default() });
+    assert_eq!(
+        report.report,
+        RollbackReport {
+            users: 8,
+            regress_at_us: 37_000,
+            detected_at_us: 40_000,
+            detection_lag_us: 3_000,
+            agreement_at_detection: 0.125,
+            first_swap_us: 100_972,
+            last_swap_us: 527_776,
+            staleness_us: 487_776,
+            exposure_us: 490_776,
+            push_wait_p95_us: 426_804,
+            queries_total: 600,
+            queries_degraded: 151,
+            queries_degraded_after_swap: 0,
+            publishes: 24,
+            rollbacks: 8,
+            history_total: 24,
+            fingerprint: 0x7887_dc47_c462_6e96,
+        },
+        "the rollback drill moved"
+    );
 }
