@@ -1,11 +1,13 @@
 //! Criterion bench behind the §V-C2 overhead table: throughput of
-//! cloud-style general training vs the on-device personalization methods.
+//! cloud-style general training vs the on-device personalization methods,
+//! and of the dense `x·Wᵀ` product both run on.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use pelican::{personalize, PersonalizationConfig, PersonalizationMethod};
 use pelican_mobility::{CampusConfig, DatasetBuilder, Scale, SpatialLevel};
 use pelican_nn::{fit, SequenceModel, TrainConfig};
+use pelican_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -49,5 +51,23 @@ fn bench_training(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_training);
+/// `x·Wᵀ` against one `4H × H` weight matrix at `H` = 64: served groups
+/// are 1–2 rows, training mini-batches 16–32. The blocked kernel takes
+/// over from the row kernel at 4 rows; these rows re-measure that
+/// crossover.
+fn bench_dense_product(c: &mut Criterion) {
+    let (outs, width) = (256, 64);
+    let values = |n: usize, phase: f32| (0..n).map(|i| (i as f32 * 0.731 + phase).sin()).collect();
+    let w = Matrix::from_vec(outs, width, values(outs * width, 0.0));
+    let mut group = c.benchmark_group("matmul_transpose");
+    for rows in [1, 2, 4, 16, 32] {
+        let x = Matrix::from_vec(rows, width, values(rows * width, 1.0));
+        group.bench_function(format!("{outs}x{width}/rows_{rows}"), |b| {
+            b.iter(|| black_box(&x).matmul_transpose(black_box(&w)))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_training, bench_dense_product);
 criterion_main!(benches);

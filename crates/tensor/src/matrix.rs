@@ -26,16 +26,34 @@ pub struct Matrix {
     data: Vec<f32>,
 }
 
-/// Rows from which [`Matrix::matmul_transpose_sparse`] transposes its
-/// weights. Measured at the shapes served (256 × 119, 256 × 64), the
-/// transpose costs ten dense row products and the loop it enables saves
-/// half of one per dense row and under a microsecond per 4-hot row:
-/// served batches (≤ 32 rows) stay below, attack sweeps (72–960) above.
+/// Sparse rows from which [`Matrix::matmul_transpose_sparse`] transposes
+/// its weights. Measured at the shapes served (256 × 119, 256 × 64) on a
+/// 2-core x86-64 host, the tiled transpose (21 and 11 µs) costs about six
+/// blocked dense row products, and the loop it enables saves under a
+/// microsecond per 4-hot row against the gather: served batches (≤ 32
+/// rows) stay below, attack sweeps (72–960 candidates) above. Dense rows
+/// never use it — the blocked kernel reads the row-major weights as they
+/// are.
 const SPARSE_TRANSPOSE_ROWS: usize = 64;
 
 /// A row gathers its non-zeros when they number at most `cols / 4`: a
 /// gathered term's strided read costs about two dense ones.
 const SPARSE_ROW_GAIN: usize = 4;
+
+/// Input rows one pass of the blocked `x·Wᵀ` kernel packs k-major: two
+/// SSE2 vectors of lanes, so the kernel vectorises across a batch's rows.
+const BLOCK_ROWS: usize = 8;
+
+/// Dense rows from which a block goes through the blocked kernel (its
+/// unused lanes are computed and dropped); fewer take [`Matrix::dot_rows`].
+/// At 256 × 64 on a 2-core x86-64 host the blocked kernel runs at 0.3×
+/// the row kernel's speed at one row, 0.6× at two, even at three, 1.3×
+/// at four and 2.5× from eight.
+const BLOCK_MIN_ROWS: usize = 4;
+
+/// Weight rows one pass of the blocked kernel walks: 4 × 8 accumulators
+/// fill half the SSE2 register file and leave the rest for operands.
+const BLOCK_OUTS: usize = 4;
 
 impl Matrix {
     /// Creates a `rows × cols` matrix of zeros.
@@ -189,31 +207,40 @@ impl Matrix {
         );
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue; // one-hot inputs make this branch very profitable
-                }
-                let b_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
+            rhs.add_scaled_rows(self.row(i), out.row_mut(i));
         }
         record_flops(2 * self.rows as u64 * self.cols as u64 * rhs.cols as u64);
         out
     }
 
+    /// `out += Σ_k a[k] · self.row(k)` in ascending `k`, skipping the
+    /// zero `a[k]` — one output row of [`Matrix::matmul`]'s `i-k-j` loop,
+    /// vectorised across outputs; records no FLOPs.
+    fn add_scaled_rows(&self, a: &[f32], out: &mut [f32]) {
+        for (k, &a) in a.iter().enumerate() {
+            if a == 0.0 {
+                continue; // one-hot inputs make this branch very profitable
+            }
+            let b_row = &self.data[k * self.cols..(k + 1) * self.cols];
+            for (o, &b) in out.iter_mut().zip(b_row) {
+                *o += a * b;
+            }
+        }
+    }
+
     /// Matrix product `self · rhsᵀ` without materializing the transpose.
     ///
-    /// Four `rhs` rows are processed per pass over each `self` row, giving
-    /// the CPU four *independent* accumulation chains to overlap — the
-    /// single serial chain of a plain dot product is what bounds
-    /// [`Matrix::matvec`] at ~1 FLOP/cycle, and it is exactly what fused
-    /// batched inference escapes. Every accumulator still sums its
-    /// products in strict left-to-right `k` order, so each output element
-    /// is bit-identical to a scalar [`Matrix::matvec`] of the same row.
+    /// From four rows up, the rows go through a register-blocked kernel
+    /// that packs eight of them k-major and walks four `rhs` rows per
+    /// pass: 32 independent accumulators, vectorised across the *batch's
+    /// rows* rather than along `k`, against the row-major `rhs` as it is
+    /// (no transposed copy). A remainder of fewer than four rows takes a
+    /// row kernel with four independent accumulator chains, one per `rhs`
+    /// row. Either way every output sums `self[i][k] · rhs[j][k]` from
+    /// `+0.0` in strict ascending `k` with no term skipped, so each
+    /// output row is bit-identical to a scalar [`Matrix::matvec`] of the
+    /// same row, non-finite weights included. Records the nominal
+    /// `2·m·k·n` FLOPs.
     ///
     /// # Panics
     ///
@@ -225,16 +252,62 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            rhs.dot_rows(a_row, &mut out.data[i * rhs.rows..(i + 1) * rhs.rows]);
-        }
+        let rows: Vec<usize> = (0..self.rows).collect();
+        self.dense_products(rhs, &rows, &mut out);
         record_flops(2 * self.rows as u64 * self.cols as u64 * rhs.rows as u64);
         out
     }
 
-    /// `out[j] = self.row(j) · x` — the row kernel of
-    /// [`Matrix::matmul_transpose`]; records no FLOPs.
+    /// `out.row(i) = rhs · self.row(i)` for every listed `i`, blocks of
+    /// [`BLOCK_ROWS`] rows at a time and a remainder under
+    /// [`BLOCK_MIN_ROWS`] row by row — the dense kernel behind
+    /// [`Matrix::matmul_transpose`] and the dense rows of
+    /// [`Matrix::matmul_transpose_sparse`]; records no FLOPs.
+    fn dense_products(&self, rhs: &Matrix, rows: &[usize], out: &mut Matrix) {
+        let (k, n) = (self.cols, rhs.rows);
+        if k == 0 {
+            return; // every sum is empty: `out`'s `+0.0` stands
+        }
+        let mut packed = vec![[0.0f32; BLOCK_ROWS]; k];
+        for block in rows.chunks(BLOCK_ROWS) {
+            if block.len() < BLOCK_MIN_ROWS {
+                for &i in block {
+                    rhs.dot_rows(self.row(i), &mut out.data[i * n..(i + 1) * n]);
+                }
+                continue;
+            }
+            // Lanes past the block's end keep the previous block's rows:
+            // they are multiplied like any other and never written out.
+            for (lane, &i) in block.iter().enumerate() {
+                for (p, &v) in packed.iter_mut().zip(self.row(i)) {
+                    p[lane] = v;
+                }
+            }
+            let groups = rhs.data.chunks_exact(BLOCK_OUTS * k);
+            let tail = groups.remainder();
+            for (g, group) in groups.enumerate() {
+                let w: [&[f32]; BLOCK_OUTS] = std::array::from_fn(|r| &group[r * k..(r + 1) * k]);
+                let acc = lane_dots(&packed, w);
+                for (lane, &i) in block.iter().enumerate() {
+                    let at = i * n + g * BLOCK_OUTS;
+                    for (o, acc) in out.data[at..at + BLOCK_OUTS].iter_mut().zip(&acc) {
+                        *o = acc[lane];
+                    }
+                }
+            }
+            let first = n - tail.len() / k;
+            for (j, w) in (first..).zip(tail.chunks_exact(k)) {
+                let [acc] = lane_dots(&packed, [w]);
+                for (lane, &i) in block.iter().enumerate() {
+                    out.data[i * n + j] = acc[lane];
+                }
+            }
+        }
+    }
+
+    /// `out[j] = self.row(j) · x` on four accumulator chains, one per
+    /// row of `self` — the kernel for the fewer than [`BLOCK_MIN_ROWS`]
+    /// dense rows the blocked one leaves; records no FLOPs.
     #[inline]
     fn dot_rows(&self, x: &[f32], out: &mut [f32]) {
         let cols = self.cols;
@@ -273,18 +346,21 @@ impl Matrix {
     /// what each `self` row makes it read — many [`Matrix::matvec`] calls
     /// against one weight matrix at O(non-zeros) per sparse row.
     ///
-    /// A few rows (a served batch) are answered one by one straight off
-    /// the row-major `rhs`: a row's non-zero `(k, x_k)` are collected and
-    /// every output is `Σ x_k · rhs[j][k]` over them, so an all-zero row
-    /// never touches `rhs`; a row too dense to gain from the gather takes
-    /// the dense row kernel of [`Matrix::matmul_transpose`]. From
-    /// `SPARSE_TRANSPOSE_ROWS` rows up (an attack sweep) one transpose
-    /// of `rhs` is amortised and [`Matrix::matmul`]'s `i-k-j` loop
-    /// applies: each non-zero adds one scaled row of `rhsᵀ` to the whole
-    /// output row, vectorised across outputs. Which of the three runs is
-    /// decided here from the rows alone.
+    /// Each row is routed by how many non-zeros it holds. An all-zero row
+    /// never touches `rhs`. A row too dense to gain from skipping (more
+    /// than `cols / 4` non-zeros — every hidden state) goes with the other
+    /// dense rows through [`Matrix::matmul_transpose`]'s kernel: blocked
+    /// across rows from four of them up, row by row below. The sparse rows (a 4-hot
+    /// step) are answered one by one straight off the row-major `rhs`
+    /// while they are few (a served batch): a row's non-zero `(k, x_k)`
+    /// are collected and every output is `Σ x_k · rhs[j][k]` over them.
+    /// From `SPARSE_TRANSPOSE_ROWS` sparse rows up (an attack sweep) one
+    /// transpose of `rhs` is amortised and [`Matrix::matmul`]'s `i-k-j`
+    /// loop applies: each non-zero adds one scaled row of `rhsᵀ` to the
+    /// whole output row, vectorised across outputs. Which path a row takes
+    /// is decided here from the rows alone.
     ///
-    /// All three sum every output's products in ascending `k` from
+    /// Every path sums each output's products in ascending `k` from
     /// `+0.0`, and a skipped `w · ±0.0` term could only have added `±0.0`
     /// to a sum that is never `-0.0`, so each output row has the bits of
     /// `rhs.matvec(row)`. That argument needs finite weights (`0 · NaN`
@@ -303,19 +379,30 @@ impl Matrix {
             "matmul_transpose_sparse dimension mismatch: {}x{} · ({}x{})ᵀ",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        if self.rows >= SPARSE_TRANSPOSE_ROWS {
-            return self.matmul(&rhs.transpose());
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        let mut non_zeros: Vec<(usize, f32)> = Vec::new();
+        let n = rhs.rows;
+        let mut out = Matrix::zeros(self.rows, n);
+        let (mut dense, mut sparse) = (Vec::new(), Vec::new());
         for i in 0..self.rows {
-            let x = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * rhs.rows..(i + 1) * rhs.rows];
-            non_zeros.clear();
-            non_zeros.extend(x.iter().copied().enumerate().filter(|&(_, v)| v != 0.0));
-            if non_zeros.len() * SPARSE_ROW_GAIN > self.cols {
-                rhs.dot_rows(x, out_row);
-            } else if !non_zeros.is_empty() {
+            let non_zeros = self.row(i).iter().filter(|&&v| v != 0.0).count();
+            if non_zeros * SPARSE_ROW_GAIN > self.cols {
+                dense.push(i);
+            } else if non_zeros > 0 {
+                sparse.push(i);
+            }
+        }
+        self.dense_products(rhs, &dense, &mut out);
+        if sparse.len() >= SPARSE_TRANSPOSE_ROWS {
+            let rhs_t = rhs.transpose();
+            for &i in &sparse {
+                rhs_t.add_scaled_rows(self.row(i), &mut out.data[i * n..(i + 1) * n]);
+            }
+        } else {
+            let mut non_zeros: Vec<(usize, f32)> = Vec::new();
+            for &i in &sparse {
+                non_zeros.clear();
+                non_zeros
+                    .extend(self.row(i).iter().copied().enumerate().filter(|&(_, v)| v != 0.0));
+                let out_row = &mut out.data[i * n..(i + 1) * n];
                 for (o, w) in out_row.iter_mut().zip(rhs.data.chunks_exact(rhs.cols)) {
                     let mut acc = 0.0;
                     for &(k, v) in &non_zeros {
@@ -325,7 +412,7 @@ impl Matrix {
                 }
             }
         }
-        record_flops(2 * self.rows as u64 * self.cols as u64 * rhs.rows as u64);
+        record_flops(2 * self.rows as u64 * self.cols as u64 * n as u64);
         out
     }
 
@@ -403,11 +490,29 @@ impl Matrix {
     }
 
     /// Returns the transpose of `self`.
+    ///
+    /// Copies 8 × 8 tiles through a fixed-size array, so both sides of the
+    /// copy stay within a few cache lines and no element pays an index
+    /// check of its own.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
+        const TILE: usize = 8;
+        let (rows, cols) = (self.rows, self.cols);
+        let mut out = Matrix::zeros(cols, rows);
+        for i0 in (0..rows).step_by(TILE) {
+            let height = TILE.min(rows - i0);
+            for j0 in (0..cols).step_by(TILE) {
+                let width = TILE.min(cols - j0);
+                let mut tile = [[0.0f32; TILE]; TILE];
+                for (di, t) in tile.iter_mut().enumerate().take(height) {
+                    let at = (i0 + di) * cols + j0;
+                    t[..width].copy_from_slice(&self.data[at..at + width]);
+                }
+                for dj in 0..width {
+                    let at = (j0 + dj) * rows + i0;
+                    for (o, t) in out.data[at..at + height].iter_mut().zip(&tile) {
+                        *o = t[dj];
+                    }
+                }
             }
         }
         out
@@ -523,6 +628,28 @@ impl Matrix {
     }
 }
 
+/// `acc[j][lane] = Σ_k packed[k][lane] · w[j][k]`, each sum from `+0.0`
+/// in ascending `k` with no term skipped: the inner loop over lanes is
+/// what vectorises, and the `J × BLOCK_ROWS` accumulators stay in
+/// registers for the whole of `k`.
+#[inline(always)]
+fn lane_dots<const J: usize>(
+    packed: &[[f32; BLOCK_ROWS]],
+    w: [&[f32]; J],
+) -> [[f32; BLOCK_ROWS]; J] {
+    let w = w.map(|row| &row[..packed.len()]); // lets the loop below go unchecked
+    let mut acc = [[0.0f32; BLOCK_ROWS]; J];
+    for (k, x) in packed.iter().enumerate() {
+        for (acc, w) in acc.iter_mut().zip(&w) {
+            let wk = w[k];
+            for (a, &xv) in acc.iter_mut().zip(x) {
+                *a += xv * wk;
+            }
+        }
+    }
+    acc
+}
+
 impl std::ops::Index<(usize, usize)> for Matrix {
     type Output = f32;
 
@@ -624,9 +751,10 @@ mod tests {
             (0..outs * cols).map(|i| (i as f32 * 1.37).cos() * 0.9).collect(),
         );
         // A few rows are answered row by row (skipped, gathered, dense);
-        // the same rows repeated past the threshold share one transpose.
+        // the same rows repeated until the gathered ones pass the
+        // threshold share one transpose, and the dense ones are blocked.
         let few = sparse_rows(cols);
-        let mut many = Matrix::zeros(SPARSE_TRANSPOSE_ROWS + 3, cols);
+        let mut many = Matrix::zeros(few.rows() * SPARSE_TRANSPOSE_ROWS + 3, cols);
         for r in 0..many.rows() {
             many.row_mut(r).copy_from_slice(few.row(r % few.rows()));
         }

@@ -3,11 +3,168 @@
 
 use proptest::prelude::*;
 
-use pelican_tensor::{argmax, softmax, top_k, Matrix};
+use pelican_tensor::{argmax, softmax, top_k, Matrix, ThreadFlopGuard};
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-10.0f32..10.0, rows * cols)
         .prop_map(move |data| Matrix::from_vec(rows, cols, data))
+}
+
+/// Every 8-row remainder of the blocked `x·Wᵀ` kernel and both sides of
+/// its 4-row crossover (0–40), and both sides of the 64-sparse-row one.
+const ROW_COUNTS: [std::ops::RangeInclusive<usize>; 2] = [0..=40, 60..=70];
+/// Input widths: below, at and above a 4-hot row's gather threshold, and
+/// the two the models use.
+const COLS: [usize; 6] = [1, 3, 4, 12, 64, 119];
+/// Weight rows: every remainder of the kernel's four-row pass.
+const OUTS: [usize; 4] = [1, 6, 11, 16];
+
+/// A splitmix64 stream: everything a case draws is a function of its seed.
+struct Stream(u64);
+
+impl Stream {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// A non-zero value in ±[0.25, 2.25).
+    fn value(&mut self) -> f32 {
+        let v = 0.25 + (self.next() >> 40) as f32 / (1u64 << 23) as f32;
+        if self.next() & 1 == 0 {
+            v
+        } else {
+            -v
+        }
+    }
+
+    /// A finite weight: mostly ordinary, sometimes `±0.0` or subnormal.
+    fn weight(&mut self) -> f32 {
+        match self.below(16) {
+            0 => -0.0,
+            1 => 0.0,
+            2 => f32::from_bits(1 + self.below(0x7f_ffff) as u32) * self.value().signum(),
+            _ => self.value() * 0.5,
+        }
+    }
+}
+
+/// One input row of the given kind: all zero (some of it `-0.0`),
+/// one-hot, 4-hot, dense, or dense with `-0.0` and subnormal entries.
+fn fill_row(row: &mut [f32], kind: usize, s: &mut Stream) {
+    let cols = row.len();
+    match kind {
+        0 => row.iter_mut().for_each(|v| *v = if s.below(2) == 0 { -0.0 } else { 0.0 }),
+        1 => row[s.below(cols)] = s.value(),
+        2 => (0..4).for_each(|_| row[s.below(cols)] = s.value()),
+        3 => row.iter_mut().for_each(|v| *v = s.value()),
+        _ => row.iter_mut().for_each(|v| {
+            *v = match s.below(4) {
+                0 => -0.0,
+                1 => f32::from_bits(1 + s.below(0x7f_ffff) as u32) * s.value().signum(),
+                _ => s.value(),
+            }
+        }),
+    }
+}
+
+/// `rows × cols` inputs mixing every kind, or — when `sparse_only` —
+/// only one- and 4-hot rows, so every row a width lets gather is sparse.
+fn inputs(rows: usize, cols: usize, sparse_only: bool, s: &mut Stream) -> Matrix {
+    let mut x = Matrix::zeros(rows, cols);
+    for r in 0..rows {
+        let kind = if sparse_only { 1 + s.below(2) } else { s.below(5) };
+        fill_row(x.row_mut(r), kind, s);
+    }
+    x
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|f| f.to_bits()).collect()
+}
+
+/// Asserts every row of `product(x, w)` has the bits of `w.matvec(row)`
+/// and that the product recorded the nominal `2·m·k·n` FLOPs.
+fn assert_rows_are_matvecs(
+    x: &Matrix,
+    w: &Matrix,
+    name: &str,
+    product: fn(&Matrix, &Matrix) -> Matrix,
+) {
+    let guard = ThreadFlopGuard::start();
+    let got = product(x, w);
+    let flops = guard.stop();
+    let (m, k, n) = (x.rows(), x.cols(), w.rows());
+    assert_eq!(flops, 2 * (m * k * n) as u64, "{name} FLOPs at {m}x{k} · ({n}x{k})ᵀ");
+    assert_eq!(got.shape(), (m, n));
+    for r in 0..m {
+        assert_eq!(
+            bits(got.row(r)),
+            bits(&w.matvec(x.row(r))),
+            "{name} row {r} of {m}x{k} · ({n}x{k})ᵀ diverged from matvec"
+        );
+    }
+}
+
+/// `outs × cols` finite weights.
+fn weights(outs: usize, cols: usize, s: &mut Stream) -> Matrix {
+    Matrix::from_vec(outs, cols, (0..outs * cols).map(|_| s.weight()).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn batched_products_have_the_bits_and_flops_of_matvec(
+        seed in 0u64..u64::MAX,
+        sparse_only in 0u8..2,
+    ) {
+        let s = &mut Stream(seed);
+        for rows in ROW_COUNTS.into_iter().flatten() {
+            for cols in COLS {
+                for outs in OUTS {
+                    let x = inputs(rows, cols, sparse_only == 1, s);
+                    let w = weights(outs, cols, s);
+                    assert_rows_are_matvecs(&x, &w, "matmul_transpose", Matrix::matmul_transpose);
+                    assert_rows_are_matvecs(
+                        &x,
+                        &w,
+                        "matmul_transpose_sparse",
+                        Matrix::matmul_transpose_sparse,
+                    );
+                }
+            }
+        }
+    }
+
+    /// One class of non-finite weight per matrix — NaN, or ±∞: a sum that
+    /// met both a NaN weight and an invalid `∞ · 0` would hold two NaN
+    /// payloads, and which one an addition keeps is the compiler's operand
+    /// order, not anything a kernel decides.
+    #[test]
+    fn non_finite_weights_surface_in_the_dense_product(seed in 0u64..u64::MAX) {
+        let s = &mut Stream(seed);
+        for rows in ROW_COUNTS.into_iter().flatten() {
+            for cols in COLS {
+                let outs = OUTS[s.below(OUTS.len())];
+                let x = inputs(rows, cols, false, s);
+                let mut w = weights(outs, cols, s);
+                let nan = s.below(2) == 0;
+                for _ in 0..1 + s.below(3) {
+                    let bad = if nan { f32::NAN } else { f32::INFINITY * s.value().signum() };
+                    w[(s.below(outs), s.below(cols))] = bad;
+                }
+                assert_rows_are_matvecs(&x, &w, "matmul_transpose", Matrix::matmul_transpose);
+            }
+        }
+    }
 }
 
 proptest! {
