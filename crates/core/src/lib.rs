@@ -10,15 +10,17 @@
 //!
 //! 1. **Cloud-based initial training** ([`CloudTrainer`]): a general
 //!    next-location LSTM trained on many contributors' trajectories.
-//! 2. **Device-based personalization** ([`DevicePersonalizer`]): the
-//!    general model is downloaded to the user's device and adapted to the
-//!    user's private history by transfer learning — feature extraction or
-//!    fine tuning ([`PersonalizationMethod`]) — without the raw data ever
-//!    leaving the device.
-//! 3. **Model deployment** ([`Deployment`]): on-device or cloud-hosted
-//!    black-box serving.
+//! 2. **Device-based personalization** ([`personalize()`], measured on
+//!    [`ComputeTier::Device`]): the general model is downloaded to the
+//!    user's device and adapted to the user's private history by transfer
+//!    learning — feature extraction or fine tuning
+//!    ([`PersonalizationMethod`]) — without the raw data ever leaving the
+//!    device.
+//! 3. **Model deployment**: on-device or cloud-hosted black-box serving,
+//!    run by `pelican-serve`'s `ShardedRegistry` and its
+//!    `simulate_serving` pass.
 //! 4. **Model updates**: re-invoking transfer learning as new personal data
-//!    accumulates.
+//!    accumulates, published through the same registry.
 //!
 //! The privacy enhancement (§V-B) is an inference-time temperature layer
 //! ([`privacy::PrivacyLayer`]) that sharpens confidence scores, starving
@@ -50,6 +52,6 @@ pub mod workbench;
 
 pub use defenses::DefenseKind;
 pub use personalize::{personalize, prepare, PersonalizationConfig, PersonalizationMethod};
-pub use platform::{ComputeTier, NetworkLink, ResourceUsage};
+pub use platform::{ComputeTier, ResourceUsage};
 pub use privacy::{reduction_in_leakage, PrivacyLayer};
-pub use system::{CloudTrainer, Deployment, DevicePersonalizer, PelicanService, ServiceError};
+pub use system::CloudTrainer;

@@ -1,5 +1,5 @@
-//! Simulated device/cloud platform: compute tiers and the network between
-//! them.
+//! Simulated device/cloud platform: the compute tiers and what a
+//! computation costs on each.
 //!
 //! The paper's overhead evaluation (§V-C2) compares general-model training
 //! on a Titan-X cloud server (~43,000 billion CPU cycles, 4.55 h) against
@@ -15,8 +15,6 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use pelican_nn::ModelEnvelope;
-use pelican_sim::LinkProfile;
 use pelican_tensor::ThreadFlopGuard;
 
 /// Where a computation runs.
@@ -112,53 +110,6 @@ pub fn measure_thread<T>(tier: ComputeTier, f: impl FnOnce() -> T) -> (T, Resour
     (out, ResourceUsage { flops, cycles, simulated, host_elapsed })
 }
 
-/// A simulated network link between device and cloud.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct NetworkLink {
-    /// One-way latency.
-    pub latency: Duration,
-    /// Throughput in bytes per second.
-    pub bytes_per_second: f64,
-}
-
-impl NetworkLink {
-    /// A typical WAN link between a phone and a cloud region
-    /// (40 ms, 25 Mbit/s up).
-    pub fn wan() -> Self {
-        Self { latency: Duration::from_millis(40), bytes_per_second: 25e6 / 8.0 }
-    }
-
-    /// A campus WiFi link (8 ms, 100 Mbit/s).
-    pub fn wifi() -> Self {
-        Self { latency: Duration::from_millis(8), bytes_per_second: 100e6 / 8.0 }
-    }
-
-    /// Simulated time to push `bytes` across the link.
-    pub fn transfer_time(&self, bytes: usize) -> Duration {
-        self.latency + Duration::from_secs_f64(bytes as f64 / self.bytes_per_second)
-    }
-
-    /// Simulated time to ship a serialized model across the link — the
-    /// cost of Pelican's step-2 model download (and cloud deployment
-    /// upload).
-    pub fn model_transfer_time(&self, envelope: &ModelEnvelope) -> Duration {
-        self.transfer_time(envelope.len())
-    }
-
-    /// This link as a [`pelican_sim`] profile, so code that priced
-    /// transfers with the synchronous [`NetworkLink::transfer_time`] can
-    /// hand the same latency/bandwidth shape to the discrete-event
-    /// simulator (where transfers contend, overlap compute, time out and
-    /// retry).
-    pub fn profile(&self, name: &'static str) -> LinkProfile {
-        LinkProfile {
-            name,
-            latency_us: self.latency.as_micros() as u64,
-            bytes_per_sec: self.bytes_per_second,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,21 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn transfer_time_scales_with_bytes() {
-        let link = NetworkLink::wifi();
-        let small = link.transfer_time(1_000);
-        let big = link.transfer_time(10_000_000);
-        assert!(big > small);
-        assert!(small >= link.latency);
-    }
-
-    #[test]
-    fn wan_is_slower_than_wifi() {
-        let bytes = 5_000_000;
-        assert!(NetworkLink::wan().transfer_time(bytes) > NetworkLink::wifi().transfer_time(bytes));
-    }
-
-    #[test]
     fn measure_thread_is_immune_to_concurrent_work() {
         let a = Matrix::zeros(16, 16);
         let stop = std::sync::atomic::AtomicBool::new(false);
@@ -237,18 +173,5 @@ mod tests {
         });
         assert_eq!(usage.flops, 2 * 16 * 16 * 16, "exactly this thread's work");
         assert_eq!(usage.cycles, usage.flops / 2);
-    }
-
-    #[test]
-    fn sim_profile_mirrors_the_link() {
-        let link = NetworkLink::wifi();
-        let profile = link.profile("wifi");
-        assert_eq!(profile.latency_us, 8_000);
-        assert_eq!(profile.bytes_per_sec, link.bytes_per_second);
-        // Uncontended sim pricing agrees with the synchronous pricing to
-        // within the sim's 1 µs rounding.
-        let bytes = 3_000_000;
-        let sync_us = link.transfer_time(bytes).as_micros() as u64;
-        assert!(profile.transfer_us(bytes as u64).abs_diff(sync_us) <= 1);
     }
 }

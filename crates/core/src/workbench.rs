@@ -6,9 +6,6 @@
 //! the cloud; a disjoint set of personalization users `P` adapt it on their
 //! devices; attacks then target the personalized models.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use pelican_attacks::{
     evaluate_attack, interest_locations, Adversary, AttackEvaluation, AttackMethod, Instance,
     Prior, PriorKind,
@@ -19,9 +16,9 @@ use pelican_mobility::{
 use pelican_nn::metrics::evaluate_top_k;
 use pelican_nn::{FitReport, ModelEnvelope, Sample, SequenceModel, TrainConfig};
 
-use crate::personalize::{PersonalizationConfig, PersonalizationMethod};
-use crate::platform::{NetworkLink, ResourceUsage};
-use crate::system::{CloudTrainer, DevicePersonalizer};
+use crate::personalize::{personalize, PersonalizationConfig, PersonalizationMethod};
+use crate::platform::{measure_thread, ComputeTier, ResourceUsage};
+use crate::system::CloudTrainer;
 
 /// Sizing knobs derived from a [`Scale`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -312,21 +309,21 @@ impl ScenarioBuilder {
             .personal_users
             .unwrap_or(config.users - first_personal_user)
             .min(config.users - first_personal_user);
-        let envelope = ModelEnvelope::encode(&general);
-        let personalizer = DevicePersonalizer::new(
-            PersonalizationConfig {
-                train: TrainConfig {
-                    epochs: sizing.personal_epochs,
-                    batch_size: 16,
-                    shuffle_seed: self.seed ^ 0x77,
-                    ..TrainConfig::default()
-                },
-                hidden_dim: sizing.hidden_dim,
-                dropout: 0.1,
-                seed: self.seed ^ 0xABCD,
+        // What a device personalizes is M_G as downloaded: decoding the
+        // envelope resets every dropout seed, and the training masks of
+        // every personalization are drawn from those seeds.
+        let on_device = ModelEnvelope::encode(&general).decode().expect("a fresh envelope decodes");
+        let config = PersonalizationConfig {
+            train: TrainConfig {
+                epochs: sizing.personal_epochs,
+                batch_size: 16,
+                shuffle_seed: self.seed ^ 0x77,
+                ..TrainConfig::default()
             },
-            NetworkLink::wifi(),
-        );
+            hidden_dim: sizing.hidden_dim,
+            dropout: 0.1,
+            seed: self.seed ^ 0xABCD,
+        };
 
         let mut personal = Vec::with_capacity(personal_count);
         for user_id in first_personal_user..first_personal_user + personal_count {
@@ -343,23 +340,20 @@ impl ScenarioBuilder {
             if train.is_empty() || test.is_empty() {
                 continue;
             }
-            let outcome = personalizer
-                .personalize(&envelope, &train, self.method)
-                .expect("freshly encoded envelope always decodes");
+            let ((model, fit), usage) = measure_thread(ComputeTier::Device, || {
+                personalize(&on_device, &train, self.method, &config)
+            });
             personal.push(PersonalUser {
                 user_id,
-                model: outcome.model,
+                model,
                 train,
                 test,
                 train_triples,
                 test_triples,
-                fit: outcome.fit,
-                usage: outcome.usage,
+                fit,
+                usage,
             });
         }
-
-        // Ensure determinism of any downstream RNG use.
-        let _ = StdRng::seed_from_u64(self.seed);
 
         Scenario {
             dataset,

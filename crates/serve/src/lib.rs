@@ -2,9 +2,8 @@
 //! next-location models.
 //!
 //! The paper's deployment story (Fig. 4, step 3) ends at "on-device or
-//! cloud-hosted black-box serving": [`pelican::PelicanService`] answers
-//! one query for one enrolled user at a time. This crate grows that step
-//! into the ROADMAP's north star — a serving tier shaped like production
+//! cloud-hosted black-box serving". This crate is that step, grown into
+//! the ROADMAP's north star — a serving tier shaped like production
 //! infrastructure for heavy traffic from a large user fleet — while
 //! preserving the reproduction's two core contracts: *determinism* (every
 //! run is a pure function of its seeds) and *exactness* (a batched answer

@@ -9,13 +9,14 @@
 //!
 //! Run with: `cargo run --release --example commute_recommender`
 
+use std::time::Duration;
+
+use pelican::platform::{measure_thread, ComputeTier};
 use pelican::workbench::Scenario;
-use pelican::{
-    Deployment, DevicePersonalizer, NetworkLink, PelicanService, PersonalizationConfig,
-    PrivacyLayer,
-};
+use pelican::PrivacyLayer;
 use pelican_mobility::{Scale, SpatialLevel};
-use pelican_nn::TrainConfig;
+use pelican_nn::{fit, TrainConfig};
+use pelican_sim::LinkProfile;
 
 fn main() {
     let scenario = Scenario::builder(Scale::Tiny, SpatialLevel::Building)
@@ -25,54 +26,41 @@ fn main() {
         .build();
     let user = &scenario.personal[0];
 
-    let mut service = PelicanService::new(scenario.general.clone(), NetworkLink::wan());
-    service.enroll(
-        user.user_id,
-        user.model.clone(),
-        Deployment::Cloud,
-        Some(PrivacyLayer::default()),
-    );
-
     let acc_week1 = user.test_accuracy(3);
     println!("week 1 model: top-3 accuracy {:.1}%", acc_week1 * 100.0);
 
     // A week later the device has more history: re-invoke transfer
-    // learning from the current parameters (step 4 of Fig. 4).
+    // learning from the current parameters, keeping the model's freeze
+    // pattern (step 4 of Fig. 4).
     let full =
         Scenario::builder(Scale::Tiny, SpatialLevel::Building).seed(7).personal_users(1).build();
     let fresh_samples = &full.personal[0].train;
-    let personalizer = DevicePersonalizer::new(
-        PersonalizationConfig {
-            train: TrainConfig { epochs: 4, batch_size: 16, ..TrainConfig::default() },
-            hidden_dim: 24,
-            dropout: 0.1,
-            seed: 99,
-        },
-        NetworkLink::wan(),
-    );
+    let train = TrainConfig { epochs: 4, batch_size: 16, ..TrainConfig::default() };
     let mut updated = user.model.clone();
-    let (report, usage) = personalizer.update(&mut updated, fresh_samples);
+    let (report, usage) =
+        measure_thread(ComputeTier::Device, || fit(&mut updated, fresh_samples, &train));
     println!(
         "update: {} steps, {:.3} billion simulated device cycles",
         report.steps,
         usage.cycles_billions()
     );
-    service
-        .redeploy(user.user_id, updated.clone(), Some(PrivacyLayer::default()))
-        .expect("user enrolled above");
 
     let acc_updated =
         pelican_nn::metrics::evaluate_top_k(&updated, &full.personal[0].test, &[3]).accuracy(3);
     println!("updated model: top-3 accuracy {:.1}%", acc_updated * 100.0);
 
-    // Serve a recommendation and show the deployment latency difference.
+    // Serve a recommendation from the redeployed model behind the user's
+    // privacy layer, and show the deployment latency difference: a
+    // cloud-hosted model costs a WAN request and response, an on-device
+    // one no network traversal at all.
+    let mut deployed = updated;
+    PrivacyLayer::default().apply(&mut deployed);
     let query = &full.personal[0].test[0].xs;
-    let (probs, cloud_rtt) = service.query(user.user_id, query).expect("enrolled");
+    let probs = deployed.predict_proba(query);
     let top = pelican_tensor::top_k(&probs, 3);
+    let wan = LinkProfile::wan();
+    let request = wan.transfer_us((deployed.input_dim() * 4) as u64);
+    let cloud_rtt = Duration::from_micros(request + wan.transfer_us((probs.len() * 4) as u64));
     println!("prefetching content for buildings {top:?} (cloud RTT {cloud_rtt:.1?})");
-
-    let mut local = PelicanService::new(scenario.general.clone(), NetworkLink::wan());
-    local.enroll(user.user_id, updated, Deployment::OnDevice, Some(PrivacyLayer::default()));
-    let (_, device_rtt) = local.query(user.user_id, query).expect("enrolled");
-    println!("same query on-device: RTT {device_rtt:.1?} (no network traversal)");
+    println!("same query on-device: RTT {:.1?} (no network traversal)", Duration::ZERO);
 }

@@ -7,8 +7,9 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use pelican::workbench::Scenario;
-use pelican::{Deployment, NetworkLink, PelicanService, PrivacyLayer};
+use pelican::PrivacyLayer;
 use pelican_mobility::{Scale, SpatialLevel};
+use pelican_serve::{RegistryConfig, ShardedRegistry};
 
 fn main() {
     // 1 + 2: cloud training and device personalization, bundled by the
@@ -36,17 +37,13 @@ fn main() {
 
     // 3: deployment. The user installs their privacy layer before the
     // model becomes visible to the service provider.
-    let mut service = PelicanService::new(scenario.general.clone(), NetworkLink::wifi());
-    service.enroll(
-        user.user_id,
-        user.model.clone(),
-        Deployment::OnDevice,
-        Some(PrivacyLayer::default()),
-    );
+    let registry = ShardedRegistry::new(scenario.general.clone(), RegistryConfig::default());
+    registry.enroll_scenario(&scenario, Some(PrivacyLayer::default()));
 
     // Query: "given my last two sessions, where am I headed?"
     let query = &user.test[0].xs;
-    let top3 = service.top_k(user.user_id, query, 3).expect("user is enrolled");
+    let (model, _) = registry.get(user.user_id).expect("enrolled envelope decodes");
+    let top3 = model.predict_top_k(query, 3);
     println!("prediction    : next locations (building ids) {top3:?}");
     println!(
         "ground truth  : building {} {}",

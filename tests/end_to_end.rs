@@ -2,13 +2,11 @@
 //! cloud training → device personalization → deployment → queries.
 
 use pelican::workbench::Scenario;
-use pelican::{
-    personalize, Deployment, NetworkLink, PelicanService, PersonalizationConfig,
-    PersonalizationMethod, PrivacyLayer, ServiceError,
-};
+use pelican::{personalize, PersonalizationConfig, PersonalizationMethod, PrivacyLayer};
 use pelican_mobility::{Scale, SpatialLevel};
 use pelican_nn::metrics::evaluate_top_k;
 use pelican_nn::{ModelEnvelope, TrainConfig};
+use pelican_serve::{RegistryConfig, ShardedRegistry};
 
 fn tiny(seed: u64) -> Scenario {
     Scenario::builder(Scale::Tiny, SpatialLevel::Building).seed(seed).personal_users(3).build()
@@ -72,20 +70,18 @@ fn model_envelope_survives_device_cloud_round_trip() {
 fn service_end_to_end_with_privacy() {
     let scenario = tiny(6);
     let user = &scenario.personal[0];
-    let mut service = PelicanService::new(scenario.general.clone(), NetworkLink::wifi());
-    service.enroll(
-        user.user_id,
-        user.model.clone(),
-        Deployment::OnDevice,
-        Some(PrivacyLayer::default()),
-    );
+    let registry = ShardedRegistry::new(scenario.general.clone(), RegistryConfig::default());
+    registry.enroll_scenario(&scenario, Some(PrivacyLayer::default()));
+    let (served, _) = registry.get(user.user_id).expect("enrolled envelope decodes");
+    let defended = PrivacyLayer::default().temperature();
+    assert_eq!(served.temperature(), defended, "the registry must serve the defended model");
 
     // Defended service accuracy equals undefended accuracy: the privacy
     // layer preserves ranking.
     let mut hits_defended = 0;
     let mut hits_plain = 0;
     for sample in &user.test {
-        let top = service.top_k(user.user_id, &sample.xs, 3).expect("enrolled");
+        let top = served.predict_top_k(&sample.xs, 3);
         if top.contains(&sample.target) {
             hits_defended += 1;
         }
@@ -94,9 +90,6 @@ fn service_end_to_end_with_privacy() {
         }
     }
     assert_eq!(hits_defended, hits_plain, "privacy layer must not change top-3 hits");
-
-    // Errors surface cleanly.
-    assert!(matches!(service.query(9999, &user.test[0].xs), Err(ServiceError::UnknownUser(9999))));
 }
 
 #[test]

@@ -12,12 +12,14 @@
 //! recomposed on the serving tier (PR 25, `12b4d0c`): a change that only
 //! makes the host faster, or only deletes code, must leave every one of
 //! them as it is. A change that means to move the reproduction re-records them and
-//! says so.
+//! says so. The workbench scenario was recorded at `955ff11`, before its
+//! personalizer wrapper and second serving tier were deleted.
 
 use std::sync::Arc;
 
 use pelican::platform::ComputeTier;
-use pelican::{DefenseKind, PersonalizationConfig};
+use pelican::workbench::Scenario;
+use pelican::{DefenseKind, PersonalizationConfig, PersonalizationMethod};
 use pelican_bench::experiments::abx;
 use pelican_bench::RunConfig;
 use pelican_live::{bootstrap_jobs, run_live, DriftConfig, DriftMetric, LiveConfig};
@@ -233,6 +235,53 @@ fn tiny_enrolment_is_the_recorded_one() {
     let train_ns: Vec<u128> =
         report.outcomes.iter().map(|o| o.train_simulated.as_nanos()).collect();
     assert_eq!(train_ns, [1_667_405, 1_886_801, 1_755_164], "a job's simulated device time moved");
+}
+
+#[test]
+fn tiny_scenario_is_the_recorded_one() {
+    // The workbench's Fig. 4 steps 1–2: M_G trained on the cloud tier,
+    // shipped as an envelope and personalized for three users on the
+    // device tier, once per transfer-learning method. Decoding resets
+    // every dropout seed, so both methods' masks depend on that round
+    // trip.
+    let cases = [
+        (
+            PersonalizationMethod::TlFeatureExtract,
+            0x1382_f9c2_56dc_5059,
+            4_529_226_240,
+            251_673_696,
+            [22_578_382, 19_066_189, 15_553_996],
+        ),
+        (
+            PersonalizationMethod::TlFineTune,
+            0x4031_4129_d924_edf8,
+            4_529_226_240,
+            201_243_744,
+            [18_054_164, 15_245_738, 12_437_313],
+        ),
+    ];
+    for (method, envelopes, general_flops, personal_flops, personal_ns) in cases {
+        let scenario = Scenario::builder(Scale::Tiny, SpatialLevel::Building)
+            .seed(42)
+            .personal_users(3)
+            .method(method)
+            .build();
+        // FNV-1a over the bytes of M_G's envelope, then each user's.
+        let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+        let personal = scenario.personal.iter().map(|u| &u.model);
+        for model in std::iter::once(&scenario.general).chain(personal) {
+            for &byte in ModelEnvelope::encode(model).as_bytes() {
+                fnv = (fnv ^ byte as u64).wrapping_mul(0x1000_0000_01b3);
+            }
+        }
+        assert_eq!(fnv, envelopes, "{method:?}: a model weight moved");
+        assert_eq!(scenario.general_usage.flops, general_flops, "{method:?}: M_G's FLOPs moved");
+        let usage = scenario.personal.iter().map(|u| u.usage);
+        let flops: u64 = usage.clone().map(|u| u.flops).sum();
+        assert_eq!(flops, personal_flops, "{method:?}: the device FLOPs moved");
+        let ns: Vec<u128> = usage.map(|u| u.simulated.as_nanos()).collect();
+        assert_eq!(ns, personal_ns, "{method:?}: a user's simulated device time moved");
+    }
 }
 
 #[test]

@@ -6,8 +6,9 @@
 //! plain `cargo test` too.)
 
 use pelican::workbench::{Scenario, ScenarioSizing};
-use pelican::{Deployment, NetworkLink, PelicanService, PrivacyLayer};
+use pelican::PrivacyLayer;
 use pelican_mobility::{Scale, SpatialLevel};
+use pelican_serve::{RegistryConfig, ShardedRegistry};
 
 #[test]
 fn quickstart_pipeline_produces_a_prediction() {
@@ -21,18 +22,14 @@ fn quickstart_pipeline_produces_a_prediction() {
     let user = &scenario.personal[0];
     let n_locations = scenario.dataset.n_locations();
 
-    // Stage 3 of Fig. 4: deploy on device behind the privacy layer.
-    let mut service = PelicanService::new(scenario.general.clone(), NetworkLink::wifi());
-    service.enroll(
-        user.user_id,
-        user.model.clone(),
-        Deployment::OnDevice,
-        Some(PrivacyLayer::default()),
-    );
+    // Stage 3 of Fig. 4: deploy behind the privacy layer.
+    let registry = ShardedRegistry::new(scenario.general.clone(), RegistryConfig::default());
+    registry.enroll_scenario(&scenario, Some(PrivacyLayer::default()));
 
     // Stage 4: query the service for the next location.
     let query = &user.test[0].xs;
-    let top3 = service.top_k(user.user_id, query, 3).expect("user is enrolled");
+    let (model, _) = registry.get(user.user_id).expect("enrolled envelope decodes");
+    let top3 = model.predict_top_k(query, 3);
     assert_eq!(top3.len(), 3, "service must return a full top-3 prediction");
     assert!(
         top3.iter().all(|&loc| loc < n_locations),
