@@ -69,5 +69,32 @@ fn bench_dense_product(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_training, bench_dense_product);
+/// One `tanh` per element of a gate block (`H` = 12 or 64) and of a long
+/// slice: the host libm's `tanhf`, one call per element, against the
+/// owned lane form the LSTM gates call.
+fn bench_tanh(c: &mut Criterion) {
+    let mut group = c.benchmark_group("activation/tanh");
+    for len in [12, 64, 4096] {
+        let xs: Vec<f32> = (0..len).map(|i| (i as f32 * 0.731).sin() * 3.0).collect();
+        let mut out = xs.clone();
+        group.bench_function(format!("libm/{len}"), |b| {
+            b.iter(|| {
+                for (o, &x) in out.iter_mut().zip(black_box(&xs)) {
+                    *o = x.tanh();
+                }
+                black_box(&out);
+            })
+        });
+        group.bench_function(format!("owned/{len}"), |b| {
+            b.iter(|| {
+                out.copy_from_slice(black_box(&xs));
+                pelican_tensor::tanh_in_place(&mut out);
+                black_box(&out);
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_training, bench_dense_product, bench_tanh);
 criterion_main!(benches);

@@ -9,7 +9,7 @@
 
 use std::sync::OnceLock;
 
-use pelican_tensor::{sigmoid, Matrix};
+use pelican_tensor::{sigmoid, tanh, tanh_in_place, Matrix};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -71,6 +71,37 @@ impl Default for ChunkCache {
             tanh_c: Vec::new(),
             h: Vec::new(),
         }
+    }
+}
+
+/// One row's cell update, for the batched paths: activates the gate
+/// pre-activations `[i, f, g, o]` in place, then writes
+/// `c = f·c_prev + i·g`, `tanh_c = tanh(c)` and `h = o·tanh_c`. Each
+/// element keeps the per-sample `step`'s expression; running them as
+/// element-wise passes lets each `tanh` take a whole block in
+/// [`tanh_in_place`]'s lanes.
+fn cell_update(
+    gates: &mut [f32],
+    c_prev: &[f32],
+    c: &mut [f32],
+    tanh_c: &mut [f32],
+    h: &mut [f32],
+) {
+    let n = c.len();
+    let (ifg, o) = gates.split_at_mut(3 * n);
+    for v in ifg[..2 * n].iter_mut().chain(o.iter_mut()) {
+        *v = sigmoid(*v);
+    }
+    tanh_in_place(&mut ifg[2 * n..]);
+    let (i, fg) = ifg.split_at(n);
+    let (f, g) = fg.split_at(n);
+    for k in 0..n {
+        c[k] = f[k] * c_prev[k] + i[k] * g[k];
+    }
+    tanh_c.copy_from_slice(c);
+    tanh_in_place(tanh_c);
+    for ((hv, &ov), &tc) in h.iter_mut().zip(&*o).zip(&*tanh_c) {
+        *hv = ov * tc;
     }
 }
 
@@ -199,7 +230,7 @@ impl Lstm {
         for k in 0..h {
             i[k] = sigmoid(z[k]);
             f[k] = sigmoid(z[h + k]);
-            g[k] = z[2 * h + k].tanh();
+            g[k] = tanh(z[2 * h + k]);
             o[k] = sigmoid(z[3 * h + k]);
         }
         let mut c = vec![0.0; h];
@@ -207,7 +238,7 @@ impl Lstm {
         let mut h_out = vec![0.0; h];
         for k in 0..h {
             c[k] = f[k] * c_prev[k] + i[k] * g[k];
-            tanh_c[k] = c[k].tanh();
+            tanh_c[k] = tanh(c[k]);
             h_out[k] = o[k] * tanh_c[k];
         }
         let cache = StepCache {
@@ -265,17 +296,15 @@ impl Lstm {
         let rows = x.rows().max(h.rows());
         let mut h_new = Matrix::zeros(rows, hd);
         let mut c_new = Matrix::zeros(rows, hd);
+        let mut gates = vec![0.0; 4 * hd];
+        let mut tanh_c = vec![0.0; hd];
         for r in 0..rows {
-            let (zi, zh, c_prev) = (shared_row(&z_ih, r), shared_row(&z_hh, r), shared_row(c, r));
-            let (h_row, c_row) = (h_new.row_mut(r), c_new.row_mut(r));
-            for k in 0..hd {
-                let ig = sigmoid(zi[k] + zh[k]);
-                let fg = sigmoid(zi[hd + k] + zh[hd + k]);
-                let gg = (zi[2 * hd + k] + zh[2 * hd + k]).tanh();
-                let og = sigmoid(zi[3 * hd + k] + zh[3 * hd + k]);
-                c_row[k] = fg * c_prev[k] + ig * gg;
-                h_row[k] = og * c_row[k].tanh();
+            let (zi, zh) = (shared_row(&z_ih, r), shared_row(&z_hh, r));
+            for ((g, &a), &b) in gates.iter_mut().zip(zi).zip(zh) {
+                *g = a + b;
             }
+            let (c_row, h_row) = (c_new.row_mut(r), h_new.row_mut(r));
+            cell_update(&mut gates, shared_row(c, r), c_row, &mut tanh_c, h_row);
         }
         (h_new, c_new)
     }
@@ -415,6 +444,7 @@ impl Lstm {
         let mut c_all = vec![0.0f32; total * h];
         let mut tanh_c_all = vec![0.0f32; total * h];
         let mut h_all = vec![0.0f32; total * h];
+        let zero_c = vec![0.0f32; h];
         let mut active: Vec<usize> = Vec::with_capacity(b);
         for t in 0..max_t {
             active.clear();
@@ -433,32 +463,23 @@ impl Lstm {
             let zh = self.project(&h_prev, &self.w_hh);
             for (r, &i) in active.iter().enumerate() {
                 let row = offsets[i] + t;
-                let zi = z_ih.row(row);
-                let zh_row = zh.row(r);
                 let gate_row = &mut gates[row * 4 * h..(row + 1) * 4 * h];
-                let (c_done, c_rest) = c_all.split_at_mut(row * h);
-                let c_row = &mut c_rest[..h];
-                let c_prev: &[f32] = if t == 0 { &[] } else { &c_done[(row - 1) * h..] };
-                let tanh_row = &mut tanh_c_all[row * h..(row + 1) * h];
-                let h_row = &mut h_all[row * h..(row + 1) * h];
                 // `zi + (zh + b)` — the per-sample `step`'s `z += zh + b`
                 // grouping; f32 addition is not associative.
-                for k in 0..h {
-                    let gi = sigmoid(zi[k] + (zh_row[k] + self.b[k]));
-                    let gf = sigmoid(zi[h + k] + (zh_row[h + k] + self.b[h + k]));
-                    let gg = (zi[2 * h + k] + (zh_row[2 * h + k] + self.b[2 * h + k])).tanh();
-                    let go = sigmoid(zi[3 * h + k] + (zh_row[3 * h + k] + self.b[3 * h + k]));
-                    let cp = if t == 0 { 0.0 } else { c_prev[k] };
-                    let c = gf * cp + gi * gg;
-                    let tc = c.tanh();
-                    gate_row[k] = gi;
-                    gate_row[h + k] = gf;
-                    gate_row[2 * h + k] = gg;
-                    gate_row[3 * h + k] = go;
-                    c_row[k] = c;
-                    tanh_row[k] = tc;
-                    h_row[k] = go * tc;
+                for (((g, &zi), &zh), &bv) in
+                    gate_row.iter_mut().zip(z_ih.row(row)).zip(zh.row(r)).zip(&self.b)
+                {
+                    *g = zi + (zh + bv);
                 }
+                let (c_done, c_rest) = c_all.split_at_mut(row * h);
+                let c_prev = if t == 0 { &zero_c } else { &c_done[(row - 1) * h..] };
+                cell_update(
+                    gate_row,
+                    c_prev,
+                    &mut c_rest[..h],
+                    &mut tanh_c_all[row * h..(row + 1) * h],
+                    &mut h_all[row * h..(row + 1) * h],
+                );
             }
         }
         let out = ChunkBatch {
