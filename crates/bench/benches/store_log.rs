@@ -13,8 +13,11 @@
 //!   takes: one ranged read, one CRC pass, one payload copy, at the live
 //!   loop's 32 KB (hidden-12) and the hidden-64 model's 332 KB envelope.
 //! * `crc32/*` — the checksum every one of those paths runs once per
-//!   record, by itself, at the same two sizes (bytes per second is
-//!   `size / mean`).
+//!   record, by itself, at the same two sizes and at 4 KiB, just above
+//!   the size where `crc32` starts running three chains (bytes per
+//!   second is `size / mean`). `crc32/bytewise/32k` is the
+//!   byte-at-a-time loop at 32 KiB, the reference the others are read
+//!   against.
 
 use std::sync::Arc;
 
@@ -107,13 +110,42 @@ fn bench_store_log(c: &mut Criterion) {
     group.finish();
 
     let mut group = c.benchmark_group("crc32");
-    for (label, bytes) in ENVELOPE_SIZES {
+    for (label, bytes) in [("4k", 4 * 1024)].into_iter().chain(ENVELOPE_SIZES) {
         group.bench_function(label, |b| {
             let envelope = envelope(1, bytes);
             b.iter(|| crc32(black_box(envelope.as_bytes())));
         });
     }
+    group.bench_function("bytewise/32k", |b| {
+        let envelope = envelope(1, 32 * 1024);
+        b.iter(|| crc32_bytewise(black_box(envelope.as_bytes())));
+    });
     group.finish();
+}
+
+/// The textbook byte-at-a-time CRC-32, the reference row `crc32/*` is
+/// read against.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    const TABLE: [u32; 256] = {
+        let mut table = [0u32; 256];
+        let mut i = 0;
+        while i < 256 {
+            let mut c = i as u32;
+            let mut k = 0;
+            while k < 8 {
+                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+                k += 1;
+            }
+            table[i] = c;
+            i += 1;
+        }
+        table
+    };
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    }
+    !crc
 }
 
 criterion_group!(benches, bench_store_log);

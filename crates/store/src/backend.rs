@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The medium an envelope log writes to.
 ///
@@ -81,17 +81,20 @@ impl MemBackend {
     /// Mutating the snapshot (e.g. truncating a segment to simulate a
     /// torn tail) leaves the original untouched.
     pub fn snapshot(&self) -> Self {
-        let files = self.files.lock().expect("mem backend poisoned").clone();
-        Self { files: Arc::new(Mutex::new(files)) }
+        Self { files: Arc::new(Mutex::new(self.with(|m| m.clone()))) }
     }
 
     /// Total bytes across all files (what the "disk" holds).
     pub fn total_bytes(&self) -> u64 {
-        self.files.lock().expect("mem backend poisoned").values().map(|f| f.len() as u64).sum()
+        self.with(|m| m.values().map(|f| f.len() as u64).sum())
     }
 
+    /// Runs `f` on the file map. Every mutation under the lock is one
+    /// std call on the map or one file, so a panic in a caller holding
+    /// it leaves no file half-updated, and a poisoned guard is taken
+    /// back rather than taking the "disk" down with it.
     fn with<T>(&self, f: impl FnOnce(&mut BTreeMap<String, Vec<u8>>) -> T) -> T {
-        f(&mut self.files.lock().expect("mem backend poisoned"))
+        f(&mut self.files.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -245,6 +248,18 @@ mod tests {
     #[test]
     fn mem_backend_contract() {
         exercise(&MemBackend::new());
+    }
+
+    #[test]
+    fn a_poisoned_mem_backend_keeps_its_contract() {
+        let disk = MemBackend::new();
+        let poisoner = disk.clone();
+        let panicked = std::panic::catch_unwind(move || {
+            poisoner.with(|_| panic!("a holder of the file map panics"));
+        });
+        assert!(panicked.is_err() && disk.files.is_poisoned());
+        exercise(&disk);
+        assert_eq!(disk.snapshot().total_bytes(), 2);
     }
 
     #[test]

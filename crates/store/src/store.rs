@@ -28,7 +28,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use bytes::Bytes;
 use pelican_nn::ModelEnvelope;
@@ -105,8 +105,9 @@ pub enum StoreError {
     /// A segment file is not a log segment (foreign file in the
     /// directory, or unsupported format version).
     BadSegment { name: String, reason: String },
-    /// A record that the index points at no longer verifies — the file
-    /// was mutilated after recovery.
+    /// A record that the index points at no longer verifies, or is not
+    /// the publication the index names — the file was mutilated after
+    /// recovery.
     Corrupt { segment: u64, offset: u64 },
     /// The user has no committed version with this number (never
     /// published, or compacted away).
@@ -378,8 +379,17 @@ impl EnvelopeStore {
         self.max_version.load(Ordering::Relaxed)
     }
 
+    /// A backend call that panics poisons its shard's mutex, but leaves
+    /// the shard's bookkeeping valid. `append` records a segment's new
+    /// length as soon as the bytes are written and indexes the record
+    /// only after the sync; `compact_shard` swaps in the fresh chain only
+    /// after all of it is synced; a roll to a fresh segment number is
+    /// taken up by the next append, which writes that segment's header.
+    /// A panic leaves the same state an error returned at that point
+    /// would, so the guard is taken back rather than every later call on
+    /// the shard panicking.
     fn lock(&self, shard: usize) -> MutexGuard<'_, StoreShard> {
-        self.shards[shard].lock().expect("store shard mutex poisoned")
+        self.shards[shard].lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Durably appends one publication: encodes the record (compressing
@@ -395,7 +405,9 @@ impl EnvelopeStore {
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] when the backend fails; the index is
-    /// not updated in that case.
+    /// not updated in that case. A failed sync may still leave the
+    /// record's bytes in the segment, and a later
+    /// [`EnvelopeStore::open`] indexes them like any committed record.
     pub fn append(
         &self,
         user: u64,
@@ -430,12 +442,16 @@ impl EnvelopeStore {
         let offset = shard.active_len() + buf.len() as u64;
         encode_record(&mut buf, &record);
 
+        // The bytes are in the segment once `append` returns, so its
+        // length is recorded before the sync: a sync that fails or
+        // panics must not leave the next record indexed at this one's
+        // offset. The index entry waits for the sync.
         let name = segment_name(shard_no as u32, shard.active);
         self.backend.append(&name, &buf)?;
-        self.backend.sync(&name)?; // the durability barrier
         let active = shard.active;
         let new_len = shard.active_len() + buf.len() as u64;
         shard.segments.insert(active, new_len);
+        self.backend.sync(&name)?; // the durability barrier
 
         let entry = push_entry(&mut shard.index, &record, active, offset);
         self.max_version.fetch_max(version, Ordering::Relaxed);
@@ -491,7 +507,7 @@ impl EnvelopeStore {
             shard.index.get(&user).and_then(|h| h.last()).copied()
         };
         match entry {
-            Some(e) => Ok(Some((e.version, self.read_entry(self.shard_of(user), &e)?))),
+            Some(e) => Ok(Some((e.version, self.read_entry(user, &e)?))),
             None => Ok(None),
         }
     }
@@ -504,9 +520,8 @@ impl EnvelopeStore {
     /// version (or compaction dropped it); backend/corruption errors as
     /// for [`EnvelopeStore::fetch_latest`].
     pub fn fetch(&self, user: u64, version: u64) -> Result<ModelEnvelope, StoreError> {
-        let shard_no = self.shard_of(user);
         let entry = {
-            let shard = self.lock(shard_no);
+            let shard = self.lock(self.shard_of(user));
             shard
                 .index
                 .get(&user)
@@ -514,20 +529,17 @@ impl EnvelopeStore {
                 .copied()
                 .ok_or(StoreError::UnknownVersion { user, version })?
         };
-        self.read_entry(shard_no, &entry)
+        self.read_entry(user, &entry)
     }
 
-    /// Reads and verifies one indexed record, inflating when needed; a
-    /// raw payload is copied once, out of the verified view.
-    fn read_entry(
-        &self,
-        shard_no: usize,
-        entry: &VersionEntry,
-    ) -> Result<ModelEnvelope, StoreError> {
+    /// Reads and verifies one of `user`'s indexed records, inflating
+    /// when needed; a raw payload is copied once, out of the verified
+    /// view.
+    fn read_entry(&self, user: u64, entry: &VersionEntry) -> Result<ModelEnvelope, StoreError> {
         let corrupt = || StoreError::Corrupt { segment: entry.segment, offset: entry.offset };
-        let name = segment_name(shard_no as u32, entry.segment);
+        let name = segment_name(self.shard_of(user) as u32, entry.segment);
         let bytes = self.backend.read_range(&name, entry.offset, entry.stored_len as usize)?;
-        let (record, _) = decode_record(&bytes, 0).ok_or_else(corrupt)?;
+        let (record, _) = decode_entry(&bytes, user, entry)?;
         let payload = if record.is_compressed() {
             decompress(record.payload, record.raw_len as usize).map_err(|_| corrupt())?.into()
         } else {
@@ -566,10 +578,11 @@ impl EnvelopeStore {
         // Gather survivors in deterministic (user, version) order.
         let mut users: Vec<u64> = shard.index.keys().copied().collect();
         users.sort_unstable();
-        let mut survivors: Vec<VersionEntry> = Vec::new();
-        for user in &users {
-            let history = &shard.index[user];
-            survivors.extend(&history[history.len().saturating_sub(retain)..]);
+        let mut survivors: Vec<(u64, VersionEntry)> = Vec::new();
+        for &user in &users {
+            let history = &shard.index[&user];
+            survivors
+                .extend(history[history.len().saturating_sub(retain)..].iter().map(|&e| (user, e)));
         }
 
         // Rewrite survivors into fresh segments numbered after the old
@@ -578,14 +591,13 @@ impl EnvelopeStore {
         let mut fresh_segments: HashMap<u64, u64> = HashMap::new();
         let mut seq = shard.active + 1;
         let mut buf: Vec<u8> = encode_header(shard_no as u32, seq);
-        for entry in survivors {
+        for (user, entry) in survivors {
             let name = segment_name(shard_no as u32, entry.segment);
             let bytes = self.backend.read_range(&name, entry.offset, entry.stored_len as usize)?;
             // Verify the survivor (CRC + commit byte), then move its
             // stored bytes verbatim: re-encoding a verified record
             // writes these same bytes (see `crate::record`).
-            let (record, end) = decode_record(&bytes, 0)
-                .ok_or(StoreError::Corrupt { segment: entry.segment, offset: entry.offset })?;
+            let (record, end) = decode_entry(&bytes, user, &entry)?;
             if buf.len() as u64 + end as u64 > self.config.segment_bytes && buf.len() > HEADER_LEN {
                 let name = segment_name(shard_no as u32, seq);
                 self.backend.append(&name, &buf)?;
@@ -660,6 +672,20 @@ impl EnvelopeStore {
         }
         stats
     }
+}
+
+/// Decodes the record `entry` points at from `bytes`, read at its
+/// offset. A record that verifies but is not `user`'s `entry.version`
+/// is as wrong as one that fails its CRC: the index points at the wrong
+/// bytes.
+fn decode_entry<'a>(
+    bytes: &'a [u8],
+    user: u64,
+    entry: &VersionEntry,
+) -> Result<(Record<'a>, usize), StoreError> {
+    decode_record(bytes, 0)
+        .filter(|(record, _)| (record.user, record.version) == (user, entry.version))
+        .ok_or(StoreError::Corrupt { segment: entry.segment, offset: entry.offset })
 }
 
 /// Indexes one committed record, keeping the user's history
@@ -845,6 +871,26 @@ mod tests {
         assert_eq!(disk.list().unwrap(), vec![name], "nothing written, nothing removed");
         assert_eq!(victim.fetch(5, 1).unwrap().as_bytes(), &vec![1u8; 200][..]);
         assert!(matches!(victim.fetch(5, 2), Err(StoreError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn an_entry_pointing_at_another_verified_record_is_corrupt() {
+        let config = StoreConfig { shards: 1, ..StoreConfig::default() };
+        let (store, _) = open_mem(config);
+        let own = store.append(5, 1, &envelope(1, 200)).unwrap();
+        let other = store.append(6, 2, &envelope(2, 200)).unwrap();
+        assert_eq!(own.stored_len, other.stored_len);
+
+        // Both records verify; neither is the one the entry names.
+        let wrong_user = VersionEntry { offset: other.offset, ..own };
+        let wrong_version = VersionEntry { version: 2, ..own };
+        for entry in [wrong_user, wrong_version] {
+            assert!(matches!(
+                store.read_entry(5, &entry),
+                Err(StoreError::Corrupt { offset, .. }) if offset == entry.offset
+            ));
+        }
+        assert_eq!(store.read_entry(5, &own).unwrap().as_bytes(), &vec![1u8; 200][..]);
     }
 
     #[test]

@@ -9,12 +9,20 @@
 //! inside the cut, that the tail is physically truncated, and that
 //! appending afterwards works. This is exhaustive over crash points, not
 //! sampled: the loop runs once per byte of the log.
+//!
+//! Truncation alone never needs the CRC: the length and the commit byte
+//! catch every torn tail. So two more failures are driven here: a single
+//! flipped bit in a committed record (only the CRC can see it), and a
+//! backend that panics inside `append` or `sync`.
 
+use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use pelican_nn::ModelEnvelope;
-use pelican_store::record::HEADER_LEN;
-use pelican_store::{EnvelopeStore, MemBackend, StorageBackend, StoreConfig};
+use pelican_store::record::{decode_record, HEADER_LEN};
+use pelican_store::{EnvelopeStore, MemBackend, StorageBackend, StoreConfig, StoreError};
 
 const SEGMENT: &str = "shard0000-seg00000000.plog";
 
@@ -176,4 +184,166 @@ fn recovery_is_per_user_across_shards() {
     let recovered = EnvelopeStore::open(Arc::new(crash), config).unwrap();
     assert_eq!(recovered.latest_version(0), Some(1), "shard 0 lost only its torn tail");
     assert_eq!(recovered.latest_version(1), Some(2), "shard 1 untouched");
+}
+
+/// Flips one bit of a stored file in place.
+fn flip_bit(disk: &MemBackend, name: &str, pos: u64) {
+    let mut bytes = disk.read(name).unwrap();
+    bytes[pos as usize] ^= 0x04;
+    disk.truncate(name, 0).unwrap();
+    disk.append(name, &bytes).unwrap();
+}
+
+#[test]
+fn one_rotten_bit_anywhere_in_a_32k_record_ends_the_committed_prefix_there() {
+    // Version 2 is a 32 KiB envelope between two small ones. Its CRC'd
+    // span (user through payload) is long enough for `crc32`'s three
+    // chains, so one flip lands in each chain's third and one in the
+    // tail the joined state finishes.
+    let disk = MemBackend::new();
+    let body: Vec<u8> = (0..32 * 1024u32).map(|i| (i * 7 % 253) as u8).collect();
+    let big = ModelEnvelope::from_bytes(body);
+    let store = EnvelopeStore::open(Arc::new(disk.clone()), config(false)).unwrap();
+    store.append(1, 1, &envelope(1)).unwrap();
+    let victim = store.append(1, 2, &big).unwrap();
+    store.append(1, 3, &envelope(3)).unwrap();
+    drop(store);
+    let full = disk.size(SEGMENT).unwrap();
+
+    let span = victim.stored_len as u64 - 4 - 4 - 1; // less magic, crc, commit
+    let lane = span / 3 / 16 * 16;
+    let tail = span - 3 * lane;
+    assert!(lane >= 1024 && tail > 0, "span {span} must take the three-chain path with a tail");
+    for at in [lane / 2, lane + lane / 2, 2 * lane + lane / 2, 3 * lane + tail / 2] {
+        let pos = victim.offset + 4 + at;
+
+        let rotten = disk.snapshot();
+        flip_bit(&rotten, SEGMENT, pos);
+        let bytes = rotten.read(SEGMENT).unwrap();
+        assert!(decode_record(&bytes, victim.offset as usize).is_none(), "flip at span byte {at}");
+
+        let recovered = EnvelopeStore::open(Arc::new(rotten.clone()), config(false)).unwrap();
+        assert_eq!(recovered.versions(1), vec![1], "flip at span byte {at}: prefix ends at v2");
+        assert_eq!(recovered.recovery().torn_bytes, full - victim.offset);
+        assert_eq!(rotten.size(SEGMENT).unwrap(), victim.offset);
+
+        // Rot after recovery indexed the record: the read verifies.
+        let live = disk.snapshot();
+        let store = EnvelopeStore::open(Arc::new(live.clone()), config(false)).unwrap();
+        flip_bit(&live, SEGMENT, pos);
+        assert!(
+            matches!(
+                store.fetch(1, 2),
+                Err(StoreError::Corrupt { offset, .. }) if offset == victim.offset
+            ),
+            "flip at span byte {at} must fail the fetch"
+        );
+        assert_eq!(store.fetch(1, 3).unwrap().as_bytes(), envelope(3).as_bytes());
+    }
+}
+
+/// A backend that panics once, wherever it is armed: in `append` before
+/// writing a byte, or in `sync` after the bytes landed.
+#[derive(Debug)]
+struct PanicsOnce {
+    disk: MemBackend,
+    in_append: AtomicBool,
+    in_sync: AtomicBool,
+}
+
+impl PanicsOnce {
+    fn new(disk: &MemBackend) -> Arc<Self> {
+        let disarmed = || AtomicBool::new(false);
+        Arc::new(Self { disk: disk.clone(), in_append: disarmed(), in_sync: disarmed() })
+    }
+}
+
+impl StorageBackend for PanicsOnce {
+    fn read(&self, name: &str) -> io::Result<Vec<u8>> {
+        self.disk.read(name)
+    }
+    fn read_range(&self, name: &str, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        self.disk.read_range(name, offset, len)
+    }
+    fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        assert!(!self.in_append.swap(false, Ordering::SeqCst), "backend fault before the write");
+        self.disk.append(name, bytes)
+    }
+    fn sync(&self, name: &str) -> io::Result<()> {
+        assert!(!self.in_sync.swap(false, Ordering::SeqCst), "backend fault after the write");
+        self.disk.sync(name)
+    }
+    fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
+        self.disk.truncate(name, len)
+    }
+    fn remove(&self, name: &str) -> io::Result<()> {
+        self.disk.remove(name)
+    }
+    fn list(&self) -> io::Result<Vec<String>> {
+        self.disk.list()
+    }
+    fn size(&self, name: &str) -> io::Result<u64> {
+        self.disk.size(name)
+    }
+}
+
+#[test]
+fn a_backend_panic_mid_publish_poisons_nothing_the_next_call_needs() {
+    let disk = MemBackend::new();
+    let backend = PanicsOnce::new(&disk);
+    let store = EnvelopeStore::open(backend.clone(), config(false)).unwrap();
+    store.append(1, 1, &envelope(1)).unwrap();
+    let before = disk.size(SEGMENT).unwrap();
+
+    backend.in_append.store(true, Ordering::SeqCst);
+    let publish = catch_unwind(AssertUnwindSafe(|| store.append(1, 2, &envelope(2))));
+    assert!(publish.is_err(), "the armed append must panic");
+
+    // The failed publication is not visible, on the shard or the disk.
+    assert_eq!(store.versions(1), vec![1]);
+    assert_eq!(disk.size(SEGMENT).unwrap(), before);
+
+    // The shard's lock is taken back: the next calls behave normally.
+    store.append(1, 3, &envelope(3)).unwrap();
+    let (version, latest) = store.fetch_latest_with_version(1).unwrap().unwrap();
+    assert_eq!((version, latest.as_bytes()), (3, envelope(3).as_bytes()));
+    assert_eq!(store.fetch_latest(1).unwrap().unwrap().as_bytes(), envelope(3).as_bytes());
+    drop(store);
+
+    let reopened = EnvelopeStore::open(Arc::new(disk), config(false)).unwrap();
+    assert_eq!(reopened.versions(1), vec![1, 3]);
+    assert_eq!(reopened.recovery().torn_segments, 0);
+    assert_eq!(reopened.fetch(1, 1).unwrap().as_bytes(), envelope(1).as_bytes());
+}
+
+#[test]
+fn a_sync_panic_after_the_write_leaves_the_next_record_at_its_own_offset() {
+    let disk = MemBackend::new();
+    let backend = PanicsOnce::new(&disk);
+    let store = EnvelopeStore::open(backend.clone(), config(false)).unwrap();
+    store.append(1, 1, &envelope(1)).unwrap();
+
+    backend.in_sync.store(true, Ordering::SeqCst);
+    let publish = catch_unwind(AssertUnwindSafe(|| store.append(1, 2, &envelope(2))));
+    assert!(publish.is_err(), "the armed sync must panic");
+    // The bytes landed, but the publication was never indexed.
+    let unsynced_end = disk.size(SEGMENT).unwrap();
+    assert_eq!(store.versions(1), vec![1]);
+
+    // Versions 2 and 3 encode to the same length, so an index entry at
+    // the unsynced record's offset would verify and serve version 2.
+    let entry = store.append(1, 3, &envelope(3)).unwrap();
+    assert_eq!(entry.offset, unsynced_end);
+    assert_eq!(store.fetch(1, 3).unwrap().as_bytes(), envelope(3).as_bytes());
+    assert_eq!(store.fetch_latest(1).unwrap().unwrap().as_bytes(), envelope(3).as_bytes());
+    drop(store);
+
+    // Whether an unsynced write survives is up to the disk; this one
+    // kept it, so recovery finds a committed record and indexes it.
+    let reopened = EnvelopeStore::open(Arc::new(disk), config(false)).unwrap();
+    assert_eq!(reopened.versions(1), vec![1, 2, 3]);
+    assert_eq!(reopened.recovery().torn_segments, 0);
+    for v in 1..=3 {
+        assert_eq!(reopened.fetch(1, v).unwrap().as_bytes(), envelope(v).as_bytes());
+    }
 }
