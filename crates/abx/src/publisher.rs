@@ -2,7 +2,7 @@
 //!
 //! [`publish_arms`] personalizes every enrolled user once on the
 //! work-stealing [`TrainerPool`] (bit-identical for any width — per-user
-//! seeds, job-order collection, device-tier cost measured per thread) and
+//! seeds, job-order collection, device-tier cost priced from each fit) and
 //! publishes each user's envelopes through the registry's
 //! durable-before-visible path:
 //!
@@ -20,7 +20,7 @@
 //! the flow can later derive the *expected* post-flip model (base +
 //! winning rung) and check served responses against it exactly.
 
-use pelican::platform::{measure_thread, ComputeTier};
+use pelican::platform::{ComputeTier, ResourceUsage};
 use pelican::DefenseKind;
 use pelican_nn::{ModelEnvelope, SequenceModel};
 use pelican_serve::ShardedRegistry;
@@ -86,9 +86,8 @@ pub fn publish_arms(
     let general_envelope = ModelEnvelope::encode(general);
     let pool = TrainerPool::new(trainer.config().workers);
     let candidates: Vec<(SequenceModel, u64)> = pool.run(jobs, |_, job| {
-        let ((model, _fit), usage) =
-            measure_thread(ComputeTier::Device, || trainer.train_candidate(&general_envelope, job));
-        (model, usage.simulated.as_micros() as u64)
+        let (model, fit) = trainer.train_candidate(&general_envelope, job);
+        (model, ResourceUsage::priced(ComputeTier::Device, fit.flops).simulated.as_micros() as u64)
     });
 
     let base_defense = trainer.config().audit.base_defense;

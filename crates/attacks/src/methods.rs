@@ -133,6 +133,18 @@ impl AttackMethod {
         }
     }
 
+    /// FLOPs one instance costs beside the oracle: the gradient attack's
+    /// softmax projections of the hidden step (`4` a value of its location,
+    /// entry and duration blocks), per iteration and once more at the end.
+    pub fn cost_beside_oracle(&self, space: &FeatureSpace) -> u64 {
+        match self {
+            AttackMethod::GradientDescent(gd) => {
+                (gd.iterations as u64 + 1) * 4 * space.dow_offset() as u64
+            }
+            AttackMethod::BruteForce(_) | AttackMethod::TimeBased(_) => 0,
+        }
+    }
+
     /// Short name for reports (`brute force`, `time-based`, …).
     pub fn name(&self) -> &'static str {
         match self {

@@ -108,6 +108,10 @@ pub struct LogitCache {
     pub hits: u64,
     /// Queries that ran a real forward pass (and filled the cache).
     pub misses: u64,
+    /// FLOPs the answers given through this cache cost: a miss's forward
+    /// pass, every answer's confidences, each input gradient, and what an
+    /// audit runs beside its oracle.
+    pub flops: u64,
     /// The second tier: frozen-prefix activations of the queries that
     /// missed the logits, with its own hit/miss counters. Move it into a
     /// successor candidate's cache to spare that candidate's audit the
@@ -193,6 +197,7 @@ impl BlackBox for CachedBlackBox<'_, '_> {
         }
         self.cache.misses += missed.len() as u64;
         self.cache.hits += (keys.len() - missed.len()) as u64;
+        self.cache.flops += self.model.infer_cost(missed.len() * template.len(), keys.len());
         let fresh_keys: Vec<u64> = missed.iter().map(|&row| keys[row]).collect();
         let logits = self.model.logits_sweep_tiered(
             template,
@@ -228,8 +233,10 @@ impl BlackBox for CachedBlackBox<'_, '_> {
 
     /// Gradients are not black-box replayable: passed through uncached,
     /// on a copy of the model, since the backward pass writes caches
-    /// into the layers it runs through.
+    /// into the layers it runs through. Each is priced as one training
+    /// sample.
     fn input_gradient(&mut self, xs: &Sequence, target: usize) -> (f32, Sequence) {
+        self.cache.flops += self.model.train_cost(xs.len(), 1);
         self.model.clone().input_gradient(xs, target)
     }
 }

@@ -39,6 +39,21 @@ impl std::fmt::Display for PriorKind {
     }
 }
 
+/// Probes a [`PriorKind::Predict`] prior averages the answers over.
+const PREDICT_PROBES: usize = 32;
+
+impl PriorKind {
+    /// FLOPs building this kind of prior against `model` costs beside the
+    /// attack's oracle: a predicted prior asks its 32 two-step probes
+    /// uncached; the others ask nothing.
+    pub fn cost(self, model: &SequenceModel) -> u64 {
+        match self {
+            PriorKind::Predict => model.infer_cost(2 * PREDICT_PROBES, PREDICT_PROBES),
+            PriorKind::True | PriorKind::None | PriorKind::Estimate => 0,
+        }
+    }
+}
+
 /// A marginal distribution over location classes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Prior {
@@ -107,7 +122,7 @@ impl Prior {
             PriorKind::True => Self::from_history(space, history),
             PriorKind::None => Self::uniform(space.n_locations),
             PriorKind::Predict => {
-                let probes = random_probes(space, 32, probe_seed);
+                let probes = random_probes(space, PREDICT_PROBES, probe_seed);
                 Self::predicted(model, &probes)
             }
             PriorKind::Estimate => Self::estimated(&Self::from_history(space, history)),

@@ -43,7 +43,7 @@ fn synthetic_round(n: usize, salt: u64) -> TrainReport {
                 cached: 0,
                 cache_misses: 10,
             },
-            fit: FitReport { epoch_losses: vec![0.5], steps: 4, samples_per_epoch: 4 },
+            fit: FitReport { epoch_losses: vec![0.5], steps: 4, samples_per_epoch: 4, flops: 0 },
             enroll_latency: Duration::from_millis(5),
             train_simulated: Duration::from_millis(4 + (i as u64 + salt) % 7),
             audit_simulated: Duration::from_millis(2),

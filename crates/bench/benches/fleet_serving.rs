@@ -3,8 +3,8 @@
 //!
 //! Both run the same inference step (`predict_proba` is the one-row
 //! batch), so the rows differ only in what a batch amortises: one
-//! packing, one set of output allocations and one FLOP top-up per call
-//! instead of per query. The queries are real encoded sessions — four
+//! packing and one set of output allocations per call instead of per
+//! query. The queries are real encoded sessions — four
 //! non-zeros a step — which is what the step's sparse input projection
 //! exploits; that every answer has the bits of the dense training-mode
 //! forward pass is pinned in `crates/nn/tests/infer_equivalence.rs`.

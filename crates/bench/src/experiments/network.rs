@@ -7,8 +7,8 @@
 //!
 //! * **Determinism** — the pipeline is run at two trainer-pool widths;
 //!   both co-simulations must produce bit-identical event traces and
-//!   latency breakdowns (per-job simulated compute comes from exact
-//!   per-thread FLOP counts, so pool width is invisible to the network).
+//!   latency breakdowns (per-job simulated compute is priced from what
+//!   the job ran, so pool width is invisible to the network).
 //! * **Contention** — a shared cloud uplink must yield strictly higher
 //!   p95 enroll latency than the uncontended per-device baseline, with
 //!   real queueing (non-zero p95 queue component).

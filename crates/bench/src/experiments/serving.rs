@@ -29,9 +29,8 @@ fn requests_for(scale: Scale) -> usize {
 /// One serving run per compute tier (same traffic, same registry shape).
 ///
 /// The full fleet is deliberately re-executed per tier rather than
-/// re-costing one run's FLOPs: the engine attributes each batch's work
-/// to its tier at execution time (`measure_thread`) and the batch then
-/// occupies its shard for that long, so a tier changes what queues
+/// re-costing one run's FLOPs: the engine prices each batch on its tier
+/// at execution time and the batch then occupies its shard for that long, so a tier changes what queues
 /// behind what; even at `paper` scale the second run costs only a few
 /// extra seconds.
 pub fn run(config: &RunConfig) -> Vec<FleetOutcome> {

@@ -10,7 +10,7 @@
 //!
 //! 1. **Cloud-based initial training** ([`CloudTrainer`]): a general
 //!    next-location LSTM trained on many contributors' trajectories.
-//! 2. **Device-based personalization** ([`personalize()`], measured on
+//! 2. **Device-based personalization** ([`personalize()`], priced on
 //!    [`ComputeTier::Device`]): the general model is downloaded to the
 //!    user's device and adapted to the user's private history by transfer
 //!    learning — feature extraction or fine tuning

@@ -81,7 +81,8 @@ impl Default for PersonalizationConfig {
 /// user's private training samples.
 ///
 /// Returns the personalized model and the fit report of the on-device
-/// training (empty for [`PersonalizationMethod::Reuse`]).
+/// training, whose `flops` is what the personalization is priced at
+/// (empty, and free, for [`PersonalizationMethod::Reuse`]).
 ///
 /// # Panics
 ///
@@ -96,7 +97,7 @@ pub fn personalize(
     let mut model = prepare(general, method, config);
     let report = match method {
         PersonalizationMethod::Reuse => {
-            FitReport { epoch_losses: Vec::new(), steps: 0, samples_per_epoch: 0 }
+            FitReport { epoch_losses: Vec::new(), steps: 0, samples_per_epoch: 0, flops: 0 }
         }
         _ => fit(&mut model, samples, &config.train),
     };

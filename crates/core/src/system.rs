@@ -6,7 +6,7 @@ use rand::SeedableRng;
 
 use pelican_nn::{fit, FitReport, Sample, SequenceModel, TrainConfig};
 
-use crate::platform::{measure_thread, ComputeTier, ResourceUsage};
+use crate::platform::{ComputeTier, ResourceUsage};
 
 /// Step 1: cloud-based initial training of the general model `M_G`.
 #[derive(Debug, Clone)]
@@ -25,8 +25,8 @@ impl CloudTrainer {
         Self { config, hidden_dim, dropout }
     }
 
-    /// Trains the general model on pooled contributor samples, attributing
-    /// the work to the cloud tier.
+    /// Trains the general model on pooled contributor samples and prices
+    /// the fit on the cloud tier.
     ///
     /// # Panics
     ///
@@ -38,18 +38,16 @@ impl CloudTrainer {
         samples: &[Sample],
         seed: u64,
     ) -> (SequenceModel, FitReport, ResourceUsage) {
-        let ((model, report), usage) = measure_thread(ComputeTier::Cloud, || {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut model = SequenceModel::general_lstm(
-                input_dim,
-                self.hidden_dim,
-                n_classes,
-                self.dropout,
-                &mut rng,
-            );
-            let report = fit(&mut model, samples, &self.config);
-            (model, report)
-        });
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut model = SequenceModel::general_lstm(
+            input_dim,
+            self.hidden_dim,
+            n_classes,
+            self.dropout,
+            &mut rng,
+        );
+        let report = fit(&mut model, samples, &self.config);
+        let usage = ResourceUsage::priced(ComputeTier::Cloud, report.flops);
         (model, report, usage)
     }
 }
@@ -97,13 +95,11 @@ mod tests {
         };
         let personal = samples(10, 6, 4);
         let method = PersonalizationMethod::TlFeatureExtract;
-        let (_, usage) = measure_thread(ComputeTier::Device, || {
-            personalize(&general, &personal, method, &config)
-        });
+        let (_, fit) = personalize(&general, &personal, method, &config);
         assert!(
-            usage.flops < general_usage.flops,
+            fit.flops < general_usage.flops,
             "personal {} vs general {}",
-            usage.flops,
+            fit.flops,
             general_usage.flops
         );
     }

@@ -17,7 +17,7 @@ use pelican_nn::metrics::evaluate_top_k;
 use pelican_nn::{FitReport, ModelEnvelope, Sample, SequenceModel, TrainConfig};
 
 use crate::personalize::{personalize, PersonalizationConfig, PersonalizationMethod};
-use crate::platform::{measure_thread, ComputeTier, ResourceUsage};
+use crate::platform::{ComputeTier, ResourceUsage};
 use crate::system::CloudTrainer;
 
 /// Sizing knobs derived from a [`Scale`].
@@ -340,9 +340,8 @@ impl ScenarioBuilder {
             if train.is_empty() || test.is_empty() {
                 continue;
             }
-            let ((model, fit), usage) = measure_thread(ComputeTier::Device, || {
-                personalize(&on_device, &train, self.method, &config)
-            });
+            let (model, fit) = personalize(&on_device, &train, self.method, &config);
+            let usage = ResourceUsage::priced(ComputeTier::Device, fit.flops);
             personal.push(PersonalUser {
                 user_id,
                 model,

@@ -53,7 +53,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Mutex;
 
-use pelican::platform::{measure_thread, ComputeTier};
+use pelican::platform::{ComputeTier, ResourceUsage};
 use pelican_mobility::{train_test_split, FeatureSpace, MobilityDataset, Session, SessionCursor};
 use pelican_nn::{ModelEnvelope, PrefixTier, Sample, SequenceModel};
 use pelican_serve::{
@@ -424,27 +424,26 @@ impl LiveFlow<'_> {
 
         // Host-side pool dispatch (virtual clock frozen): train and audit
         // in parallel, collect in job order — weights, verdicts and the
-        // measured simulated durations are bit-identical for any width.
+        // priced simulated durations are bit-identical for any width.
         let trainer = self.trainer;
         let space = self.space;
         let general_envelope = &self.general_envelope;
         let pool = TrainerPool::new(trainer.config().workers);
         let results: Vec<RetrainResult> = pool.run(&jobs, |_, (job, prefix)| {
-            let ((candidate, _fit), train_usage) = measure_thread(ComputeTier::Device, || {
-                trainer.train_candidate(general_envelope, job)
-            });
+            let (candidate, fit) = trainer.train_candidate(general_envelope, job);
             let prefix = std::mem::take(&mut *prefix.lock().expect("taken once, by this job"));
-            let ((published, gate, cache), audit_usage) =
-                measure_thread(ComputeTier::Device, || {
-                    trainer.gate().admit_inheriting(candidate, space, &job.subject, prefix)
-                });
+            let (published, gate, cache) =
+                trainer.gate().admit_inheriting(candidate, space, &job.subject, prefix);
+            let device_us = |flops| {
+                ResourceUsage::priced(ComputeTier::Device, flops).simulated.as_micros() as u64
+            };
             RetrainResult {
                 envelope: ModelEnvelope::encode(&published),
                 published_model: published,
                 gate,
+                train_simulated_us: device_us(fit.flops),
+                audit_simulated_us: device_us(cache.flops),
                 cache,
-                train_simulated_us: train_usage.simulated.as_micros() as u64,
-                audit_simulated_us: audit_usage.simulated.as_micros() as u64,
             }
         });
 

@@ -48,8 +48,8 @@ impl Layer {
         }
     }
 
-    /// FLOPs [`Layer::infer_batch`] records per timestep of each sequence
-    /// — a function of the layer's shape alone.
+    /// FLOPs one inference timestep of one sequence costs: the layer's
+    /// products at their nominal size — a function of its shape alone.
     pub(crate) fn infer_step_flops(&self) -> u64 {
         match self {
             Layer::Lstm(l) => l.infer_step_flops(),
@@ -58,7 +58,7 @@ impl Layer {
         }
     }
 
-    /// FLOPs one timestep of training records: the forward products, the
+    /// FLOPs one timestep of training costs: the forward products, the
     /// input-gradient products and, when trainable, the weight-gradient
     /// updates, each the size of the weights — a function of the layer's
     /// shape and `trainable` alone, whatever [`crate::fit`] skips.

@@ -129,8 +129,7 @@ impl Linear {
     /// one matrix and answered by one product — from four rows up a
     /// register-blocked kernel vectorised across the rows, below that
     /// four accumulator chains per row, instead of a matrix–vector
-    /// product's one. Bit-identical to per-sequence [`Linear::infer`],
-    /// with the same recorded FLOP count.
+    /// product's one. Bit-identical to per-sequence [`Linear::infer`].
     pub fn infer_batch<S: AsRef<[Step]>>(&self, xs: &[S]) -> Vec<Sequence> {
         let total_steps: usize = xs.iter().map(|s| s.as_ref().len()).sum();
         let mut packed = Matrix::zeros(total_steps, self.input_dim());
@@ -153,7 +152,7 @@ impl Linear {
         xs.iter().map(|x| self.infer_rows(x)).collect()
     }
 
-    /// FLOPs one inference timestep records: the weight matvec.
+    /// FLOPs one inference timestep costs: the weight matvec.
     pub(crate) fn infer_step_flops(&self) -> u64 {
         2 * self.w.len() as u64
     }

@@ -261,8 +261,7 @@ impl Lstm {
     /// `0 · ∞` surface. Finiteness of `w_ih` and `w_hh` is scanned on
     /// first use and kept until [`Lstm::visit_params`] — the only place
     /// they change — hands them out, so a layer in training rescans once
-    /// per optimizer step. Both products record the nominal
-    /// `2 · rows · w.len()` FLOPs.
+    /// per optimizer step.
     fn project(&self, rows: &Matrix, w: &Matrix) -> Matrix {
         if *self.finite.get_or_init(|| self.w_ih.is_finite() && self.w_hh.is_finite()) {
             rows.matmul_transpose_sparse(w)
@@ -312,7 +311,7 @@ impl Lstm {
     /// Inference-mode forward pass over a sequence; returns hidden states
     /// for every timestep. No caches are written: this is the one-row
     /// case of [`Lstm::infer_batch`], bit-identical to the training-mode
-    /// [`Lstm::forward`] and recording the same FLOPs.
+    /// [`Lstm::forward`].
     pub fn infer(&self, xs: &[Step]) -> Sequence {
         self.infer_batch(&[xs]).pop().expect("one sequence in, one out")
     }
@@ -330,9 +329,7 @@ impl Lstm {
     /// that four accumulator chains per row. Per-element accumulation
     /// order is that of
     /// [`Lstm::forward`], so the returned hidden states are bit-identical
-    /// to running each sequence alone, and the FLOP count recorded for
-    /// platform cost simulation is the nominal two products per row and
-    /// timestep, whatever was skipped.
+    /// to running each sequence alone.
     ///
     /// Sequences may have different lengths (shorter ones simply drop out
     /// of the active set). Returns one hidden-state sequence per input.
@@ -378,9 +375,7 @@ impl Lstm {
     /// — carried as a single shared row, so each half of the gate
     /// pre-activation is computed once while its operand is shared and
     /// once per candidate after that. Candidate `r`'s hidden states are
-    /// bit-identical to inferring its assembled sequence alone. Recorded
-    /// FLOPs are whatever the products that ran recorded; the model tops
-    /// them up to the per-candidate total.
+    /// bit-identical to inferring its assembled sequence alone.
     pub(crate) fn infer_sweep(&self, xs: &[Matrix]) -> Vec<Matrix> {
         let mut h = Matrix::zeros(1, self.hidden);
         let mut c = Matrix::zeros(1, self.hidden);
@@ -392,7 +387,7 @@ impl Lstm {
             .collect()
     }
 
-    /// FLOPs one inference timestep records per sequence: the two gate
+    /// FLOPs one inference timestep costs per sequence: the two gate
     /// products at their nominal size.
     pub(crate) fn infer_step_flops(&self) -> u64 {
         2 * (self.w_ih.len() + self.w_hh.len()) as u64
@@ -426,8 +421,8 @@ impl Lstm {
     /// columns of `W_ih`, and the all-zero state at `t = 0` reads nothing
     /// of `W_hh`. Flat activation caches are written for
     /// [`Lstm::backward_chunk_packed`]. Hidden states and caches are
-    /// bit-identical to calling [`Lstm::forward`] on each sequence alone;
-    /// the products record their nominal FLOPs. Sequences may be ragged;
+    /// bit-identical to calling [`Lstm::forward`] on each sequence alone.
+    /// Sequences may be ragged;
     /// shorter ones drop out of the active set.
     pub(crate) fn forward_chunk_packed(&mut self, x: ChunkBatch) -> ChunkBatch {
         let ChunkBatch { lens, offsets, rows: x_all } = x;

@@ -3,7 +3,7 @@
 use rand::{Rng, RngExt as _};
 use serde::{Deserialize, Serialize};
 
-use pelican_tensor::{record_flops, softmax_temperature_in_place, Matrix, ThreadFlopGuard};
+use pelican_tensor::{softmax_temperature_in_place, Matrix};
 
 use crate::sweep::{shared_row, PrefixTier};
 use crate::{Dropout, Layer, Linear, Lstm, Sequence, Step};
@@ -304,6 +304,24 @@ impl SequenceModel {
         self.layers.iter().filter(|l| l.is_trainable()).map(Layer::param_count).sum()
     }
 
+    /// FLOPs of answering `rows` queries of `steps` timesteps in all
+    /// through [`SequenceModel::predict_proba`]: every layer's per-step
+    /// products at their nominal size, whatever inference shares or skips,
+    /// and `4·C` a row for the confidences, all that a cached logit costs.
+    pub fn infer_cost(&self, steps: usize, rows: usize) -> u64 {
+        let per_step: u64 = self.layers.iter().map(Layer::infer_step_flops).sum();
+        steps as u64 * per_step + rows as u64 * 4 * self.output_dim() as u64
+    }
+
+    /// FLOPs of one training pass over `samples` samples of `steps`
+    /// timesteps in all: every layer's forward, input-gradient and (if it
+    /// trains) weight-gradient products, and the loss's `3·C` a sample.
+    /// [`crate::fit`] costs `epochs ×` this, an input gradient one sample.
+    pub fn train_cost(&self, steps: usize, samples: usize) -> u64 {
+        let per_step: u64 = self.layers.iter().map(Layer::train_step_flops).sum();
+        steps as u64 * per_step + samples as u64 * 3 * self.output_dim() as u64
+    }
+
     /// Inference-mode forward pass returning raw logits for the final
     /// timestep. No dropout, no caches, no temperature: the one-row case
     /// of [`SequenceModel::logits_batch`].
@@ -318,29 +336,17 @@ impl SequenceModel {
         self.layers.iter().rposition(|l| matches!(l, Layer::Lstm(_))).map_or(0, |i| i + 1)
     }
 
-    /// Tops this thread's FLOP counter up to what inference nominally
-    /// costs — every layer run on all `steps` timesteps — given the count
-    /// `since` recorded for what actually ran, so compute priced from
-    /// FLOPs does not move with what inference shares or skips.
-    fn record_nominal_flops(&self, steps: usize, since: ThreadFlopGuard) {
-        let per_step: u64 = self.layers.iter().map(Layer::infer_step_flops).sum();
-        record_flops(steps as u64 * per_step - since.stop());
-    }
-
     /// Batched [`SequenceModel::logits`]: one final-timestep logit vector
     /// per input sequence, all sequences advancing together through every
     /// layer (see [`Lstm::infer_batch`]); the layers above the last LSTM
     /// see only each sequence's final timestep. Bit-identical per row to
-    /// the training-mode [`SequenceModel::forward`] without dropout, and
-    /// the recorded FLOPs are the nominal count of every layer run on
-    /// every timestep.
+    /// the training-mode [`SequenceModel::forward`] without dropout; the
+    /// logits cost [`SequenceModel::infer_cost`] of every timestep.
     pub fn logits_batch<S: AsRef<[Step]>>(&self, xs: &[S]) -> Vec<Step> {
         assert!(
             xs.iter().all(|s| !s.as_ref().is_empty()),
             "cannot run a model on an empty sequence"
         );
-        let steps = xs.iter().map(|s| s.as_ref().len()).sum();
-        let recorded = ThreadFlopGuard::start();
         let head = self.head_start();
         let mut cur: Vec<Sequence> = xs.iter().map(|s| s.as_ref().to_vec()).collect();
         for (i, layer) in self.layers.iter().enumerate() {
@@ -351,7 +357,6 @@ impl SequenceModel {
             }
             cur = layer.infer_batch(&cur);
         }
-        self.record_nominal_flops(steps, recorded);
         cur.into_iter()
             .map(|mut seq| seq.pop().expect("sequence length preserved by all layers"))
             .collect()
@@ -411,10 +416,9 @@ impl SequenceModel {
     /// logits read.
     ///
     /// Row `i` is bit-identical to `logits` of the assembled sequence,
-    /// and the recorded FLOPs are exactly what the independent calls
-    /// record — the nominal count, whatever was shared or skipped — so
-    /// compute priced from FLOPs costs a sweep like the loop it replaces.
-    /// This is [`SequenceModel::logits_sweep_tiered`] with nothing
+    /// and the sweep costs what the independent calls cost
+    /// ([`SequenceModel::infer_cost`] of `n × template.len()` timesteps),
+    /// whatever it shared or skipped. This is [`SequenceModel::logits_sweep_tiered`] with nothing
     /// remembered.
     ///
     /// # Panics
@@ -431,9 +435,9 @@ impl SequenceModel {
     /// (one shared row) and the missing candidates; their activations
     /// from `slot` on go into the tier, every candidate's come back out
     /// of it, and the layers above the prefix run once over all of them.
-    /// Answers and recorded FLOPs are those of `logits_sweep`, bit for
-    /// bit, whatever the tier held — a remembered answer is still priced
-    /// as a computed one. A model without a frozen prefix leaves the tier
+    /// Answers are those of `logits_sweep`, bit for bit, and so is the
+    /// cost, whatever the tier held — a remembered answer is priced as a
+    /// computed one. A model without a frozen prefix leaves the tier
     /// untouched.
     ///
     /// `tier` must be bound to this model ([`PrefixTier::bind`]).
@@ -470,7 +474,6 @@ impl SequenceModel {
         if n == 0 {
             return Vec::new();
         }
-        let recorded = ThreadFlopGuard::start();
         let prefix = if tier.is_some() { self.frozen_prefix() } else { 0 };
         let kept = template.len() - slot;
         let width = width_after(&self.layers[..prefix]).unwrap_or(0);
@@ -504,7 +507,6 @@ impl SequenceModel {
             }
             cur = layer.infer_sweep(cur);
         }
-        self.record_nominal_flops(n * template.len(), recorded);
         let logits = cur.pop().expect("sequence length preserved by all layers");
         (0..n).map(|r| shared_row(&logits, r).to_vec()).collect()
     }
@@ -627,7 +629,8 @@ impl SequenceModel {
     ///
     /// Runs a cache-writing forward pass internally, so `&mut self`; the
     /// accumulated parameter gradients are zeroed afterwards to keep the
-    /// model state clean for subsequent training.
+    /// model state clean for subsequent training. Costs
+    /// [`SequenceModel::train_cost`] of one sample.
     pub fn input_gradient(&mut self, xs: &Sequence, target: usize) -> (f32, Sequence) {
         let out = self.infer_forward_cached(xs);
         let logits = out.last().expect("nonempty sequence").clone();

@@ -10,8 +10,6 @@ use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use pelican_tensor::{record_flops, ThreadFlopGuard};
-
 use crate::chunk::ChunkBatch;
 use crate::{
     metrics::evaluate_top_k, softmax_cross_entropy, Adam, Layer, Optimizer, Sample, SequenceModel,
@@ -90,6 +88,10 @@ pub struct FitReport {
     pub steps: usize,
     /// Number of training samples seen per epoch.
     pub samples_per_epoch: usize,
+    /// What the run costs: `epochs ×` [`SequenceModel::train_cost`] of
+    /// the samples — the compute the virtual clock prices it at, whatever
+    /// the run skipped or reused.
+    pub flops: u64,
 }
 
 impl FitReport {
@@ -120,11 +122,10 @@ impl FitReport {
 /// loop — [`SequenceModel::forward`], [`softmax_cross_entropy`],
 /// [`SequenceModel::backward_from_logits`] per sample, then
 /// `Optimizer::step` — which `tests/fit_equivalence.rs` keeps as the
-/// reference trainer. So are the recorded FLOPs: each mini-batch tops
-/// this thread's counter up to what that loop records for it,
-/// `timesteps × Σ Layer::train_step_flops`, so compute priced from FLOPs
-/// (device time, every virtual instant) does not move with what is
-/// skipped or reused.
+/// reference trainer. The report's `flops` is what that loop costs,
+/// `epochs ×` [`SequenceModel::train_cost`] of the samples, so compute
+/// priced from it (device time, every virtual instant) does not move
+/// with what is skipped or reused.
 ///
 /// # Panics
 ///
@@ -141,9 +142,10 @@ pub fn fit(model: &mut SequenceModel, samples: &[Sample], config: &TrainConfig) 
         epoch_losses: Vec::with_capacity(config.epochs),
         steps: 0,
         samples_per_epoch: samples.len(),
+        flops: config.epochs as u64
+            * model.train_cost(samples.iter().map(|s| s.xs.len()).sum(), samples.len()),
     };
     let input_dim = model.input_dim();
-    let step_flops: u64 = model.layers().iter().map(Layer::train_step_flops).sum();
     let prefix = model
         .layers()
         .iter()
@@ -159,7 +161,6 @@ pub fn fit(model: &mut SequenceModel, samples: &[Sample], config: &TrainConfig) 
         let mut epoch_loss = 0.0;
         for chunk in order.chunks(config.batch_size) {
             let layers = model.layers_mut();
-            let recorded = ThreadFlopGuard::start();
             let mut cur = if epoch == 0 || prefix == 0 {
                 let xs = chunk.iter().map(|&idx| &samples[idx].xs);
                 let mut cur = ChunkBatch::pack(xs, input_dim);
@@ -181,7 +182,6 @@ pub fn fit(model: &mut SequenceModel, samples: &[Sample], config: &TrainConfig) 
             for layer in &mut layers[prefix..] {
                 cur = layer.forward_chunk_packed(cur);
             }
-            let forward_flops = recorded.stop();
 
             let mut grads = ChunkBatch::zeros(cur.lens.clone(), cur.rows.cols());
             for (j, &idx) in chunk.iter().enumerate() {
@@ -190,14 +190,11 @@ pub fn fit(model: &mut SequenceModel, samples: &[Sample], config: &TrainConfig) 
                 grads.last_row_mut(j).copy_from_slice(&dlogits);
             }
 
-            let recorded = ThreadFlopGuard::start();
             let mut grads = Some(grads);
             for at in (lowest_trainable..layers.len()).rev() {
                 let grad = grads.take().expect("every layer above the lowest trainable passes one");
                 grads = layers[at].backward_chunk_packed(grad, at > lowest_trainable);
             }
-            let nominal = cur.total() as u64 * step_flops;
-            record_flops(nominal - forward_flops - recorded.stop());
 
             optimizer.step(model, chunk.len());
             report.steps += 1;

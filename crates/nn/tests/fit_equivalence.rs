@@ -8,10 +8,10 @@
 //! `SequenceModel::forward`, `softmax_cross_entropy`,
 //! `SequenceModel::backward_from_logits` per sample, `Optimizer::step`
 //! per mini-batch — on dense per-step matrix–vector products, through
-//! every layer, every epoch. Weights, epoch losses, step counts, the
-//! thread's FLOP delta and the dropout draw counters (observed by
-//! training a second time) must agree bit for bit, non-finite weights
-//! included, and so must `input_gradient` afterwards.
+//! every layer, every epoch. Weights, epoch losses, step counts and the
+//! dropout draw counters (observed by training a second time) must agree
+//! bit for bit, non-finite weights included, and so must
+//! `input_gradient` afterwards; `fit` reports the cost of that loop.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -22,7 +22,7 @@ use pelican_nn::{
     fit, softmax_cross_entropy, Adam, Dropout, FitReport, Layer, Linear, Lstm, ModelEnvelope,
     Optimizer, Sample, SequenceModel, Sgd, Step, TrainConfig,
 };
-use pelican_tensor::{Matrix, ThreadFlopGuard};
+use pelican_tensor::Matrix;
 
 const INPUT_DIM: usize = 9;
 const HIDDEN: usize = 4;
@@ -39,8 +39,12 @@ fn reference_fit(model: &mut SequenceModel, samples: &[Sample], config: &TrainCo
     };
     let mut order: Vec<usize> = (0..samples.len()).collect();
     let mut rng = StdRng::seed_from_u64(config.shuffle_seed);
-    let mut report =
-        FitReport { epoch_losses: Vec::new(), steps: 0, samples_per_epoch: samples.len() };
+    let mut report = FitReport {
+        epoch_losses: Vec::new(),
+        steps: 0,
+        samples_per_epoch: samples.len(),
+        flops: 0,
+    };
     for _ in 0..config.epochs {
         for i in (1..order.len()).rev() {
             let j = rng.random_range(0..=i);
@@ -194,12 +198,11 @@ fn assert_fit_matches_reference(
     let mut reports = Vec::new();
     for round in 0..2u64 {
         let config = config.reseeded(config.shuffle_seed ^ round);
-        let guard = ThreadFlopGuard::start();
         let want = reference_fit(&mut reference, data, &config);
-        let want_flops = guard.stop();
-        let guard = ThreadFlopGuard::start();
         let got = fit(&mut fitted, data, &config);
-        assert_eq!(guard.stop(), want_flops, "round {round}: recorded FLOPs");
+        let steps = data.iter().map(|s| s.xs.len()).sum();
+        let cost = config.epochs as u64 * model.train_cost(steps, data.len());
+        assert_eq!(got.flops, cost, "round {round}: cost");
         assert_eq!(bits(&got.epoch_losses), bits(&want.epoch_losses), "round {round}: losses");
         assert_eq!((got.steps, got.samples_per_epoch), (want.steps, want.samples_per_epoch));
         assert_eq!(

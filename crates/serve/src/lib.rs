@@ -23,8 +23,8 @@
 //! * [`scheduler`] + [`simserve`] — size/deadline coalescing of
 //!   same-shard requests into batches, sealed by timers on the
 //!   [`pelican_sim`] virtual clock and executed through the fused
-//!   [`pelican_nn::SequenceModel::predict_proba_batch`] kernels with FLOP
-//!   accounting attributed to a [`pelican::ComputeTier`]. The per-user
+//!   [`pelican_nn::SequenceModel::predict_proba_batch`] kernels and priced
+//!   from each model's shape on a [`pelican::ComputeTier`]. The per-user
 //!   privacy layer (§V-B temperature sharpening) applies per batch row,
 //!   which is why batching cannot perturb any user's answers.
 //! * [`metrics`] — throughput, batch-size histogram, cache hit rate and

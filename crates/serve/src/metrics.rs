@@ -1,8 +1,8 @@
 //! Serving metrics: throughput, latency percentiles, batch shape and
 //! cache behaviour.
 //!
-//! All times are *simulated* (derived from FLOP counts via the platform
-//! tiers plus scheduler queueing), so reports are deterministic and
+//! All times are *simulated* (priced from model shapes on the platform
+//! tiers, plus scheduler queueing), so reports are deterministic and
 //! machine-independent — the same property the rest of the reproduction
 //! relies on for its overhead numbers.
 

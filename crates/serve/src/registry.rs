@@ -38,7 +38,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use pelican::workbench::Scenario;
 use pelican::PrivacyLayer;
@@ -297,8 +297,13 @@ impl ShardedRegistry {
         self.store.as_ref()
     }
 
+    /// A shard's state, taken back if a panic poisoned its lock. No
+    /// holder leaves a shard half-changed: `publish` mutates it only after
+    /// the store's append returns, each of `get`'s updates (the tick, the
+    /// counters, the cold and hot inserts after a decode) stands on its
+    /// own, and every other holder only reads.
     fn lock<'a>(&'a self, shard: &'a Mutex<Shard>) -> MutexGuard<'a, Shard> {
-        shard.lock().expect("registry shard mutex poisoned")
+        shard.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of shards. The scheduler must coalesce with the same shard

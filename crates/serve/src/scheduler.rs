@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use pelican::platform::{measure_thread, ComputeTier};
+use pelican::platform::{ComputeTier, ResourceUsage};
 use pelican_nn::{ModelCodecError, Sequence, Step};
 
 use crate::registry::{Lookup, ShardedRegistry};
@@ -126,8 +126,10 @@ impl<'a> ServeEngine<'a> {
     /// answer them (per enrolled user, first-appearance order, with every
     /// unenrolled user's request folded into one shared general-model
     /// group), each group is answered through its model's fused batch
-    /// path, and the measured FLOPs are converted to simulated time on
-    /// the engine's tier. Completions come back in request order.
+    /// path and priced from the model's shape and the rows it served
+    /// ([`pelican_nn::SequenceModel::infer_cost`]); the batch's FLOPs are
+    /// converted to simulated time on the engine's tier. Completions come
+    /// back in request order.
     ///
     /// # Errors
     ///
@@ -149,24 +151,18 @@ impl<'a> ServeEngine<'a> {
             }
         }
 
-        let registry = self.registry;
-        let (answered, usage) = measure_thread(self.tier, || {
-            let mut answered: Vec<(usize, Step, Lookup)> = Vec::with_capacity(batch.requests.len());
-            for (user_id, members) in &groups {
-                let (model, lookup) = match registry.get(*user_id) {
-                    Ok(found) => found,
-                    Err(e) => return Err(e),
-                };
-                let rows: Vec<&[Step]> =
-                    members.iter().map(|&i| batch.requests[i].xs.as_slice()).collect();
-                let probs = model.predict_proba_batch(&rows);
-                for (&i, p) in members.iter().zip(probs) {
-                    answered.push((i, p, lookup));
-                }
+        let mut flops = 0;
+        let mut answered: Vec<(usize, Step, Lookup)> = Vec::with_capacity(batch.requests.len());
+        for (user_id, members) in &groups {
+            let (model, lookup) = self.registry.get(*user_id)?;
+            let rows: Vec<&[Step]> =
+                members.iter().map(|&i| batch.requests[i].xs.as_slice()).collect();
+            flops += model.infer_cost(rows.iter().map(|xs| xs.len()).sum(), rows.len());
+            for (&i, p) in members.iter().zip(model.predict_proba_batch(&rows)) {
+                answered.push((i, p, lookup));
             }
-            Ok(answered)
-        });
-        let mut answered = answered?;
+        }
+        let usage = ResourceUsage::priced(self.tier, flops);
         answered.sort_by_key(|&(i, _, _)| i);
 
         Ok(answered
@@ -309,40 +305,5 @@ mod tests {
         // Distinct unenrolled users share the general model, so the whole
         // fallback group costs a single registry lookup.
         assert_eq!(registry.stats().fallbacks, 1, "fallback rows fuse into one group");
-    }
-
-    #[test]
-    fn service_times_ignore_flops_burned_on_another_thread() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let general = pelican_nn::SequenceModel::single_lstm(4, 6, 3, 0.0, &mut rng);
-        let registry = ShardedRegistry::new(general, RegistryConfig { shards: 2, hot_capacity: 4 });
-        let requests: Vec<Request> = (0..6).map(|i| request(i, 2, i as u64)).collect();
-        let batch = Batch { shard: 0, dispatched_us: 10, requests };
-        let engine = ServeEngine::new(&registry, ComputeTier::Device);
-        let service_times = |engine: &ServeEngine<'_>| -> Vec<u64> {
-            let completions = engine.execute(&batch).expect("envelopes decode");
-            completions.iter().map(|c| c.service_us).collect()
-        };
-        let quiet = service_times(&engine);
-
-        // Serving while the trainer pool trains is the product: a
-        // neighbour records FLOPs the whole time the batch is re-served,
-        // and not one of them may be billed to the batch.
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        let (burning_tx, burning_rx) = std::sync::mpsc::channel();
-        let noisy: Vec<Vec<u64>> = std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let a = pelican_tensor::Matrix::filled(64, 64, 0.5);
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    std::hint::black_box(a.matmul(&a));
-                    let _ = burning_tx.send(());
-                }
-            });
-            burning_rx.recv().expect("the neighbour is burning");
-            let noisy = (0..200).map(|_| service_times(&engine)).collect();
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
-            noisy
-        });
-        assert!(noisy.iter().all(|times| *times == quiet), "a neighbour's FLOPs leaked in");
     }
 }

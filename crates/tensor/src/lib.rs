@@ -11,11 +11,10 @@
 //!
 //! * **Determinism.** All randomness flows through caller-provided
 //!   [`rand::Rng`] values so experiments are exactly repeatable from a seed.
-//! * **Work accounting.** Every kernel reports the floating-point operations
-//!   it performs to its thread's [`flops`] counter. The Pelican platform
-//!   simulation converts these counts into simulated CPU cycles to reproduce
-//!   the paper's cloud-vs-device overhead comparison (§V-C2) without needing
-//!   the authors' Titan-X testbed.
+//! * **No hidden state.** A kernel is a pure function of its operands and
+//!   counts nothing. What a computation costs on the simulated platform
+//!   (the paper's cloud-vs-device overhead comparison, §V-C2) is priced
+//!   one layer up, from model shapes.
 //!
 //! # Example
 //!
@@ -28,12 +27,10 @@
 //! assert_eq!(c, a);
 //! ```
 
-pub mod flops;
 pub mod init;
 pub mod matrix;
 pub mod ops;
 
-pub use flops::{record_flops, thread_flops_now, ThreadFlopGuard};
 pub use init::{xavier_uniform, Init};
 pub use matrix::Matrix;
 pub use ops::{

@@ -2,11 +2,9 @@
 //!
 //! [`Matrix`] is deliberately minimal: it provides exactly the kernels the
 //! LSTM training and model-inversion code in the higher crates need, with
-//! cache-friendly loop orderings and FLOP accounting, and nothing else.
+//! cache-friendly loop orderings, and nothing else.
 
 use serde::{Deserialize, Serialize};
-
-use crate::flops::record_flops;
 
 /// A dense row-major matrix of `f32` values.
 ///
@@ -193,8 +191,7 @@ impl Matrix {
     /// Uses an `i-k-j` loop ordering so the inner loop streams over
     /// contiguous rows of both operands (and vectorises across outputs).
     /// Every output element sums its `a·b` products in strict ascending
-    /// `k` order, skipping the terms whose `self` entry is zero; the
-    /// recorded FLOP count is the nominal `2·m·k·n` regardless of skips.
+    /// `k` order, skipping the terms whose `self` entry is zero.
     ///
     /// # Panics
     ///
@@ -209,13 +206,12 @@ impl Matrix {
         for i in 0..self.rows {
             rhs.add_scaled_rows(self.row(i), out.row_mut(i));
         }
-        record_flops(2 * self.rows as u64 * self.cols as u64 * rhs.cols as u64);
         out
     }
 
     /// `out += Σ_k a[k] · self.row(k)` in ascending `k`, skipping the
     /// zero `a[k]` — one output row of [`Matrix::matmul`]'s `i-k-j` loop,
-    /// vectorised across outputs; records no FLOPs.
+    /// vectorised across outputs.
     fn add_scaled_rows(&self, a: &[f32], out: &mut [f32]) {
         for (k, &a) in a.iter().enumerate() {
             if a == 0.0 {
@@ -239,8 +235,7 @@ impl Matrix {
     /// row. Either way every output sums `self[i][k] · rhs[j][k]` from
     /// `+0.0` in strict ascending `k` with no term skipped, so each
     /// output row is bit-identical to a scalar [`Matrix::matvec`] of the
-    /// same row, non-finite weights included. Records the nominal
-    /// `2·m·k·n` FLOPs.
+    /// same row, non-finite weights included.
     ///
     /// # Panics
     ///
@@ -254,7 +249,6 @@ impl Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.rows);
         let rows: Vec<usize> = (0..self.rows).collect();
         self.dense_products(rhs, &rows, &mut out);
-        record_flops(2 * self.rows as u64 * self.cols as u64 * rhs.rows as u64);
         out
     }
 
@@ -262,7 +256,7 @@ impl Matrix {
     /// [`BLOCK_ROWS`] rows at a time and a remainder under
     /// [`BLOCK_MIN_ROWS`] row by row — the dense kernel behind
     /// [`Matrix::matmul_transpose`] and the dense rows of
-    /// [`Matrix::matmul_transpose_sparse`]; records no FLOPs.
+    /// [`Matrix::matmul_transpose_sparse`].
     fn dense_products(&self, rhs: &Matrix, rows: &[usize], out: &mut Matrix) {
         let (k, n) = (self.cols, rhs.rows);
         if k == 0 {
@@ -307,7 +301,7 @@ impl Matrix {
 
     /// `out[j] = self.row(j) · x` on four accumulator chains, one per
     /// row of `self` — the kernel for the fewer than [`BLOCK_MIN_ROWS`]
-    /// dense rows the blocked one leaves; records no FLOPs.
+    /// dense rows the blocked one leaves.
     #[inline]
     fn dot_rows(&self, x: &[f32], out: &mut [f32]) {
         let cols = self.cols;
@@ -367,8 +361,7 @@ impl Matrix {
     /// and `0 · ∞` are NaN, not zero): the caller establishes
     /// [`Matrix::is_finite`] of `rhs` once per set of weights, not per
     /// product, and sends a non-finite `rhs` to
-    /// [`Matrix::matmul_transpose`]. Records the nominal `2·m·k·n` FLOPs
-    /// of the `m` matvecs whatever was skipped.
+    /// [`Matrix::matmul_transpose`].
     ///
     /// # Panics
     ///
@@ -412,7 +405,6 @@ impl Matrix {
                 }
             }
         }
-        record_flops(2 * self.rows as u64 * self.cols as u64 * n as u64);
         out
     }
 
@@ -454,7 +446,6 @@ impl Matrix {
             }
             *o = acc;
         }
-        record_flops(2 * self.rows as u64 * self.cols as u64);
         out
     }
 
@@ -485,7 +476,6 @@ impl Matrix {
                 *o += w * xv;
             }
         }
-        record_flops(2 * self.rows as u64 * self.cols as u64);
         out
     }
 
@@ -528,7 +518,6 @@ impl Matrix {
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += alpha * b;
         }
-        record_flops(2 * self.data.len() as u64);
     }
 
     /// `self += rowᵀ · col` scaled by `alpha` (a rank-1 update).
@@ -553,7 +542,6 @@ impl Matrix {
                 *o += s * c;
             }
         }
-        record_flops(2 * self.data.len() as u64);
     }
 
     /// Applies a block of rank-1 updates in one fused pass — bit-identical
@@ -568,10 +556,6 @@ impl Matrix {
     /// `0`, then pair `1`, …), and the same `rowₚ[i] == 0.0` skip applies,
     /// so the accumulated bits are identical. This is the backward-pass
     /// analogue of the `infer_batch` lockstep discipline.
-    ///
-    /// Records the same FLOP count as the equivalent sequence of
-    /// [`rank_one_update`](Self::rank_one_update) calls (`2·len` per pair,
-    /// regardless of zero-skips).
     ///
     /// # Panics
     ///
@@ -594,7 +578,6 @@ impl Matrix {
                 }
             }
         }
-        record_flops(2 * self.data.len() as u64 * updates.len() as u64);
     }
 
     /// Multiplies every element by `alpha`.
@@ -602,7 +585,6 @@ impl Matrix {
         for v in &mut self.data {
             *v *= alpha;
         }
-        record_flops(self.data.len() as u64);
     }
 
     /// Sets every element to zero, keeping the allocation.
@@ -743,7 +725,7 @@ mod tests {
     }
 
     #[test]
-    fn sparse_rows_product_has_the_bits_and_flops_of_matvec() {
+    fn sparse_rows_product_has_the_bits_of_matvec() {
         let (cols, outs) = (11, 7);
         let w = Matrix::from_vec(
             outs,
@@ -759,12 +741,8 @@ mod tests {
             many.row_mut(r).copy_from_slice(few.row(r % few.rows()));
         }
         for x in [few, many] {
-            let guard = crate::flops::ThreadFlopGuard::start();
             let rows: Vec<Vec<f32>> = (0..x.rows()).map(|r| w.matvec(x.row(r))).collect();
-            let matvec_flops = guard.stop();
-            let guard = crate::flops::ThreadFlopGuard::start();
             let fused = x.matmul_transpose_sparse(&w);
-            assert_eq!(guard.stop(), matvec_flops, "FLOP parity broken");
             for (r, row) in rows.iter().enumerate() {
                 let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(fused.row(r)), bits(row), "row {r} diverged bitwise");
@@ -817,19 +795,14 @@ mod tests {
             rows.iter().zip(&cols).map(|(r, c)| (r.as_slice(), c.as_slice())).collect();
 
         let mut seq = Matrix::filled(4, 3, 0.25);
-        let seq_guard = crate::flops::ThreadFlopGuard::start();
         for &(r, c) in &updates {
             seq.rank_one_update(0.7, r, c);
         }
-        let seq_flops = seq_guard.stop();
 
         let mut fused = Matrix::filled(4, 3, 0.25);
-        let fused_guard = crate::flops::ThreadFlopGuard::start();
         fused.rank_updates(0.7, &updates);
-        let fused_flops = fused_guard.stop();
 
         assert_eq!(seq.data, fused.data, "fused rank updates diverged bitwise");
-        assert_eq!(seq_flops, fused_flops, "FLOP parity broken");
     }
 
     #[test]

@@ -3,8 +3,6 @@
 //! These free functions operate on slices so they can be applied to matrix
 //! rows, hidden-state vectors and raw logit buffers alike.
 
-use crate::flops::record_flops;
-
 /// Numerically-stable logistic sigmoid.
 ///
 /// # Example
@@ -184,7 +182,6 @@ pub fn softmax_temperature_in_place(x: &mut [f32], temperature: f32) {
     for v in x.iter_mut() {
         *v *= inv_sum;
     }
-    record_flops(4 * x.len() as u64);
 }
 
 /// In-place stable softmax (temperature 1).
@@ -211,7 +208,6 @@ pub fn log_softmax_in_place(x: &mut [f32]) {
     for v in x.iter_mut() {
         *v -= log_sum;
     }
-    record_flops(3 * x.len() as u64);
 }
 
 /// Index of the largest element, or `None` for an empty slice.

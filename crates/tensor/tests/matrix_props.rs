@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use pelican_tensor::{argmax, softmax, top_k, Matrix, ThreadFlopGuard};
+use pelican_tensor::{argmax, softmax, top_k, Matrix};
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-10.0f32..10.0, rows * cols)
@@ -90,19 +90,15 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|f| f.to_bits()).collect()
 }
 
-/// Asserts every row of `product(x, w)` has the bits of `w.matvec(row)`
-/// and that the product recorded the nominal `2·m·k·n` FLOPs.
+/// Asserts every row of `product(x, w)` has the bits of `w.matvec(row)`.
 fn assert_rows_are_matvecs(
     x: &Matrix,
     w: &Matrix,
     name: &str,
     product: fn(&Matrix, &Matrix) -> Matrix,
 ) {
-    let guard = ThreadFlopGuard::start();
     let got = product(x, w);
-    let flops = guard.stop();
     let (m, k, n) = (x.rows(), x.cols(), w.rows());
-    assert_eq!(flops, 2 * (m * k * n) as u64, "{name} FLOPs at {m}x{k} · ({n}x{k})ᵀ");
     assert_eq!(got.shape(), (m, n));
     for r in 0..m {
         assert_eq!(
@@ -122,7 +118,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn batched_products_have_the_bits_and_flops_of_matvec(
+    fn batched_products_have_the_bits_of_matvec(
         seed in 0u64..u64::MAX,
         sparse_only in 0u8..2,
     ) {

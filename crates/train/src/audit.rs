@@ -29,7 +29,7 @@
 //! its predecessor's ([`LogitCache::prefix`]) and then runs only the
 //! layers above the prefix; a tier that does not fit the candidate is
 //! detected and emptied, never trusted. Either way the gate's outcome,
-//! the logit counters and the FLOPs recorded — the audit's simulated
+//! the logit counters and the cache's `flops` — the audit's simulated
 //! cost — are those of an audit from nothing.
 
 use pelican::DefenseKind;
@@ -261,6 +261,9 @@ impl AuditGate {
             .map(|t| c.adversary.instance(t, space.location_of(&t[2])))
             .collect();
         let prior = Prior::of_kind(c.prior, space, &subject.history, model, c.seed ^ 0x9d);
+        // What the audit runs beside its oracle is priced with it.
+        let beside = instances.len() as u64 * c.method.cost_beside_oracle(space);
+        cache.flops += c.prior.cost(model) + beside;
         let probes = random_probes(space, c.probe_count, c.seed ^ 0x1f);
         let mut oracle = CachedBlackBox::new(model, cache);
         let interest = interest_locations_in(&mut oracle, &probes, c.interest_threshold);

@@ -31,7 +31,7 @@
 //! never produced a model, yet its warm-start round is priced anyway.
 //!
 //! Because every per-round input is bit-identical across trainer-pool
-//! widths (exact per-thread FLOP measurement, per-user seeds, link
+//! widths (compute priced from what each job ran, per-user seeds, link
 //! assignment from the fleet seed), the event trace, every
 //! [`RoundRecord`] and the fingerprint are too: pool width is a
 //! host-compute knob that must not change the simulated timeline.
@@ -511,7 +511,12 @@ mod tests {
                     cached: 0,
                     cache_misses: 10,
                 },
-                fit: FitReport { epoch_losses: vec![0.5], steps: 4, samples_per_epoch: 4 },
+                fit: FitReport {
+                    epoch_losses: vec![0.5],
+                    steps: 4,
+                    samples_per_epoch: 4,
+                    flops: 0,
+                },
                 enroll_latency: Duration::from_millis(5),
                 train_simulated: Duration::from_millis(4 + (i as u64 + salt) % 3),
                 audit_simulated: Duration::from_millis(2),

@@ -19,7 +19,7 @@
 
 use std::time::{Duration, Instant};
 
-use pelican::platform::{measure_thread, ComputeTier};
+use pelican::platform::{ComputeTier, ResourceUsage};
 use pelican::{DefenseKind, PersonalizationConfig, PersonalizationMethod};
 use pelican_mobility::FeatureSpace;
 use pelican_nn::{FitReport, ModelEnvelope, SequenceModel};
@@ -73,7 +73,7 @@ struct Candidate {
     started: Instant,
     train_simulated: Duration,
     audit_simulated: Duration,
-    /// FLOPs the worker thread recorded training and auditing this job.
+    /// FLOPs training and auditing this job cost.
     flops: u64,
 }
 
@@ -118,7 +118,8 @@ impl FleetTrainer {
     }
 
     /// Trains one candidate model (fresh personalization or warm-start
-    /// update). Returns the undefended candidate and its fit report.
+    /// update). Returns the undefended candidate and its fit report, whose
+    /// `flops` is what the training is priced at.
     ///
     /// This is the single-job entry point the streaming loop re-trains
     /// through: a [`JobKind::WarmStart`] job decodes the published
@@ -223,17 +224,13 @@ impl FleetTrainer {
             // envelope to the publication channel.
             |index, job| {
                 let started = Instant::now();
-                // Per-thread measurement: each job runs entirely on one
-                // worker, so its simulated device cost is exact and
-                // bit-identical for any pool width — the input the
-                // network simulation replays.
-                let ((candidate, fit), train_usage) = measure_thread(ComputeTier::Device, || {
-                    self.train_candidate(&general_envelope, job)
-                });
-                let ((published, gate, cache), audit_usage) =
-                    measure_thread(ComputeTier::Device, || {
-                        self.gate.admit_with_cache(candidate, space, &job.subject)
-                    });
+                let (candidate, fit) = self.train_candidate(&general_envelope, job);
+                let (published, gate, cache) =
+                    self.gate.admit_with_cache(candidate, space, &job.subject);
+                // Priced from what ran: the same for any pool width, which
+                // is what the network simulation replays.
+                let train_usage = ResourceUsage::priced(ComputeTier::Device, fit.flops);
+                let audit_usage = ResourceUsage::priced(ComputeTier::Device, cache.flops);
                 Candidate {
                     index,
                     user_id: job.user_id,

@@ -27,9 +27,9 @@ pub struct JobOutcome {
     pub fit: FitReport,
     /// Host time from job steal to registry publication.
     pub enroll_latency: Duration,
-    /// Simulated device-tier time of this job's training, derived from
-    /// its exact per-thread FLOP count (deterministic for any pool
-    /// width) — the `train` stage of the network simulation.
+    /// Simulated device-tier time of this job's training, priced from its
+    /// fit's FLOPs (deterministic for any pool width) — the `train` stage
+    /// of the network simulation.
     pub train_simulated: Duration,
     /// Simulated device-tier time of this job's privacy audit
     /// (deterministic) — the `audit` stage of the network simulation.
@@ -48,9 +48,8 @@ pub struct TrainReport {
     pub outcomes: Vec<JobOutcome>,
     /// Host wall-clock time of the whole run.
     pub wall: Duration,
-    /// Total floating-point operations spent (training + audits): the
-    /// sum of what each job's worker thread recorded for it, so nothing
-    /// else running in the process leaks in.
+    /// Total floating-point operations the jobs are priced at, training
+    /// and audits, each a function of what its job ran.
     pub flops: u64,
     /// Enroll latencies sorted ascending, built once at construction so
     /// percentile queries never re-clone or re-sort the outcomes.
@@ -187,7 +186,7 @@ mod tests {
                 cached: 4,
                 cache_misses: 6,
             },
-            fit: FitReport { epoch_losses: vec![1.0], steps: 1, samples_per_epoch: 1 },
+            fit: FitReport { epoch_losses: vec![1.0], steps: 1, samples_per_epoch: 1, flops: 0 },
             enroll_latency: Duration::from_millis(latency_ms),
             train_simulated: Duration::from_millis(2),
             audit_simulated: Duration::from_millis(1),

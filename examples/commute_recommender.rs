@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use pelican::platform::{measure_thread, ComputeTier};
+use pelican::platform::{ComputeTier, ResourceUsage};
 use pelican::workbench::Scenario;
 use pelican::PrivacyLayer;
 use pelican_mobility::{Scale, SpatialLevel};
@@ -37,8 +37,8 @@ fn main() {
     let fresh_samples = &full.personal[0].train;
     let train = TrainConfig { epochs: 4, batch_size: 16, ..TrainConfig::default() };
     let mut updated = user.model.clone();
-    let (report, usage) =
-        measure_thread(ComputeTier::Device, || fit(&mut updated, fresh_samples, &train));
+    let report = fit(&mut updated, fresh_samples, &train);
+    let usage = ResourceUsage::priced(ComputeTier::Device, report.flops);
     println!(
         "update: {} steps, {:.3} billion simulated device cycles",
         report.steps,

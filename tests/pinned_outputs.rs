@@ -13,13 +13,16 @@
 //! makes the host faster, or only deletes code, must leave every one of
 //! them as it is. A change that means to move the reproduction re-records them and
 //! says so. The workbench scenario was recorded at `955ff11`, before its
-//! personalizer wrapper and second serving tier were deleted.
+//! personalizer wrapper and second serving tier were deleted; its
+//! from-scratch LSTM and Reuse rows and the predicted-prior admission at
+//! `56c9d2d`, before compute was priced from shapes instead of counted.
 
 use std::sync::Arc;
 
-use pelican::platform::ComputeTier;
+use pelican::platform::{ComputeTier, ResourceUsage};
 use pelican::workbench::Scenario;
 use pelican::{DefenseKind, PersonalizationConfig, PersonalizationMethod};
+use pelican_attacks::PriorKind;
 use pelican_bench::experiments::abx;
 use pelican_bench::RunConfig;
 use pelican_live::{bootstrap_jobs, run_live, DriftConfig, DriftMetric, LiveConfig};
@@ -159,6 +162,31 @@ fn fixed_seed_gate_outcomes_are_the_recorded_ones() {
 }
 
 #[test]
+fn predicted_prior_admission_is_priced_as_recorded() {
+    // A prior predicted from 32 probes of the candidate itself, under a
+    // zero budget that climbs the whole ladder: the probes run beside the
+    // oracle, uncached, on each of the four audits.
+    let (dataset, general, users) = tiny_setting();
+    let subject = bootstrap_jobs(&dataset, users, &live_config()).remove(0).subject;
+    let n = dataset.n_locations();
+    let gate = AuditGate::new(AuditConfig {
+        prior: PriorKind::Predict,
+        max_leakage: 0.0,
+        ks: vec![1, n],
+        audit_k: n,
+        ..AuditConfig::default()
+    });
+    let (_, outcome, cache) = gate.admit_with_cache(general.clone(), &dataset.space, &subject);
+    let usage = ResourceUsage::priced(ComputeTier::Device, cache.flops);
+    assert_eq!(outcome.audits, 4, "the admission's ladder moved");
+    assert_eq!(
+        (usage.flops, usage.simulated.as_nanos()),
+        (32_770_560, 7_447_855),
+        "the admission's priced device time moved"
+    );
+}
+
+#[test]
 fn tiny_serving_pass_is_the_recorded_one() {
     // Twelve enrolled users with a model each and two clients on the
     // general fallback, behind a registry that keeps four models decoded:
@@ -259,6 +287,14 @@ fn tiny_scenario_is_the_recorded_one() {
             201_243_744,
             [18_054_164, 15_245_738, 12_437_313],
         ),
+        (
+            PersonalizationMethod::Lstm,
+            0x40de_ac29_bbe7_b1a1,
+            4_529_226_240,
+            186_009_696,
+            [16_687_473, 14_091_644, 11_495_815],
+        ),
+        (PersonalizationMethod::Reuse, 0x2e20_e760_7ab9_4905, 4_529_226_240, 0, [0, 0, 0]),
     ];
     for (method, envelopes, general_flops, personal_flops, personal_ns) in cases {
         let scenario = Scenario::builder(Scale::Tiny, SpatialLevel::Building)
