@@ -235,9 +235,12 @@ fn put_matrix(buf: &mut BytesMut, m: &Matrix) {
     put_f32s(buf, m.as_slice());
 }
 
+/// Appends `xs` as little-endian `f32`s in one pass over the new tail.
 fn put_f32s(buf: &mut BytesMut, xs: &[f32]) {
-    for &x in xs {
-        buf.put_f32_le(x);
+    let start = buf.len();
+    buf.resize(start + 4 * xs.len(), 0);
+    for (dst, x) in buf[start..].as_chunks_mut().0.iter_mut().zip(xs) {
+        *dst = x.to_le_bytes();
     }
 }
 
@@ -255,11 +258,13 @@ fn get_f32(buf: &mut Bytes) -> Result<f32, ModelCodecError> {
     Ok(buf.get_f32_le())
 }
 
+/// Reads `n` little-endian `f32`s in one pass over the front of `buf`.
 fn get_f32s(buf: &mut Bytes, n: usize) -> Result<Vec<f32>, ModelCodecError> {
-    if buf.remaining() < 4 * n {
-        return Err(ModelCodecError::Truncated);
-    }
-    Ok((0..n).map(|_| buf.get_f32_le()).collect())
+    let len =
+        n.checked_mul(4).filter(|&len| len <= buf.remaining()).ok_or(ModelCodecError::Truncated)?;
+    let xs = buf.chunk()[..len].as_chunks().0.iter().map(|&b| f32::from_le_bytes(b)).collect();
+    buf.advance(len);
+    Ok(xs)
 }
 
 fn get_matrix(buf: &mut Bytes, rows: usize, cols: usize) -> Result<Matrix, ModelCodecError> {
@@ -306,6 +311,44 @@ mod tests {
             let xs = vec![vec![0.4; 5], vec![0.1; 5]];
             assert_eq!(m.predict_proba(&xs), decoded.predict_proba(&xs));
         }
+    }
+
+    #[test]
+    fn every_f32_bit_class_round_trips_bit_exact() {
+        // ±0, the smallest and largest subnormals, ±∞, quiet and
+        // signalling NaNs with payloads, and the normal extremes.
+        let classes: Vec<u32> = vec![
+            0x0000_0000,
+            0x8000_0000,
+            0x0000_0001,
+            0x8000_0001,
+            0x007F_FFFF,
+            0x807F_FFFF,
+            0x7F80_0000,
+            0xFF80_0000,
+            0x7FC0_0000,
+            0xFFC0_0001,
+            0x7FC1_2345,
+            0x7F80_0001,
+            0xFFBF_FFFF,
+            0x0080_0000,
+            0x7F7F_FFFF,
+            0xFF7F_FFFF,
+            0x3F80_0000,
+        ];
+        // Eight rows of the class list as weights, eight classes as bias.
+        let cols = classes.len();
+        let weights: Vec<f32> = (0..8 * cols).map(|i| f32::from_bits(classes[i % cols])).collect();
+        let bias: Vec<f32> = classes.iter().rev().take(8).map(|&b| f32::from_bits(b)).collect();
+        let layer = Linear::from_parts(Matrix::from_vec(8, cols, weights.clone()), bias.clone());
+        let model = SequenceModel::from_layers(vec![Layer::Linear(layer)]);
+
+        let decoded = ModelEnvelope::encode(&model).decode().expect("round trip");
+        let Layer::Linear(back) = &decoded.layers()[0] else { panic!("a linear layer") };
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(back.weight().as_slice()), bits(&weights));
+        assert_eq!(bits(back.bias()), bits(&bias));
+        assert_eq!(ModelEnvelope::encode(&decoded), ModelEnvelope::encode(&model));
     }
 
     #[test]

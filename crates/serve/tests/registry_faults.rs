@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use pelican_nn::{ModelEnvelope, SequenceModel};
 use pelican_serve::{Lookup, RegistryConfig, ShardedRegistry};
-use pelican_store::{EnvelopeStore, MemBackend, StorageBackend, StoreConfig};
+use pelican_store::{Bytes, EnvelopeStore, MemBackend, StorageBackend, StoreConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -21,13 +21,13 @@ struct PanicsOnce {
 }
 
 impl StorageBackend for PanicsOnce {
-    fn read(&self, name: &str) -> io::Result<Vec<u8>> {
+    fn read(&self, name: &str) -> io::Result<Bytes> {
         self.disk.read(name)
     }
-    fn read_range(&self, name: &str, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+    fn read_range(&self, name: &str, offset: u64, len: usize) -> io::Result<Bytes> {
         self.disk.read_range(name, offset, len)
     }
-    fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+    fn append(&self, name: &str, bytes: Bytes) -> io::Result<()> {
         assert!(!self.armed.swap(false, Ordering::SeqCst), "backend fault before the write");
         self.disk.append(name, bytes)
     }

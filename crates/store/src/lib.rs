@@ -58,6 +58,8 @@ pub mod record;
 pub mod store;
 
 pub use backend::{DirBackend, MemBackend, StorageBackend};
+/// The shared byte buffer [`StorageBackend`] reads return and appends take.
+pub use bytes::Bytes;
 pub use compress::{compress, decompress, DecompressError};
 pub use record::{Record, ScanEnd, COMMIT_BYTE, FORMAT_VERSION};
 pub use store::{

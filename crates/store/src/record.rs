@@ -30,8 +30,10 @@
 //! was decoded from ([`decode_record`], [`scan_segment`]), and
 //! [`encode_record`] writes from a borrowed payload. Nothing in this
 //! module copies payload bytes except the one `extend_from_slice` into
-//! the output of `encode_record`; a caller that needs the payload past
-//! the buffer's life copies it once, after it verified.
+//! the output of `encode_record`. A caller that read the record into a
+//! shared [`bytes::Bytes`] and needs the payload past the view's life
+//! keeps a window onto it instead: the record's bytes from
+//! [`PAYLOAD_OFFSET`] on, taken after the record verified.
 //!
 //! Because the CRC covers the whole body and the framing around it is
 //! constant (magic in front, commit byte behind), a record's encoding is
@@ -62,9 +64,12 @@ pub const FORMAT_VERSION: u16 = 1;
 pub const COMMIT_BYTE: u8 = 0xC7;
 /// Segment header size in bytes.
 pub const HEADER_LEN: usize = 4 + 2 + 4 + 8;
-/// Fixed record overhead: magic + user + version + flags + raw_len + len
-/// up front, crc + commit behind the payload.
-pub const RECORD_OVERHEAD: usize = 4 + 8 + 8 + 1 + 4 + 4 + 4 + 1;
+/// Where a record's payload starts: magic + user + version + flags +
+/// raw_len + len come first.
+pub const PAYLOAD_OFFSET: usize = 4 + 8 + 8 + 1 + 4 + 4;
+/// Fixed record overhead: the [`PAYLOAD_OFFSET`] bytes up front, crc +
+/// commit behind the payload.
+pub const RECORD_OVERHEAD: usize = PAYLOAD_OFFSET + 4 + 1;
 
 /// `flags` bit 0: payload is LZSS-compressed.
 pub const FLAG_COMPRESSED: u8 = 0b0000_0001;
@@ -316,8 +321,7 @@ pub fn encode_record(out: &mut Vec<u8>, record: &Record) {
 /// ends here). The record's payload borrows `bytes`, and
 /// `bytes[offset..next_offset]` is the record's verified encoding.
 pub fn decode_record(bytes: &[u8], offset: usize) -> Option<(Record<'_>, usize)> {
-    let fixed_front = 4 + 8 + 8 + 1 + 4 + 4;
-    if bytes.len() < offset + fixed_front {
+    if bytes.len() < offset + PAYLOAD_OFFSET {
         return None;
     }
     let at = &bytes[offset..];
@@ -333,10 +337,10 @@ pub fn decode_record(bytes: &[u8], offset: usize) -> Option<(Record<'_>, usize)>
     if bytes.len() < offset + total {
         return None;
     }
-    let payload = &at[fixed_front..fixed_front + len];
-    let stored_crc =
-        u32::from_le_bytes(at[fixed_front + len..fixed_front + len + 4].try_into().expect("crc"));
-    if crc32(&at[4..fixed_front + len]) != stored_crc {
+    let payload_end = PAYLOAD_OFFSET + len;
+    let payload = &at[PAYLOAD_OFFSET..payload_end];
+    let stored_crc = u32::from_le_bytes(at[payload_end..payload_end + 4].try_into().expect("crc"));
+    if crc32(&at[4..payload_end]) != stored_crc {
         return None;
     }
     if at[total - 1] != COMMIT_BYTE {

@@ -30,14 +30,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use bytes::Bytes;
 use pelican_nn::ModelEnvelope;
 
 use crate::backend::StorageBackend;
 use crate::compress::{compress, decompress};
 use crate::record::{
     decode_header, decode_record, encode_header, encode_record, scan_segment, Record, ScanEnd,
-    FLAG_COMPRESSED, HEADER_LEN,
+    FLAG_COMPRESSED, HEADER_LEN, PAYLOAD_OFFSET,
 };
 
 /// Sizing and behaviour knobs for [`EnvelopeStore`].
@@ -385,9 +384,10 @@ impl EnvelopeStore {
     /// only after the sync; `compact_shard` swaps in the fresh chain only
     /// after all of it is synced; a roll to a fresh segment number is
     /// taken up by the next append, which writes that segment's header.
-    /// A panic leaves the same state an error returned at that point
-    /// would, so the guard is taken back rather than every later call on
-    /// the shard panicking.
+    /// So the guard is taken back rather than every later call on the
+    /// shard panicking. (Only an append that returns its error can say
+    /// it may have written part of a record: one that panics mid-write
+    /// leaves the segment longer than the shard records.)
     fn lock(&self, shard: usize) -> MutexGuard<'_, StoreShard> {
         self.shards[shard].lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -408,6 +408,9 @@ impl EnvelopeStore {
     /// not updated in that case. A failed sync may still leave the
     /// record's bytes in the segment, and a later
     /// [`EnvelopeStore::open`] indexes them like any committed record.
+    /// A failed append may leave a prefix of them; unless the backend
+    /// then reports the segment's length unchanged, the next record
+    /// starts a fresh segment, and recovery truncates the prefix.
     pub fn append(
         &self,
         user: u64,
@@ -445,18 +448,33 @@ impl EnvelopeStore {
         // The bytes are in the segment once `append` returns, so its
         // length is recorded before the sync: a sync that fails or
         // panics must not leave the next record indexed at this one's
-        // offset. The index entry waits for the sync.
+        // offset. The index entry waits for the sync. The backend takes
+        // the buffer over.
         let name = segment_name(shard_no as u32, shard.active);
-        self.backend.append(&name, &buf)?;
         let active = shard.active;
-        let new_len = shard.active_len() + buf.len() as u64;
-        shard.segments.insert(active, new_len);
+        let (old_len, appended) = (shard.active_len(), buf.len() as u64);
+        if let Err(e) = self.backend.append(&name, buf.into()) {
+            // The append may have written a prefix of the record. Unless
+            // the backend says the segment still ends where it did, a
+            // record appended after those stray bytes would be served
+            // now but cut off with them by recovery's truncation, so
+            // the next record rolls to a fresh segment.
+            let len = self.backend.size(&name).ok();
+            if let Some(len) = len {
+                shard.segments.insert(active, len);
+            }
+            if len != Some(old_len) {
+                shard.active += 1;
+            }
+            return Err(e.into());
+        }
+        shard.segments.insert(active, old_len + appended);
         self.backend.sync(&name)?; // the durability barrier
 
         let entry = push_entry(&mut shard.index, &record, active, offset);
         self.max_version.fetch_max(version, Ordering::Relaxed);
         self.appended_records.fetch_add(1, Ordering::Relaxed);
-        self.appended_bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
+        self.appended_bytes.fetch_add(appended, Ordering::Relaxed);
         Ok(entry)
     }
 
@@ -479,6 +497,14 @@ impl EnvelopeStore {
 
     /// Fetches the newest committed envelope for a user, or `None` when
     /// the user never published.
+    ///
+    /// An uncompressed envelope is a window onto the bytes the backend
+    /// handed out and the read verified, not a copy: on [`MemBackend`]
+    /// it shares the allocation of the append that wrote it, and keeps
+    /// that allocation alive (through compaction and removal of its
+    /// segment) for as long as the envelope lives.
+    ///
+    /// [`MemBackend`]: crate::MemBackend
     ///
     /// # Errors
     ///
@@ -512,7 +538,8 @@ impl EnvelopeStore {
         }
     }
 
-    /// Fetches one historical version of a user's envelope.
+    /// Fetches one historical version of a user's envelope: a window onto
+    /// the verified record, as for [`EnvelopeStore::fetch_latest`].
     ///
     /// # Errors
     ///
@@ -533,8 +560,8 @@ impl EnvelopeStore {
     }
 
     /// Reads and verifies one of `user`'s indexed records, inflating
-    /// when needed; a raw payload is copied once, out of the verified
-    /// view.
+    /// when needed; a raw payload is a window onto the verified record
+    /// (its bytes from [`PAYLOAD_OFFSET`] on), not a copy.
     fn read_entry(&self, user: u64, entry: &VersionEntry) -> Result<ModelEnvelope, StoreError> {
         let corrupt = || StoreError::Corrupt { segment: entry.segment, offset: entry.offset };
         let name = segment_name(self.shard_of(user) as u32, entry.segment);
@@ -543,7 +570,7 @@ impl EnvelopeStore {
         let payload = if record.is_compressed() {
             decompress(record.payload, record.raw_len as usize).map_err(|_| corrupt())?.into()
         } else {
-            Bytes::copy_from_slice(record.payload)
+            bytes.slice(PAYLOAD_OFFSET..PAYLOAD_OFFSET + record.payload.len())
         };
         Ok(ModelEnvelope::from_bytes(payload))
     }
@@ -600,20 +627,20 @@ impl EnvelopeStore {
             let (record, end) = decode_entry(&bytes, user, &entry)?;
             if buf.len() as u64 + end as u64 > self.config.segment_bytes && buf.len() > HEADER_LEN {
                 let name = segment_name(shard_no as u32, seq);
-                self.backend.append(&name, &buf)?;
+                let full = std::mem::replace(&mut buf, encode_header(shard_no as u32, seq + 1));
+                fresh_segments.insert(seq, full.len() as u64);
+                self.backend.append(&name, full.into())?;
                 self.backend.sync(&name)?;
-                fresh_segments.insert(seq, buf.len() as u64);
                 seq += 1;
-                buf = encode_header(shard_no as u32, seq);
             }
             let offset = buf.len() as u64;
             buf.extend_from_slice(&bytes[..end]);
             push_entry(&mut fresh_index, &record, seq, offset);
         }
         let name = segment_name(shard_no as u32, seq);
-        self.backend.append(&name, &buf)?;
-        self.backend.sync(&name)?;
         fresh_segments.insert(seq, buf.len() as u64);
+        self.backend.append(&name, buf.into())?;
+        self.backend.sync(&name)?;
 
         // Point the shard at the fresh chain, then drop the old files.
         shard.index = fresh_index;
@@ -726,6 +753,8 @@ mod tests {
     use super::*;
     use crate::backend::MemBackend;
 
+    const PAYLOAD: u64 = PAYLOAD_OFFSET as u64;
+
     fn envelope(fill: u8, len: usize) -> ModelEnvelope {
         // Payload bytes are arbitrary from the store's point of view.
         ModelEnvelope::from_bytes(vec![fill; len])
@@ -737,13 +766,13 @@ mod tests {
         (store, backend)
     }
 
-    /// Flips one bit of a stored file (29 = the record's fixed front, so
-    /// `record offset + 29 + i` is payload byte `i`).
+    /// Flips one bit of a stored file (`record offset + PAYLOAD + i` is
+    /// payload byte `i`).
     fn flip_bit(disk: &MemBackend, name: &str, pos: u64) {
-        let mut bytes = disk.read(name).unwrap();
+        let mut bytes = disk.read(name).unwrap().to_vec();
         bytes[pos as usize] ^= 0x01;
         disk.truncate(name, 0).unwrap();
-        disk.append(name, &bytes).unwrap();
+        disk.append(name, bytes.into()).unwrap();
     }
 
     #[test]
@@ -764,6 +793,44 @@ mod tests {
             Err(StoreError::UnknownVersion { user: 7, version: 9 })
         ));
         assert_eq!(store.fetch_latest(42).unwrap(), None);
+    }
+
+    #[test]
+    fn fetches_are_windows_onto_the_appended_record() {
+        let (store, _) = open_mem(StoreConfig::default());
+        store.append(7, 1, &envelope(0xAA, 300)).unwrap();
+        let (a, b) = (store.fetch(7, 1).unwrap(), store.fetch_latest(7).unwrap().unwrap());
+        assert_eq!(a.as_bytes(), &vec![0xAA; 300][..]);
+        assert_eq!(a.as_bytes().as_ptr(), b.as_bytes().as_ptr(), "both share the append's bytes");
+    }
+
+    #[test]
+    fn a_fetched_envelope_outlives_its_compacted_segment() {
+        let config = StoreConfig {
+            shards: 1,
+            compaction: CompactionPolicy { retain_versions: 1 },
+            ..StoreConfig::default()
+        };
+        let (store, backend) = open_mem(config);
+        store.append(5, 1, &envelope(1, 200)).unwrap();
+        store.append(5, 2, &envelope(2, 200)).unwrap();
+        let (old, kept) = (store.fetch(5, 1).unwrap(), store.fetch(5, 2).unwrap());
+        store.compact().unwrap();
+        assert_eq!(backend.list().unwrap(), vec![segment_name(0, 1)], "segment 0 is removed");
+        assert!(matches!(store.fetch(5, 1), Err(StoreError::UnknownVersion { .. })));
+        assert_eq!(old.as_bytes(), &vec![1u8; 200][..]);
+        assert_eq!(kept.as_bytes(), &vec![2u8; 200][..]);
+        assert_eq!(store.fetch(5, 2).unwrap(), kept, "equal bytes, another allocation");
+    }
+
+    #[test]
+    fn a_fetched_envelope_is_unchanged_by_a_later_rewrite_of_its_file() {
+        let (store, backend) = open_mem(StoreConfig { shards: 1, ..StoreConfig::default() });
+        let entry = store.append(5, 1, &envelope(3, 200)).unwrap();
+        let before = store.fetch(5, 1).unwrap();
+        flip_bit(&backend, &segment_name(0, 0), entry.offset + PAYLOAD + 100);
+        assert!(matches!(store.fetch(5, 1), Err(StoreError::Corrupt { .. })));
+        assert_eq!(before.as_bytes(), &vec![3u8; 200][..]);
     }
 
     #[test]
@@ -859,7 +926,7 @@ mod tests {
         let disk = backend.snapshot();
         let victim = EnvelopeStore::open(Arc::new(disk.clone()), config).expect("clean reopen");
         let name = segment_name(0, entry.segment);
-        flip_bit(&disk, &name, entry.offset + 29 + 100);
+        flip_bit(&disk, &name, entry.offset + PAYLOAD + 100);
 
         // Compaction copies stored bytes verbatim, so it must verify
         // them first: the flipped bit is an error, never a "survivor".
@@ -932,7 +999,7 @@ mod tests {
         let crash = backend.snapshot();
         let name = segment_name(0, 0);
         let committed = crash.size(&name).unwrap();
-        crash.append(&name, b"PLOG torn half-record junk").unwrap();
+        crash.append(&name, b"PLOG torn half-record junk"[..].into()).unwrap();
 
         let recovered = EnvelopeStore::open(Arc::new(crash.clone()), config).expect("recover");
         assert_eq!(recovered.recovery().torn_segments, 1);
@@ -960,7 +1027,7 @@ mod tests {
 
         let crash = backend.snapshot();
         let name = segment_name(0, 0);
-        flip_bit(&crash, &name, last.offset + 29 + 60);
+        flip_bit(&crash, &name, last.offset + PAYLOAD + 60);
 
         let recovered = EnvelopeStore::open(Arc::new(crash.clone()), config).expect("recover");
         assert_eq!(recovered.recovery().torn_segments, 1);
@@ -972,7 +1039,7 @@ mod tests {
     #[test]
     fn foreign_files_are_rejected() {
         let backend = MemBackend::new();
-        backend.append("notes.txt", b"hello").unwrap();
+        backend.append("notes.txt", b"hello"[..].into()).unwrap();
         let err = EnvelopeStore::open(Arc::new(backend), StoreConfig::default());
         assert!(matches!(err, Err(StoreError::BadSegment { .. })));
     }

@@ -11,9 +11,10 @@
 //! sampled: the loop runs once per byte of the log.
 //!
 //! Truncation alone never needs the CRC: the length and the commit byte
-//! catch every torn tail. So two more failures are driven here: a single
-//! flipped bit in a committed record (only the CRC can see it), and a
-//! backend that panics inside `append` or `sync`.
+//! catch every torn tail. So more failures are driven here: a single
+//! flipped bit in a committed record (only the CRC can see it), a
+//! backend that panics inside `append` or `sync`, and one whose `append`
+//! writes a prefix of the record and then returns an error.
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -22,7 +23,7 @@ use std::sync::Arc;
 
 use pelican_nn::ModelEnvelope;
 use pelican_store::record::{decode_record, HEADER_LEN};
-use pelican_store::{EnvelopeStore, MemBackend, StorageBackend, StoreConfig, StoreError};
+use pelican_store::{Bytes, EnvelopeStore, MemBackend, StorageBackend, StoreConfig, StoreError};
 
 const SEGMENT: &str = "shard0000-seg00000000.plog";
 
@@ -188,10 +189,10 @@ fn recovery_is_per_user_across_shards() {
 
 /// Flips one bit of a stored file in place.
 fn flip_bit(disk: &MemBackend, name: &str, pos: u64) {
-    let mut bytes = disk.read(name).unwrap();
+    let mut bytes = disk.read(name).unwrap().to_vec();
     bytes[pos as usize] ^= 0x04;
     disk.truncate(name, 0).unwrap();
-    disk.append(name, &bytes).unwrap();
+    disk.append(name, bytes.into()).unwrap();
 }
 
 #[test]
@@ -259,13 +260,13 @@ impl PanicsOnce {
 }
 
 impl StorageBackend for PanicsOnce {
-    fn read(&self, name: &str) -> io::Result<Vec<u8>> {
+    fn read(&self, name: &str) -> io::Result<Bytes> {
         self.disk.read(name)
     }
-    fn read_range(&self, name: &str, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+    fn read_range(&self, name: &str, offset: u64, len: usize) -> io::Result<Bytes> {
         self.disk.read_range(name, offset, len)
     }
-    fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+    fn append(&self, name: &str, bytes: Bytes) -> io::Result<()> {
         assert!(!self.in_append.swap(false, Ordering::SeqCst), "backend fault before the write");
         self.disk.append(name, bytes)
     }
@@ -345,5 +346,92 @@ fn a_sync_panic_after_the_write_leaves_the_next_record_at_its_own_offset() {
     assert_eq!(reopened.recovery().torn_segments, 0);
     for v in 1..=3 {
         assert_eq!(reopened.fetch(1, v).unwrap().as_bytes(), envelope(v).as_bytes());
+    }
+}
+
+/// A backend whose armed `append` writes the first `prefix` bytes of its
+/// buffer and then returns an error, and whose `size` fails while
+/// `blind` is set.
+#[derive(Debug)]
+struct ShortWrite {
+    disk: MemBackend,
+    prefix: usize,
+    armed: AtomicBool,
+    blind: AtomicBool,
+}
+
+impl StorageBackend for ShortWrite {
+    fn read(&self, name: &str) -> io::Result<Bytes> {
+        self.disk.read(name)
+    }
+    fn read_range(&self, name: &str, offset: u64, len: usize) -> io::Result<Bytes> {
+        self.disk.read_range(name, offset, len)
+    }
+    fn append(&self, name: &str, bytes: Bytes) -> io::Result<()> {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.disk.append(name, bytes.slice(..self.prefix))?;
+            return Err(io::Error::other("the medium failed mid-write"));
+        }
+        self.disk.append(name, bytes)
+    }
+    fn sync(&self, name: &str) -> io::Result<()> {
+        self.disk.sync(name)
+    }
+    fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
+        self.disk.truncate(name, len)
+    }
+    fn remove(&self, name: &str) -> io::Result<()> {
+        self.disk.remove(name)
+    }
+    fn list(&self) -> io::Result<Vec<String>> {
+        self.disk.list()
+    }
+    fn size(&self, name: &str) -> io::Result<u64> {
+        if self.blind.load(Ordering::SeqCst) {
+            return Err(io::Error::other("the medium cannot say"));
+        }
+        self.disk.size(name)
+    }
+}
+
+#[test]
+fn an_append_error_after_a_partial_write_leaves_the_next_publish_served_and_durable() {
+    // (bytes the failed append writes, whether `size` fails after it).
+    for (prefix, blind) in [(0, false), (0, true), (100, false), (100, true)] {
+        let case = format!("prefix {prefix}, size fails: {blind}");
+        let disk = MemBackend::new();
+        let backend = Arc::new(ShortWrite {
+            disk: disk.clone(),
+            prefix,
+            armed: AtomicBool::new(false),
+            blind: AtomicBool::new(blind),
+        });
+        let store = EnvelopeStore::open(backend.clone(), config(false)).unwrap();
+        store.append(1, 1, &envelope(1)).unwrap();
+        let committed = disk.size(SEGMENT).unwrap();
+
+        backend.armed.store(true, Ordering::SeqCst);
+        let failed = store.append(1, 2, &envelope(2));
+        assert!(matches!(failed, Err(StoreError::Io(_))), "{case}");
+        assert_eq!(disk.size(SEGMENT).unwrap(), committed + prefix as u64, "{case}");
+        assert_eq!(store.versions(1), vec![1], "{case}: the failed publish is not visible");
+
+        // The next publish lands where it is indexed and is served. Only
+        // a segment known to end where the shard thinks it does takes it.
+        let next = store.append(1, 3, &envelope(3)).unwrap();
+        assert_eq!(store.fetch(1, 3).unwrap().as_bytes(), envelope(3).as_bytes(), "{case}");
+        assert_eq!(store.fetch_latest(1).unwrap().unwrap().as_bytes(), envelope(3).as_bytes());
+        let segments = if (prefix, blind) == (0, false) { 1 } else { 2 };
+        assert_eq!(disk.list().unwrap().len(), segments, "{case}");
+        drop(store);
+
+        // Acknowledged means durable: recovery cuts the stray prefix
+        // and keeps the publish after it.
+        let reopened = EnvelopeStore::open(Arc::new(disk.clone()), config(false)).unwrap();
+        assert_eq!(reopened.versions(1), vec![1, 3], "{case}");
+        assert_eq!(reopened.recovery().torn_bytes, prefix as u64, "{case}");
+        assert_eq!(reopened.fetch(1, 3).unwrap().as_bytes(), envelope(3).as_bytes(), "{case}");
+        let in_place = if segments == 1 { next.stored_len as u64 } else { 0 };
+        assert_eq!(disk.size(SEGMENT).unwrap(), committed + in_place, "{case}");
     }
 }

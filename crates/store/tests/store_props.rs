@@ -6,7 +6,9 @@
 //! properties below drive randomized publication schedules (arbitrary
 //! payloads, users, history depths, compression on or off) and assert
 //! the replayed index and every payload are identical, and that the
-//! LZSS coder is lossless on its own.
+//! LZSS coder is lossless on its own. Below the store, `MemBackend` (a
+//! file is a list of immutable chunks) is driven against a plain
+//! `Vec<u8>` with random appends, truncates, ranged reads and forks.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -14,7 +16,28 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use pelican_nn::ModelEnvelope;
-use pelican_store::{compress, decompress, EnvelopeStore, MemBackend, StoreConfig};
+use pelican_store::{compress, decompress, EnvelopeStore, MemBackend, StorageBackend, StoreConfig};
+
+/// One call on a `MemBackend` file. Offsets and lengths are taken modulo
+/// a little past the file's length, so most land inside it.
+#[derive(Debug, Clone)]
+enum FileOp {
+    Append(Vec<u8>),
+    Truncate(u64),
+    ReadRange(u64, usize),
+    /// Go on with a snapshot; the forked-from backend must keep its bytes.
+    Fork,
+}
+
+fn file_op() -> impl Strategy<Value = FileOp> {
+    let bytes = prop::collection::vec(0u8..=255, 0..48);
+    (0u8..8, bytes, 0u64..1_000, 0usize..1_000).prop_map(|(kind, bytes, at, len)| match kind {
+        0..=2 => FileOp::Append(bytes),
+        3 => FileOp::Truncate(at),
+        4..=6 => FileOp::ReadRange(at, len),
+        _ => FileOp::Fork,
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -94,6 +117,55 @@ proptest! {
         drop(store);
         let replayed = EnvelopeStore::open(Arc::new(disk), config).unwrap();
         prop_assert_eq!(replayed.versions(3).len(), retain.min(depth));
+    }
+
+    #[test]
+    fn mem_backend_matches_a_byte_vector_model(ops in prop::collection::vec(file_op(), 1..64)) {
+        const FILE: &str = "seg";
+        let mut disk = MemBackend::new();
+        disk.append(FILE, Vec::new().into()).unwrap();
+        let mut model: Vec<u8> = Vec::new();
+        // Every range read and fork so far, with what it must still hold.
+        let mut reads = Vec::new();
+        let mut forks = Vec::new();
+        for op in ops {
+            let room = model.len() as u64 + 2;
+            match op {
+                FileOp::Append(bytes) => {
+                    model.extend_from_slice(&bytes);
+                    disk.append(FILE, bytes.into()).unwrap();
+                }
+                FileOp::Truncate(len) => {
+                    let len = len % room;
+                    model.truncate(len as usize);
+                    disk.truncate(FILE, len).unwrap();
+                }
+                FileOp::ReadRange(at, len) => {
+                    let (at, len) = (at % room, len % room as usize);
+                    let got = disk.read_range(FILE, at, len);
+                    match model.get(at as usize..at as usize + len) {
+                        Some(want) => {
+                            let got = got.unwrap();
+                            prop_assert_eq!(&got[..], want);
+                            reads.push((got, want.to_vec()));
+                        }
+                        None => prop_assert!(got.is_err(), "{}+{} past {}", at, len, model.len()),
+                    }
+                }
+                FileOp::Fork => {
+                    let fork = disk.snapshot();
+                    forks.push((std::mem::replace(&mut disk, fork), model.clone()));
+                }
+            }
+            prop_assert_eq!(disk.size(FILE).unwrap(), model.len() as u64);
+            prop_assert_eq!(&disk.read(FILE).unwrap()[..], &model[..]);
+        }
+        for (got, want) in &reads {
+            prop_assert_eq!(&got[..], &want[..], "a read changed after later calls");
+        }
+        for (fork, want) in &forks {
+            prop_assert_eq!(&fork.read(FILE).unwrap()[..], &want[..], "a fork saw later calls");
+        }
     }
 
     #[test]
