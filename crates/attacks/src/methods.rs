@@ -2,11 +2,12 @@
 //!
 //! The two enumeration attacks ([`BruteForce`], [`TimeBased`]) vary one
 //! hidden timestep around steps that stay put, so each hands its oracle
-//! whole *sweeps* ([`BlackBox::predict_proba_sweep`]): a template of the
+//! whole *sweeps* ([`BlackBox::confidence_sweep`]): a template of the
 //! known steps, the hidden slot, and a matrix with one 4-hot candidate
 //! per row — one sweep per instance for the time-based attack, one per
-//! enumerated location for brute force. Scores are then read off the
-//! answers in enumeration order.
+//! enumerated location for brute force — answered with each candidate's
+//! confidence in the observed output, the one class the attack reads.
+//! Scores are then read off the answers in enumeration order.
 
 use serde::{Deserialize, Serialize};
 
@@ -71,8 +72,14 @@ pub fn interest_locations(
         fn predict_proba(&mut self, xs: &[Step]) -> Step {
             self.0.predict_proba(xs)
         }
-        fn predict_proba_sweep(&mut self, template: &[Step], slot: usize, c: &Matrix) -> Vec<Step> {
-            self.0.predict_proba_sweep(template, slot, c)
+        fn confidence_sweep(
+            &mut self,
+            template: &[Step],
+            slot: usize,
+            c: Matrix,
+            class: usize,
+        ) -> Vec<f32> {
+            self.0.confidence_sweep(template, slot, &c, class)
         }
         fn input_gradient(&mut self, _xs: &Sequence, _target: usize) -> (f32, Sequence) {
             unreachable!("interest probing is black-box only")
@@ -200,9 +207,10 @@ fn sweep_scores<M: BlackBox>(
         space.encode_into(l, e, d, instance.day_of_week, rows.row_mut(r));
     }
     let template = template(space, prior, instance);
-    let answers = model.predict_proba_sweep(&template, instance.target_step(), &rows);
-    for (&(l, _, _), confidences) in candidates.iter().zip(&answers) {
-        let score = confidences[instance.observed_output] as f64 * prior.prob(l);
+    let answers =
+        model.confidence_sweep(&template, instance.target_step(), rows, instance.observed_output);
+    for (&(l, _, _), &confidence) in candidates.iter().zip(&answers) {
+        let score = confidence as f64 * prior.prob(l);
         if score > scores[l] {
             scores[l] = score;
         }

@@ -7,12 +7,13 @@
 //! exactly that interface (plus the input-gradient oracle the
 //! gradient-descent attack needs), so attack methods are generic over
 //! *what* answers their queries. Queries come in two shapes: a single
-//! sequence ([`BlackBox::predict_proba`], the interest probes) and a
-//! *sweep* ([`BlackBox::predict_proba_sweep`]) — the enumeration attacks'
-//! thousand candidates for one hidden timestep around the same known
-//! steps, handed over whole so an oracle holding the model can answer
-//! them through [`SequenceModel::logits_sweep`] instead of a thousand
-//! forward passes.
+//! sequence ([`BlackBox::predict_proba`], the interest probes, which read
+//! every class) and a *sweep* ([`BlackBox::confidence_sweep`]) — the
+//! enumeration attacks' thousand candidates for one hidden timestep
+//! around the same known steps, handed over whole so an oracle holding
+//! the model can answer them through [`SequenceModel::logits_sweep`]
+//! instead of a thousand forward passes, and answered with the one
+//! class the attack reads.
 //!
 //! A plain [`SequenceModel`] is the deployed model; [`CachedBlackBox`]
 //! wraps one with a [`LogitCache`], which remembers two things per query
@@ -37,11 +38,17 @@
 //!   This tier *is* checked — [`CachedBlackBox::new`] binds it to the
 //!   model's prefix identity and empties it on a mismatch — because it
 //!   is the part handed from one candidate to the next on purpose.
+//!
+//! Beside each cached row sits its softmax normaliser
+//! ([`SoftmaxNorm`]), stamped with the temperature it was computed
+//! under: a class sweep that replays a row under that temperature (a
+//! re-audit under the admitted defense, a duplicate query inside a
+//! rung) pays one `exp` for its answer instead of a softmax.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashMap;
 
-use pelican_nn::{sweep_query_hashes, PrefixTier, Sequence, SequenceModel, Step};
-use pelican_tensor::Matrix;
+use pelican_nn::{sweep_query_hashes, Postprocess, PrefixTier, Sequence, SequenceModel, Step};
+use pelican_tensor::{inverse_temperature, Matrix, SoftmaxNorm};
 
 /// Black-box (plus gradient-oracle) access to a deployed model.
 pub trait BlackBox {
@@ -50,16 +57,19 @@ pub trait BlackBox {
     /// The deployed confidence vector for a query — what the paper's
     /// adversary observes.
     fn predict_proba(&mut self, xs: &[Step]) -> Step;
-    /// The deployed confidence vectors for a sweep of queries: answer `i`
-    /// is for `template` with row `i` of `candidates` at timestep `slot`
-    /// (`template[slot]` itself is ignored), exactly as if each had been
-    /// asked through [`BlackBox::predict_proba`] in row order.
-    fn predict_proba_sweep(
+    /// The deployed confidence in `class` for a sweep of queries: answer
+    /// `i` is for `template` with row `i` of `candidates` at timestep
+    /// `slot` (`template[slot]` itself is ignored), exactly entry `class`
+    /// of what [`BlackBox::predict_proba`] would have answered, had each
+    /// been asked through it in row order. The candidates are handed
+    /// over, so an oracle that runs them all need not copy them.
+    fn confidence_sweep(
         &mut self,
         template: &[Step],
         slot: usize,
-        candidates: &Matrix,
-    ) -> Vec<Step>;
+        candidates: Matrix,
+        class: usize,
+    ) -> Vec<f32>;
     /// Input-gradient oracle used by the gradient-descent attack (a
     /// white-box concession the paper also grants that method).
     fn input_gradient(&mut self, xs: &Sequence, target: usize) -> (f32, Sequence);
@@ -74,13 +84,14 @@ impl BlackBox for SequenceModel {
         SequenceModel::predict_proba(self, xs)
     }
 
-    fn predict_proba_sweep(
+    fn confidence_sweep(
         &mut self,
         template: &[Step],
         slot: usize,
-        candidates: &Matrix,
-    ) -> Vec<Step> {
-        SequenceModel::predict_proba_sweep(self, template, slot, candidates)
+        candidates: Matrix,
+        class: usize,
+    ) -> Vec<f32> {
+        SequenceModel::confidence_sweep(self, template, slot, &candidates, class)
     }
 
     fn input_gradient(&mut self, xs: &Sequence, target: usize) -> (f32, Sequence) {
@@ -104,13 +115,18 @@ pub struct LogitCache {
     /// The cached logits, one row per query, flat: a `Vec` per query
     /// would cost a quarter more memory than the logits themselves.
     logits: Vec<f32>,
+    /// Per row, the softmax normaliser of its logits and the bits of the
+    /// temperature it was computed under. No temperature has the bits
+    /// of `0.0`, so a row that was never normalised carries that stamp.
+    norms: Vec<(u32, SoftmaxNorm)>,
     /// Queries answered from the cache (no forward pass).
     pub hits: u64,
     /// Queries that ran a real forward pass (and filled the cache).
     pub misses: u64,
     /// FLOPs the answers given through this cache cost: a miss's forward
     /// pass, every answer's confidences, each input gradient, and what an
-    /// audit runs beside its oracle.
+    /// audit runs beside its oracle. A remembered normaliser is priced as
+    /// a computed one.
     pub flops: u64,
     /// The second tier: frozen-prefix activations of the queries that
     /// missed the logits, with its own hit/miss counters. Move it into a
@@ -133,6 +149,11 @@ impl LogitCache {
     /// Whether no logits are cached yet.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+
+    /// The cached logits of row `at`.
+    fn row(&self, at: usize, width: usize) -> &[f32] {
+        &self.logits[at * width..(at + 1) * width]
     }
 }
 
@@ -160,73 +181,110 @@ impl<'m, 'c> CachedBlackBox<'m, 'c> {
     }
 }
 
+impl CachedBlackBox<'_, '_> {
+    /// Looks every query of a sweep up in the cache and returns its hash
+    /// and cache row. Hits, misses and cache contents end up exactly as
+    /// the one-at-a-time loop would leave them: a candidate is a miss the
+    /// first time its fingerprint is seen — in the cache or earlier in
+    /// this sweep — and a hit after that. Only the misses reach the
+    /// model, as one sub-sweep through the prefix tier (the candidates
+    /// themselves when every one missed).
+    fn lookup(&mut self, template: &[Step], slot: usize, candidates: Matrix) -> Vec<(u64, usize)> {
+        let keys = sweep_query_hashes(template, slot, &candidates);
+        let mut missed = Vec::new();
+        let found: Vec<(u64, usize)> = keys
+            .iter()
+            .enumerate()
+            .map(|(row, &key)| {
+                // Claiming the next row makes a later duplicate a hit;
+                // the row is filled before anything reads it.
+                let next = u32::try_from(self.cache.rows.len()).expect("fewer than 2^32 queries");
+                let at = *self.cache.rows.entry(key).or_insert_with(|| {
+                    missed.push(row);
+                    next
+                });
+                (key, at as usize)
+            })
+            .collect();
+        self.cache.misses += missed.len() as u64;
+        self.cache.hits += (keys.len() - missed.len()) as u64;
+        self.cache.flops += self.model.infer_cost(missed.len() * template.len(), keys.len());
+        let (to_run, fresh_keys) = if missed.len() == keys.len() {
+            (candidates, keys)
+        } else {
+            (candidates.select_rows(&missed), missed.iter().map(|&row| keys[row]).collect())
+        };
+        let logits = self.model.logits_sweep_tiered(
+            template,
+            slot,
+            to_run,
+            &fresh_keys,
+            &mut self.cache.prefix,
+        );
+        // Rows are claimed in the order queries first miss, which is the
+        // order their logits arrive in.
+        self.cache.logits.reserve_exact(logits.as_slice().len());
+        self.cache.logits.extend_from_slice(logits.as_slice());
+        self.cache.norms.reserve_exact(missed.len());
+        self.cache.norms.resize(self.cache.rows.len(), (0, SoftmaxNorm::default()));
+        found
+    }
+}
+
 impl BlackBox for CachedBlackBox<'_, '_> {
     fn output_dim(&self) -> usize {
         self.model.output_dim()
     }
 
-    /// The one-row sweep at the last timestep.
+    /// The one-row sweep at the last timestep, answered through the
+    /// model's whole confidence pipeline.
     fn predict_proba(&mut self, xs: &[Step]) -> Step {
         let (last, _) = xs.split_last().expect("cannot query a model with an empty sequence");
         let row = Matrix::from_vec(1, last.len(), last.clone());
-        let mut answer = self.predict_proba_sweep(xs, xs.len() - 1, &row);
-        answer.pop().expect("one candidate in, one answer out")
+        let [(key, at)] = self.lookup(xs, xs.len() - 1, row)[..] else {
+            unreachable!("one candidate in, one answer out")
+        };
+        let logits = self.cache.row(at, self.model.output_dim()).to_vec();
+        self.model.proba_from_logits(logits, key)
     }
 
-    /// Hits, misses and cache contents end up exactly as the
-    /// one-at-a-time loop would leave them: a candidate is a miss the
-    /// first time its fingerprint is seen — in the cache or earlier in
-    /// this sweep — and a hit after that. Only the misses reach the
-    /// model, as one sub-sweep through the prefix tier.
-    fn predict_proba_sweep(
+    /// Replays each cached row through the model's *current* confidence
+    /// pipeline. Without post-processing that is the row's softmax
+    /// normaliser and one `exp`: the normaliser is computed the first
+    /// time the row is asked under this temperature and kept. Noise and
+    /// rounding renormalise the whole vector, so under them the full
+    /// pipeline runs and the class is picked from its result.
+    fn confidence_sweep(
         &mut self,
         template: &[Step],
         slot: usize,
-        candidates: &Matrix,
-    ) -> Vec<Step> {
-        let keys = sweep_query_hashes(template, slot, candidates);
-        let mut missed = Vec::new();
-        for (row, &key) in keys.iter().enumerate() {
-            // Claiming the next row makes a later duplicate a hit; the
-            // row is filled before anything reads it.
-            let next = u32::try_from(self.cache.rows.len()).expect("fewer than 2^32 queries");
-            if let Entry::Vacant(vacant) = self.cache.rows.entry(key) {
-                vacant.insert(next);
-                missed.push(row);
-            }
+        candidates: Matrix,
+        class: usize,
+    ) -> Vec<f32> {
+        let found = self.lookup(template, slot, candidates);
+        let (model, cache) = (self.model, &mut *self.cache);
+        let width = model.output_dim();
+        if model.postprocess() != Postprocess::None {
+            return found
+                .into_iter()
+                .map(|(key, at)| model.proba_from_logits(cache.row(at, width).to_vec(), key)[class])
+                .collect();
         }
-        self.cache.misses += missed.len() as u64;
-        self.cache.hits += (keys.len() - missed.len()) as u64;
-        self.cache.flops += self.model.infer_cost(missed.len() * template.len(), keys.len());
-        let fresh_keys: Vec<u64> = missed.iter().map(|&row| keys[row]).collect();
-        let logits = self.model.logits_sweep_tiered(
-            template,
-            slot,
-            candidates.select_rows(&missed),
-            &fresh_keys,
-            &mut self.cache.prefix,
-        );
-        // In row order, so that a duplicate finds its row filled: a miss
-        // is answered from the logits in hand, which first go into the
-        // cache — the next free row is the one it claimed; a hit from
-        // the cache.
-        let width = self.model.output_dim();
-        self.cache.logits.reserve_exact(missed.len() * width);
-        let mut fresh_logits = logits.into_iter().zip(missed).peekable();
-        keys.iter()
-            .enumerate()
-            .map(|(row, &key)| {
-                let logits = match fresh_logits.next_if(|(_, missed)| *missed == row) {
-                    Some((logits, _)) => {
-                        self.cache.logits.extend_from_slice(&logits);
-                        logits
-                    }
-                    None => {
-                        let at = self.cache.rows[&key] as usize * width;
-                        self.cache.logits[at..at + width].to_vec()
-                    }
-                };
-                self.model.proba_from_logits(logits, key)
+        let stamp = model.temperature().to_bits();
+        let inv_t = inverse_temperature(model.temperature());
+        let mut exps = Vec::with_capacity(width);
+        found
+            .into_iter()
+            .map(|(_, at)| {
+                let logits = &cache.logits[at * width..(at + 1) * width];
+                let (stamped, norm) = &mut cache.norms[at];
+                if *stamped != stamp {
+                    exps.clear();
+                    exps.extend_from_slice(logits);
+                    *norm = SoftmaxNorm::exps_in_place(&mut exps, inv_t);
+                    *stamped = stamp;
+                }
+                norm.confidence(logits[class], inv_t)
             })
             .collect()
     }

@@ -118,13 +118,14 @@ impl BlackBox for RecordingBlackBox {
         vec![1.0 / self.output_dim as f32; self.output_dim]
     }
 
-    fn predict_proba_sweep(
+    fn confidence_sweep(
         &mut self,
         template: &[Step],
         slot: usize,
-        candidates: &Matrix,
-    ) -> Vec<Step> {
-        let keys = sweep_query_hashes(template, slot, candidates);
+        candidates: Matrix,
+        _class: usize,
+    ) -> Vec<f32> {
+        let keys = sweep_query_hashes(template, slot, &candidates);
         for (row, key) in keys.into_iter().enumerate() {
             if self.seen.insert(key, ()).is_none() {
                 let mut xs = template.to_vec();
@@ -132,7 +133,7 @@ impl BlackBox for RecordingBlackBox {
                 self.queries.push(xs);
             }
         }
-        vec![vec![1.0 / self.output_dim as f32; self.output_dim]; candidates.rows()]
+        vec![1.0 / self.output_dim as f32; candidates.rows()]
     }
 
     fn input_gradient(&mut self, _xs: &Sequence, _target: usize) -> (f32, Sequence) {
@@ -156,8 +157,8 @@ impl<'a> ReplayBlackBox<'a> {
 }
 
 impl ReplayBlackBox<'_> {
-    fn served(&self, key: u64) -> Step {
-        self.answers.get(&key).cloned().expect(
+    fn served(&self, key: u64) -> &Step {
+        self.answers.get(&key).expect(
             "replay hit a query that was never served — the query set must be enumerated before scoring",
         )
     }
@@ -169,17 +170,18 @@ impl BlackBox for ReplayBlackBox<'_> {
     }
 
     fn predict_proba(&mut self, xs: &[Step]) -> Step {
-        self.served(query_hash(xs))
+        self.served(query_hash(xs)).clone()
     }
 
-    fn predict_proba_sweep(
+    fn confidence_sweep(
         &mut self,
         template: &[Step],
         slot: usize,
-        candidates: &Matrix,
-    ) -> Vec<Step> {
-        let keys = sweep_query_hashes(template, slot, candidates);
-        keys.into_iter().map(|key| self.served(key)).collect()
+        candidates: Matrix,
+        class: usize,
+    ) -> Vec<f32> {
+        let keys = sweep_query_hashes(template, slot, &candidates);
+        keys.into_iter().map(|key| self.served(key)[class]).collect()
     }
 
     fn input_gradient(&mut self, _xs: &Sequence, _target: usize) -> (f32, Sequence) {

@@ -11,7 +11,10 @@
 //! gate) of a TL-FE candidate, from nothing (`cold`: a user's first
 //! admission) and starting from the prefix tier the previous admission
 //! handed back (`warm`: every re-train after it), at the live loop's
-//! hidden width and at the paper-scale one.
+//! hidden width and at the paper-scale one; then two replays of the
+//! admitted model from the logit cache its admission filled: a ladder
+//! rung (`rung`: a temperature the cached rows were not normalised
+//! under) and a re-audit under the admitted defense (`reaudit`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -111,6 +114,26 @@ fn bench_gate_admission(c: &mut Criterion) {
             tier.hits > 0 && tier.misses == tier.len() as u64,
             "warm admissions ran the prefix"
         );
+
+        let (published, _, mut cache) =
+            gate.admit_with_cache(candidate.clone(), space, &job.subject);
+        // Two temperatures in turn: every rung finds each row normalised
+        // under the other one.
+        let rungs = [0.5, 0.25].map(|scale| {
+            let mut rung = published.clone();
+            rung.set_temperature(scale * published.temperature());
+            rung
+        });
+        let mut next = 0;
+        group.bench_function(format!("rung/h{hidden}"), |b| {
+            b.iter(|| {
+                next ^= 1;
+                gate.audit_cached(&rungs[next], space, &job.subject, &mut cache)
+            })
+        });
+        group.bench_function(format!("reaudit/h{hidden}"), |b| {
+            b.iter(|| gate.audit_cached(&published, space, &job.subject, &mut cache))
+        });
     }
     group.finish();
 }

@@ -186,6 +186,15 @@ impl Lstm {
         }
     }
 
+    /// Records whether `w_ih` and `w_hh` are all finite, as a decoder
+    /// that converted every weight has seen, so [`Lstm::project`] need
+    /// not scan them. `finite` must be `w_ih.is_finite() &&
+    /// w_hh.is_finite()`; [`Lstm::visit_params`] forgets it.
+    pub(crate) fn set_finite(&mut self, finite: bool) {
+        debug_assert_eq!(finite, self.w_ih.is_finite() && self.w_hh.is_finite());
+        self.finite = OnceLock::from(finite);
+    }
+
     /// Borrows the input-to-hidden weights (`4H × I`).
     pub fn weight_ih(&self) -> &Matrix {
         &self.w_ih
@@ -259,9 +268,10 @@ impl Lstm {
     /// where a row is non-zero ([`Matrix::matmul_transpose_sparse`]), a
     /// non-finite layer takes the dense product so that `0 · NaN` and
     /// `0 · ∞` surface. Finiteness of `w_ih` and `w_hh` is scanned on
-    /// first use and kept until [`Lstm::visit_params`] — the only place
-    /// they change — hands them out, so a layer in training rescans once
-    /// per optimizer step.
+    /// first use — unless the envelope decoder already recorded it — and
+    /// kept until [`Lstm::visit_params`] — the only place they change —
+    /// hands them out, so a layer in training rescans once per optimizer
+    /// step.
     fn project(&self, rows: &Matrix, w: &Matrix) -> Matrix {
         if *self.finite.get_or_init(|| self.w_ih.is_finite() && self.w_hh.is_finite()) {
             rows.matmul_transpose_sparse(w)

@@ -140,7 +140,8 @@ fn assert_tiered_matches(
     let before = (tier.hits, tier.misses);
     tier.bind(model);
     assert_answers_match(model, template, slot, rows, || {
-        model.logits_sweep_tiered(template, slot, rows.clone(), &keys, tier)
+        let logits = model.logits_sweep_tiered(template, slot, rows.clone(), &keys, tier);
+        (0..logits.rows()).map(|r| logits.row(r).to_vec()).collect()
     });
     assert_eq!(
         (tier.hits - before.0, tier.misses - before.1),
@@ -244,11 +245,14 @@ proptest! {
         let template = dense_steps(seq_len, 9, &mut rng);
         for slot in 0..seq_len {
             let keys = sweep_query_hashes(&template, slot, &rows);
-            let swept = model.predict_proba_sweep(&template, slot, &rows);
+            let swept: Vec<Vec<f32>> = (0..model.output_dim())
+                .map(|class| model.confidence_sweep(&template, slot, &rows, class))
+                .collect();
             for r in 0..rows.rows() {
                 let xs = assembled(&template, slot, rows.row(r));
                 prop_assert_eq!(keys[r], query_hash(&xs));
-                prop_assert_eq!(bits(&swept[r]), bits(&model.predict_proba(&xs)));
+                let row: Vec<f32> = swept.iter().map(|answers| answers[r]).collect();
+                prop_assert_eq!(bits(&row), bits(&model.predict_proba(&xs)));
             }
         }
     }
@@ -413,7 +417,9 @@ fn a_non_finite_weight_below_or_above_the_prefix_surfaces_through_the_tier() {
                         &keys,
                         &mut tier,
                     );
-                    for (r, (t, p)) in tiered.iter().zip(&plain).enumerate() {
+                    assert_eq!(tiered.rows(), plain.len());
+                    for (r, p) in plain.iter().enumerate() {
+                        let t = tiered.row(r);
                         let alone = poisoned.logits(&assembled(&template, slot, rows.row(r)));
                         // (∞ saturates a gate unless it meets a zero.)
                         assert!(!poison.is_nan() || alone.iter().any(|v| v.is_nan()));

@@ -587,11 +587,12 @@ impl EnvelopeStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] if the backend fails mid-rewrite. The
-    /// fresh chain is written and synced *before* old segments are
-    /// removed, so a crash mid-compaction leaves a recoverable log
-    /// (records may exist twice; replay keeps whichever committed copy
-    /// it sees last, which carries identical payloads).
+    /// Returns [`StoreError`] if the backend fails mid-rewrite; the fresh
+    /// segments written so far are removed (best effort) and the shard
+    /// is left as it was. The fresh chain is written and synced *before*
+    /// old segments are removed, so a crash mid-compaction leaves a
+    /// recoverable log (records may exist twice; replay keeps whichever
+    /// committed copy it sees last, which carries identical payloads).
     pub fn compact_shard(&self, shard_no: usize) -> Result<u64, StoreError> {
         let mut shard = self.lock(shard_no);
         let retain = self.config.compaction.retain_versions;
@@ -616,31 +617,47 @@ impl EnvelopeStore {
         // chain, building the replacement index as we go.
         let mut fresh_index: HashMap<u64, Vec<VersionEntry>> = HashMap::new();
         let mut fresh_segments: HashMap<u64, u64> = HashMap::new();
-        let mut seq = shard.active + 1;
-        let mut buf: Vec<u8> = encode_header(shard_no as u32, seq);
-        for (user, entry) in survivors {
-            let name = segment_name(shard_no as u32, entry.segment);
-            let bytes = self.backend.read_range(&name, entry.offset, entry.stored_len as usize)?;
-            // Verify the survivor (CRC + commit byte), then move its
-            // stored bytes verbatim: re-encoding a verified record
-            // writes these same bytes (see `crate::record`).
-            let (record, end) = decode_entry(&bytes, user, &entry)?;
-            if buf.len() as u64 + end as u64 > self.config.segment_bytes && buf.len() > HEADER_LEN {
-                let name = segment_name(shard_no as u32, seq);
-                let full = std::mem::replace(&mut buf, encode_header(shard_no as u32, seq + 1));
-                fresh_segments.insert(seq, full.len() as u64);
-                self.backend.append(&name, full.into())?;
-                self.backend.sync(&name)?;
-                seq += 1;
+        let first = shard.active + 1;
+        let mut seq = first;
+        let rewrite = || -> Result<(), StoreError> {
+            let mut buf: Vec<u8> = encode_header(shard_no as u32, seq);
+            for (user, entry) in survivors {
+                let name = segment_name(shard_no as u32, entry.segment);
+                let bytes =
+                    self.backend.read_range(&name, entry.offset, entry.stored_len as usize)?;
+                // Verify the survivor (CRC + commit byte), then move its
+                // stored bytes verbatim: re-encoding a verified record
+                // writes these same bytes (see `crate::record`).
+                let (record, end) = decode_entry(&bytes, user, &entry)?;
+                if buf.len() as u64 + end as u64 > self.config.segment_bytes
+                    && buf.len() > HEADER_LEN
+                {
+                    let name = segment_name(shard_no as u32, seq);
+                    let full = std::mem::replace(&mut buf, encode_header(shard_no as u32, seq + 1));
+                    fresh_segments.insert(seq, full.len() as u64);
+                    self.backend.append(&name, full.into())?;
+                    self.backend.sync(&name)?;
+                    seq += 1;
+                }
+                let offset = buf.len() as u64;
+                buf.extend_from_slice(&bytes[..end]);
+                push_entry(&mut fresh_index, &record, seq, offset);
             }
-            let offset = buf.len() as u64;
-            buf.extend_from_slice(&bytes[..end]);
-            push_entry(&mut fresh_index, &record, seq, offset);
+            let name = segment_name(shard_no as u32, seq);
+            fresh_segments.insert(seq, buf.len() as u64);
+            self.backend.append(&name, buf.into())?;
+            self.backend.sync(&name)?;
+            Ok(())
+        };
+        if let Err(e) = rewrite() {
+            // Take back every fresh file the rewrite wrote (best effort):
+            // a stray segment would sit where the next roll or compaction
+            // of this shard appends.
+            for stray in first..=seq {
+                let _ = self.backend.remove(&segment_name(shard_no as u32, stray));
+            }
+            return Err(e);
         }
-        let name = segment_name(shard_no as u32, seq);
-        fresh_segments.insert(seq, buf.len() as u64);
-        self.backend.append(&name, buf.into())?;
-        self.backend.sync(&name)?;
 
         // Point the shard at the fresh chain, then drop the old files.
         shard.index = fresh_index;

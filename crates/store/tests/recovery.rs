@@ -13,17 +13,20 @@
 //! Truncation alone never needs the CRC: the length and the commit byte
 //! catch every torn tail. So more failures are driven here: a single
 //! flipped bit in a committed record (only the CRC can see it), a
-//! backend that panics inside `append` or `sync`, and one whose `append`
-//! writes a prefix of the record and then returns an error.
+//! backend that panics inside `append` or `sync`, one whose `append`
+//! writes a prefix of the record and then returns an error, and one
+//! whose `n`th append or sync fails in the middle of a compaction.
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pelican_nn::ModelEnvelope;
 use pelican_store::record::{decode_record, HEADER_LEN};
-use pelican_store::{Bytes, EnvelopeStore, MemBackend, StorageBackend, StoreConfig, StoreError};
+use pelican_store::{
+    Bytes, CompactionPolicy, EnvelopeStore, MemBackend, StorageBackend, StoreConfig, StoreError,
+};
 
 const SEGMENT: &str = "shard0000-seg00000000.plog";
 
@@ -433,5 +436,123 @@ fn an_append_error_after_a_partial_write_leaves_the_next_publish_served_and_dura
         assert_eq!(reopened.fetch(1, 3).unwrap().as_bytes(), envelope(3).as_bytes(), "{case}");
         let in_place = if segments == 1 { next.stored_len as u64 } else { 0 };
         assert_eq!(disk.size(SEGMENT).unwrap(), committed + in_place, "{case}");
+    }
+}
+
+/// A backend whose `n`th `append` or `sync` from now fails, after the
+/// append wrote its bytes; a countdown of zero never fails.
+#[derive(Debug)]
+struct FailsNth {
+    disk: MemBackend,
+    appends: AtomicUsize,
+    syncs: AtomicUsize,
+}
+
+/// Whether this call is the one `countdown` was armed for.
+fn strikes(countdown: &AtomicUsize) -> bool {
+    countdown.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1)) == Ok(1)
+}
+
+impl StorageBackend for FailsNth {
+    fn read(&self, name: &str) -> io::Result<Bytes> {
+        self.disk.read(name)
+    }
+    fn read_range(&self, name: &str, offset: u64, len: usize) -> io::Result<Bytes> {
+        self.disk.read_range(name, offset, len)
+    }
+    fn append(&self, name: &str, bytes: Bytes) -> io::Result<()> {
+        self.disk.append(name, bytes)?;
+        if strikes(&self.appends) {
+            return Err(io::Error::other("the medium failed after the write"));
+        }
+        Ok(())
+    }
+    fn sync(&self, name: &str) -> io::Result<()> {
+        if strikes(&self.syncs) {
+            return Err(io::Error::other("the medium failed to sync"));
+        }
+        self.disk.sync(name)
+    }
+    fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
+        self.disk.truncate(name, len)
+    }
+    fn remove(&self, name: &str) -> io::Result<()> {
+        self.disk.remove(name)
+    }
+    fn list(&self) -> io::Result<Vec<String>> {
+        self.disk.list()
+    }
+    fn size(&self, name: &str) -> io::Result<u64> {
+        self.disk.size(name)
+    }
+}
+
+#[test]
+fn a_failed_compaction_leaves_no_stray_segment_behind() {
+    // Three users, four versions each, two kept: the rewrite fills
+    // several small fresh segments, and each case fails it at one of
+    // their appends or syncs.
+    let config = StoreConfig {
+        shards: 1,
+        segment_bytes: 700,
+        compaction: CompactionPolicy { retain_versions: 2 },
+        ..StoreConfig::default()
+    };
+    let users = 1..=3u64;
+    for (appends, syncs) in [(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)] {
+        let case = format!("append #{appends}, sync #{syncs} fails");
+        let disk = MemBackend::new();
+        let backend = Arc::new(FailsNth {
+            disk: disk.clone(),
+            appends: AtomicUsize::new(0),
+            syncs: AtomicUsize::new(0),
+        });
+        let store = EnvelopeStore::open(backend.clone(), config).unwrap();
+        for v in 1..=4 {
+            for user in users.clone() {
+                store.append(user, v, &envelope(10 * user + v)).unwrap();
+            }
+        }
+        let files = |disk: &MemBackend| -> Vec<(String, u64)> {
+            disk.list().unwrap().into_iter().map(|f| (f.clone(), disk.size(&f).unwrap())).collect()
+        };
+        let before = files(&disk);
+
+        backend.appends.store(appends, Ordering::SeqCst);
+        backend.syncs.store(syncs, Ordering::SeqCst);
+        assert!(matches!(store.compact(), Err(StoreError::Io(_))), "{case}");
+        assert_eq!(files(&disk), before, "{case}: the failed compaction left files behind");
+        for user in users.clone() {
+            assert_eq!(store.versions(user), vec![1, 2, 3, 4], "{case}");
+            let latest = store.fetch_latest(user).unwrap().unwrap();
+            assert_eq!(latest.as_bytes(), envelope(10 * user + 4).as_bytes(), "{case}");
+        }
+
+        // The next publishes — enough to roll into the segment the
+        // failed rewrite had started — are served.
+        for v in 5..=7 {
+            store.append(1, v, &envelope(10 + v)).unwrap();
+        }
+        assert_eq!(store.fetch_latest(1).unwrap().unwrap().as_bytes(), envelope(17).as_bytes());
+        drop(store);
+
+        // And durable: a reopen finds every version, nothing torn.
+        let reopened = EnvelopeStore::open(Arc::new(disk.clone()), config).unwrap();
+        assert_eq!(reopened.recovery().torn_segments, 0, "{case}");
+        assert_eq!(reopened.versions(1), (1..=7).collect::<Vec<_>>(), "{case}");
+        for user in users.clone() {
+            let last = if user == 1 { 7 } else { 4 };
+            for v in 1..=last {
+                let got = reopened.fetch(user, v).unwrap();
+                assert_eq!(
+                    got.as_bytes(),
+                    envelope(10 * user + v).as_bytes(),
+                    "{case}: {user} v{v}"
+                );
+            }
+        }
+        // A compaction that does not fail still goes through.
+        reopened.compact().unwrap();
+        assert_eq!(reopened.versions(1), vec![6, 7], "{case}");
     }
 }

@@ -34,6 +34,6 @@ pub mod ops;
 pub use init::{xavier_uniform, Init};
 pub use matrix::Matrix;
 pub use ops::{
-    argmax, log_softmax_in_place, nearest_rank, sigmoid, softmax, softmax_in_place,
-    softmax_temperature_in_place, tanh, tanh_in_place, top_k,
+    argmax, inverse_temperature, log_softmax_in_place, nearest_rank, sigmoid, softmax,
+    softmax_in_place, softmax_temperature_in_place, tanh, tanh_in_place, top_k, SoftmaxNorm,
 };

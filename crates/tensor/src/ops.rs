@@ -163,25 +163,67 @@ fn expm1_lane(x: f32) -> f32 {
 ///
 /// Panics if `temperature <= 0` or is not finite.
 pub fn softmax_temperature_in_place(x: &mut [f32], temperature: f32) {
+    let inv_t = inverse_temperature(temperature);
+    if x.is_empty() {
+        return;
+    }
+    let norm = SoftmaxNorm::exps_in_place(x, inv_t);
+    for v in x.iter_mut() {
+        *v *= norm.inv_sum;
+    }
+}
+
+/// `1 / temperature`, the factor [`SoftmaxNorm`] scales logits by.
+///
+/// # Panics
+///
+/// Panics if `temperature <= 0` or is not finite.
+pub fn inverse_temperature(temperature: f32) -> f32 {
     assert!(
         temperature > 0.0 && temperature.is_finite(),
         "temperature must be a positive finite number, got {temperature}"
     );
-    if x.is_empty() {
-        return;
+    1.0 / temperature
+}
+
+/// What turns a row of logits into its temperature softmax: the shift
+/// `max(x·inv_t)` and `1 / Σ exp(x·inv_t − max)`.
+///
+/// [`softmax_temperature_in_place`] is this and a multiply, so a row's
+/// normaliser, kept, answers any one class of that row later with one
+/// `exp` ([`SoftmaxNorm::confidence`]) and the bits the full vector has
+/// there. Eight bytes; the default is a placeholder that normalises
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct SoftmaxNorm {
+    max: f32,
+    inv_sum: f32,
+}
+
+impl SoftmaxNorm {
+    /// Overwrites every logit of `x` with its unnormalised `exp(v·inv_t −
+    /// max)` and returns the row's normaliser. `x` must not be empty.
+    pub fn exps_in_place(x: &mut [f32], inv_t: f32) -> Self {
+        let max = x.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v * inv_t));
+        let mut sum = 0.0;
+        for v in x.iter_mut() {
+            *v = shifted_exp(*v, inv_t, max);
+            sum += *v;
+        }
+        // All-(-inf) rows cannot occur from finite logits, so sum > 0 here.
+        Self { max, inv_sum: 1.0 / sum }
     }
-    let inv_t = 1.0 / temperature;
-    let max = x.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v * inv_t));
-    let mut sum = 0.0;
-    for v in x.iter_mut() {
-        *v = (*v * inv_t - max).exp();
-        sum += *v;
+
+    /// The confidence of `logit`, one entry of the row this normalises:
+    /// bit for bit what [`softmax_temperature_in_place`] leaves there.
+    pub fn confidence(self, logit: f32, inv_t: f32) -> f32 {
+        shifted_exp(logit, inv_t, self.max) * self.inv_sum
     }
-    // All-(-inf) rows cannot occur from finite logits, so sum > 0 here.
-    let inv_sum = 1.0 / sum;
-    for v in x.iter_mut() {
-        *v *= inv_sum;
-    }
+}
+
+#[inline(always)]
+fn shifted_exp(v: f32, inv_t: f32, max: f32) -> f32 {
+    (v * inv_t - max).exp()
 }
 
 /// In-place stable softmax (temperature 1).
@@ -325,6 +367,32 @@ mod tests {
         let mut p = logits.to_vec();
         softmax_temperature_in_place(&mut p, 1e-3);
         assert_eq!(argmax(&p), argmax(&logits));
+    }
+
+    #[test]
+    fn a_kept_normaliser_answers_each_class_with_the_softmax_bits() {
+        let rows: [&[f32]; 4] = [
+            &[0.3, -1.0, 2.5, 0.31, -7.25],
+            &[88.0, -88.0, 0.0, -0.0, 1e-30],
+            &[f32::NEG_INFINITY, 1.0, 2.0],
+            &[f32::NAN, 1.0, 2.0],
+        ];
+        for row in rows {
+            for t in [1.0, 0.37, 1e-3, 25.0] {
+                let mut full = row.to_vec();
+                softmax_temperature_in_place(&mut full, t);
+                let inv_t = inverse_temperature(t);
+                let mut exps = row.to_vec();
+                let norm = SoftmaxNorm::exps_in_place(&mut exps, inv_t);
+                for (&logit, &p) in row.iter().zip(&full) {
+                    assert_eq!(
+                        norm.confidence(logit, inv_t).to_bits(),
+                        p.to_bits(),
+                        "{row:?} T={t}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -39,17 +39,18 @@ impl<M: BlackBox> BlackBox for OneAtATime<M> {
         self.0.predict_proba(xs)
     }
 
-    fn predict_proba_sweep(
+    fn confidence_sweep(
         &mut self,
         template: &[Step],
         slot: usize,
-        candidates: &Matrix,
-    ) -> Vec<Step> {
+        candidates: Matrix,
+        class: usize,
+    ) -> Vec<f32> {
         (0..candidates.rows())
             .map(|r| {
                 let mut xs = template.to_vec();
                 xs[slot] = candidates.row(r).to_vec();
-                self.0.predict_proba(&xs)
+                self.0.predict_proba(&xs)[class]
             })
             .collect()
     }
