@@ -10,14 +10,17 @@
 //! * `replay/*` — `EnvelopeStore::open` over a prebuilt log: the full
 //!   committed-prefix scan, CRC checks and index build.
 //! * `fetch_latest/*` — the read-through path a registry cold miss
-//!   takes: one ranged read, one CRC pass, one payload copy, at the live
-//!   loop's 32 KB (hidden-12) and the hidden-64 model's 332 KB envelope.
+//!   takes: one ranged read, one CRC pass and a window onto the verified
+//!   record, at the live loop's 32 KB (hidden-12) and the hidden-64
+//!   model's 332 KB envelope.
 //! * `crc32/*` — the checksum every one of those paths runs once per
-//!   record, by itself, at the same two sizes and at 4 KiB, just above
-//!   the size where `crc32` starts running three chains (bytes per
-//!   second is `size / mean`). `crc32/bytewise/32k` is the
-//!   byte-at-a-time loop at 32 KiB, the reference the others are read
-//!   against.
+//!   record, by itself, at the same two sizes and on both sides of the
+//!   6 KiB cut-over above which `crc32` folds a span modulo a sparse
+//!   multiple of the polynomial: 4 KiB runs the table loop alone, and
+//!   8 and 16 KiB are folded where the fold's fixed costs (its ~1.6 KiB
+//!   table-loop tail, its window) still show. Bytes per second is
+//!   `size / mean`. `crc32/bytewise/32k` is the byte-at-a-time loop at
+//!   32 KiB, the reference the others are read against.
 
 use std::sync::Arc;
 
@@ -110,7 +113,8 @@ fn bench_store_log(c: &mut Criterion) {
     group.finish();
 
     let mut group = c.benchmark_group("crc32");
-    for (label, bytes) in [("4k", 4 * 1024)].into_iter().chain(ENVELOPE_SIZES) {
+    let small = [("4k", 4 * 1024), ("8k", 8 * 1024), ("16k", 16 * 1024)];
+    for (label, bytes) in small.into_iter().chain(ENVELOPE_SIZES) {
         group.bench_function(label, |b| {
             let envelope = envelope(1, bytes);
             b.iter(|| crc32(black_box(envelope.as_bytes())));

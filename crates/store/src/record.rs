@@ -19,12 +19,14 @@
 //! checksummed.
 //!
 //! That pass is most of what a store operation costs, so [`crc32`] does
-//! not run as one dependency chain. It splits a span of ~3 KiB or more
-//! into three lanes, each a multiple of 16 bytes, and runs three
-//! slicing-by-16 chains over them in one loop. It then joins the chains
-//! exactly with zlib's `crc32_combine` algebra over GF(2) and finishes
-//! the short tail on the joined state. The value is the plain
-//! CRC-32/IEEE of the span, so the chains leave no trace on disk.
+//! not run the table loop over the whole of a span of 6 KiB or more. It
+//! first reduces the span modulo a sparse multiple M of the CRC
+//! polynomial whose five lower terms all sit whole 64-bit words below its
+//! top one: each word folds away in five word XORs, sixteen words to a
+//! vectorised step, and the residue mod the polynomial is unchanged. The
+//! last ~1.6 KiB, carrying what the folded words sent them, then run
+//! the slicing-by-16 table loop. The value is the plain CRC-32/IEEE of
+//! the span, so the fold leaves no trace on disk.
 //!
 //! A decoded [`Record`] is a *view*: its payload borrows the buffer it
 //! was decoded from ([`decode_record`], [`scan_segment`]), and
@@ -116,50 +118,93 @@ pub enum ScanEnd {
 
 /// The reflected CRC-32/IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
-/// Independent slicing-by-16 chains [`crc32`] runs side by side (four
-/// read no faster than three).
-const CHAINS: usize = 3;
-/// The shortest chain worth a join: below it one chain is as fast.
-const MIN_LANE: usize = 1024;
+/// The shortest span [`crc32`] folds; below it the table loop alone is
+/// as fast (`store_log`'s `crc32/*` rows). It must leave [`REACH`]
+/// words unfolded.
+const FOLD_MIN: usize = 6 * 1024;
+/// The fold's multiple of P, `M(x) = x^12992 + x^11904 + x^7872 +
+/// x^5440 + x^5056 + 1`, as distances in 64-bit words from its top term
+/// down to each other term: folding word `i` away XORs it into words
+/// `i + 17`, `i + 80`, `i + 118`, `i + 124` and `i + 203`.
+const FOLD: [usize; 5] = [17, 80, 118, 124, 203];
+/// M's degree in words: how far back a word's incoming folds reach.
+const REACH: usize = FOLD[4];
+/// Words folded per step: one under the shortest distance, so a block
+/// reads only words that earlier blocks finished.
+const BLOCK: usize = FOLD[0] - 1;
+/// The stack window holding the folded words, in words.
+const WINDOW: usize = 1024;
+/// Words the window keeps when it slides: [`REACH`] rounded up to whole
+/// blocks.
+const KEEP: usize = REACH.next_multiple_of(BLOCK);
+const _: () = assert!(FOLD_MIN >= 8 * REACH);
 
 /// Slicing-by-16 tables. Table 0 is the bytewise table; table `k` maps
 /// a byte to its contribution `k` bytes further on (the state after that
 /// byte followed by `k` zero bytes).
 static TABLES: [[u32; 256]; 16] = build_crc_tables();
-/// `X8N[i]` is x^(8·2^i) mod P: the operator that appends 2^i zero bytes.
-static X8N: [u32; 32] = build_x8n();
 
 /// CRC-32 (IEEE 802.3) of `bytes`.
 ///
-/// The buffer's leading `3 · lane` bytes (`lane` a multiple of 16, about
-/// a third of the input) are three lanes, each CRC'd by its own
-/// slicing-by-16 chain, and the three chains run interleaved in one loop.
-/// One chain's step waits on its previous step's table loads; three
-/// chains give the core three steps to overlap. Chain 0 starts from the
-/// CRC's initial state and chains 1–2 from zero, so the chains join
-/// exactly: CRC(A‖B) = x^(8·|B|)·CRC(A) ⊕ CRC(B) mod P, over GF(2) (zlib's
-/// `crc32_combine`). The short tail is then finished on the joined state.
-/// Inputs whose lane would be under 1 KiB (under ~3 KiB) run the same
-/// step loop as one chain, where the join would cost more than it saves. Every input gets the same value as the bytewise loop.
+/// A span of 6 KiB or more is first reduced modulo [`FOLD`]'s multiple
+/// M of the generator P, which leaves its residue mod P, and so its CRC,
+/// as it was. Read as little-endian 64-bit words `w`, the span reduces
+/// front to back by one recurrence, `v[i] = w[i] ^ v[i-17] ^ v[i-80] ^
+/// v[i-118] ^ v[i-124] ^ v[i-203]`: every term of M sits on a word
+/// boundary, so folding a word away is five whole-word XORs further on.
+/// A block of 16 words reads only finished words, so the loop runs as
+/// vector XORs. The initial register enters as the low 32 bits of word 0
+/// (the first four bytes, XORed with it, on a register started at zero).
+/// What is left, the last 203 to 218 words with their incoming folds and
+/// the sub-word tail, goes through the table loop from a zero register.
+/// Shorter spans run the table loop alone. Every input gets the same
+/// value as the bytewise loop.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let lane = bytes.len() / CHAINS / 16 * 16;
-    if lane < MIN_LANE {
+    if bytes.len() < FOLD_MIN {
         return !raw_update(0xFFFF_FFFF, bytes);
     }
-    let (lanes, tail) = bytes.split_at(CHAINS * lane);
-    let steps = lane / 16;
-    // Chain `j` owns blocks `j * steps..(j + 1) * steps`.
-    let blocks = &lanes.as_chunks::<16>().0[..CHAINS * steps];
-    let mut st = [0; CHAINS];
-    st[0] = 0xFFFF_FFFF;
-    for i in 0..steps {
-        for (j, s) in st.iter_mut().enumerate() {
-            *s = step(*s, &blocks[j * steps + i]);
+    let (words, rest) = bytes.as_chunks::<8>();
+    let (head, last) = words.split_at((words.len() - REACH) / BLOCK * BLOCK);
+    // `win[at - j]` holds v[i - j] for the next word `i` to fold. The
+    // KEEP words before `at` start as v[-208..0], all zero but for the
+    // register, which word 0 pulls in through the x^12992 term.
+    let mut win = [0u64; WINDOW];
+    win[KEEP - REACH] = 0xFFFF_FFFF;
+    let mut at = KEEP;
+    let mut prev = [0; BLOCK];
+    for block in head.as_chunks::<BLOCK>().0 {
+        if at == WINDOW {
+            win.copy_within(WINDOW - KEEP.., 0);
+            at = KEEP;
         }
+        let (done, next) = win.split_at_mut(at);
+        let mut v = block.map(u64::from_le_bytes);
+        // The nearest term reaches one word past the previous block; the
+        // rest of it is that block, taken from `prev` rather than reloaded
+        // from the window, where each vector load would straddle two of
+        // the stores that just wrote it and stall store forwarding.
+        v[0] ^= done[at - FOLD[0]];
+        for (v, p) in v[1..].iter_mut().zip(&prev) {
+            *v ^= p;
+        }
+        for &d in &FOLD[1..] {
+            let from = done[at - d..].first_chunk::<BLOCK>().expect("d > BLOCK");
+            for (v, f) in v.iter_mut().zip(from) {
+                *v ^= f;
+            }
+        }
+        *next.first_chunk_mut().expect("at < WINDOW") = v;
+        prev = v;
+        at += BLOCK;
     }
-    let shift = x8nmodp(lane);
-    let crc = st[1..].iter().fold(st[0], |crc, &s| multmodp(shift, crc) ^ s);
-    !raw_update(crc, tail)
+    // The words left keep what the folded ones sent them: word `k` of
+    // `last` gets the folded word `d` before it for every `d > k`.
+    let mut tail = [[0u8; 8]; REACH + BLOCK];
+    for (k, (t, w)) in tail.iter_mut().zip(last).enumerate() {
+        let incoming = FOLD.iter().filter(|&&d| k < d).fold(0, |x, &d| x ^ win[at - d + k]);
+        *t = (u64::from_le_bytes(*w) ^ incoming).to_le_bytes();
+    }
+    !raw_update(raw_update(0, tail[..last.len()].as_flattened()), rest)
 }
 
 /// Runs the raw (unconditioned) CRC register `crc` over `bytes`: sixteen
@@ -188,47 +233,6 @@ fn step(crc: u32, s: &[u8; 16]) -> u32 {
         }
     }
     out
-}
-
-/// a·b mod P in the reflected representation, where bit 31 is x⁰:
-/// zlib's `multmodp`, one shift/xor step per bit of `a`.
-const fn multmodp(mut a: u32, mut b: u32) -> u32 {
-    let mut p = 0;
-    while a != 0 {
-        if a & 1 << 31 != 0 {
-            p ^= b;
-        }
-        a <<= 1;
-        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
-    }
-    p
-}
-
-/// x^(8·n) mod P: the operator that appends `n` zero bytes, one product
-/// per set bit of `n`. The table wraps after 32 entries because
-/// x^(2^32) = x mod P.
-fn x8nmodp(mut n: usize) -> u32 {
-    let mut p = 1 << 31;
-    let mut i = 0;
-    while n != 0 {
-        if n & 1 != 0 {
-            p = multmodp(X8N[i % 32], p);
-        }
-        n >>= 1;
-        i += 1;
-    }
-    p
-}
-
-const fn build_x8n() -> [u32; 32] {
-    let mut table = [0u32; 32];
-    table[0] = 1 << 23; // x^8
-    let mut i = 1;
-    while i < 32 {
-        table[i] = multmodp(table[i - 1], table[i - 1]);
-        i += 1;
-    }
-    table
 }
 
 const fn build_crc_tables() -> [[u32; 256]; 16] {
@@ -394,6 +398,51 @@ mod tests {
         reg
     }
 
+    /// `X8N[i]` is x^(8·2^i) mod P: the operator that appends 2^i zero
+    /// bytes.
+    static X8N: [u32; 32] = build_x8n();
+
+    /// a·b mod P in the reflected representation, where bit 31 is x⁰:
+    /// zlib's `multmodp`, one shift/xor step per bit of `a`.
+    const fn multmodp(mut a: u32, mut b: u32) -> u32 {
+        let mut p = 0;
+        while a != 0 {
+            if a & 1 << 31 != 0 {
+                p ^= b;
+            }
+            a <<= 1;
+            b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        }
+        p
+    }
+
+    /// x^(8·n) mod P: the operator that appends `n` zero bytes, one
+    /// product per set bit of `n`. The table wraps after 32 entries
+    /// because x^(2^32) = x mod P.
+    fn x8nmodp(mut n: usize) -> u32 {
+        let mut p = 1 << 31;
+        let mut i = 0;
+        while n != 0 {
+            if n & 1 != 0 {
+                p = multmodp(X8N[i % 32], p);
+            }
+            n >>= 1;
+            i += 1;
+        }
+        p
+    }
+
+    const fn build_x8n() -> [u32; 32] {
+        let mut table = [0u32; 32];
+        table[0] = 1 << 23; // x^8
+        let mut i = 1;
+        while i < 32 {
+            table[i] = multmodp(table[i - 1], table[i - 1]);
+            i += 1;
+        }
+        table
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 of "123456789" is the classic check value.
@@ -416,28 +465,61 @@ mod tests {
 
     #[test]
     fn crc32_equals_the_bytewise_reference_at_every_length_and_offset() {
-        // Every length from no step to past the cut-over into the chains,
-        // at every alignment of the slice start within a step.
-        let buf = noise(0x9E37_79B9_7F4A_7C15, 16 + 4_096);
+        // Every length from no step to the fold's cut-over, at every
+        // alignment of the slice start within a step.
+        let buf = noise(0x9E37_79B9_7F4A_7C15, 16 + FOLD_MIN);
         for start in 0..16 {
-            for len in 0..=4_096 {
+            for len in 0..=FOLD_MIN {
                 let bytes = &buf[start..start + len];
                 assert_eq!(crc32(bytes), crc32_bytewise(bytes), "start {start} len {len}");
-            }
-        }
-        // Three lanes of `lane` bytes plus a tail `t`, on both sides of
-        // the cut-over (lane 1 024) and at the 32 KiB record's lane.
-        let buf = noise(7, 3 * 10_912 + 47);
-        for lane in [240, 256, 272, 1_008, 1_024, 1_040, 10_912] {
-            for t in [0, 1, 15, 16, 47] {
-                let bytes = &buf[..3 * lane + t];
-                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "lane {lane} tail {t}");
             }
         }
         // The hidden-12 and hidden-64 envelope sizes.
         for len in [32 * 1024, 332 * 1024] {
             let big = noise(len as u64, len);
             assert_eq!(crc32(&big), crc32_bytewise(&big), "len {len}");
+        }
+    }
+
+    #[test]
+    fn the_fold_multiple_is_zero_mod_p() {
+        // M's terms sit at byte offsets 8·(REACH - d) from the span's
+        // end, 1624 for the top term: x^12992 = x^(8·1624).
+        let residue = FOLD.iter().fold(x8nmodp(8 * REACH), |r, &d| r ^ x8nmodp(8 * (REACH - d)));
+        assert_eq!(residue, 0, "M(x) mod P");
+    }
+
+    #[test]
+    fn crc32_folds_exactly_at_the_cut_over_every_tail_and_every_window_slide() {
+        let mut lens = vec![FOLD_MIN - 1, FOLD_MIN, FOLD_MIN + 1];
+        // Each of the 16 word counts the blocks leave to the table
+        // (203 to 218), each with 0–7 sub-word bytes behind them.
+        let first = FOLD_MIN / 8;
+        lens.extend((first..first + BLOCK).flat_map(|w| (0..8).map(move |t| 8 * w + t)));
+        // One block short of, exactly at and one past the window's first
+        // and second slide.
+        let per_window = (WINDOW - KEEP) / BLOCK;
+        for blocks in [per_window, 2 * per_window].into_iter().flat_map(|b| [b - 1, b, b + 1]) {
+            let words = REACH + blocks * BLOCK;
+            lens.extend([8 * words, 8 * words + 7]);
+        }
+        let buf = noise(0xF01D, 8 + lens.iter().max().unwrap());
+        for start in 0..8 {
+            for &len in &lens {
+                let bytes = &buf[start..start + len];
+                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "start {start} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference_at_332k_and_1m_from_every_alignment() {
+        let buf = noise(0x1_0000_0000, 8 + (1 << 20));
+        for len in [332 * 1024, 1 << 20] {
+            for start in 0..8 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "start {start} len {len}");
+            }
         }
     }
 
@@ -455,8 +537,8 @@ mod tests {
 
     #[test]
     fn crc32_of_a_concatenation_is_the_join_of_its_parts() {
-        // zlib's crc32_combine on finished values: the join the chains
-        // make on raw states, seen from outside.
+        // zlib's crc32_combine on finished values, across the fold's
+        // cut-over: the algebra `the_fold_multiple_is_zero_mod_p` relies on.
         let buf = noise(42, 2 * 3_000);
         let mut x = 1u64;
         for case in 0..400 {

@@ -201,9 +201,12 @@ fn flip_bit(disk: &MemBackend, name: &str, pos: u64) {
 #[test]
 fn one_rotten_bit_anywhere_in_a_32k_record_ends_the_committed_prefix_there() {
     // Version 2 is a 32 KiB envelope between two small ones. Its CRC'd
-    // span (user through payload) is long enough for `crc32`'s three
-    // chains, so one flip lands in each chain's third and one in the
-    // tail the joined state finishes.
+    // span (user through payload) is long enough for `crc32`'s fold: one
+    // flip lands in each third of the span and one in its last sliver,
+    // and the rest in the regions the fold treats differently. Those are
+    // the first four bytes (they carry the initial register), the last
+    // folded word, the words left to the table loop (the last 203 plus
+    // the remainder of whole 16-word blocks) and the sub-word tail.
     let disk = MemBackend::new();
     let body: Vec<u8> = (0..32 * 1024u32).map(|i| (i * 7 % 253) as u8).collect();
     let big = ModelEnvelope::from_bytes(body);
@@ -215,10 +218,17 @@ fn one_rotten_bit_anywhere_in_a_32k_record_ends_the_committed_prefix_there() {
     let full = disk.size(SEGMENT).unwrap();
 
     let span = victim.stored_len as u64 - 4 - 4 - 1; // less magic, crc, commit
-    let lane = span / 3 / 16 * 16;
-    let tail = span - 3 * lane;
-    assert!(lane >= 1024 && tail > 0, "span {span} must take the three-chain path with a tail");
-    for at in [lane / 2, lane + lane / 2, 2 * lane + lane / 2, 3 * lane + tail / 2] {
+    let third = span / 3 / 16 * 16;
+    let sliver = span - 3 * third;
+    let words = span / 8;
+    let folded = (words - 203) / 16 * 16;
+    assert!(
+        !span.is_multiple_of(8) && folded > 0,
+        "span {span} must be folded and end in a sub-word tail"
+    );
+    let thirds = [third / 2, third + third / 2, 2 * third + third / 2, 3 * third + sliver / 2];
+    let fold_regions = [0, 3, 8 * folded - 1, 8 * folded + 4 * (words - folded), span - 1];
+    for at in thirds.into_iter().chain(fold_regions) {
         let pos = victim.offset + 4 + at;
 
         let rotten = disk.snapshot();

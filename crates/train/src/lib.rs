@@ -97,6 +97,6 @@ pub use job::{cohort_jobs, JobKind, TrainJob};
 pub use pelican_attacks::LogitCache;
 pub use pipeline::{run_pipeline, FleetTrainer, PipelineConfig};
 pub use pool::{user_seed, TrainerPool};
-pub use report::{JobOutcome, TrainReport};
+pub use report::{JobOutcome, PublishFailure, TrainReport};
 pub use rollback::{run_rollback_study, RollbackConfig, RollbackOutcome, RollbackReport};
 pub use staleness::{count_degraded_after_swap, StalenessWindow};

@@ -17,6 +17,7 @@
 //! never from scheduling order). Publication *versions* and the wall-clock
 //! numbers in the report are the only schedule-dependent outputs.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pelican::platform::{ComputeTier, ResourceUsage};
@@ -30,7 +31,7 @@ use pelican_attacks::LogitCache;
 use crate::audit::{AuditConfig, AuditGate, GateOutcome};
 use crate::job::{JobKind, TrainJob};
 use crate::pool::{user_seed, TrainerPool};
-use crate::report::{JobOutcome, TrainReport};
+use crate::report::{JobOutcome, PublishFailure, TrainReport};
 
 /// Pipeline knobs.
 #[derive(Debug, Clone)]
@@ -154,7 +155,9 @@ impl FleetTrainer {
     /// Runs the pipeline over a cohort: personalizes every job in
     /// parallel, audits each candidate, and publishes audited envelopes
     /// into `registry` as they clear the gate. Returns the per-job
-    /// outcomes (job order) plus throughput/latency/audit aggregates.
+    /// outcomes (job order) plus throughput/latency/audit aggregates. A
+    /// publication the registry's durable store refuses is reported in
+    /// [`TrainReport::publish_failures`] and the run goes on.
     pub fn run(
         &self,
         general: &SequenceModel,
@@ -181,7 +184,8 @@ impl FleetTrainer {
         let wall = Instant::now();
         let general_envelope = ModelEnvelope::encode(general);
 
-        let mut outcomes: Vec<Option<JobOutcome>> = jobs.iter().map(|_| None).collect();
+        let mut results: Vec<Option<Result<JobOutcome, PublishFailure>>> =
+            jobs.iter().map(|_| None).collect();
         let mut flops = 0u64;
         let pool = TrainerPool::new(self.config.workers);
         // Publisher side, on the calling thread: hot-swap each audited
@@ -203,20 +207,23 @@ impl FleetTrainer {
             } = c;
             flops += job_flops;
             let envelope_bytes = envelope.len();
-            let version = registry.enroll_envelope(user_id, envelope);
-            keep(user_id, cache);
-            let outcome = JobOutcome {
-                user_id,
-                version,
-                warm,
-                gate,
-                fit,
-                enroll_latency: started.elapsed(),
-                train_simulated,
-                audit_simulated,
-                envelope_bytes,
-            };
-            outcomes[index] = Some(outcome);
+            results[index] = Some(match registry.try_enroll_envelope(user_id, envelope) {
+                Ok(version) => {
+                    keep(user_id, cache);
+                    Ok(JobOutcome {
+                        user_id,
+                        version,
+                        warm,
+                        gate,
+                        fit,
+                        enroll_latency: started.elapsed(),
+                        train_simulated,
+                        audit_simulated,
+                        envelope_bytes,
+                    })
+                }
+                Err(error) => Err(PublishFailure { user_id, error: Arc::new(error) }),
+            });
         };
         pool.run_streaming(
             jobs,
@@ -248,15 +255,16 @@ impl FleetTrainer {
             &mut publish,
         );
 
-        TrainReport::new(
-            self.config.workers,
-            outcomes
-                .into_iter()
-                .map(|o| o.expect("every job was trained, audited and published"))
-                .collect(),
-            wall.elapsed(),
-            flops,
-        )
+        let (mut outcomes, mut publish_failures) = (Vec::new(), Vec::new());
+        for result in results {
+            match result.expect("every job was trained, audited and handed to the publisher") {
+                Ok(outcome) => outcomes.push(outcome),
+                Err(failure) => publish_failures.push(failure),
+            }
+        }
+        let mut report = TrainReport::new(self.config.workers, outcomes, wall.elapsed(), flops);
+        report.publish_failures = publish_failures;
+        report
     }
 }
 
@@ -279,8 +287,13 @@ mod tests {
     use pelican_mobility::{CampusConfig, DatasetBuilder, Scale, SpatialLevel};
     use pelican_nn::TrainConfig;
     use pelican_serve::RegistryConfig;
+    use pelican_store::record::{HEADER_LEN, RECORD_MAGIC, SEGMENT_MAGIC};
+    use pelican_store::{
+        Bytes, EnvelopeStore, MemBackend, StorageBackend, StoreConfig, StoreError,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::io;
 
     fn tiny_setting() -> (SequenceModel, pelican_mobility::MobilityDataset, Vec<TrainJob>) {
         let dataset = DatasetBuilder::new(CampusConfig::for_scale(Scale::Tiny), 13)
@@ -352,5 +365,73 @@ mod tests {
             assert_eq!(registry.version_of(b.user_id), Some(b.version));
         }
         assert_eq!(registry.stats().cold_models, jobs.len(), "updates replace, not add");
+    }
+
+    /// A backend whose appends of one user's records fail before writing.
+    #[derive(Debug)]
+    struct RefusesUser {
+        disk: MemBackend,
+        user: u64,
+    }
+
+    impl StorageBackend for RefusesUser {
+        fn read(&self, name: &str) -> io::Result<Bytes> {
+            self.disk.read(name)
+        }
+        fn read_range(&self, name: &str, offset: u64, len: usize) -> io::Result<Bytes> {
+            self.disk.read_range(name, offset, len)
+        }
+        fn append(&self, name: &str, bytes: Bytes) -> io::Result<()> {
+            // A segment's first append carries its header before the record.
+            let skip = if bytes.starts_with(SEGMENT_MAGIC) { HEADER_LEN } else { 0 };
+            let user = &bytes[skip + RECORD_MAGIC.len()..][..8];
+            if u64::from_le_bytes(user.try_into().expect("8 bytes")) == self.user {
+                return Err(io::Error::other("device full"));
+            }
+            self.disk.append(name, bytes)
+        }
+        fn sync(&self, name: &str) -> io::Result<()> {
+            self.disk.sync(name)
+        }
+        fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
+            self.disk.truncate(name, len)
+        }
+        fn remove(&self, name: &str) -> io::Result<()> {
+            self.disk.remove(name)
+        }
+        fn list(&self) -> io::Result<Vec<String>> {
+            self.disk.list()
+        }
+        fn size(&self, name: &str) -> io::Result<u64> {
+            self.disk.size(name)
+        }
+    }
+
+    #[test]
+    fn a_failed_durable_publish_is_reported_and_the_other_users_still_publish() {
+        let (general, dataset, jobs) = tiny_setting();
+        let refused = jobs[0].user_id;
+        let backend = RefusesUser { disk: MemBackend::new(), user: refused as u64 };
+        let config = RegistryConfig::default();
+        let store_config = StoreConfig { shards: config.shards, ..StoreConfig::default() };
+        let store = EnvelopeStore::open(Arc::new(backend), store_config).unwrap();
+        let registry = ShardedRegistry::with_store(general.clone(), config, Arc::new(store));
+        let report = run_pipeline(fast_config(2), &general, &dataset.space, &jobs, &registry);
+
+        assert_eq!(report.publish_failures.len(), 1);
+        let failure = &report.publish_failures[0];
+        assert_eq!(failure.user_id, refused);
+        assert!(matches!(*failure.error, StoreError::Io(_)), "{}", failure.error);
+        assert!(report.render().contains(&format!("user {refused} failed")));
+        assert!(!registry.is_enrolled(refused));
+        assert_eq!(registry.get(refused).unwrap().1, pelican_serve::Lookup::Fallback);
+
+        let published: Vec<usize> = report.outcomes.iter().map(|o| o.user_id).collect();
+        let others: Vec<usize> = jobs[1..].iter().map(|j| j.user_id).collect();
+        assert_eq!(published, others);
+        for outcome in &report.outcomes {
+            assert_eq!(registry.version_of(outcome.user_id), Some(outcome.version));
+        }
+        assert_eq!(registry.stats().cold_models, others.len());
     }
 }

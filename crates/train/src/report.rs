@@ -5,9 +5,11 @@
 //! from them) measure the *host* machine, since parallel speedup is
 //! exactly the thing simulated time cannot show.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use pelican_nn::FitReport;
+use pelican_store::StoreError;
 use pelican_tensor::nearest_rank;
 
 use crate::audit::{GateOutcome, GateVerdict};
@@ -39,13 +41,27 @@ pub struct JobOutcome {
     pub envelope_bytes: usize,
 }
 
+/// A trained and audited model the durable store refused: it was never
+/// visible, and the registry still serves the user's previous version.
+#[derive(Debug, Clone)]
+pub struct PublishFailure {
+    /// The user whose publication failed.
+    pub user_id: usize,
+    /// Why the store refused it.
+    pub error: Arc<StoreError>,
+}
+
 /// Aggregate result of one pipeline run.
 #[derive(Debug, Clone)]
 pub struct TrainReport {
     /// Trainer-pool width of the run.
     pub workers: usize,
-    /// Per-job outcomes, in job order regardless of completion order.
+    /// Per-job outcomes of the published jobs, in job order regardless of
+    /// completion order.
     pub outcomes: Vec<JobOutcome>,
+    /// Jobs whose publication failed, in job order; empty unless the
+    /// registry's durable store returned an error.
+    pub publish_failures: Vec<PublishFailure>,
     /// Host wall-clock time of the whole run.
     pub wall: Duration,
     /// Total floating-point operations the jobs are priced at, training
@@ -62,7 +78,7 @@ impl TrainReport {
         let mut sorted_latencies: Vec<Duration> =
             outcomes.iter().map(|o| o.enroll_latency).collect();
         sorted_latencies.sort_unstable();
-        Self { workers, outcomes, wall, flops, sorted_latencies }
+        Self { workers, outcomes, publish_failures: Vec::new(), wall, flops, sorted_latencies }
     }
 
     /// Models published per host second.
@@ -161,6 +177,12 @@ impl TrainReport {
             self.enroll_latency_p95(),
             self.warm_starts(),
         ));
+        for failure in &self.publish_failures {
+            out.push_str(&format!(
+                "publish     user {} failed: {}\n",
+                failure.user_id, failure.error
+            ));
+        }
         out
     }
 }
