@@ -23,7 +23,7 @@ const USAGE: &str = "usage: repro <experiment> [--scale tiny|small|paper] [--see
 fn list() -> String {
     let mut out = String::from("experiments:\n");
     for exp in experiments::experiments() {
-        out.push_str(&format!("  {:<17} {}\n", exp.name(), exp.description()));
+        out.push_str(&format!("  {:<17} {}\n", exp.name, exp.description));
     }
     out.push_str("  all               run the paper figures/tables in order");
     out

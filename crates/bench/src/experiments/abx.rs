@@ -21,8 +21,8 @@
 //! The treatment comparison is the ladder's extremes — an undefended
 //! arm A against a hard-temperature arm B — attacked strictly through
 //! the serving interface (top-k truncated answers over a shared WAN
-//! uplink). Results go to stdout and `BENCH_ab_leakage.json`; the CI
-//! `ab-report` step parses the JSON and fails on any contract flag.
+//! uplink). Results go to stdout and `BENCH_ab_leakage.json`, which the
+//! CI `ab-report` step checks with `crates/bench/tests/tracked_records.rs`.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -39,7 +39,8 @@ use pelican_train::{AuditConfig, PipelineConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::report::Table;
+use crate::json::Value;
+use crate::report::{fixed, hex, int, RecordKeys, Table};
 use crate::RunConfig;
 
 /// Trainer-pool widths every experiment is checked across.
@@ -247,88 +248,82 @@ pub fn table(run: &AbReportRun) -> Table {
     t
 }
 
-/// Serializes the sweep to the documented `BENCH_ab_leakage.json`
-/// schema. Fingerprints are hex strings (u64 does not survive JSON
-/// doubles). `host` is [`crate::report::host_stamp`]; `previous` is the
-/// tracked file this record replaces, for the `before` row.
-pub fn to_json(run: &AbReportRun, host: &str, previous: Option<&str>) -> String {
+/// How [`crate::report::before`] matches an ab-report record: the same
+/// seed, enrolment and fingerprint, rows by pool width.
+pub const KEYS: RecordKeys =
+    RecordKeys { identity: &["seed", "enrolled", "fingerprint"], rows: "runs", row_id: "workers" };
+
+/// The sweep as the documented `BENCH_ab_leakage.json` record. `host` is
+/// [`crate::host::stamp`]; `before` is left `null` for
+/// [`crate::report::write_tracked`] to fill in.
+pub fn record(run: &AbReportRun, host: Value) -> Value {
     let o = &run.outcome;
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"ab-report\",\n");
-    out.push_str(&format!("  \"seed\": {},\n", run.seed));
-    out.push_str(&format!("  \"enrolled\": {},\n", run.enrolled));
-    out.push_str(&format!("  \"host\": {host},\n"));
-    let same_run = [
-        ("seed", run.seed.to_string()),
-        ("enrolled", run.enrolled.to_string()),
-        ("fingerprint", format!("\"{:#018x}\"", o.fingerprint())),
-    ];
-    let before = crate::report::before_row(previous, host, &same_run, "workers");
-    out.push_str(&format!("  \"before\": {before},\n"));
-    out.push_str(&format!("  \"widths\": [{}],\n", WIDTHS.map(|w| w.to_string()).join(", ")));
-    out.push_str(&format!("  \"fingerprint\": \"{:#018x}\",\n", o.fingerprint()));
-    out.push_str("  \"fingerprints_match\": true,\n");
-    out.push_str(&format!(
-        "  \"cohorts\": {{\"a\": {}, \"b\": {}, \"holdout\": {}, \"disjoint\": true, \
-         \"seed_stable\": true}},\n",
-        o.split.a.len(),
-        o.split.b.len(),
-        o.split.holdout.len(),
-    ));
-    out.push_str("  \"arms\": [\n");
-    for (i, (name, s)) in [("A", &o.arms[0]), ("B", &o.arms[1])].into_iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"cohort\": {}, \"attacked\": {}, \
-             \"wire_queries\": {}, \"leakage\": {:.6}, \"baseline\": {:.6}, \
-             \"advantage\": {:.6}, \"served\": {}, \"latency_p95_us\": {}, \
-             \"queue_p95_us\": {}, \"service_p95_us\": {}}}{}\n",
-            s.cohort,
-            s.attacked,
-            s.wire_queries,
-            s.leakage,
-            s.baseline,
-            s.advantage,
-            s.served,
-            s.latency_p95_us,
-            s.queue_p95_us,
-            s.service_p95_us,
-            if i == 0 { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"verdict\": {{\"winner\": {}, \"delta\": {:.6}, \"decided_us\": {}, \
-         \"checkpoints\": {}}},\n",
-        o.verdict.winner().map_or("null".to_string(), |w| format!("\"{}\"", w.name())),
-        o.verdict.delta(),
-        o.verdict_us,
-        o.checkpoints,
-    ));
-    out.push_str(&format!(
-        "  \"rollout\": {{\"flip_backs\": {}, \"promotions\": {}, \"staleness_us\": {}, \
-         \"exposed_responses\": {}, \"degraded_after_swap\": {}}},\n",
-        o.flip_backs(),
-        o.promotions(),
-        o.flip_window.as_ref().map_or("null".to_string(), |w| w.staleness_us().to_string()),
-        o.exposed_responses,
-        o.degraded_after_swap,
-    ));
-    out.push_str(&format!(
-        "  \"aa\": {{\"null\": {}, \"delta\": {:.6}}},\n",
-        run.aa_null, run.aa_delta,
-    ));
-    out.push_str("  \"runs\": [\n");
-    for (i, r) in run.runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workers\": {}, \"wall_ms\": {:.3}, \"fingerprint\": \"{:#018x}\"}}{}\n",
-            r.workers,
-            r.wall_ms,
-            r.fingerprint,
-            if i + 1 < run.runs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let arms = [("A", &o.arms[0]), ("B", &o.arms[1])].map(|(name, s)| {
+        Value::obj([
+            ("name", Value::str(name)),
+            ("cohort", int(s.cohort)),
+            ("attacked", int(s.attacked)),
+            ("wire_queries", int(s.wire_queries)),
+            ("leakage", fixed(s.leakage, 6)),
+            ("baseline", fixed(s.baseline, 6)),
+            ("advantage", fixed(s.advantage, 6)),
+            ("served", int(s.served)),
+            ("latency_p95_us", int(s.latency_p95_us)),
+            ("queue_p95_us", int(s.queue_p95_us)),
+            ("service_p95_us", int(s.service_p95_us)),
+        ])
+    });
+    let runs = run.runs.iter().map(|r| {
+        Value::obj([
+            ("workers", int(r.workers)),
+            ("wall_ms", fixed(r.wall_ms, 3)),
+            ("fingerprint", hex(r.fingerprint)),
+        ])
+    });
+    let winner = o.verdict.winner().map_or(Value::Null, |w| Value::str(w.name()));
+    let staleness = o.flip_window.as_ref().map_or(Value::Null, |w| int(w.staleness_us()));
+    Value::obj([
+        ("experiment", Value::str("ab-report")),
+        ("seed", int(run.seed)),
+        ("enrolled", int(run.enrolled)),
+        ("host", host),
+        ("before", Value::Null),
+        ("widths", Value::Arr(WIDTHS.into_iter().map(int).collect())),
+        ("fingerprint", hex(o.fingerprint())),
+        ("fingerprints_match", Value::Bool(true)),
+        (
+            "cohorts",
+            Value::obj([
+                ("a", int(o.split.a.len())),
+                ("b", int(o.split.b.len())),
+                ("holdout", int(o.split.holdout.len())),
+                ("disjoint", Value::Bool(true)),
+                ("seed_stable", Value::Bool(true)),
+            ]),
+        ),
+        ("arms", Value::Arr(arms.into())),
+        (
+            "verdict",
+            Value::obj([
+                ("winner", winner),
+                ("delta", fixed(o.verdict.delta(), 6)),
+                ("decided_us", int(o.verdict_us)),
+                ("checkpoints", int(o.checkpoints)),
+            ]),
+        ),
+        (
+            "rollout",
+            Value::obj([
+                ("flip_backs", int(o.flip_backs())),
+                ("promotions", int(o.promotions())),
+                ("staleness_us", staleness),
+                ("exposed_responses", int(o.exposed_responses)),
+                ("degraded_after_swap", int(o.degraded_after_swap)),
+            ]),
+        ),
+        ("aa", Value::obj([("null", Value::Bool(run.aa_null)), ("delta", fixed(run.aa_delta, 6))])),
+        ("runs", Value::Arr(runs.collect())),
+    ])
 }
 
 #[cfg(test)]
@@ -351,28 +346,17 @@ mod tests {
         assert_eq!(run.outcome.verdict.winner(), Some(pelican_abx::Arm::B));
         assert_eq!(run.outcome.flip_backs(), run.outcome.split.a.len());
         assert_eq!(run.outcome.promotions(), run.outcome.split.holdout.len());
-        let host = r#"{"cores": 2, "commit": "bbbbbbb"}"#;
-        let json = to_json(&run, host, None);
-        assert!(json.contains(&format!("\"host\": {host}")));
-        // The same run recorded on another host becomes the before row.
-        let older = to_json(&run, r#"{"cores": 4, "commit": "aaaaaaa"}"#, None);
-        assert!(to_json(&run, host, Some(&older)).contains(r#""before": {"host": {"cores": 4, "#));
-        assert!(json.contains("\"experiment\": \"ab-report\""));
-        assert!(json.contains("\"fingerprints_match\": true"));
-        assert!(json.contains("\"disjoint\": true"));
-        assert!(json.contains("\"seed_stable\": true"));
-        assert!(json.contains("\"null\": true"));
-        assert!(json.contains("\"degraded_after_swap\": 0"));
-        assert!(json.contains(&format!("{fp:#018x}")));
-        // Balanced braces/brackets — a cheap well-formedness check; CI
-        // parses the file for real.
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                json.matches(open).count(),
-                json.matches(close).count(),
-                "unbalanced {open}{close}"
-            );
-        }
+        let host = Value::obj([("cores", Value::Int(2)), ("commit", Value::str("bbbbbbb"))]);
+        let record = record(&run, host.clone());
+        let text = crate::report::render(&record);
+        assert_eq!(Value::parse(&text), Ok(record.clone()), "the writer's output parses back");
+        let field = |key: &str| record.get(key).unwrap_or_else(|| panic!("no {key}: {text}"));
+        assert_eq!((field("host"), field("before")), (&host, &Value::Null));
+        assert_eq!((field("enrolled"), field("fingerprint")), (&int(run.enrolled), &hex(fp)));
+        assert_eq!(field("verdict").get("winner"), Some(&Value::str("B")));
+        assert_eq!(field("rollout").get("degraded_after_swap"), Some(&Value::Int(0)));
+        assert_eq!(field("aa").get("null"), Some(&Value::Bool(true)));
+        assert!(field("runs").as_arr().iter().all(|r| r.get("fingerprint") == Some(&hex(fp))));
         assert!(table(&run).render().contains("verdict"));
     }
 }

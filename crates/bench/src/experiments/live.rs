@@ -16,11 +16,11 @@
 //!   to the one-shot pipeline plus serving pass: same durable envelope
 //!   bytes per user, same serving-trace fingerprint.
 //!
-//! Results go to stdout and to `BENCH_live_loop.json`; the CI
-//! `live-report` step parses the JSON and fails on any contract flag.
-//! The record is stamped with its host (cores, commit), and when the
-//! file it replaces recorded the same run at another commit, that file's
-//! wall times stay in the new one as the `before` row.
+//! Results go to stdout and to `BENCH_live_loop.json`, which the CI
+//! `live-report` step checks with `crates/bench/tests/tracked_records.rs`.
+//! The record is stamped with its host, and when the file it replaces
+//! recorded the same run under another stamp, that file's per-width wall
+//! times stay in the new one as the `before` block.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -41,7 +41,8 @@ use pelican_train::{run_pipeline, AuditConfig, PipelineConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::report::Table;
+use crate::json::Value;
+use crate::report::{fixed, hex, int, RecordKeys, Table};
 use crate::RunConfig;
 
 /// Trainer-pool widths every run is checked across.
@@ -255,68 +256,57 @@ pub fn table(run: &LiveReportRun) -> Table {
     t
 }
 
-/// Serializes the sweep to the documented `BENCH_live_loop.json` schema.
-/// Fingerprints are hex strings (u64 does not survive JSON doubles).
-/// `host` is [`crate::report::host_stamp`]; `previous` is the tracked
-/// file this record replaces, for the `before` row.
-pub fn to_json(run: &LiveReportRun, host: &str, previous: Option<&str>) -> String {
+/// How [`crate::report::before`] matches a live-report record: the same
+/// seed, cohort and fingerprint, rows by pool width.
+pub const KEYS: RecordKeys =
+    RecordKeys { identity: &["seed", "users", "fingerprint"], rows: "runs", row_id: "workers" };
+
+/// The sweep as the documented `BENCH_live_loop.json` record. `host` is
+/// [`crate::host::stamp`]; `before` is left `null` for
+/// [`crate::report::write_tracked`] to fill in.
+pub fn record(run: &LiveReportRun, host: Value) -> Value {
     let o = &run.outcome;
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"live-report\",\n");
-    out.push_str(&format!("  \"seed\": {},\n", run.seed));
-    out.push_str(&format!("  \"users\": {},\n", run.users));
-    out.push_str(&format!("  \"host\": {host},\n"));
-    let same_run = [
-        ("seed", run.seed.to_string()),
-        ("users", run.users.to_string()),
-        ("fingerprint", format!("\"{:#018x}\"", o.fingerprint())),
-    ];
-    let before = crate::report::before_row(previous, host, &same_run, "workers");
-    out.push_str(&format!("  \"before\": {before},\n"));
-    out.push_str(&format!("  \"widths\": [{}],\n", WIDTHS.map(|w| w.to_string()).join(", ")));
-    out.push_str(&format!("  \"fingerprint\": \"{:#018x}\",\n", o.fingerprint()));
-    out.push_str("  \"fingerprints_match\": true,\n");
-    out.push_str(&format!("  \"served\": {},\n", o.serve.served.len()));
-    out.push_str(&format!("  \"retrains\": {},\n", o.retrains.len()));
-    out.push_str(&format!("  \"rollbacks\": {},\n", o.rollbacks()));
-    out.push_str(&format!("  \"drift_marks\": {},\n", o.drift_marks));
-    out.push_str(&format!("  \"pending_at_end\": {},\n", o.pending_at_end));
-    out.push_str(&format!(
-        "  \"retrain_latency_us\": {{\"p50\": {}, \"p95\": {}}},\n",
-        o.retrain_latency_p50_us(),
-        o.retrain_latency_p95_us(),
-    ));
-    out.push_str(&format!(
-        "  \"staleness_us\": {{\"p50\": {}, \"p95\": {}}},\n",
-        o.staleness_p50_us(),
-        o.staleness_p95_us(),
-    ));
-    out.push_str(&format!(
-        "  \"reaudit\": {{\"audits\": {}, \"queries\": {}, \"hits\": {}, \"misses\": {}}},\n",
-        o.reaudit.audits, o.reaudit.queries, o.reaudit.hits, o.reaudit.misses,
-    ));
-    out.push_str(&format!(
-        "  \"prefix\": {{\"hits\": {}, \"misses\": {}}},\n",
-        o.prefix_hits, o.prefix_misses,
-    ));
-    out.push_str(&format!("  \"retrain_forward_passes\": {},\n", o.retrain_forward_passes()));
-    out.push_str(&format!("  \"forward_passes_saved\": {},\n", o.forward_passes_saved()));
-    out.push_str(&format!("  \"quiescent_equivalent\": {},\n", run.quiescent_equivalent));
-    out.push_str(&format!("  \"quiescent_served\": {},\n", run.quiescent_served));
-    out.push_str("  \"runs\": [\n");
-    for (i, r) in run.runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workers\": {}, \"wall_ms\": {:.3}, \"retrains\": {}, \
-             \"fingerprint\": \"{:#018x}\"}}{}\n",
-            r.workers,
-            r.wall_ms,
-            r.retrains,
-            r.fingerprint,
-            if i + 1 < run.runs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let percentiles = |p50: u64, p95: u64| Value::obj([("p50", int(p50)), ("p95", int(p95))]);
+    let runs = run.runs.iter().map(|r| {
+        Value::obj([
+            ("workers", int(r.workers)),
+            ("wall_ms", fixed(r.wall_ms, 3)),
+            ("retrains", int(r.retrains)),
+            ("fingerprint", hex(r.fingerprint)),
+        ])
+    });
+    Value::obj([
+        ("experiment", Value::str("live-report")),
+        ("seed", int(run.seed)),
+        ("users", int(run.users)),
+        ("host", host),
+        ("before", Value::Null),
+        ("widths", Value::Arr(WIDTHS.into_iter().map(int).collect())),
+        ("fingerprint", hex(o.fingerprint())),
+        ("fingerprints_match", Value::Bool(true)),
+        ("served", int(o.serve.served.len())),
+        ("retrains", int(o.retrains.len())),
+        ("rollbacks", int(o.rollbacks())),
+        ("drift_marks", int(o.drift_marks)),
+        ("pending_at_end", int(o.pending_at_end)),
+        ("retrain_latency_us", percentiles(o.retrain_latency_p50_us(), o.retrain_latency_p95_us())),
+        ("staleness_us", percentiles(o.staleness_p50_us(), o.staleness_p95_us())),
+        (
+            "reaudit",
+            Value::obj([
+                ("audits", int(o.reaudit.audits)),
+                ("queries", int(o.reaudit.queries)),
+                ("hits", int(o.reaudit.hits)),
+                ("misses", int(o.reaudit.misses)),
+            ]),
+        ),
+        ("prefix", Value::obj([("hits", int(o.prefix_hits)), ("misses", int(o.prefix_misses))])),
+        ("retrain_forward_passes", int(o.retrain_forward_passes())),
+        ("forward_passes_saved", int(o.forward_passes_saved())),
+        ("quiescent_equivalent", Value::Bool(run.quiescent_equivalent)),
+        ("quiescent_served", int(run.quiescent_served)),
+        ("runs", Value::Arr(runs.collect())),
+    ])
 }
 
 #[cfg(test)]
@@ -334,39 +324,17 @@ mod tests {
         assert!(run.runs.iter().all(|r| r.fingerprint == fp));
         assert!(run.quiescent_equivalent);
         assert!(run.quiescent_served > 0);
-        let host = r#"{"cores": 2, "commit": "bbbbbbb"}"#;
-        let json = to_json(&run, host, None);
-        assert!(json.contains("\"before\": null"), "nothing tracked to compare with");
-        // The same run recorded at another commit becomes the before row…
-        let older = to_json(&run, r#"{"cores": 4, "commit": "aaaaaaa"}"#, None);
-        let walls: Vec<String> = run.runs.iter().map(|r| format!("{:.3}", r.wall_ms)).collect();
-        let before = format!(
-            r#""before": {{"host": {{"cores": 4, "commit": "aaaaaaa"}}, "wall_ms": [{}]}}"#,
-            walls.join(", ")
-        );
-        let newer = to_json(&run, host, Some(&older));
-        assert!(newer.contains(&before), "{newer}");
-        // …a re-run at the same commit keeps it, and another run's record
-        // (another seed) contributes nothing.
-        assert!(to_json(&run, host, Some(&newer)).contains(&before));
-        let other = older.replace("\"seed\": 42", "\"seed\": 43");
-        assert!(to_json(&run, host, Some(&other)).contains("\"before\": null"));
-        assert!(json.contains("\"experiment\": \"live-report\""));
-        assert!(json.contains("\"fingerprints_match\": true"));
-        assert!(json.contains("\"misses\": 0"));
-        assert!(json.contains(&format!("\"prefix\": {{\"hits\": {}, ", run.outcome.prefix_hits)));
+        let host = Value::obj([("cores", Value::Int(2)), ("commit", Value::str("bbbbbbb"))]);
+        let record = record(&run, host.clone());
+        let text = crate::report::render(&record);
+        assert_eq!(Value::parse(&text), Ok(record.clone()), "the writer's output parses back");
+        let field = |key: &str| record.get(key).unwrap_or_else(|| panic!("no {key}: {text}"));
+        assert_eq!((field("host"), field("before")), (&host, &Value::Null));
+        assert_eq!((field("users"), field("fingerprint")), (&Value::Int(3), &hex(fp)));
+        assert_eq!(field("reaudit").get("misses"), Some(&Value::Int(0)));
         assert!(run.outcome.prefix_hits > 0, "re-train admissions must reuse the frozen prefix");
-        assert!(json.contains("\"quiescent_equivalent\": true"));
-        assert!(json.contains(&format!("{fp:#018x}")));
-        // Balanced braces/brackets — a cheap well-formedness check; CI
-        // parses the file for real.
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                json.matches(open).count(),
-                json.matches(close).count(),
-                "unbalanced {open}{close}"
-            );
-        }
+        assert_eq!(field("prefix").get("hits"), Some(&int(run.outcome.prefix_hits)));
+        assert!(field("runs").as_arr().iter().all(|r| r.get("fingerprint") == Some(&hex(fp))));
         assert!(table(&run).render().contains("workers"));
     }
 }

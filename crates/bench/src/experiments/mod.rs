@@ -17,9 +17,9 @@
 //! | [`live`] | streaming personalization loop: retrain latency/staleness, width invariance, zero-cost re-audits (beyond the paper) |
 //! | [`abx`] | closed-loop A/B experimentation of defense rungs: served-interface leakage verdicts, A/A null, flip-back rollout (beyond the paper) |
 //!
-//! Every experiment registers in the [`Experiment`] registry:
-//! [`experiments`] enumerates them (driving `repro --list`) and
-//! [`find`] resolves a CLI name to its runner.
+//! Every experiment is one [`Entry`] of the registry: [`experiments`]
+//! enumerates them (driving `repro --list`) and [`find`] resolves a CLI
+//! name to its runner.
 
 pub mod ablation;
 pub mod abx;
@@ -40,37 +40,22 @@ use pelican::workbench::Scenario;
 use pelican::PersonalizationMethod;
 use pelican_mobility::SpatialLevel;
 
-use crate::RunConfig;
+use crate::{host, report, RunConfig};
 
-/// A runnable, self-describing experiment: everything the `repro`
-/// binary needs to list it and run it.
-pub trait Experiment {
+/// A registry row: everything the `repro` binary needs to list an
+/// experiment and run it. Rows are plain data, so the whole registry
+/// lives in one `static`.
+pub struct Entry {
     /// CLI name (`repro <name>`).
-    fn name(&self) -> &'static str;
+    pub name: &'static str,
     /// One-line description for `repro --list` and the usage screen.
-    fn description(&self) -> &'static str;
-    /// Runs the experiment and prints its report to stdout.
-    fn run(&self, config: &RunConfig);
-}
-
-/// A registry row: static metadata plus the runner function. Keeping
-/// rows as plain data lets the whole registry live in one `static`.
-struct Entry {
-    name: &'static str,
-    description: &'static str,
+    pub description: &'static str,
     run: fn(&RunConfig),
 }
 
-impl Experiment for Entry {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn description(&self) -> &'static str {
-        self.description
-    }
-
-    fn run(&self, config: &RunConfig) {
+impl Entry {
+    /// Runs the experiment and prints its report to stdout.
+    pub fn run(&self, config: &RunConfig) {
         (self.run)(config)
     }
 }
@@ -210,13 +195,13 @@ static REGISTRY: &[Entry] = &[
 ];
 
 /// Every registered experiment, in registry (≈ paper) order.
-pub fn experiments() -> impl Iterator<Item = &'static dyn Experiment> {
-    REGISTRY.iter().map(|e| e as &'static dyn Experiment)
+pub fn experiments() -> impl Iterator<Item = &'static Entry> {
+    REGISTRY.iter()
 }
 
 /// Resolves a CLI experiment name.
-pub fn find(name: &str) -> Option<&'static dyn Experiment> {
-    REGISTRY.iter().find(|e| e.name == name).map(|e| e as &'static dyn Experiment)
+pub fn find(name: &str) -> Option<&'static Entry> {
+    REGISTRY.iter().find(|e| e.name == name)
 }
 
 fn banner(title: &str, config: &RunConfig) {
@@ -373,12 +358,8 @@ fn run_sim_scale(config: &RunConfig) {
     banner("Sim-core scaling — timer-wheel engine at fleet population", config);
     let run = sim_scale::run(config);
     println!("{}", sim_scale::table(&run).render());
-    let previous = std::fs::read_to_string("BENCH_sim_scale.json").ok();
-    let json = sim_scale::to_json(&run, &crate::report::host_stamp(), previous.as_deref());
-    match std::fs::write("BENCH_sim_scale.json", &json) {
-        Ok(()) => println!("wrote BENCH_sim_scale.json"),
-        Err(e) => eprintln!("could not write BENCH_sim_scale.json: {e}"),
-    }
+    let record = sim_scale::record(&run, host::stamp());
+    report::write_tracked("BENCH_sim_scale.json", record, &sim_scale::KEYS);
 }
 
 fn run_live_report(config: &RunConfig) {
@@ -391,12 +372,7 @@ fn run_live_report(config: &RunConfig) {
     );
     println!("{}", live::table(&run).render());
     print!("{}", run.outcome.render());
-    let previous = std::fs::read_to_string("BENCH_live_loop.json").ok();
-    let json = live::to_json(&run, &crate::report::host_stamp(), previous.as_deref());
-    match std::fs::write("BENCH_live_loop.json", &json) {
-        Ok(()) => println!("wrote BENCH_live_loop.json"),
-        Err(e) => eprintln!("could not write BENCH_live_loop.json: {e}"),
-    }
+    report::write_tracked("BENCH_live_loop.json", live::record(&run, host::stamp()), &live::KEYS);
 }
 
 fn run_ab_report(config: &RunConfig) {
@@ -411,12 +387,7 @@ fn run_ab_report(config: &RunConfig) {
     );
     println!("{}", abx::table(&run).render());
     print!("{}", run.outcome.render());
-    let previous = std::fs::read_to_string("BENCH_ab_leakage.json").ok();
-    let json = abx::to_json(&run, &crate::report::host_stamp(), previous.as_deref());
-    match std::fs::write("BENCH_ab_leakage.json", &json) {
-        Ok(()) => println!("wrote BENCH_ab_leakage.json"),
-        Err(e) => eprintln!("could not write BENCH_ab_leakage.json: {e}"),
-    }
+    report::write_tracked("BENCH_ab_leakage.json", abx::record(&run, host::stamp()), &abx::KEYS);
 }
 
 fn run_ablate_defenses(config: &RunConfig) {
@@ -473,14 +444,14 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique_and_resolvable() {
-        let names: Vec<&str> = experiments().map(|e| e.name()).collect();
+        let names: Vec<&str> = experiments().map(|e| e.name).collect();
         let mut deduped = names.clone();
         deduped.sort_unstable();
         deduped.dedup();
         assert_eq!(deduped.len(), names.len(), "duplicate experiment name");
         for name in &names {
             assert!(find(name).is_some());
-            assert!(!find(name).unwrap().description().is_empty());
+            assert!(!find(name).unwrap().description.is_empty());
         }
         assert!(find("sim-scale").is_some(), "sim-scale registers like the rest");
         assert!(find("nonsense").is_none());

@@ -17,9 +17,9 @@
 //! working directory; the record this one replaces, if it was taken at
 //! another commit or on another host, stays in the new one as the
 //! `before` block. The JSON schema is documented in the repository
-//! README under "Scaling & perf baseline"; the CI `sim-scale` step
-//! parses it and fails when a fingerprint diverges from the tracked
-//! record's `before`.
+//! README under "Scaling & perf baseline"; the CI `sim-scale` step runs
+//! `crates/bench/tests/tracked_records.rs`, which fails when a
+//! fingerprint diverges from the tracked record's `before`.
 
 use std::time::Instant;
 
@@ -28,7 +28,9 @@ use pelican_sim::{
     TraceLevel, TransferPolicy,
 };
 
-use crate::report::{field, Table};
+use crate::host;
+use crate::json::Value;
+use crate::report::{fixed, hex, int, RecordKeys, Table};
 use crate::RunConfig;
 
 /// Devices per shared fair-share uplink group.
@@ -106,16 +108,6 @@ pub fn fleet(devices: usize, seed: u64) -> (Vec<LinkSpec>, Vec<JobSpec>) {
     (links, specs)
 }
 
-/// Process peak RSS (`VmHWM`) in kB, or 0 where `/proc` is unavailable.
-fn peak_rss_kb() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else { return 0 };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse().ok())
-        .unwrap_or(0)
-}
-
 /// Runs the sweep: every population in `--devices` (or the default
 /// 10k/100k/1M ladder), one warm-up and one timed run each.
 pub fn run(config: &RunConfig) -> SimScaleRun {
@@ -138,7 +130,7 @@ pub fn run(config: &RunConfig) -> SimScaleRun {
             fingerprint: out.fingerprint(),
             p95_rtt_us: completion_percentile(&out, 0.95),
             timed_out: out.timed_out(),
-            peak_rss_kb: peak_rss_kb(),
+            peak_rss_kb: (host::peak_rss_mb() * 1024.0) as u64,
             wall_ms: wall.as_secs_f64() * 1e3,
             events_per_sec: out.events() as f64 / wall.as_secs_f64().max(1e-9),
         });
@@ -171,77 +163,35 @@ pub fn table(run: &SimScaleRun) -> Table {
     t
 }
 
-/// The `before` block of a new record: what `previous` (the file about
-/// to be replaced) measured for the populations of `run`, if it was
-/// taken with the same seed on another host stamp — its host, and per
-/// population the fingerprint and the wall time. A re-run at the same
-/// stamp keeps the `before` it already had. `null` with nothing to
-/// compare with. One line, like every top-level field.
-///
-/// The wall time is the population block's first `wall_ms`, which in a
-/// record from before the sharded simulator was deleted (three `runs`
-/// rows per population) is the 1-shard row's.
-fn before_block(previous: Option<&str>, host: &str, run: &SimScaleRun) -> String {
-    let null = || "null".to_owned();
-    let Some(previous) = previous.filter(|p| field(p, "seed") == Some(&run.seed.to_string()))
-    else {
-        return null();
-    };
-    let previous_host = field(previous, "host").unwrap_or("null");
-    if previous_host == host {
-        return field(previous, "before").map_or_else(null, str::to_owned);
-    }
-    // The previous record's own `before` line names populations too.
-    let body: Vec<&str> =
-        previous.lines().filter(|l| !l.trim_start().starts_with("\"before\"")).collect();
-    let body = body.join("\n");
-    let populations: Vec<String> = run
-        .populations
-        .iter()
-        .filter_map(|pop| {
-            let block = body.split("\"devices\": ").skip(1).find(|block| {
-                block.split(',').next().map(str::trim) == Some(&pop.devices.to_string())
-            })?;
-            Some(format!(
-                "{{\"devices\": {}, \"fingerprint\": {}, \"wall_ms\": {}}}",
-                pop.devices,
-                field(block, "fingerprint")?,
-                field(block, "wall_ms")?.split(',').next()?
-            ))
-        })
-        .collect();
-    if populations.is_empty() {
-        return null();
-    }
-    format!("{{\"host\": {previous_host}, \"populations\": [{}]}}", populations.join(", "))
-}
+/// How [`crate::report::before`] matches a sim-scale record: the same
+/// seed, rows by population.
+pub const KEYS: RecordKeys =
+    RecordKeys { identity: &["seed"], rows: "populations", row_id: "devices" };
 
-/// Serializes the sweep to the documented `BENCH_sim_scale.json` schema.
-/// Fingerprints are hex strings (u64 does not survive JSON doubles).
-/// `host` is [`crate::report::host_stamp`]: a wall time means nothing
-/// without the box and commit it was taken on. `previous` is the
-/// tracked file this record replaces, for the `before` block.
-pub fn to_json(run: &SimScaleRun, host: &str, previous: Option<&str>) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"sim-scale\",\n");
-    out.push_str(&format!("  \"seed\": {},\n", run.seed));
-    out.push_str(&format!("  \"host\": {host},\n"));
-    out.push_str(&format!("  \"before\": {},\n", before_block(previous, host, run)));
-    out.push_str("  \"populations\": [\n");
-    for (i, pop) in run.populations.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"devices\": {},\n", pop.devices));
-        out.push_str(&format!("      \"events\": {},\n", pop.events));
-        out.push_str(&format!("      \"fingerprint\": \"{:#018x}\",\n", pop.fingerprint));
-        out.push_str(&format!("      \"p95_rtt_us\": {},\n", pop.p95_rtt_us));
-        out.push_str(&format!("      \"timed_out\": {},\n", pop.timed_out));
-        out.push_str(&format!("      \"peak_rss_kb\": {},\n", pop.peak_rss_kb));
-        out.push_str(&format!("      \"wall_ms\": {:.3},\n", pop.wall_ms));
-        out.push_str(&format!("      \"events_per_sec\": {:.1}\n", pop.events_per_sec));
-        out.push_str(&format!("    }}{}\n", if i + 1 < run.populations.len() { "," } else { "" }));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The sweep as the documented `BENCH_sim_scale.json` record. `host` is
+/// [`host::stamp`]: a wall time means nothing without the box and
+/// commit it was taken on. `before` is left `null` for
+/// [`crate::report::write_tracked`] to fill in.
+pub fn record(run: &SimScaleRun, host: Value) -> Value {
+    let populations = run.populations.iter().map(|pop| {
+        Value::obj([
+            ("devices", int(pop.devices)),
+            ("events", int(pop.events)),
+            ("fingerprint", hex(pop.fingerprint)),
+            ("p95_rtt_us", int(pop.p95_rtt_us)),
+            ("timed_out", int(pop.timed_out)),
+            ("peak_rss_kb", int(pop.peak_rss_kb)),
+            ("wall_ms", fixed(pop.wall_ms, 3)),
+            ("events_per_sec", fixed(pop.events_per_sec, 1)),
+        ])
+    });
+    Value::obj([
+        ("experiment", Value::str("sim-scale")),
+        ("seed", int(run.seed)),
+        ("host", host),
+        ("before", Value::Null),
+        ("populations", Value::Arr(populations.collect())),
+    ])
 }
 
 #[cfg(test)]
@@ -261,73 +211,15 @@ mod tests {
         assert_eq!(pop.events, 100_000);
         assert_eq!(pop.p95_rtt_us, 2_636_350);
         assert_eq!(pop.timed_out, 0);
-        let host = r#"{"cores": 2, "commit": "bbbbbbb"}"#;
-        let json = to_json(&run, host, None);
-        assert!(json.contains(r#""host": {"cores": 2, "commit": "bbbbbbb"},"#));
-        assert!(json.contains("\"before\": null,"), "nothing tracked to compare with");
-        assert!(json.contains("\"devices\": 10000"));
-        assert!(json.contains("\"fingerprint\": \"0x8cca3f28caffb76a\""));
-        // Balanced braces/brackets — a cheap well-formedness check; CI
-        // parses the file for real.
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                json.matches(open).count(),
-                json.matches(close).count(),
-                "unbalanced {open}{close}"
-            );
-        }
-        let table = table(&run).render();
-        assert!(table.contains("10000"));
-
-        // The same sweep recorded at another commit becomes the before
-        // block: its host, and per population this run also covers its
-        // fingerprint and its wall time…
-        let older = to_json(&run, r#"{"cores": 4, "commit": "aaaaaaa"}"#, None);
-        let newer = to_json(&run, host, Some(&older));
-        let before = format!(
-            "\"before\": {{\"host\": {{\"cores\": 4, \"commit\": \"aaaaaaa\"}}, \"populations\": \
-             [{{\"devices\": 10000, \"fingerprint\": \"0x8cca3f28caffb76a\", \"wall_ms\": {:.3}}}]}},",
-            pop.wall_ms
-        );
-        assert!(newer.contains(&before), "{newer}");
-        // …a re-run at the same stamp keeps it (and is not confused by the
-        // populations the before line itself names)…
-        assert!(to_json(&run, host, Some(&newer)).contains(&before));
-        // …a record in the three-rows-per-population layout of before the
-        // sharded simulator was deleted gives its 1-shard wall time…
-        let old_layout = r#"{
-  "experiment": "sim-scale",
-  "seed": 42,
-  "host": {"cores": 2, "commit": "1047931+dirty"},
-  "before": {"host": {"cores": 2, "commit": "1047931"}, "populations": [{"devices": 10000, "fingerprint": "0x8cca3f28caffb76a", "wall_ms": [28.611, 41.044, 32.747]}]},
-  "shards": [1, 2, 8],
-  "populations": [
-    {
-      "devices": 10000,
-      "events": 100000,
-      "fingerprint": "0x8cca3f28caffb76a",
-      "fingerprints_match": true,
-      "p95_rtt_us": 2636350,
-      "timed_out": 0,
-      "peak_rss_kb": 25700,
-      "runs": [
-        {"shards": 1, "wall_ms": 17.916, "events_per_sec": 5581696.5, "fingerprint": "0x8cca3f28caffb76a"},
-        {"shards": 2, "wall_ms": 21.245, "events_per_sec": 4706899.3, "fingerprint": "0x8cca3f28caffb76a"},
-        {"shards": 8, "wall_ms": 16.141, "events_per_sec": 6195427.2, "fingerprint": "0x8cca3f28caffb76a"}
-      ]
-    }
-  ]
-}
-"#;
-        assert!(to_json(&run, host, Some(old_layout)).contains(
-            r#""before": {"host": {"cores": 2, "commit": "1047931+dirty"}, "populations": [{"devices": 10000, "fingerprint": "0x8cca3f28caffb76a", "wall_ms": 17.916}]},"#
-        ));
-        // …and a record of other populations, or another seed, is no
-        // comparison at all.
-        let other = RunConfig { devices: Some(300), ..RunConfig::default() };
-        let other = super::run(&other);
-        assert!(to_json(&other, host, Some(&older)).contains("\"before\": null,"));
-        let reseeded = SimScaleRun { seed: run.seed + 1, ..run.clone() };
-        assert!(to_json(&reseeded, host, Some(&older)).contains("\"before\": null,"));
+        let host = Value::obj([("cores", Value::Int(2)), ("commit", Value::str("bbbbbbb"))]);
+        let record = record(&run, host.clone());
+        let text = crate::report::render(&record);
+        assert_eq!(Value::parse(&text), Ok(record.clone()), "the writer's output parses back");
+        assert!(text.contains("\n    {\"devices\": 10000, "), "one line per population: {text}");
+        assert_eq!(record.get("host"), Some(&host));
+        assert_eq!(record.get("before"), Some(&Value::Null), "filled in only when written");
+        let row = record.get("populations").map(|rows| &rows.as_arr()[0]);
+        assert_eq!(row.and_then(|row| row.get("fingerprint")), Some(&hex(pop.fingerprint)));
+        assert!(table(&run).render().contains("10000"));
     }
 }

@@ -24,6 +24,12 @@
 //! takes correspondingly long on a laptop.
 
 pub mod experiments;
+/// The repo benchmark's host stamp, shared so both stamp records alike.
+#[path = "../../../benchmark/src/host.rs"]
+pub mod host;
+/// The repo benchmark's JSON value, shared so both print records alike.
+#[path = "../../../benchmark/src/json.rs"]
+pub mod json;
 pub mod report;
 
 use pelican_mobility::Scale;

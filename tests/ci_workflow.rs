@@ -47,3 +47,10 @@ fn the_guard_flags_each_way_a_plain_name_breaks() {
     assert!(plain_scalar_problem("Build (release)").is_none());
     assert!(plain_scalar_problem("\"Sim engine (release: golden traces)\"").is_none());
 }
+
+/// The tracked records' schema lives in `crates/bench/tests/tracked_records.rs`;
+/// an inline script in the workflow would be a second copy of it.
+#[test]
+fn the_ci_workflow_runs_no_python() {
+    assert!(!WORKFLOW.contains("python3"), "check records in a Rust test, not a script in ci.yml");
+}
