@@ -7,8 +7,9 @@
 //! * the loop's fingerprint is bit-identical for every pool width in
 //!   [`WIDTHS`] — host scheduling must never leak into the virtual
 //!   timeline;
-//! * re-audit sweeps of unchanged candidates pay **zero** forward passes
-//!   (every oracle query answers from a warm logit cache);
+//! * re-audit sweeps of unchanged candidates attack (they spend queries)
+//!   and pay **zero** forward passes (every oracle query answers from a
+//!   warm logit cache);
 //! * the per-user prefix tiers count the same hits and misses at every
 //!   width (reported as `prefix`: audit queries whose frozen-prefix
 //!   activations a re-train's admission found already computed);
@@ -193,6 +194,7 @@ pub fn run(config: &RunConfig) -> LiveReportRun {
             assert!(!live.retrains.is_empty(), "the eager trigger must re-train");
             assert_eq!(live.reaudit.misses, 0, "a re-audit sweep ran a forward pass");
             assert!(live.reaudit.hits > 0, "re-audit sweeps must replay warm caches");
+            assert!(live.reaudit.queries > 0, "the re-audit sweeps attacked nothing");
             outcome = Some(live);
         }
     }

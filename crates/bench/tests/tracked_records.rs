@@ -119,6 +119,7 @@ fn live_report(d: &Value) {
     assert!(retrains > 0, "the eager trigger must produce re-trains");
     assert!(rows(d, "runs").iter().all(|r| int(r, "retrains") == retrains));
     assert!(int(d, "reaudit.audits") > 0 && int(d, "reaudit.hits") > 0);
+    assert!(int(d, "reaudit.queries") > 0, "the re-audit sweeps attacked nothing");
     assert_eq!(int(d, "reaudit.misses"), 0, "a re-audit of an unchanged candidate was not free");
     assert!(int(d, "prefix.hits") > 0, "no re-train reused its user's frozen-prefix activations");
     assert_eq!(at(d, "quiescent_equivalent"), &Value::Bool(true), "the quiescent loop diverged");

@@ -26,6 +26,8 @@
 //!   barrier actually reaches the platter (or at least the page cache
 //!   flush the OS promises).
 //!
+//! Tests that inject faults wrap a `MemBackend` in [`crate::FaultPlan`].
+//!
 //! Determinism note: [`StorageBackend::list`] returns names in sorted
 //! order on every backend, so recovery replays segments in the same order
 //! regardless of medium.

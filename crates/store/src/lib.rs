@@ -18,6 +18,8 @@
 //! * [`backend`] — the storage medium behind one small trait:
 //!   [`MemBackend`] for deterministic crash/restart tests,
 //!   [`DirBackend`] for real files with `sync_all` barriers.
+//! * [`fault`] — [`FaultPlan`], a [`MemBackend`] whose armed calls fail,
+//!   write short or panic: how the tests drive the store's error paths.
 //! * [`record`] — the on-disk format: segment headers, CRC-sealed
 //!   records ending in a commit byte, and the committed-prefix scanner.
 //! * [`compress`] — the self-contained LZSS coder (the build vendors no
@@ -54,6 +56,7 @@
 
 pub mod backend;
 pub mod compress;
+pub mod fault;
 pub mod record;
 pub mod store;
 
@@ -61,6 +64,7 @@ pub use backend::{DirBackend, MemBackend, StorageBackend};
 /// The shared byte buffer [`StorageBackend`] reads return and appends take.
 pub use bytes::Bytes;
 pub use compress::{compress, decompress, DecompressError};
+pub use fault::{Fault, FaultPlan, Method};
 pub use record::{Record, ScanEnd, COMMIT_BYTE, FORMAT_VERSION};
 pub use store::{
     CompactionPolicy, EnvelopeStore, RecoveryReport, StoreConfig, StoreError, StoreStats,

@@ -593,14 +593,16 @@ impl EnvelopeStore {
     /// old segments are removed, so a crash mid-compaction leaves a
     /// recoverable log (records may exist twice; replay keeps whichever
     /// committed copy it sees last, which carries identical payloads).
+    /// When removing an old segment fails, the compaction still stands
+    /// and counts, the rest are removed, and the first such error is
+    /// returned. The segment that stayed is removed by the next
+    /// compaction; until then a reopen replays its superseded versions.
     pub fn compact_shard(&self, shard_no: usize) -> Result<u64, StoreError> {
         let mut shard = self.lock(shard_no);
         let retain = self.config.compaction.retain_versions;
-        let old_segments: Vec<u64> = {
-            let mut seqs: Vec<u64> = shard.segments.keys().copied().collect();
-            seqs.sort_unstable();
-            seqs
-        };
+        let mut old_segments: Vec<(u64, u64)> =
+            shard.segments.iter().map(|(&s, &l)| (s, l)).collect();
+        old_segments.sort_unstable();
         let before_bytes: u64 = shard.segments.values().sum();
 
         // Gather survivors in deterministic (user, version) order.
@@ -660,17 +662,27 @@ impl EnvelopeStore {
         }
 
         // Point the shard at the fresh chain, then drop the old files.
+        // Every removal is attempted; an old segment whose removal fails
+        // stays in the chain (its records are out of the index), so the
+        // next compaction removes it again.
         shard.index = fresh_index;
         shard.segments = fresh_segments;
         shard.active = seq;
-        for old in old_segments {
-            self.backend.remove(&segment_name(shard_no as u32, old))?;
+        let mut failed = None;
+        for (old, len) in old_segments {
+            if let Err(e) = self.backend.remove(&segment_name(shard_no as u32, old)) {
+                shard.segments.insert(old, len);
+                failed.get_or_insert(e);
+            }
         }
         let after_bytes: u64 = shard.segments.values().sum();
         let reclaimed = before_bytes.saturating_sub(after_bytes);
         self.compactions.fetch_add(1, Ordering::Relaxed);
         self.reclaimed_bytes.fetch_add(reclaimed, Ordering::Relaxed);
-        Ok(reclaimed)
+        match failed {
+            Some(e) => Err(e.into()),
+            None => Ok(reclaimed),
+        }
     }
 
     /// Compacts every shard in order. Returns total bytes reclaimed.

@@ -12,20 +12,20 @@
 //!
 //! Truncation alone never needs the CRC: the length and the commit byte
 //! catch every torn tail. So more failures are driven here: a single
-//! flipped bit in a committed record (only the CRC can see it), a
-//! backend that panics inside `append` or `sync`, one whose `append`
-//! writes a prefix of the record and then returns an error, and one
-//! whose `n`th append or sync fails in the middle of a compaction.
+//! flipped bit in a committed record (only the CRC can see it), and
+//! backend faults injected by a [`FaultPlan`]: a panic inside `append`
+//! or `sync`, an `append` that writes a prefix of the record and then
+//! returns an error, the `n`th append or sync of a compaction failing,
+//! and a compaction whose removal of an old segment fails.
 
-use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pelican_nn::ModelEnvelope;
 use pelican_store::record::{decode_record, HEADER_LEN};
 use pelican_store::{
-    Bytes, CompactionPolicy, EnvelopeStore, MemBackend, StorageBackend, StoreConfig, StoreError,
+    CompactionPolicy, EnvelopeStore, Fault, FaultPlan, MemBackend, Method, StorageBackend,
+    StoreConfig, StoreError,
 };
 
 const SEGMENT: &str = "shard0000-seg00000000.plog";
@@ -256,60 +256,16 @@ fn one_rotten_bit_anywhere_in_a_32k_record_ends_the_committed_prefix_there() {
     }
 }
 
-/// A backend that panics once, wherever it is armed: in `append` before
-/// writing a byte, or in `sync` after the bytes landed.
-#[derive(Debug)]
-struct PanicsOnce {
-    disk: MemBackend,
-    in_append: AtomicBool,
-    in_sync: AtomicBool,
-}
-
-impl PanicsOnce {
-    fn new(disk: &MemBackend) -> Arc<Self> {
-        let disarmed = || AtomicBool::new(false);
-        Arc::new(Self { disk: disk.clone(), in_append: disarmed(), in_sync: disarmed() })
-    }
-}
-
-impl StorageBackend for PanicsOnce {
-    fn read(&self, name: &str) -> io::Result<Bytes> {
-        self.disk.read(name)
-    }
-    fn read_range(&self, name: &str, offset: u64, len: usize) -> io::Result<Bytes> {
-        self.disk.read_range(name, offset, len)
-    }
-    fn append(&self, name: &str, bytes: Bytes) -> io::Result<()> {
-        assert!(!self.in_append.swap(false, Ordering::SeqCst), "backend fault before the write");
-        self.disk.append(name, bytes)
-    }
-    fn sync(&self, name: &str) -> io::Result<()> {
-        assert!(!self.in_sync.swap(false, Ordering::SeqCst), "backend fault after the write");
-        self.disk.sync(name)
-    }
-    fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
-        self.disk.truncate(name, len)
-    }
-    fn remove(&self, name: &str) -> io::Result<()> {
-        self.disk.remove(name)
-    }
-    fn list(&self) -> io::Result<Vec<String>> {
-        self.disk.list()
-    }
-    fn size(&self, name: &str) -> io::Result<u64> {
-        self.disk.size(name)
-    }
-}
-
 #[test]
 fn a_backend_panic_mid_publish_poisons_nothing_the_next_call_needs() {
     let disk = MemBackend::new();
-    let backend = PanicsOnce::new(&disk);
-    let store = EnvelopeStore::open(backend.clone(), config(false)).unwrap();
+    let plan = Arc::new(FaultPlan::new(disk.clone()));
+    let store = EnvelopeStore::open(plan.clone(), config(false)).unwrap();
     store.append(1, 1, &envelope(1)).unwrap();
     let before = disk.size(SEGMENT).unwrap();
 
-    backend.in_append.store(true, Ordering::SeqCst);
+    // Plan: the next append panics before it writes.
+    plan.arm(Method::Append, 1, Fault::Panic);
     let publish = catch_unwind(AssertUnwindSafe(|| store.append(1, 2, &envelope(2))));
     assert!(publish.is_err(), "the armed append must panic");
 
@@ -333,11 +289,12 @@ fn a_backend_panic_mid_publish_poisons_nothing_the_next_call_needs() {
 #[test]
 fn a_sync_panic_after_the_write_leaves_the_next_record_at_its_own_offset() {
     let disk = MemBackend::new();
-    let backend = PanicsOnce::new(&disk);
-    let store = EnvelopeStore::open(backend.clone(), config(false)).unwrap();
+    let plan = Arc::new(FaultPlan::new(disk.clone()));
+    let store = EnvelopeStore::open(plan.clone(), config(false)).unwrap();
     store.append(1, 1, &envelope(1)).unwrap();
 
-    backend.in_sync.store(true, Ordering::SeqCst);
+    // Plan: the next sync panics, after its record's bytes landed.
+    plan.arm(Method::Sync, 1, Fault::Panic);
     let publish = catch_unwind(AssertUnwindSafe(|| store.append(1, 2, &envelope(2))));
     assert!(publish.is_err(), "the armed sync must panic");
     // The bytes landed, but the publication was never indexed.
@@ -362,68 +319,22 @@ fn a_sync_panic_after_the_write_leaves_the_next_record_at_its_own_offset() {
     }
 }
 
-/// A backend whose armed `append` writes the first `prefix` bytes of its
-/// buffer and then returns an error, and whose `size` fails while
-/// `blind` is set.
-#[derive(Debug)]
-struct ShortWrite {
-    disk: MemBackend,
-    prefix: usize,
-    armed: AtomicBool,
-    blind: AtomicBool,
-}
-
-impl StorageBackend for ShortWrite {
-    fn read(&self, name: &str) -> io::Result<Bytes> {
-        self.disk.read(name)
-    }
-    fn read_range(&self, name: &str, offset: u64, len: usize) -> io::Result<Bytes> {
-        self.disk.read_range(name, offset, len)
-    }
-    fn append(&self, name: &str, bytes: Bytes) -> io::Result<()> {
-        if self.armed.swap(false, Ordering::SeqCst) {
-            self.disk.append(name, bytes.slice(..self.prefix))?;
-            return Err(io::Error::other("the medium failed mid-write"));
-        }
-        self.disk.append(name, bytes)
-    }
-    fn sync(&self, name: &str) -> io::Result<()> {
-        self.disk.sync(name)
-    }
-    fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
-        self.disk.truncate(name, len)
-    }
-    fn remove(&self, name: &str) -> io::Result<()> {
-        self.disk.remove(name)
-    }
-    fn list(&self) -> io::Result<Vec<String>> {
-        self.disk.list()
-    }
-    fn size(&self, name: &str) -> io::Result<u64> {
-        if self.blind.load(Ordering::SeqCst) {
-            return Err(io::Error::other("the medium cannot say"));
-        }
-        self.disk.size(name)
-    }
-}
-
 #[test]
 fn an_append_error_after_a_partial_write_leaves_the_next_publish_served_and_durable() {
-    // (bytes the failed append writes, whether `size` fails after it).
+    // Plan: the next append writes `prefix` bytes and fails; with
+    // `blind`, every `size` fails, from the open on.
     for (prefix, blind) in [(0, false), (0, true), (100, false), (100, true)] {
         let case = format!("prefix {prefix}, size fails: {blind}");
         let disk = MemBackend::new();
-        let backend = Arc::new(ShortWrite {
-            disk: disk.clone(),
-            prefix,
-            armed: AtomicBool::new(false),
-            blind: AtomicBool::new(blind),
-        });
-        let store = EnvelopeStore::open(backend.clone(), config(false)).unwrap();
+        let plan = Arc::new(FaultPlan::new(disk.clone()));
+        if blind {
+            plan.arm(Method::Size, 1, Fault::Broken);
+        }
+        let store = EnvelopeStore::open(plan.clone(), config(false)).unwrap();
         store.append(1, 1, &envelope(1)).unwrap();
         let committed = disk.size(SEGMENT).unwrap();
 
-        backend.armed.store(true, Ordering::SeqCst);
+        plan.arm(Method::Append, 1, Fault::ShortWrite(prefix));
         let failed = store.append(1, 2, &envelope(2));
         assert!(matches!(failed, Err(StoreError::Io(_))), "{case}");
         assert_eq!(disk.size(SEGMENT).unwrap(), committed + prefix as u64, "{case}");
@@ -449,87 +360,42 @@ fn an_append_error_after_a_partial_write_leaves_the_next_publish_served_and_dura
     }
 }
 
-/// A backend whose `n`th `append` or `sync` from now fails, after the
-/// append wrote its bytes; a countdown of zero never fails.
-#[derive(Debug)]
-struct FailsNth {
-    disk: MemBackend,
-    appends: AtomicUsize,
-    syncs: AtomicUsize,
+/// Every file on the disk, with its size.
+fn files(disk: &MemBackend) -> Vec<(String, u64)> {
+    disk.list().unwrap().into_iter().map(|f| (f.clone(), disk.size(&f).unwrap())).collect()
 }
 
-/// Whether this call is the one `countdown` was armed for.
-fn strikes(countdown: &AtomicUsize) -> bool {
-    countdown.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1)) == Ok(1)
-}
-
-impl StorageBackend for FailsNth {
-    fn read(&self, name: &str) -> io::Result<Bytes> {
-        self.disk.read(name)
-    }
-    fn read_range(&self, name: &str, offset: u64, len: usize) -> io::Result<Bytes> {
-        self.disk.read_range(name, offset, len)
-    }
-    fn append(&self, name: &str, bytes: Bytes) -> io::Result<()> {
-        self.disk.append(name, bytes)?;
-        if strikes(&self.appends) {
-            return Err(io::Error::other("the medium failed after the write"));
-        }
-        Ok(())
-    }
-    fn sync(&self, name: &str) -> io::Result<()> {
-        if strikes(&self.syncs) {
-            return Err(io::Error::other("the medium failed to sync"));
-        }
-        self.disk.sync(name)
-    }
-    fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
-        self.disk.truncate(name, len)
-    }
-    fn remove(&self, name: &str) -> io::Result<()> {
-        self.disk.remove(name)
-    }
-    fn list(&self) -> io::Result<Vec<String>> {
-        self.disk.list()
-    }
-    fn size(&self, name: &str) -> io::Result<u64> {
-        self.disk.size(name)
+/// One shard of small segments that compaction cuts to two versions.
+fn compacting() -> StoreConfig {
+    StoreConfig {
+        shards: 1,
+        segment_bytes: 700,
+        compaction: CompactionPolicy { retain_versions: 2 },
+        ..StoreConfig::default()
     }
 }
 
 #[test]
 fn a_failed_compaction_leaves_no_stray_segment_behind() {
     // Three users, four versions each, two kept: the rewrite fills
-    // several small fresh segments, and each case fails it at one of
-    // their appends or syncs.
-    let config = StoreConfig {
-        shards: 1,
-        segment_bytes: 700,
-        compaction: CompactionPolicy { retain_versions: 2 },
-        ..StoreConfig::default()
-    };
+    // several small fresh segments, and each plan fails it at one of
+    // their appends (after the write) or syncs.
+    let config = compacting();
     let users = 1..=3u64;
-    for (appends, syncs) in [(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)] {
-        let case = format!("append #{appends}, sync #{syncs} fails");
+    let plans = [(Method::Append, Fault::ErrorAfter), (Method::Sync, Fault::Error)];
+    for ((method, fault), nth) in plans.into_iter().flat_map(|p| (1..=3).map(move |n| (p, n))) {
+        let case = format!("{method:?} #{nth} fails");
         let disk = MemBackend::new();
-        let backend = Arc::new(FailsNth {
-            disk: disk.clone(),
-            appends: AtomicUsize::new(0),
-            syncs: AtomicUsize::new(0),
-        });
-        let store = EnvelopeStore::open(backend.clone(), config).unwrap();
+        let plan = Arc::new(FaultPlan::new(disk.clone()));
+        let store = EnvelopeStore::open(plan.clone(), config).unwrap();
         for v in 1..=4 {
             for user in users.clone() {
                 store.append(user, v, &envelope(10 * user + v)).unwrap();
             }
         }
-        let files = |disk: &MemBackend| -> Vec<(String, u64)> {
-            disk.list().unwrap().into_iter().map(|f| (f.clone(), disk.size(&f).unwrap())).collect()
-        };
         let before = files(&disk);
 
-        backend.appends.store(appends, Ordering::SeqCst);
-        backend.syncs.store(syncs, Ordering::SeqCst);
+        plan.arm(method, nth, fault);
         assert!(matches!(store.compact(), Err(StoreError::Io(_))), "{case}");
         assert_eq!(files(&disk), before, "{case}: the failed compaction left files behind");
         for user in users.clone() {
@@ -564,5 +430,58 @@ fn a_failed_compaction_leaves_no_stray_segment_behind() {
         // A compaction that does not fail still goes through.
         reopened.compact().unwrap();
         assert_eq!(reopened.versions(1), vec![6, 7], "{case}");
+    }
+}
+
+#[test]
+fn a_failed_segment_removal_is_retried_by_the_next_compaction() {
+    // Plan: the first removal of a compaction fails. Four versions of
+    // three users fill six segments of two records each, and the oldest,
+    // which holds version 1 of users 1 and 2, is removed first.
+    let config = compacting();
+    let disk = MemBackend::new();
+    let plan = Arc::new(FaultPlan::new(disk.clone()));
+    let store = EnvelopeStore::open(plan.clone(), config).unwrap();
+    for v in 1..=4 {
+        for user in 1..=3u64 {
+            store.append(user, v, &envelope(10 * user + v)).unwrap();
+        }
+    }
+    let old = disk.list().unwrap();
+    assert_eq!(old.len(), 6);
+
+    plan.arm(Method::Remove, 1, Fault::Error);
+    assert!(matches!(store.compact(), Err(StoreError::Io(_))));
+    // The shard serves the compacted index.
+    for user in 1..=3 {
+        assert_eq!(store.versions(user), vec![3, 4]);
+        let latest = store.fetch_latest(user).unwrap().unwrap();
+        assert_eq!(latest.as_bytes(), envelope(10 * user + 4).as_bytes());
+    }
+    // Every other old segment is gone; the stray one stays in the
+    // shard's chain, and the compaction counts.
+    let left = disk.list().unwrap();
+    assert_eq!(left[0], old[0]);
+    assert!(old[1..].iter().all(|name| !left.contains(name)), "{left:?}");
+    let stats = store.stats();
+    assert_eq!((stats.compactions, stats.segments), (1, left.len()));
+
+    // Until the next compaction, a reopen replays the stray segment's
+    // superseded versions.
+    let reopened = EnvelopeStore::open(Arc::new(disk.snapshot()), config).unwrap();
+    assert_eq!(reopened.recovery().torn_segments, 0);
+    for (user, versions) in [(1, vec![1, 3, 4]), (2, vec![1, 3, 4]), (3, vec![3, 4])] {
+        assert_eq!(reopened.versions(user), versions, "user {user}");
+    }
+    assert_eq!(reopened.fetch(2, 1).unwrap().as_bytes(), envelope(21).as_bytes());
+
+    // The next compaction removes the stray segment.
+    store.compact().unwrap();
+    let left = disk.list().unwrap();
+    assert!(!left.contains(&old[0]), "{left:?}");
+    assert_eq!((store.stats().compactions, store.stats().segments), (2, left.len()));
+    let reopened = EnvelopeStore::open(Arc::new(disk), config).unwrap();
+    for user in 1..=3 {
+        assert_eq!(reopened.versions(user), vec![3, 4], "user {user}");
     }
 }

@@ -226,26 +226,17 @@ impl AuditGate {
     /// Runs one audit: attacks the candidate as-is and returns the
     /// aggregate evaluation. A subject with no held-out triples yields an
     /// empty evaluation (leakage 0 — nothing to attack with).
-    pub fn audit(
-        &self,
-        model: &SequenceModel,
-        space: &FeatureSpace,
-        subject: &AuditSubject,
-    ) -> AttackEvaluation {
-        self.audit_cached(model, space, subject, &mut LogitCache::new())
-    }
-
-    /// [`AuditGate::audit`] with an explicit per-candidate logit cache.
     ///
-    /// The cache keys raw logits by query fingerprint, so it stays valid
-    /// across *defense* changes of the same weights — exactly what
-    /// [`AuditGate::admit`]'s escalation ladder does between rungs: the
-    /// first audit fills the cache, and every re-audit under a sharper
-    /// temperature re-scores its candidates from cached logits without a
-    /// single new forward pass. Never reuse the cached logits across
-    /// candidates (weight changes invalidate them, and nothing checks);
-    /// the cache's prefix tier is checked against `model` and may come
-    /// from anywhere.
+    /// `cache` is the candidate's logit cache. It keys raw logits by
+    /// query fingerprint, so it stays valid across *defense* changes of
+    /// the same weights — exactly what [`AuditGate::admit_with_cache`]'s
+    /// escalation ladder does between rungs: the first audit fills the
+    /// cache, and every re-audit under a sharper temperature re-scores
+    /// its candidates from cached logits without a single new forward
+    /// pass. Never reuse the cached logits across candidates (weight
+    /// changes invalidate them, and nothing checks); the cache's prefix
+    /// tier is checked against `model` and may come from anywhere. A
+    /// one-off audit passes a fresh [`LogitCache`].
     pub fn audit_cached(
         &self,
         model: &SequenceModel,
@@ -272,26 +263,16 @@ impl AuditGate {
 
     /// The full gate: installs the base defense, audits, escalates along
     /// the ladder while leakage exceeds the budget, and returns the
-    /// release-ready model (defense installed) with the gate's record.
-    pub fn admit(
-        &self,
-        candidate: SequenceModel,
-        space: &FeatureSpace,
-        subject: &AuditSubject,
-    ) -> (SequenceModel, GateOutcome) {
-        let (model, outcome, _cache) = self.admit_with_cache(candidate, space, subject);
-        (model, outcome)
-    }
-
-    /// [`AuditGate::admit`], but hands back the logit cache the ladder
-    /// filled — the entry point for *incremental* re-audits. The cache
-    /// is keyed to the released candidate's weights, so a later
-    /// [`AuditGate::audit_cached`] of the same published model (policy
-    /// re-verification of an unchanged candidate) replays it entirely
-    /// and pays zero forward passes. Drop its logits the moment the
-    /// user's weights change (e.g. after a warm-start re-train); its
-    /// prefix tier can go on to the re-trained candidate's admission.
-    /// This is [`AuditGate::admit_inheriting`] from an empty tier.
+    /// release-ready model (defense installed), the gate's record, and
+    /// the logit cache the ladder filled — the entry point for
+    /// *incremental* re-audits. The cache is keyed to the released
+    /// candidate's weights, so a later [`AuditGate::audit_cached`] of the
+    /// same published model (policy re-verification of an unchanged
+    /// candidate) replays it entirely and pays zero forward passes. Drop
+    /// its logits the moment the user's weights change (e.g. after a
+    /// warm-start re-train); its prefix tier can go on to the re-trained
+    /// candidate's admission. This is [`AuditGate::admit_inheriting`]
+    /// from an empty tier.
     pub fn admit_with_cache(
         &self,
         candidate: SequenceModel,
@@ -402,7 +383,7 @@ mod tests {
     fn permissive_budget_passes_without_escalation() {
         let space = space();
         let gate = AuditGate::new(AuditConfig { max_leakage: 1.0, ..AuditConfig::default() });
-        let (_, outcome) = gate.admit(model(1, &space), &space, &subject(&space, 4));
+        let (_, outcome, _) = gate.admit_with_cache(model(1, &space), &space, &subject(&space, 4));
         assert_eq!(outcome.verdict, GateVerdict::Passed);
         assert_eq!(outcome.rungs_climbed, 0);
         assert_eq!(outcome.defense, DefenseKind::None);
@@ -421,7 +402,8 @@ mod tests {
             AuditConfig { max_leakage: 0.0, ks: vec![1, 6], audit_k: 6, ..AuditConfig::default() };
         let ladder_len = config.ladder.len();
         let gate = AuditGate::new(config);
-        let (published, outcome) = gate.admit(model(2, &space), &space, &subject(&space, 4));
+        let (published, outcome, _) =
+            gate.admit_with_cache(model(2, &space), &space, &subject(&space, 4));
         assert_eq!(outcome.rungs_climbed, ladder_len, "every rung was tried");
         assert_eq!(outcome.audits, ladder_len + 1);
         assert_eq!(outcome.verdict, GateVerdict::Exhausted);
@@ -441,7 +423,7 @@ mod tests {
             ladder: Vec::new(),
             ..AuditConfig::default()
         });
-        let (_, outcome) = gate.admit(model(9, &space), &space, &subject(&space, 4));
+        let (_, outcome, _) = gate.admit_with_cache(model(9, &space), &space, &subject(&space, 4));
         assert_eq!(outcome.verdict, GateVerdict::Exhausted);
         assert_eq!(outcome.rungs_climbed, 0);
         assert_eq!(outcome.defense, DefenseKind::None, "base defense stays deployed");
@@ -466,7 +448,7 @@ mod tests {
         let mut first = LogitCache::new();
         let first_eval = gate.audit_cached(&base, &space, &s, &mut first);
 
-        let (_, outcome) = gate.admit(candidate, &space, &s);
+        let (_, outcome, _) = gate.admit_with_cache(candidate, &space, &s);
         assert_eq!(outcome.audits, gate.config().ladder.len() + 1);
         assert!(outcome.cached > 0, "re-audits must hit the cache");
         // Every oracle query the gate made: attack queries plus one probe
@@ -512,10 +494,10 @@ mod tests {
             AuditConfig { max_leakage: 0.0, ks: vec![1, 6], audit_k: 6, ..AuditConfig::default() };
         let gate = AuditGate::new(config);
         let s = subject(&space, 5);
-        let (published, outcome) = gate.admit(model(3, &space), &space, &s);
+        let (published, outcome, _) = gate.admit_with_cache(model(3, &space), &space, &s);
         // A fresh, cache-free audit of the exact model the gate released
         // reproduces the gate's final leakage bit for bit.
-        let fresh = gate.audit(&published, &space, &s);
+        let fresh = gate.audit_cached(&published, &space, &s, &mut LogitCache::new());
         assert_eq!(fresh.accuracy(6), outcome.final_leakage);
     }
 
@@ -524,8 +506,8 @@ mod tests {
         let space = space();
         let gate = AuditGate::new(AuditConfig::default());
         let s = subject(&space, 5);
-        let (m1, o1) = gate.admit(model(3, &space), &space, &s);
-        let (m2, o2) = gate.admit(model(3, &space), &space, &s);
+        let (m1, o1, _) = gate.admit_with_cache(model(3, &space), &space, &s);
+        let (m2, o2, _) = gate.admit_with_cache(model(3, &space), &space, &s);
         assert_eq!(o1, o2);
         let xs = vec![vec![0.2; space.dim()]; 2];
         assert_eq!(m1.predict_proba(&xs), m2.predict_proba(&xs));
@@ -536,7 +518,7 @@ mod tests {
         let space = space();
         let gate = AuditGate::new(AuditConfig::default());
         let empty = AuditSubject { history: subject(&space, 2).history, holdout: Vec::new() };
-        let (_, outcome) = gate.admit(model(4, &space), &space, &empty);
+        let (_, outcome, _) = gate.admit_with_cache(model(4, &space), &space, &empty);
         assert_eq!(outcome.verdict, GateVerdict::Passed);
         assert_eq!(outcome.final_leakage, 0.0);
     }

@@ -287,13 +287,11 @@ mod tests {
     use pelican_mobility::{CampusConfig, DatasetBuilder, Scale, SpatialLevel};
     use pelican_nn::TrainConfig;
     use pelican_serve::RegistryConfig;
-    use pelican_store::record::{HEADER_LEN, RECORD_MAGIC, SEGMENT_MAGIC};
     use pelican_store::{
-        Bytes, EnvelopeStore, MemBackend, StorageBackend, StoreConfig, StoreError,
+        EnvelopeStore, Fault, FaultPlan, MemBackend, Method, StoreConfig, StoreError,
     };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::io;
 
     fn tiny_setting() -> (SequenceModel, pelican_mobility::MobilityDataset, Vec<TrainJob>) {
         let dataset = DatasetBuilder::new(CampusConfig::for_scale(Scale::Tiny), 13)
@@ -367,67 +365,31 @@ mod tests {
         assert_eq!(registry.stats().cold_models, jobs.len(), "updates replace, not add");
     }
 
-    /// A backend whose appends of one user's records fail before writing.
-    #[derive(Debug)]
-    struct RefusesUser {
-        disk: MemBackend,
-        user: u64,
-    }
-
-    impl StorageBackend for RefusesUser {
-        fn read(&self, name: &str) -> io::Result<Bytes> {
-            self.disk.read(name)
-        }
-        fn read_range(&self, name: &str, offset: u64, len: usize) -> io::Result<Bytes> {
-            self.disk.read_range(name, offset, len)
-        }
-        fn append(&self, name: &str, bytes: Bytes) -> io::Result<()> {
-            // A segment's first append carries its header before the record.
-            let skip = if bytes.starts_with(SEGMENT_MAGIC) { HEADER_LEN } else { 0 };
-            let user = &bytes[skip + RECORD_MAGIC.len()..][..8];
-            if u64::from_le_bytes(user.try_into().expect("8 bytes")) == self.user {
-                return Err(io::Error::other("device full"));
-            }
-            self.disk.append(name, bytes)
-        }
-        fn sync(&self, name: &str) -> io::Result<()> {
-            self.disk.sync(name)
-        }
-        fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
-            self.disk.truncate(name, len)
-        }
-        fn remove(&self, name: &str) -> io::Result<()> {
-            self.disk.remove(name)
-        }
-        fn list(&self) -> io::Result<Vec<String>> {
-            self.disk.list()
-        }
-        fn size(&self, name: &str) -> io::Result<u64> {
-            self.disk.size(name)
-        }
-    }
-
     #[test]
     fn a_failed_durable_publish_is_reported_and_the_other_users_still_publish() {
         let (general, dataset, jobs) = tiny_setting();
-        let refused = jobs[0].user_id;
-        let backend = RefusesUser { disk: MemBackend::new(), user: refused as u64 };
+        // Plan: the first append fails. Two workers publish in no fixed
+        // order, so the report names the user it refused.
+        let plan = FaultPlan::new(MemBackend::new());
+        plan.arm(Method::Append, 1, Fault::Error);
         let config = RegistryConfig::default();
         let store_config = StoreConfig { shards: config.shards, ..StoreConfig::default() };
-        let store = EnvelopeStore::open(Arc::new(backend), store_config).unwrap();
+        let store = EnvelopeStore::open(Arc::new(plan), store_config).unwrap();
         let registry = ShardedRegistry::with_store(general.clone(), config, Arc::new(store));
         let report = run_pipeline(fast_config(2), &general, &dataset.space, &jobs, &registry);
 
         assert_eq!(report.publish_failures.len(), 1);
         let failure = &report.publish_failures[0];
-        assert_eq!(failure.user_id, refused);
+        let refused = failure.user_id;
+        assert!(jobs.iter().any(|j| j.user_id == refused));
         assert!(matches!(*failure.error, StoreError::Io(_)), "{}", failure.error);
         assert!(report.render().contains(&format!("user {refused} failed")));
         assert!(!registry.is_enrolled(refused));
         assert_eq!(registry.get(refused).unwrap().1, pelican_serve::Lookup::Fallback);
 
         let published: Vec<usize> = report.outcomes.iter().map(|o| o.user_id).collect();
-        let others: Vec<usize> = jobs[1..].iter().map(|j| j.user_id).collect();
+        let others: Vec<usize> =
+            jobs.iter().map(|j| j.user_id).filter(|&user| user != refused).collect();
         assert_eq!(published, others);
         for outcome in &report.outcomes {
             assert_eq!(registry.version_of(outcome.user_id), Some(outcome.version));

@@ -8,7 +8,8 @@ use pelican_mobility::{CampusConfig, DatasetBuilder, MobilityDataset, Scale, Spa
 use pelican_nn::{SequenceModel, TrainConfig};
 use pelican_serve::{Lookup, RegistryConfig, ShardedRegistry};
 use pelican_train::{
-    cohort_jobs, AuditConfig, AuditGate, FleetTrainer, GateVerdict, PipelineConfig, TrainJob,
+    cohort_jobs, AuditConfig, AuditGate, FleetTrainer, GateVerdict, LogitCache, PipelineConfig,
+    TrainJob,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -97,7 +98,8 @@ fn every_published_model_passed_the_gate_or_carries_an_escalated_defense() {
         // Gate honesty: re-auditing the *published* model reproduces the
         // recorded final leakage.
         let job = jobs.iter().find(|j| j.user_id == outcome.user_id).unwrap();
-        let eval = gate.audit(&published, &dataset.space, &job.subject);
+        let eval =
+            gate.audit_cached(&published, &dataset.space, &job.subject, &mut LogitCache::new());
         assert_eq!(eval.accuracy(audit_config.audit_k), outcome.gate.final_leakage);
     }
 }
