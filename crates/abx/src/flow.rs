@@ -376,7 +376,7 @@ impl AbxFlow<'_> {
                             version,
                         });
                     }
-                    Err(e) => self.error = Some(e.into()),
+                    Err(e) => self.error = Some(e),
                 }
             }
             FlipAction::Promote { user_id, envelope } => {

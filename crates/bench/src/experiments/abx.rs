@@ -188,6 +188,13 @@ pub fn run(config: &RunConfig) -> AbReportRun {
             assert_eq!(abx.split, reference.split, "the cohort split drifted between runs");
         } else {
             assert!(!abx.attacks.is_empty(), "the front-door red team must attack");
+            for attack in &abx.attacks {
+                assert!(
+                    attack.logical_queries > 0,
+                    "the attack on user {} scored nothing",
+                    attack.user_id
+                );
+            }
             outcome = Some(abx);
         }
     }

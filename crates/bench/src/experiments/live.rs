@@ -7,9 +7,10 @@
 //! * the loop's fingerprint is bit-identical for every pool width in
 //!   [`WIDTHS`] — host scheduling must never leak into the virtual
 //!   timeline;
-//! * re-audit sweeps of unchanged candidates attack (they spend queries)
-//!   and pay **zero** forward passes (every oracle query answers from a
-//!   warm logit cache);
+//! * every admission, bootstrap or re-train, and the re-audit sweeps
+//!   attack (they spend queries), and the sweeps of unchanged candidates
+//!   pay **zero** forward passes (every oracle query answers from a warm
+//!   logit cache);
 //! * the per-user prefix tiers count the same hits and misses at every
 //!   width (reported as `prefix`: audit queries whose frozen-prefix
 //!   activations a re-train's admission found already computed);
@@ -195,6 +196,11 @@ pub fn run(config: &RunConfig) -> LiveReportRun {
             assert_eq!(live.reaudit.misses, 0, "a re-audit sweep ran a forward pass");
             assert!(live.reaudit.hits > 0, "re-audit sweeps must replay warm caches");
             assert!(live.reaudit.queries > 0, "the re-audit sweeps attacked nothing");
+            let bootstrap = live.bootstrap.outcomes.iter().map(|o| (o.user_id, &o.gate));
+            let retrains = live.retrains.iter().map(|r| (r.user_id, &r.gate));
+            for (user, gate) in bootstrap.chain(retrains) {
+                assert!(gate.queries > 0, "an admission of user {user} attacked nothing");
+            }
             outcome = Some(live);
         }
     }

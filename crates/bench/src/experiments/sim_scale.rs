@@ -73,8 +73,8 @@ pub struct SimScaleRun {
 /// The scaling fleet: per-device FIFO last-hop links, one fair-share WAN
 /// uplink per 64-device group, one three-stage enrollment job per
 /// device with releases spread over ~250 ms of virtual time — ten trace
-/// events per device. (The `sim_engine` criterion rows time this shape
-/// too.)
+/// events per device. (The repo benchmark's `sim_fleet` workload runs
+/// this shape at 100 000 devices.)
 pub fn fleet(devices: usize, seed: u64) -> (Vec<LinkSpec>, Vec<JobSpec>) {
     let groups = devices.div_ceil(GROUP);
     let mix = LinkMix::campus();

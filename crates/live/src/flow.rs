@@ -618,13 +618,17 @@ pub fn run_live(
         caches.insert(user, cache);
     });
 
+    // A user whose publication the store refused kept no cache: they get
+    // no loop state, so the fallback serves them and no round re-trains
+    // them; the failure stays in `bootstrap.publish_failures`.
     let mut states: HashMap<usize, UserState> = HashMap::new();
     for job in &jobs {
+        let Some(cache) = caches.remove(&job.user_id) else { continue };
         states.insert(
             job.user_id,
             UserState {
                 subject: job.subject.clone(),
-                cache: caches.remove(&job.user_id).expect("every bootstrap job was admitted"),
+                cache,
                 detector: DriftDetector::new(config.drift),
                 live_sessions: Vec::new(),
                 status: UserStatus::Idle,

@@ -13,9 +13,11 @@ use pelican_live::{
 use pelican_mobility::{CampusConfig, DatasetBuilder, MobilityDataset, Scale, SpatialLevel};
 use pelican_nn::{SequenceModel, TrainConfig};
 use pelican_serve::{
-    simulate_serving, RegistryConfig, SchedulerConfig, ShardedRegistry, SimServeConfig,
+    simulate_serving, Lookup, RegistryConfig, SchedulerConfig, ShardedRegistry, SimServeConfig,
 };
-use pelican_store::{EnvelopeStore, MemBackend, StoreConfig};
+use pelican_store::{
+    EnvelopeStore, Fault, FaultPlan, MemBackend, Method, StorageBackend, StoreConfig,
+};
 use pelican_train::{run_pipeline, AuditConfig, PipelineConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,11 +35,13 @@ fn tiny_setting() -> (MobilityDataset, SequenceModel, Range<usize>) {
 }
 
 fn store_backed_registry(general: &SequenceModel) -> ShardedRegistry {
-    let store = EnvelopeStore::open(
-        Arc::new(MemBackend::new()),
-        StoreConfig { shards: SHARDS, ..StoreConfig::default() },
-    )
-    .expect("open empty store");
+    registry_over(general, Arc::new(MemBackend::new()))
+}
+
+fn registry_over(general: &SequenceModel, backend: Arc<dyn StorageBackend>) -> ShardedRegistry {
+    let store =
+        EnvelopeStore::open(backend, StoreConfig { shards: SHARDS, ..StoreConfig::default() })
+            .expect("open empty store");
     ShardedRegistry::with_store(
         general.clone(),
         RegistryConfig { shards: SHARDS, hot_capacity: 8 },
@@ -211,4 +215,31 @@ fn drifting_loop_is_width_invariant_and_reaudits_for_free() {
         "{:?}",
         tier(&reverted)
     );
+}
+
+#[test]
+fn a_refused_bootstrap_publish_leaves_that_user_on_the_fallback() {
+    let (dataset, general, users) = tiny_setting();
+    // The store refuses the first append: one bootstrap publication.
+    let plan = FaultPlan::new(MemBackend::new());
+    plan.arm(Method::Append, 1, Fault::Error);
+    let registry = registry_over(&general, Arc::new(plan));
+    let live = run_live(&dataset, users.clone(), &registry, &general, &fast_config(2, eager()))
+        .expect("a refused publication is a per-user failure, not a failed run");
+
+    assert_eq!(live.bootstrap.publish_failures.len(), 1);
+    let refused = live.bootstrap.publish_failures[0].user_id;
+    assert!(users.contains(&refused));
+    assert!(live.bootstrap.outcomes.iter().all(|o| o.user_id != refused));
+    assert!(!registry.is_enrolled(refused));
+    assert_eq!(registry.get(refused).unwrap().1, Lookup::Fallback);
+    assert!(live.serve.served.iter().any(|q| q.user_id == refused), "the fallback served them");
+
+    // The refused user is never re-trained; every other user still is.
+    let mut retrained: Vec<usize> = live.retrains.iter().map(|r| r.user_id).collect();
+    retrained.sort_unstable();
+    retrained.dedup();
+    let others: Vec<usize> = users.filter(|&u| u != refused).collect();
+    assert_eq!(retrained, others);
+    assert_eq!(live.pending_at_end, 0);
 }

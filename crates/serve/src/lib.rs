@@ -74,9 +74,7 @@ pub mod traffic;
 
 pub use fleet::{run_fleet, CloudNetwork, CloudRtt, FleetConfig, FleetOutcome};
 pub use metrics::{MetricsSink, ServeReport};
-pub use registry::{
-    Lookup, RegistryConfig, RegistryStats, RollbackError, ShardedRegistry, UpdateError,
-};
+pub use registry::{Lookup, RegistryConfig, RegistryStats, ShardedRegistry, UpdateError};
 pub use scheduler::{Batch, Completion, Request, SchedulerConfig, ServeEngine};
 pub use simserve::{
     job_id, serve_harness, simulate_serving, split_job_id, Lane, ServeFlow, ServeHarness, ServeJob,

@@ -115,49 +115,15 @@ impl RegistryStats {
     }
 }
 
-/// Why a [`ShardedRegistry::rollback`] could not complete.
-#[derive(Debug)]
-pub enum RollbackError {
-    /// The registry has no durable store, so no history to roll back to.
-    NoStore,
-    /// The store retains no committed envelope with this version for the
-    /// user (never published, or compacted beyond the retention depth).
-    UnknownVersion {
-        /// The user whose history was searched.
-        user_id: usize,
-        /// The requested (missing) version.
-        version: u64,
-    },
-    /// The store failed reading the historical envelope or persisting
-    /// the re-publication.
-    Store(StoreError),
-}
-
-impl std::fmt::Display for RollbackError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RollbackError::NoStore => write!(f, "registry has no durable store attached"),
-            RollbackError::UnknownVersion { user_id, version } => {
-                write!(f, "user {user_id} has no retained version {version} to roll back to")
-            }
-            RollbackError::Store(e) => write!(f, "store failure during rollback: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RollbackError {}
-
 /// Why a loop that updates models under live serving — the re-train
-/// loop of `pelican-live`, the A/B experiment of `pelican-abx` — could
-/// not complete.
+/// loop of `pelican-live`, the A/B experiment of `pelican-abx` — or a
+/// [`ShardedRegistry::rollback`] could not complete.
 #[derive(Debug)]
 pub enum UpdateError {
     /// A stored envelope failed to decode.
     Codec(ModelCodecError),
     /// The durable store failed an append or fetch.
     Store(StoreError),
-    /// A rollback (safety net, losing-cohort flip-back) failed.
-    Rollback(RollbackError),
     /// The registry has no durable store attached — the loops need one
     /// for warm-start fetches and rollback targets.
     NoStore,
@@ -168,7 +134,6 @@ impl std::fmt::Display for UpdateError {
         match self {
             UpdateError::Codec(e) => write!(f, "envelope decode failed: {e}"),
             UpdateError::Store(e) => write!(f, "durable store failed: {e}"),
-            UpdateError::Rollback(e) => write!(f, "rollback failed: {e}"),
             UpdateError::NoStore => write!(f, "update loop requires a store-backed registry"),
         }
     }
@@ -185,12 +150,6 @@ impl From<ModelCodecError> for UpdateError {
 impl From<StoreError> for UpdateError {
     fn from(e: StoreError) -> Self {
         UpdateError::Store(e)
-    }
-}
-
-impl From<RollbackError> for UpdateError {
-    fn from(e: RollbackError) -> Self {
-        UpdateError::Rollback(e)
     }
 }
 
@@ -402,21 +361,16 @@ impl ShardedRegistry {
     ///
     /// # Errors
     ///
-    /// [`RollbackError::NoStore`] without a durable store;
-    /// [`RollbackError::UnknownVersion`] when the target version is not
-    /// retained (never published or compacted away);
-    /// [`RollbackError::Store`] on backend failure.
-    pub fn rollback(&self, user_id: usize, version: u64) -> Result<u64, RollbackError> {
-        let store = self.store.as_ref().ok_or(RollbackError::NoStore)?;
+    /// [`UpdateError::NoStore`] without a durable store;
+    /// [`UpdateError::Store`] with [`StoreError::UnknownVersion`] when the
+    /// target version is not retained (never published or compacted
+    /// away), or with the backend's error on a failure.
+    pub fn rollback(&self, user_id: usize, version: u64) -> Result<u64, UpdateError> {
+        let store = self.store.as_ref().ok_or(UpdateError::NoStore)?;
         // Fetch outside the registry shard lock (lock order is registry
         // shard -> store shard; this takes only the latter).
-        let envelope = store.fetch(user_id as u64, version).map_err(|e| match e {
-            StoreError::UnknownVersion { user, version } => {
-                RollbackError::UnknownVersion { user_id: user as usize, version }
-            }
-            other => RollbackError::Store(other),
-        })?;
-        let new_version = self.publish(user_id, envelope).map_err(RollbackError::Store)?;
+        let envelope = store.fetch(user_id as u64, version)?;
+        let new_version = self.publish(user_id, envelope)?;
         self.rollbacks.fetch_add(1, Ordering::Relaxed);
         Ok(new_version)
     }
@@ -755,10 +709,10 @@ mod tests {
             let r = durable_registry(&disk, 2);
             assert!(matches!(
                 r.rollback(1, 1),
-                Err(RollbackError::UnknownVersion { user_id: 1, version: 1 })
+                Err(UpdateError::Store(StoreError::UnknownVersion { user: 1, version: 1 }))
             ));
             let plain = registry(2, 2);
-            assert!(matches!(plain.rollback(1, 1), Err(RollbackError::NoStore)));
+            assert!(matches!(plain.rollback(1, 1), Err(UpdateError::NoStore)));
         }
 
         #[test]

@@ -66,8 +66,7 @@ pub fn tanh(x: f32) -> f32 {
 /// and the one it would have taken picked by bit masks. On a 2-core
 /// x86-64 host a slice of 4 096 costs 7.1 ns per element against 11.7 ns
 /// for glibc's `tanhf` called per element (1.65×; 1.5–1.6× at gate
-/// blocks of 12 and 64: the `activation/tanh` rows of
-/// `benches/training_throughput.rs`).
+/// blocks of 12 and 64).
 pub fn tanh_in_place(xs: &mut [f32]) {
     for v in xs {
         *v = tanh(*v);

@@ -54,3 +54,10 @@ fn the_guard_flags_each_way_a_plain_name_breaks() {
 fn the_ci_workflow_runs_no_python() {
     assert!(!WORKFLOW.contains("python3"), "check records in a Rust test, not a script in ci.yml");
 }
+
+/// `benchmark/` is the one performance harness: its per-layer rows are
+/// tracked with their host, and a second, untracked one would drift.
+#[test]
+fn the_ci_workflow_runs_no_cargo_bench() {
+    assert!(!WORKFLOW.contains("cargo bench"), "time a layer with a `benchmark/` per-layer row");
+}
