@@ -3,7 +3,7 @@
 //! `pelican-sim` virtual clock across a link-mix × retry-policy sweep,
 //! plus the cloud-serving round-trip path.
 //!
-//! Two contracts are asserted on every run, not just in tests:
+//! Three contracts are asserted on every run, not just in tests:
 //!
 //! * **Determinism** — the pipeline is run at two trainer-pool widths;
 //!   both co-simulations must produce bit-identical event traces and
@@ -12,6 +12,8 @@
 //! * **Contention** — a shared cloud uplink must yield strictly higher
 //!   p95 enroll latency than the uncontended per-device baseline, with
 //!   real queueing (non-zero p95 queue component).
+//! * **Round trips** — a cloud-deployed query's p95 round trip exceeds
+//!   on-device serving's p95, and nothing drops.
 
 use pelican::workbench::{Scenario, ScenarioSizing};
 use pelican::PersonalizationConfig;
@@ -257,6 +259,11 @@ pub fn contention_table(run: &NetworkRun) -> Table {
 
 /// Cloud-serving round trips: on-device vs. cloud-deployed (same
 /// traffic, same registry shape).
+///
+/// # Panics
+///
+/// Panics if the cloud round trip's p95 does not exceed on-device
+/// serving's, or if a query drops (no timeout is configured).
 pub fn cloud_table(config: &RunConfig) -> Table {
     let scenario: Scenario = super::scenario(config, SpatialLevel::Building);
     let fleet = |cloud| FleetConfig {
@@ -296,6 +303,8 @@ pub fn cloud_table(config: &RunConfig) -> Table {
         "0".into(),
     ]);
     let rtt = cloud.network.expect("cloud path produces a round-trip summary");
+    assert!(rtt.rtt_p95_us > on_device.report.p95_us, "a cloud round trip must pay the network");
+    assert_eq!(rtt.dropped, 0, "no timeout is configured, so nothing drops");
     t.row(&[
         "cloud".into(),
         ms(rtt.rtt_p50_us),

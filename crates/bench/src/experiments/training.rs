@@ -14,7 +14,7 @@ use pelican::workbench::{Scenario, ScenarioSizing};
 use pelican::PersonalizationConfig;
 use pelican_mobility::SpatialLevel;
 use pelican_nn::{ModelEnvelope, TrainConfig};
-use pelican_serve::{RegistryConfig, ShardedRegistry};
+use pelican_serve::{Lookup, RegistryConfig, ShardedRegistry};
 use pelican_train::{cohort_jobs, AuditConfig, FleetTrainer, PipelineConfig, TrainReport};
 
 use crate::report::Table;
@@ -44,7 +44,8 @@ pub struct TrainOutcome {
 /// # Panics
 ///
 /// Panics if any width publishes weights that differ from the 1-worker
-/// reference (the determinism contract).
+/// reference (the determinism contract), or if a cohort user's lookup
+/// falls back to the general model.
 pub fn run(config: &RunConfig) -> Vec<TrainOutcome> {
     let sizing = ScenarioSizing::for_scale(config.scale);
     let scenario: Scenario = Scenario::builder(config.scale, SpatialLevel::Building)
@@ -91,7 +92,9 @@ pub fn run(config: &RunConfig) -> Vec<TrainOutcome> {
             let envelopes = jobs
                 .iter()
                 .map(|job| {
-                    let (model, _) = registry.get(job.user_id).expect("published model decodes");
+                    let (model, lookup) =
+                        registry.get(job.user_id).expect("published model decodes");
+                    assert_ne!(lookup, Lookup::Fallback, "user {} fell back", job.user_id);
                     ModelEnvelope::encode(&model).as_bytes().to_vec()
                 })
                 .collect();

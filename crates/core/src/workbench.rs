@@ -78,11 +78,6 @@ impl PersonalUser {
     pub fn test_accuracy(&self, k: usize) -> f64 {
         evaluate_top_k(&self.model, &self.test, &[k]).accuracy(k)
     }
-
-    /// Top-k train accuracy (for the paper's overfitting comparisons).
-    pub fn train_accuracy(&self, k: usize) -> f64 {
-        evaluate_top_k(&self.model, &self.train, &[k]).accuracy(k)
-    }
 }
 
 /// A complete experimental setting.

@@ -34,14 +34,6 @@ impl Optimizer {
             Optimizer::Adam(o) => o.step(model, batch_size),
         }
     }
-
-    /// The configured learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        match self {
-            Optimizer::Sgd(o) => o.lr,
-            Optimizer::Adam(o) => o.lr,
-        }
-    }
 }
 
 impl From<Sgd> for Optimizer {

@@ -1,9 +1,9 @@
 //! End-to-end fleet harness: enroll a scenario, synthesize traffic,
 //! serve it on the virtual clock, report.
 //!
-//! This is the piece the `fleet_serve` example, the `serve-report`
-//! experiment and the serving benchmarks all drive: one deterministic
-//! function from (scenario, knobs) to a [`ServeReport`].
+//! This is the piece the `serve-report` experiment and the serving
+//! benchmarks drive: one deterministic function from (scenario, knobs)
+//! to a [`ServeReport`].
 //!
 //! Every run goes through [`crate::simserve::simulate_serving`]: shard
 //! buffers seal on sim timer events and fused batches occupy their

@@ -30,8 +30,8 @@
 //! * [`metrics`] — throughput, batch-size histogram, cache hit rate and
 //!   p50/p95/p99 simulated latency, all deterministic.
 //!
-//! [`fleet::run_fleet`] wires the four together for the `fleet_serve`
-//! example and the `serve-report` experiment. Every run — on-device or
+//! [`fleet::run_fleet`] wires the four together for the `serve-report`
+//! experiment. Every run — on-device or
 //! cloud — is one [`simserve::simulate_serving`] pass: shard buffers seal
 //! on sim timer events and fused batches occupy their shard's compute
 //! resource (back-to-back batches queue, and each completion carries a

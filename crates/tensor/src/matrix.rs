@@ -592,13 +592,6 @@ impl Matrix {
         self.data.fill(0.0);
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_in_place<F: FnMut(f32) -> f32>(&mut self, mut f: F) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Frobenius norm (`sqrt` of the sum of squared elements).
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()

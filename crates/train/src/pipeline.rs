@@ -2,8 +2,8 @@
 //! hot-swap publication.
 //!
 //! [`FleetTrainer::run`] is the one deterministic-output function the
-//! example, the `train-report` experiment and the `fleet_training` bench
-//! all drive. Workers steal per-user jobs from the pool, personalize (or
+//! `train-report` experiment and the `enroll_fleet` benchmark workload
+//! drive. Workers steal per-user jobs from the pool, personalize (or
 //! warm-start) on the simulated device tier, push each candidate through
 //! the privacy-audit gate, and send the release-ready envelope down an
 //! [`mpsc`] publication channel. The publisher drains the channel on the

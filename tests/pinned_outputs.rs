@@ -322,17 +322,18 @@ fn tiny_scenario_is_the_recorded_one() {
 
 #[test]
 fn tiny_ab_experiment_fingerprint_is_the_recorded_one() {
-    // `repro ab-report --scale tiny`, whose treatment run is also
-    // `fleet_abx`'s: the whole seed-42 tiny campus, undefended arm A
-    // against the hard rung in arm B, at 1/2/8 workers plus the A/A run.
+    // `repro ab-report --scale tiny`: the whole seed-42 tiny campus,
+    // undefended arm A against the hard rung in arm B, at 1/2/8 workers
+    // plus the A/A run.
     let run = abx::run(&RunConfig { scale: Scale::Tiny, ..RunConfig::default() });
     assert_eq!(run.outcome.fingerprint(), 0xef07_ed95_4145_405a, "the A/B experiment moved");
 }
 
 #[test]
 fn fleet_rollback_drill_is_the_recorded_one() {
-    // `fleet_rollback`'s drill. Recorded at `12b4d0c`; serving its queries
-    // through the serving tier moved only the fingerprint (was 0x481e…da8a).
+    // The 8-user drill at the default seed. Recorded at `12b4d0c`;
+    // serving its queries through the serving tier moved only the
+    // fingerprint (was 0x481e…da8a).
     let report = run_rollback_study(&RollbackConfig { users: 8, ..RollbackConfig::default() });
     assert_eq!(
         report.report,
