@@ -29,8 +29,8 @@ use pelican_live::{bootstrap_jobs, run_live, DriftConfig, DriftMetric, LiveConfi
 use pelican_mobility::{CampusConfig, DatasetBuilder, MobilityDataset, Scale, SpatialLevel};
 use pelican_nn::{ModelEnvelope, SequenceModel, TrainConfig};
 use pelican_serve::{
-    simulate_serving, CloudNetwork, RegistryConfig, Request, SchedulerConfig, ShardedRegistry,
-    SimServeConfig, TrafficConfig, TrafficGenerator,
+    run_fleet, simulate_serving, CloudNetwork, CloudRtt, FleetConfig, RegistryConfig, Request,
+    SchedulerConfig, ShardedRegistry, SimServeConfig, TrafficConfig, TrafficGenerator,
 };
 use pelican_store::{EnvelopeStore, MemBackend, StoreConfig};
 use pelican_train::{
@@ -237,6 +237,93 @@ fn tiny_serving_pass_is_the_recorded_one() {
         "the registry's lookup counters moved"
     );
 }
+
+#[test]
+fn tiny_fleet_runs_are_the_recorded_ones() {
+    // `run_fleet` end to end, on-device and in the cloud: a tiny scenario
+    // enrolled behind the default privacy layer, 600 Zipf/burst arrivals,
+    // and for the cloud run the default uplink mix, shared egress and
+    // payload sizes. Recorded at `dbebfc8`, before those settings became
+    // constants.
+    let scenario =
+        Scenario::builder(Scale::Tiny, SpatialLevel::Building).seed(19).personal_users(3).build();
+    let fleet = |cloud| FleetConfig {
+        traffic: TrafficConfig { requests: 600, seed: 5, ..TrafficConfig::default() },
+        cloud,
+        ..FleetConfig::default()
+    };
+    let on_device = run_fleet(&scenario, &fleet(None)).expect("envelopes decode");
+    let cloud =
+        run_fleet(&scenario, &fleet(Some(CloudNetwork { seed: 13, ..CloudNetwork::default() })))
+            .expect("envelopes decode");
+    for (outcome, recorded) in [(&on_device, ON_DEVICE), (&cloud, CLOUD)] {
+        let r = &outcome.report;
+        let s = &r.registry;
+        assert_eq!(
+            (
+                r.requests,
+                r.batches,
+                r.mean_batch,
+                r.throughput_qps,
+                (r.p50_us, r.p95_us, r.p99_us),
+                (r.queue_p50_us, r.queue_p95_us, r.service_p50_us, r.service_p95_us),
+                r.fallback_share,
+                (s.hits, s.misses, s.evictions, s.fallbacks, s.cold_models),
+            ),
+            recorded,
+            "a fleet run's report moved"
+        );
+    }
+    assert_eq!(on_device.network, None);
+    assert_eq!(
+        cloud.network,
+        Some(CloudRtt {
+            requests: 600,
+            dropped: 0,
+            rtt_p50_us: 338_534,
+            rtt_p95_us: 791_385,
+            rtt_p99_us: 793_533,
+            uplink_wait_p95_us: 685_887,
+            egress_wait_p95_us: 14_724,
+            fingerprint: 0x9491_4f3a_6a63_2e68,
+        }),
+        "the cloud round trips moved"
+    );
+}
+
+/// `(requests, batches, mean batch, throughput, latency µs, queue/service
+/// µs, fallback share, registry counters)` of a
+/// [`ServeReport`](pelican_serve::ServeReport).
+type ReportPin = (
+    usize,
+    usize,
+    f64,
+    f64,
+    (u64, u64, u64),
+    (u64, u64, u64, u64),
+    f64,
+    (u64, u64, u64, u64, usize),
+);
+const ON_DEVICE: ReportPin = (
+    600,
+    231,
+    2.597_402_597_402_597_4,
+    3_634.447_291_428_156,
+    (1655, 2002, 2004),
+    (0, 0, 2, 8),
+    0.286_666_666_666_666_7,
+    (130, 3, 0, 98, 3),
+);
+const CLOUD: ReportPin = (
+    600,
+    251,
+    2.390_438_247_011_952_3,
+    698.150_134_859_334_3,
+    (1746, 2002, 2004),
+    (0, 0, 2, 8),
+    0.286_666_666_666_666_7,
+    (149, 3, 0, 99, 3),
+);
 
 #[test]
 fn tiny_enrolment_is_the_recorded_one() {
