@@ -83,6 +83,34 @@ const KIND_FLIP: u64 = 10;
 /// flow's shard keys and the live loop's round key (`u64::MAX`).
 const CHECKPOINT_KEY: u64 = u64::MAX - 1;
 
+/// Cohort-split seed.
+pub const SPLIT_SEED: u64 = 0xAB5_EED;
+/// Target fractions of `(arm A, arm B)`; the rest, a third, is the
+/// holdout.
+pub const FRACTIONS: (f64, f64) = (0.34, 0.33);
+/// Served confidence vectors are truncated to this many entries — the
+/// serving tier's answer minimization, a little above the audit's top-3
+/// cutoff.
+const RESPONSE_TOP_K: usize = 5;
+/// Wire size of one adversary query on its uplink.
+const QUERY_BYTES: u64 = 256;
+/// Virtual microseconds per trace minute: a compact timeline, 1 ms per
+/// mobility minute, so a week of campus traffic serves in 10 virtual s.
+const US_PER_MINUTE: u64 = 1_000;
+/// Trace minutes consumed by enrollment — the first week; serving starts
+/// after this cutoff, at virtual time 0.
+const BOOTSTRAP_MINUTES: u64 = 7 * 24 * 60;
+/// Trace minute the background stream ends at: two days into the second
+/// week, 2.9 virtual s of background traffic.
+const HORIZON_MINUTES: u64 = 9 * 24 * 60;
+/// Verdict checkpoint period on the virtual clock (50 virtual s); the
+/// checkpoint re-arms until every attack is home, then decides exactly
+/// once.
+const CHECKPOINT_INTERVAL_US: u64 = 50_000_000;
+/// Maximum p95 latency regression the winning rung may cost: 1 virtual
+/// second, so the guard trips only on a rung that slows serving grossly.
+const LATENCY_MARGIN_US: u64 = 1_000_000;
+
 /// Everything one experiment needs beyond the dataset and the registry.
 #[derive(Debug, Clone)]
 pub struct AbxConfig {
@@ -93,36 +121,13 @@ pub struct AbxConfig {
     pub pipeline: PipelineConfig,
     /// Sim-driven serving knobs (scheduler, tier, optional network).
     pub serve: SimServeConfig,
-    /// Cohort-split seed.
-    pub split_seed: u64,
-    /// Target fractions of `(arm A, arm B)`; the rest is the holdout.
-    pub fractions: (f64, f64),
     /// The two defense rungs under test, `[A, B]`.
     pub arms: [DefenseKind; 2],
     /// Users attacked through the serving interface per arm (lowest user
     /// ids of each cohort).
     pub attacked_per_arm: usize,
-    /// Served confidence vectors are truncated to this many entries —
-    /// the serving tier's answer-minimization knob.
-    pub response_top_k: usize,
-    /// Wire size of one adversary query on its uplink.
-    pub query_bytes: u64,
-    /// Virtual microseconds per trace minute.
-    pub us_per_minute: u64,
-    /// Trace minutes consumed by enrollment; serving starts after this
-    /// cutoff, at virtual time 0.
-    pub bootstrap_minutes: u64,
-    /// Trace minute the background stream ends at.
-    pub horizon_minutes: u64,
-    /// Train/holdout split of the enrollment window.
-    pub train_fraction: f64,
-    /// Verdict checkpoint period on the virtual clock; the checkpoint
-    /// re-arms until every attack is home, then decides exactly once.
-    pub checkpoint_interval_us: u64,
     /// Advantage gap below which the arms are indistinguishable.
     pub null_margin: f64,
-    /// Maximum p95 latency regression the winning rung may cost.
-    pub latency_margin_us: u64,
 }
 
 impl Default for AbxConfig {
@@ -134,19 +139,9 @@ impl Default for AbxConfig {
                 tier: ComputeTier::Cloud,
                 network: None,
             },
-            split_seed: 0xAB5_EED,
-            fractions: (0.4, 0.4),
             arms: [DefenseKind::None, DefenseKind::Temperature { temperature: 1e-5 }],
             attacked_per_arm: 2,
-            response_top_k: 5,
-            query_bytes: 256,
-            us_per_minute: 60_000_000,
-            bootstrap_minutes: 7 * 24 * 60,
-            horizon_minutes: 14 * 24 * 60,
-            train_fraction: 0.8,
-            checkpoint_interval_us: 600_000_000,
             null_margin: 0.05,
-            latency_margin_us: 1_000_000,
         }
     }
 }
@@ -210,7 +205,7 @@ impl AbxFlow<'_> {
     /// Keeps exactly one checkpoint timer armed until the decision.
     fn ensure_checkpoint(&mut self, sim: &mut SimControl) {
         if !self.checkpoint_armed && self.verdict.is_none() {
-            sim.set_timer(sim.now() + self.config.checkpoint_interval_us, CHECKPOINT_KEY);
+            sim.set_timer(sim.now() + CHECKPOINT_INTERVAL_US, CHECKPOINT_KEY);
             self.checkpoint_armed = true;
         }
     }
@@ -220,7 +215,7 @@ impl AbxFlow<'_> {
     fn next_uplink(&mut self, slot: usize, release_us: u64) -> Option<JobSpec> {
         let batch = self.attacks[slot].adversary.next_queries();
         (!batch.is_empty()).then(|| {
-            let bytes = self.config.query_bytes * batch.len() as u64;
+            let bytes = QUERY_BYTES * batch.len() as u64;
             self.uplinks.job(release_us, bytes, (slot, batch))
         })
     }
@@ -286,7 +281,7 @@ impl AbxFlow<'_> {
             if let Some(&(slot, query_id)) = self.rid_map.get(&c.request_id) {
                 self.attacks[slot].adversary.absorb(ServedAnswer {
                     id: query_id,
-                    probs: truncate_top_k(&c.probs, self.config.response_top_k),
+                    probs: truncate_top_k(&c.probs, RESPONSE_TOP_K),
                     latency_us,
                 });
                 touched.push(slot);
@@ -435,10 +430,9 @@ impl Workload for AbxFlow<'_> {
 ///
 /// # Panics
 ///
-/// Panics on invalid configuration (fractions outside `[0, 1]`, zero
-/// `max_batch`, a gradient-descent audit method — the served interface
-/// exposes no gradients) and if the cohort split fails its disjointness
-/// check.
+/// Panics on invalid configuration (zero `max_batch`, a
+/// gradient-descent audit method — the served interface exposes no
+/// gradients) and if the cohort split fails its disjointness check.
 pub fn run_abx(
     dataset: &MobilityDataset,
     users: Range<usize>,
@@ -453,10 +447,9 @@ pub fn run_abx(
     let live_config = LiveConfig {
         pipeline: config.pipeline.clone(),
         serve: config.serve,
-        us_per_minute: config.us_per_minute,
-        bootstrap_minutes: config.bootstrap_minutes,
-        horizon_minutes: config.horizon_minutes,
-        train_fraction: config.train_fraction,
+        us_per_minute: US_PER_MINUTE,
+        bootstrap_minutes: BOOTSTRAP_MINUTES,
+        horizon_minutes: HORIZON_MINUTES,
         ..LiveConfig::default()
     };
 
@@ -464,7 +457,7 @@ pub fn run_abx(
     // a broken split silently corrupts every downstream number.
     let jobs = bootstrap_jobs(dataset, users.clone(), &live_config);
     let enrolled: Vec<usize> = jobs.iter().map(|j| j.user_id).collect();
-    let splitter = CohortSplitter::new(config.split_seed, config.fractions.0, config.fractions.1);
+    let splitter = CohortSplitter::new(SPLIT_SEED, FRACTIONS.0, FRACTIONS.1);
     let split = splitter.split(enrolled.iter().copied());
     split.assert_partitions(enrolled.iter().copied());
 
@@ -506,7 +499,6 @@ pub fn run_abx(
                     ServedConfig {
                         probe_count: audit.probe_count,
                         probe_seed: audit.seed ^ 0x1f,
-                        interest_threshold: audit.interest_threshold,
                         ks: audit.ks.clone(),
                     },
                 ),
@@ -539,7 +531,7 @@ pub fn run_abx(
             VerdictConfig {
                 audit_k: audit.audit_k,
                 null_margin: config.null_margin,
-                latency_margin_us: config.latency_margin_us,
+                latency_margin_us: LATENCY_MARGIN_US,
             },
             [split.a.len(), split.b.len()],
         ),
@@ -666,11 +658,7 @@ mod tests {
                 tier: ComputeTier::Cloud,
                 network: None,
             },
-            fractions: (0.34, 0.33),
             attacked_per_arm: 4,
-            us_per_minute: 1_000,
-            horizon_minutes: 9 * 24 * 60,
-            checkpoint_interval_us: 50_000_000,
             // Calibrated to separate tiny-scale cohort-composition noise
             // (A/A |Δ| ≈ 0.19 here) from the real None-vs-temperature
             // effect (|Δ| ≈ 0.31).

@@ -32,7 +32,7 @@ pub mod report;
 pub mod splitter;
 pub mod verdict;
 
-pub use flow::{run_abx, AbxConfig};
+pub use flow::{run_abx, AbxConfig, FRACTIONS, SPLIT_SEED};
 pub use publisher::{defended, publish_arms, ArmPublication};
 pub use report::{AbxOutcome, AttackRecord, PublicationRecord, SwapKind, SwapRecord};
 pub use splitter::{Arm, CohortSplit, CohortSplitter};

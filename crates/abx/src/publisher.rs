@@ -26,7 +26,7 @@ use pelican_nn::{ModelEnvelope, SequenceModel};
 use pelican_serve::ShardedRegistry;
 use pelican_sim::{fnv1a, FNV_BASIS};
 use pelican_store::StoreError;
-use pelican_train::{FleetTrainer, TrainJob, TrainerPool};
+use pelican_train::{FleetTrainer, TrainJob, TrainerPool, BASE_DEFENSE};
 
 use crate::splitter::{Arm, CohortSplit};
 
@@ -90,7 +90,6 @@ pub fn publish_arms(
         (model, ResourceUsage::priced(ComputeTier::Device, fit.flops).simulated.as_micros() as u64)
     });
 
-    let base_defense = trainer.config().audit.base_defense;
     let mut publications = Vec::with_capacity(jobs.len());
     for (job, (base, train_simulated_us)) in jobs.iter().zip(candidates) {
         let arm = split
@@ -99,7 +98,7 @@ pub fn publish_arms(
         let own_rung = match arm {
             Arm::A => arms[0],
             Arm::B => arms[1],
-            Arm::Holdout => base_defense,
+            Arm::Holdout => BASE_DEFENSE,
         };
         // Shadow first: by the time the active version is visible, the
         // flip-back target is already durable.

@@ -33,7 +33,7 @@ pub use adversary::{Adversary, Instance};
 pub use eval::{evaluate_attack, AttackEvaluation};
 pub use methods::{
     interest_locations, interest_locations_in, AttackMethod, BruteForce, GradientDescent, Ranking,
-    TimeBased,
+    TimeBased, INTEREST_THRESHOLD,
 };
 pub use oracle::{BlackBox, CachedBlackBox, LogitCache};
 pub use prior::{Prior, PriorKind};

@@ -49,6 +49,11 @@ impl Ranking {
     }
 }
 
+/// Confidence a location must reach on some probe to count as a location
+/// of interest: the paper's 1%, low enough that an undefended model's
+/// plausible next locations all pass, high enough to drop the long tail.
+pub const INTEREST_THRESHOLD: f32 = 0.01;
+
 /// Identifies the model's *locations of interest* by black-box probing:
 /// query the model on `probes` and keep every location whose confidence
 /// reaches `threshold` (the paper uses 1%) on some probe.

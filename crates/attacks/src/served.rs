@@ -35,7 +35,7 @@ use pelican_tensor::Matrix;
 
 use crate::adversary::Instance;
 use crate::eval::{evaluate_attack, AttackEvaluation};
-use crate::methods::{interest_locations_in, AttackMethod};
+use crate::methods::{interest_locations_in, AttackMethod, INTEREST_THRESHOLD};
 use crate::oracle::BlackBox;
 use crate::prior::{random_probes, Prior};
 
@@ -68,20 +68,13 @@ pub struct ServedConfig {
     pub probe_count: usize,
     /// Seed for probe generation.
     pub probe_seed: u64,
-    /// Confidence threshold for the interest set (paper uses 1%).
-    pub interest_threshold: f32,
     /// Top-k cutoffs to evaluate.
     pub ks: Vec<usize>,
 }
 
 impl Default for ServedConfig {
     fn default() -> Self {
-        Self {
-            probe_count: 24,
-            probe_seed: 0x5EED ^ 0x1f,
-            interest_threshold: 0.01,
-            ks: vec![1, 3],
-        }
+        Self { probe_count: 24, probe_seed: 0x5EED ^ 0x1f, ks: vec![1, 3] }
     }
 }
 
@@ -379,11 +372,8 @@ impl ServedAdversary {
         match self.phase {
             Phase::Probing => {
                 let mut replay = ReplayBlackBox::new(self.space.n_locations, &self.answers);
-                self.interest = interest_locations_in(
-                    &mut replay,
-                    &self.probes,
-                    self.config.interest_threshold,
-                );
+                self.interest =
+                    interest_locations_in(&mut replay, &self.probes, INTEREST_THRESHOLD);
                 self.phase = Phase::Enumerating;
             }
             Phase::Enumerating => self.phase = Phase::Done,

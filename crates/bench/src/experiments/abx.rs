@@ -30,7 +30,7 @@ use std::time::Instant;
 
 use pelican::platform::ComputeTier;
 use pelican::{DefenseKind, PersonalizationConfig};
-use pelican_abx::{run_abx, AbxConfig, AbxOutcome, CohortSplitter};
+use pelican_abx::{run_abx, AbxConfig, AbxOutcome, CohortSplitter, FRACTIONS, SPLIT_SEED};
 use pelican_mobility::{CampusConfig, DatasetBuilder, MobilityDataset, Scale, SpatialLevel};
 use pelican_nn::{SequenceModel, TrainConfig};
 use pelican_serve::{RegistryConfig, SchedulerConfig, ShardedRegistry, SimServeConfig};
@@ -133,20 +133,15 @@ fn abx_config(workers: usize, arms: [DefenseKind; 2], scale: Scale) -> AbxConfig
             network: None,
         },
         arms,
-        fractions: (0.34, 0.33),
         attacked_per_arm: match scale {
             Scale::Tiny => 4,
             Scale::Small | Scale::Paper => 16,
         },
-        us_per_minute: 1_000,
-        horizon_minutes: 9 * 24 * 60,
-        checkpoint_interval_us: 50_000_000,
         // Calibrated against the A/A control at both bundled scales:
         // composition noise lands at |Δ| ≈ 0.00 (tiny) / 0.08 (small)
         // while the undefended-vs-hard-rung effect clears +0.12 at
         // either scale.
         null_margin: 0.10,
-        ..AbxConfig::default()
     }
 }
 
@@ -202,13 +197,8 @@ pub fn run(config: &RunConfig) -> AbReportRun {
 
     // Seed stability: a fresh splitter over the same enrolled set
     // reproduces the partition exactly.
-    let treatment_config = abx_config(WIDTHS[0], TREATMENT, config.scale);
-    let resplit = CohortSplitter::new(
-        treatment_config.split_seed,
-        treatment_config.fractions.0,
-        treatment_config.fractions.1,
-    )
-    .split(outcome.publications.iter().map(|p| p.user_id));
+    let resplit = CohortSplitter::new(SPLIT_SEED, FRACTIONS.0, FRACTIONS.1)
+        .split(outcome.publications.iter().map(|p| p.user_id));
     assert_eq!(resplit, outcome.split, "the split is not a pure function of (seed, users)");
 
     // A/A control: identical rungs must read null and move nobody, and

@@ -90,7 +90,6 @@ fn rounds_at(
             seed: config.seed ^ 0xA0D1,
             ..AuditConfig::default()
         },
-        ..PipelineConfig::default()
     };
     let registry = ShardedRegistry::new(scenario.general.clone(), RegistryConfig::default());
     let trainer = FleetTrainer::new(pipeline);

@@ -120,7 +120,6 @@ pub fn run(config: &RunConfig) -> NetworkRun {
             seed: config.seed ^ 0xA0D1,
             ..AuditConfig::default()
         },
-        ..PipelineConfig::default()
     };
     let train_at = |workers: usize| {
         let registry = ShardedRegistry::new(scenario.general.clone(), RegistryConfig::default());

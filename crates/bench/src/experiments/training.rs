@@ -75,7 +75,6 @@ pub fn run(config: &RunConfig) -> Vec<TrainOutcome> {
             seed: config.seed ^ 0xA0D1,
             ..AuditConfig::default()
         },
-        ..PipelineConfig::default()
     };
 
     let outcomes: Vec<TrainOutcome> = WORKER_SWEEP

@@ -8,7 +8,7 @@
 
 use pelican_attacks::{
     evaluate_attack, interest_locations, Adversary, AttackEvaluation, AttackMethod, Instance,
-    Prior, PriorKind,
+    Prior, PriorKind, INTEREST_THRESHOLD,
 };
 use pelican_mobility::{
     train_test_split, CampusConfig, DatasetBuilder, MobilityDataset, Scale, Session, SpatialLevel,
@@ -185,7 +185,7 @@ impl Scenario {
         let prior = self.prior(user, prior_kind);
         let probes =
             pelican_attacks::prior::random_probes(&self.dataset.space, 24, self.seed ^ 0x1f);
-        let interest = interest_locations(&model, &probes, 0.01);
+        let interest = interest_locations(&model, &probes, INTEREST_THRESHOLD);
         let instances = self.attack_instances(user, adversary, max_instances);
         evaluate_attack(method, &mut model, &self.dataset.space, &prior, &interest, &instances, ks)
     }

@@ -79,6 +79,11 @@ const KIND_RETRAIN: u64 = 8;
 /// indices, always below the shard count.
 const ROUND_KEY: u64 = u64::MAX;
 
+/// Train share of each user's bootstrap window: 80/20, the split every
+/// one-shot cohort ([`pelican_train::cohort_jobs`]) is cut at. The
+/// holdout stays held out for every later re-audit.
+const TRAIN_FRACTION: f64 = 0.8;
+
 /// Everything one live run needs beyond the dataset and the registry.
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
@@ -97,9 +102,6 @@ pub struct LiveConfig {
     pub bootstrap_minutes: u64,
     /// Trace minute the stream ends at.
     pub horizon_minutes: u64,
-    /// Train/holdout split of the bootstrap window (the holdout stays
-    /// held out for every later re-audit).
-    pub train_fraction: f64,
     /// Delay between a first drift mark and the round that serves it —
     /// the batching window for coalescing multiple drifted users into
     /// one pool dispatch.
@@ -123,7 +125,6 @@ impl Default for LiveConfig {
             us_per_minute: 60_000_000,
             bootstrap_minutes: 7 * 24 * 60,
             horizon_minutes: 14 * 24 * 60,
-            train_fraction: 0.8,
             round_interval_us: 300_000_000,
             rollback_tolerance: 0.5,
         }
@@ -148,7 +149,7 @@ pub fn bootstrap_jobs(
                 .filter(|t| t[2].absolute_entry() <= config.bootstrap_minutes)
                 .cloned()
                 .collect();
-            let (train_triples, holdout) = train_test_split(&triples, config.train_fraction);
+            let (train_triples, holdout) = train_test_split(&triples, TRAIN_FRACTION);
             let train: Vec<Sample> = train_triples.iter().map(|t| dataset.sample_of(t)).collect();
             if train.is_empty() || holdout.is_empty() {
                 return None;

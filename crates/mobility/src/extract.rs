@@ -11,26 +11,18 @@
 //! * short AP flaps (stays below a minimum dwell are discarded, matching
 //!   the standard practice of filtering pass-by associations).
 
-use serde::{Deserialize, Serialize};
-
 use crate::campus::Campus;
 use crate::events::{ApEvent, EventKind};
 use crate::session::{Session, MINUTES_PER_DAY};
 
-/// Extraction thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ExtractConfig {
-    /// Close an open stay if no event arrives for this many minutes.
-    pub idle_timeout: u32,
-    /// Discard stays shorter than this (pass-by associations).
-    pub min_dwell: u32,
-}
-
-impl Default for ExtractConfig {
-    fn default() -> Self {
-        Self { idle_timeout: 60, min_dwell: 5 }
-    }
-}
+/// Close an open stay if no event arrives for this many minutes: an hour,
+/// above the default 45-minute keep-alive cadence of
+/// [`EventNoise`](crate::events::EventNoise), so a device that stays put
+/// is never split.
+const IDLE_TIMEOUT: u64 = 60;
+/// Discard stays shorter than this many minutes — pass-by associations
+/// of a device walking past an AP.
+const MIN_DWELL: u32 = 5;
 
 /// One open stay being assembled.
 #[derive(Debug, Clone, Copy)]
@@ -49,11 +41,7 @@ struct OpenStay {
 /// # Panics
 ///
 /// Panics if an event references an AP outside the campus.
-pub fn extract_sessions(
-    events: &[ApEvent],
-    campus: &Campus,
-    config: ExtractConfig,
-) -> Vec<Session> {
+pub fn extract_sessions(events: &[ApEvent], campus: &Campus) -> Vec<Session> {
     let mut sessions = Vec::new();
     let mut open: Option<OpenStay> = None;
     for e in events {
@@ -65,16 +53,16 @@ pub fn extract_sessions(
             (Some(stay), EventKind::Disassociation) if stay.ap == e.ap => {
                 // Explicit end: trust the controller's timestamp.
                 let closed = *stay;
-                close(&mut sessions, closed, e.timestamp, campus, config, e.device);
+                close(&mut sessions, closed, e.timestamp, campus, e.device);
                 open = None;
             }
             (Some(stay), _) if stay.ap == e.ap => {
                 // Same AP, device still alive: extend — unless the silence
                 // exceeded the idle timeout, in which case the old stay
                 // ended at its last sighting and a new one begins.
-                if e.timestamp.saturating_sub(stay.last_seen) > config.idle_timeout as u64 {
+                if e.timestamp.saturating_sub(stay.last_seen) > IDLE_TIMEOUT {
                     let closed = *stay;
-                    close(&mut sessions, closed, closed.last_seen, campus, config, e.device);
+                    close(&mut sessions, closed, closed.last_seen, campus, e.device);
                     open = Some(OpenStay { ap: e.ap, start: e.timestamp, last_seen: e.timestamp });
                 } else {
                     stay.last_seen = e.timestamp;
@@ -84,14 +72,7 @@ pub fn extract_sessions(
                 // Device surfaced at a different AP: close the old stay at
                 // its last sighting (handles missing disassociations).
                 let closed = *stay;
-                close(
-                    &mut sessions,
-                    closed,
-                    closed.last_seen.max(closed.start),
-                    campus,
-                    config,
-                    e.device,
-                );
+                close(&mut sessions, closed, closed.last_seen.max(closed.start), campus, e.device);
                 open = match kind {
                     EventKind::Disassociation => None,
                     _ => Some(OpenStay { ap: e.ap, start: e.timestamp, last_seen: e.timestamp }),
@@ -107,21 +88,14 @@ pub fn extract_sessions(
     }
     if let Some(stay) = open {
         let device = events.last().map_or(0, |e| e.device);
-        close(&mut sessions, stay, stay.last_seen, campus, config, device);
+        close(&mut sessions, stay, stay.last_seen, campus, device);
     }
     sessions
 }
 
-fn close(
-    sessions: &mut Vec<Session>,
-    stay: OpenStay,
-    end: u64,
-    campus: &Campus,
-    config: ExtractConfig,
-    device: usize,
-) {
+fn close(sessions: &mut Vec<Session>, stay: OpenStay, end: u64, campus: &Campus, device: usize) {
     let duration = end.saturating_sub(stay.start) as u32;
-    if duration < config.min_dwell {
+    if duration < MIN_DWELL {
         return;
     }
     let day = (stay.start / MINUTES_PER_DAY as u64) as u32;
@@ -186,7 +160,7 @@ mod tests {
     fn clean_events_round_trip_exactly() {
         let (campus, truth) = setup();
         let events = sessions_to_events(&truth, EventNoise::none());
-        let extracted = extract_sessions(&events, &campus, ExtractConfig::default());
+        let extracted = extract_sessions(&events, &campus);
         assert_eq!(extracted.len(), truth.len());
         for (t, e) in truth.iter().zip(&extracted) {
             assert_eq!(t.ap, e.ap);
@@ -200,7 +174,7 @@ mod tests {
     fn noisy_events_recover_most_sessions() {
         let (campus, truth) = setup();
         let events = sessions_to_events(&truth, EventNoise::default());
-        let extracted = extract_sessions(&events, &campus, ExtractConfig::default());
+        let extracted = extract_sessions(&events, &campus);
         let report = compare(&truth, &extracted);
         assert!(
             report.recall() > 0.9,
@@ -224,7 +198,7 @@ mod tests {
         }];
         let noise = EventNoise { reassoc_interval: 30, drop_every_nth_disassoc: usize::MAX };
         let events = sessions_to_events(&truth, noise);
-        let extracted = extract_sessions(&events, &campus, ExtractConfig::default());
+        let extracted = extract_sessions(&events, &campus);
         assert_eq!(extracted.len(), 1, "keep-alives must not split the stay");
         assert_eq!(extracted[0].duration_minutes, 200);
     }
@@ -253,7 +227,7 @@ mod tests {
         let noise = EventNoise { reassoc_interval: 20, drop_every_nth_disassoc: 1 };
         // Every disassociation dropped; keep-alives keep last_seen fresh.
         let events = sessions_to_events(&truth, noise);
-        let extracted = extract_sessions(&events, &campus, ExtractConfig::default());
+        let extracted = extract_sessions(&events, &campus);
         assert_eq!(extracted.len(), 2);
         assert_eq!(extracted[0].ap, 0);
         assert_eq!(extracted[1].ap, 1);
@@ -271,7 +245,7 @@ mod tests {
             duration_minutes: 2,
         }];
         let events = sessions_to_events(&truth, EventNoise::none());
-        let extracted = extract_sessions(&events, &campus, ExtractConfig::default());
+        let extracted = extract_sessions(&events, &campus);
         assert!(extracted.is_empty(), "2-minute flap is below min dwell");
     }
 
@@ -280,7 +254,7 @@ mod tests {
         let (campus, _) = setup();
         let events =
             vec![ApEvent { device: 0, ap: 0, kind: EventKind::Disassociation, timestamp: 100 }];
-        let extracted = extract_sessions(&events, &campus, ExtractConfig::default());
+        let extracted = extract_sessions(&events, &campus);
         assert!(extracted.is_empty());
     }
 }

@@ -47,7 +47,7 @@ pub use dataset::{
     UserData,
 };
 pub use events::{sessions_to_events, ApEvent, EventKind, EventNoise};
-pub use extract::{compare, extract_sessions, ExtractConfig, ExtractionReport};
+pub use extract::{compare, extract_sessions, ExtractionReport};
 pub use generator::{TraceGenerator, UserTrace};
 pub use session::{
     duration_bin, entry_slot, Session, DURATION_BINS, DURATION_CAP_MINUTES, ENTRY_SLOTS,

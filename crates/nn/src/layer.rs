@@ -130,7 +130,7 @@ impl Layer {
         }
     }
 
-    /// Whether optimizers may update this layer.
+    /// Whether the optimizer may update this layer.
     pub fn is_trainable(&self) -> bool {
         match self {
             Layer::Lstm(l) => l.trainable,

@@ -15,7 +15,7 @@
 //!   input, not just its parameters (see [`SequenceModel::input_gradient`]).
 //! * **Layer freezing.** Transfer-learning personalization (feature
 //!   extraction and fine tuning, §III-A3) trains only a subset of layers.
-//!   Each layer carries a `trainable` flag honoured by the optimizers.
+//!   Each layer carries a `trainable` flag honoured by the optimizer.
 //! * **Determinism.** All stochastic pieces (init, dropout, shuffling) draw
 //!   from explicit seeds.
 //!
@@ -56,7 +56,7 @@ pub use loss::softmax_cross_entropy;
 pub use lstm::Lstm;
 pub use metrics::{top_k_accuracy, TopKAccuracy};
 pub use model::{query_hash, sweep_query_hashes, ModelBuilder, Postprocess, SequenceModel};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use serialize::{ModelCodecError, ModelEnvelope};
 pub use sweep::PrefixTier;
 pub use train::{

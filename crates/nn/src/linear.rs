@@ -19,7 +19,7 @@ use crate::{Sequence, Step};
 pub struct Linear {
     w: Matrix,
     b: Vec<f32>,
-    /// Whether optimizers may update this layer's parameters.
+    /// Whether the optimizer may update this layer's parameters.
     pub trainable: bool,
     #[serde(skip)]
     grad_w: Option<Matrix>,
@@ -261,7 +261,7 @@ impl Linear {
         })
     }
 
-    /// Visits `(param, grad)` pairs as flat slices; used by optimizers.
+    /// Visits `(param, grad)` pairs as flat slices; used by the optimizer.
     ///
     /// Does nothing if the layer is frozen or has no accumulated gradients.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {

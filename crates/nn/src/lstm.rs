@@ -119,7 +119,7 @@ pub struct Lstm {
     /// Combined gate bias, length `4H`. Forget-gate slice initialized to 1.
     b: Vec<f32>,
     hidden: usize,
-    /// Whether optimizers may update this layer's parameters.
+    /// Whether the optimizer may update this layer's parameters.
     pub trainable: bool,
     #[serde(skip)]
     grad_w_ih: Option<Matrix>,
@@ -704,7 +704,7 @@ impl Lstm {
         dx_all
     }
 
-    /// Visits `(param, grad)` pairs as flat slices; used by optimizers.
+    /// Visits `(param, grad)` pairs as flat slices; used by the optimizer.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         if !self.trainable {
             return;

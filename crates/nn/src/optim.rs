@@ -1,112 +1,18 @@
-//! Optimizers: SGD with momentum/weight decay, and Adam.
+//! Adam, the one optimizer every training run steps.
 //!
 //! The paper trains with a learning rate of `1e-4` and weight decay of
-//! `1e-6` (§IV-A); both optimizers here support decoupled L2 weight decay
-//! so those hyperparameters carry over directly.
+//! `1e-6` (§IV-A); [`Adam`] takes both, the decay as L2 added to the
+//! gradient, so those hyperparameters carry over directly.
 
 use serde::{Deserialize, Serialize};
 
 use crate::SequenceModel;
 
-/// A first-order optimizer stepping a [`SequenceModel`].
+/// Adam with bias correction and L2 weight decay.
 ///
 /// Gradients are expected to be *accumulated* (summed) over a minibatch via
-/// the model's backward passes; [`Optimizer::step`] divides by `batch_size`
-/// to apply the mean gradient, then zeroes the buffers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum Optimizer {
-    /// Stochastic gradient descent.
-    Sgd(Sgd),
-    /// Adam (Kingma & Ba).
-    Adam(Adam),
-}
-
-impl Optimizer {
-    /// Applies one update from the accumulated gradients and zeroes them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size == 0`.
-    pub fn step(&mut self, model: &mut SequenceModel, batch_size: usize) {
-        assert!(batch_size > 0, "batch size must be positive");
-        match self {
-            Optimizer::Sgd(o) => o.step(model, batch_size),
-            Optimizer::Adam(o) => o.step(model, batch_size),
-        }
-    }
-}
-
-impl From<Sgd> for Optimizer {
-    fn from(o: Sgd) -> Self {
-        Optimizer::Sgd(o)
-    }
-}
-
-impl From<Adam> for Optimizer {
-    fn from(o: Adam) -> Self {
-        Optimizer::Adam(o)
-    }
-}
-
-/// SGD with optional momentum and L2 weight decay.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0 disables momentum).
-    pub momentum: f32,
-    /// L2 weight-decay coefficient.
-    pub weight_decay: f32,
-    #[serde(skip)]
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Plain SGD with the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        Self { lr, momentum: 0.0, weight_decay: 0.0, velocity: Vec::new() }
-    }
-
-    /// Sets the momentum coefficient.
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        self.momentum = momentum;
-        self
-    }
-
-    /// Sets the L2 weight-decay coefficient.
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        self.weight_decay = weight_decay;
-        self
-    }
-
-    fn step(&mut self, model: &mut SequenceModel, batch_size: usize) {
-        let inv_b = 1.0 / batch_size as f32;
-        let mut slot = 0usize;
-        for layer in model.layers_mut() {
-            layer.visit_params(&mut |param, grad| {
-                if self.velocity.len() <= slot {
-                    self.velocity.push(vec![0.0; param.len()]);
-                }
-                let vel = &mut self.velocity[slot];
-                if vel.len() != param.len() {
-                    *vel = vec![0.0; param.len()];
-                }
-                for ((p, g), v) in param.iter_mut().zip(grad.iter()).zip(vel.iter_mut()) {
-                    let mut step = g * inv_b + self.weight_decay * *p;
-                    if self.momentum != 0.0 {
-                        *v = self.momentum * *v + step;
-                        step = *v;
-                    }
-                    *p -= self.lr * step;
-                }
-                slot += 1;
-            });
-            layer.zero_grad();
-        }
-    }
-}
-
-/// Adam with bias correction and L2 weight decay.
+/// the model's backward passes; [`Adam::step`] divides by `batch_size` to
+/// apply the mean gradient, then zeroes the buffers.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Adam {
     /// Learning rate.
@@ -148,7 +54,13 @@ impl Adam {
         self
     }
 
-    fn step(&mut self, model: &mut SequenceModel, batch_size: usize) {
+    /// Applies one update from the accumulated gradients and zeroes them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch_size == 0`.
+    pub fn step(&mut self, model: &mut SequenceModel, batch_size: usize) {
+        assert!(batch_size > 0, "batch size must be positive");
         self.t += 1;
         let inv_b = 1.0 / batch_size as f32;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
@@ -195,7 +107,7 @@ mod tests {
         (model, vec![1.0, -0.5, 0.25, 0.8])
     }
 
-    fn train_once(opt: &mut Optimizer, steps: usize) -> f32 {
+    fn train_once(opt: &mut Adam, steps: usize) -> f32 {
         let (mut model, x) = toy();
         let xs = vec![x];
         let mut loss = f32::NAN;
@@ -210,30 +122,10 @@ mod tests {
     }
 
     #[test]
-    fn sgd_reduces_loss() {
-        let mut opt: Optimizer = Sgd::new(0.5).into();
-        let first = train_once(&mut opt, 1);
-        let mut opt: Optimizer = Sgd::new(0.5).into();
-        let last = train_once(&mut opt, 50);
-        assert!(last < first * 0.5, "loss should drop: {first} -> {last}");
-    }
-
-    #[test]
     fn adam_reduces_loss() {
-        let mut opt: Optimizer = Adam::new(0.05).into();
-        let first = train_once(&mut opt, 1);
-        let mut opt: Optimizer = Adam::new(0.05).into();
-        let last = train_once(&mut opt, 50);
+        let first = train_once(&mut Adam::new(0.05), 1);
+        let last = train_once(&mut Adam::new(0.05), 50);
         assert!(last < first * 0.5, "loss should drop: {first} -> {last}");
-    }
-
-    #[test]
-    fn momentum_accelerates_descent() {
-        let mut plain: Optimizer = Sgd::new(0.1).into();
-        let mut heavy: Optimizer = Sgd::new(0.1).with_momentum(0.9).into();
-        let plain_loss = train_once(&mut plain, 30);
-        let heavy_loss = train_once(&mut heavy, 30);
-        assert!(heavy_loss < plain_loss, "momentum {heavy_loss} vs plain {plain_loss}");
     }
 
     fn weight_norm(model: &mut SequenceModel) -> f32 {
@@ -253,12 +145,7 @@ mod tests {
         let zeros = vec![0.0; out.last().unwrap().len()];
         model.backward_from_logits(1, zeros);
         let before = weight_norm(&mut model);
-        let mut opt: Optimizer = Sgd::new(0.1).with_weight_decay(0.9).into();
-        // Re-accumulate zero grads (weight_norm consumed none, but step zeroes).
-        let out = model.forward(&xs);
-        let zeros = vec![0.0; out.last().unwrap().len()];
-        model.backward_from_logits(1, zeros);
-        opt.step(&mut model, 1);
+        Adam::new(0.1).with_weight_decay(0.9).step(&mut model, 1);
         let after = weight_norm(&mut model);
         assert!(after < before, "decay should shrink norm: {before} -> {after}");
     }
@@ -267,7 +154,6 @@ mod tests {
     #[should_panic(expected = "batch size must be positive")]
     fn zero_batch_rejected() {
         let (mut model, _) = toy();
-        let mut opt: Optimizer = Sgd::new(0.1).into();
-        opt.step(&mut model, 0);
+        Adam::new(0.1).step(&mut model, 0);
     }
 }

@@ -12,18 +12,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::chunk::ChunkBatch;
 use crate::{
-    metrics::evaluate_top_k, softmax_cross_entropy, Adam, Layer, Optimizer, Sample, SequenceModel,
-    Sgd, TopKAccuracy,
+    metrics::evaluate_top_k, softmax_cross_entropy, Adam, Layer, Sample, SequenceModel,
+    TopKAccuracy,
 };
-
-/// Which optimizer family [`fit`] instantiates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OptimizerKind {
-    /// Adam with standard betas.
-    Adam,
-    /// SGD with momentum 0.9.
-    Sgd,
-}
 
 /// Hyperparameters for one training run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -36,25 +27,17 @@ pub struct TrainConfig {
     pub lr: f32,
     /// L2 weight-decay coefficient.
     pub weight_decay: f32,
-    /// Optimizer family.
-    pub optimizer: OptimizerKind,
     /// Seed for epoch shuffling.
     pub shuffle_seed: u64,
 }
 
 impl Default for TrainConfig {
-    /// Defaults tuned for the synthetic campus workload; the paper's
-    /// published values (`lr = 1e-4`, `weight_decay = 1e-6`, batch 128)
-    /// are reachable by overriding fields.
+    /// Defaults tuned for the synthetic campus workload. [`fit`] always
+    /// steps [`Adam`]; the paper's published `lr = 1e-4` and
+    /// `weight_decay = 1e-6` (and batch 128) are reachable by overriding
+    /// those fields.
     fn default() -> Self {
-        Self {
-            epochs: 10,
-            batch_size: 32,
-            lr: 3e-3,
-            weight_decay: 1e-6,
-            optimizer: OptimizerKind::Adam,
-            shuffle_seed: 0x5eed,
-        }
+        Self { epochs: 10, batch_size: 32, lr: 3e-3, weight_decay: 1e-6, shuffle_seed: 0x5eed }
     }
 }
 
@@ -67,15 +50,6 @@ impl TrainConfig {
     /// call site.
     pub fn reseeded(&self, shuffle_seed: u64) -> Self {
         Self { shuffle_seed, ..self.clone() }
-    }
-
-    pub(crate) fn make_optimizer(&self) -> Optimizer {
-        match self.optimizer {
-            OptimizerKind::Adam => Adam::new(self.lr).with_weight_decay(self.weight_decay).into(),
-            OptimizerKind::Sgd => {
-                Sgd::new(self.lr).with_momentum(0.9).with_weight_decay(self.weight_decay).into()
-            }
-        }
     }
 }
 
@@ -121,7 +95,7 @@ impl FitReport {
 /// Weights, losses and dropout draws are bit-identical to the per-sample
 /// loop — [`SequenceModel::forward`], [`softmax_cross_entropy`],
 /// [`SequenceModel::backward_from_logits`] per sample, then
-/// `Optimizer::step` — which `tests/fit_equivalence.rs` keeps as the
+/// [`Adam::step`] — which `tests/fit_equivalence.rs` keeps as the
 /// reference trainer. The report's `flops` is what that loop costs,
 /// `epochs ×` [`SequenceModel::train_cost`] of the samples, so compute
 /// priced from it (device time, every virtual instant) does not move
@@ -135,7 +109,7 @@ pub fn fit(model: &mut SequenceModel, samples: &[Sample], config: &TrainConfig) 
     assert!(!samples.is_empty(), "cannot fit on an empty dataset");
     assert!(config.batch_size > 0, "batch size must be positive");
     assert!(samples.iter().all(|s| !s.xs.is_empty()), "cannot run a model on an empty sequence");
-    let mut optimizer = config.make_optimizer();
+    let mut optimizer = Adam::new(config.lr).with_weight_decay(config.weight_decay);
     let mut order: Vec<usize> = (0..samples.len()).collect();
     let mut rng = StdRng::seed_from_u64(config.shuffle_seed);
     let mut report = FitReport {

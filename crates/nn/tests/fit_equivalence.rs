@@ -6,8 +6,8 @@
 //! products skip what a zero operand makes skippable. The reference
 //! trainer below shares none of that: it is the loop `fit` used to be —
 //! `SequenceModel::forward`, `softmax_cross_entropy`,
-//! `SequenceModel::backward_from_logits` per sample, `Optimizer::step`
-//! per mini-batch — on dense per-step matrix–vector products, through
+//! `SequenceModel::backward_from_logits` per sample, `Adam::step` per
+//! mini-batch — on dense per-step matrix–vector products, through
 //! every layer, every epoch. Weights, epoch losses, step counts and the
 //! dropout draw counters (observed by training a second time) must agree
 //! bit for bit, non-finite weights included, and so must
@@ -17,10 +17,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 
-use pelican_nn::train::OptimizerKind;
 use pelican_nn::{
     fit, softmax_cross_entropy, Adam, Dropout, FitReport, Layer, Linear, Lstm, ModelEnvelope,
-    Optimizer, Sample, SequenceModel, Sgd, Step, TrainConfig,
+    Sample, SequenceModel, Step, TrainConfig,
 };
 use pelican_tensor::Matrix;
 
@@ -31,12 +30,7 @@ const CLASSES: usize = 5;
 /// The per-sample training loop, as `fit` ran it before it drove the
 /// packed kernels.
 fn reference_fit(model: &mut SequenceModel, samples: &[Sample], config: &TrainConfig) -> FitReport {
-    let mut optimizer: Optimizer = match config.optimizer {
-        OptimizerKind::Adam => Adam::new(config.lr).with_weight_decay(config.weight_decay).into(),
-        OptimizerKind::Sgd => {
-            Sgd::new(config.lr).with_momentum(0.9).with_weight_decay(config.weight_decay).into()
-        }
-    };
+    let mut optimizer = Adam::new(config.lr).with_weight_decay(config.weight_decay);
     let mut order: Vec<usize> = (0..samples.len()).collect();
     let mut rng = StdRng::seed_from_u64(config.shuffle_seed);
     let mut report = FitReport {
@@ -231,7 +225,6 @@ proptest! {
         stack_at in 0usize..STACKS.len(),
         drops in 0usize..2,
         batch_at in 0usize..3,
-        sgd in 0usize..2,
         epochs_at in 0usize..3,
         seed in 0u64..10_000,
     ) {
@@ -244,7 +237,6 @@ proptest! {
             batch_size: [1, 3, 16][batch_at],
             lr: 2e-2,
             weight_decay: 1e-4,
-            optimizer: if sgd == 1 { OptimizerKind::Sgd } else { OptimizerKind::Adam },
             shuffle_seed: seed ^ 0xF17,
         };
         assert_fit_matches_reference(&model, &data, &config);
@@ -315,15 +307,15 @@ fn a_non_finite_weight_surfaces_as_in_the_per_sample_loop() {
 
 #[test]
 fn weights_that_overflow_mid_fit_are_seen_by_the_next_mini_batch() {
-    // Only the LSTM trains, under a frozen head large enough that one SGD
-    // step at this learning rate throws what it moves to ±∞: with one-hot
-    // single steps and no weight decay, the bias and the one input-weight
+    // Only the LSTM trains, under a frozen head large enough that one Adam
+    // step at this learning rate throws most of what it moves to ±∞
+    // (`lr · m̂` overflows before the division): with one-hot single steps
+    // and no weight decay, what moves is the bias and the one input-weight
     // column the sample was hot in. The second sample is hot in another
     // column and multiplies that one by zero — NaN in a dense product,
     // nothing at all in one still trusting the finiteness it established
     // before the step, which would report a finite loss from saturated
-    // gates. (A third step would be NaN either way: `-∞ - -∞` in the
-    // momentum update.)
+    // gates.
     let mut rng = StdRng::seed_from_u64(5);
     let donor = Linear::new(HIDDEN, CLASSES, &mut rng);
     let mut w = donor.weight().clone();
@@ -339,14 +331,8 @@ fn weights_that_overflow_mid_fit_are_seen_by_the_next_mini_batch() {
             Sample::new(vec![x], i % CLASSES)
         })
         .collect();
-    let config = TrainConfig {
-        epochs: 1,
-        batch_size: 1,
-        lr: 1e36,
-        weight_decay: 0.0,
-        optimizer: OptimizerKind::Sgd,
-        shuffle_seed: 9,
-    };
+    let config =
+        TrainConfig { epochs: 1, batch_size: 1, lr: 1e36, weight_decay: 0.0, shuffle_seed: 9 };
     let reports = assert_fit_matches_reference(&model, &data, &config);
     assert!(reports[0].final_loss().is_nan(), "nothing overflowed: {reports:?}");
 }

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 
-use pelican_nn::{Dropout, Layer, Linear, Lstm, Optimizer, Sequence, SequenceModel, Sgd, Step};
+use pelican_nn::{Dropout, Layer, Linear, Lstm, Sequence, SequenceModel, Step};
 use pelican_tensor::Matrix;
 
 /// An LSTM whose bias carries `-0.0` and whose first weights are `edit`ed.
@@ -211,15 +211,19 @@ fn weights_that_overflow_after_an_answer_are_seen_by_the_next() {
         let query: Sequence = vec![step(1, 8, Some(0), &mut rng)];
         assert!(model.logits(&query).iter().all(|v| v.is_finite()), "finite, and known to be");
 
-        // One SGD step on a one-step sample hot in column 0 only, with a
-        // gradient and a learning rate whose product overflows: the input
-        // weights turn infinite in column 0 — which `query` skips — and
-        // nowhere else.
-        let mut sample = vec![0.0f32; 8];
-        sample[0] = 1.0;
+        // The input weights turn infinite in column 0 — which `query`
+        // skips — and nowhere else, through `visit_params`, the way an
+        // optimizer step writes them. A backward pass first gives the
+        // layer the gradient buffers it hands out beside its weights.
+        let sample = vec![0.0f32; 8];
         model.forward(&vec![sample]);
-        model.backward_from_logits(1, vec![1e30; 3]);
-        Optimizer::from(Sgd::new(1e30)).step(&mut model, 1);
+        model.backward_from_logits(1, vec![0.0; 3]);
+        let mut input_weights = true;
+        model.layers_mut()[0].visit_params(&mut |param, _| {
+            if std::mem::take(&mut input_weights) {
+                param.chunks_mut(8).for_each(|row| row[0] = f32::INFINITY);
+            }
+        });
 
         let want = model.clone().forward(&query).pop().unwrap();
         assert!(want.iter().any(|v| v.is_nan()), "0 · ∞ poisons the dense answer");

@@ -17,9 +17,8 @@
 
 use pelican::platform::ComputeTier;
 use pelican::workbench::Scenario;
-use pelican::PrivacyLayer;
 use pelican_nn::{ModelCodecError, Sequence};
-use pelican_sim::{stage_stats, Discipline, LinkMix, LinkProfile, TransferPolicy};
+use pelican_sim::{stage_stats, LinkMix, TransferPolicy};
 use pelican_tensor::nearest_rank;
 
 use crate::metrics::{MetricsSink, ServeReport};
@@ -40,8 +39,6 @@ pub struct FleetConfig {
     pub traffic: TrafficConfig,
     /// Tier fused batches are costed on.
     pub tier: ComputeTier,
-    /// Privacy layer installed on every personalized model at enrollment.
-    pub privacy: Option<PrivacyLayer>,
     /// How many contributor (unenrolled) users join the client pool and
     /// exercise the general-model fallback.
     pub unenrolled_clients: usize,
@@ -60,7 +57,6 @@ impl Default for FleetConfig {
             scheduler: SchedulerConfig::default(),
             traffic: TrafficConfig::default(),
             tier: ComputeTier::Cloud,
-            privacy: Some(PrivacyLayer::default()),
             unenrolled_clients: 4,
             queries_per_user: 32,
             cloud: None,
@@ -68,19 +64,14 @@ impl Default for FleetConfig {
     }
 }
 
-/// Network shape of cloud-deployed serving.
+/// Network shape of cloud-deployed serving. Every query crosses its
+/// client's uplink as 2 KiB and every response returns as 1 KiB over one
+/// fair-share WAN egress that all responses contend on; those constants
+/// sit beside their one use in [`serve_harness`](crate::serve_harness).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CloudNetwork {
     /// Per-client uplink assignment (wifi/WAN/cellular mix, stragglers).
     pub mix: LinkMix,
-    /// The shared cloud egress link every response queues on.
-    pub egress: LinkProfile,
-    /// How contending responses share the egress link.
-    pub egress_discipline: Discipline,
-    /// Query payload size in bytes.
-    pub query_bytes: u64,
-    /// Response payload size in bytes.
-    pub response_bytes: u64,
     /// Timeout/retry policy of query uplink transfers (a timed-out query
     /// is dropped before reaching the cloud).
     pub uplink_policy: TransferPolicy,
@@ -89,18 +80,9 @@ pub struct CloudNetwork {
 }
 
 impl Default for CloudNetwork {
-    /// Campus client mix, one fair-share WAN egress, 2 kB queries and
-    /// 1 kB responses, no timeouts.
+    /// Campus client mix, no timeouts.
     fn default() -> Self {
-        Self {
-            mix: LinkMix::campus(),
-            egress: LinkProfile::wan(),
-            egress_discipline: Discipline::FairShare,
-            query_bytes: 2_048,
-            response_bytes: 1_024,
-            uplink_policy: TransferPolicy::default(),
-            seed: 0xC10D,
-        }
+        Self { mix: LinkMix::campus(), uplink_policy: TransferPolicy::default(), seed: 0xC10D }
     }
 }
 
@@ -156,7 +138,7 @@ pub fn run_fleet(
     config: &FleetConfig,
 ) -> Result<FleetOutcome, ModelCodecError> {
     let registry = ShardedRegistry::new(scenario.general.clone(), config.registry);
-    registry.enroll_scenario(scenario, config.privacy);
+    registry.enroll_scenario(scenario);
 
     // Client pool: personalized users first (Zipf head), then unenrolled
     // contributors exercising the fallback path.

@@ -376,16 +376,15 @@ impl ShardedRegistry {
     }
 
     /// Bulk enrollment from an experiment [`Scenario`]: every
-    /// personalization user's model is installed, with the user's privacy
-    /// layer applied *before* the model becomes service-visible (the
-    /// general fallback stays unsharpened — it is provider-owned and holds
-    /// no personal data). Returns the number of users enrolled.
-    pub fn enroll_scenario(&self, scenario: &Scenario, privacy: Option<PrivacyLayer>) -> usize {
+    /// personalization user's model is installed behind
+    /// [`PrivacyLayer::default`], the paper's strongest evaluated
+    /// temperature, applied *before* the model becomes service-visible
+    /// (the general fallback stays unsharpened — it is provider-owned and
+    /// holds no personal data). Returns the number of users enrolled.
+    pub fn enroll_scenario(&self, scenario: &Scenario) -> usize {
         for user in &scenario.personal {
             let mut model = user.model.clone();
-            if let Some(layer) = privacy {
-                layer.apply(&mut model);
-            }
+            PrivacyLayer::default().apply(&mut model);
             self.enroll(user.user_id, &model);
         }
         scenario.personal.len()

@@ -268,6 +268,12 @@ pub fn simulate_serving(
     flow.into_outcome(sim)
 }
 
+/// Bytes of one query on its client's uplink: a few encoded sessions.
+const QUERY_BYTES: u64 = 2_048;
+/// Bytes of one response on the cloud egress: the served confidences,
+/// half a query.
+const RESPONSE_BYTES: u64 = 1_024;
+
 /// The disassembled serving pass: the link table, the initial arrival
 /// jobs and the scheduler-as-workload, *before* the simulator runs.
 ///
@@ -313,7 +319,9 @@ pub fn serve_harness<'a>(
     let mut uplink_of: HashMap<usize, usize> = HashMap::new();
     if let Some(cloud) = &config.network {
         egress_link = Some(links.len());
-        links.push(LinkSpec { profile: cloud.egress, discipline: cloud.egress_discipline });
+        // One WAN link out of the cloud, shared fairly: concurrent
+        // responses slow each other down instead of queueing in order.
+        links.push(LinkSpec::fair(LinkProfile::wan()));
         let mut users: Vec<usize> = requests.iter().map(|r| r.user_id).collect();
         users.sort_unstable();
         users.dedup();
@@ -334,7 +342,7 @@ pub fn serve_harness<'a>(
                 Some(cloud) => vec![Stage::Transfer {
                     label: "uplink",
                     link: uplink_of[&r.user_id],
-                    bytes: cloud.query_bytes,
+                    bytes: QUERY_BYTES,
                     policy: cloud.uplink_policy,
                 }],
                 None => Vec::new(),
@@ -348,7 +356,6 @@ pub fn serve_harness<'a>(
         config: config.scheduler,
         n_shards,
         egress_link,
-        response_bytes: config.network.map_or(0, |c| c.response_bytes),
         pending: requests.iter().map(|r| (r.id, r.clone())).collect(),
         sent_us: requests.iter().map(|r| (r.id, r.arrival_us)).collect(),
         ingested: HashMap::new(),
@@ -372,7 +379,6 @@ pub struct ServeFlow<'a> {
     config: SchedulerConfig,
     n_shards: usize,
     egress_link: Option<usize>,
-    response_bytes: u64,
     /// Requests not yet ingested, by request id.
     pending: HashMap<usize, Request>,
     /// Client send times, by request id (ingress rewrites `arrival_us`).
@@ -549,7 +555,7 @@ impl ServeFlow<'_> {
                     stages: vec![Stage::Transfer {
                         label: "response",
                         link: egress,
-                        bytes: self.response_bytes,
+                        bytes: RESPONSE_BYTES,
                         policy: TransferPolicy::default(),
                     }],
                 }),

@@ -11,6 +11,17 @@ use pelican_mobility::{Session, UserTrace};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 
+/// Zipf popularity exponent (`s` in `w_r ∝ 1/(r+1)^s`): a little over 1,
+/// so a few heavy clients carry most of the volume.
+const ZIPF_EXPONENT: f64 = 1.1;
+/// Cycle length of the burst pattern, in requests.
+const BURST_PERIOD: usize = 512;
+/// Leading requests of each cycle that arrive at burst rate: a quarter of
+/// the stream, the class-change rush.
+const BURST_LEN: usize = 128;
+/// Arrival-rate multiplier during bursts.
+const BURST_FACTOR: f64 = 8.0;
+
 /// Shape of the synthetic request stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficConfig {
@@ -19,33 +30,15 @@ pub struct TrafficConfig {
     /// Size of the client population (user *indices* `0..users`; rank 0 is
     /// the most popular client).
     pub users: usize,
-    /// Zipf popularity exponent (`s` in `w_r ∝ 1/(r+1)^s`); larger skews
-    /// harder toward the head.
-    pub zipf_exponent: f64,
     /// Mean inter-arrival gap outside bursts, in microseconds.
     pub mean_interarrival_us: f64,
-    /// Cycle length of the burst pattern, in requests.
-    pub burst_period: usize,
-    /// Leading requests of each cycle that arrive at burst rate.
-    pub burst_len: usize,
-    /// Arrival-rate multiplier during bursts (≥ 1).
-    pub burst_factor: f64,
     /// Master seed.
     pub seed: u64,
 }
 
 impl Default for TrafficConfig {
     fn default() -> Self {
-        Self {
-            requests: 10_000,
-            users: 64,
-            zipf_exponent: 1.1,
-            mean_interarrival_us: 400.0,
-            burst_period: 512,
-            burst_len: 128,
-            burst_factor: 8.0,
-            seed: 42,
-        }
+        Self { requests: 10_000, users: 64, mean_interarrival_us: 400.0, seed: 42 }
     }
 }
 
@@ -75,21 +68,15 @@ impl TrafficGenerator {
     ///
     /// # Panics
     ///
-    /// Panics if `users` is zero, rates are non-positive, or the burst
-    /// window exceeds its period.
+    /// Panics if `users` is zero or the mean inter-arrival gap is not
+    /// positive.
     pub fn new(config: TrafficConfig) -> Self {
         assert!(config.users > 0, "traffic needs at least one user");
-        assert!(config.zipf_exponent > 0.0, "zipf exponent must be positive");
         assert!(config.mean_interarrival_us > 0.0, "mean inter-arrival must be positive");
-        assert!(config.burst_factor >= 1.0, "burst factor must be >= 1");
-        assert!(
-            config.burst_len <= config.burst_period && config.burst_period > 0,
-            "burst window must fit its period"
-        );
         let mut cdf = Vec::with_capacity(config.users);
         let mut acc = 0.0;
         for rank in 0..config.users {
-            acc += 1.0 / ((rank + 1) as f64).powf(config.zipf_exponent);
+            acc += 1.0 / ((rank + 1) as f64).powf(ZIPF_EXPONENT);
             cdf.push(acc);
         }
         let total = acc;
@@ -105,7 +92,7 @@ impl TrafficGenerator {
     }
 
     fn in_burst(&self) -> bool {
-        self.emitted % self.config.burst_period < self.config.burst_len
+        self.emitted % BURST_PERIOD < BURST_LEN
     }
 }
 
@@ -123,7 +110,7 @@ impl Iterator for TrafficGenerator {
         let u: f64 = self.rng.random();
         let mut gap = -(1.0 - u).max(f64::MIN_POSITIVE).ln() * self.config.mean_interarrival_us;
         if self.in_burst() {
-            gap /= self.config.burst_factor;
+            gap /= BURST_FACTOR;
         }
         self.clock_us += gap;
         let pick: f64 = self.rng.random();
@@ -276,20 +263,13 @@ mod tests {
 
     #[test]
     fn bursts_compress_interarrival_gaps() {
-        let cfg = TrafficConfig {
-            requests: 2048,
-            users: 4,
-            burst_period: 512,
-            burst_len: 256,
-            burst_factor: 16.0,
-            seed: 3,
-            ..TrafficConfig::default()
-        };
+        let cfg = TrafficConfig { requests: 2048, users: 4, seed: 3, ..TrafficConfig::default() };
         let arrivals: Vec<Arrival> = TrafficGenerator::new(cfg).collect();
         let gap = |i: usize| arrivals[i + 1].at_us.saturating_sub(arrivals[i].at_us);
-        // Mean gap inside the first burst window vs. the tail of the cycle.
-        let burst_mean: f64 = (0..255).map(gap).sum::<u64>() as f64 / 255.0;
-        let calm_mean: f64 = (256..511).map(gap).sum::<u64>() as f64 / 255.0;
+        // Mean gap inside the first burst window (128 requests at 8× the
+        // rate) vs. the rest of the 512-request cycle.
+        let burst_mean: f64 = (0..127).map(gap).sum::<u64>() as f64 / 127.0;
+        let calm_mean: f64 = (128..511).map(gap).sum::<u64>() as f64 / 383.0;
         assert!(
             burst_mean * 4.0 < calm_mean,
             "bursts must be much denser: burst {burst_mean} vs calm {calm_mean}"

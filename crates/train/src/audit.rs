@@ -36,7 +36,7 @@ use pelican::DefenseKind;
 use pelican_attacks::prior::random_probes;
 use pelican_attacks::{
     evaluate_attack, interest_locations_in, Adversary, AttackEvaluation, AttackMethod,
-    CachedBlackBox, Instance, LogitCache, Prior, PriorKind, TimeBased,
+    CachedBlackBox, Instance, LogitCache, Prior, PriorKind, TimeBased, INTEREST_THRESHOLD,
 };
 use pelican_mobility::{FeatureSpace, Session};
 use pelican_nn::{PrefixTier, SequenceModel};
@@ -53,6 +53,10 @@ pub struct AuditSubject {
     /// Held-out session triples; attack instances are built from them.
     pub holdout: Vec<[Session; 3]>,
 }
+
+/// Defense every candidate carries into its first audit: none — the gate
+/// measures the model as trained and deploys a rung only when it leaks.
+pub const BASE_DEFENSE: DefenseKind = DefenseKind::None;
 
 /// Red-team configuration of the audit gate.
 #[derive(Debug, Clone)]
@@ -72,15 +76,11 @@ pub struct AuditConfig {
     /// Maximum tolerated attack accuracy at `audit_k` (fraction in
     /// `[0, 1]`). Above this, the gate escalates.
     pub max_leakage: f64,
-    /// Defense every candidate carries into its first audit.
-    pub base_defense: DefenseKind,
     /// Escalation ladder, weakest rung first. Rungs are absolute
     /// deployments, not increments: each one replaces the previous.
     pub ladder: Vec<DefenseKind>,
     /// Random probes used for the locations-of-interest scan.
     pub probe_count: usize,
-    /// Confidence threshold of the locations-of-interest scan.
-    pub interest_threshold: f32,
     /// Seed for probe generation and prediction-based priors.
     pub seed: u64,
 }
@@ -100,14 +100,12 @@ impl Default for AuditConfig {
             audit_k: 3,
             max_instances: 6,
             max_leakage: 0.35,
-            base_defense: DefenseKind::None,
             ladder: vec![
                 DefenseKind::Temperature { temperature: 1e-1 },
                 DefenseKind::Temperature { temperature: 1e-3 },
                 DefenseKind::Temperature { temperature: 1e-5 },
             ],
             probe_count: 24,
-            interest_threshold: 0.01,
             seed: 0x5EED,
         }
     }
@@ -257,7 +255,7 @@ impl AuditGate {
         cache.flops += c.prior.cost(model) + beside;
         let probes = random_probes(space, c.probe_count, c.seed ^ 0x1f);
         let mut oracle = CachedBlackBox::new(model, cache);
-        let interest = interest_locations_in(&mut oracle, &probes, c.interest_threshold);
+        let interest = interest_locations_in(&mut oracle, &probes, INTEREST_THRESHOLD);
         evaluate_attack(&c.method, &mut oracle, space, &prior, &interest, &instances, &c.ks)
     }
 
@@ -298,8 +296,8 @@ impl AuditGate {
         prefix: PrefixTier,
     ) -> (SequenceModel, GateOutcome, LogitCache) {
         let c = &self.config;
-        c.base_defense.apply(&mut candidate);
-        let mut defense = c.base_defense;
+        BASE_DEFENSE.apply(&mut candidate);
+        let mut defense = BASE_DEFENSE;
         // One logit cache for the whole ladder: rungs only swap the
         // deployed defense (temperature/post-processing), never the
         // weights, so every re-audit below replays cached logits instead
@@ -444,7 +442,7 @@ mod tests {
         // Reference: the forward passes one audit of the base-defended
         // candidate costs (probes + attack queries, deduplicated).
         let mut base = candidate.clone();
-        gate.config().base_defense.apply(&mut base);
+        BASE_DEFENSE.apply(&mut base);
         let mut first = LogitCache::new();
         let first_eval = gate.audit_cached(&base, &space, &s, &mut first);
 

@@ -87,7 +87,7 @@ pub mod report;
 pub mod rollback;
 pub mod staleness;
 
-pub use audit::{AuditConfig, AuditGate, AuditSubject, GateOutcome, GateVerdict};
+pub use audit::{AuditConfig, AuditGate, AuditSubject, GateOutcome, GateVerdict, BASE_DEFENSE};
 // The cache type `AuditGate::admit_with_cache` hands back; re-exported so
 // incremental re-audit callers need no direct `pelican_attacks` edge.
 pub use cosim::{

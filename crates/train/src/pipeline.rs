@@ -33,6 +33,11 @@ use crate::job::{JobKind, TrainJob};
 use crate::pool::{user_seed, TrainerPool};
 use crate::report::{JobOutcome, PublishFailure, TrainReport};
 
+/// How a fresh job personalizes: TL-FE, which trains one fresh LSTM and
+/// the head over the frozen general stack — the least personal weight to
+/// train, audit and ship.
+const FRESH_METHOD: PersonalizationMethod = PersonalizationMethod::TlFeatureExtract;
+
 /// Pipeline knobs.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
@@ -40,8 +45,6 @@ pub struct PipelineConfig {
     pub workers: usize,
     /// Base seed every per-user seed derives from.
     pub base_seed: u64,
-    /// Personalization method for fresh jobs.
-    pub method: PersonalizationMethod,
     /// Device-side training hyperparameters. The `seed` and
     /// `train.shuffle_seed` fields are overridden per user.
     pub personalization: PersonalizationConfig,
@@ -54,7 +57,6 @@ impl Default for PipelineConfig {
         Self {
             workers: 4,
             base_seed: 42,
-            method: PersonalizationMethod::TlFeatureExtract,
             personalization: PersonalizationConfig::default(),
             audit: AuditConfig::default(),
         }
@@ -138,7 +140,7 @@ impl FleetTrainer {
             JobKind::Fresh => {
                 let general =
                     general.decode().expect("freshly encoded general envelope always decodes");
-                pelican::personalize(&general, &job.train, self.config.method, &cfg)
+                pelican::personalize(&general, &job.train, FRESH_METHOD, &cfg)
             }
             JobKind::WarmStart { envelope } => {
                 let mut model = envelope.decode().expect("published envelope always decodes");

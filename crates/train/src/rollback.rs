@@ -30,7 +30,8 @@
 //! (kinds 3–5) and push link follow the rules of [`pelican_serve::simserve`].
 //!
 //! Everything is deterministic: models, probes, the regression noise,
-//! and the event schedule are pure functions of [`RollbackConfig`].
+//! and the event schedule are pure functions of [`RollbackConfig`] and
+//! the drill's constants below.
 
 use std::sync::Arc;
 
@@ -41,8 +42,7 @@ use pelican_serve::{
     ServeHarness, ServeJob, ShardedRegistry, SimServeConfig,
 };
 use pelican_sim::{
-    mix64, stage_stats, Discipline, JobReport, JobSpec, LinkProfile, LinkSpec, SimControl,
-    Simulator, Workload,
+    mix64, stage_stats, JobReport, JobSpec, LinkProfile, LinkSpec, SimControl, Simulator, Workload,
 };
 use pelican_store::{EnvelopeStore, MemBackend, StoreConfig};
 use rand::rngs::StdRng;
@@ -53,6 +53,29 @@ use rand::SeedableRng;
 const KIND_REGRESS: u64 = 3;
 const KIND_CANARY: u64 = 4;
 const KIND_PUSH: u64 = 5;
+
+/// Registry and store shard count.
+const SHARDS: usize = 4;
+/// Sigma of the Gaussian noise the bad publication applies to the output
+/// distribution — large enough to scramble top-1 answers.
+const REGRESSION_SIGMA: f32 = 2.5;
+/// Virtual instant the regressed fleet publication lands (µs): just
+/// before the second canary, so detection lags it by a few ms.
+const REGRESS_AT_US: u64 = 37_000;
+/// Canary probe cadence (µs); the first canary fires one interval in.
+const CANARY_INTERVAL_US: u64 = 20_000;
+/// Detection threshold: rollback triggers when served-vs-reference top-1
+/// agreement drops below this fraction. Clean replicas agree fully;
+/// scrambled answers fall far below.
+const CANARY_AGREEMENT_FLOOR: f64 = 0.9;
+/// Probe sequences per user in the canary set.
+const CANARY_PROBES: usize = 4;
+/// Total queries; user `i % users` sends probe `i % CANARY_PROBES` at
+/// `i * QUERY_GAP_US`.
+const QUERIES: usize = 600;
+/// Inter-query gap (µs). `QUERIES * QUERY_GAP_US`, 0.9 s of traffic, is
+/// also the horizon past which an undetected regression stops the canary.
+const QUERY_GAP_US: u64 = 1_500;
 
 /// The answer a client acts on: argmax of the *served confidences*
 /// (`predict_proba`), which is where the postprocess applies — a raw
@@ -75,58 +98,15 @@ fn top1(probs: &[f32]) -> usize {
 pub struct RollbackConfig {
     /// Fleet size (one personalized model per user).
     pub users: usize,
-    /// Registry/store shard count.
-    pub shards: usize,
-    /// Sigma of the Gaussian noise the bad publication applies to the
-    /// output distribution — large enough to scramble top-1 answers.
-    pub regression_sigma: f32,
-    /// Virtual instant the regressed fleet publication lands (µs).
-    pub regress_at_us: u64,
-    /// Canary probe cadence (µs); the first canary fires one interval in.
-    pub canary_interval_us: u64,
-    /// Detection threshold: rollback triggers when served-vs-reference
-    /// top-1 agreement drops below this fraction.
-    pub canary_agreement_floor: f64,
-    /// Probe sequences per user in the canary set.
-    pub canary_probes: usize,
-    /// Total queries; user `i % users` sends probe `i % canary_probes`
-    /// at `i * gap`.
-    pub queries: usize,
-    /// Inter-query gap (µs). `queries * query_gap_us` is also the
-    /// horizon past which an undetected regression stops the canary.
-    pub query_gap_us: u64,
     /// Bytes of one rollback push (envelope + transport framing).
     pub push_bytes: u64,
-    /// The one shared egress path every push contends on.
-    pub egress: LinkProfile,
-    /// How concurrent pushes share the egress link. FIFO serializes the
-    /// fleet (the widest staleness window); fair-share drains all
-    /// replicas together.
-    pub egress_discipline: Discipline,
-    /// Compress envelope payloads in the durable log.
-    pub compress_log: bool,
     /// Master seed for models, probes and the regression noise.
     pub seed: u64,
 }
 
 impl Default for RollbackConfig {
     fn default() -> Self {
-        Self {
-            users: 10,
-            shards: 4,
-            regression_sigma: 2.5,
-            regress_at_us: 37_000,
-            canary_interval_us: 20_000,
-            canary_agreement_floor: 0.9,
-            canary_probes: 4,
-            queries: 600,
-            query_gap_us: 1_500,
-            push_bytes: 64 * 1024,
-            egress: LinkProfile::wan(),
-            egress_discipline: Discipline::Fifo,
-            compress_log: false,
-            seed: 0x0711,
-        }
+        Self { users: 10, push_bytes: 64 * 1024, seed: 0x0711 }
     }
 }
 
@@ -307,7 +287,7 @@ impl Workload for RollbackFlow<'_> {
                     return;
                 }
                 let agreement = self.canary_agreement();
-                if agreement < self.cfg.canary_agreement_floor {
+                if agreement < CANARY_AGREEMENT_FLOOR {
                     self.detected_at = Some(job.end_us);
                     self.agreement_at_detection = agreement;
                     // Push the prior envelope to every replica over the
@@ -316,8 +296,8 @@ impl Workload for RollbackFlow<'_> {
                     for user in 0..self.cfg.users {
                         self.pushes.submit(self.cfg.push_bytes, user, sim);
                     }
-                } else if job.end_us + self.cfg.canary_interval_us <= self.horizon_us {
-                    self.submit_canary(tick + 1, job.end_us + self.cfg.canary_interval_us, sim);
+                } else if job.end_us + CANARY_INTERVAL_US <= self.horizon_us {
+                    self.submit_canary(tick + 1, job.end_us + CANARY_INTERVAL_US, sim);
                 }
             }
             _ => unreachable!("unknown job kind {kind}"),
@@ -334,22 +314,21 @@ impl Workload for RollbackFlow<'_> {
 /// # Panics
 ///
 /// Panics if the canary never detects the regression before the query
-/// horizon (an agreement floor below the scrambled-answer baseline), or
-/// if any configured count is zero.
+/// horizon, or if `users` is zero.
 pub fn run_rollback_study(cfg: &RollbackConfig) -> RollbackOutcome {
-    assert!(cfg.users > 0 && cfg.queries > 0 && cfg.canary_probes > 0, "empty study");
+    assert!(cfg.users > 0, "empty study");
 
     // The durable tier: store-backed registry, v1 fleet published
     // through the write-ahead log before traffic starts.
     let disk = MemBackend::new();
     let store = EnvelopeStore::open(
         Arc::new(disk.clone()),
-        StoreConfig { shards: cfg.shards, compress: cfg.compress_log, ..StoreConfig::default() },
+        StoreConfig { shards: SHARDS, ..StoreConfig::default() },
     )
     .expect("fresh backend opens");
     let registry = ShardedRegistry::with_store(
         reference_model(cfg.seed, 0),
-        RegistryConfig { shards: cfg.shards, hot_capacity: (cfg.users / 2).max(2) },
+        RegistryConfig { shards: SHARDS, hot_capacity: (cfg.users / 2).max(2) },
         Arc::new(store),
     );
 
@@ -364,7 +343,7 @@ pub fn run_rollback_study(cfg: &RollbackConfig) -> RollbackOutcome {
         .map(|(u, m)| {
             let mut bad = m.clone();
             bad.set_postprocess(Postprocess::GaussianNoise {
-                sigma: cfg.regression_sigma,
+                sigma: REGRESSION_SIGMA,
                 seed: mix64(cfg.seed ^ (u as u64).wrapping_mul(0x9E37)),
             });
             bad
@@ -372,7 +351,7 @@ pub fn run_rollback_study(cfg: &RollbackConfig) -> RollbackOutcome {
         .collect();
 
     // Deterministic probe set and the v1 reference answers.
-    let probes: Vec<Vec<Step>> = (0..cfg.canary_probes)
+    let probes: Vec<Vec<Step>> = (0..CANARY_PROBES)
         .map(|p| {
             (0..2)
                 .map(|s| {
@@ -394,11 +373,11 @@ pub fn run_rollback_study(cfg: &RollbackConfig) -> RollbackOutcome {
     // The schedule: queries at a fixed cadence into the serving tier, the
     // regression drop, and the first canary (later canaries chain off
     // completed ones). The push link comes after serving's links.
-    let requests: Vec<Request> = (0..cfg.queries)
+    let requests: Vec<Request> = (0..QUERIES)
         .map(|i| Request {
             id: i,
             user_id: i % cfg.users,
-            arrival_us: i as u64 * cfg.query_gap_us,
+            arrival_us: i as u64 * QUERY_GAP_US,
             xs: probes[i % probes.len()].clone(),
         })
         .collect();
@@ -410,15 +389,17 @@ pub fn run_rollback_study(cfg: &RollbackConfig) -> RollbackOutcome {
     let ServeHarness { mut links, jobs: mut initial, flow: serve } =
         serve_harness(&registry, &requests, &serve_config);
     let pushes = Lane::new(KIND_PUSH, "rollback-push", links.len());
-    links.push(LinkSpec { profile: cfg.egress, discipline: cfg.egress_discipline });
+    // One WAN egress, FIFO: pushes serialize, so the fleet's last replica
+    // waits for every other push — the widest staleness window.
+    links.push(LinkSpec::fifo(LinkProfile::wan()));
     initial.push(JobSpec {
         id: job_id(KIND_REGRESS, 0),
-        release_us: cfg.regress_at_us,
+        release_us: REGRESS_AT_US,
         stages: Vec::new(),
     });
     initial.push(JobSpec {
         id: job_id(KIND_CANARY, 0),
-        release_us: cfg.canary_interval_us,
+        release_us: CANARY_INTERVAL_US,
         stages: Vec::new(),
     });
 
@@ -430,12 +411,12 @@ pub fn run_rollback_study(cfg: &RollbackConfig) -> RollbackOutcome {
         v1: &v1,
         probes: &probes,
         good_top1: &good_top1,
-        horizon_us: cfg.queries as u64 * cfg.query_gap_us,
+        horizon_us: QUERIES as u64 * QUERY_GAP_US,
         detected_at: None,
         agreement_at_detection: 1.0,
         pushes,
         swaps: vec![None; cfg.users],
-        query_log: Vec::with_capacity(cfg.queries),
+        query_log: Vec::with_capacity(QUERIES),
     };
     let sim = Simulator::builder().links(links).build().run(&initial, &mut flow);
     let outcome = flow.serve.into_outcome(sim).expect("published envelopes decode");
@@ -453,14 +434,14 @@ pub fn run_rollback_study(cfg: &RollbackConfig) -> RollbackOutcome {
     let stats = registry.stats();
     let report = RollbackReport {
         users: cfg.users,
-        regress_at_us: cfg.regress_at_us,
+        regress_at_us: REGRESS_AT_US,
         detected_at_us,
-        detection_lag_us: detected_at_us - cfg.regress_at_us,
+        detection_lag_us: detected_at_us - REGRESS_AT_US,
         agreement_at_detection: flow.agreement_at_detection,
         first_swap_us: window.first_swap_us,
         last_swap_us: window.last_swap_us,
         staleness_us: window.staleness_us(),
-        exposure_us: window.exposure_us(cfg.regress_at_us),
+        exposure_us: window.exposure_us(REGRESS_AT_US),
         push_wait_p95_us: stage_stats(&outcome.sim, "rollback-push").wait_p95_us,
         queries_total: flow.query_log.len(),
         queries_degraded,
@@ -486,7 +467,7 @@ mod tests {
 
     #[test]
     fn the_study_is_deterministic() {
-        let cfg = RollbackConfig { users: 6, queries: 300, ..RollbackConfig::default() };
+        let cfg = RollbackConfig { users: 6, ..RollbackConfig::default() };
         let a = run_rollback_study(&cfg);
         let b = run_rollback_study(&cfg);
         assert_eq!(a.report, b.report);
@@ -529,7 +510,7 @@ mod tests {
 
     #[test]
     fn rolled_back_serving_matches_v1_and_survives_a_restart() {
-        let cfg = RollbackConfig { users: 5, queries: 300, ..RollbackConfig::default() };
+        let cfg = RollbackConfig { users: 5, ..RollbackConfig::default() };
         let out = run_rollback_study(&cfg);
 
         // Live registry: every user answers exactly like their v1 model
@@ -549,13 +530,13 @@ mod tests {
         assert!(disk.list().unwrap().iter().any(|n| n.ends_with(".plog")));
         let store = EnvelopeStore::open(
             Arc::new(out.disk.clone()),
-            StoreConfig { shards: cfg.shards, ..StoreConfig::default() },
+            StoreConfig { shards: SHARDS, ..StoreConfig::default() },
         )
         .unwrap();
         assert_eq!(store.recovery().torn_segments, 0);
         let reborn = ShardedRegistry::with_store(
             out.registry.general().clone(),
-            RegistryConfig { shards: cfg.shards, hot_capacity: 4 },
+            RegistryConfig { shards: SHARDS, hot_capacity: 4 },
             Arc::new(store),
         );
         for (user, reference) in out.reference.iter().enumerate() {

@@ -9,7 +9,7 @@ use pelican_nn::{SequenceModel, TrainConfig};
 use pelican_serve::{Lookup, RegistryConfig, ShardedRegistry};
 use pelican_train::{
     cohort_jobs, AuditConfig, AuditGate, FleetTrainer, GateVerdict, LogitCache, PipelineConfig,
-    TrainJob,
+    TrainJob, BASE_DEFENSE,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,7 +36,6 @@ fn config() -> PipelineConfig {
         },
         // A deliberately tight budget so the escalation path really runs.
         audit: AuditConfig { max_instances: 4, max_leakage: 0.2, ..AuditConfig::default() },
-        ..PipelineConfig::default()
     }
 }
 
@@ -65,7 +64,7 @@ fn every_published_model_passed_the_gate_or_carries_an_escalated_defense() {
         match outcome.gate.verdict {
             GateVerdict::Passed => {
                 assert_eq!(outcome.gate.rungs_climbed, 0);
-                assert_eq!(outcome.gate.defense, audit_config.base_defense);
+                assert_eq!(outcome.gate.defense, BASE_DEFENSE);
                 assert!(outcome.gate.within_budget(&audit_config));
             }
             GateVerdict::Escalated => {

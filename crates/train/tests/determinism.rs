@@ -38,7 +38,6 @@ fn config(workers: usize) -> PipelineConfig {
             ..PersonalizationConfig::default()
         },
         audit: AuditConfig { max_instances: 3, ..AuditConfig::default() },
-        ..PipelineConfig::default()
     }
 }
 

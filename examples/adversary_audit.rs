@@ -34,7 +34,11 @@ fn main() {
         if let Some(inst) = instances.first() {
             let prior = scenario.prior(user, PriorKind::True);
             let probes = pelican_attacks::prior::random_probes(&scenario.dataset.space, 24, 5);
-            let interest = pelican_attacks::interest_locations(&user.model, &probes, 0.01);
+            let interest = pelican_attacks::interest_locations(
+                &user.model,
+                &probes,
+                pelican_attacks::INTEREST_THRESHOLD,
+            );
             let mut model = user.model.clone();
             let (ranking, _) =
                 method.run(&mut model, &scenario.dataset.space, &prior, &interest, inst);

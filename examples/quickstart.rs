@@ -7,7 +7,6 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use pelican::workbench::Scenario;
-use pelican::PrivacyLayer;
 use pelican_mobility::{Scale, SpatialLevel};
 use pelican_serve::{RegistryConfig, ShardedRegistry};
 
@@ -38,7 +37,7 @@ fn main() {
     // 3: deployment. The user installs their privacy layer before the
     // model becomes visible to the service provider.
     let registry = ShardedRegistry::new(scenario.general.clone(), RegistryConfig::default());
-    registry.enroll_scenario(&scenario, Some(PrivacyLayer::default()));
+    registry.enroll_scenario(&scenario);
 
     // Query: "given my last two sessions, where am I headed?"
     let query = &user.test[0].xs;

@@ -5,8 +5,8 @@
 //! Run with: `cargo run --release --example trace_pipeline`
 
 use pelican_mobility::{
-    compare, extract_sessions, sessions_to_events, trace_stats, CampusConfig, EventNoise,
-    ExtractConfig, Scale, TraceGenerator,
+    compare, extract_sessions, sessions_to_events, trace_stats, CampusConfig, EventNoise, Scale,
+    TraceGenerator,
 };
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
         // Lower ground truth into noisy controller syslog and re-extract —
         // the paper's preprocessing path (Trivedi et al.).
         let events = sessions_to_events(&trace.sessions, EventNoise::default());
-        let extracted = extract_sessions(&events, &campus, ExtractConfig::default());
+        let extracted = extract_sessions(&events, &campus);
         let report = compare(&trace.sessions, &extracted);
 
         let stats = trace_stats(&extracted);

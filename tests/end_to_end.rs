@@ -71,7 +71,7 @@ fn service_end_to_end_with_privacy() {
     let scenario = tiny(6);
     let user = &scenario.personal[0];
     let registry = ShardedRegistry::new(scenario.general.clone(), RegistryConfig::default());
-    registry.enroll_scenario(&scenario, Some(PrivacyLayer::default()));
+    registry.enroll_scenario(&scenario);
     let (served, _) = registry.get(user.user_id).expect("enrolled envelope decodes");
     let defended = PrivacyLayer::default().temperature();
     assert_eq!(served.temperature(), defended, "the registry must serve the defended model");

@@ -2,8 +2,8 @@
 //! the same fidelity as ground truth.
 
 use pelican_mobility::{
-    compare, extract_sessions, sessions_to_events, CampusConfig, EventNoise, ExtractConfig,
-    FeatureSpace, Scale, SpatialLevel, TraceGenerator,
+    compare, extract_sessions, sessions_to_events, CampusConfig, EventNoise, FeatureSpace, Scale,
+    SpatialLevel, TraceGenerator,
 };
 
 #[test]
@@ -15,7 +15,7 @@ fn extraction_recovers_training_signal_under_noise() {
     for user_id in 0..users {
         let trace = generator.user_trace(user_id);
         let events = sessions_to_events(&trace.sessions, EventNoise::default());
-        let extracted = extract_sessions(&events, &campus, ExtractConfig::default());
+        let extracted = extract_sessions(&events, &campus);
         let report = compare(&trace.sessions, &extracted);
         total_recall += report.recall();
 
@@ -40,7 +40,7 @@ fn noise_free_extraction_is_lossless_at_scale() {
     for user_id in [0, 7, 13] {
         let trace = generator.user_trace(user_id);
         let events = sessions_to_events(&trace.sessions, EventNoise::none());
-        let extracted = extract_sessions(&events, &campus, ExtractConfig::default());
+        let extracted = extract_sessions(&events, &campus);
         assert_eq!(extracted.len(), trace.sessions.len(), "user {user_id}");
         for (t, e) in trace.sessions.iter().zip(&extracted) {
             assert_eq!((t.ap, t.day, t.entry_minutes), (e.ap, e.day, e.entry_minutes));

@@ -77,7 +77,6 @@ fn live_config() -> LiveConfig {
         us_per_minute: 1_000,
         bootstrap_minutes: 7 * 24 * 60,
         horizon_minutes: 14 * 24 * 60,
-        train_fraction: 0.8,
         round_interval_us: 200_000,
         rollback_tolerance: 0.5,
     }

@@ -6,7 +6,6 @@
 //! plain `cargo test` too.)
 
 use pelican::workbench::{Scenario, ScenarioSizing};
-use pelican::PrivacyLayer;
 use pelican_mobility::{Scale, SpatialLevel};
 use pelican_serve::{RegistryConfig, ShardedRegistry};
 
@@ -24,7 +23,7 @@ fn quickstart_pipeline_produces_a_prediction() {
 
     // Stage 3 of Fig. 4: deploy behind the privacy layer.
     let registry = ShardedRegistry::new(scenario.general.clone(), RegistryConfig::default());
-    registry.enroll_scenario(&scenario, Some(PrivacyLayer::default()));
+    registry.enroll_scenario(&scenario);
 
     // Stage 4: query the service for the next location.
     let query = &user.test[0].xs;

@@ -15,12 +15,12 @@ use pelican::{prepare, DefenseKind, PersonalizationConfig, PersonalizationMethod
 use pelican_attacks::prior::random_probes;
 use pelican_attacks::{
     evaluate_attack, interest_locations_in, Adversary, AttackEvaluation, AttackMethod, BlackBox,
-    BruteForce, CachedBlackBox, Instance, LogitCache, Prior, TimeBased,
+    BruteForce, CachedBlackBox, Instance, LogitCache, Prior, TimeBased, INTEREST_THRESHOLD,
 };
 use pelican_mobility::{FeatureSpace, Session, SpatialLevel};
 use pelican_nn::{fit, Sample, Sequence, SequenceModel, Step, TrainConfig};
 use pelican_tensor::Matrix;
-use pelican_train::{AuditConfig, AuditGate, AuditSubject, GateOutcome, GateVerdict};
+use pelican_train::{AuditConfig, AuditGate, AuditSubject, GateOutcome, GateVerdict, BASE_DEFENSE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -186,7 +186,7 @@ fn reference_audit(
     let prior = Prior::of_kind(c.prior, &space, &subject.history, model, c.seed ^ 0x9d);
     let probes = random_probes(&space, c.probe_count, c.seed ^ 0x1f);
     let mut oracle = OneAtATime(CachedBlackBox::new(model, cache));
-    let interest = interest_locations_in(&mut oracle, &probes, c.interest_threshold);
+    let interest = interest_locations_in(&mut oracle, &probes, INTEREST_THRESHOLD);
     evaluate_attack(&c.method, &mut oracle, &space, &prior, &interest, &instances, &c.ks)
 }
 
@@ -196,8 +196,8 @@ fn reference_admit(
     mut candidate: SequenceModel,
     subject: &AuditSubject,
 ) -> (GateOutcome, LogitCache) {
-    c.base_defense.apply(&mut candidate);
-    let mut defense = c.base_defense;
+    BASE_DEFENSE.apply(&mut candidate);
+    let mut defense = BASE_DEFENSE;
     let mut cache = LogitCache::new();
     let mut eval = reference_audit(c, &candidate, subject, &mut cache);
     let initial_leakage = eval.accuracy(c.audit_k);
