@@ -3,7 +3,7 @@
 
 use pelican::workbench::Scenario;
 use pelican::{personalize, PersonalizationConfig, PersonalizationMethod};
-use pelican_mobility::SpatialLevel;
+use pelican_mobility::{within_weeks, SpatialLevel};
 use pelican_nn::metrics::evaluate_top_k;
 use pelican_nn::TrainConfig;
 
@@ -40,14 +40,12 @@ pub fn evaluate_method(
     let mut counted = 0usize;
     for user in &scenario.personal {
         let train: Vec<_> = match weeks {
-            Some(w) => {
-                let cutoff = (w * 7) as u32;
-                user.train_triples
-                    .iter()
-                    .filter(|t| t[2].day < cutoff)
-                    .map(|t| scenario.dataset.sample_of(t))
-                    .collect()
-            }
+            Some(w) => user
+                .train_triples
+                .iter()
+                .filter(|t| within_weeks(t, w))
+                .map(|t| scenario.dataset.sample_of(t))
+                .collect(),
             None => user.train.clone(),
         };
         if train.is_empty() || user.test.is_empty() {

@@ -11,7 +11,8 @@ use pelican_attacks::{
     Prior, PriorKind, INTEREST_THRESHOLD,
 };
 use pelican_mobility::{
-    train_test_split, CampusConfig, DatasetBuilder, MobilityDataset, Scale, Session, SpatialLevel,
+    train_test_split, within_weeks, CampusConfig, DatasetBuilder, MobilityDataset, Scale, Session,
+    SpatialLevel,
 };
 use pelican_nn::metrics::evaluate_top_k;
 use pelican_nn::{FitReport, ModelEnvelope, Sample, SequenceModel, TrainConfig};
@@ -327,8 +328,7 @@ impl ScenarioBuilder {
             let (mut train_triples, test_triples) =
                 train_test_split(all_triples, self.train_fraction);
             if let Some(weeks) = self.weeks {
-                let cutoff = (weeks * 7) as u32;
-                train_triples.retain(|t| t[2].day < cutoff);
+                train_triples.retain(|t| within_weeks(t, weeks));
             }
             let train: Vec<Sample> = train_triples.iter().map(|t| dataset.sample_of(t)).collect();
             let test: Vec<Sample> = test_triples.iter().map(|t| dataset.sample_of(t)).collect();

@@ -169,12 +169,10 @@ pub struct UserData {
     pub triples: Vec<[Session; 3]>,
 }
 
-impl UserData {
-    /// Triples restricted to the first `weeks` weeks (Table IV).
-    pub fn triples_within_weeks(&self, weeks: usize) -> Vec<[Session; 3]> {
-        let cutoff = (weeks * DAYS_PER_WEEK) as u32;
-        self.triples.iter().filter(|t| t[2].day < cutoff).copied().collect()
-    }
+/// Whether a triple's target session falls in the trace's first `weeks`
+/// weeks — Table IV's training-size cut.
+pub fn within_weeks(triple: &[Session; 3], weeks: usize) -> bool {
+    triple[2].day < (weeks * DAYS_PER_WEEK) as u32
 }
 
 /// A complete dataset: traces, triples and the feature space to encode them.
@@ -360,7 +358,7 @@ mod tests {
     fn weeks_filter_shrinks_triples() {
         let ds = dataset(SpatialLevel::Building);
         let all = ds.users[0].triples.len();
-        let one = ds.users[0].triples_within_weeks(1).len();
+        let one = ds.users[0].triples.iter().filter(|t| within_weeks(t, 1)).count();
         assert!(one < all);
         assert!(one > 0);
     }

@@ -39,13 +39,6 @@ impl UserTrace {
         seen.dedup();
         seen.len()
     }
-
-    /// Sessions from the first `weeks` weeks only (Table IV's training-size
-    /// sweep).
-    pub fn first_weeks(&self, weeks: usize) -> Vec<Session> {
-        let cutoff = (weeks * DAYS_PER_WEEK) as u32;
-        self.sessions.iter().copied().filter(|s| s.day < cutoff).collect()
-    }
 }
 
 /// Deterministic synthetic-trace generator for one campus.
@@ -344,13 +337,5 @@ mod tests {
             regularity(hi_f.unwrap()) > regularity(lo_f.unwrap()),
             "clockwork user should be more regular"
         );
-    }
-
-    #[test]
-    fn first_weeks_filters_by_day() {
-        let trace = generator().user_trace(0);
-        let one_week = trace.first_weeks(1);
-        assert!(one_week.iter().all(|s| s.day < 7));
-        assert!(one_week.len() < trace.sessions.len());
     }
 }

@@ -43,8 +43,8 @@ pub mod user;
 
 pub use campus::{Building, BuildingKind, Campus, CampusConfig};
 pub use dataset::{
-    encode_session, train_test_split, DatasetBuilder, FeatureSpace, MobilityDataset, SpatialLevel,
-    UserData,
+    encode_session, train_test_split, within_weeks, DatasetBuilder, FeatureSpace, MobilityDataset,
+    SpatialLevel, UserData,
 };
 pub use events::{sessions_to_events, ApEvent, EventKind, EventNoise};
 pub use extract::{compare, extract_sessions, ExtractionReport};

@@ -621,12 +621,6 @@ impl SequenceModel {
         pelican_tensor::top_k(&self.logits(xs), k)
     }
 
-    /// Batched [`SequenceModel::predict_top_k`]: one ranking per input
-    /// sequence, computed from batched logits.
-    pub fn predict_top_k_batch<S: AsRef<[Step]>>(&self, xs: &[S], k: usize) -> Vec<Vec<usize>> {
-        self.logits_batch(xs).iter().map(|row| pelican_tensor::top_k(row, k)).collect()
-    }
-
     /// Training-mode forward pass of one sequence (dropout active, caches
     /// written). Returns the full output sequence of the last layer.
     ///

@@ -86,9 +86,8 @@ fn batched_rankings_match_sequential() {
     let qs = queries(17);
     for b in [1usize, 3, 17] {
         let batch = &qs[..b];
-        let fused = m.predict_top_k_batch(batch, 3);
-        for (q, got) in batch.iter().zip(&fused) {
-            assert_eq!(&m.predict_top_k(q, 3), got);
+        for (q, row) in batch.iter().zip(m.logits_batch(batch)) {
+            assert_eq!(m.predict_top_k(q, 3), pelican_tensor::top_k(&row, 3));
         }
     }
 }

@@ -319,17 +319,6 @@ impl<'a> JobView<'a> {
     pub fn stage_report(&self, stage: &Stage) -> Option<&'a StageReport> {
         find_stage(self.stages, stage.label())
     }
-
-    /// Owned snapshot of this job (the [`Workload`] callback shape).
-    pub fn to_report(&self) -> JobReport {
-        JobReport {
-            id: self.record.id,
-            release_us: self.record.release_us,
-            end_us: self.record.end_us,
-            status: self.record.status,
-            stages: self.stages.to_vec(),
-        }
-    }
 }
 
 /// A finished simulation: per-job records (spec order, injected jobs
@@ -1753,9 +1742,6 @@ mod tests {
         let by_enum = job.stage_report(&stages[1]).expect("job reached the train stage");
         assert_eq!(by_enum.ideal_us, 7_000);
         assert!(job.stage_report(&Stage::Compute { label: "absent", duration_us: 1 }).is_none());
-        let owned = job.to_report();
-        assert_eq!(owned.stage_report(&stages[0]), job.stage_report(&stages[0]).cloned().as_ref());
-        assert_eq!(owned.total_us(), job.total_us());
     }
 
     #[test]

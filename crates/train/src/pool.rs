@@ -36,7 +36,7 @@ impl TrainerPool {
         Self { workers }
     }
 
-    /// Number of worker threads the pool spawns.
+    /// Number of worker threads the pool spawns at most.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -45,9 +45,10 @@ impl TrainerPool {
     /// **on the calling thread** as soon as it is ready (completion
     /// order). This is the pipeline's publication channel: workers train
     /// and audit, the caller publishes while later jobs are still
-    /// running. With one worker no threads are spawned — jobs run inline
-    /// in order, which doubles as the sequential reference the
-    /// determinism tests compare against.
+    /// running. The pool spawns one thread per job at most; with one
+    /// worker or one job no thread is spawned — jobs run inline on the
+    /// calling thread in order, which doubles as the sequential reference
+    /// the determinism tests compare against.
     pub fn run_streaming<J, R, F, C>(&self, jobs: &[J], worker: F, mut consume: C)
     where
         J: Sync,
@@ -55,7 +56,8 @@ impl TrainerPool {
         F: Fn(usize, &J) -> R + Sync,
         C: FnMut(R),
     {
-        if self.workers == 1 {
+        let threads = self.workers.min(jobs.len());
+        if threads <= 1 {
             for (i, job) in jobs.iter().enumerate() {
                 consume(worker(i, job));
             }
@@ -64,7 +66,7 @@ impl TrainerPool {
         let cursor = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<R>();
         std::thread::scope(|scope| {
-            for _ in 0..self.workers {
+            for _ in 0..threads {
                 let tx = tx.clone();
                 let cursor = &cursor;
                 let worker = &worker;
@@ -147,6 +149,13 @@ mod tests {
         );
         seen.sort_unstable();
         assert_eq!(seen, (0..30).map(|j| j * 10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_lone_job_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let out = TrainerPool::new(8).run(&[7u64], |_, j| (std::thread::current().id(), j * 3));
+        assert_eq!(out, [(caller, 21)], "eight workers spawned a thread for one job");
     }
 
     #[test]

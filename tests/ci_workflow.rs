@@ -4,8 +4,11 @@
 //! comment) and may not end in `:`. Checked without a YAML parser — the
 //! container has none to depend on — by looking at every `name:` line.
 //! Every example and `repro` experiment a step runs must also exist, so a
-//! deleted one fails here rather than when CI reaches its step.
+//! deleted one fails here rather than when CI reaches its step. So must
+//! every test a step selects by name: cargo runs zero tests and passes
+//! when a filter matches nothing.
 
+use std::collections::HashSet;
 use std::path::Path;
 
 use pelican_bench::experiments;
@@ -114,4 +117,107 @@ fn the_guard_flags_a_deleted_example_and_an_unregistered_experiment() {
     let current = "run: cargo run --release --example quickstart\n\
                    run: cargo run --release --bin repro -- store-report --scale tiny\n";
     assert_eq!(missing_targets(current), (2, Vec::new()));
+}
+
+/// Flags of `cargo test` (before `--`) and of the test harness (after it)
+/// that take the next word as their value.
+const VALUE_FLAGS: [&str; 11] = [
+    "-p",
+    "--package",
+    "--test",
+    "--bin",
+    "--example",
+    "--bench",
+    "--manifest-path",
+    "--features",
+    "--target",
+    "-j",
+    "--skip",
+];
+
+/// Every test-name filter on a `cargo test` line of `workflow`: the words
+/// that are neither a flag nor a flag's value, with their line number and
+/// whether `--exact` holds them to a whole name.
+fn test_filters(workflow: &str) -> Vec<(usize, &str, bool)> {
+    let mut filters = Vec::new();
+    for (i, line) in workflow.lines().enumerate() {
+        let Some(at) = line.find("cargo test") else { continue };
+        let words: Vec<&str> = line[at + "cargo test".len()..].split_whitespace().collect();
+        let exact = words.contains(&"--exact");
+        let mut value_next = false;
+        for word in words {
+            if std::mem::take(&mut value_next) {
+                continue;
+            }
+            if word.starts_with('-') {
+                value_next = VALUE_FLAGS.contains(&word);
+            } else {
+                filters.push((i + 1, word, exact));
+            }
+        }
+    }
+    filters
+}
+
+/// The name of every `fn` in a Rust file under `crates/` and `tests/`.
+fn fn_names() -> HashSet<String> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dirs = vec![root.join("crates"), root.join("tests")];
+    let mut names = HashSet::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("readable source tree") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).expect("readable source");
+                names.extend(text.split("fn ").skip(1).map(|rest| {
+                    rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect()
+                }));
+            }
+        }
+    }
+    names
+}
+
+/// Every filter in `workflow` that no name in `fns` answers — the last
+/// `::` segment equal to one under `--exact`, contained in one otherwise
+/// — after how many filters were found.
+fn unmatched_filters(workflow: &str, fns: &HashSet<String>) -> (usize, Vec<String>) {
+    let filters = test_filters(workflow);
+    let unmatched = filters
+        .iter()
+        .filter(|(_, filter, exact)| {
+            let name = filter.rsplit("::").next().unwrap_or(filter);
+            !fns.iter().any(|f| if *exact { f == name } else { f.contains(name) })
+        })
+        .map(|(line, filter, _)| format!("ci.yml:{line}: {filter}"))
+        .collect();
+    (filters.len(), unmatched)
+}
+
+#[test]
+fn every_test_filter_in_the_ci_workflow_names_a_test() {
+    let (found, unmatched) = unmatched_filters(WORKFLOW, &fn_names());
+    assert!(found >= 5, "only {found} filters found: the scan is not reading the workflow");
+    assert!(
+        unmatched.is_empty(),
+        "these filters match no test, so their steps run nothing:\n{}",
+        unmatched.join("\n")
+    );
+}
+
+#[test]
+fn the_guard_flags_a_filter_that_matches_nothing() {
+    let fns = fn_names();
+    let bogus =
+        "run: cargo test --release -p pelican-store --lib -- record::tests::no_such_test --exact\n\
+                 run: cargo test --release -p pelican-tensor no_such_rows\n\
+                 run: cargo test --release --test pinned_outputs -- tiny_enrolment --exact\n";
+    assert_eq!(unmatched_filters(bogus, &fns).1.len(), 3);
+    let current = "run: cargo test --release -p pelican-store --lib -- \
+                   record::tests::the_fold_multiple_is_zero_mod_p --exact\n\
+                   run: cargo test --release --test pinned_outputs tiny_enrolment -- --test-threads=1\n\
+                   run: cargo test -q -- --test-threads=1\n";
+    assert_eq!(unmatched_filters(current, &fns), (2, Vec::new()));
 }

@@ -8,18 +8,24 @@
 //!   elsewhere.
 //! * A per-thread FLOP counter: compute is priced from model shapes, so
 //!   no simulated time reads state a thread kept on the side.
+//! * Retired knobs: the optimizer choice and the extraction thresholds
+//!   had one value in use and are constants beside their one use; a
+//!   second value comes back as a deliberate change, not as a setting.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// `(pattern, use instead)`.
-const BANS: [(&str, &str); 6] = [
+const BANS: [(&str, &str); 9] = [
     (".tanh()", "pelican_tensor::ops::tanh"),
     ("f32::tanh", "pelican_tensor::ops::tanh"),
     ("thread_local!", "state passed in and returned, not kept per thread"),
     ("record_flops", "SequenceModel::{infer_cost, train_cost}: FLOPs from shapes"),
     ("ThreadFlopGuard", "ResourceUsage::priced of a cost function's FLOPs"),
     ("measure_thread", "ResourceUsage::priced of a cost function's FLOPs"),
+    ("OptimizerKind", "Adam, the one optimizer `fit` steps"),
+    ("Sgd::", "Adam, the one optimizer `fit` steps"),
+    ("ExtractConfig", "extract_sessions' IDLE_TIMEOUT and MIN_DWELL"),
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
