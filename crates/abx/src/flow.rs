@@ -83,7 +83,8 @@ const KIND_FLIP: u64 = 10;
 /// flow's shard keys and the live loop's round key (`u64::MAX`).
 const CHECKPOINT_KEY: u64 = u64::MAX - 1;
 
-/// Cohort-split seed.
+/// Cohort-split seed: any fixed value will do, since the split is a pure
+/// hash of it and the user id.
 pub const SPLIT_SEED: u64 = 0xAB5_EED;
 /// Target fractions of `(arm A, arm B)`; the rest, a third, is the
 /// holdout.

@@ -37,12 +37,6 @@ pub struct VerdictConfig {
     pub latency_margin_us: u64,
 }
 
-impl Default for VerdictConfig {
-    fn default() -> Self {
-        Self { audit_k: 3, null_margin: 0.05, latency_margin_us: 1_000_000 }
-    }
-}
-
 /// One treatment arm's accumulated evidence, frozen at decision time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArmStats {

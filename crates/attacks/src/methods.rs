@@ -50,8 +50,8 @@ impl Ranking {
 }
 
 /// Confidence a location must reach on some probe to count as a location
-/// of interest: the paper's 1%, low enough that an undefended model's
-/// plausible next locations all pass, high enough to drop the long tail.
+/// of interest: the paper's 1% (§III-B2), which keeps the locations the
+/// model assigns real mass to and drops the long tail.
 pub const INTEREST_THRESHOLD: f32 = 0.01;
 
 /// Identifies the model's *locations of interest* by black-box probing:

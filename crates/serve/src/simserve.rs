@@ -268,10 +268,12 @@ pub fn simulate_serving(
     flow.into_outcome(sim)
 }
 
-/// Bytes of one query on its client's uplink: a few encoded sessions.
+/// Bytes of one query on its client's uplink: two encoded steps of f32
+/// features (229 each on the paper's 150-building campus, 1 832 B) plus
+/// framing.
 const QUERY_BYTES: u64 = 2_048;
-/// Bytes of one response on the cloud egress: the served confidences,
-/// half a query.
+/// Bytes of one response on the cloud egress: one f32 confidence per
+/// location (600 B on the paper's campus) plus framing.
 const RESPONSE_BYTES: u64 = 1_024;
 
 /// The disassembled serving pass: the link table, the initial arrival

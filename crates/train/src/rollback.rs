@@ -214,7 +214,6 @@ struct RollbackFlow<'a> {
     probes: &'a [Vec<Step>],
     /// `good_top1[user][probe]`: the v1 reference answers.
     good_top1: &'a [Vec<usize>],
-    horizon_us: u64,
     detected_at: Option<u64>,
     agreement_at_detection: f64,
     /// Each user's rollback push on the shared egress link.
@@ -296,7 +295,7 @@ impl Workload for RollbackFlow<'_> {
                     for user in 0..self.cfg.users {
                         self.pushes.submit(self.cfg.push_bytes, user, sim);
                     }
-                } else if job.end_us + CANARY_INTERVAL_US <= self.horizon_us {
+                } else if job.end_us + CANARY_INTERVAL_US <= QUERIES as u64 * QUERY_GAP_US {
                     self.submit_canary(tick + 1, job.end_us + CANARY_INTERVAL_US, sim);
                 }
             }
@@ -411,7 +410,6 @@ pub fn run_rollback_study(cfg: &RollbackConfig) -> RollbackOutcome {
         v1: &v1,
         probes: &probes,
         good_top1: &good_top1,
-        horizon_us: QUERIES as u64 * QUERY_GAP_US,
         detected_at: None,
         agreement_at_detection: 1.0,
         pushes,
