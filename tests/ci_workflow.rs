@@ -210,14 +210,17 @@ fn every_test_filter_in_the_ci_workflow_names_a_test() {
 #[test]
 fn the_guard_flags_a_filter_that_matches_nothing() {
     let fns = fn_names();
-    let bogus =
-        "run: cargo test --release -p pelican-store --lib -- record::tests::no_such_test --exact\n\
-                 run: cargo test --release -p pelican-tensor no_such_rows\n\
-                 run: cargo test --release --test pinned_outputs -- tiny_enrolment --exact\n";
-    assert_eq!(unmatched_filters(bogus, &fns).1.len(), 3);
-    let current = "run: cargo test --release -p pelican-store --lib -- \
-                   record::tests::the_fold_multiple_is_zero_mod_p --exact\n\
-                   run: cargo test --release --test pinned_outputs tiny_enrolment -- --test-threads=1\n\
-                   run: cargo test -q -- --test-threads=1\n";
-    assert_eq!(unmatched_filters(current, &fns), (2, Vec::new()));
+    let bogus = [
+        "run: cargo test --release -p pelican-store --lib -- record::tests::no_such_test --exact",
+        "run: cargo test --release -p pelican-tensor no_such_rows",
+        "run: cargo test --release --test pinned_outputs -- tiny_enrolment --exact",
+    ];
+    assert_eq!(unmatched_filters(&bogus.join("\n"), &fns).1.len(), 3);
+    let current = [
+        "run: cargo test --release -p pelican-store --lib -- record::tests::the_fold_multiple_is_zero_mod_p --exact",
+        "run: cargo test --release --test pinned_outputs tiny_enrolment -- --test-threads=1",
+        "run: cargo test -q -- --test-threads=1",
+    ]
+    .join("\n");
+    assert_eq!(unmatched_filters(&current, &fns), (2, Vec::new()));
 }
