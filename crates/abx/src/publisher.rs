@@ -139,7 +139,7 @@ mod tests {
     use super::*;
     use crate::splitter::CohortSplitter;
     use pelican::PersonalizationConfig;
-    use pelican_mobility::{CampusConfig, DatasetBuilder, Scale, SpatialLevel};
+    use pelican_mobility::{CampusConfig, DatasetBuilder, Scale, SpatialLevel, TRAIN_FRACTION};
     use pelican_nn::TrainConfig;
     use pelican_serve::RegistryConfig;
     use pelican_store::{EnvelopeStore, MemBackend, StoreConfig};
@@ -160,7 +160,7 @@ mod tests {
             &mut rng,
         );
         let n = dataset.users.len();
-        let jobs = cohort_jobs(&dataset, (n - 3)..n, 0.8);
+        let jobs = cohort_jobs(&dataset, (n - 3)..n, TRAIN_FRACTION);
         (general, dataset, jobs)
     }
 

@@ -28,7 +28,7 @@ impl Adversary {
     }
 
     /// Index of the known timestep, if any.
-    pub fn known_step(self) -> Option<usize> {
+    fn known_step(self) -> Option<usize> {
         match self {
             Adversary::A1 => Some(0),
             Adversary::A2 => Some(1),

@@ -27,7 +27,7 @@ pub struct Ranking {
 
 impl Ranking {
     /// Builds a ranking from per-location scores.
-    pub fn from_scores(scores: Vec<f64>) -> Self {
+    fn from_scores(scores: Vec<f64>) -> Self {
         let mut pairs: Vec<(usize, f64)> = scores.into_iter().enumerate().collect();
         pairs.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         Self { scores: pairs }

@@ -99,7 +99,7 @@ impl Prior {
 
     /// The "estimate" prior: 75% mass on the most probable location (taken
     /// from `reference`, e.g. the true prior), remainder spread equally.
-    pub fn estimated(reference: &Prior) -> Self {
+    fn estimated(reference: &Prior) -> Self {
         let n = reference.probs.len();
         let top = reference.argmax();
         let mut probs = vec![0.25 / (n.saturating_sub(1)).max(1) as f64; n];

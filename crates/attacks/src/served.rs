@@ -94,7 +94,7 @@ impl RecordingBlackBox {
     }
 
     /// The distinct queries recorded, in first-issue order.
-    pub fn into_queries(self) -> Vec<Sequence> {
+    fn into_queries(self) -> Vec<Sequence> {
         self.queries
     }
 }

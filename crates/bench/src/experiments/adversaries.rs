@@ -7,10 +7,10 @@ use crate::report::{pct, Table};
 use crate::RunConfig;
 
 /// Top-k grid for Fig. 2b.
-pub const KS_2B: [usize; 4] = [1, 3, 5, 7];
+const KS_2B: [usize; 4] = [1, 3, 5, 7];
 
 /// Top-k grid for Fig. 2c (the paper plots k = 1..10).
-pub const KS_2C: [usize; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
+const KS_2C: [usize; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
 
 /// Fig. 2b: time-based attack accuracy for adversaries A1/A2/A3.
 pub fn fig2b(config: &RunConfig) -> Table {

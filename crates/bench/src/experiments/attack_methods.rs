@@ -17,7 +17,7 @@ pub struct MethodComparison {
 }
 
 /// The paper's top-k grid for Fig. 2a.
-pub const KS: [usize; 4] = [1, 3, 5, 7];
+const KS: [usize; 4] = [1, 3, 5, 7];
 
 /// Runs brute-force, gradient-descent and time-based attacks under
 /// adversary A1 with the true prior (the paper's defaults) and reports

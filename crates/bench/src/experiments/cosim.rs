@@ -20,7 +20,7 @@
 
 use pelican::workbench::{Scenario, ScenarioSizing};
 use pelican::PersonalizationConfig;
-use pelican_mobility::{Scale, SpatialLevel};
+use pelican_mobility::{Scale, SpatialLevel, TRAIN_FRACTION};
 use pelican_nn::{ModelEnvelope, SequenceModel, TrainConfig};
 use pelican_serve::{
     simulate_serving, CloudNetwork, RegistryConfig, Request, SchedulerConfig, ShardedRegistry,
@@ -197,7 +197,7 @@ pub fn run(config: &RunConfig) -> CosimRun {
         .build();
     let cohort_start = scenario.first_personal_user;
     let cohort_end = (cohort_start + config.personal_users()).min(scenario.dataset.users.len());
-    let jobs = cohort_jobs(&scenario.dataset, cohort_start..cohort_end, 0.8);
+    let jobs = cohort_jobs(&scenario.dataset, cohort_start..cohort_end, TRAIN_FRACTION);
     let general_bytes = ModelEnvelope::encode(&scenario.general).len() as u64;
 
     let (fresh, warm) = rounds_at(&scenario, &jobs, config, 1);

@@ -9,13 +9,13 @@ use crate::report::Table;
 use crate::RunConfig;
 
 /// The paper's strongest evaluated temperature.
-pub const DEFENSE_T: f32 = 1e-3;
+const DEFENSE_T: f32 = 1e-3;
 
 /// Top-k grid for Fig. 5a (the paper plots k = 1..9).
-pub const KS_5A: [usize; 5] = [1, 3, 5, 7, 9];
+const KS_5A: [usize; 5] = [1, 3, 5, 7, 9];
 
 /// Top-k grid for Fig. 5c (k = 1..10).
-pub const KS_5C: [usize; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
+const KS_5C: [usize; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
 
 /// Fig. 5a: reduction in privacy leakage for the two transfer-learning
 /// personalization methods, by top-k.

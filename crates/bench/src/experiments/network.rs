@@ -17,7 +17,7 @@
 
 use pelican::workbench::{Scenario, ScenarioSizing};
 use pelican::PersonalizationConfig;
-use pelican_mobility::SpatialLevel;
+use pelican_mobility::{SpatialLevel, TRAIN_FRACTION};
 use pelican_nn::{ModelEnvelope, TrainConfig};
 use pelican_serve::{run_fleet, CloudNetwork, FleetConfig, RegistryConfig, ShardedRegistry};
 use pelican_sim::{Discipline, LinkMix, LinkProfile, RetryPolicy, StragglerConfig, TransferPolicy};
@@ -100,7 +100,7 @@ pub fn run(config: &RunConfig) -> NetworkRun {
         .build();
     let cohort_start = scenario.first_personal_user;
     let cohort_end = (cohort_start + config.personal_users()).min(scenario.dataset.users.len());
-    let jobs = cohort_jobs(&scenario.dataset, cohort_start..cohort_end, 0.8);
+    let jobs = cohort_jobs(&scenario.dataset, cohort_start..cohort_end, TRAIN_FRACTION);
     let general_bytes = ModelEnvelope::encode(&scenario.general).len() as u64;
 
     let pipeline = |workers: usize| PipelineConfig {

@@ -12,19 +12,17 @@ use crate::RunConfig;
 
 /// Accuracy summary of one personalization method over all users.
 #[derive(Debug, Clone)]
-pub struct MethodAccuracy {
-    /// Method evaluated.
-    pub method: PersonalizationMethod,
+struct MethodAccuracy {
     /// Mean top-1 accuracy on training data (overfitting indicator).
-    pub train_top1: f64,
+    train_top1: f64,
     /// Mean test accuracy at k = 1, 2, 3.
-    pub test: [f64; 3],
+    test: [f64; 3],
 }
 
 /// Re-personalizes every user of `scenario` with `method` and aggregates
 /// train/test accuracy — sharing one general model across all four methods
 /// exactly as the paper's Table III does.
-pub fn evaluate_method(
+fn evaluate_method(
     scenario: &Scenario,
     method: PersonalizationMethod,
     weeks: Option<usize>,
@@ -60,11 +58,7 @@ pub fn evaluate_method(
         counted += 1;
     }
     let n = counted.max(1) as f64;
-    MethodAccuracy {
-        method,
-        train_top1: train_top1 / n,
-        test: [test[0] / n, test[1] / n, test[2] / n],
-    }
+    MethodAccuracy { train_top1: train_top1 / n, test: [test[0] / n, test[1] / n, test[2] / n] }
 }
 
 fn hidden_of(scenario: &Scenario) -> usize {

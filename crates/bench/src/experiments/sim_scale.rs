@@ -36,7 +36,7 @@ use crate::RunConfig;
 /// Devices per shared fair-share uplink group.
 const GROUP: usize = 64;
 /// Default population ladder (overridden by `--devices`).
-pub const POPULATIONS: [usize; 3] = [10_000, 100_000, 1_000_000];
+const POPULATIONS: [usize; 3] = [10_000, 100_000, 1_000_000];
 
 /// One population's measurements.
 #[derive(Debug, Clone)]

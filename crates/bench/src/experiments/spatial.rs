@@ -8,7 +8,7 @@ use crate::report::{pct, Table};
 use crate::RunConfig;
 
 /// Top-k grid for Fig. 3a.
-pub const KS_3A: [usize; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
+const KS_3A: [usize; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
 
 /// Fig. 3a: attack accuracy by spatial level (building vs AP).
 pub fn fig3a(config: &RunConfig) -> Table {

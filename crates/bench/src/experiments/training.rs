@@ -12,7 +12,7 @@
 
 use pelican::workbench::{Scenario, ScenarioSizing};
 use pelican::PersonalizationConfig;
-use pelican_mobility::SpatialLevel;
+use pelican_mobility::{SpatialLevel, TRAIN_FRACTION};
 use pelican_nn::{ModelEnvelope, TrainConfig};
 use pelican_serve::{Lookup, RegistryConfig, ShardedRegistry};
 use pelican_train::{cohort_jobs, AuditConfig, FleetTrainer, PipelineConfig, TrainReport};
@@ -21,7 +21,7 @@ use crate::report::Table;
 use crate::RunConfig;
 
 /// Trainer-pool widths swept by the experiment.
-pub const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
+const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// One pipeline run at a fixed worker count, plus the envelope bytes it
 /// published (used to assert cross-width determinism).
@@ -56,7 +56,7 @@ pub fn run(config: &RunConfig) -> Vec<TrainOutcome> {
     // Clamp like Scenario::builder does: a --users override larger than
     // the personal-user pool must shrink the cohort, not index past it.
     let cohort_end = (cohort_start + config.personal_users()).min(scenario.dataset.users.len());
-    let jobs = cohort_jobs(&scenario.dataset, cohort_start..cohort_end, 0.8);
+    let jobs = cohort_jobs(&scenario.dataset, cohort_start..cohort_end, TRAIN_FRACTION);
 
     let pipeline = |workers: usize| PipelineConfig {
         workers,

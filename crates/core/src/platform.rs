@@ -30,7 +30,7 @@ impl ComputeTier {
     /// The cloud tier models a GPU-accelerated server (wide SIMD + many
     /// cores fused into one "cycle" budget); the device tier a single
     /// low-power core.
-    pub fn flops_per_cycle(self) -> f64 {
+    fn flops_per_cycle(self) -> f64 {
         match self {
             ComputeTier::Cloud => 64.0,
             ComputeTier::Device => 2.0,
@@ -38,7 +38,7 @@ impl ComputeTier {
     }
 
     /// Simulated clock frequency in Hz.
-    pub fn clock_hz(self) -> f64 {
+    fn clock_hz(self) -> f64 {
         match self {
             ComputeTier::Cloud => 2.6e9,
             ComputeTier::Device => 2.2e9,

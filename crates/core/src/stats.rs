@@ -76,7 +76,7 @@ pub fn linear_fit(x: &[f64], y: &[f64]) -> (f64, f64) {
 
 /// Standard normal CDF via the Abramowitz–Stegun erf approximation
 /// (max error ≈ 1.5e-7).
-pub fn standard_normal_cdf(z: f64) -> f64 {
+fn standard_normal_cdf(z: f64) -> f64 {
     0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
 }
 

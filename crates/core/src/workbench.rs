@@ -12,7 +12,7 @@ use pelican_attacks::{
 };
 use pelican_mobility::{
     train_test_split, within_weeks, CampusConfig, DatasetBuilder, MobilityDataset, Scale, Session,
-    SpatialLevel,
+    SpatialLevel, TRAIN_FRACTION,
 };
 use pelican_nn::metrics::evaluate_top_k;
 use pelican_nn::{FitReport, ModelEnvelope, Sample, SequenceModel, TrainConfig};
@@ -71,7 +71,7 @@ pub struct PersonalUser {
 impl PersonalUser {
     /// The user's training sessions (hidden-step marginals for the true
     /// prior are computed from these).
-    pub fn train_sessions(&self) -> Vec<Session> {
+    fn train_sessions(&self) -> Vec<Session> {
         self.train_triples.iter().flat_map(|t| t.iter().copied()).collect()
     }
 
@@ -114,7 +114,6 @@ impl Scenario {
             method: PersonalizationMethod::TlFeatureExtract,
             sizing: None,
             weeks: None,
-            train_fraction: 0.8,
         }
     }
 
@@ -230,7 +229,6 @@ pub struct ScenarioBuilder {
     method: PersonalizationMethod,
     sizing: Option<ScenarioSizing>,
     weeks: Option<usize>,
-    train_fraction: f64,
 }
 
 impl ScenarioBuilder {
@@ -264,12 +262,6 @@ impl ScenarioBuilder {
     /// (Table IV's sweep). Test data is unaffected.
     pub fn personal_weeks(mut self, weeks: usize) -> Self {
         self.weeks = Some(weeks);
-        self
-    }
-
-    /// Train/test fraction (default 0.8, the paper's split).
-    pub fn train_fraction(mut self, fraction: f64) -> Self {
-        self.train_fraction = fraction;
         self
     }
 
@@ -325,8 +317,7 @@ impl ScenarioBuilder {
         for user_id in first_personal_user..first_personal_user + personal_count {
             let user_data = &dataset.users[user_id];
             let all_triples = &user_data.triples;
-            let (mut train_triples, test_triples) =
-                train_test_split(all_triples, self.train_fraction);
+            let (mut train_triples, test_triples) = train_test_split(all_triples, TRAIN_FRACTION);
             if let Some(weeks) = self.weeks {
                 train_triples.retain(|t| within_weeks(t, weeks));
             }

@@ -54,7 +54,7 @@ use std::ops::Range;
 use std::sync::Mutex;
 
 use pelican::platform::{ComputeTier, ResourceUsage};
-use pelican_mobility::{train_test_split, FeatureSpace, MobilityDataset, Session, SessionCursor};
+use pelican_mobility::{FeatureSpace, MobilityDataset, Session, SessionCursor, TRAIN_FRACTION};
 use pelican_nn::{ModelEnvelope, PrefixTier, Sample, SequenceModel};
 use pelican_serve::{
     serve_harness, Lane, MobilityTraffic, MobilityTrafficConfig, Request, ServeFlow, ServeHarness,
@@ -65,8 +65,8 @@ use pelican_sim::{
 };
 use pelican_store::StoreError;
 use pelican_train::{
-    AuditSubject, FleetTrainer, GateOutcome, JobKind, LogitCache, PipelineConfig, TrainJob,
-    TrainerPool,
+    fresh_job, AuditSubject, FleetTrainer, GateOutcome, JobKind, LogitCache, PipelineConfig,
+    TrainJob, TrainerPool,
 };
 
 use crate::drift::{DriftConfig, DriftDetector};
@@ -78,11 +78,6 @@ const KIND_RETRAIN: u64 = 8;
 /// Timer key of the retrain round — the serving flow's keys are shard
 /// indices, always below the shard count.
 const ROUND_KEY: u64 = u64::MAX;
-
-/// Train share of each user's bootstrap window: 80/20, the split every
-/// one-shot cohort ([`pelican_train::cohort_jobs`]) is cut at. The
-/// holdout stays held out for every later re-audit.
-const TRAIN_FRACTION: f64 = 0.8;
 
 /// Everything one live run needs beyond the dataset and the registry.
 #[derive(Debug, Clone)]
@@ -133,9 +128,11 @@ impl Default for LiveConfig {
 
 /// Fresh personalization jobs over each user's *bootstrap window* —
 /// triples whose sessions all fall at or before `bootstrap_minutes` —
-/// split train/holdout like [`pelican_train::cohort_jobs`]. This is the
-/// cohort the quiescent live loop is equivalent to: feeding these jobs
-/// to [`pelican_train::run_pipeline`] publishes bit-identical envelopes.
+/// split train/holdout at [`TRAIN_FRACTION`] like
+/// [`pelican_train::cohort_jobs`]; the holdout stays held out for every
+/// later re-audit. This is the cohort the quiescent live loop is
+/// equivalent to: feeding these jobs to [`pelican_train::run_pipeline`]
+/// publishes bit-identical envelopes.
 pub fn bootstrap_jobs(
     dataset: &MobilityDataset,
     users: Range<usize>,
@@ -149,19 +146,7 @@ pub fn bootstrap_jobs(
                 .filter(|t| t[2].absolute_entry() <= config.bootstrap_minutes)
                 .cloned()
                 .collect();
-            let (train_triples, holdout) = train_test_split(&triples, TRAIN_FRACTION);
-            let train: Vec<Sample> = train_triples.iter().map(|t| dataset.sample_of(t)).collect();
-            if train.is_empty() || holdout.is_empty() {
-                return None;
-            }
-            let history: Vec<Session> =
-                train_triples.iter().flat_map(|t| t.iter().copied()).collect();
-            Some(TrainJob {
-                user_id,
-                kind: JobKind::Fresh,
-                train,
-                subject: AuditSubject { history, holdout },
-            })
+            fresh_job(dataset, user_id, &triples, TRAIN_FRACTION)
         })
         .collect()
 }

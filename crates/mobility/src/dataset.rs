@@ -257,6 +257,11 @@ fn extract_triples(sessions: &[Session]) -> Vec<[Session; 3]> {
         .collect()
 }
 
+/// Train share of every user's triples: the paper's 80/20 split, which
+/// the workbench, every one-shot cohort and the live loop's bootstrap
+/// window all cut at.
+pub const TRAIN_FRACTION: f64 = 0.8;
+
 /// Splits samples into time-ordered train/test partitions.
 ///
 /// The first `train_fraction` of each user's (already chronological)

@@ -28,6 +28,7 @@ const MIN_DWELL: u32 = 5;
 #[derive(Debug, Clone, Copy)]
 struct OpenStay {
     ap: usize,
+    building: usize,
     start: u64,
     last_seen: u64,
 }
@@ -48,12 +49,11 @@ pub fn extract_sessions(events: &[ApEvent], campus: &Campus) -> Vec<Session> {
         let building = campus
             .building_of_ap(e.ap)
             .unwrap_or_else(|| panic!("event references unknown AP {}", e.ap));
-        let _ = building;
         match (&mut open, e.kind) {
             (Some(stay), EventKind::Disassociation) if stay.ap == e.ap => {
                 // Explicit end: trust the controller's timestamp.
                 let closed = *stay;
-                close(&mut sessions, closed, e.timestamp, campus, e.device);
+                close(&mut sessions, closed, e.timestamp, e.device);
                 open = None;
             }
             (Some(stay), _) if stay.ap == e.ap => {
@@ -62,8 +62,13 @@ pub fn extract_sessions(events: &[ApEvent], campus: &Campus) -> Vec<Session> {
                 // ended at its last sighting and a new one begins.
                 if e.timestamp.saturating_sub(stay.last_seen) > IDLE_TIMEOUT {
                     let closed = *stay;
-                    close(&mut sessions, closed, closed.last_seen, campus, e.device);
-                    open = Some(OpenStay { ap: e.ap, start: e.timestamp, last_seen: e.timestamp });
+                    close(&mut sessions, closed, closed.last_seen, e.device);
+                    open = Some(OpenStay {
+                        ap: e.ap,
+                        building,
+                        start: e.timestamp,
+                        last_seen: e.timestamp,
+                    });
                 } else {
                     stay.last_seen = e.timestamp;
                 }
@@ -72,14 +77,24 @@ pub fn extract_sessions(events: &[ApEvent], campus: &Campus) -> Vec<Session> {
                 // Device surfaced at a different AP: close the old stay at
                 // its last sighting (handles missing disassociations).
                 let closed = *stay;
-                close(&mut sessions, closed, closed.last_seen.max(closed.start), campus, e.device);
+                close(&mut sessions, closed, closed.last_seen.max(closed.start), e.device);
                 open = match kind {
                     EventKind::Disassociation => None,
-                    _ => Some(OpenStay { ap: e.ap, start: e.timestamp, last_seen: e.timestamp }),
+                    _ => Some(OpenStay {
+                        ap: e.ap,
+                        building,
+                        start: e.timestamp,
+                        last_seen: e.timestamp,
+                    }),
                 };
             }
             (None, EventKind::Association) | (None, EventKind::Reassociation) => {
-                open = Some(OpenStay { ap: e.ap, start: e.timestamp, last_seen: e.timestamp });
+                open = Some(OpenStay {
+                    ap: e.ap,
+                    building,
+                    start: e.timestamp,
+                    last_seen: e.timestamp,
+                });
             }
             (None, EventKind::Disassociation) => {
                 // Orphan disassociation (trace started mid-stay); ignore.
@@ -88,22 +103,21 @@ pub fn extract_sessions(events: &[ApEvent], campus: &Campus) -> Vec<Session> {
     }
     if let Some(stay) = open {
         let device = events.last().map_or(0, |e| e.device);
-        close(&mut sessions, stay, stay.last_seen, campus, device);
+        close(&mut sessions, stay, stay.last_seen, device);
     }
     sessions
 }
 
-fn close(sessions: &mut Vec<Session>, stay: OpenStay, end: u64, campus: &Campus, device: usize) {
+fn close(sessions: &mut Vec<Session>, stay: OpenStay, end: u64, device: usize) {
     let duration = end.saturating_sub(stay.start) as u32;
     if duration < MIN_DWELL {
         return;
     }
     let day = (stay.start / MINUTES_PER_DAY as u64) as u32;
     let entry_minutes = (stay.start % MINUTES_PER_DAY as u64) as u32;
-    let building = campus.building_of_ap(stay.ap).expect("validated in extract_sessions");
     sessions.push(Session {
         user: device,
-        building,
+        building: stay.building,
         ap: stay.ap,
         day,
         entry_minutes,

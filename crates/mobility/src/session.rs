@@ -45,18 +45,6 @@ pub fn duration_bin(minutes: u32) -> usize {
     (capped / 10) as usize
 }
 
-/// Inverse of [`entry_slot`]: the slot's starting minute.
-pub fn slot_to_minutes(slot: usize) -> u32 {
-    assert!(slot < ENTRY_SLOTS, "slot {slot} out of range");
-    slot as u32 * 30
-}
-
-/// Inverse of [`duration_bin`]: the bin's midpoint duration in minutes.
-pub fn bin_to_minutes(bin: usize) -> u32 {
-    assert!(bin < DURATION_BINS, "duration bin {bin} out of range");
-    bin as u32 * 10 + 5
-}
-
 /// One contiguous stay of a user at a location.
 ///
 /// Times are kept in raw minutes so downstream code can both reproduce the
@@ -127,16 +115,6 @@ mod tests {
         assert_eq!(duration_bin(239), DURATION_BINS - 1);
         assert_eq!(duration_bin(240), DURATION_BINS - 1, "cap applies");
         assert_eq!(duration_bin(10_000), DURATION_BINS - 1);
-    }
-
-    #[test]
-    fn slot_round_trip_is_consistent() {
-        for slot in 0..ENTRY_SLOTS {
-            assert_eq!(entry_slot(slot_to_minutes(slot)), slot);
-        }
-        for bin in 0..DURATION_BINS {
-            assert_eq!(duration_bin(bin_to_minutes(bin)), bin);
-        }
     }
 
     #[test]

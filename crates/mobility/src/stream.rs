@@ -46,7 +46,7 @@ impl SessionCursor {
     /// including minute `minute`. Each session is yielded exactly once
     /// across the cursor's lifetime; polling with a non-increasing
     /// minute yields nothing.
-    pub fn take_through(&mut self, minute: u64) -> &[Session] {
+    fn take_through(&mut self, minute: u64) -> &[Session] {
         let start = self.pos;
         while self.pos < self.sessions.len() && self.sessions[self.pos].absolute_entry() <= minute {
             self.pos += 1;

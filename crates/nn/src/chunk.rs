@@ -58,7 +58,7 @@ impl ChunkBatch {
     }
 
     /// Prefix-sum row offsets for a set of sequence lengths.
-    pub fn offsets_of(lens: &[usize]) -> Vec<usize> {
+    fn offsets_of(lens: &[usize]) -> Vec<usize> {
         let mut offsets = Vec::with_capacity(lens.len() + 1);
         let mut total = 0usize;
         for &len in lens {

@@ -7,6 +7,8 @@ use pelican_tensor::log_softmax_in_place;
 /// Returns `(loss, dlogits)` where `dlogits = softmax(logits) − onehot(target)`,
 /// the numerically-stable fused gradient. Fusing the two avoids the
 /// catastrophic cancellation of differentiating through an explicit softmax.
+/// A NaN loss is always `f32::NAN`, whatever the sign of the NaN that
+/// produced it.
 ///
 /// # Panics
 ///
@@ -25,6 +27,10 @@ pub fn softmax_cross_entropy(logits: &[f32], target: usize) -> (f32, Vec<f32>) {
     let mut log_probs = logits.to_vec();
     log_softmax_in_place(&mut log_probs);
     let loss = -log_probs[target];
+    // IEEE 754 leaves a generated NaN's sign to the operations that made
+    // it, and the packed and per-sample paths reach a non-finite loss by
+    // different ones: report one NaN, so both paths agree bit for bit.
+    let loss = if loss.is_nan() { f32::NAN } else { loss };
     let mut grad: Vec<f32> = log_probs.iter().map(|&lp| lp.exp()).collect();
     grad[target] -= 1.0;
     (loss, grad)
@@ -69,6 +75,14 @@ mod tests {
     fn confident_wrong_prediction_has_high_loss() {
         let (loss, _) = softmax_cross_entropy(&[10.0, 0.0], 1);
         assert!(loss > 9.0);
+    }
+
+    #[test]
+    fn a_nan_loss_is_the_one_canonical_nan() {
+        for logits in [[f32::NAN, 0.0], [f32::INFINITY, 0.0]] {
+            let (loss, _) = softmax_cross_entropy(&logits, 0);
+            assert_eq!(loss.to_bits(), f32::NAN.to_bits(), "logits {logits:?}: loss {loss}");
+        }
     }
 
     #[test]

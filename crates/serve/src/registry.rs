@@ -318,8 +318,7 @@ impl ShardedRegistry {
     /// Panics if a durable store is attached and its backend fails (use
     /// [`ShardedRegistry::try_enroll_envelope`] to handle that).
     pub fn enroll(&self, user_id: usize, model: &SequenceModel) -> u64 {
-        let envelope = ModelEnvelope::encode(model);
-        self.enroll_envelope(user_id, envelope)
+        self.publish(user_id, ModelEnvelope::encode(model)).expect("durable publication failed")
     }
 
     /// Enrolls a user directly from uploaded envelope bytes (the on-device
@@ -328,17 +327,6 @@ impl ShardedRegistry {
     /// under the shard lock, the cold envelope is replaced and the stale
     /// hot copy removed, so no subsequent `get` can observe an older
     /// version. Returns the assigned publication version.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a durable store is attached and its backend fails (use
-    /// [`ShardedRegistry::try_enroll_envelope`] to handle that).
-    pub fn enroll_envelope(&self, user_id: usize, envelope: ModelEnvelope) -> u64 {
-        self.publish(user_id, envelope).expect("durable publication failed")
-    }
-
-    /// Fallible twin of [`ShardedRegistry::enroll_envelope`] for callers
-    /// that must survive storage-backend failures.
     ///
     /// # Errors
     ///

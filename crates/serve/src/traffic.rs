@@ -7,7 +7,7 @@
 //! identical seeds yield identical arrival timestamps and user picks,
 //! machine-to-machine, so every serving experiment is exactly repeatable.
 
-use pelican_mobility::{Session, UserTrace};
+use pelican_mobility::Session;
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 
@@ -161,15 +161,10 @@ pub struct MobilityTraffic {
 }
 
 impl MobilityTraffic {
-    /// Builds the merged arrival stream of a fleet of traces. The user
+    /// Builds the arrival stream from raw sessions (any order). The user
     /// index of each arrival is the session's own `user` id; ties at the
     /// same instant order by user id, so the stream is invariant under
-    /// permutation of `traces`.
-    pub fn from_traces(traces: &[UserTrace], config: MobilityTrafficConfig) -> Self {
-        Self::from_sessions(traces.iter().flat_map(|t| t.sessions.iter().copied()), config)
-    }
-
-    /// Builds the arrival stream from raw sessions (any order).
+    /// permutation of `sessions`.
     pub fn from_sessions(
         sessions: impl IntoIterator<Item = Session>,
         config: MobilityTrafficConfig,
@@ -287,16 +282,20 @@ mod tests {
 
     mod mobility {
         use super::*;
-        use pelican_mobility::{CampusConfig, Scale, TraceGenerator, MINUTES_PER_DAY};
+        use pelican_mobility::{CampusConfig, Scale, TraceGenerator, UserTrace, MINUTES_PER_DAY};
 
         fn traces() -> Vec<UserTrace> {
             TraceGenerator::new(CampusConfig::for_scale(Scale::Tiny), 11).all_traces()
         }
 
+        fn sessions(traces: Vec<UserTrace>) -> impl Iterator<Item = Session> {
+            traces.into_iter().flat_map(|t| t.sessions)
+        }
+
         #[test]
         fn arrivals_are_sorted_and_match_sessions() {
             let cfg = MobilityTrafficConfig { us_per_minute: 1_000, ..Default::default() };
-            let traffic = MobilityTraffic::from_traces(&traces(), cfg);
+            let traffic = MobilityTraffic::from_sessions(sessions(traces()), cfg);
             assert!(!traffic.is_empty());
             assert_eq!(traffic.arrivals().len(), traffic.sessions().len());
             for (a, s) in traffic.arrivals().iter().zip(traffic.sessions()) {
@@ -313,8 +312,8 @@ mod tests {
             let cfg = MobilityTrafficConfig { us_per_minute: 500, ..Default::default() };
             let mut reversed = traces();
             reversed.reverse();
-            let a: Vec<Arrival> = MobilityTraffic::from_traces(&traces(), cfg).collect();
-            let b: Vec<Arrival> = MobilityTraffic::from_traces(&reversed, cfg).collect();
+            let a: Vec<Arrival> = MobilityTraffic::from_sessions(sessions(traces()), cfg).collect();
+            let b: Vec<Arrival> = MobilityTraffic::from_sessions(sessions(reversed), cfg).collect();
             assert_eq!(a, b);
         }
 
@@ -326,7 +325,7 @@ mod tests {
                 start_minute: start,
                 end_minute: 10 * MINUTES_PER_DAY as u64,
             };
-            let traffic = MobilityTraffic::from_traces(&traces(), cfg);
+            let traffic = MobilityTraffic::from_sessions(sessions(traces()), cfg);
             assert!(!traffic.is_empty(), "tiny scale spans two weeks");
             for s in traffic.sessions() {
                 assert!(s.absolute_entry() > start);
@@ -371,7 +370,7 @@ mod tests {
                 start_minute: 5 * MINUTES_PER_DAY as u64,
                 end_minute: 5 * MINUTES_PER_DAY as u64,
             };
-            let traffic = MobilityTraffic::from_traces(&traces(), cfg);
+            let traffic = MobilityTraffic::from_sessions(sessions(traces()), cfg);
             assert!(traffic.is_empty());
             assert!(traffic.arrivals().is_empty() && traffic.sessions().is_empty());
 
@@ -382,8 +381,8 @@ mod tests {
                 start_minute: 1_000 * MINUTES_PER_DAY as u64,
                 end_minute: u64::MAX,
             };
-            assert!(MobilityTraffic::from_traces(&traces(), far).is_empty());
-            assert!(MobilityTraffic::from_traces(&[], MobilityTrafficConfig::default()).is_empty());
+            assert!(MobilityTraffic::from_sessions(sessions(traces()), far).is_empty());
+            assert!(MobilityTraffic::from_sessions([], MobilityTrafficConfig::default()).is_empty());
         }
 
         #[test]
@@ -410,7 +409,7 @@ mod tests {
             // real-time mapping, every day boundary shows an hours-long
             // arrival silence the Zipf generator never produces.
             let cfg = MobilityTrafficConfig { us_per_minute: 60_000_000, ..Default::default() };
-            let traffic = MobilityTraffic::from_traces(&traces(), cfg);
+            let traffic = MobilityTraffic::from_sessions(sessions(traces()), cfg);
             let max_gap =
                 traffic.arrivals().windows(2).map(|p| p[1].at_us - p[0].at_us).max().unwrap();
             let four_hours = 4 * 60 * 60_000_000u64;

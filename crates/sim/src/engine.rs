@@ -98,7 +98,7 @@ impl RetryPolicy {
     }
 
     /// Backoff after `failed_attempts` failures (1-based).
-    pub fn backoff_after(&self, failed_attempts: u32) -> u64 {
+    fn backoff_after(&self, failed_attempts: u32) -> u64 {
         let exp = failed_attempts.saturating_sub(1) as i32;
         (self.backoff_us as f64 * self.backoff_factor.powi(exp)).round() as u64
     }
@@ -209,11 +209,6 @@ impl StageReport {
 const UNENTERED_REPORT: StageReport =
     StageReport { label: "", submitted_us: 0, completed_us: 0, ideal_us: 0, attempts: 0 };
 
-/// Label-based lookup shared by [`JobReport`] and [`JobView`].
-fn find_stage<'a>(stages: &'a [StageReport], label: &str) -> Option<&'a StageReport> {
-    stages.iter().find(|s| s.label == label)
-}
-
 /// One job's outcome, as an owned snapshot. This is what reactive
 /// [`Workload`] callbacks receive; finished simulations expose the same
 /// data zero-copy through [`JobView`].
@@ -235,13 +230,6 @@ impl JobReport {
     /// End-to-end span from release to completion/failure.
     pub fn total_us(&self) -> u64 {
         self.end_us - self.release_us
-    }
-
-    /// The report of the stage matching `stage`'s label, if the job
-    /// reached it. Only the label participates in the match — two stages
-    /// with the same label resolve to the first, exactly like the trace.
-    pub fn stage_report(&self, stage: &Stage) -> Option<&StageReport> {
-        find_stage(&self.stages, stage.label())
     }
 }
 
@@ -312,12 +300,6 @@ impl<'a> JobView<'a> {
     /// Stage-by-stage accounting, up to and including the failing stage.
     pub fn stages(&self) -> &'a [StageReport] {
         self.stages
-    }
-
-    /// The report of the stage matching `stage`'s label, if the job
-    /// reached it (label-only match, see [`JobReport::stage_report`]).
-    pub fn stage_report(&self, stage: &Stage) -> Option<&'a StageReport> {
-        find_stage(self.stages, stage.label())
     }
 }
 
@@ -1731,17 +1713,6 @@ mod tests {
         assert_eq!(retry.backoff_after(2), 20_000);
         assert_eq!(retry.backoff_after(3), 40_000);
         assert_eq!(RetryPolicy::none().max_attempts, 1);
-    }
-
-    #[test]
-    fn stage_lookup_resolves_by_label_match() {
-        let stages = vec![xfer(0, 40_000), Stage::Compute { label: "train", duration_us: 7_000 }];
-        let jobs = vec![JobSpec { id: 0, release_us: 0, stages: stages.clone() }];
-        let out = sim(vec![wifi_fifo()]).run(&jobs, &mut Passive);
-        let job = out.job(0);
-        let by_enum = job.stage_report(&stages[1]).expect("job reached the train stage");
-        assert_eq!(by_enum.ideal_us, 7_000);
-        assert!(job.stage_report(&Stage::Compute { label: "absent", duration_us: 1 }).is_none());
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl LinkProfile {
     /// # Panics
     ///
     /// Panics unless `factor >= 1`.
-    pub fn slowed(&self, factor: f64) -> Self {
+    fn slowed(&self, factor: f64) -> Self {
         assert!(factor >= 1.0, "slowdown factor must be >= 1, got {factor}");
         Self {
             name: self.name,

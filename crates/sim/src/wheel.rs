@@ -3,7 +3,7 @@
 //! A binary heap spends `O(log n)` per schedule/fire, which at 10⁵–10⁶
 //! concurrent devices puts the comparator on every profile. The wheel
 //! replaces it with the classic hashed-and-hierarchical scheme
-//! (Varghese & Lauck): [`LEVELS`] levels of [`SLOTS`] slots each, where
+//! (Varghese & Lauck): `LEVELS` levels of `SLOTS` slots each, where
 //! a level-`l` slot spans `64^l` µs, so level 0 resolves single
 //! microseconds and the top level covers ~19 virtual hours. Scheduling
 //! hashes the deadline to one slot (a shift and a mask); firing scans a
@@ -29,12 +29,12 @@ use std::mem;
 /// Bits per level: each level has `2^SLOT_BITS` slots.
 const SLOT_BITS: u32 = 6;
 /// Slots per level.
-pub const SLOTS: usize = 1 << SLOT_BITS;
+const SLOTS: usize = 1 << SLOT_BITS;
 /// Wheel depth. Horizon = `2^(SLOT_BITS * LEVELS)` µs ≈ 19.1 hours.
-pub const LEVELS: usize = 6;
+const LEVELS: usize = 6;
 /// Deadlines at or beyond `now + HORIZON_US` may land in the overflow
 /// bucket (the exact cutoff is the enclosing `2^36`-aligned window).
-pub const HORIZON_US: u64 = 1 << (SLOT_BITS * LEVELS as u32);
+const HORIZON_US: u64 = 1 << (SLOT_BITS * LEVELS as u32);
 
 /// One scheduled entry: fires at `at`, ties broken by `seq`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

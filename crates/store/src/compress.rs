@@ -13,8 +13,8 @@
 //! Format: groups of eight items, each group led by a flag byte whose
 //! bit *i* (LSB first) describes item *i*: `0` = one literal byte, `1` =
 //! a match — two bytes holding a 12-bit backward distance (1-based, up
-//! to [`WINDOW`]) and a 4-bit length encoding [`MIN_MATCH`]`..=`
-//! [`MAX_MATCH`]. Matches may overlap their own output (the classic RLE
+//! to [`WINDOW`]) and a 4-bit length encoding `MIN_MATCH..=MAX_MATCH`.
+//! Matches may overlap their own output (the classic RLE
 //! trick: distance 1, length 18 repeats one byte).
 //!
 //! The coder is greedy with a bounded hash chain, so compression is
@@ -24,9 +24,9 @@
 /// Sliding-window size (12-bit distances).
 pub const WINDOW: usize = 4096;
 /// Shortest encodable match: below this a literal is cheaper.
-pub const MIN_MATCH: usize = 3;
+const MIN_MATCH: usize = 3;
 /// Longest encodable match (4-bit length field).
-pub const MAX_MATCH: usize = MIN_MATCH + 15;
+const MAX_MATCH: usize = MIN_MATCH + 15;
 /// Hash-chain candidates examined per position; bounds worst-case work.
 const MAX_CHAIN: usize = 32;
 

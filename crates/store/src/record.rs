@@ -57,9 +57,9 @@
 //! an append-only log's "undo" is dropping the torn tail.
 
 /// Segment file magic.
-pub const SEGMENT_MAGIC: &[u8; 4] = b"PSEG";
+const SEGMENT_MAGIC: &[u8; 4] = b"PSEG";
 /// Record magic.
-pub const RECORD_MAGIC: &[u8; 4] = b"PLOG";
+const RECORD_MAGIC: &[u8; 4] = b"PLOG";
 /// On-disk format version.
 pub const FORMAT_VERSION: u16 = 1;
 /// The commit marker sealing every durable record.

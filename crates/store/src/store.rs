@@ -597,7 +597,7 @@ impl EnvelopeStore {
     /// and counts, the rest are removed, and the first such error is
     /// returned. The segment that stayed is removed by the next
     /// compaction; until then a reopen replays its superseded versions.
-    pub fn compact_shard(&self, shard_no: usize) -> Result<u64, StoreError> {
+    fn compact_shard(&self, shard_no: usize) -> Result<u64, StoreError> {
         let mut shard = self.lock(shard_no);
         let retain = self.config.compaction.retain_versions;
         let mut old_segments: Vec<(u64, u64)> =

@@ -175,11 +175,6 @@ impl GateOutcome {
         self.final_leakage <= config.max_leakage
     }
 
-    /// Cache hits: oracle queries that skipped their forward pass.
-    pub fn saved_forward_passes(&self) -> u64 {
-        self.cached
-    }
-
     /// Forward passes the gate actually ran (its cache misses). Always
     /// equals `queries + probe_count * audits - cached`.
     pub fn forward_passes(&self) -> u64 {
@@ -459,12 +454,10 @@ mod tests {
             first.misses,
             "escalation rungs must not re-run any forward pass"
         );
-        // The outcome now carries the counters directly: forward passes
-        // equal audit #1's misses, saved passes equal the cache hits.
+        // The outcome carries the counters directly: forward passes equal
+        // audit #1's misses.
         assert_eq!(outcome.forward_passes(), first.misses);
         assert_eq!(outcome.cache_misses, first.misses);
-        assert_eq!(outcome.saved_forward_passes(), outcome.cached);
-        assert!(outcome.saved_forward_passes() > 0);
         // Re-audits still pay (and account) their black-box queries; only
         // the forward passes vanish.
         assert!(outcome.queries > first_eval.queries);

@@ -64,35 +64,46 @@ pub fn cohort_jobs(
 ) -> Vec<TrainJob> {
     users
         .filter_map(|user_id| {
-            let (train_triples, holdout) =
-                train_test_split(&dataset.users[user_id].triples, train_fraction);
-            let train: Vec<Sample> = train_triples.iter().map(|t| dataset.sample_of(t)).collect();
-            if train.is_empty() || holdout.is_empty() {
-                return None;
-            }
-            let history: Vec<Session> =
-                train_triples.iter().flat_map(|t| t.iter().copied()).collect();
-            Some(TrainJob {
-                user_id,
-                kind: JobKind::Fresh,
-                train,
-                subject: AuditSubject { history, holdout },
-            })
+            fresh_job(dataset, user_id, &dataset.users[user_id].triples, train_fraction)
         })
         .collect()
+}
+
+/// A fresh personalization job over one user's time-ordered `triples`:
+/// the first `train_fraction` of them are the training data and the
+/// audit's history, the rest the audit holdout. `None` when either side
+/// is empty.
+pub fn fresh_job(
+    dataset: &MobilityDataset,
+    user_id: usize,
+    triples: &[[Session; 3]],
+    train_fraction: f64,
+) -> Option<TrainJob> {
+    let (train_triples, holdout) = train_test_split(triples, train_fraction);
+    let train: Vec<Sample> = train_triples.iter().map(|t| dataset.sample_of(t)).collect();
+    if train.is_empty() || holdout.is_empty() {
+        return None;
+    }
+    let history: Vec<Session> = train_triples.iter().flat_map(|t| t.iter().copied()).collect();
+    Some(TrainJob {
+        user_id,
+        kind: JobKind::Fresh,
+        train,
+        subject: AuditSubject { history, holdout },
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pelican_mobility::{CampusConfig, DatasetBuilder, Scale, SpatialLevel};
+    use pelican_mobility::{CampusConfig, DatasetBuilder, Scale, SpatialLevel, TRAIN_FRACTION};
 
     #[test]
     fn cohort_jobs_split_train_and_holdout() {
         let dataset = DatasetBuilder::new(CampusConfig::for_scale(Scale::Tiny), 9)
             .build(SpatialLevel::Building);
         let n = dataset.users.len();
-        let jobs = cohort_jobs(&dataset, (n - 3)..n, 0.8);
+        let jobs = cohort_jobs(&dataset, (n - 3)..n, TRAIN_FRACTION);
         assert!(!jobs.is_empty());
         for job in &jobs {
             assert!(!job.train.is_empty());

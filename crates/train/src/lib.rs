@@ -47,7 +47,7 @@
 //! # Example
 //!
 //! ```
-//! use pelican_mobility::{CampusConfig, DatasetBuilder, Scale, SpatialLevel};
+//! use pelican_mobility::{CampusConfig, DatasetBuilder, Scale, SpatialLevel, TRAIN_FRACTION};
 //! use pelican_nn::SequenceModel;
 //! use pelican_serve::{RegistryConfig, ShardedRegistry};
 //! use pelican_train::{cohort_jobs, run_pipeline, PipelineConfig};
@@ -62,7 +62,7 @@
 //! // Personalize one user in parallel-capable machinery, audit the
 //! // candidate, and hot-swap it into the serving registry.
 //! let n = dataset.users.len();
-//! let jobs = cohort_jobs(&dataset, (n - 1)..n, 0.8);
+//! let jobs = cohort_jobs(&dataset, (n - 1)..n, TRAIN_FRACTION);
 //! let registry = ShardedRegistry::new(general.clone(), RegistryConfig::default());
 //! let config = PipelineConfig {
 //!     workers: 2,
@@ -93,7 +93,7 @@ pub use audit::{AuditConfig, AuditGate, AuditSubject, GateOutcome, GateVerdict, 
 pub use cosim::{
     cosimulate_fleet, CosimReport, LoopMode, NetworkConfig, Publication, RoundRecord, UplinkMode,
 };
-pub use job::{cohort_jobs, JobKind, TrainJob};
+pub use job::{cohort_jobs, fresh_job, JobKind, TrainJob};
 pub use pelican_attacks::LogitCache;
 pub use pipeline::{run_pipeline, FleetTrainer, PipelineConfig};
 pub use pool::{user_seed, TrainerPool};

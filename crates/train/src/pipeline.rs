@@ -286,7 +286,7 @@ pub fn run_pipeline(
 mod tests {
     use super::*;
     use crate::job::cohort_jobs;
-    use pelican_mobility::{CampusConfig, DatasetBuilder, Scale, SpatialLevel};
+    use pelican_mobility::{CampusConfig, DatasetBuilder, Scale, SpatialLevel, TRAIN_FRACTION};
     use pelican_nn::TrainConfig;
     use pelican_serve::RegistryConfig;
     use pelican_store::{
@@ -307,7 +307,7 @@ mod tests {
             &mut rng,
         );
         let n = dataset.users.len();
-        let jobs = cohort_jobs(&dataset, (n - 2)..n, 0.8);
+        let jobs = cohort_jobs(&dataset, (n - 2)..n, TRAIN_FRACTION);
         (general, dataset, jobs)
     }
 

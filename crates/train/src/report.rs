@@ -108,7 +108,7 @@ impl TrainReport {
     }
 
     /// Warm-start updates in this run.
-    pub fn warm_starts(&self) -> usize {
+    fn warm_starts(&self) -> usize {
         self.outcomes.iter().filter(|o| o.warm).count()
     }
 
@@ -136,7 +136,7 @@ impl TrainReport {
     }
 
     /// 95th-percentile end-to-end enroll latency.
-    pub fn enroll_latency_p95(&self) -> Duration {
+    fn enroll_latency_p95(&self) -> Duration {
         self.latency_percentile(0.95)
     }
 

@@ -4,7 +4,9 @@
 //! `&self` registry refactor exists for.
 
 use pelican::{DefenseKind, PersonalizationConfig};
-use pelican_mobility::{CampusConfig, DatasetBuilder, MobilityDataset, Scale, SpatialLevel};
+use pelican_mobility::{
+    CampusConfig, DatasetBuilder, MobilityDataset, Scale, SpatialLevel, TRAIN_FRACTION,
+};
 use pelican_nn::{SequenceModel, TrainConfig};
 use pelican_serve::{Lookup, RegistryConfig, ShardedRegistry};
 use pelican_train::{
@@ -21,7 +23,7 @@ fn setting() -> (SequenceModel, MobilityDataset, Vec<TrainJob>) {
     let general =
         SequenceModel::general_lstm(dataset.space.dim(), 16, dataset.n_locations(), 0.1, &mut rng);
     let n = dataset.users.len();
-    let jobs = cohort_jobs(&dataset, n.saturating_sub(3)..n, 0.8);
+    let jobs = cohort_jobs(&dataset, n.saturating_sub(3)..n, TRAIN_FRACTION);
     (general, dataset, jobs)
 }
 

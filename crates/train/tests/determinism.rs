@@ -6,7 +6,9 @@
 //! never a behaviour knob.
 
 use pelican::PersonalizationConfig;
-use pelican_mobility::{CampusConfig, DatasetBuilder, MobilityDataset, Scale, SpatialLevel};
+use pelican_mobility::{
+    CampusConfig, DatasetBuilder, MobilityDataset, Scale, SpatialLevel, TRAIN_FRACTION,
+};
 use pelican_nn::{ModelEnvelope, SequenceModel, TrainConfig};
 use pelican_serve::{RegistryConfig, ShardedRegistry};
 use pelican_train::{
@@ -23,7 +25,7 @@ fn setting() -> (SequenceModel, MobilityDataset, Vec<TrainJob>) {
     let general =
         SequenceModel::general_lstm(dataset.space.dim(), 16, dataset.n_locations(), 0.1, &mut rng);
     let n = dataset.users.len();
-    let jobs = cohort_jobs(&dataset, n.saturating_sub(4)..n, 0.8);
+    let jobs = cohort_jobs(&dataset, n.saturating_sub(4)..n, TRAIN_FRACTION);
     assert!(jobs.len() >= 2, "need a real cohort to exercise stealing");
     (general, dataset, jobs)
 }
