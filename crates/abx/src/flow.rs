@@ -605,7 +605,7 @@ pub fn run_abx(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pelican::PersonalizationConfig;
+    use pelican::{PersonalizationConfig, PAPER_DEFENSE};
     use pelican_mobility::{CampusConfig, DatasetBuilder, Scale, SpatialLevel};
     use pelican_nn::TrainConfig;
     use pelican_serve::RegistryConfig;
@@ -712,10 +712,7 @@ mod tests {
         let (dataset, general) = setting();
         let n = dataset.users.len();
         let mut cfg = config(2);
-        cfg.arms = [
-            DefenseKind::Temperature { temperature: 1e-3 },
-            DefenseKind::Temperature { temperature: 1e-3 },
-        ];
+        cfg.arms = [PAPER_DEFENSE; 2];
         let registry = registry(&general);
         let outcome = run_abx(&dataset, 0..n, &registry, &general, &cfg).unwrap();
         assert!(

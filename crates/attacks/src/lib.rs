@@ -32,12 +32,9 @@ pub mod served;
 pub use adversary::{Adversary, Instance};
 pub use eval::{evaluate_attack, AttackEvaluation};
 pub use methods::{
-    interest_locations, interest_locations_in, AttackMethod, BruteForce, GradientDescent, Ranking,
-    TimeBased, INTEREST_THRESHOLD,
+    interest_locations, AttackMethod, BruteForce, GradientDescent, Ranking, TimeBased,
+    INTEREST_THRESHOLD,
 };
 pub use oracle::{BlackBox, CachedBlackBox, LogitCache};
 pub use prior::{Prior, PriorKind};
-pub use served::{
-    serve_locally, truncate_top_k, RecordingBlackBox, ReplayBlackBox, ServedAdversary,
-    ServedAnswer, ServedConfig, ServedQuery,
-};
+pub use served::{truncate_top_k, ServedAdversary, ServedAnswer, ServedConfig, ServedQuery};

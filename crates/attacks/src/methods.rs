@@ -12,7 +12,7 @@
 use serde::{Deserialize, Serialize};
 
 use pelican_mobility::{entry_slot, FeatureSpace, DURATION_BINS, ENTRY_SLOTS, MINUTES_PER_DAY};
-use pelican_nn::{Sequence, SequenceModel, Step};
+use pelican_nn::{Sequence, Step};
 use pelican_tensor::{softmax_temperature_in_place, Matrix};
 
 use crate::adversary::Instance;
@@ -63,40 +63,12 @@ pub const INTEREST_THRESHOLD: f32 = 0.01;
 /// actually assigns mass to are worth enumerating. Note how the privacy
 /// layer defeats it: with sharpened confidences nearly every location falls
 /// below the threshold and the set collapses to the argmaxes alone.
-pub fn interest_locations(
-    model: &SequenceModel,
-    probes: &[Sequence],
-    threshold: f32,
-) -> Vec<usize> {
-    /// Read-only adapter: probing needs no gradients.
-    struct Frozen<'a>(&'a SequenceModel);
-    impl BlackBox for Frozen<'_> {
-        fn output_dim(&self) -> usize {
-            self.0.output_dim()
-        }
-        fn predict_proba(&mut self, xs: &[Step]) -> Step {
-            self.0.predict_proba(xs)
-        }
-        fn confidence_sweep(
-            &mut self,
-            template: &[Step],
-            slot: usize,
-            c: Matrix,
-            class: usize,
-        ) -> Vec<f32> {
-            self.0.confidence_sweep(template, slot, &c, class)
-        }
-        fn input_gradient(&mut self, _xs: &Sequence, _target: usize) -> (f32, Sequence) {
-            unreachable!("interest probing is black-box only")
-        }
-    }
-    interest_locations_in(&mut Frozen(model), probes, threshold)
-}
-
-/// [`interest_locations`] against any [`BlackBox`] oracle — e.g. a
-/// logit-cached model, so an audit gate re-probing the same weights under
-/// an escalated defense pays zero forward passes.
-pub fn interest_locations_in<M: BlackBox>(
+///
+/// Any [`BlackBox`] answers the probes: the model itself, a logit-cached
+/// one (an audit gate re-probing the same weights under an escalated
+/// defense pays zero forward passes), or the answers a served adversary
+/// recorded.
+pub fn interest_locations<M: BlackBox>(
     model: &mut M,
     probes: &[Sequence],
     threshold: f32,
@@ -129,7 +101,7 @@ pub enum AttackMethod {
 
 impl AttackMethod {
     /// Runs the attack on one instance against any query oracle (a plain
-    /// [`SequenceModel`] or e.g. a [`crate::CachedBlackBox`]).
+    /// [`pelican_nn::SequenceModel`] or e.g. a [`crate::CachedBlackBox`]).
     pub fn run<M: BlackBox>(
         &self,
         model: &mut M,
@@ -440,7 +412,9 @@ impl GradientDescent {
 mod tests {
     use super::*;
     use crate::adversary::Adversary;
+    use crate::oracle::{CachedBlackBox, LogitCache};
     use pelican_mobility::{Session, SpatialLevel};
+    use pelican_nn::SequenceModel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -470,14 +444,40 @@ mod tests {
 
     #[test]
     fn interest_locations_filters_by_confidence() {
-        let (model, space, prior, _) = setup();
+        let (mut model, space, prior, _) = setup();
         let probes = crate::prior::random_probes(&space, 8, 5);
-        let all = interest_locations(&model, &probes, 0.0);
+        let all = interest_locations(&mut model, &probes, 0.0);
         assert_eq!(all.len(), 8, "zero threshold keeps everything");
-        let some = interest_locations(&model, &probes, 0.01);
+        let some = interest_locations(&mut model, &probes, 0.01);
         assert!(!some.is_empty(), "argmax always clears 1%");
         assert!(some.len() <= all.len());
         let _ = prior;
+    }
+
+    #[test]
+    fn interest_locations_finds_one_set_through_every_oracle() {
+        let (mut model, space, _, _) = setup();
+        let probes = crate::prior::random_probes(&space, 8, 5);
+        let direct = interest_locations(&mut model, &probes, INTEREST_THRESHOLD);
+        let mut cache = LogitCache::new();
+        let cached = interest_locations(
+            &mut CachedBlackBox::new(&model, &mut cache),
+            &probes,
+            INTEREST_THRESHOLD,
+        );
+        assert_eq!(cached, direct);
+        // A second probe of the same weights under another temperature
+        // answers from the cache, and the set shrinks toward the argmaxes.
+        model.set_temperature(1e-3);
+        let misses = cache.misses;
+        let sharpened = interest_locations(
+            &mut CachedBlackBox::new(&model, &mut cache),
+            &probes,
+            INTEREST_THRESHOLD,
+        );
+        assert_eq!(cache.misses, misses, "re-probing ran no forward pass");
+        assert_eq!(sharpened, interest_locations(&mut model, &probes, INTEREST_THRESHOLD));
+        assert!(sharpened.len() <= direct.len());
     }
 
     #[test]

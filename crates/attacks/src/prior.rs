@@ -85,7 +85,7 @@ impl Prior {
 
     /// The "predict" prior: query the black-box model on `probes` and
     /// average its confidence vectors.
-    pub fn predicted(model: &SequenceModel, probes: &[Vec<Vec<f32>>]) -> Self {
+    fn predicted(model: &SequenceModel, probes: &[Vec<Vec<f32>>]) -> Self {
         assert!(!probes.is_empty(), "need at least one probe input");
         let n = model.output_dim();
         let mut sums = vec![0.0f64; n];

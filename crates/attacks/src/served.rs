@@ -14,9 +14,9 @@
 //! [`TimeBased`] is a pure function of the feature space, the prior, the
 //! interest set and the instance — model answers only enter at scoring
 //! time. So the adversary (1) sends interest probes, (2) replays the
-//! attack against a [`RecordingBlackBox`] that answers uniformly while
+//! attack against a `RecordingBlackBox` that answers uniformly while
 //! writing down every query, (3) sends the recorded set over the wire,
-//! and (4) replays the attack once more against a [`ReplayBlackBox`] that
+//! and (4) replays the attack once more against a `ReplayBlackBox` that
 //! answers from the served responses — producing the exact ranking an
 //! in-hand attack over the same answers would.
 //!
@@ -30,12 +30,12 @@
 use std::collections::HashMap;
 
 use pelican_mobility::FeatureSpace;
-use pelican_nn::{query_hash, sweep_query_hashes, Sequence, SequenceModel, Step};
+use pelican_nn::{query_hash, sweep_query_hashes, Sequence, Step};
 use pelican_tensor::Matrix;
 
 use crate::adversary::Instance;
 use crate::eval::{evaluate_attack, AttackEvaluation};
-use crate::methods::{interest_locations_in, AttackMethod, INTEREST_THRESHOLD};
+use crate::methods::{interest_locations, AttackMethod, INTEREST_THRESHOLD};
 use crate::oracle::BlackBox;
 use crate::prior::{random_probes, Prior};
 
@@ -81,7 +81,7 @@ impl Default for ServedConfig {
 /// Records every distinct query an attack issues while answering
 /// uniformly; used to pre-enumerate an answer-independent query set.
 #[derive(Debug, Default)]
-pub struct RecordingBlackBox {
+struct RecordingBlackBox {
     output_dim: usize,
     queries: Vec<Sequence>,
     seen: HashMap<u64, ()>,
@@ -137,7 +137,7 @@ impl BlackBox for RecordingBlackBox {
 /// Answers queries from a store of served responses, keyed by query
 /// fingerprint; the scoring half of the record/replay split.
 #[derive(Debug)]
-pub struct ReplayBlackBox<'a> {
+struct ReplayBlackBox<'a> {
     output_dim: usize,
     answers: &'a HashMap<u64, Step>,
 }
@@ -372,8 +372,7 @@ impl ServedAdversary {
         match self.phase {
             Phase::Probing => {
                 let mut replay = ReplayBlackBox::new(self.space.n_locations, &self.answers);
-                self.interest =
-                    interest_locations_in(&mut replay, &self.probes, INTEREST_THRESHOLD);
+                self.interest = interest_locations(&mut replay, &self.probes, INTEREST_THRESHOLD);
                 self.phase = Phase::Enumerating;
             }
             Phase::Enumerating => self.phase = Phase::Done,
@@ -410,40 +409,41 @@ pub fn truncate_top_k(probs: &[f32], k: usize) -> Step {
     out
 }
 
-/// Serves a [`ServedAdversary`] directly from an in-hand model — the
-/// zero-latency, full-precision degenerate case. Useful for tests and as
-/// the oracle baseline the served evaluation must match bit-for-bit when
-/// `top_k` covers every class.
-pub fn serve_locally(
-    adversary: &mut ServedAdversary,
-    model: &mut SequenceModel,
-    top_k: usize,
-) -> usize {
-    let mut served = 0;
-    loop {
-        let batch = adversary.next_queries();
-        if batch.is_empty() {
-            break;
-        }
-        for q in batch {
-            let probs = truncate_top_k(&model.predict_proba(&q.xs), top_k);
-            adversary.absorb(ServedAnswer { id: q.id, probs, latency_us: 0 });
-            served += 1;
-        }
-    }
-    served
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::Adversary;
-    use crate::methods::{interest_locations, TimeBased};
+    use crate::methods::TimeBased;
     use pelican_mobility::{Session, SpatialLevel};
+    use pelican_nn::SequenceModel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     const N: usize = 8;
+
+    /// Serves a [`ServedAdversary`] directly from an in-hand model — the
+    /// zero-latency, full-precision degenerate case, and the oracle
+    /// baseline the served evaluation must match bit for bit when `top_k`
+    /// covers every class.
+    fn serve_locally(
+        adversary: &mut ServedAdversary,
+        model: &mut SequenceModel,
+        top_k: usize,
+    ) -> usize {
+        let mut served = 0;
+        loop {
+            let batch = adversary.next_queries();
+            if batch.is_empty() {
+                break;
+            }
+            for q in batch {
+                let probs = truncate_top_k(&model.predict_proba(&q.xs), top_k);
+                adversary.absorb(ServedAnswer { id: q.id, probs, latency_us: 0 });
+                served += 1;
+            }
+        }
+        served
+    }
 
     fn setup() -> (SequenceModel, FeatureSpace, Prior, Vec<Instance>) {
         let space = FeatureSpace::new(SpatialLevel::Building, N);
@@ -487,7 +487,7 @@ mod tests {
 
         // The oracle baseline: same probes, same attack, model in hand.
         let probes = random_probes(&space, 8, 5);
-        let interest = interest_locations(&model, &probes, 0.01);
+        let interest = interest_locations(&mut model, &probes, 0.01);
         assert_eq!(adv.interest(), &interest[..], "probing through serving finds the same set");
         let direct = evaluate_attack(
             &AttackMethod::TimeBased(TimeBased::default()),

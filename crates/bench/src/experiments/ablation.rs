@@ -33,7 +33,7 @@ pub fn defense_compare(config: &RunConfig) -> Table {
         let mut service_acc = 0.0;
         let mut total = 0.0;
         for user in &scenario.personal {
-            let eval = scenario.attack_user_defended(
+            let eval = scenario.attack_user(
                 user,
                 Adversary::A1,
                 &method,
@@ -108,7 +108,7 @@ pub fn interest_threshold(config: &RunConfig) -> Table {
                 24,
                 scenario.seed ^ 0x1f,
             );
-            let interest = interest_locations(&model, &probes, threshold);
+            let interest = interest_locations(&mut model, &probes, threshold);
             interest_sum += interest.len();
             let instances =
                 scenario.attack_instances(user, Adversary::A1, config.instances_per_user);
@@ -147,7 +147,7 @@ pub fn gd_config(config: &RunConfig) -> Table {
                 PriorKind::True,
                 &[3],
                 config.instances_per_user,
-                None,
+                DefenseKind::None,
             );
             t.row(&[iterations.to_string(), format!("{temperature}"), pct(eval.accuracy(3))]);
         }

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pelican::platform::ComputeTier;
-use pelican::{DefenseKind, PersonalizationConfig};
+use pelican::{DefenseKind, PersonalizationConfig, PAPER_DEFENSE};
 use pelican_abx::{run_abx, AbxConfig, AbxOutcome, CohortSplitter, FRACTIONS, SPLIT_SEED};
 use pelican_mobility::{CampusConfig, DatasetBuilder, MobilityDataset, Scale, SpatialLevel};
 use pelican_nn::{SequenceModel, TrainConfig};
@@ -50,8 +50,8 @@ const SHARDS: usize = 2;
 /// The treatment comparison: undefended vs. the ladder's hard rung.
 const TREATMENT: [DefenseKind; 2] =
     [DefenseKind::None, DefenseKind::Temperature { temperature: 1e-5 }];
-/// The A/A control rung, served by both arms.
-const CONTROL: DefenseKind = DefenseKind::Temperature { temperature: 1e-3 };
+/// The A/A control rung, served by both arms: the paper's defense.
+const CONTROL: DefenseKind = PAPER_DEFENSE;
 
 /// One `(pool width)` timed A/B run.
 #[derive(Debug, Clone, Copy)]

@@ -1,5 +1,6 @@
 //! Fig. 2b (adversarial knowledge) and Fig. 2c (nature of the prior).
 
+use pelican::DefenseKind;
 use pelican_attacks::{Adversary, AttackMethod, PriorKind, TimeBased};
 use pelican_mobility::SpatialLevel;
 
@@ -24,7 +25,7 @@ pub fn fig2b(config: &RunConfig) -> Table {
             PriorKind::True,
             &KS_2B,
             config.instances_per_user,
-            None,
+            DefenseKind::None,
         );
         let mut cells = vec![adversary.to_string()];
         for &k in &KS_2B {
@@ -51,7 +52,7 @@ pub fn fig2c(config: &RunConfig) -> Table {
             prior,
             &KS_2C,
             config.instances_per_user,
-            None,
+            DefenseKind::None,
         );
         let mut cells = vec![prior.to_string()];
         for &k in &KS_2C {

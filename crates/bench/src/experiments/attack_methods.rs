@@ -1,5 +1,6 @@
 //! Fig. 2a (attack accuracy per method) and Table II (attack runtimes).
 
+use pelican::DefenseKind;
 use pelican_attacks::{Adversary, AttackMethod, BruteForce, GradientDescent, PriorKind, TimeBased};
 use pelican_mobility::SpatialLevel;
 
@@ -32,8 +33,14 @@ pub fn run(config: &RunConfig) -> MethodComparison {
     let mut accuracy = Vec::new();
     let mut cost = Vec::new();
     for (method, instances) in &methods {
-        let eval =
-            scenario.attack_all(Adversary::A1, method, PriorKind::True, &KS, *instances, None);
+        let eval = scenario.attack_all(
+            Adversary::A1,
+            method,
+            PriorKind::True,
+            &KS,
+            *instances,
+            DefenseKind::None,
+        );
         for &k in &KS {
             accuracy.push((method.name().to_string(), k, eval.accuracy(k)));
         }

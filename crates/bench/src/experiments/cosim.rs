@@ -18,18 +18,17 @@
 //! * **Scheduler reactivity** — the sim-driven batch scheduler produces
 //!   *different* compositions once uplink jitter shifts ingress times.
 
-use pelican::workbench::{Scenario, ScenarioSizing};
-use pelican::PersonalizationConfig;
-use pelican_mobility::{Scale, SpatialLevel, TRAIN_FRACTION};
-use pelican_nn::{ModelEnvelope, SequenceModel, TrainConfig};
+use pelican::workbench::Scenario;
+use pelican_mobility::Scale;
+use pelican_nn::{ModelEnvelope, SequenceModel};
 use pelican_serve::{
     simulate_serving, CloudNetwork, RegistryConfig, Request, SchedulerConfig, ShardedRegistry,
     SimServeConfig, SimServeOutcome, TrafficConfig, TrafficGenerator,
 };
 use pelican_sim::{LinkMix, LinkProfile, RetryPolicy, StragglerConfig, TransferPolicy};
 use pelican_train::{
-    cohort_jobs, cosimulate_fleet, AuditConfig, CosimReport, FleetTrainer, LoopMode, NetworkConfig,
-    PipelineConfig, RoundRecord, TrainJob, TrainReport, UplinkMode,
+    cosimulate_fleet, CosimReport, FleetTrainer, LoopMode, NetworkConfig, RoundRecord, TrainJob,
+    TrainReport, UplinkMode,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,27 +71,8 @@ fn rounds_at(
     config: &RunConfig,
     workers: usize,
 ) -> (TrainReport, TrainReport) {
-    let sizing = ScenarioSizing::for_scale(config.scale);
-    let pipeline = PipelineConfig {
-        workers,
-        base_seed: config.seed,
-        personalization: PersonalizationConfig {
-            train: TrainConfig {
-                epochs: sizing.personal_epochs,
-                batch_size: 16,
-                ..TrainConfig::default()
-            },
-            hidden_dim: sizing.hidden_dim,
-            ..PersonalizationConfig::default()
-        },
-        audit: AuditConfig {
-            max_instances: config.instances_per_user,
-            seed: config.seed ^ 0xA0D1,
-            ..AuditConfig::default()
-        },
-    };
     let registry = ShardedRegistry::new(scenario.general.clone(), RegistryConfig::default());
-    let trainer = FleetTrainer::new(pipeline);
+    let trainer = FleetTrainer::new(super::fleet_pipeline(config, workers));
     let fresh = trainer.run(&scenario.general, &scenario.dataset.space, jobs, &registry);
     let warm_jobs: Vec<TrainJob> = jobs
         .iter()
@@ -191,13 +171,7 @@ fn serve_side(config: &RunConfig) -> (SimServeOutcome, SimServeOutcome) {
 ///
 /// Panics if any of the four contracts in the module docs fails.
 pub fn run(config: &RunConfig) -> CosimRun {
-    let scenario: Scenario = Scenario::builder(config.scale, SpatialLevel::Building)
-        .seed(config.seed)
-        .personal_users(0)
-        .build();
-    let cohort_start = scenario.first_personal_user;
-    let cohort_end = (cohort_start + config.personal_users()).min(scenario.dataset.users.len());
-    let jobs = cohort_jobs(&scenario.dataset, cohort_start..cohort_end, TRAIN_FRACTION);
+    let (scenario, jobs) = super::fleet_cohort(config);
     let general_bytes = ModelEnvelope::encode(&scenario.general).len() as u64;
 
     let (fresh, warm) = rounds_at(&scenario, &jobs, config, 1);

@@ -1,15 +1,13 @@
 //! Fig. 5: efficacy of the Pelican privacy layer.
 
-use pelican::reduction_in_leakage;
-use pelican::PersonalizationMethod;
+use pelican::{
+    reduction_in_leakage, DefenseKind, PersonalizationMethod, PAPER_DEFENSE, PAPER_TEMPERATURES,
+};
 use pelican_attacks::{Adversary, AttackMethod, PriorKind, TimeBased};
 use pelican_mobility::SpatialLevel;
 
 use crate::report::Table;
 use crate::RunConfig;
-
-/// The paper's strongest evaluated temperature.
-const DEFENSE_T: f32 = 1e-3;
 
 /// Top-k grid for Fig. 5a (the paper plots k = 1..9).
 const KS_5A: [usize; 5] = [1, 3, 5, 7, 9];
@@ -33,7 +31,7 @@ pub fn fig5a(config: &RunConfig) -> Table {
             PriorKind::True,
             &KS_5A,
             config.instances_per_user,
-            None,
+            DefenseKind::None,
         );
         let after = scenario.attack_all(
             Adversary::A1,
@@ -41,7 +39,7 @@ pub fn fig5a(config: &RunConfig) -> Table {
             PriorKind::True,
             &KS_5A,
             config.instances_per_user,
-            Some(DEFENSE_T),
+            PAPER_DEFENSE,
         );
         let mut cells = vec![pm.name().to_string()];
         for &k in &KS_5A {
@@ -66,17 +64,17 @@ pub fn fig5b(config: &RunConfig) -> Table {
         PriorKind::True,
         &[3],
         config.instances_per_user,
-        None,
+        DefenseKind::None,
     );
     let mut t = Table::new(&["temperature", "attack top-3 (%)", "reduction (%)"]);
-    for temperature in [1e-1f32, 1e-2, 1e-3, 1e-4, 1e-5] {
+    for temperature in PAPER_TEMPERATURES {
         let after = scenario.attack_all(
             Adversary::A1,
             &method,
             PriorKind::True,
             &[3],
             config.instances_per_user,
-            Some(temperature),
+            DefenseKind::Temperature { temperature },
         );
         t.row(&[
             format!("{temperature:.0e}"),
@@ -102,7 +100,7 @@ pub fn fig5c(config: &RunConfig) -> Table {
             PriorKind::True,
             &KS_5C,
             config.instances_per_user,
-            None,
+            DefenseKind::None,
         );
         let after = scenario.attack_all(
             Adversary::A1,
@@ -110,7 +108,7 @@ pub fn fig5c(config: &RunConfig) -> Table {
             PriorKind::True,
             &KS_5C,
             config.instances_per_user,
-            Some(DEFENSE_T),
+            PAPER_DEFENSE,
         );
         let mut cells = vec![level.to_string()];
         for &k in &KS_5C {

@@ -36,9 +36,11 @@ pub mod spatial;
 pub mod store;
 pub mod training;
 
-use pelican::workbench::Scenario;
-use pelican::PersonalizationMethod;
-use pelican_mobility::SpatialLevel;
+use pelican::workbench::{Scenario, ScenarioSizing};
+use pelican::{PersonalizationConfig, PersonalizationMethod};
+use pelican_mobility::{SpatialLevel, TRAIN_FRACTION};
+use pelican_nn::TrainConfig;
+use pelican_train::{cohort_jobs, AuditConfig, PipelineConfig, TrainJob};
 
 use crate::{host, report, RunConfig};
 
@@ -426,6 +428,47 @@ pub fn scenario_with(
         .build()
 }
 
+/// The fleet reports' cohort (`train-report`, `net-report`,
+/// `cosim-report`): a scenario with *zero* sequentially personalized
+/// users — the pipeline itself does all per-user training — and the
+/// training jobs of the `--users` users after the contributors.
+pub fn fleet_cohort(config: &RunConfig) -> (Scenario, Vec<TrainJob>) {
+    let scenario = Scenario::builder(config.scale, SpatialLevel::Building)
+        .seed(config.seed)
+        .personal_users(0)
+        .build();
+    let start = scenario.first_personal_user;
+    // Clamp like Scenario::builder does: a --users override larger than
+    // the personal-user pool must shrink the cohort, not index past it.
+    let end = (start + config.personal_users()).min(scenario.dataset.users.len());
+    let jobs = cohort_jobs(&scenario.dataset, start..end, TRAIN_FRACTION);
+    (scenario, jobs)
+}
+
+/// The fleet reports' training pipeline at a trainer-pool width, sized
+/// by the run's scale.
+pub fn fleet_pipeline(config: &RunConfig, workers: usize) -> PipelineConfig {
+    let sizing = ScenarioSizing::for_scale(config.scale);
+    PipelineConfig {
+        workers,
+        base_seed: config.seed,
+        personalization: PersonalizationConfig {
+            train: TrainConfig {
+                epochs: sizing.personal_epochs,
+                batch_size: 16,
+                ..TrainConfig::default()
+            },
+            hidden_dim: sizing.hidden_dim,
+            ..PersonalizationConfig::default()
+        },
+        audit: AuditConfig {
+            max_instances: config.instances_per_user,
+            seed: config.seed ^ 0xA0D1,
+            ..AuditConfig::default()
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,6 +479,17 @@ mod tests {
         let config = RunConfig { scale: Scale::Tiny, users: Some(1), ..RunConfig::default() };
         let s = scenario(&config, SpatialLevel::Building);
         assert_eq!(s.personal.len(), 1);
+    }
+
+    #[test]
+    fn the_fleet_cohort_is_the_users_after_the_contributors() {
+        let config = RunConfig { scale: Scale::Tiny, users: Some(10_000), ..RunConfig::default() };
+        let (scenario, jobs) = fleet_cohort(&config);
+        assert!(scenario.personal.is_empty(), "the pipeline trains every cohort user");
+        let pool = scenario.first_personal_user..scenario.dataset.users.len();
+        assert!(!jobs.is_empty() && jobs.len() <= pool.len());
+        assert!(jobs.iter().all(|job| pool.contains(&job.user_id)));
+        assert_eq!(fleet_pipeline(&config, 3).workers, 3);
     }
 
     #[test]

@@ -15,15 +15,13 @@
 //! * **Round trips** — a cloud-deployed query's p95 round trip exceeds
 //!   on-device serving's p95, and nothing drops.
 
-use pelican::workbench::{Scenario, ScenarioSizing};
-use pelican::PersonalizationConfig;
-use pelican_mobility::{SpatialLevel, TRAIN_FRACTION};
-use pelican_nn::{ModelEnvelope, TrainConfig};
+use pelican_mobility::SpatialLevel;
+use pelican_nn::ModelEnvelope;
 use pelican_serve::{run_fleet, CloudNetwork, FleetConfig, RegistryConfig, ShardedRegistry};
 use pelican_sim::{Discipline, LinkMix, LinkProfile, RetryPolicy, StragglerConfig, TransferPolicy};
 use pelican_train::{
-    cohort_jobs, cosimulate_fleet, AuditConfig, CosimReport, FleetTrainer, LoopMode, NetworkConfig,
-    PipelineConfig, RoundRecord, TrainReport, UplinkMode,
+    cosimulate_fleet, CosimReport, FleetTrainer, LoopMode, NetworkConfig, RoundRecord, TrainReport,
+    UplinkMode,
 };
 
 use crate::report::Table;
@@ -93,37 +91,12 @@ fn retries() -> Vec<(&'static str, TransferPolicy)> {
 /// latency breakdowns, or if the contended uplink fails to raise p95
 /// strictly above the per-device baseline (the acceptance contract).
 pub fn run(config: &RunConfig) -> NetworkRun {
-    let sizing = ScenarioSizing::for_scale(config.scale);
-    let scenario: Scenario = Scenario::builder(config.scale, SpatialLevel::Building)
-        .seed(config.seed)
-        .personal_users(0)
-        .build();
-    let cohort_start = scenario.first_personal_user;
-    let cohort_end = (cohort_start + config.personal_users()).min(scenario.dataset.users.len());
-    let jobs = cohort_jobs(&scenario.dataset, cohort_start..cohort_end, TRAIN_FRACTION);
+    let (scenario, jobs) = super::fleet_cohort(config);
     let general_bytes = ModelEnvelope::encode(&scenario.general).len() as u64;
 
-    let pipeline = |workers: usize| PipelineConfig {
-        workers,
-        base_seed: config.seed,
-        personalization: PersonalizationConfig {
-            train: TrainConfig {
-                epochs: sizing.personal_epochs,
-                batch_size: 16,
-                ..TrainConfig::default()
-            },
-            hidden_dim: sizing.hidden_dim,
-            ..PersonalizationConfig::default()
-        },
-        audit: AuditConfig {
-            max_instances: config.instances_per_user,
-            seed: config.seed ^ 0xA0D1,
-            ..AuditConfig::default()
-        },
-    };
     let train_at = |workers: usize| {
         let registry = ShardedRegistry::new(scenario.general.clone(), RegistryConfig::default());
-        FleetTrainer::new(pipeline(workers)).run(
+        FleetTrainer::new(super::fleet_pipeline(config, workers)).run(
             &scenario.general,
             &scenario.dataset.space,
             &jobs,
@@ -264,7 +237,7 @@ pub fn contention_table(run: &NetworkRun) -> Table {
 /// Panics if the cloud round trip's p95 does not exceed on-device
 /// serving's, or if a query drops (no timeout is configured).
 pub fn cloud_table(config: &RunConfig) -> Table {
-    let scenario: Scenario = super::scenario(config, SpatialLevel::Building);
+    let scenario = super::scenario(config, SpatialLevel::Building);
     let fleet = |cloud| FleetConfig {
         traffic: pelican_serve::TrafficConfig {
             requests: 2_000,

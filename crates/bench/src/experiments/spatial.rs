@@ -1,6 +1,7 @@
 //! Fig. 3: spatial scales, degree of mobility, and mobility predictability.
 
 use pelican::stats::{pearson, pearson_p_value};
+use pelican::DefenseKind;
 use pelican_attacks::{Adversary, AttackMethod, PriorKind, TimeBased};
 use pelican_mobility::SpatialLevel;
 
@@ -25,7 +26,7 @@ pub fn fig3a(config: &RunConfig) -> Table {
             PriorKind::True,
             &KS_3A,
             config.instances_per_user,
-            None,
+            DefenseKind::None,
         );
         let mut cells = vec![level.to_string()];
         for &k in &KS_3A {
@@ -76,7 +77,7 @@ fn per_user_attack(
             PriorKind::True,
             &[3],
             config.instances_per_user,
-            None,
+            DefenseKind::None,
         );
         points.push(ScatterPoint {
             user_id: user.user_id,

@@ -138,6 +138,7 @@ pub fn run(config: &RunConfig) -> StoreResult {
         seed: config.seed,
         ..RollbackConfig::default()
     })
+    .expect("the rollback drill's in-memory disk fails no call")
     .report;
     assert_eq!(rollback.queries_degraded_after_swap, 0, "a degraded answer after the swap");
     assert!(rollback.staleness_us > 0, "the rollback paid no staleness window on the link");

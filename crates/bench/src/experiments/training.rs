@@ -10,12 +10,9 @@
 //! machine's core count, while every published model and audit verdict is
 //! bit-identical across rows (asserted on every run).
 
-use pelican::workbench::{Scenario, ScenarioSizing};
-use pelican::PersonalizationConfig;
-use pelican_mobility::{SpatialLevel, TRAIN_FRACTION};
-use pelican_nn::{ModelEnvelope, TrainConfig};
+use pelican_nn::ModelEnvelope;
 use pelican_serve::{Lookup, RegistryConfig, ShardedRegistry};
-use pelican_train::{cohort_jobs, AuditConfig, FleetTrainer, PipelineConfig, TrainReport};
+use pelican_train::{FleetTrainer, TrainReport};
 
 use crate::report::Table;
 use crate::RunConfig;
@@ -47,42 +44,14 @@ pub struct TrainOutcome {
 /// reference (the determinism contract), or if a cohort user's lookup
 /// falls back to the general model.
 pub fn run(config: &RunConfig) -> Vec<TrainOutcome> {
-    let sizing = ScenarioSizing::for_scale(config.scale);
-    let scenario: Scenario = Scenario::builder(config.scale, SpatialLevel::Building)
-        .seed(config.seed)
-        .personal_users(0)
-        .build();
-    let cohort_start = scenario.first_personal_user;
-    // Clamp like Scenario::builder does: a --users override larger than
-    // the personal-user pool must shrink the cohort, not index past it.
-    let cohort_end = (cohort_start + config.personal_users()).min(scenario.dataset.users.len());
-    let jobs = cohort_jobs(&scenario.dataset, cohort_start..cohort_end, TRAIN_FRACTION);
-
-    let pipeline = |workers: usize| PipelineConfig {
-        workers,
-        base_seed: config.seed,
-        personalization: PersonalizationConfig {
-            train: TrainConfig {
-                epochs: sizing.personal_epochs,
-                batch_size: 16,
-                ..TrainConfig::default()
-            },
-            hidden_dim: sizing.hidden_dim,
-            ..PersonalizationConfig::default()
-        },
-        audit: AuditConfig {
-            max_instances: config.instances_per_user,
-            seed: config.seed ^ 0xA0D1,
-            ..AuditConfig::default()
-        },
-    };
+    let (scenario, jobs) = super::fleet_cohort(config);
 
     let outcomes: Vec<TrainOutcome> = WORKER_SWEEP
         .into_iter()
         .map(|workers| {
             let registry =
                 ShardedRegistry::new(scenario.general.clone(), RegistryConfig::default());
-            let report = FleetTrainer::new(pipeline(workers)).run(
+            let report = FleetTrainer::new(super::fleet_pipeline(config, workers)).run(
                 &scenario.general,
                 &scenario.dataset.space,
                 &jobs,

@@ -23,8 +23,10 @@
 //!    accumulates, published through the same registry.
 //!
 //! The privacy enhancement (§V-B) is an inference-time temperature layer
-//! ([`privacy::PrivacyLayer`]) that sharpens confidence scores, starving
-//! inversion attacks of signal while preserving top-k rankings.
+//! ([`DefenseKind::Temperature`], the paper's setting is
+//! [`PAPER_DEFENSE`]) that sharpens confidence scores, starving inversion
+//! attacks of signal while preserving top-k rankings. [`DefenseKind`]
+//! names, validates and installs it and the comparison defenses alike.
 //!
 //! # Quickstart
 //!
@@ -45,13 +47,11 @@
 pub mod defenses;
 pub mod personalize;
 pub mod platform;
-pub mod privacy;
 pub mod stats;
 pub mod system;
 pub mod workbench;
 
-pub use defenses::DefenseKind;
+pub use defenses::{reduction_in_leakage, DefenseKind, PAPER_DEFENSE, PAPER_TEMPERATURES};
 pub use personalize::{personalize, prepare, PersonalizationConfig, PersonalizationMethod};
 pub use platform::{ComputeTier, ResourceUsage};
-pub use privacy::{reduction_in_leakage, PrivacyLayer};
 pub use system::CloudTrainer;

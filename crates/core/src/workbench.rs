@@ -17,6 +17,7 @@ use pelican_mobility::{
 use pelican_nn::metrics::evaluate_top_k;
 use pelican_nn::{FitReport, ModelEnvelope, Sample, SequenceModel, TrainConfig};
 
+use crate::defenses::DefenseKind;
 use crate::personalize::{personalize, PersonalizationConfig, PersonalizationMethod};
 use crate::platform::{ComputeTier, ResourceUsage};
 use crate::system::CloudTrainer;
@@ -143,11 +144,9 @@ impl Scenario {
         )
     }
 
-    /// Runs an attack against one user's personalized model and aggregates
-    /// top-k attack accuracy.
-    ///
-    /// `temperature` optionally installs the privacy layer for the run
-    /// (the model is restored afterwards).
+    /// Runs an attack against one user's personalized model, with
+    /// `defense` installed on a copy of it, and aggregates top-k attack
+    /// accuracy.
     #[allow(clippy::too_many_arguments)]
     pub fn attack_user(
         &self,
@@ -157,35 +156,14 @@ impl Scenario {
         prior_kind: PriorKind,
         ks: &[usize],
         max_instances: usize,
-        temperature: Option<f32>,
-    ) -> AttackEvaluation {
-        let defense = match temperature {
-            Some(t) => crate::defenses::DefenseKind::Temperature { temperature: t },
-            None => crate::defenses::DefenseKind::None,
-        };
-        self.attack_user_defended(user, adversary, method, prior_kind, ks, max_instances, defense)
-    }
-
-    /// Like [`Scenario::attack_user`], but with an arbitrary deployed
-    /// defense (temperature, output noise, rounding — see
-    /// [`crate::DefenseKind`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn attack_user_defended(
-        &self,
-        user: &PersonalUser,
-        adversary: Adversary,
-        method: &AttackMethod,
-        prior_kind: PriorKind,
-        ks: &[usize],
-        max_instances: usize,
-        defense: crate::defenses::DefenseKind,
+        defense: DefenseKind,
     ) -> AttackEvaluation {
         let mut model = user.model.clone();
         defense.apply(&mut model);
         let prior = self.prior(user, prior_kind);
         let probes =
             pelican_attacks::prior::random_probes(&self.dataset.space, 24, self.seed ^ 0x1f);
-        let interest = interest_locations(&model, &probes, INTEREST_THRESHOLD);
+        let interest = interest_locations(&mut model, &probes, INTEREST_THRESHOLD);
         let instances = self.attack_instances(user, adversary, max_instances);
         evaluate_attack(method, &mut model, &self.dataset.space, &prior, &interest, &instances, ks)
     }
@@ -200,7 +178,7 @@ impl Scenario {
         prior_kind: PriorKind,
         ks: &[usize],
         max_instances_per_user: usize,
-        temperature: Option<f32>,
+        defense: DefenseKind,
     ) -> AttackEvaluation {
         let mut total = AttackEvaluation::empty(ks);
         for user in &self.personal {
@@ -211,7 +189,7 @@ impl Scenario {
                 prior_kind,
                 ks,
                 max_instances_per_user,
-                temperature,
+                defense,
             );
             total.merge(&eval);
         }
@@ -392,7 +370,7 @@ mod tests {
             PriorKind::True,
             &[1, 3],
             5,
-            None,
+            DefenseKind::None,
         );
         assert!(eval.total > 0);
         assert!(eval.accuracy(3) >= eval.accuracy(1));
@@ -402,7 +380,8 @@ mod tests {
     fn attack_all_merges_users() {
         let s = tiny_scenario();
         let method = AttackMethod::TimeBased(pelican_attacks::TimeBased::default());
-        let eval = s.attack_all(Adversary::A1, &method, PriorKind::True, &[1], 3, None);
+        let eval =
+            s.attack_all(Adversary::A1, &method, PriorKind::True, &[1], 3, DefenseKind::None);
         assert_eq!(eval.total, s.personal.iter().map(|u| u.test_triples.len().min(3)).sum());
     }
 

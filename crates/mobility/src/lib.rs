@@ -49,11 +49,8 @@ pub use dataset::{
 pub use events::{sessions_to_events, ApEvent, EventKind, EventNoise};
 pub use extract::{compare, extract_sessions, ExtractionReport};
 pub use generator::{TraceGenerator, UserTrace};
-pub use session::{
-    duration_bin, entry_slot, Session, DURATION_BINS, DURATION_CAP_MINUTES, ENTRY_SLOTS,
-    MINUTES_PER_DAY,
-};
-pub use stats::{dwell_histogram, trace_stats, TraceStats};
+pub use session::{duration_bin, entry_slot, Session, DURATION_BINS, ENTRY_SLOTS, MINUTES_PER_DAY};
+pub use stats::{trace_stats, TraceStats};
 pub use stream::SessionCursor;
 pub use user::UserProfile;
 

@@ -15,7 +15,7 @@ pub const MINUTES_PER_DAY: u32 = 24 * 60;
 pub const ENTRY_SLOTS: usize = 48;
 
 /// Duration cap in minutes (4 hours, per §IV-A).
-pub const DURATION_CAP_MINUTES: u32 = 240;
+const DURATION_CAP_MINUTES: u32 = 240;
 
 /// Number of 10-minute duration bins (`240 / 10`).
 pub const DURATION_BINS: usize = (DURATION_CAP_MINUTES / 10) as usize;

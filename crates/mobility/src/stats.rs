@@ -96,18 +96,6 @@ pub fn trace_stats(sessions: &[Session]) -> TraceStats {
     }
 }
 
-/// Histogram of dwell time per building, descending — the "skew" view the
-/// paper summarizes as "majority of time at a single location".
-pub fn dwell_histogram(sessions: &[Session]) -> Vec<(usize, u64)> {
-    let mut dwell: HashMap<usize, u64> = HashMap::new();
-    for s in sessions {
-        *dwell.entry(s.building).or_insert(0) += s.duration_minutes as u64;
-    }
-    let mut out: Vec<(usize, u64)> = dwell.into_iter().collect();
-    out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,18 +141,6 @@ mod tests {
         let stats = trace_stats(&[]);
         assert_eq!(stats.sessions, 0);
         assert_eq!(stats.top_building_share, 0.0);
-    }
-
-    #[test]
-    fn histogram_is_descending_and_complete() {
-        let s = sessions();
-        let hist = dwell_histogram(&s);
-        for pair in hist.windows(2) {
-            assert!(pair[0].1 >= pair[1].1);
-        }
-        let total: u64 = hist.iter().map(|(_, d)| d).sum();
-        let expect: u64 = s.iter().map(|x| x.duration_minutes as u64).sum();
-        assert_eq!(total, expect);
     }
 
     #[test]

@@ -54,14 +54,12 @@ pub use layer::Layer;
 pub use linear::Linear;
 pub use loss::softmax_cross_entropy;
 pub use lstm::Lstm;
-pub use metrics::{top_k_accuracy, TopKAccuracy};
+pub use metrics::TopKAccuracy;
 pub use model::{query_hash, sweep_query_hashes, ModelBuilder, Postprocess, SequenceModel};
 pub use optim::Adam;
 pub use serialize::{ModelCodecError, ModelEnvelope};
 pub use sweep::PrefixTier;
-pub use train::{
-    fit, grid_search, time_series_folds, EvalReport, FitReport, GridPoint, TrainConfig,
-};
+pub use train::{fit, EvalReport, FitReport, TrainConfig};
 
 /// A single timestep of model input: a dense feature vector.
 pub type Step = Vec<f32>;

@@ -6,22 +6,6 @@
 
 use crate::{Sample, SequenceModel};
 
-/// Top-k accuracy over a set of per-sample score vectors.
-///
-/// Each element of `scored` pairs the model's class scores with the true
-/// class. Returns the fraction of samples whose true class appears among
-/// the `k` highest scores. Returns 0 for an empty input.
-pub fn top_k_accuracy(scored: &[(Vec<f32>, usize)], k: usize) -> f64 {
-    if scored.is_empty() {
-        return 0.0;
-    }
-    let hits = scored
-        .iter()
-        .filter(|(scores, target)| pelican_tensor::top_k(scores, k).contains(target))
-        .count();
-    hits as f64 / scored.len() as f64
-}
-
 /// Accumulates top-k accuracy for several `k` values in one pass over a
 /// dataset.
 ///
@@ -113,19 +97,17 @@ mod tests {
 
     #[test]
     fn top_k_accuracy_basics() {
-        let scored = vec![
-            (vec![0.9, 0.1, 0.0], 0), // top-1 hit
-            (vec![0.1, 0.2, 0.7], 1), // top-2 hit
-            (vec![0.5, 0.4, 0.1], 2), // top-3 hit only
-        ];
-        assert!((top_k_accuracy(&scored, 1) - 1.0 / 3.0).abs() < 1e-9);
-        assert!((top_k_accuracy(&scored, 2) - 2.0 / 3.0).abs() < 1e-9);
-        assert!((top_k_accuracy(&scored, 3) - 1.0).abs() < 1e-9);
+        let mut acc = TopKAccuracy::new(&[1, 2, 3]);
+        acc.observe(&[0.9, 0.1, 0.0], 0); // top-1 hit
+        acc.observe(&[0.1, 0.2, 0.7], 1); // top-2 hit
+        acc.observe(&[0.5, 0.4, 0.1], 2); // top-3 hit only
+        assert!((acc.accuracy(1) - 1.0 / 3.0).abs() < 1e-9);
+        assert!((acc.accuracy(2) - 2.0 / 3.0).abs() < 1e-9);
+        assert!((acc.accuracy(3) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_input_is_zero() {
-        assert_eq!(top_k_accuracy(&[], 3), 0.0);
         let acc = TopKAccuracy::new(&[1]);
         assert_eq!(acc.accuracy(1), 0.0);
     }

@@ -206,89 +206,6 @@ pub fn evaluate(model: &SequenceModel, samples: &[Sample], ks: &[usize]) -> Eval
     EvalReport { top_k, mean_loss }
 }
 
-/// Expanding-window time-series cross-validation folds.
-///
-/// Splits `[0, n)` into `folds + 1` contiguous chunks; fold `i` trains on
-/// chunks `0..=i` and validates on chunk `i + 1`. Validation data is always
-/// strictly later than training data.
-///
-/// Returns `(train_range, validation_range)` pairs.
-///
-/// # Panics
-///
-/// Panics if `folds == 0` or `n < folds + 1`.
-pub fn time_series_folds(
-    n: usize,
-    folds: usize,
-) -> Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> {
-    assert!(folds > 0, "need at least one fold");
-    assert!(n > folds, "cannot split {n} samples into {folds} time-series folds");
-    let chunk = n / (folds + 1);
-    let mut out = Vec::with_capacity(folds);
-    for i in 0..folds {
-        let train_end = chunk * (i + 1);
-        let val_end = if i + 1 == folds { n } else { chunk * (i + 2) };
-        out.push((0..train_end, train_end..val_end));
-    }
-    out
-}
-
-/// One cell of a hyperparameter grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GridPoint {
-    /// Learning rate.
-    pub lr: f32,
-    /// L2 weight decay.
-    pub weight_decay: f32,
-    /// Training epochs.
-    pub epochs: usize,
-}
-
-/// Grid search with time-series cross-validation (the paper's §IV-A
-/// hyperparameter-selection protocol).
-///
-/// For each grid point, trains a fresh model (from `factory`) on each
-/// expanding-window fold and scores top-`k_eval` accuracy on the fold's
-/// validation slice. Returns the best point and its mean validation score.
-///
-/// # Panics
-///
-/// Panics if `grid` is empty or `samples` is too small for `folds`.
-pub fn grid_search<F>(
-    factory: F,
-    samples: &[Sample],
-    grid: &[GridPoint],
-    folds: usize,
-    k_eval: usize,
-) -> (GridPoint, f64)
-where
-    F: Fn() -> SequenceModel,
-{
-    assert!(!grid.is_empty(), "grid search needs at least one point");
-    let splits = time_series_folds(samples.len(), folds);
-    let mut best: Option<(GridPoint, f64)> = None;
-    for point in grid {
-        let mut score_sum = 0.0;
-        for (train, val) in &splits {
-            let mut model = factory();
-            let config = TrainConfig {
-                epochs: point.epochs,
-                lr: point.lr,
-                weight_decay: point.weight_decay,
-                ..TrainConfig::default()
-            };
-            fit(&mut model, &samples[train.clone()], &config);
-            let report = evaluate(&model, &samples[val.clone()], &[k_eval]);
-            score_sum += report.top_k.accuracy(k_eval);
-        }
-        let mean = score_sum / splits.len() as f64;
-        if best.as_ref().is_none_or(|(_, s)| mean > *s) {
-            best = Some((point.clone(), mean));
-        }
-    }
-    best.expect("nonempty grid always yields a best point")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,36 +283,6 @@ mod tests {
         fit(&mut model, &samples, &TrainConfig { epochs: 2, ..TrainConfig::default() });
         let after = model.logits(&samples[0].xs);
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn folds_are_time_ordered_and_cover() {
-        let folds = time_series_folds(100, 4);
-        assert_eq!(folds.len(), 4);
-        for (train, val) in &folds {
-            assert_eq!(train.start, 0);
-            assert_eq!(train.end, val.start, "validation follows training");
-            assert!(!val.is_empty());
-        }
-        assert_eq!(folds.last().unwrap().1.end, 100, "last fold reaches the end");
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot split")]
-    fn folds_reject_tiny_inputs() {
-        let _ = time_series_folds(2, 5);
-    }
-
-    #[test]
-    fn grid_search_prefers_working_lr() {
-        let samples = toy_samples(120, 3, 4);
-        let grid = vec![
-            GridPoint { lr: 1e-9, weight_decay: 0.0, epochs: 5 }, // too small to learn
-            GridPoint { lr: 1e-2, weight_decay: 0.0, epochs: 5 },
-        ];
-        let (best, score) = grid_search(|| toy_model(3), &samples, &grid, 3, 1);
-        assert_eq!(best.lr, 1e-2, "grid search should pick the learnable rate");
-        assert!(score > 0.5);
     }
 
     #[test]

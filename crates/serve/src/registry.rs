@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use pelican::workbench::Scenario;
-use pelican::PrivacyLayer;
+use pelican::PAPER_DEFENSE;
 use pelican_nn::{ModelCodecError, ModelEnvelope, SequenceModel};
 use pelican_store::{EnvelopeStore, StoreError};
 
@@ -365,14 +365,14 @@ impl ShardedRegistry {
 
     /// Bulk enrollment from an experiment [`Scenario`]: every
     /// personalization user's model is installed behind
-    /// [`PrivacyLayer::default`], the paper's strongest evaluated
-    /// temperature, applied *before* the model becomes service-visible
-    /// (the general fallback stays unsharpened — it is provider-owned and
-    /// holds no personal data). Returns the number of users enrolled.
+    /// [`PAPER_DEFENSE`], the paper's evaluated temperature layer,
+    /// applied *before* the model becomes service-visible (the general
+    /// fallback stays unsharpened — it is provider-owned and holds no
+    /// personal data). Returns the number of users enrolled.
     pub fn enroll_scenario(&self, scenario: &Scenario) -> usize {
         for user in &scenario.personal {
             let mut model = user.model.clone();
-            PrivacyLayer::default().apply(&mut model);
+            PAPER_DEFENSE.apply(&mut model);
             self.enroll(user.user_id, &model);
         }
         scenario.personal.len()

@@ -251,7 +251,7 @@ pub enum TraceLevel {
 /// One job's terminal record inside a [`SimOutcome`]: plain data plus a
 /// `(base, len)` range into the outcome's stage-report arena.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JobRecord {
+pub(crate) struct JobRecord {
     /// The spec's id.
     pub id: u64,
     /// Release time (µs).

@@ -87,9 +87,8 @@ pub mod trace;
 pub mod wheel;
 
 pub use engine::{
-    JobRecord, JobReport, JobSpec, JobStatus, JobView, Passive, RetryPolicy, SimControl,
-    SimOutcome, Simulator, SimulatorBuilder, Stage, StageReport, TraceLevel, TransferPolicy,
-    Workload,
+    JobReport, JobSpec, JobStatus, JobView, Passive, RetryPolicy, SimControl, SimOutcome,
+    Simulator, SimulatorBuilder, Stage, StageReport, TraceLevel, TransferPolicy, Workload,
 };
 pub use link::{mix64, DeviceLink, Discipline, LinkMix, LinkProfile, LinkSpec, StragglerConfig};
 pub use report::{completion_percentile, stage_stats, StageStats};

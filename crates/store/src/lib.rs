@@ -65,7 +65,7 @@ pub use backend::{DirBackend, MemBackend, StorageBackend};
 pub use bytes::Bytes;
 pub use compress::{compress, decompress, DecompressError};
 pub use fault::{Fault, FaultPlan, Method};
-pub use record::{Record, ScanEnd, COMMIT_BYTE, FORMAT_VERSION};
+pub use record::{Record, ScanEnd, FORMAT_VERSION};
 pub use store::{
     CompactionPolicy, EnvelopeStore, RecoveryReport, StoreConfig, StoreError, StoreStats,
     VersionEntry,

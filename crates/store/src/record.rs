@@ -13,12 +13,12 @@
 //!
 //! All integers are little-endian. `flags` bit 0 marks an
 //! LZSS-compressed payload (`len` stored bytes inflate to `raw_len`).
-//! The CRC (CRC-32/IEEE, [`crc32`]) covers every byte between the record
+//! The CRC (CRC-32/IEEE, `crc32`) covers every byte between the record
 //! magic and the CRC field itself (user through payload), so one pass
 //! over `29 - 4 + len` bytes seals or verifies a record; nothing else is
 //! checksummed.
 //!
-//! That pass is most of what a store operation costs, so [`crc32`] does
+//! That pass is most of what a store operation costs, so `crc32` does
 //! not run the table loop over the whole of a span of 6 KiB or more. It
 //! first reduces the span modulo a sparse multiple M of the CRC
 //! polynomial whose five lower terms all sit whole 64-bit words below its
@@ -63,7 +63,7 @@ const RECORD_MAGIC: &[u8; 4] = b"PLOG";
 /// On-disk format version.
 pub const FORMAT_VERSION: u16 = 1;
 /// The commit marker sealing every durable record.
-pub const COMMIT_BYTE: u8 = 0xC7;
+const COMMIT_BYTE: u8 = 0xC7;
 /// Segment header size in bytes.
 pub const HEADER_LEN: usize = 4 + 2 + 4 + 8;
 /// Where a record's payload starts: magic + user + version + flags +
@@ -118,7 +118,7 @@ pub enum ScanEnd {
 
 /// The reflected CRC-32/IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
-/// The shortest span [`crc32`] folds; below it the table loop alone is
+/// The shortest span `crc32` folds; below it the table loop alone is
 /// as fast (`store_log`'s `crc32/*` rows). It must leave [`REACH`]
 /// words unfolded.
 const FOLD_MIN: usize = 6 * 1024;
@@ -159,7 +159,7 @@ static TABLES: [[u32; 256]; 16] = build_crc_tables();
 /// the sub-word tail, goes through the table loop from a zero register.
 /// Shorter spans run the table loop alone. Every input gets the same
 /// value as the bytewise loop.
-pub fn crc32(bytes: &[u8]) -> u32 {
+fn crc32(bytes: &[u8]) -> u32 {
     if bytes.len() < FOLD_MIN {
         return !raw_update(0xFFFF_FFFF, bytes);
     }

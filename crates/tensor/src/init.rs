@@ -8,46 +8,9 @@ use rand::{Rng, RngExt as _};
 
 use crate::matrix::Matrix;
 
-/// Initialization scheme for a weight matrix.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Init {
-    /// All zeros (typical for biases).
-    Zeros,
-    /// Uniform in `[-bound, bound]`.
-    Uniform {
-        /// Half-width of the sampling interval.
-        bound: f32,
-    },
-    /// Xavier/Glorot uniform: `bound = sqrt(6 / (fan_in + fan_out))`.
-    XavierUniform,
-}
-
-impl Init {
-    /// Samples a `rows × cols` matrix under this scheme.
-    ///
-    /// For [`Init::XavierUniform`], `rows` is treated as fan-out and `cols`
-    /// as fan-in, matching a layer computing `y = W·x`.
-    pub fn sample<R: Rng + ?Sized>(self, rows: usize, cols: usize, rng: &mut R) -> Matrix {
-        match self {
-            Init::Zeros => Matrix::zeros(rows, cols),
-            Init::Uniform { bound } => sample_uniform(rows, cols, bound, rng),
-            Init::XavierUniform => {
-                let bound = (6.0 / (rows + cols) as f32).sqrt();
-                sample_uniform(rows, cols, bound, rng)
-            }
-        }
-    }
-}
-
-fn sample_uniform<R: Rng + ?Sized>(rows: usize, cols: usize, bound: f32, rng: &mut R) -> Matrix {
-    let mut m = Matrix::zeros(rows, cols);
-    for v in m.as_mut_slice() {
-        *v = rng.random_range(-bound..=bound);
-    }
-    m
-}
-
-/// Convenience wrapper for [`Init::XavierUniform`].
+/// Xavier/Glorot uniform: a `rows × cols` matrix uniform in `[-bound,
+/// bound]` with `bound = sqrt(6 / (fan_in + fan_out))`. `rows` is the
+/// fan-out and `cols` the fan-in, matching a layer computing `y = W·x`.
 ///
 /// # Example
 ///
@@ -59,7 +22,12 @@ fn sample_uniform<R: Rng + ?Sized>(rows: usize, cols: usize, bound: f32, rng: &m
 /// assert_eq!(w.shape(), (4, 16));
 /// ```
 pub fn xavier_uniform<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> Matrix {
-    Init::XavierUniform.sample(rows, cols, rng)
+    let bound = (6.0 / (rows + cols) as f32).sqrt();
+    let mut m = Matrix::zeros(rows, cols);
+    for v in m.as_mut_slice() {
+        *v = rng.random_range(-bound..=bound);
+    }
+    m
 }
 
 #[cfg(test)]
@@ -83,12 +51,5 @@ mod tests {
         let a = xavier_uniform(8, 8, &mut StdRng::seed_from_u64(42));
         let b = xavier_uniform(8, 8, &mut StdRng::seed_from_u64(42));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn zeros_scheme_is_zero() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let z = Init::Zeros.sample(3, 5, &mut rng);
-        assert!(z.as_slice().iter().all(|&v| v == 0.0));
     }
 }

@@ -21,7 +21,7 @@
 //! ```
 //! use pelican_tensor::Matrix;
 //!
-//! let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+//! let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
 //! let b = Matrix::identity(2);
 //! let c = a.matmul(&b);
 //! assert_eq!(c, a);
@@ -31,9 +31,9 @@ pub mod init;
 pub mod matrix;
 pub mod ops;
 
-pub use init::{xavier_uniform, Init};
+pub use init::xavier_uniform;
 pub use matrix::Matrix;
 pub use ops::{
     argmax, inverse_temperature, log_softmax_in_place, nearest_rank, sigmoid, softmax,
-    softmax_in_place, softmax_temperature_in_place, tanh, tanh_in_place, top_k, SoftmaxNorm,
+    softmax_temperature_in_place, tanh, tanh_in_place, top_k, SoftmaxNorm,
 };

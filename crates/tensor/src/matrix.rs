@@ -88,22 +88,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Creates a matrix from a slice of equal-length rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows have differing lengths or `rows` is empty.
-    pub fn from_rows(rows: &[&[f32]]) -> Self {
-        assert!(!rows.is_empty(), "from_rows requires at least one row");
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "all rows must have equal length");
-            data.extend_from_slice(r);
-        }
-        Self { rows: rows.len(), cols, data }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -669,6 +653,24 @@ impl std::fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Matrix {
+        /// Creates a matrix from a slice of equal-length rows.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the rows have differing lengths or `rows` is empty.
+        fn from_rows(rows: &[&[f32]]) -> Self {
+            assert!(!rows.is_empty(), "from_rows requires at least one row");
+            let cols = rows[0].len();
+            let mut data = Vec::with_capacity(rows.len() * cols);
+            for r in rows {
+                assert_eq!(r.len(), cols, "all rows must have equal length");
+                data.extend_from_slice(r);
+            }
+            Self { rows: rows.len(), cols, data }
+        }
+    }
 
     #[test]
     fn matmul_identity_is_noop() {

@@ -226,7 +226,7 @@ fn shifted_exp(v: f32, inv_t: f32, max: f32) -> f32 {
 }
 
 /// In-place stable softmax (temperature 1).
-pub fn softmax_in_place(x: &mut [f32]) {
+fn softmax_in_place(x: &mut [f32]) {
     softmax_temperature_in_place(x, 1.0);
 }
 

@@ -35,8 +35,8 @@
 use pelican::DefenseKind;
 use pelican_attacks::prior::random_probes;
 use pelican_attacks::{
-    evaluate_attack, interest_locations_in, Adversary, AttackEvaluation, AttackMethod,
-    CachedBlackBox, Instance, LogitCache, Prior, PriorKind, TimeBased, INTEREST_THRESHOLD,
+    evaluate_attack, interest_locations, Adversary, AttackEvaluation, AttackMethod, CachedBlackBox,
+    Instance, LogitCache, Prior, PriorKind, TimeBased, INTEREST_THRESHOLD,
 };
 use pelican_mobility::{FeatureSpace, Session};
 use pelican_nn::{PrefixTier, SequenceModel};
@@ -250,7 +250,7 @@ impl AuditGate {
         cache.flops += c.prior.cost(model) + beside;
         let probes = random_probes(space, c.probe_count, c.seed ^ 0x1f);
         let mut oracle = CachedBlackBox::new(model, cache);
-        let interest = interest_locations_in(&mut oracle, &probes, INTEREST_THRESHOLD);
+        let interest = interest_locations(&mut oracle, &probes, INTEREST_THRESHOLD);
         evaluate_attack(&c.method, &mut oracle, space, &prior, &interest, &instances, &c.ks)
     }
 

@@ -36,15 +36,15 @@
 use std::sync::Arc;
 
 use pelican::platform::ComputeTier;
-use pelican_nn::{Postprocess, SequenceModel, Step};
+use pelican_nn::{ModelEnvelope, Postprocess, SequenceModel, Step};
 use pelican_serve::{
     job_id, serve_harness, split_job_id, Lane, RegistryConfig, Request, SchedulerConfig, ServeFlow,
-    ServeHarness, ServeJob, ShardedRegistry, SimServeConfig,
+    ServeHarness, ServeJob, ShardedRegistry, SimServeConfig, UpdateError,
 };
 use pelican_sim::{
     mix64, stage_stats, JobReport, JobSpec, LinkProfile, LinkSpec, SimControl, Simulator, Workload,
 };
-use pelican_store::{EnvelopeStore, MemBackend, StoreConfig};
+use pelican_store::{EnvelopeStore, MemBackend, StorageBackend, StoreConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -222,15 +222,18 @@ struct RollbackFlow<'a> {
     swaps: Vec<Option<u64>>,
     /// `(dispatched_us, user, degraded)` per served query.
     query_log: Vec<(u64, usize, bool)>,
+    /// The first publication, rollback or lookup that failed; the drill
+    /// stops acting once it is set, and the study returns it.
+    error: Option<UpdateError>,
 }
 
 impl RollbackFlow<'_> {
     /// Served-vs-reference top-1 agreement across the canary set.
-    fn canary_agreement(&self) -> f64 {
+    fn canary_agreement(&self) -> Result<f64, UpdateError> {
         let mut matches = 0usize;
         let mut total = 0usize;
         for user in 0..self.cfg.users {
-            let (served, _) = self.registry.get(user).expect("published envelopes decode");
+            let (served, _) = self.registry.get(user)?;
             for (p, probe) in self.probes.iter().enumerate() {
                 total += 1;
                 if top1(&served.predict_proba(probe)) == self.good_top1[user][p] {
@@ -238,7 +241,7 @@ impl RollbackFlow<'_> {
                 }
             }
         }
-        matches as f64 / total.max(1) as f64
+        Ok(matches as f64 / total.max(1) as f64)
     }
 
     fn submit_canary(&self, tick: u64, at: u64, sim: &mut SimControl) {
@@ -266,9 +269,14 @@ impl Workload for RollbackFlow<'_> {
             }
             return;
         }
+        if self.error.is_some() {
+            return;
+        }
         if let Some(user) = self.pushes.take(job.id) {
-            self.registry.rollback(user, self.v1[user]).expect("v1 is retained in the durable log");
-            self.swaps[user] = Some(job.end_us);
+            match self.registry.rollback(user, self.v1[user]) {
+                Ok(_) => self.swaps[user] = Some(job.end_us),
+                Err(e) => self.error = Some(e),
+            }
             return;
         }
         let (kind, tick) = split_job_id(job.id);
@@ -278,14 +286,24 @@ impl Workload for RollbackFlow<'_> {
                 // the over-noised postprocess, through the same durable
                 // path as any legitimate update.
                 for (user, model) in self.bad.iter().enumerate() {
-                    self.registry.enroll(user, model);
+                    let envelope = ModelEnvelope::encode(model);
+                    if let Err(e) = self.registry.try_enroll_envelope(user, envelope) {
+                        self.error = Some(e.into());
+                        return;
+                    }
                 }
             }
             KIND_CANARY => {
                 if self.detected_at.is_some() {
                     return;
                 }
-                let agreement = self.canary_agreement();
+                let agreement = match self.canary_agreement() {
+                    Ok(agreement) => agreement,
+                    Err(e) => {
+                        self.error = Some(e);
+                        return;
+                    }
+                };
                 if agreement < CANARY_AGREEMENT_FLOOR {
                     self.detected_at = Some(job.end_us);
                     self.agreement_at_detection = agreement;
@@ -308,23 +326,34 @@ impl Workload for RollbackFlow<'_> {
     }
 }
 
-/// Runs the rollback-under-traffic study.
+/// Runs the rollback-under-traffic study on an in-memory disk.
+///
+/// # Errors
+///
+/// The first store or decode error of a publication, a rollback or a
+/// lookup, as [`UpdateError`].
 ///
 /// # Panics
 ///
 /// Panics if the canary never detects the regression before the query
 /// horizon, or if `users` is zero.
-pub fn run_rollback_study(cfg: &RollbackConfig) -> RollbackOutcome {
+pub fn run_rollback_study(cfg: &RollbackConfig) -> Result<RollbackOutcome, UpdateError> {
+    let disk = MemBackend::new();
+    study(cfg, Arc::new(disk.clone()), disk)
+}
+
+/// [`run_rollback_study`] over `backend`, whose bytes `disk` holds.
+fn study(
+    cfg: &RollbackConfig,
+    backend: Arc<dyn StorageBackend>,
+    disk: MemBackend,
+) -> Result<RollbackOutcome, UpdateError> {
     assert!(cfg.users > 0, "empty study");
 
     // The durable tier: store-backed registry, v1 fleet published
     // through the write-ahead log before traffic starts.
-    let disk = MemBackend::new();
-    let store = EnvelopeStore::open(
-        Arc::new(disk.clone()),
-        StoreConfig { shards: SHARDS, ..StoreConfig::default() },
-    )
-    .expect("fresh backend opens");
+    let store =
+        EnvelopeStore::open(backend, StoreConfig { shards: SHARDS, ..StoreConfig::default() })?;
     let registry = ShardedRegistry::with_store(
         reference_model(cfg.seed, 0),
         RegistryConfig { shards: SHARDS, hot_capacity: (cfg.users / 2).max(2) },
@@ -333,7 +362,11 @@ pub fn run_rollback_study(cfg: &RollbackConfig) -> RollbackOutcome {
 
     let reference: Vec<SequenceModel> =
         (0..cfg.users).map(|u| reference_model(cfg.seed, u as u64 + 1)).collect();
-    let v1: Vec<u64> = reference.iter().enumerate().map(|(u, m)| registry.enroll(u, m)).collect();
+    let v1 = reference
+        .iter()
+        .enumerate()
+        .map(|(u, m)| registry.try_enroll_envelope(u, ModelEnvelope::encode(m)))
+        .collect::<Result<Vec<u64>, _>>()?;
 
     // The regressed variants: same weights, scrambling postprocess.
     let bad: Vec<SequenceModel> = reference
@@ -415,9 +448,13 @@ pub fn run_rollback_study(cfg: &RollbackConfig) -> RollbackOutcome {
         pushes,
         swaps: vec![None; cfg.users],
         query_log: Vec::with_capacity(QUERIES),
+        error: None,
     };
     let sim = Simulator::builder().links(links).build().run(&initial, &mut flow);
-    let outcome = flow.serve.into_outcome(sim).expect("published envelopes decode");
+    if let Some(e) = flow.error {
+        return Err(e);
+    }
+    let outcome = flow.serve.into_outcome(sim)?;
 
     let detected_at_us =
         flow.detected_at.expect("canary must detect the regression before the query horizon");
@@ -449,7 +486,7 @@ pub fn run_rollback_study(cfg: &RollbackConfig) -> RollbackOutcome {
         history_total: stats.history_total(),
         fingerprint: outcome.fingerprint(),
     };
-    RollbackOutcome { report, registry, disk, reference, probes }
+    Ok(RollbackOutcome { report, registry, disk, reference, probes })
 }
 
 /// User `u`'s deterministic v1 model (`u == 0` is the fleet fallback).
@@ -461,20 +498,20 @@ fn reference_model(seed: u64, u: u64) -> SequenceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pelican_store::StorageBackend;
+    use pelican_store::{Fault, FaultPlan, Method, StoreError};
 
     #[test]
     fn the_study_is_deterministic() {
         let cfg = RollbackConfig { users: 6, ..RollbackConfig::default() };
-        let a = run_rollback_study(&cfg);
-        let b = run_rollback_study(&cfg);
+        let a = run_rollback_study(&cfg).unwrap();
+        let b = run_rollback_study(&cfg).unwrap();
         assert_eq!(a.report, b.report);
         assert_eq!(a.report.fingerprint, b.report.fingerprint);
     }
 
     #[test]
     fn the_staleness_window_is_ordered_and_paid_for() {
-        let out = run_rollback_study(&RollbackConfig::default());
+        let out = run_rollback_study(&RollbackConfig::default()).unwrap();
         let r = &out.report;
         assert!(r.regress_at_us < r.detected_at_us, "detection follows the regression");
         assert!(r.detected_at_us < r.first_swap_us, "pushes take link time");
@@ -492,11 +529,12 @@ mod tests {
 
     #[test]
     fn fatter_pushes_stretch_the_staleness_window() {
-        let slim = run_rollback_study(&RollbackConfig::default()).report;
+        let slim = run_rollback_study(&RollbackConfig::default()).unwrap().report;
         let fat = run_rollback_study(&RollbackConfig {
             push_bytes: 4 * RollbackConfig::default().push_bytes,
             ..RollbackConfig::default()
         })
+        .unwrap()
         .report;
         assert!(
             fat.staleness_us > slim.staleness_us,
@@ -509,7 +547,7 @@ mod tests {
     #[test]
     fn rolled_back_serving_matches_v1_and_survives_a_restart() {
         let cfg = RollbackConfig { users: 5, ..RollbackConfig::default() };
-        let out = run_rollback_study(&cfg);
+        let out = run_rollback_study(&cfg).unwrap();
 
         // Live registry: every user answers exactly like their v1 model
         // again, under a version newer than the regression's.
@@ -544,5 +582,32 @@ mod tests {
                 assert_eq!(served.predict_proba(probe), reference.predict_proba(probe));
             }
         }
+    }
+
+    #[test]
+    fn a_failed_publication_is_an_error_not_a_panic() {
+        let cfg = RollbackConfig { users: 4, ..RollbackConfig::default() };
+        let disk = MemBackend::new();
+        let plan = Arc::new(FaultPlan::new(disk.clone()));
+        // One append per publication: the v1 fleet's, then the first
+        // regressed one, which fails.
+        plan.arm(Method::Append, cfg.users + 1, Fault::Error);
+        let result = study(&cfg, plan, disk);
+        assert!(
+            matches!(result, Err(UpdateError::Store(StoreError::Io(_)))),
+            "the regressed publication's failed append must surface as a store error"
+        );
+    }
+
+    #[test]
+    fn a_failed_rollback_is_an_error_not_a_panic() {
+        let cfg = RollbackConfig { users: 4, ..RollbackConfig::default() };
+        let disk = MemBackend::new();
+        let plan = Arc::new(FaultPlan::new(disk.clone()));
+        // The v1 fleet and the regression publish first; the first
+        // rollback's re-publication fails.
+        plan.arm(Method::Append, 2 * cfg.users + 1, Fault::Error);
+        let result = study(&cfg, plan, disk);
+        assert!(matches!(result, Err(UpdateError::Store(StoreError::Io(_)))));
     }
 }

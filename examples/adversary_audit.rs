@@ -5,6 +5,7 @@
 //! Run with: `cargo run --release --example adversary_audit`
 
 use pelican::workbench::Scenario;
+use pelican::DefenseKind;
 use pelican_attacks::{Adversary, AttackMethod, PriorKind, TimeBased};
 use pelican_mobility::{Scale, SpatialLevel};
 
@@ -18,8 +19,15 @@ fn main() {
     for user in &scenario.personal {
         // The adversary (honest-but-curious provider) sees: the black-box
         // model, the prior, the previous session and the observed output.
-        let eval =
-            scenario.attack_user(user, Adversary::A1, &method, PriorKind::True, &[1, 3], 8, None);
+        let eval = scenario.attack_user(
+            user,
+            Adversary::A1,
+            &method,
+            PriorKind::True,
+            &[1, 3],
+            8,
+            DefenseKind::None,
+        );
         println!(
             "user {:>2}: model top-3 accuracy {:>5.1}%  |  attack recovers {:>5.1}% of hidden \
              locations (top-3), {:.0} queries/instance",
@@ -34,12 +42,12 @@ fn main() {
         if let Some(inst) = instances.first() {
             let prior = scenario.prior(user, PriorKind::True);
             let probes = pelican_attacks::prior::random_probes(&scenario.dataset.space, 24, 5);
+            let mut model = user.model.clone();
             let interest = pelican_attacks::interest_locations(
-                &user.model,
+                &mut model,
                 &probes,
                 pelican_attacks::INTEREST_THRESHOLD,
             );
-            let mut model = user.model.clone();
             let (ranking, _) =
                 method.run(&mut model, &scenario.dataset.space, &prior, &interest, inst);
             let guesses = ranking.top_k(3);

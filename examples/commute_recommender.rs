@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use pelican::platform::{ComputeTier, ResourceUsage};
 use pelican::workbench::Scenario;
-use pelican::PrivacyLayer;
+use pelican::PAPER_DEFENSE;
 use pelican_mobility::{Scale, SpatialLevel};
 use pelican_nn::{fit, TrainConfig};
 use pelican_sim::LinkProfile;
@@ -54,7 +54,7 @@ fn main() {
     // cloud-hosted model costs a WAN request and response, an on-device
     // one no network traversal at all.
     let mut deployed = updated;
-    PrivacyLayer::default().apply(&mut deployed);
+    PAPER_DEFENSE.apply(&mut deployed);
     let query = &full.personal[0].test[0].xs;
     let probs = deployed.predict_proba(query);
     let top = pelican_tensor::top_k(&probs, 3);

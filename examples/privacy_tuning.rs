@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example privacy_tuning`
 
 use pelican::workbench::Scenario;
-use pelican::{reduction_in_leakage, PrivacyLayer};
+use pelican::{reduction_in_leakage, DefenseKind, PAPER_TEMPERATURES};
 use pelican_attacks::{Adversary, AttackMethod, PriorKind, TimeBased};
 use pelican_mobility::{Scale, SpatialLevel};
 
@@ -13,7 +13,8 @@ fn main() {
         Scenario::builder(Scale::Tiny, SpatialLevel::Building).seed(21).personal_users(2).build();
     let method = AttackMethod::TimeBased(TimeBased::default());
 
-    let baseline = scenario.attack_all(Adversary::A1, &method, PriorKind::True, &[3], 8, None);
+    let baseline =
+        scenario.attack_all(Adversary::A1, &method, PriorKind::True, &[3], 8, DefenseKind::None);
     println!(
         "no defense:   attack top-3 {:>5.1}%   (the leak Pelican exists to stop)\n",
         baseline.accuracy(3) * 100.0
@@ -21,17 +22,17 @@ fn main() {
     println!("temperature   attack top-3   leakage reduction   service top-3");
     println!("-----------   ------------   -----------------   --------------");
 
-    for layer in PrivacyLayer::paper_sweep() {
-        let t = layer.temperature();
+    for t in PAPER_TEMPERATURES {
+        let defense = DefenseKind::Temperature { temperature: t };
         let attacked =
-            scenario.attack_all(Adversary::A1, &method, PriorKind::True, &[3], 8, Some(t));
+            scenario.attack_all(Adversary::A1, &method, PriorKind::True, &[3], 8, defense);
         // Service accuracy with the defense installed. The temperature
         // layer preserves the logit ordering exactly, so the deployed
         // runtime ranks from logits ("appropriate precision", §V-B).
         let mut service_acc = 0.0;
         for user in &scenario.personal {
             let mut defended = user.model.clone();
-            layer.apply(&mut defended);
+            defense.apply(&mut defended);
             let hits = user
                 .test
                 .iter()

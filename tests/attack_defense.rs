@@ -2,8 +2,8 @@
 //! models leak historical locations (§IV), and the Pelican privacy layer
 //! substantially reduces that leakage without hurting accuracy (§V).
 
-use pelican::reduction_in_leakage;
 use pelican::workbench::Scenario;
+use pelican::{reduction_in_leakage, DefenseKind, PAPER_DEFENSE};
 use pelican_attacks::{Adversary, AttackMethod, PriorKind, TimeBased};
 use pelican_mobility::{Scale, SpatialLevel};
 
@@ -21,7 +21,15 @@ fn attack_beats_the_prior_baseline() {
     let mut prior_hits = 0usize;
     let mut total = 0usize;
     for user in &s.personal {
-        let eval = s.attack_user(user, Adversary::A1, &method, PriorKind::True, &[3], 10, None);
+        let eval = s.attack_user(
+            user,
+            Adversary::A1,
+            &method,
+            PriorKind::True,
+            &[3],
+            10,
+            DefenseKind::None,
+        );
         let prior = s.prior(user, PriorKind::True);
         let mut ranked: Vec<usize> = (0..prior.len()).collect();
         ranked.sort_by(|&a, &b| prior.prob(b).partial_cmp(&prior.prob(a)).unwrap());
@@ -47,8 +55,8 @@ fn adversaries_perform_comparably() {
     // Fig. 2b: A3's lack of side knowledge barely degrades the attack.
     let s = scenario(32);
     let method = AttackMethod::TimeBased(TimeBased::default());
-    let a1 = s.attack_all(Adversary::A1, &method, PriorKind::True, &[3], 6, None);
-    let a3 = s.attack_all(Adversary::A3, &method, PriorKind::True, &[3], 6, None);
+    let a1 = s.attack_all(Adversary::A1, &method, PriorKind::True, &[3], 6, DefenseKind::None);
+    let a3 = s.attack_all(Adversary::A3, &method, PriorKind::True, &[3], 6, DefenseKind::None);
     assert!(
         a3.accuracy(3) >= a1.accuracy(3) * 0.5,
         "A3 ({:.3}) should stay in the same league as A1 ({:.3})",
@@ -61,8 +69,9 @@ fn adversaries_perform_comparably() {
 fn defense_reduces_leakage_and_preserves_accuracy() {
     let s = scenario(33);
     let method = AttackMethod::TimeBased(TimeBased::default());
-    let before = s.attack_all(Adversary::A1, &method, PriorKind::True, &[1, 3], 10, None);
-    let after = s.attack_all(Adversary::A1, &method, PriorKind::True, &[1, 3], 10, Some(1e-3));
+    let before =
+        s.attack_all(Adversary::A1, &method, PriorKind::True, &[1, 3], 10, DefenseKind::None);
+    let after = s.attack_all(Adversary::A1, &method, PriorKind::True, &[1, 3], 10, PAPER_DEFENSE);
     assert!(
         after.accuracy(3) <= before.accuracy(3),
         "defense must not increase leakage: {:.3} -> {:.3}",
@@ -90,8 +99,8 @@ fn no_prior_weakens_the_attack() {
     // Fig. 2c: removing the prior hurts.
     let s = scenario(34);
     let method = AttackMethod::TimeBased(TimeBased::default());
-    let with = s.attack_all(Adversary::A1, &method, PriorKind::True, &[1], 8, None);
-    let without = s.attack_all(Adversary::A1, &method, PriorKind::None, &[1], 8, None);
+    let with = s.attack_all(Adversary::A1, &method, PriorKind::True, &[1], 8, DefenseKind::None);
+    let without = s.attack_all(Adversary::A1, &method, PriorKind::None, &[1], 8, DefenseKind::None);
     assert!(
         with.accuracy(1) >= without.accuracy(1),
         "true prior ({:.3}) should not underperform no prior ({:.3})",
@@ -112,7 +121,7 @@ fn time_based_attack_is_orders_cheaper_than_brute_force() {
         PriorKind::True,
         &[1],
         2,
-        None,
+        DefenseKind::None,
     );
     let bf = s.attack_user(
         user,
@@ -121,7 +130,7 @@ fn time_based_attack_is_orders_cheaper_than_brute_force() {
         PriorKind::True,
         &[1],
         2,
-        None,
+        DefenseKind::None,
     );
     assert!(
         tb.queries_per_instance() * 20.0 < bf.queries_per_instance(),

@@ -420,7 +420,8 @@ fn fleet_rollback_drill_is_the_recorded_one() {
     // The 8-user drill at the default seed. Recorded at `12b4d0c`;
     // serving its queries through the serving tier moved only the
     // fingerprint (was 0x481e…da8a).
-    let report = run_rollback_study(&RollbackConfig { users: 8, ..RollbackConfig::default() });
+    let report = run_rollback_study(&RollbackConfig { users: 8, ..RollbackConfig::default() })
+        .expect("the drill's in-memory disk fails no call");
     assert_eq!(
         report.report,
         RollbackReport {

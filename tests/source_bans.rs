@@ -11,12 +11,15 @@
 //! * Retired knobs: the optimizer choice and the extraction thresholds
 //!   had one value in use and are constants beside their one use; a
 //!   second value comes back as a deliberate change, not as a setting.
+//! * Second front doors to the defense and the attack: `DefenseKind`
+//!   names, validates and installs every defense, and one
+//!   `interest_locations` probes any `BlackBox`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// `(pattern, use instead)`.
-const BANS: [(&str, &str); 9] = [
+const BANS: [(&str, &str); 12] = [
     (".tanh()", "pelican_tensor::ops::tanh"),
     ("f32::tanh", "pelican_tensor::ops::tanh"),
     ("thread_local!", "state passed in and returned, not kept per thread"),
@@ -26,6 +29,9 @@ const BANS: [(&str, &str); 9] = [
     ("OptimizerKind", "Adam, the one optimizer `fit` steps"),
     ("Sgd::", "Adam, the one optimizer `fit` steps"),
     ("ExtractConfig", "extract_sessions' IDLE_TIMEOUT and MIN_DWELL"),
+    ("PrivacyLayer", "DefenseKind::Temperature, and PAPER_DEFENSE for the paper's T"),
+    ("attack_user_defended", "Scenario::attack_user, which takes a DefenseKind"),
+    ("interest_locations_in", "interest_locations, which takes any BlackBox"),
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -82,4 +88,5 @@ fn the_scan_flags_each_pattern_and_skips_comments() {
     assert!(banned_uses(path, "let y = tanh(x);").is_empty());
     assert_eq!(banned_uses(path, "    record_flops(2 * n);").len(), 1);
     assert!(banned_uses(path, "// the counter's record_flops is gone").is_empty());
+    assert_eq!(banned_uses(path, "PrivacyLayer::default().apply(&mut m);").len(), 1);
 }

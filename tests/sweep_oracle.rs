@@ -14,7 +14,7 @@
 use pelican::{prepare, DefenseKind, PersonalizationConfig, PersonalizationMethod};
 use pelican_attacks::prior::random_probes;
 use pelican_attacks::{
-    evaluate_attack, interest_locations_in, Adversary, AttackEvaluation, AttackMethod, BlackBox,
+    evaluate_attack, interest_locations, Adversary, AttackEvaluation, AttackMethod, BlackBox,
     BruteForce, CachedBlackBox, Instance, LogitCache, Prior, TimeBased, INTEREST_THRESHOLD,
 };
 use pelican_mobility::{FeatureSpace, Session, SpatialLevel};
@@ -186,7 +186,7 @@ fn reference_audit(
     let prior = Prior::of_kind(c.prior, &space, &subject.history, model, c.seed ^ 0x9d);
     let probes = random_probes(&space, c.probe_count, c.seed ^ 0x1f);
     let mut oracle = OneAtATime(CachedBlackBox::new(model, cache));
-    let interest = interest_locations_in(&mut oracle, &probes, INTEREST_THRESHOLD);
+    let interest = interest_locations(&mut oracle, &probes, INTEREST_THRESHOLD);
     evaluate_attack(&c.method, &mut oracle, &space, &prior, &interest, &instances, &c.ks)
 }
 

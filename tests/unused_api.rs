@@ -5,9 +5,11 @@
 //!   struct`/`enum`/`trait` there that no `pub` signature in its own file
 //!   takes or returns, must be named as a whole word by some other file
 //!   under `crates/`, `src/`, `tests/`, `examples/` or `benchmark/src` (the
-//!   benchmark calls the API, so it counts as a caller). A name that only
-//!   its own file uses is dead code or need not be `pub`. The exceptions
-//!   are in `ALLOWED`, each with its reason.
+//!   benchmark calls the API, so it counts as a caller). Only code names
+//!   it: a mention in a comment, a doc comment or a `use`/`pub use`
+//!   declaration calls nothing. A name that only its own file uses is
+//!   dead code or need not be `pub`. The exceptions are in `ALLOWED`,
+//!   each with its reason.
 //! * The settable fields — pub fields of pub `*Config`/`*Network`/`*Policy`
 //!   structs under `crates/*/src` — may not grow past `SETTABLE_FIELDS`: a
 //!   setting that every caller sets the same way is a constant beside its
@@ -84,6 +86,59 @@ fn names(text: &str, word: &str) -> bool {
     })
 }
 
+/// `text` without its comments and its `use` declarations (multi-line
+/// `{ … }` blocks included): what is left is what calls a name. String
+/// literals stay, so a `//` inside one is no comment.
+fn calling_code(text: &str) -> String {
+    let chars: Vec<char> = text.chars().collect();
+    let mut code = String::with_capacity(text.len());
+    let mut i = 0;
+    while i < chars.len() {
+        let rest = &chars[i..];
+        if rest.starts_with(&['/', '/']) {
+            i += rest.iter().position(|&c| c == '\n').unwrap_or(rest.len());
+        } else if rest.starts_with(&['/', '*']) {
+            let end = rest.windows(2).position(|w| w == ['*', '/']).map_or(rest.len(), |e| e + 2);
+            i += end;
+        } else if rest.starts_with(&['\'', '"', '\'']) || rest.starts_with(&['\'', '\\', '"', '\''])
+        {
+            // A char literal holding a quote opens no string.
+            let len = if rest[1] == '"' { 3 } else { 4 };
+            code.extend(&rest[..len]);
+            i += len;
+        } else if rest[0] == '"' {
+            let mut end = 1;
+            while end < rest.len() && rest[end] != '"' {
+                end += if rest[end] == '\\' { 2 } else { 1 };
+            }
+            let end = (end + 1).min(rest.len());
+            code.extend(&rest[..end]);
+            i += end;
+        } else {
+            code.push(rest[0]);
+            i += 1;
+        }
+    }
+    let mut out = String::with_capacity(code.len());
+    let mut in_use = false;
+    for line in code.lines() {
+        let item = line.trim_start();
+        let item = match item.strip_prefix("pub") {
+            Some(r) if r.starts_with('(') => r.find(')').map_or(item, |e| r[e + 1..].trim_start()),
+            Some(r) if r.starts_with(' ') => r.trim_start(),
+            _ => item,
+        };
+        in_use = in_use || item.starts_with("use ");
+        if in_use {
+            in_use = !line.contains(';');
+        } else {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
 /// `(kind, name)` of a line declaring a `pub` item (not `pub(crate)`).
 fn declared(line: &str) -> Option<(&'static str, &str)> {
     let rest = line.trim_start().strip_prefix("pub ")?;
@@ -115,8 +170,10 @@ fn pub_signatures(code: &[(usize, &str)], skip: usize) -> String {
 }
 
 /// `path:line: pub kind name` for each name `sources` declare that no
-/// other file of `sources` or `others` names.
+/// other file of `sources` or `others` names in code.
 fn unused(sources: &[Source], others: &[Source]) -> Vec<String> {
+    let callers: Vec<(&PathBuf, String)> =
+        sources.iter().chain(others).map(|(p, t)| (p, calling_code(t))).collect();
     let mut found = Vec::new();
     for (path, text) in sources {
         let code: Vec<(usize, &str)> = text
@@ -130,7 +187,7 @@ fn unused(sources: &[Source], others: &[Source]) -> Vec<String> {
             {
                 continue;
             }
-            let elsewhere = sources.iter().chain(others).any(|(p, t)| p != path && names(t, name));
+            let elsewhere = callers.iter().any(|(p, t)| *p != path && names(t, name));
             if !elsewhere {
                 found.push(format!("{}:{}: pub {kind} {name}", path.display(), i + 1));
             }
@@ -228,6 +285,32 @@ fn the_scan_flags_a_planted_name() {
         ["a.rs:1: pub fn planted_name", "a.rs:6: pub struct Loose"]
     );
     let caller = file("b.rs", "planted_name(); Loose; take; LIMIT");
+    assert!(unused(&[planted], &[caller]).is_empty());
+}
+
+#[test]
+fn a_comment_or_a_use_declaration_is_no_caller() {
+    let file = |path: &str, text: &str| -> Source { (PathBuf::from(path), text.to_string()) };
+    let planted =
+        file("a.rs", "pub fn planted() {}\npub const SPARE: u8 = 0;\npub fn called() {}\n");
+    let mentions = [
+        "// planted() and SPARE, in a comment\n",
+        "/// [`planted`], [`SPARE`]\n",
+        "/* planted, SPARE */\n",
+        "use a::planted;\npub use a::SPARE;\n",
+        "pub(crate) use a::{\n    planted,\n    SPARE,\n};\n",
+    ];
+    for text in mentions {
+        let caller = file("b.rs", &format!("{text}fn f() {{ called(); }}\n"));
+        assert_eq!(
+            unused(std::slice::from_ref(&planted), &[caller]),
+            ["a.rs:1: pub fn planted", "a.rs:2: pub const SPARE"],
+            "counted as a caller: {text:?}"
+        );
+    }
+    // Code after a `//` inside a string, or after a `use` block, calls.
+    let caller =
+        file("b.rs", "use a::{\n    x,\n};\nlet url = \"http://\"; planted(); SPARE; called();\n");
     assert!(unused(&[planted], &[caller]).is_empty());
 }
 
