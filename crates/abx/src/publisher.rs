@@ -57,7 +57,7 @@ pub struct ArmPublication {
 /// Applies a defense rung to a copy of the base weights.
 pub fn defended(base: &SequenceModel, rung: DefenseKind) -> SequenceModel {
     let mut model = base.clone();
-    rung.apply(&mut model);
+    model.set_defense(rung);
     model
 }
 

@@ -468,7 +468,7 @@ mod tests {
         assert_eq!(cached, direct);
         // A second probe of the same weights under another temperature
         // answers from the cache, and the set shrinks toward the argmaxes.
-        model.set_temperature(1e-3);
+        model.set_defense(pelican_nn::DefenseKind::Temperature { temperature: 1e-3 });
         let misses = cache.misses;
         let sharpened = interest_locations(
             &mut CachedBlackBox::new(&model, &mut cache),

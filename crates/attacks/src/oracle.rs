@@ -19,8 +19,8 @@
 //! wraps one with a [`LogitCache`], which remembers two things per query
 //! fingerprint, each valid for as long as what it is keyed to stays put:
 //!
-//! * **Logits — keyed to all the weights.** Defenses
-//!   ([`pelican_nn::Postprocess`], temperature) only transform the
+//! * **Logits — keyed to all the weights.** A defense
+//!   ([`pelican_nn::DefenseKind`]) only transforms the
 //!   logits→confidence mapping, never the logits, so a cache filled
 //!   under one defense answers the same queries under *any other defense
 //!   of the same weights* without a single forward pass — the
@@ -47,7 +47,7 @@
 
 use std::collections::HashMap;
 
-use pelican_nn::{sweep_query_hashes, Postprocess, PrefixTier, Sequence, SequenceModel, Step};
+use pelican_nn::{sweep_query_hashes, DefenseKind, PrefixTier, Sequence, SequenceModel, Step};
 use pelican_tensor::{inverse_temperature, Matrix, SoftmaxNorm};
 
 /// Black-box (plus gradient-oracle) access to a deployed model.
@@ -102,9 +102,9 @@ impl BlackBox for SequenceModel {
 /// Raw logits memoized per query fingerprint, with hit/miss accounting,
 /// and beside them what the model's frozen prefix answered each query.
 ///
-/// The logits are valid across *defense* changes (temperature,
-/// post-processing) of one set of weights; any weight update invalidates
-/// them — create a fresh cache per candidate model. [`LogitCache::prefix`]
+/// The logits are valid across *defense* changes of one set of weights;
+/// any weight update invalidates them — create a fresh cache per
+/// candidate model. [`LogitCache::prefix`]
 /// survives any update that leaves the frozen prefix alone, so a fresh
 /// cache may start from its predecessor's.
 #[derive(Debug, Clone, Default)]
@@ -249,7 +249,7 @@ impl BlackBox for CachedBlackBox<'_, '_> {
     }
 
     /// Replays each cached row through the model's *current* confidence
-    /// pipeline. Without post-processing that is the row's softmax
+    /// pipeline. Under a temperature (or none) that is the row's softmax
     /// normaliser and one `exp`: the normaliser is computed the first
     /// time the row is asked under this temperature and kept. Noise and
     /// rounding renormalise the whole vector, so under them the full
@@ -264,14 +264,16 @@ impl BlackBox for CachedBlackBox<'_, '_> {
         let found = self.lookup(template, slot, candidates);
         let (model, cache) = (self.model, &mut *self.cache);
         let width = model.output_dim();
-        if model.postprocess() != Postprocess::None {
+        let defense = model.defense();
+        if matches!(defense, DefenseKind::OutputNoise { .. } | DefenseKind::Rounding { .. }) {
             return found
                 .into_iter()
                 .map(|(key, at)| model.proba_from_logits(cache.row(at, width).to_vec(), key)[class])
                 .collect();
         }
-        let stamp = model.temperature().to_bits();
-        let inv_t = inverse_temperature(model.temperature());
+        let temperature = defense.softmax_temperature();
+        let stamp = temperature.to_bits();
+        let inv_t = inverse_temperature(temperature);
         let mut exps = Vec::with_capacity(width);
         found
             .into_iter()
@@ -341,7 +343,7 @@ mod tests {
         // Sharpen the temperature (the audit gate's escalation): the
         // cached logits must replay the *new* defense bit-identically,
         // without a forward pass.
-        m.set_temperature(1e-3);
+        m.set_defense(DefenseKind::Temperature { temperature: 1e-3 });
         let expected = m.predict_proba(&xs);
         let answer = CachedBlackBox::new(&m, &mut cache).predict_proba(&xs);
         assert_eq!(answer, expected);

@@ -9,6 +9,7 @@
 //!   temperature and iteration budget.
 //! * `freeze_depth` — fine-tuning with different freeze boundaries.
 
+use pelican::defenses::COMPARISON_SUITE;
 use pelican::{personalize, DefenseKind, PersonalizationConfig, PersonalizationMethod};
 use pelican_attacks::{
     evaluate_attack, interest_locations, Adversary, AttackMethod, GradientDescent, PriorKind,
@@ -28,7 +29,7 @@ pub fn defense_compare(config: &RunConfig) -> Table {
     let method = AttackMethod::TimeBased(TimeBased::default());
     let mut baseline_attack = 0.0;
     let mut rows: Vec<(String, f64, f64, bool)> = Vec::new();
-    for defense in DefenseKind::comparison_suite() {
+    for defense in COMPARISON_SUITE {
         let mut attack_hits = 0.0;
         let mut service_acc = 0.0;
         let mut total = 0.0;
@@ -45,7 +46,7 @@ pub fn defense_compare(config: &RunConfig) -> Table {
             attack_hits += eval.accuracy(3) * eval.total as f64;
             total += eval.total as f64;
             let mut defended = user.model.clone();
-            defense.apply(&mut defended);
+            defended.set_defense(defense);
             // Ranking-preserving defenses (temperature) serve from the
             // exact logit ordering — the paper's "appropriate precision"
             // assumption; perturbation defenses are measured on the

@@ -9,8 +9,9 @@
 //!   control, and a fresh [`CohortSplitter`] all reproduce the exact
 //!   same cohorts;
 //! * an A/A control (both arms serving the *same* rung) decides
-//!   [`Verdict::Null`] and moves nobody — the verdict engine cannot
-//!   manufacture a winner out of cohort-composition noise;
+//!   [`Verdict::Null`](pelican_abx::Verdict::Null) and moves nobody —
+//!   the verdict engine cannot manufacture a winner out of
+//!   cohort-composition noise;
 //! * the experiment fingerprint is bit-identical across 1/2/8
 //!   trainer-pool workers — host scheduling never leaks into the
 //!   virtual timeline;

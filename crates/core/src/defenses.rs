@@ -15,14 +15,12 @@
 //!
 //! The paper positions it against output-perturbation defenses
 //! (MemGuard, Jia et al.; prediction purification, Yang et al.) and
-//! precision-limited outputs. This module implements those alternatives
-//! as black-box confidence post-processors so experiments can measure,
-//! under the *same* attack, each defense's leakage reduction and accuracy
-//! cost.
+//! precision-limited outputs. [`DefenseKind`] (defined in `pelican_nn`,
+//! where a model carries one) names those alternatives beside the
+//! temperature, so experiments can measure, under the *same* attack, each
+//! defense's leakage reduction and accuracy cost.
 
-use serde::{Deserialize, Serialize};
-
-use pelican_nn::{Postprocess, SequenceModel};
+pub use pelican_nn::DefenseKind;
 
 /// The paper's evaluated defense (Fig. 5a, 5c): the temperature layer at
 /// `T = 1e-3`.
@@ -31,96 +29,17 @@ pub const PAPER_DEFENSE: DefenseKind = DefenseKind::Temperature { temperature: 1
 /// The temperatures Fig. 5b sweeps, descending.
 pub const PAPER_TEMPERATURES: [f32; 5] = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5];
 
-/// A deployable defense against model-inversion attacks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum DefenseKind {
-    /// No defense (baseline).
-    None,
-    /// Pelican's temperature layer (§V-B).
-    Temperature {
-        /// Privacy temperature in `(0, 1]`.
-        temperature: f32,
-    },
-    /// MemGuard-style output perturbation: additive noise on confidences.
-    OutputNoise {
-        /// Noise standard deviation.
-        sigma: f32,
-    },
-    /// Precision truncation: round confidences to `decimals` places.
-    Rounding {
-        /// Decimal places kept.
-        decimals: u32,
-    },
-}
+/// The seed the comparison suite's output noise is keyed by.
+const COMPARISON_NOISE_SEED: u64 = 0x0DD5;
 
-impl DefenseKind {
-    /// Installs the defense on a model (inference behaviour only),
-    /// replacing whatever defense it carried.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`DefenseKind::Temperature`] outside `(0, 1]`.
-    pub fn apply(self, model: &mut SequenceModel) {
-        match self {
-            DefenseKind::None => {
-                model.set_temperature(1.0);
-                model.set_postprocess(Postprocess::None);
-            }
-            DefenseKind::Temperature { temperature } => {
-                // Above 1 the layer would *flatten* confidences, leaking
-                // their ordering more readily: never what a defense wants.
-                assert!(
-                    temperature > 0.0 && temperature <= 1.0 && temperature.is_finite(),
-                    "privacy temperature must be in (0, 1], got {temperature}"
-                );
-                model.set_temperature(temperature);
-                model.set_postprocess(Postprocess::None);
-            }
-            DefenseKind::OutputNoise { sigma } => {
-                model.set_temperature(1.0);
-                model.set_postprocess(Postprocess::GaussianNoise { sigma, seed: 0x0DD5 });
-            }
-            DefenseKind::Rounding { decimals } => {
-                model.set_temperature(1.0);
-                model.set_postprocess(Postprocess::Round { decimals });
-            }
-        }
-    }
-
-    /// Whether the defense provably preserves the confidence *ranking*
-    /// (and therefore top-k service accuracy). Only Pelican's temperature
-    /// layer does; noise and rounding trade accuracy for privacy.
-    pub fn preserves_ranking(self) -> bool {
-        matches!(self, DefenseKind::None | DefenseKind::Temperature { .. })
-    }
-
-    /// Display name for reports.
-    pub fn name(self) -> String {
-        match self {
-            DefenseKind::None => "none".into(),
-            DefenseKind::Temperature { temperature } => format!("temperature {temperature:.0e}"),
-            DefenseKind::OutputNoise { sigma } => format!("output noise σ={sigma}"),
-            DefenseKind::Rounding { decimals } => format!("round {decimals}dp"),
-        }
-    }
-
-    /// The comparison suite used by the `defense-compare` experiment.
-    pub fn comparison_suite() -> Vec<DefenseKind> {
-        vec![
-            DefenseKind::None,
-            PAPER_DEFENSE,
-            DefenseKind::OutputNoise { sigma: 0.05 },
-            DefenseKind::OutputNoise { sigma: 0.2 },
-            DefenseKind::Rounding { decimals: 1 },
-        ]
-    }
-}
-
-impl std::fmt::Display for DefenseKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.name())
-    }
-}
+/// The comparison suite used by the `defense-compare` experiment.
+pub const COMPARISON_SUITE: [DefenseKind; 5] = [
+    DefenseKind::None,
+    PAPER_DEFENSE,
+    DefenseKind::OutputNoise { sigma: 0.05, seed: COMPARISON_NOISE_SEED },
+    DefenseKind::OutputNoise { sigma: 0.2, seed: COMPARISON_NOISE_SEED },
+    DefenseKind::Rounding { decimals: 1 },
+];
 
 /// Percentage reduction in privacy leakage (the y-axis of Fig. 5):
 /// `100 · (before − after) / before`, clamped below at 0.
@@ -139,7 +58,7 @@ pub fn reduction_in_leakage(before: f64, after: f64) -> f64 {
 mod tests {
     use super::*;
     use pelican_nn::metrics::evaluate_top_k;
-    use pelican_nn::Sample;
+    use pelican_nn::{Sample, SequenceModel};
     use rand::rngs::StdRng;
     use rand::{RngExt as _, SeedableRng};
 
@@ -162,7 +81,7 @@ mod tests {
         let (model, samples) = model_and_samples();
         let baseline = evaluate_top_k(&model, &samples, &[1, 3]);
         let mut defended = model.clone();
-        DefenseKind::Temperature { temperature: 1e-2 }.apply(&mut defended);
+        defended.set_defense(DefenseKind::Temperature { temperature: 1e-2 });
         let after = evaluate_top_k(&defended, &samples, &[1, 3]);
         assert_eq!(baseline.accuracy(1), after.accuracy(1));
         assert_eq!(baseline.accuracy(3), after.accuracy(3));
@@ -172,7 +91,7 @@ mod tests {
     fn noise_defense_perturbs_confidences() {
         let (model, samples) = model_and_samples();
         let mut defended = model.clone();
-        DefenseKind::OutputNoise { sigma: 0.1 }.apply(&mut defended);
+        defended.set_defense(DefenseKind::OutputNoise { sigma: 0.1, seed: COMPARISON_NOISE_SEED });
         let before = model.predict_proba(&samples[0].xs);
         let after = defended.predict_proba(&samples[0].xs);
         assert_ne!(before, after);
@@ -183,7 +102,7 @@ mod tests {
     fn noise_is_deterministic_per_query() {
         let (model, samples) = model_and_samples();
         let mut defended = model.clone();
-        DefenseKind::OutputNoise { sigma: 0.1 }.apply(&mut defended);
+        defended.set_defense(DefenseKind::OutputNoise { sigma: 0.1, seed: COMPARISON_NOISE_SEED });
         let a = defended.predict_proba(&samples[0].xs);
         let b = defended.predict_proba(&samples[0].xs);
         assert_eq!(a, b, "repeating a query must not let the adversary average the noise away");
@@ -199,7 +118,7 @@ mod tests {
     fn rounding_coarsens_confidences() {
         let (model, samples) = model_and_samples();
         let mut defended = model.clone();
-        DefenseKind::Rounding { decimals: 1 }.apply(&mut defended);
+        defended.set_defense(DefenseKind::Rounding { decimals: 1 });
         let p = defended.predict_proba(&samples[0].xs);
         // After rounding to one decimal, at most 11 distinct raw values
         // exist (0.0, 0.1, …, 1.0); renormalization rescales but cannot
@@ -216,17 +135,18 @@ mod tests {
     fn ranking_preservation_flags() {
         assert!(DefenseKind::None.preserves_ranking());
         assert!(PAPER_DEFENSE.preserves_ranking());
-        assert!(!DefenseKind::OutputNoise { sigma: 0.1 }.preserves_ranking());
+        assert!(!DefenseKind::OutputNoise { sigma: 0.1, seed: COMPARISON_NOISE_SEED }
+            .preserves_ranking());
         assert!(!DefenseKind::Rounding { decimals: 1 }.preserves_ranking());
     }
 
     #[test]
     fn apply_sets_model_temperature() {
         let (mut model, _) = model_and_samples();
-        DefenseKind::Temperature { temperature: 1e-2 }.apply(&mut model);
-        assert_eq!(model.temperature(), 1e-2);
-        DefenseKind::None.apply(&mut model);
-        assert_eq!(model.temperature(), 1.0);
+        model.set_defense(DefenseKind::Temperature { temperature: 1e-2 });
+        assert_eq!(model.defense(), DefenseKind::Temperature { temperature: 1e-2 });
+        model.set_defense(DefenseKind::Temperature { temperature: 1.0 });
+        assert_eq!(model.defense(), DefenseKind::None, "T = 1 is no defense");
     }
 
     #[test]
@@ -235,7 +155,7 @@ mod tests {
         let mut model = SequenceModel::general_lstm(6, 8, 4, 0.0, &mut rng);
         let xs = vec![vec![0.4; 6], vec![-0.1; 6]];
         let before = model.predict_proba(&xs);
-        PAPER_DEFENSE.apply(&mut model);
+        model.set_defense(PAPER_DEFENSE);
         let after = model.predict_proba(&xs);
         assert_eq!(pelican_tensor::argmax(&before), pelican_tensor::argmax(&after));
         let max_after = after.iter().cloned().fold(0.0f32, f32::max);
@@ -246,7 +166,7 @@ mod tests {
     #[should_panic(expected = "privacy temperature")]
     fn rejects_flattening_temperatures() {
         let (mut model, _) = model_and_samples();
-        DefenseKind::Temperature { temperature: 2.0 }.apply(&mut model);
+        model.set_defense(DefenseKind::Temperature { temperature: 2.0 });
     }
 
     #[test]
@@ -269,8 +189,8 @@ mod tests {
     fn apply_none_clears_previous_defense() {
         let (model, samples) = model_and_samples();
         let mut m = model.clone();
-        DefenseKind::OutputNoise { sigma: 0.3 }.apply(&mut m);
-        DefenseKind::None.apply(&mut m);
+        m.set_defense(DefenseKind::OutputNoise { sigma: 0.3, seed: COMPARISON_NOISE_SEED });
+        m.set_defense(DefenseKind::None);
         assert_eq!(m.predict_proba(&samples[0].xs), model.predict_proba(&samples[0].xs));
     }
 }

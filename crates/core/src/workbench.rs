@@ -159,7 +159,7 @@ impl Scenario {
         defense: DefenseKind,
     ) -> AttackEvaluation {
         let mut model = user.model.clone();
-        defense.apply(&mut model);
+        model.set_defense(defense);
         let prior = self.prior(user, prior_kind);
         let probes =
             pelican_attacks::prior::random_probes(&self.dataset.space, 24, self.seed ^ 0x1f);

@@ -18,7 +18,8 @@
 //!    round timer collects marked users and dispatches warm-start jobs
 //!    on the work-stealing [`TrainerPool`]: fetch the published envelope
 //!    (and rollback target) from the durable store, re-train on the
-//!    fresh samples, re-audit through [`AuditGate::admit_inheriting`].
+//!    fresh samples, re-audit through
+//!    [`AuditGate::admit_inheriting`](pelican_train::AuditGate::admit_inheriting).
 //!    A re-train cannot move the frozen base of a transfer-learned
 //!    model, so each job takes along its user's prefix tier — what that
 //!    base answered the audit's queries last time — and the admission

@@ -11,9 +11,8 @@ use crate::{Dropout, Linear, Lstm, Sequence, Step};
 ///
 /// A closed enum (rather than a trait object) keeps models serializable,
 /// cloneable and cheap to dispatch. The paper's architectures only ever
-/// compose these three layer kinds plus the inference-time temperature
-/// scale, which lives on the model head (see
-/// [`crate::SequenceModel::set_temperature`]).
+/// compose these three layer kinds plus the inference-time defense, which
+/// lives on the model head (see [`crate::SequenceModel::set_defense`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Layer {
     /// Recurrent LSTM layer.

@@ -3,9 +3,12 @@
 //! This crate replaces the PyTorch substrate the Pelican paper was built on.
 //! It provides exactly the architecture family the paper uses for
 //! next-location prediction (Fig. 1): stacked [`Lstm`] layers, [`Dropout`]
-//! between them, a final [`Linear`] head, and an inference-time temperature
-//! scale used both by the gradient-descent inversion attack and by the
-//! Pelican privacy layer.
+//! between them, a final [`Linear`] head, and one inference-time
+//! [`DefenseKind`] between the logits and the confidences the service
+//! answers with: the Pelican privacy layer (a softmax temperature in
+//! `(0, 1]`) or one of the comparison defenses it is measured against
+//! (output noise, rounding). [`SequenceModel::set_defense`] installs it and
+//! [`ModelEnvelope`] carries it between tiers.
 //!
 //! Three capabilities drive the design:
 //!
@@ -37,6 +40,7 @@
 //! ```
 
 mod chunk;
+mod defense;
 pub mod dropout;
 pub mod layer;
 pub mod linear;
@@ -49,13 +53,14 @@ pub mod serialize;
 mod sweep;
 pub mod train;
 
+pub use defense::DefenseKind;
 pub use dropout::Dropout;
 pub use layer::Layer;
 pub use linear::Linear;
 pub use loss::softmax_cross_entropy;
 pub use lstm::Lstm;
 pub use metrics::TopKAccuracy;
-pub use model::{query_hash, sweep_query_hashes, ModelBuilder, Postprocess, SequenceModel};
+pub use model::{query_hash, sweep_query_hashes, ModelBuilder, SequenceModel};
 pub use optim::Adam;
 pub use serialize::{ModelCodecError, ModelEnvelope};
 pub use sweep::PrefixTier;

@@ -5,96 +5,17 @@ use serde::{Deserialize, Serialize};
 
 use pelican_tensor::{softmax_temperature_in_place, Matrix};
 
+use crate::defense::{add_noise, round_to};
 use crate::sweep::PrefixTier;
-use crate::{Dropout, Layer, Linear, Lstm, Sequence, Step};
-
-/// Inference-time post-processing of confidence vectors.
-///
-/// [`Postprocess::Temperature`] is subsumed by
-/// [`SequenceModel::set_temperature`]; the other variants implement the
-/// *comparison* defenses the paper surveys in Table V: additive noise on
-/// the outputs (MemGuard-style output perturbation) and precision
-/// truncation. They let experiments pit Pelican's temperature layer
-/// against the obvious alternatives on equal footing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub enum Postprocess {
-    /// No post-processing (the default).
-    #[default]
-    None,
-    /// Add zero-mean Gaussian-ish noise with the given standard deviation
-    /// to every confidence, clamp at 0 and renormalize. Noise is
-    /// *deterministic per query* (seeded by a hash of the input), so an
-    /// adversary cannot average it away by repeating a query.
-    GaussianNoise {
-        /// Noise standard deviation.
-        sigma: f32,
-        /// Seed mixed into the per-query hash.
-        seed: u64,
-    },
-    /// Round every confidence to `decimals` decimal places and
-    /// renormalize — the crudest way to starve an attack of low-order
-    /// confidence bits.
-    Round {
-        /// Number of decimal places kept.
-        decimals: u32,
-    },
-}
-
-impl Postprocess {
-    /// Applies the post-processing to a confidence vector in place.
-    /// `query_hash` identifies the query for deterministic noise.
-    fn apply(&self, probs: &mut [f32], query_hash: u64) {
-        match *self {
-            Postprocess::None => {}
-            Postprocess::GaussianNoise { sigma, seed } => {
-                let mut state = query_hash ^ seed ^ 0x9E37_79B9_7F4A_7C15;
-                for p in probs.iter_mut() {
-                    // xorshift + sum-of-uniforms ≈ gaussian (Irwin–Hall 4).
-                    let mut acc = 0.0f32;
-                    for _ in 0..4 {
-                        state ^= state << 13;
-                        state ^= state >> 7;
-                        state ^= state << 17;
-                        acc += (state >> 40) as f32 / (1u64 << 24) as f32;
-                    }
-                    let noise = (acc - 2.0) * sigma * (3.0f32).sqrt();
-                    *p = (*p + noise).max(0.0);
-                }
-                renormalize(probs);
-            }
-            Postprocess::Round { decimals } => {
-                let scale = 10f32.powi(decimals as i32);
-                for p in probs.iter_mut() {
-                    *p = (*p * scale).round() / scale;
-                }
-                renormalize(probs);
-            }
-        }
-    }
-}
-
-fn renormalize(probs: &mut [f32]) {
-    let sum: f32 = probs.iter().sum();
-    if sum > 0.0 {
-        for p in probs.iter_mut() {
-            *p /= sum;
-        }
-    } else if let Some(first) = probs.first() {
-        // All mass rounded/clamped away; fall back to uniform.
-        let uniform = 1.0 / probs.len() as f32;
-        let _ = first;
-        probs.fill(uniform);
-    }
-}
+use crate::{DefenseKind, Dropout, Layer, Linear, Lstm, Sequence, Step};
 
 /// FNV-style fingerprint of a query sequence.
 ///
-/// This is the identity [`Postprocess`] keys deterministic per-query
-/// noise on, and the key callers can cache per-query *logits* under:
-/// defenses only change the logits→confidence mapping (temperature,
-/// post-processing), never the logits themselves, so a logit cached by
-/// query hash stays valid across defense changes as long as the weights
-/// are untouched.
+/// This is the identity [`DefenseKind::OutputNoise`] keys deterministic
+/// per-query noise on, and the key callers can cache per-query *logits*
+/// under: a defense only changes the logits→confidence mapping, never the
+/// logits themselves, so a logit cached by query hash stays valid across
+/// defense changes as long as the weights are untouched.
 pub fn query_hash(xs: &[Step]) -> u64 {
     let mut h = QueryHasher::new();
     for step in xs {
@@ -198,17 +119,14 @@ pub fn sweep_query_hashes(template: &[Step], slot: usize, candidates: &Matrix) -
 ///
 /// This is the shape of every model in the paper (Fig. 1): LSTM layers
 /// (optionally interleaved with dropout) followed by a linear head. The
-/// model also carries an inference-time softmax `temperature` — the paper's
-/// privacy layer (§V-B). At `temperature == 1` the model behaves like a
-/// plain softmax classifier; pushing the temperature toward zero sharpens
-/// confidence scores without changing their ranking, which preserves top-k
-/// accuracy while starving model-inversion attacks of signal.
+/// model also carries one inference-time [`DefenseKind`] — the paper's
+/// privacy layer (§V-B), a temperature that sharpens confidence scores
+/// without changing their ranking, or one of the comparison defenses.
+/// Without one it behaves like a plain softmax classifier.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SequenceModel {
     layers: Vec<Layer>,
-    temperature: f32,
-    #[serde(default)]
-    postprocess: Postprocess,
+    defense: DefenseKind,
 }
 
 impl SequenceModel {
@@ -224,7 +142,13 @@ impl SequenceModel {
     /// Panics if `layers` is empty.
     pub fn from_layers(layers: Vec<Layer>) -> Self {
         assert!(!layers.is_empty(), "a model needs at least one layer");
-        Self { layers, temperature: 1.0, postprocess: Postprocess::None }
+        Self { layers, defense: DefenseKind::None }
+    }
+
+    /// A model of `layers` carrying `defense`, which the caller has
+    /// already passed through [`DefenseKind::checked`].
+    pub(crate) fn from_checked_parts(layers: Vec<Layer>, defense: DefenseKind) -> Self {
+        Self { layers, defense }
     }
 
     /// The paper's two-LSTM general architecture (Fig. 1a): two LSTM layers
@@ -276,23 +200,22 @@ impl SequenceModel {
         width_after(&self.layers).expect("model has at least one parameterized layer")
     }
 
-    /// The inference-time softmax temperature (1.0 = disabled).
-    pub fn temperature(&self) -> f32 {
-        self.temperature
+    /// The deployed inference-time defense.
+    pub fn defense(&self) -> DefenseKind {
+        self.defense
     }
 
-    /// Sets the inference-time softmax temperature — Pelican's privacy
-    /// layer. Values in `(0, 1)` sharpen confidences; 1.0 disables scaling.
+    /// Installs `defense`, replacing whatever the model carried. It
+    /// changes inference only: the logits→confidence mapping, never the
+    /// logits. `Temperature { 1.0 }` is stored as [`DefenseKind::None`].
     ///
     /// # Panics
     ///
-    /// Panics unless `temperature > 0` and finite.
-    pub fn set_temperature(&mut self, temperature: f32) {
-        assert!(
-            temperature > 0.0 && temperature.is_finite(),
-            "temperature must be positive and finite, got {temperature}"
-        );
-        self.temperature = temperature;
+    /// Panics on a [`DefenseKind::Temperature`] outside `(0, 1]`.
+    pub fn set_defense(&mut self, defense: DefenseKind) {
+        self.defense = defense
+            .checked()
+            .unwrap_or_else(|| panic!("privacy temperature must be in (0, 1], got {defense:?}"));
     }
 
     /// Borrows the layer stack.
@@ -439,9 +362,9 @@ impl SequenceModel {
     /// `template[..slot]` once, computes once every pre-activation half
     /// no candidate has influenced yet, projects the candidate rows at
     /// O(non-zeros) each, and carries all candidates through the
-    /// remaining layers as one batch (see [`Lstm::infer_sweep`]). Layers
-    /// above the last LSTM see only the final timestep, the only one the
-    /// logits read.
+    /// remaining layers as one batch (the crate-private
+    /// `Lstm::infer_sweep`). Layers above the last LSTM see only the final
+    /// timestep, the only one the logits read.
     ///
     /// Row `i` is bit-identical to `logits` of the assembled sequence,
     /// and the sweep costs what the independent calls cost
@@ -567,51 +490,48 @@ impl SequenceModel {
         logits.into_iter().zip(keys).map(|(l, key)| self.proba_from_logits(l, key)[class]).collect()
     }
 
-    /// Confidence scores for the final timestep: temperature-scaled softmax
-    /// over [`SequenceModel::logits`]. This is the black-box interface the
+    /// Confidence scores for the final timestep: the defended softmax over
+    /// [`SequenceModel::logits`]. This is the black-box interface the
     /// service provider (and therefore the adversary) sees.
     pub fn predict_proba(&self, xs: &[Step]) -> Step {
         let logits = self.logits(xs);
         self.proba_from_logits(logits, query_hash(xs))
     }
 
-    /// Applies the inference-time confidence pipeline (temperature-scaled
-    /// softmax, then post-processing keyed by `query_hash`) to raw
+    /// Applies the inference-time confidence pipeline (the defense's
+    /// softmax, then any noise keyed by `query_hash` or rounding) to raw
     /// logits. `predict_proba(xs)` ≡
     /// `proba_from_logits(logits(xs), query_hash(xs))`, bit for bit —
     /// which is what lets audit gates cache logits per query and replay
     /// them under a different deployed defense without re-running the
     /// forward pass.
     pub fn proba_from_logits(&self, mut logits: Step, query_hash: u64) -> Step {
-        softmax_temperature_in_place(&mut logits, self.temperature);
-        self.postprocess.apply(&mut logits, query_hash);
+        self.confide(&mut logits, || query_hash);
         logits
     }
 
     /// Batched [`SequenceModel::predict_proba`].
     ///
-    /// The privacy layer (temperature scaling) and any confidence
-    /// post-processing apply *per row* — each row is hashed and
-    /// post-processed exactly as its unbatched query would be — so batched
-    /// and unbatched answers are bit-identical.
+    /// The defense applies *per row* — each row is hashed and perturbed
+    /// exactly as its unbatched query would be — so batched and unbatched
+    /// answers are bit-identical.
     pub fn predict_proba_batch<S: AsRef<[Step]>>(&self, xs: &[S]) -> Vec<Step> {
         let mut rows = self.logits_batch(xs);
         for (row, seq) in rows.iter_mut().zip(xs) {
-            softmax_temperature_in_place(row, self.temperature);
-            self.postprocess.apply(row, query_hash(seq.as_ref()));
+            self.confide(row, || query_hash(seq.as_ref()));
         }
         rows
     }
 
-    /// The configured confidence post-processing.
-    pub fn postprocess(&self) -> Postprocess {
-        self.postprocess
-    }
-
-    /// Installs confidence post-processing (see [`Postprocess`]). Applied
-    /// after temperature scaling and softmax, at inference only.
-    pub fn set_postprocess(&mut self, postprocess: Postprocess) {
-        self.postprocess = postprocess;
+    /// The confidence pipeline on one row of logits, in place. Only the
+    /// noise draws on the query's hash, so only it asks `key` for one.
+    fn confide(&self, row: &mut [f32], key: impl FnOnce() -> u64) {
+        softmax_temperature_in_place(row, self.defense.softmax_temperature());
+        match self.defense {
+            DefenseKind::OutputNoise { sigma, seed } => add_noise(row, sigma, seed, key()),
+            DefenseKind::Rounding { decimals } => round_to(row, decimals),
+            DefenseKind::None | DefenseKind::Temperature { .. } => {}
+        }
     }
 
     /// Indices of the `k` most confident classes, descending. Ties order
@@ -701,7 +621,7 @@ impl SequenceModel {
     /// `lstm(229->128) -> dropout(0.1) -> lstm(128->128) -> linear(128->150) @T=1`.
     pub fn describe(&self) -> String {
         let body: Vec<String> = self.layers.iter().map(Layer::describe).collect();
-        format!("{} @T={}", body.join(" -> "), self.temperature)
+        format!("{} @T={}", body.join(" -> "), self.defense.softmax_temperature())
     }
 }
 
@@ -823,7 +743,7 @@ mod tests {
         let mut m = tiny_model();
         let xs = vec![vec![0.3; 6], vec![0.1; 6]];
         let before = m.predict_top_k(&xs, 1);
-        m.set_temperature(1e-2);
+        m.set_defense(DefenseKind::Temperature { temperature: 1e-2 });
         let p = m.predict_proba(&xs);
         assert_eq!(pelican_tensor::argmax(&p), Some(before[0]));
     }
@@ -893,18 +813,17 @@ mod tests {
         let xs = vec![vec![0.4; 6], vec![-0.2; 6]];
         let logits = m.logits(&xs);
         let key = query_hash(&xs);
-        for (temperature, post) in [
-            (1.0, Postprocess::None),
-            (1e-3, Postprocess::None),
-            (1.0, Postprocess::GaussianNoise { sigma: 0.1, seed: 9 }),
-            (1.0, Postprocess::Round { decimals: 1 }),
+        for defense in [
+            DefenseKind::None,
+            DefenseKind::Temperature { temperature: 1e-3 },
+            DefenseKind::OutputNoise { sigma: 0.1, seed: 9 },
+            DefenseKind::Rounding { decimals: 1 },
         ] {
-            m.set_temperature(temperature);
-            m.set_postprocess(post);
+            m.set_defense(defense);
             assert_eq!(
                 m.proba_from_logits(logits.clone(), key),
                 m.predict_proba(&xs),
-                "cached-logit replay must be bit-identical at T={temperature} {post:?}"
+                "cached-logit replay must be bit-identical under {defense:?}"
             );
         }
     }

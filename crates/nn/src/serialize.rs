@@ -11,12 +11,14 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use pelican_tensor::Matrix;
 
-use crate::{Dropout, Layer, Linear, Lstm, Postprocess, SequenceModel};
+use crate::{DefenseKind, Dropout, Layer, Linear, Lstm, SequenceModel};
 
 const MAGIC: &[u8; 4] = b"PLCN";
-/// Version 2 added the confidence post-processing field: a deployed
-/// defense (noise, rounding) is part of the model's black-box behaviour,
-/// so a registry serving decoded envelopes must reproduce it exactly.
+/// Version 2 added the post-softmax defense tag: a deployed defense
+/// (noise, rounding) is part of the model's black-box behaviour, so a
+/// registry serving decoded envelopes must reproduce it exactly. The
+/// header holds a [`DefenseKind`] as a temperature and a tag: `(T, NONE)`
+/// with `T = 1` for none, `(1, GAUSSIAN)` or `(1, ROUND)` and its payload.
 const VERSION: u16 = 2;
 
 const TAG_LSTM: u8 = 0;
@@ -38,9 +40,15 @@ pub enum ModelCodecError {
     Truncated,
     /// An unknown layer tag was encountered.
     UnknownLayerTag(u8),
-    /// An unknown confidence post-processing tag was encountered.
-    UnknownPostprocessTag(u8),
-    /// A decoded dimension or count was implausible (e.g. zero).
+    /// An unknown defense tag was encountered.
+    UnknownDefenseTag(u8),
+    /// The header's temperature and defense tag name no [`DefenseKind`]:
+    /// a temperature outside `(0, 1]`, or one below 1 beside noise or
+    /// rounding.
+    InvalidDefense,
+    /// A decoded dimension or count was implausible: zero, a layer that
+    /// does not take in what the layer below puts out, or a stack with
+    /// no weighted layer.
     InvalidDimension,
 }
 
@@ -53,9 +61,8 @@ impl std::fmt::Display for ModelCodecError {
             }
             ModelCodecError::Truncated => write!(f, "model envelope ended unexpectedly"),
             ModelCodecError::UnknownLayerTag(t) => write!(f, "unknown layer tag {t}"),
-            ModelCodecError::UnknownPostprocessTag(t) => {
-                write!(f, "unknown post-processing tag {t}")
-            }
+            ModelCodecError::UnknownDefenseTag(t) => write!(f, "unknown defense tag {t}"),
+            ModelCodecError::InvalidDefense => write!(f, "invalid defense in model envelope"),
             ModelCodecError::InvalidDimension => write!(f, "invalid dimension in model envelope"),
         }
     }
@@ -75,15 +82,15 @@ impl ModelEnvelope {
         let mut buf = BytesMut::with_capacity(64 + model.param_count() * 4);
         buf.put_slice(MAGIC);
         buf.put_u16_le(VERSION);
-        buf.put_f32_le(model.temperature());
-        match model.postprocess() {
-            Postprocess::None => buf.put_u8(POST_NONE),
-            Postprocess::GaussianNoise { sigma, seed } => {
+        buf.put_f32_le(model.defense().softmax_temperature());
+        match model.defense() {
+            DefenseKind::None | DefenseKind::Temperature { .. } => buf.put_u8(POST_NONE),
+            DefenseKind::OutputNoise { sigma, seed } => {
                 buf.put_u8(POST_GAUSSIAN);
                 buf.put_f32_le(sigma);
                 buf.put_u64_le(seed);
             }
-            Postprocess::Round { decimals } => {
+            DefenseKind::Rounding { decimals } => {
                 buf.put_u8(POST_ROUND);
                 buf.put_u32_le(decimals);
             }
@@ -145,23 +152,33 @@ impl ModelEnvelope {
         if buf.remaining() < 1 {
             return Err(ModelCodecError::Truncated);
         }
-        let postprocess = match buf.get_u8() {
-            POST_NONE => Postprocess::None,
+        let tag = buf.get_u8();
+        if tag != POST_NONE && temperature != 1.0 {
+            return Err(ModelCodecError::InvalidDefense);
+        }
+        let defense = match tag {
+            POST_NONE => DefenseKind::Temperature { temperature },
             POST_GAUSSIAN => {
                 let sigma = get_f32(&mut buf)?;
                 if buf.remaining() < 8 {
                     return Err(ModelCodecError::Truncated);
                 }
-                Postprocess::GaussianNoise { sigma, seed: buf.get_u64_le() }
+                DefenseKind::OutputNoise { sigma, seed: buf.get_u64_le() }
             }
-            POST_ROUND => Postprocess::Round { decimals: get_u32(&mut buf)? },
-            other => return Err(ModelCodecError::UnknownPostprocessTag(other)),
+            POST_ROUND => DefenseKind::Rounding { decimals: get_u32(&mut buf)? },
+            other => return Err(ModelCodecError::UnknownDefenseTag(other)),
         };
+        let defense = defense.checked().ok_or(ModelCodecError::InvalidDefense)?;
         let n_layers = get_u32(&mut buf)? as usize;
         if n_layers == 0 {
             return Err(ModelCodecError::InvalidDimension);
         }
-        let mut layers = Vec::with_capacity(n_layers);
+        // Every layer takes at least its two tag bytes: a count the
+        // buffer cannot hold is not believed with an allocation.
+        let mut layers = Vec::with_capacity(n_layers.min(buf.remaining() / 2));
+        // What the layers read so far put out; the next layer with
+        // weights must take in exactly that.
+        let mut width = None;
         for _ in 0..n_layers {
             if buf.remaining() < 2 {
                 return Err(ModelCodecError::Truncated);
@@ -172,9 +189,10 @@ impl ModelEnvelope {
                 TAG_LSTM => {
                     let input = get_u32(&mut buf)? as usize;
                     let hidden = get_u32(&mut buf)? as usize;
-                    if input == 0 || hidden == 0 {
+                    if input == 0 || hidden == 0 || width.is_some_and(|w| w != input) {
                         return Err(ModelCodecError::InvalidDimension);
                     }
+                    width = Some(hidden);
                     let (w_ih, ih_finite) = get_matrix(&mut buf, 4 * hidden, input)?;
                     let (w_hh, hh_finite) = get_matrix(&mut buf, 4 * hidden, hidden)?;
                     let (b, _) = get_f32s(&mut buf, 4 * hidden)?;
@@ -186,9 +204,10 @@ impl ModelEnvelope {
                 TAG_LINEAR => {
                     let input = get_u32(&mut buf)? as usize;
                     let output = get_u32(&mut buf)? as usize;
-                    if input == 0 || output == 0 {
+                    if input == 0 || output == 0 || width.is_some_and(|w| w != input) {
                         return Err(ModelCodecError::InvalidDimension);
                     }
+                    width = Some(output);
                     let (w, _) = get_matrix(&mut buf, output, input)?;
                     let (b, _) = get_f32s(&mut buf, output)?;
                     let mut linear = Linear::from_parts(w, b);
@@ -205,10 +224,11 @@ impl ModelEnvelope {
                 other => return Err(ModelCodecError::UnknownLayerTag(other)),
             }
         }
-        let mut model = SequenceModel::from_layers(layers);
-        model.set_temperature(temperature);
-        model.set_postprocess(postprocess);
-        Ok(model)
+        if width.is_none() {
+            // Nothing but dropout: the stack has no output width.
+            return Err(ModelCodecError::InvalidDimension);
+        }
+        Ok(SequenceModel::from_checked_parts(layers, defense))
     }
 
     /// The envelope's size in bytes (what a device would download).
@@ -288,7 +308,8 @@ fn get_matrix(
     rows: usize,
     cols: usize,
 ) -> Result<(Matrix, bool), ModelCodecError> {
-    let (xs, finite) = get_f32s(buf, rows * cols)?;
+    let n = rows.checked_mul(cols).ok_or(ModelCodecError::Truncated)?;
+    let (xs, finite) = get_f32s(buf, n)?;
     Ok((Matrix::from_vec(rows, cols, xs), finite))
 }
 
@@ -301,7 +322,7 @@ mod tests {
     fn model() -> SequenceModel {
         let mut rng = StdRng::seed_from_u64(21);
         let mut m = SequenceModel::general_lstm(5, 6, 3, 0.1, &mut rng);
-        m.set_temperature(0.5);
+        m.set_defense(DefenseKind::Temperature { temperature: 0.5 });
         m.layers_mut()[0].set_trainable(false);
         m
     }
@@ -310,7 +331,7 @@ mod tests {
     fn round_trip_preserves_behaviour() {
         let m = model();
         let decoded = ModelEnvelope::encode(&m).decode().expect("round trip");
-        assert_eq!(decoded.temperature(), 0.5);
+        assert_eq!(decoded.defense(), DefenseKind::Temperature { temperature: 0.5 });
         assert!(!decoded.layers()[0].is_trainable());
         let xs = vec![vec![0.3; 5], vec![-0.2; 5]];
         assert_eq!(m.logits(&xs), decoded.logits(&xs));
@@ -321,14 +342,14 @@ mod tests {
     fn round_trip_preserves_postprocess_defenses() {
         // A deployed defense is part of the served behaviour; cold storage
         // (the serving registry's envelope path) must not strip it.
-        for post in [
-            Postprocess::GaussianNoise { sigma: 0.02, seed: 77 },
-            Postprocess::Round { decimals: 1 },
+        for defense in [
+            DefenseKind::OutputNoise { sigma: 0.02, seed: 77 },
+            DefenseKind::Rounding { decimals: 1 },
         ] {
             let mut m = model();
-            m.set_postprocess(post);
+            m.set_defense(defense);
             let decoded = ModelEnvelope::encode(&m).decode().expect("round trip");
-            assert_eq!(decoded.postprocess(), post);
+            assert_eq!(decoded.defense(), defense);
             let xs = vec![vec![0.4; 5], vec![0.1; 5]];
             assert_eq!(m.predict_proba(&xs), decoded.predict_proba(&xs));
         }
@@ -438,7 +459,8 @@ mod tests {
             ModelCodecError::UnsupportedVersion(9),
             ModelCodecError::Truncated,
             ModelCodecError::UnknownLayerTag(7),
-            ModelCodecError::UnknownPostprocessTag(3),
+            ModelCodecError::UnknownDefenseTag(3),
+            ModelCodecError::InvalidDefense,
             ModelCodecError::InvalidDimension,
         ] {
             assert!(!e.to_string().is_empty());

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use pelican_nn::{Postprocess, Sequence, SequenceModel};
+use pelican_nn::{DefenseKind, Sequence, SequenceModel};
 
 const INPUT_DIM: usize = 6;
 
@@ -51,7 +51,7 @@ fn batched_probabilities_are_bit_identical() {
 #[test]
 fn privacy_sharpened_batches_stay_bit_identical() {
     let mut m = model();
-    m.set_temperature(1e-3);
+    m.set_defense(DefenseKind::Temperature { temperature: 1e-3 });
     let qs = queries(17);
     for b in [1usize, 3, 17] {
         let batch = &qs[..b];
@@ -65,16 +65,16 @@ fn privacy_sharpened_batches_stay_bit_identical() {
 fn postprocessing_applies_per_row() {
     // Noise is seeded by a per-query hash; a batch must hash each row
     // individually or batched answers would drift from unbatched ones.
-    for post in
-        [Postprocess::GaussianNoise { sigma: 0.05, seed: 9 }, Postprocess::Round { decimals: 2 }]
+    for defense in
+        [DefenseKind::OutputNoise { sigma: 0.05, seed: 9 }, DefenseKind::Rounding { decimals: 2 }]
     {
         let mut m = model();
-        m.set_postprocess(post);
+        m.set_defense(defense);
         let qs = queries(17);
         for b in [1usize, 3, 17] {
             let batch = &qs[..b];
             for (q, got) in batch.iter().zip(m.predict_proba_batch(batch)) {
-                assert_eq!(m.predict_proba(q), got, "{post:?} diverged at batch {b}");
+                assert_eq!(m.predict_proba(q), got, "{defense:?} diverged at batch {b}");
             }
         }
     }

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 
 use pelican_nn::{
-    fit, query_hash, sweep_query_hashes, Layer, Lstm, Postprocess, PrefixTier, Sample, Sequence,
+    fit, query_hash, sweep_query_hashes, DefenseKind, Layer, Lstm, PrefixTier, Sample, Sequence,
     SequenceModel, Step, TrainConfig,
 };
 use pelican_tensor::Matrix;
@@ -239,8 +239,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut model = stack(9, 4, 2, true, false, &mut rng);
         // Noise keyed on the query hash: a wrong key changes the answer.
-        model.set_temperature(0.5);
-        model.set_postprocess(Postprocess::GaussianNoise { sigma: 0.05, seed: 3 });
+        model.set_defense(DefenseKind::OutputNoise { sigma: 0.05, seed: 3 });
         let rows = candidates(9, &mut rng);
         let template = dense_steps(seq_len, 9, &mut rng);
         for slot in 0..seq_len {

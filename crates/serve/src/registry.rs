@@ -372,7 +372,7 @@ impl ShardedRegistry {
     pub fn enroll_scenario(&self, scenario: &Scenario) -> usize {
         for user in &scenario.personal {
             let mut model = user.model.clone();
-            PAPER_DEFENSE.apply(&mut model);
+            model.set_defense(PAPER_DEFENSE);
             self.enroll(user.user_id, &model);
         }
         scenario.personal.len()
@@ -572,10 +572,9 @@ mod tests {
     fn decoded_model_answers_like_the_original() {
         let r = registry(2, 4);
         let mut m = model(7);
-        // Deployed defenses (temperature + post-processing) must survive
-        // the cold-storage round trip, not just the weights.
-        m.set_temperature(1e-2);
-        m.set_postprocess(pelican_nn::Postprocess::Round { decimals: 2 });
+        // The deployed defense must survive the cold-storage round trip,
+        // not just the weights.
+        m.set_defense(pelican::DefenseKind::Rounding { decimals: 2 });
         r.enroll(3, &m);
         let xs = vec![vec![0.2; 4]; 2];
         let (served, _) = r.get(3).unwrap();

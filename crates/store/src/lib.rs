@@ -22,7 +22,7 @@
 //!   write short or panic: how the tests drive the store's error paths.
 //! * [`record`] — the on-disk format: segment headers, CRC-sealed
 //!   records ending in a commit byte, and the committed-prefix scanner.
-//! * [`compress`] — the self-contained LZSS coder (the build vendors no
+//! * [`compress`](mod@compress) — the self-contained LZSS coder (the build vendors no
 //!   compression crate).
 //! * [`store`] — [`EnvelopeStore`] itself: sharding, the index,
 //!   recovery replay, compaction, stats.

@@ -291,7 +291,7 @@ impl AuditGate {
         prefix: PrefixTier,
     ) -> (SequenceModel, GateOutcome, LogitCache) {
         let c = &self.config;
-        BASE_DEFENSE.apply(&mut candidate);
+        candidate.set_defense(BASE_DEFENSE);
         let mut defense = BASE_DEFENSE;
         // One logit cache for the whole ladder: rungs only swap the
         // deployed defense (temperature/post-processing), never the
@@ -309,7 +309,7 @@ impl AuditGate {
         while final_leakage > c.max_leakage && rungs_climbed < c.ladder.len() {
             defense = c.ladder[rungs_climbed];
             rungs_climbed += 1;
-            defense.apply(&mut candidate);
+            candidate.set_defense(defense);
             eval = self.audit_cached(&candidate, space, subject, &mut cache);
             final_leakage = eval.accuracy(c.audit_k);
             audits += 1;
@@ -401,7 +401,7 @@ mod tests {
         assert_eq!(outcome.audits, ladder_len + 1);
         assert_eq!(outcome.verdict, GateVerdict::Exhausted);
         assert_eq!(outcome.defense, DefenseKind::Temperature { temperature: 1e-5 });
-        assert_eq!(published.temperature(), 1e-5, "strongest rung stays deployed");
+        assert_eq!(published.defense(), outcome.defense, "strongest rung stays deployed");
     }
 
     #[test]
@@ -437,7 +437,7 @@ mod tests {
         // Reference: the forward passes one audit of the base-defended
         // candidate costs (probes + attack queries, deduplicated).
         let mut base = candidate.clone();
-        BASE_DEFENSE.apply(&mut base);
+        base.set_defense(BASE_DEFENSE);
         let mut first = LogitCache::new();
         let first_eval = gate.audit_cached(&base, &space, &s, &mut first);
 

@@ -6,11 +6,11 @@
 //! drive. Workers steal per-user jobs from the pool, personalize (or
 //! warm-start) on the simulated device tier, push each candidate through
 //! the privacy-audit gate, and send the release-ready envelope down an
-//! [`mpsc`] publication channel. The publisher drains the channel on the
-//! calling thread and hot-swaps envelopes into the [`ShardedRegistry`]
-//! *while serving continues* — registry lookups go through `&self`, so a
-//! serving engine can keep answering queries against the same registry
-//! for the whole run.
+//! [`mpsc`](std::sync::mpsc) publication channel. The publisher drains
+//! the channel on the calling thread and hot-swaps envelopes into the
+//! [`ShardedRegistry`] *while serving continues* — registry lookups go
+//! through `&self`, so a serving engine can keep answering queries
+//! against the same registry for the whole run.
 //!
 //! Model weights, audit verdicts and published envelopes are bit-identical
 //! for any worker count (per-user seeds come from [`crate::pool::user_seed`],
@@ -147,7 +147,7 @@ impl FleetTrainer {
                 // The deployed defense is serving-time state, not training
                 // state: strip it so warm training sees clean logits; the
                 // gate re-decides the defense from scratch below.
-                DefenseKind::None.apply(&mut model);
+                model.set_defense(DefenseKind::None);
                 let fit = pelican_nn::fit(&mut model, &job.train, &cfg.train);
                 (model, fit)
             }

@@ -36,7 +36,7 @@
 use std::sync::Arc;
 
 use pelican::platform::ComputeTier;
-use pelican_nn::{ModelEnvelope, Postprocess, SequenceModel, Step};
+use pelican_nn::{DefenseKind, ModelEnvelope, SequenceModel, Step};
 use pelican_serve::{
     job_id, serve_harness, split_job_id, Lane, RegistryConfig, Request, SchedulerConfig, ServeFlow,
     ServeHarness, ServeJob, ShardedRegistry, SimServeConfig, UpdateError,
@@ -368,13 +368,13 @@ fn study(
         .map(|(u, m)| registry.try_enroll_envelope(u, ModelEnvelope::encode(m)))
         .collect::<Result<Vec<u64>, _>>()?;
 
-    // The regressed variants: same weights, scrambling postprocess.
+    // The regressed variants: same weights, scrambling output noise.
     let bad: Vec<SequenceModel> = reference
         .iter()
         .enumerate()
         .map(|(u, m)| {
             let mut bad = m.clone();
-            bad.set_postprocess(Postprocess::GaussianNoise {
+            bad.set_defense(DefenseKind::OutputNoise {
                 sigma: REGRESSION_SIGMA,
                 seed: mix64(cfg.seed ^ (u as u64).wrapping_mul(0x9E37)),
             });

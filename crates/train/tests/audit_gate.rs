@@ -3,7 +3,7 @@
 //! deployed trying. Also exercises the serve-while-publish loop the
 //! `&self` registry refactor exists for.
 
-use pelican::{DefenseKind, PersonalizationConfig};
+use pelican::PersonalizationConfig;
 use pelican_mobility::{
     CampusConfig, DatasetBuilder, MobilityDataset, Scale, SpatialLevel, TRAIN_FRACTION,
 };
@@ -88,13 +88,7 @@ fn every_published_model_passed_the_gate_or_carries_an_escalated_defense() {
         }
 
         // The deployed defense is really installed on the served model.
-        match outcome.gate.defense {
-            DefenseKind::None => assert_eq!(published.temperature(), 1.0),
-            DefenseKind::Temperature { temperature } => {
-                assert_eq!(published.temperature(), temperature)
-            }
-            _ => {}
-        }
+        assert_eq!(published.defense(), outcome.gate.defense);
 
         // Gate honesty: re-auditing the *published* model reproduces the
         // recorded final leakage.

@@ -54,7 +54,7 @@ fn main() {
     // cloud-hosted model costs a WAN request and response, an on-device
     // one no network traversal at all.
     let mut deployed = updated;
-    PAPER_DEFENSE.apply(&mut deployed);
+    deployed.set_defense(PAPER_DEFENSE);
     let query = &full.personal[0].test[0].xs;
     let probs = deployed.predict_proba(query);
     let top = pelican_tensor::top_k(&probs, 3);

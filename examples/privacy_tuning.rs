@@ -32,7 +32,7 @@ fn main() {
         let mut service_acc = 0.0;
         for user in &scenario.personal {
             let mut defended = user.model.clone();
-            defense.apply(&mut defended);
+            defended.set_defense(defense);
             let hits = user
                 .test
                 .iter()

@@ -87,7 +87,7 @@ fn defense_reduces_leakage_and_preserves_accuracy() {
     // Service accuracy unchanged (ranking preserved).
     for user in &s.personal {
         let mut defended = user.model.clone();
-        defended.set_temperature(1e-3);
+        defended.set_defense(PAPER_DEFENSE);
         let plain = pelican_nn::metrics::evaluate_top_k(&user.model, &user.test, &[1]).accuracy(1);
         let def = pelican_nn::metrics::evaluate_top_k(&defended, &user.test, &[1]).accuracy(1);
         assert!((plain - def).abs() < 1e-9, "top-1 accuracy must survive the defense");

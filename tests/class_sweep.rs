@@ -19,20 +19,20 @@ use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 
 use pelican_attacks::{BlackBox, CachedBlackBox, LogitCache};
-use pelican_nn::{Postprocess, Sequence, SequenceModel, Step};
+use pelican_nn::{DefenseKind, Sequence, SequenceModel, Step};
 use pelican_tensor::Matrix;
 
 const DIM: usize = 24;
 const CLASSES: usize = 9;
 
-/// The defense sequence: (temperature, post-processing).
-const DEFENSES: [(f32, Postprocess); 6] = [
-    (1.0, Postprocess::None),
-    (0.05, Postprocess::None),
-    (1.0, Postprocess::None),
-    (1.0, Postprocess::GaussianNoise { sigma: 0.05, seed: 3 }),
-    (0.05, Postprocess::Round { decimals: 2 }),
-    (1.0, Postprocess::None),
+/// The defense sequence.
+const DEFENSES: [DefenseKind; 6] = [
+    DefenseKind::None,
+    DefenseKind::Temperature { temperature: 0.05 },
+    DefenseKind::None,
+    DefenseKind::OutputNoise { sigma: 0.05, seed: 3 },
+    DefenseKind::Rounding { decimals: 2 },
+    DefenseKind::None,
 ];
 
 /// A two-LSTM model; with `frozen`, its first LSTM is a frozen prefix
@@ -97,16 +97,15 @@ fn run(seed: u64, frozen: bool, warm: bool) -> (u64, u64, usize, u64) {
     let mut cache = LogitCache::new();
     if warm {
         // Some of the queries, asked whole under another temperature.
-        m.set_temperature(2.0);
+        m.set_defense(DefenseKind::Temperature { temperature: 0.5 });
         let mut oracle = CachedBlackBox::new(&m, &mut cache);
         for r in [0, 3, 5] {
             let xs = assembled(&template, 1, base.row(r));
             assert_eq!(oracle.predict_proba(&xs), m.predict_proba(&xs));
         }
     }
-    for (stage, (temperature, post)) in DEFENSES.into_iter().enumerate() {
-        m.set_temperature(temperature);
-        m.set_postprocess(post);
+    for (stage, defense) in DEFENSES.into_iter().enumerate() {
+        m.set_defense(defense);
         let rows = candidates(&base, stage);
         let mut oracle = CachedBlackBox::new(&m, &mut cache);
         for slot in 0..2 {

@@ -2,9 +2,7 @@
 //! cloud training → device personalization → deployment → queries.
 
 use pelican::workbench::Scenario;
-use pelican::{
-    personalize, DefenseKind, PersonalizationConfig, PersonalizationMethod, PAPER_DEFENSE,
-};
+use pelican::{personalize, PersonalizationConfig, PersonalizationMethod, PAPER_DEFENSE};
 use pelican_mobility::{Scale, SpatialLevel};
 use pelican_nn::metrics::evaluate_top_k;
 use pelican_nn::{ModelEnvelope, TrainConfig};
@@ -75,10 +73,7 @@ fn service_end_to_end_with_privacy() {
     let registry = ShardedRegistry::new(scenario.general.clone(), RegistryConfig::default());
     registry.enroll_scenario(&scenario);
     let (served, _) = registry.get(user.user_id).expect("enrolled envelope decodes");
-    let DefenseKind::Temperature { temperature } = PAPER_DEFENSE else {
-        panic!("the paper's defense is a temperature layer")
-    };
-    assert_eq!(served.temperature(), temperature, "the registry must serve the defended model");
+    assert_eq!(served.defense(), PAPER_DEFENSE, "the registry must serve the defended model");
 
     // Defended service accuracy equals undefended accuracy: the privacy
     // layer preserves ranking.

@@ -7,7 +7,7 @@ use pelican::stats::{linear_fit, pearson, pearson_p_value};
 use pelican_mobility::{
     duration_bin, entry_slot, FeatureSpace, Session, SpatialLevel, DURATION_BINS, ENTRY_SLOTS,
 };
-use pelican_nn::{softmax_cross_entropy, ModelEnvelope, SequenceModel};
+use pelican_nn::{softmax_cross_entropy, DefenseKind, ModelEnvelope, SequenceModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -73,11 +73,11 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut model = SequenceModel::general_lstm(input, hidden, classes, 0.1, &mut rng);
-        model.set_temperature(temperature);
+        model.set_defense(DefenseKind::Temperature { temperature });
         let restored = ModelEnvelope::encode(&model).decode().unwrap();
         let xs = vec![vec![0.25; input]; 2];
         prop_assert_eq!(model.logits(&xs), restored.logits(&xs));
-        prop_assert_eq!(model.temperature(), restored.temperature());
+        prop_assert_eq!(model.defense(), restored.defense());
     }
 
     #[test]
@@ -91,7 +91,7 @@ proptest! {
         let mut model = SequenceModel::general_lstm(input, 8, classes, 0.0, &mut rng);
         let xs = vec![vec![0.5; input]; 2];
         let before = pelican_tensor::argmax(&model.predict_proba(&xs));
-        model.set_temperature(t);
+        model.set_defense(DefenseKind::Temperature { temperature: t });
         let after = pelican_tensor::argmax(&model.predict_proba(&xs));
         prop_assert_eq!(before, after);
     }

@@ -12,14 +12,15 @@
 //!   had one value in use and are constants beside their one use; a
 //!   second value comes back as a deliberate change, not as a setting.
 //! * Second front doors to the defense and the attack: `DefenseKind`
-//!   names, validates and installs every defense, and one
-//!   `interest_locations` probes any `BlackBox`.
+//!   names every defense, a model holds exactly one and
+//!   `SequenceModel::set_defense` is the one place it is checked and
+//!   installed; one `interest_locations` probes any `BlackBox`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// `(pattern, use instead)`.
-const BANS: [(&str, &str); 12] = [
+const BANS: [(&str, &str); 15] = [
     (".tanh()", "pelican_tensor::ops::tanh"),
     ("f32::tanh", "pelican_tensor::ops::tanh"),
     ("thread_local!", "state passed in and returned, not kept per thread"),
@@ -32,6 +33,9 @@ const BANS: [(&str, &str); 12] = [
     ("PrivacyLayer", "DefenseKind::Temperature, and PAPER_DEFENSE for the paper's T"),
     ("attack_user_defended", "Scenario::attack_user, which takes a DefenseKind"),
     ("interest_locations_in", "interest_locations, which takes any BlackBox"),
+    ("Postprocess", "DefenseKind::{OutputNoise, Rounding}, the model's one defense"),
+    ("set_temperature", "SequenceModel::set_defense(DefenseKind::Temperature { .. })"),
+    ("set_postprocess", "SequenceModel::set_defense, which replaces the whole defense"),
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -89,4 +93,7 @@ fn the_scan_flags_each_pattern_and_skips_comments() {
     assert_eq!(banned_uses(path, "    record_flops(2 * n);").len(), 1);
     assert!(banned_uses(path, "// the counter's record_flops is gone").is_empty());
     assert_eq!(banned_uses(path, "PrivacyLayer::default().apply(&mut m);").len(), 1);
+    assert_eq!(banned_uses(path, "m.set_postprocess(Postprocess::None);").len(), 2);
+    assert_eq!(banned_uses(path, "    model.set_temperature(1e-3);").len(), 1);
+    assert!(banned_uses(path, "Err(ModelCodecError::UnknownDefenseTag(t))").is_empty());
 }

@@ -148,8 +148,9 @@ fn a_cached_sweep_leaves_the_cache_as_the_loop_would() {
                 assert_eq!(swept, looped, "{what}");
                 assert_eq!(cache_state(swept_cache), cache_state(looped_cache), "{what}");
                 // The next call replays under an escalated rung's temperature.
-                swept_model.set_temperature(1e-3);
-                looped_model.set_temperature(1e-3);
+                let rung = DefenseKind::Temperature { temperature: 1e-3 };
+                swept_model.set_defense(rung);
+                looped_model.set_defense(rung);
                 swept.1
             };
 
@@ -196,7 +197,7 @@ fn reference_admit(
     mut candidate: SequenceModel,
     subject: &AuditSubject,
 ) -> (GateOutcome, LogitCache) {
-    BASE_DEFENSE.apply(&mut candidate);
+    candidate.set_defense(BASE_DEFENSE);
     let mut defense = BASE_DEFENSE;
     let mut cache = LogitCache::new();
     let mut eval = reference_audit(c, &candidate, subject, &mut cache);
@@ -206,7 +207,7 @@ fn reference_admit(
     while final_leakage > c.max_leakage && rungs_climbed < c.ladder.len() {
         defense = c.ladder[rungs_climbed];
         rungs_climbed += 1;
-        defense.apply(&mut candidate);
+        candidate.set_defense(defense);
         eval = reference_audit(c, &candidate, subject, &mut cache);
         final_leakage = eval.accuracy(c.audit_k);
         audits += 1;
