@@ -53,7 +53,6 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use pelican::platform::ComputeTier;
 use pelican::DefenseKind;
 use pelican_attacks::{truncate_top_k, ServedAdversary, ServedAnswer, ServedConfig, ServedQuery};
 use pelican_attacks::{Prior, PriorKind};
@@ -61,8 +60,8 @@ use pelican_live::{bootstrap_jobs, live_stream, LiveConfig};
 use pelican_mobility::MobilityDataset;
 use pelican_nn::{ModelEnvelope, SequenceModel};
 use pelican_serve::{
-    serve_harness, Lane, Request, SchedulerConfig, ServeFlow, ServeHarness, ServeJob,
-    ShardedRegistry, SimServeConfig, UpdateError,
+    serve_harness, Lane, Request, ServeFlow, ServeHarness, ServeJob, ShardedRegistry,
+    SimServeConfig, UpdateError,
 };
 use pelican_sim::{JobReport, JobSpec, LinkProfile, LinkSpec, SimControl, Simulator, Workload};
 use pelican_train::{count_degraded_after_swap, FleetTrainer, PipelineConfig, StalenessWindow};
@@ -135,11 +134,7 @@ impl Default for AbxConfig {
     fn default() -> Self {
         Self {
             pipeline: PipelineConfig::default(),
-            serve: SimServeConfig {
-                scheduler: SchedulerConfig::default(),
-                tier: ComputeTier::Cloud,
-                network: None,
-            },
+            serve: SimServeConfig::default(),
             arms: [DefenseKind::None, DefenseKind::Temperature { temperature: 1e-5 }],
             attacked_per_arm: 2,
             null_margin: 0.05,
@@ -426,8 +421,7 @@ impl Workload for AbxFlow<'_> {
 ///
 /// # Errors
 ///
-/// [`UpdateError::NoStore`] when the registry has no durable store;
-/// otherwise codec / store / rollback failures surfaced from the loop.
+/// Codec / store / rollback failures surfaced from the loop.
 ///
 /// # Panics
 ///
@@ -441,9 +435,6 @@ pub fn run_abx(
     general: &SequenceModel,
     config: &AbxConfig,
 ) -> Result<AbxOutcome, UpdateError> {
-    if registry.store().is_none() {
-        return Err(UpdateError::NoStore);
-    }
     let space = &dataset.space;
     let live_config = LiveConfig {
         pipeline: config.pipeline.clone(),
@@ -608,12 +599,10 @@ mod tests {
     use pelican::{PersonalizationConfig, PAPER_DEFENSE};
     use pelican_mobility::{CampusConfig, DatasetBuilder, Scale, SpatialLevel};
     use pelican_nn::TrainConfig;
-    use pelican_serve::RegistryConfig;
-    use pelican_store::{EnvelopeStore, MemBackend, StoreConfig};
+    use pelican_serve::{RegistryConfig, SchedulerConfig};
     use pelican_train::AuditConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::Arc;
 
     fn setting() -> (MobilityDataset, SequenceModel) {
         let dataset = DatasetBuilder::new(CampusConfig::for_scale(Scale::Tiny), 21)
@@ -630,15 +619,9 @@ mod tests {
     }
 
     fn registry(general: &SequenceModel) -> ShardedRegistry {
-        let store = EnvelopeStore::open(
-            Arc::new(MemBackend::new()),
-            StoreConfig { shards: 2, ..StoreConfig::default() },
-        )
-        .unwrap();
-        ShardedRegistry::with_store(
+        ShardedRegistry::new(
             general.clone(),
             RegistryConfig { shards: 2, ..RegistryConfig::default() },
-            Arc::new(store),
         )
     }
 
@@ -656,8 +639,7 @@ mod tests {
             },
             serve: SimServeConfig {
                 scheduler: SchedulerConfig { max_batch: 4, max_delay_us: 900 },
-                tier: ComputeTier::Cloud,
-                network: None,
+                ..SimServeConfig::default()
             },
             attacked_per_arm: 4,
             // Calibrated to separate tiny-scale cohort-composition noise
@@ -728,16 +710,6 @@ mod tests {
             if let Some(shadow) = p.shadow_hash {
                 assert_eq!(shadow, p.active_hash);
             }
-        }
-    }
-
-    #[test]
-    fn a_storeless_registry_is_rejected() {
-        let (dataset, general) = setting();
-        let registry = ShardedRegistry::new(general.clone(), RegistryConfig::default());
-        match run_abx(&dataset, 0..3, &registry, &general, &AbxConfig::default()) {
-            Err(UpdateError::NoStore) => {}
-            other => panic!("expected NoStore, got {other:?}"),
         }
     }
 }

@@ -142,11 +142,9 @@ mod tests {
     use pelican_mobility::{CampusConfig, DatasetBuilder, Scale, SpatialLevel, TRAIN_FRACTION};
     use pelican_nn::TrainConfig;
     use pelican_serve::RegistryConfig;
-    use pelican_store::{EnvelopeStore, MemBackend, StoreConfig};
     use pelican_train::{cohort_jobs, AuditConfig, PipelineConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::Arc;
 
     fn setting() -> (SequenceModel, pelican_mobility::MobilityDataset, Vec<TrainJob>) {
         let dataset = DatasetBuilder::new(CampusConfig::for_scale(Scale::Tiny), 11)
@@ -178,15 +176,9 @@ mod tests {
     }
 
     fn registry(general: &SequenceModel) -> ShardedRegistry {
-        let store = EnvelopeStore::open(
-            Arc::new(MemBackend::new()),
-            StoreConfig { shards: 2, ..StoreConfig::default() },
-        )
-        .unwrap();
-        ShardedRegistry::with_store(
+        ShardedRegistry::new(
             general.clone(),
             RegistryConfig { shards: 2, ..RegistryConfig::default() },
-            Arc::new(store),
         )
     }
 

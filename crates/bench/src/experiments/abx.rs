@@ -26,7 +26,6 @@
 //! CI `ab-report` step checks with `crates/bench/tests/tracked_records.rs`.
 
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::Instant;
 
 use pelican::platform::ComputeTier;
@@ -35,7 +34,6 @@ use pelican_abx::{run_abx, AbxConfig, AbxOutcome, CohortSplitter, FRACTIONS, SPL
 use pelican_mobility::{CampusConfig, DatasetBuilder, MobilityDataset, Scale, SpatialLevel};
 use pelican_nn::{SequenceModel, TrainConfig};
 use pelican_serve::{RegistryConfig, SchedulerConfig, ShardedRegistry, SimServeConfig};
-use pelican_store::{EnvelopeStore, MemBackend, StoreConfig};
 use pelican_train::{AuditConfig, PipelineConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,7 +44,7 @@ use crate::RunConfig;
 
 /// Trainer-pool widths every experiment is checked across.
 pub const WIDTHS: [usize; 3] = [1, 2, 8];
-/// Registry/store shards (must agree).
+/// Registry shards.
 const SHARDS: usize = 2;
 /// The treatment comparison: undefended vs. the ladder's hard rung.
 const TREATMENT: [DefenseKind; 2] =
@@ -95,19 +93,6 @@ fn setting(config: &RunConfig) -> (MobilityDataset, SequenceModel, Range<usize>)
     let n = dataset.users.len();
     let cohort = config.users.map_or(n, |u| u.min(n));
     (dataset, general, (n - cohort)..n)
-}
-
-fn store_backed_registry(general: &SequenceModel) -> ShardedRegistry {
-    let store = EnvelopeStore::open(
-        Arc::new(MemBackend::new()),
-        StoreConfig { shards: SHARDS, ..StoreConfig::default() },
-    )
-    .expect("open empty store");
-    ShardedRegistry::with_store(
-        general.clone(),
-        RegistryConfig { shards: SHARDS, ..RegistryConfig::default() },
-        Arc::new(store),
-    )
 }
 
 /// The experiment configuration: a compact virtual timeline (1 ms per
@@ -161,7 +146,10 @@ pub fn run(config: &RunConfig) -> AbReportRun {
     let mut runs: Vec<WidthRun> = Vec::new();
     let mut outcome: Option<AbxOutcome> = None;
     for workers in WIDTHS {
-        let registry = store_backed_registry(&general);
+        let registry = ShardedRegistry::new(
+            general.clone(),
+            RegistryConfig { shards: SHARDS, ..RegistryConfig::default() },
+        );
         let started = Instant::now();
         let abx = run_abx(
             &dataset,
@@ -204,7 +192,10 @@ pub fn run(config: &RunConfig) -> AbReportRun {
 
     // A/A control: identical rungs must read null and move nobody, and
     // the arms under test must not perturb the split itself.
-    let registry = store_backed_registry(&general);
+    let registry = ShardedRegistry::new(
+        general.clone(),
+        RegistryConfig { shards: SHARDS, ..RegistryConfig::default() },
+    );
     let aa = run_abx(
         &dataset,
         cohort.clone(),

@@ -25,7 +25,6 @@
 //! times stay in the new one as the `before` block.
 
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::Instant;
 
 use pelican::platform::ComputeTier;
@@ -38,7 +37,6 @@ use pelican_nn::{SequenceModel, TrainConfig};
 use pelican_serve::{
     simulate_serving, RegistryConfig, SchedulerConfig, ShardedRegistry, SimServeConfig,
 };
-use pelican_store::{EnvelopeStore, MemBackend, StoreConfig};
 use pelican_train::{run_pipeline, AuditConfig, PipelineConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,8 +47,8 @@ use crate::RunConfig;
 
 /// Trainer-pool widths every run is checked across.
 pub const WIDTHS: [usize; 3] = [1, 2, 8];
-/// Registry/store shards (fixed).
-const SHARDS: usize = 4;
+/// Registry sizing (fixed).
+const REGISTRY: RegistryConfig = RegistryConfig { shards: 4, hot_capacity: 16 };
 
 /// One `(pool width)` timed run of the drifting loop.
 #[derive(Debug, Clone, Copy)]
@@ -94,19 +92,6 @@ fn setting(config: &RunConfig) -> (MobilityDataset, SequenceModel, Range<usize>)
     let n = dataset.users.len();
     let cohort = config.personal_users().min(n);
     (dataset, general, (n - cohort)..n)
-}
-
-fn store_backed_registry(general: &SequenceModel) -> ShardedRegistry {
-    let store = EnvelopeStore::open(
-        Arc::new(MemBackend::new()),
-        StoreConfig { shards: SHARDS, ..StoreConfig::default() },
-    )
-    .expect("open empty store");
-    ShardedRegistry::with_store(
-        general.clone(),
-        RegistryConfig { shards: SHARDS, hot_capacity: 16 },
-        Arc::new(store),
-    )
 }
 
 /// The loop configuration: a compact virtual timeline (1 ms per
@@ -166,7 +151,7 @@ pub fn run(config: &RunConfig) -> LiveReportRun {
     let mut runs: Vec<WidthRun> = Vec::new();
     let mut outcome: Option<LiveOutcome> = None;
     for workers in WIDTHS {
-        let registry = store_backed_registry(&general);
+        let registry = ShardedRegistry::new(general.clone(), REGISTRY);
         let started = Instant::now();
         let live =
             run_live(&dataset, cohort.clone(), &registry, &general, &live_config(workers, eager()))
@@ -207,12 +192,12 @@ pub fn run(config: &RunConfig) -> LiveReportRun {
 
     // Quiescent gate: an impossible trigger must reduce the loop to the
     // unmodified one-shot pipeline plus serving pass.
-    let loop_registry = store_backed_registry(&general);
+    let loop_registry = ShardedRegistry::new(general.clone(), REGISTRY);
     let quiet_config = live_config(WIDTHS[0], quiescent());
     let quiet = run_live(&dataset, cohort.clone(), &loop_registry, &general, &quiet_config)
         .expect("quiescent run");
     assert!(quiet.retrains.is_empty(), "an impossible trigger scheduled a re-train");
-    let reference_registry = store_backed_registry(&general);
+    let reference_registry = ShardedRegistry::new(general.clone(), REGISTRY);
     let jobs = bootstrap_jobs(&dataset, cohort.clone(), &quiet_config);
     run_pipeline(
         quiet_config.pipeline.clone(),
@@ -229,8 +214,8 @@ pub fn run(config: &RunConfig) -> LiveReportRun {
         serve.fingerprint(),
         "quiescent serving trace diverged from the one-shot pipeline"
     );
-    let loop_store = loop_registry.store().expect("store-backed");
-    let reference_store = reference_registry.store().expect("store-backed");
+    let loop_store = loop_registry.store();
+    let reference_store = reference_registry.store();
     assert_eq!(loop_store.max_version(), reference_store.max_version());
     for job in &jobs {
         let a = loop_store.fetch_latest(job.user_id as u64).unwrap().expect("published");

@@ -17,7 +17,9 @@
 
 use pelican_mobility::SpatialLevel;
 use pelican_nn::ModelEnvelope;
-use pelican_serve::{run_fleet, CloudNetwork, FleetConfig, RegistryConfig, ShardedRegistry};
+use pelican_serve::{
+    run_fleet, CloudNetwork, FleetConfig, RegistryConfig, ShardedRegistry, SimServeConfig,
+};
 use pelican_sim::{Discipline, LinkMix, LinkProfile, RetryPolicy, StragglerConfig, TransferPolicy};
 use pelican_train::{
     cosimulate_fleet, CosimReport, FleetTrainer, LoopMode, NetworkConfig, RoundRecord, TrainReport,
@@ -245,7 +247,7 @@ pub fn cloud_table(config: &RunConfig) -> Table {
             ..pelican_serve::TrafficConfig::default()
         },
         unenrolled_clients: scenario.personal.len().max(2),
-        cloud,
+        serve: SimServeConfig { network: cloud, ..SimServeConfig::default() },
         ..FleetConfig::default()
     };
     let on_device = run_fleet(&scenario, &fleet(None)).expect("envelopes decode");

@@ -10,7 +10,8 @@ use pelican::platform::ComputeTier;
 use pelican::workbench::Scenario;
 use pelican_mobility::{Scale, SpatialLevel};
 use pelican_serve::{
-    run_fleet, FleetConfig, FleetOutcome, RegistryConfig, SchedulerConfig, TrafficConfig,
+    run_fleet, FleetConfig, FleetOutcome, RegistryConfig, SchedulerConfig, SimServeConfig,
+    TrafficConfig,
 };
 
 use crate::report::Table;
@@ -37,16 +38,18 @@ pub fn run(config: &RunConfig) -> Vec<FleetOutcome> {
     let scenario: Scenario = super::scenario(config, SpatialLevel::Building);
     let fleet = |tier: ComputeTier| FleetConfig {
         registry: RegistryConfig { shards: 8, hot_capacity: 4 },
-        scheduler: SchedulerConfig { max_batch: 16, max_delay_us: 2_000 },
+        serve: SimServeConfig {
+            scheduler: SchedulerConfig { max_batch: 16, max_delay_us: 2_000 },
+            tier,
+            network: None,
+        },
         traffic: TrafficConfig {
             requests: requests_for(config.scale),
             seed: config.seed,
             ..TrafficConfig::default()
         },
-        tier,
         unenrolled_clients: scenario.personal.len().max(2),
         queries_per_user: 32,
-        ..FleetConfig::default()
     };
     [ComputeTier::Cloud, ComputeTier::Device]
         .into_iter()

@@ -112,11 +112,7 @@ impl Default for LiveConfig {
     fn default() -> Self {
         Self {
             pipeline: PipelineConfig::default(),
-            serve: SimServeConfig {
-                scheduler: pelican_serve::SchedulerConfig::default(),
-                tier: ComputeTier::Cloud,
-                network: None,
-            },
+            serve: SimServeConfig::default(),
             drift: DriftConfig::default(),
             us_per_minute: 60_000_000,
             bootstrap_minutes: 7 * 24 * 60,
@@ -357,7 +353,7 @@ impl LiveFlow<'_> {
         }
         self.round_published.clear();
 
-        let store = self.registry.store().expect("checked in run_live").clone();
+        let store = self.registry.store();
         // Each job with its user's prefix tier, for the one worker that
         // runs it to take.
         let mut jobs: Vec<(TrainJob, Mutex<PrefixTier>)> = Vec::with_capacity(marked.len());
@@ -573,8 +569,7 @@ impl Workload for LiveFlow<'_> {
 ///
 /// # Errors
 ///
-/// [`UpdateError::NoStore`] when the registry has no durable store;
-/// otherwise codec/store/rollback failures surfaced from the loop.
+/// Codec/store/rollback failures surfaced from the loop.
 ///
 /// # Panics
 ///
@@ -587,9 +582,6 @@ pub fn run_live(
     general: &SequenceModel,
     config: &LiveConfig,
 ) -> Result<LiveOutcome, UpdateError> {
-    if registry.store().is_none() {
-        return Err(UpdateError::NoStore);
-    }
     let space = &dataset.space;
     let trainer = FleetTrainer::new(config.pipeline.clone());
 

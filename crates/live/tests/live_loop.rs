@@ -34,19 +34,13 @@ fn tiny_setting() -> (MobilityDataset, SequenceModel, Range<usize>) {
     (dataset, general, (n - 3)..n)
 }
 
-fn store_backed_registry(general: &SequenceModel) -> ShardedRegistry {
-    registry_over(general, Arc::new(MemBackend::new()))
-}
+const REGISTRY: RegistryConfig = RegistryConfig { shards: SHARDS, hot_capacity: 8 };
 
 fn registry_over(general: &SequenceModel, backend: Arc<dyn StorageBackend>) -> ShardedRegistry {
     let store =
         EnvelopeStore::open(backend, StoreConfig { shards: SHARDS, ..StoreConfig::default() })
             .expect("open empty store");
-    ShardedRegistry::with_store(
-        general.clone(),
-        RegistryConfig { shards: SHARDS, hot_capacity: 8 },
-        Arc::new(store),
-    )
+    ShardedRegistry::with_store(general.clone(), REGISTRY, Arc::new(store))
 }
 
 fn fast_config(workers: usize, metric: DriftMetric) -> LiveConfig {
@@ -91,7 +85,7 @@ fn quiescent_loop_reduces_to_the_one_shot_pipeline() {
     let (dataset, general, users) = tiny_setting();
     let config = fast_config(2, quiescent());
 
-    let live_registry = store_backed_registry(&general);
+    let live_registry = ShardedRegistry::new(general.clone(), REGISTRY);
     let live =
         run_live(&dataset, users.clone(), &live_registry, &general, &config).expect("live run");
 
@@ -104,7 +98,7 @@ fn quiescent_loop_reduces_to_the_one_shot_pipeline() {
     // Reference: the unmodified one-shot pipeline over the same
     // bootstrap cohort, then the plain serving pass over the same
     // stream.
-    let reference_registry = store_backed_registry(&general);
+    let reference_registry = ShardedRegistry::new(general.clone(), REGISTRY);
     let jobs = bootstrap_jobs(&dataset, users.clone(), &config);
     assert!(!jobs.is_empty());
     let report =
@@ -120,8 +114,8 @@ fn quiescent_loop_reduces_to_the_one_shot_pipeline() {
 
     // Bit-identical publications: every user's durable envelope bytes
     // match, and nothing beyond the bootstrap was ever written.
-    let live_store = live_registry.store().expect("store-backed").clone();
-    let reference_store = reference_registry.store().expect("store-backed").clone();
+    let live_store = live_registry.store();
+    let reference_store = reference_registry.store();
     assert_eq!(live_store.max_version(), reference_store.max_version());
     for job in &jobs {
         let a = live_store.fetch_latest(job.user_id as u64).unwrap().expect("published");
@@ -136,10 +130,10 @@ fn drifting_loop_is_width_invariant_and_reaudits_for_free() {
     let (dataset, general, users) = tiny_setting();
     let cohort = || users.clone();
 
-    let narrow_registry = store_backed_registry(&general);
+    let narrow_registry = ShardedRegistry::new(general.clone(), REGISTRY);
     let narrow = run_live(&dataset, cohort(), &narrow_registry, &general, &fast_config(1, eager()))
         .expect("1-worker run");
-    let wide_registry = store_backed_registry(&general);
+    let wide_registry = ShardedRegistry::new(general.clone(), REGISTRY);
     let wide = run_live(&dataset, cohort(), &wide_registry, &general, &fast_config(2, eager()))
         .expect("2-worker run");
 
@@ -158,8 +152,8 @@ fn drifting_loop_is_width_invariant_and_reaudits_for_free() {
         assert_eq!(a.train_simulated_us, b.train_simulated_us);
     }
     // Durable histories agree byte-for-byte per user.
-    let narrow_store = narrow_registry.store().unwrap().clone();
-    let wide_store = wide_registry.store().unwrap().clone();
+    let narrow_store = narrow_registry.store();
+    let wide_store = wide_registry.store();
     for u in cohort() {
         let a = narrow_store.fetch_latest(u as u64).unwrap();
         let b = wide_store.fetch_latest(u as u64).unwrap();
@@ -185,7 +179,7 @@ fn drifting_loop_is_width_invariant_and_reaudits_for_free() {
     // counters are width-invariant too; every forward pass of every
     // admission asked one, and the re-trains' were mostly answered — a
     // re-train cannot move the frozen base.
-    let widest_registry = store_backed_registry(&general);
+    let widest_registry = ShardedRegistry::new(general.clone(), REGISTRY);
     let widest = run_live(&dataset, cohort(), &widest_registry, &general, &fast_config(8, eager()))
         .expect("8-worker run");
     assert_eq!(widest.fingerprint(), narrow.fingerprint());
@@ -202,7 +196,7 @@ fn drifting_loop_is_width_invariant_and_reaudits_for_free() {
     // Every publication rolled back (no accuracy clears a tolerance of
     // −2): the user keeps the predecessor and gets the tier back, so the
     // next re-train's admission still finds it.
-    let reverted_registry = store_backed_registry(&general);
+    let reverted_registry = ShardedRegistry::new(general.clone(), REGISTRY);
     let reverting = LiveConfig { rollback_tolerance: -2.0, ..fast_config(2, eager()) };
     let reverted = run_live(&dataset, cohort(), &reverted_registry, &general, &reverting)
         .expect("rollback run");

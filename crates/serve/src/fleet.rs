@@ -8,14 +8,13 @@
 //! Every run goes through [`crate::simserve::simulate_serving`]: shard
 //! buffers seal on sim timer events and fused batches occupy their
 //! shard's compute resource (back-to-back batches queue), on-device and
-//! in the cloud alike. [`FleetConfig::cloud`] describes the deployment,
-//! not the scheduler: when set, each query also crosses its client's own
-//! (seeded, heterogeneous) uplink before it can be batched and responses
-//! return over one shared, contended cloud egress link — so batch
-//! compositions genuinely react to network jitter — and the round-trip
-//! summary lands in [`FleetOutcome::network`].
+//! in the cloud alike. [`SimServeConfig::network`] describes the
+//! deployment, not the scheduler: when set, each query also crosses its
+//! client's own (seeded, heterogeneous) uplink before it can be batched
+//! and responses return over one shared, contended cloud egress link —
+//! so batch compositions genuinely react to network jitter — and the
+//! round-trip summary lands in [`FleetOutcome::network`].
 
-use pelican::platform::ComputeTier;
 use pelican::workbench::Scenario;
 use pelican_nn::{ModelCodecError, Sequence};
 use pelican_sim::{stage_stats, LinkMix, TransferPolicy};
@@ -23,7 +22,7 @@ use pelican_tensor::nearest_rank;
 
 use crate::metrics::{MetricsSink, ServeReport};
 use crate::registry::{RegistryConfig, RegistryStats, ShardedRegistry};
-use crate::scheduler::{Request, SchedulerConfig};
+use crate::scheduler::Request;
 use crate::simserve::{simulate_serving, SimServeConfig};
 use crate::traffic::{TrafficConfig, TrafficGenerator};
 
@@ -32,34 +31,29 @@ use crate::traffic::{TrafficConfig, TrafficGenerator};
 pub struct FleetConfig {
     /// Registry sharding and hot-cache sizing.
     pub registry: RegistryConfig,
-    /// Batch coalescing knobs.
-    pub scheduler: SchedulerConfig,
+    /// Batch coalescing, the tier fused batches are costed on, and the
+    /// cloud-deployment network path: `None` serves on-device (queries
+    /// pay no network, only batching and shard occupancy); `Some` adds
+    /// each client's uplink and the shared egress to the same timeline.
+    pub serve: SimServeConfig,
     /// Traffic shape. `users` is overridden with the harness's client
     /// pool size.
     pub traffic: TrafficConfig,
-    /// Tier fused batches are costed on.
-    pub tier: ComputeTier,
     /// How many contributor (unenrolled) users join the client pool and
     /// exercise the general-model fallback.
     pub unenrolled_clients: usize,
     /// Distinct query sequences cached per client (cycled round-robin).
     pub queries_per_user: usize,
-    /// Cloud-deployment network path. `None` serves on-device (queries
-    /// pay no network, only batching and shard occupancy); `Some` adds
-    /// each client's uplink and the shared egress to the same timeline.
-    pub cloud: Option<CloudNetwork>,
 }
 
 impl Default for FleetConfig {
     fn default() -> Self {
         Self {
             registry: RegistryConfig::default(),
-            scheduler: SchedulerConfig::default(),
+            serve: SimServeConfig::default(),
             traffic: TrafficConfig::default(),
-            tier: ComputeTier::Cloud,
             unenrolled_clients: 4,
             queries_per_user: 32,
-            cloud: None,
         }
     }
 }
@@ -117,7 +111,7 @@ pub struct FleetOutcome {
     /// Final registry counters (also embedded in the report).
     pub stats: RegistryStats,
     /// End-to-end round-trip summary when serving through
-    /// [`FleetConfig::cloud`]; `None` for on-device serving.
+    /// [`SimServeConfig::network`]; `None` for on-device serving.
     pub network: Option<CloudRtt>,
 }
 
@@ -180,14 +174,12 @@ pub fn run_fleet(
     // One timeline for both deployments: arrivals (over client uplinks
     // when there is a network), deadline timers, shard-serial fused
     // compute and egress responses all run on the sim's event heap.
-    let sim_config =
-        SimServeConfig { scheduler: config.scheduler, tier: config.tier, network: config.cloud };
-    let outcome = simulate_serving(&registry, &requests, &sim_config)?;
+    let outcome = simulate_serving(&registry, &requests, &config.serve)?;
     let mut sink = MetricsSink::default();
     for (batch, completions) in outcome.batches.iter().zip(&outcome.completions) {
         sink.record(batch, completions);
     }
-    let network = config.cloud.map(|_| {
+    let network = config.serve.network.map(|_| {
         let mut rtts: Vec<u64> = outcome.served.iter().map(|s| s.rtt_us()).collect();
         rtts.sort_unstable();
         CloudRtt {
@@ -203,5 +195,5 @@ pub fn run_fleet(
     });
 
     let stats = registry.stats();
-    Ok(FleetOutcome { report: sink.report(config.tier, stats.clone()), stats, network })
+    Ok(FleetOutcome { report: sink.report(config.serve.tier, stats.clone()), stats, network })
 }

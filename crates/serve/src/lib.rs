@@ -35,10 +35,10 @@
 //! cloud — is one [`simserve::simulate_serving`] pass: shard buffers seal
 //! on sim timer events and fused batches occupy their shard's compute
 //! resource (back-to-back batches queue, and each completion carries a
-//! queue/service split). With [`fleet::FleetConfig::cloud`] set, queries
-//! also cross their client's seeded uplink before they can be batched,
-//! responses return over one shared contended egress link, and the
-//! round-trip summary lands in [`fleet::FleetOutcome::network`].
+//! queue/service split). With [`simserve::SimServeConfig::network`] set,
+//! queries also cross their client's seeded uplink before they can be
+//! batched, responses return over one shared contended egress link, and
+//! the round-trip summary lands in [`fleet::FleetOutcome::network`].
 //!
 //! # Example
 //!

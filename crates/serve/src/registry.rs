@@ -21,12 +21,14 @@
 //!
 //! # Durable tier
 //!
-//! A registry built with [`ShardedRegistry::with_store`] gains a third
-//! tier below the in-memory envelopes: a crash-safe
-//! [`pelican_store::EnvelopeStore`] retaining every user's full version
-//! history. Publications become **write-through** — the envelope passes
+//! Every registry keeps a third tier below the in-memory envelopes: a
+//! crash-safe [`pelican_store::EnvelopeStore`] retaining every user's
+//! full version history. [`ShardedRegistry::new`] opens one over a fresh
+//! in-memory backend; [`ShardedRegistry::with_store`] takes a caller's
+//! own (a directory, a fault-injecting wrapper, or a surviving disk on
+//! reopen). Publications are **write-through** — the envelope passes
 //! the store's durability barrier *before* it becomes service-visible,
-//! so an acknowledged publish survives any crash — and lookups become
+//! so an acknowledged publish survives any crash — and lookups are
 //! **read-through**: after a restart the in-memory maps start empty and
 //! refill from the log on first touch. History retention is what powers
 //! [`ShardedRegistry::rollback`]: re-publishing any retained prior
@@ -43,7 +45,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use pelican::workbench::Scenario;
 use pelican::PAPER_DEFENSE;
 use pelican_nn::{ModelCodecError, ModelEnvelope, SequenceModel};
-use pelican_store::{EnvelopeStore, StoreError};
+use pelican_store::{EnvelopeStore, MemBackend, StoreConfig, StoreError};
 
 /// Sizing knobs for [`ShardedRegistry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,10 +93,8 @@ pub struct RegistryStats {
     pub hot_models: usize,
     /// Enrolled envelopes in cold storage.
     pub cold_models: usize,
-    /// Version-history depth per shard: with a durable store attached,
-    /// the committed versions it retains; without one, the in-memory
-    /// registry keeps only each user's current version, so this is the
-    /// per-shard enrolled-user count.
+    /// Version-history depth per shard: the committed versions the
+    /// durable store retains.
     pub history_by_shard: Vec<u64>,
 }
 
@@ -124,9 +124,6 @@ pub enum UpdateError {
     Codec(ModelCodecError),
     /// The durable store failed an append or fetch.
     Store(StoreError),
-    /// The registry has no durable store attached — the loops need one
-    /// for warm-start fetches and rollback targets.
-    NoStore,
 }
 
 impl std::fmt::Display for UpdateError {
@@ -134,7 +131,6 @@ impl std::fmt::Display for UpdateError {
         match self {
             UpdateError::Codec(e) => write!(f, "envelope decode failed: {e}"),
             UpdateError::Store(e) => write!(f, "durable store failed: {e}"),
-            UpdateError::NoStore => write!(f, "update loop requires a store-backed registry"),
         }
     }
 }
@@ -193,67 +189,71 @@ pub struct ShardedRegistry {
     hot_capacity: usize,
     fallbacks: AtomicU64,
     /// Monotone publication counter; each enrollment gets the next value.
-    /// With a store attached it is seeded past the highest committed
-    /// version, so monotonicity survives restarts.
+    /// It is seeded past the store's highest committed version, so
+    /// monotonicity survives restarts.
     versions: AtomicU64,
     rollbacks: AtomicU64,
-    /// Durable cold tier retaining full version history (optional).
-    store: Option<Arc<EnvelopeStore>>,
+    /// Durable cold tier retaining full version history.
+    store: Arc<EnvelopeStore>,
 }
 
 impl ShardedRegistry {
-    /// Creates a registry around the shared general (fallback) model.
+    /// Creates a registry around the shared general (fallback) model,
+    /// durable over a fresh in-memory [`EnvelopeStore`] with one store
+    /// shard per registry shard.
     ///
     /// # Panics
     ///
     /// Panics if `config.shards` or `config.hot_capacity` is zero.
     pub fn new(general: SequenceModel, config: RegistryConfig) -> Self {
+        // Before the store opens, which has its own zero-shard assert.
         assert!(config.shards > 0, "registry needs at least one shard");
-        assert!(config.hot_capacity > 0, "hot cache capacity must be positive");
-        Self {
-            shards: (0..config.shards).map(|_| Mutex::new(Shard::default())).collect(),
-            general: Arc::new(general),
-            hot_capacity: config.hot_capacity,
-            fallbacks: AtomicU64::new(0),
-            versions: AtomicU64::new(0),
-            rollbacks: AtomicU64::new(0),
-            store: None,
-        }
+        let store = EnvelopeStore::open(
+            Arc::new(MemBackend::new()),
+            StoreConfig { shards: config.shards, ..StoreConfig::default() },
+        )
+        .expect("an empty in-memory store opens");
+        Self::with_store(general, config, Arc::new(store))
     }
 
-    /// Creates a registry whose cold tier is a durable
-    /// [`EnvelopeStore`]: publications are write-through (durable before
-    /// visible), lookups read through to the log on an in-memory miss,
-    /// and the publication version counter resumes past the highest
-    /// committed version the store replayed — so a registry reopened
-    /// over yesterday's log serves yesterday's models at tomorrow's
-    /// version numbers.
+    /// Creates a registry over a caller's own durable [`EnvelopeStore`]:
+    /// publications are write-through (durable before visible), lookups
+    /// read through to the log on an in-memory miss, and the publication
+    /// version counter resumes past the highest committed version the
+    /// store replayed — so a registry reopened over yesterday's log
+    /// serves yesterday's models at tomorrow's version numbers.
     ///
     /// # Panics
     ///
-    /// Panics on zero sizing knobs (as [`ShardedRegistry::new`]) and
-    /// when the store's shard count differs from `config.shards` —
-    /// both sides shard by `user % shards`, and aligned shards keep
+    /// Panics if `config.shards` or `config.hot_capacity` is zero, and
+    /// when the store's shard count differs from `config.shards` — both
+    /// sides shard by `user % shards`, and aligned shards keep
     /// [`RegistryStats::history_by_shard`] meaningful.
     pub fn with_store(
         general: SequenceModel,
         config: RegistryConfig,
         store: Arc<EnvelopeStore>,
     ) -> Self {
+        assert!(config.hot_capacity > 0, "hot cache capacity must be positive");
         assert_eq!(
             store.shard_count(),
             config.shards,
             "store and registry must agree on the shard count"
         );
-        let mut registry = Self::new(general, config);
-        registry.versions = AtomicU64::new(store.max_version());
-        registry.store = Some(store);
-        registry
+        Self {
+            shards: (0..config.shards).map(|_| Mutex::new(Shard::default())).collect(),
+            general: Arc::new(general),
+            hot_capacity: config.hot_capacity,
+            fallbacks: AtomicU64::new(0),
+            versions: AtomicU64::new(store.max_version()),
+            rollbacks: AtomicU64::new(0),
+            store,
+        }
     }
 
-    /// The durable store behind this registry, when one is attached.
-    pub fn store(&self) -> Option<&Arc<EnvelopeStore>> {
-        self.store.as_ref()
+    /// The durable store behind this registry.
+    pub fn store(&self) -> &Arc<EnvelopeStore> {
+        &self.store
     }
 
     /// A shard's state, taken back if a panic poisoned its lock. No
@@ -286,22 +286,19 @@ impl ShardedRegistry {
     /// update and rollback funnels through.
     ///
     /// Under the shard lock: allocate the next monotone version, make it
-    /// durable (when a store is attached, [`EnvelopeStore::append`]
-    /// returns only after its durability barrier — the envelope is on
-    /// "disk" *before* it is service-visible), then atomically swap the
-    /// cold envelope and drop the stale hot copy. Two publishers racing
-    /// on one user serialize on the shard lock and commit in version
-    /// order; a failed durable append burns the version number but
-    /// publishes nothing.
+    /// durable ([`EnvelopeStore::append`] returns only after its
+    /// durability barrier — the envelope is on "disk" *before* it is
+    /// service-visible), then atomically swap the cold envelope and drop
+    /// the stale hot copy. Two publishers racing on one user serialize
+    /// on the shard lock and commit in version order; a failed durable
+    /// append burns the version number but publishes nothing.
     fn publish(&self, user_id: usize, envelope: ModelEnvelope) -> Result<u64, StoreError> {
         let mut shard = self.lock(&self.shards[self.shard_of(user_id)]);
         // Allocate the version *under* the shard lock: two publishers
         // racing on the same user then commit in version order, so the
         // entry that wins the map insert is always the higher version.
         let version = self.versions.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(store) = &self.store {
-            store.append(user_id as u64, version, &envelope)?;
-        }
+        self.store.append(user_id as u64, version, &envelope)?;
         shard.cold.insert(user_id, ColdEntry { envelope, version });
         shard.hot.remove(&user_id);
         Ok(version)
@@ -315,7 +312,7 @@ impl ShardedRegistry {
     ///
     /// # Panics
     ///
-    /// Panics if a durable store is attached and its backend fails (use
+    /// Panics if the durable store's backend fails (use
     /// [`ShardedRegistry::try_enroll_envelope`] to handle that).
     pub fn enroll(&self, user_id: usize, model: &SequenceModel) -> u64 {
         self.publish(user_id, ModelEnvelope::encode(model)).expect("durable publication failed")
@@ -349,15 +346,13 @@ impl ShardedRegistry {
     ///
     /// # Errors
     ///
-    /// [`UpdateError::NoStore`] without a durable store;
     /// [`UpdateError::Store`] with [`StoreError::UnknownVersion`] when the
     /// target version is not retained (never published or compacted
     /// away), or with the backend's error on a failure.
     pub fn rollback(&self, user_id: usize, version: u64) -> Result<u64, UpdateError> {
-        let store = self.store.as_ref().ok_or(UpdateError::NoStore)?;
         // Fetch outside the registry shard lock (lock order is registry
         // shard -> store shard; this takes only the latter).
-        let envelope = store.fetch(user_id as u64, version)?;
+        let envelope = self.store.fetch(user_id as u64, version)?;
         let new_version = self.publish(user_id, envelope)?;
         self.rollbacks.fetch_add(1, Ordering::Relaxed);
         Ok(new_version)
@@ -384,7 +379,7 @@ impl ShardedRegistry {
         if self.lock(&self.shards[self.shard_of(user_id)]).cold.contains_key(&user_id) {
             return true;
         }
-        self.store.as_ref().is_some_and(|s| s.contains(user_id as u64))
+        self.store.contains(user_id as u64)
     }
 
     /// The publication version of the user's current model, or `None` if
@@ -393,7 +388,7 @@ impl ShardedRegistry {
     pub fn version_of(&self, user_id: usize) -> Option<u64> {
         let from_memory =
             self.lock(&self.shards[self.shard_of(user_id)]).cold.get(&user_id).map(|e| e.version);
-        from_memory.or_else(|| self.store.as_ref().and_then(|s| s.latest_version(user_id as u64)))
+        from_memory.or_else(|| self.store.latest_version(user_id as u64))
     }
 
     /// Looks up the model that should answer a user's query, decoding cold
@@ -404,10 +399,15 @@ impl ShardedRegistry {
     /// re-published mid-request — the reader finishes on the version it
     /// fetched, the next lookup observes the new one.
     ///
+    /// A read-through that the store fails — a backend I/O error, or a
+    /// record failing its CRC ([`StoreError::Corrupt`]) — answers with
+    /// the general model as a [`Lookup::Fallback`]; the user stays
+    /// enrolled and the next lookup reads through again.
+    ///
     /// # Errors
     ///
-    /// Returns [`ModelCodecError`] if the user's stored envelope is
-    /// corrupt.
+    /// Returns [`ModelCodecError`] if the user's envelope bytes (intact
+    /// on disk) fail to decode.
     pub fn get(&self, user_id: usize) -> Result<(Arc<SequenceModel>, Lookup), ModelCodecError> {
         let capacity = self.hot_capacity;
         let mut shard = self.lock(&self.shards[self.shard_of(user_id)]);
@@ -425,17 +425,16 @@ impl ShardedRegistry {
         // lock, so no publisher can interleave a newer version between
         // the fetch and the cache fill. Store I/O failures degrade to
         // the fallback model rather than erroring the serving path.
-        let mut fetched_version = None;
-        let envelope = match shard.cold.get(&user_id) {
-            Some(entry) => Some(entry.envelope.clone()),
-            None => self.store.as_ref().and_then(|store| {
-                let (version, envelope) =
-                    store.fetch_latest_with_version(user_id as u64).ok()??;
-                fetched_version = Some(version);
-                Some(envelope)
-            }),
+        let found = match shard.cold.get(&user_id) {
+            Some(entry) => Some((entry.envelope.clone(), None)),
+            None => self
+                .store
+                .fetch_latest_with_version(user_id as u64)
+                .ok()
+                .flatten()
+                .map(|(version, envelope)| (envelope, Some(version))),
         };
-        if let Some(envelope) = envelope {
+        if let Some((envelope, fetched_version)) = found {
             let model = Arc::new(envelope.decode()?);
             // Only bytes that came from the store are new to the cold map.
             if let Some(version) = fetched_version {
@@ -465,6 +464,9 @@ impl ShardedRegistry {
             fallbacks: self.fallbacks.load(Ordering::Relaxed),
             publishes: self.versions.load(Ordering::Relaxed),
             rollbacks: self.rollbacks.load(Ordering::Relaxed),
+            // Shard counts are aligned (asserted in `with_store`), so the
+            // store's retained-history depths line up shard for shard.
+            history_by_shard: self.store.stats().retained_by_shard,
             ..RegistryStats::default()
         };
         for shard in &self.shards {
@@ -474,13 +476,6 @@ impl ShardedRegistry {
             stats.evictions += shard.evictions;
             stats.hot_models += shard.hot.len();
             stats.cold_models += shard.cold.len();
-            stats.history_by_shard.push(shard.cold.len() as u64);
-        }
-        if let Some(store) = &self.store {
-            // Shard counts are aligned (asserted in `with_store`), so the
-            // store's retained-history depths replace the 1-version-deep
-            // in-memory view shard for shard.
-            stats.history_by_shard = store.stats().retained_by_shard;
         }
         stats
     }
@@ -697,19 +692,23 @@ mod tests {
                 r.rollback(1, 1),
                 Err(UpdateError::Store(StoreError::UnknownVersion { user: 1, version: 1 }))
             ));
-            let plain = registry(2, 2);
-            assert!(matches!(plain.rollback(1, 1), Err(UpdateError::NoStore)));
         }
 
         #[test]
-        fn history_by_shard_without_a_store_counts_current_versions() {
-            let r = registry(2, 2);
-            r.enroll(0, &model(1));
-            r.enroll(2, &model(2));
-            r.enroll(3, &model(3));
+        fn a_new_registry_is_durable() {
+            let r = registry(3, 2);
+            assert_eq!(r.store().shard_count(), 3);
+            let good = model(1);
+            let v1 = r.enroll(4, &good);
+            let v2 = r.enroll(4, &model(2));
+            let v3 = r.rollback(4, v1).expect("v1 is retained by the in-memory store");
+            assert!(v3 > v2);
+            let xs = vec![vec![0.2; 4]; 2];
+            let (served, _) = r.get(4).unwrap();
+            assert_eq!(served.predict_proba(&xs), good.predict_proba(&xs));
             let stats = r.stats();
-            assert_eq!(stats.history_by_shard, vec![2, 1]);
-            assert_eq!(stats.history_total(), 3);
+            assert_eq!(stats.history_by_shard.len(), 3);
+            assert_eq!(stats.history_total(), 3, "every publication is retained");
         }
     }
 }

@@ -68,6 +68,13 @@ pub struct SimServeConfig {
     pub network: Option<CloudNetwork>,
 }
 
+impl Default for SimServeConfig {
+    /// Default coalescing, cloud-tier compute, no network.
+    fn default() -> Self {
+        Self { scheduler: SchedulerConfig::default(), tier: ComputeTier::Cloud, network: None }
+    }
+}
+
 /// One request's life on the virtual clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServedRequest {

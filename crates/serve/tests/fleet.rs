@@ -6,7 +6,8 @@ use pelican::platform::ComputeTier;
 use pelican::workbench::Scenario;
 use pelican_mobility::{Scale, SpatialLevel};
 use pelican_serve::{
-    run_fleet, CloudNetwork, FleetConfig, RegistryConfig, SchedulerConfig, TrafficConfig,
+    run_fleet, CloudNetwork, FleetConfig, RegistryConfig, SchedulerConfig, SimServeConfig,
+    TrafficConfig,
 };
 
 fn scenario() -> Scenario {
@@ -16,12 +17,13 @@ fn scenario() -> Scenario {
 fn config(requests: usize) -> FleetConfig {
     FleetConfig {
         registry: RegistryConfig { shards: 4, hot_capacity: 2 },
-        scheduler: SchedulerConfig { max_batch: 8, max_delay_us: 1_500 },
+        serve: SimServeConfig {
+            scheduler: SchedulerConfig { max_batch: 8, max_delay_us: 1_500 },
+            ..SimServeConfig::default()
+        },
         traffic: TrafficConfig { requests, seed: 5, ..TrafficConfig::default() },
-        tier: ComputeTier::Cloud,
         unenrolled_clients: 3,
         queries_per_user: 8,
-        ..FleetConfig::default()
     }
 }
 
@@ -80,9 +82,10 @@ fn coalescing_forms_real_batches_under_load() {
 #[test]
 fn cloud_deployment_pays_rtt_deterministically() {
     let s = scenario();
-    let cloud = |seed| FleetConfig {
-        cloud: Some(CloudNetwork { seed, ..CloudNetwork::default() }),
-        ..config(400)
+    let cloud = |seed| {
+        let mut cfg = config(400);
+        cfg.serve.network = Some(CloudNetwork { seed, ..CloudNetwork::default() });
+        cfg
     };
     let on_device = run_fleet(&s, &config(400)).expect("fleet runs");
     let a = run_fleet(&s, &cloud(11)).expect("fleet runs");
@@ -114,8 +117,8 @@ fn saturated_on_device_serving_queues_on_its_shard() {
     // run them, so they must wait for it — on-device too.
     let mut cfg = config(300);
     cfg.registry.shards = 1;
-    cfg.scheduler.max_batch = 1;
-    cfg.tier = ComputeTier::Device;
+    cfg.serve.scheduler.max_batch = 1;
+    cfg.serve.tier = ComputeTier::Device;
     cfg.traffic.mean_interarrival_us = 1.0;
     let report = run_fleet(&s, &cfg).expect("fleet runs").report;
     assert!(report.service_p50_us > 10, "arrivals outpace service: {report:?}");

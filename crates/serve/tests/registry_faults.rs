@@ -1,6 +1,8 @@
-//! A publication whose durable append panics is invisible and blocks
-//! nothing: `publish` changes the shard only after the append returns, so
-//! the registry takes the poisoned lock back over untouched state.
+//! Store faults under a registry. A publication whose durable append
+//! panics is invisible and blocks nothing: `publish` changes the shard
+//! only after the append returns, so the registry takes the poisoned lock
+//! back over untouched state. A read-through whose fetch fails answers
+//! with the general model and leaves the user enrolled.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -52,4 +54,30 @@ fn a_publish_that_panics_in_the_store_is_invisible_and_blocks_nothing() {
     serves(2, &model(4));
     // Another user on the shard is still served.
     serves(4, &model(2));
+}
+
+#[test]
+fn a_failed_read_through_falls_back_and_the_next_lookup_serves_the_user() {
+    let disk = MemBackend::new();
+    let config = StoreConfig { shards: 2, ..StoreConfig::default() };
+    let registry_config = RegistryConfig { shards: 2, hot_capacity: 4 };
+    let store = EnvelopeStore::open(Arc::new(disk.clone()), config).expect("open an empty store");
+    ShardedRegistry::with_store(model(0), registry_config, Arc::new(store)).enroll(2, &model(1));
+
+    // Reopen over the same disk: the in-memory maps start empty, so the
+    // first lookup reads through to the log, and that read fails.
+    let plan = Arc::new(FaultPlan::new(disk));
+    let store = EnvelopeStore::open(plan.clone(), config).expect("reopen the store");
+    let registry = ShardedRegistry::with_store(model(0), registry_config, Arc::new(store));
+    plan.arm(Method::ReadRange, 1, Fault::Error);
+
+    let (_, lookup) = registry.get(2).expect("a store failure is no decode error");
+    assert_eq!(lookup, Lookup::Fallback);
+    assert_eq!(registry.stats().fallbacks, 1);
+    assert!(registry.is_enrolled(2), "a failed read unenrolls nobody");
+
+    let (served, lookup) = registry.get(2).expect("the envelope decodes");
+    assert_eq!(lookup, Lookup::Cold);
+    let xs = vec![vec![0.2; 4]; 2];
+    assert_eq!(served.predict_proba(&xs), model(1).predict_proba(&xs));
 }

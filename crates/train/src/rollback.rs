@@ -35,11 +35,10 @@
 
 use std::sync::Arc;
 
-use pelican::platform::ComputeTier;
 use pelican_nn::{DefenseKind, ModelEnvelope, SequenceModel, Step};
 use pelican_serve::{
-    job_id, serve_harness, split_job_id, Lane, RegistryConfig, Request, SchedulerConfig, ServeFlow,
-    ServeHarness, ServeJob, ShardedRegistry, SimServeConfig, UpdateError,
+    job_id, serve_harness, split_job_id, Lane, RegistryConfig, Request, ServeFlow, ServeHarness,
+    ServeJob, ShardedRegistry, SimServeConfig, UpdateError,
 };
 use pelican_sim::{
     mix64, stage_stats, JobReport, JobSpec, LinkProfile, LinkSpec, SimControl, Simulator, Workload,
@@ -413,13 +412,8 @@ fn study(
             xs: probes[i % probes.len()].clone(),
         })
         .collect();
-    let serve_config = SimServeConfig {
-        scheduler: SchedulerConfig::default(),
-        tier: ComputeTier::Cloud,
-        network: None,
-    };
     let ServeHarness { mut links, jobs: mut initial, flow: serve } =
-        serve_harness(&registry, &requests, &serve_config);
+        serve_harness(&registry, &requests, &SimServeConfig::default());
     let pushes = Lane::new(KIND_PUSH, "rollback-push", links.len());
     // One WAN egress, FIFO: pushes serialize, so the fleet's last replica
     // waits for every other push — the widest staleness window.

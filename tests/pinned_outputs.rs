@@ -17,8 +17,6 @@
 //! from-scratch LSTM and Reuse rows and the predicted-prior admission at
 //! `56c9d2d`, before compute was priced from shapes instead of counted.
 
-use std::sync::Arc;
-
 use pelican::platform::{ComputeTier, ResourceUsage};
 use pelican::workbench::Scenario;
 use pelican::{DefenseKind, PersonalizationConfig, PersonalizationMethod};
@@ -32,7 +30,6 @@ use pelican_serve::{
     run_fleet, simulate_serving, CloudNetwork, CloudRtt, FleetConfig, RegistryConfig, Request,
     SchedulerConfig, ShardedRegistry, SimServeConfig, TrafficConfig, TrafficGenerator,
 };
-use pelican_store::{EnvelopeStore, MemBackend, StoreConfig};
 use pelican_train::{
     cohort_jobs, run_pipeline, run_rollback_study, AuditConfig, AuditGate, GateOutcome,
     GateVerdict, PipelineConfig, RollbackConfig, RollbackReport,
@@ -82,25 +79,11 @@ fn live_config() -> LiveConfig {
     }
 }
 
-/// A registry of two shards, each keeping `hot_capacity` decoded models,
-/// over an empty in-memory store.
-fn store_backed_registry(general: &SequenceModel, hot_capacity: usize) -> ShardedRegistry {
-    let store = EnvelopeStore::open(
-        Arc::new(MemBackend::new()),
-        StoreConfig { shards: 2, ..StoreConfig::default() },
-    )
-    .expect("open empty store");
-    ShardedRegistry::with_store(
-        general.clone(),
-        RegistryConfig { shards: 2, hot_capacity },
-        Arc::new(store),
-    )
-}
-
 #[test]
 fn tiny_live_loop_fingerprint_is_the_recorded_one() {
     let (dataset, general, users) = tiny_setting();
-    let registry = store_backed_registry(&general, 8);
+    let registry =
+        ShardedRegistry::new(general.clone(), RegistryConfig { shards: 2, hot_capacity: 8 });
     let live = run_live(&dataset, users, &registry, &general, &live_config()).expect("live run");
     assert_eq!(live.fingerprint(), 0xb4d5_3f02_aefe_9d7d, "the live-loop reproduction moved");
     assert_eq!(live.retrains.len(), 23);
@@ -193,7 +176,8 @@ fn tiny_serving_pass_is_the_recorded_one() {
     // real encoded sessions, over the default cloud network.
     let (dataset, general, _) = tiny_setting();
     let (enrolled, clients) = (12, 14);
-    let registry = store_backed_registry(&general, 2);
+    let registry =
+        ShardedRegistry::new(general.clone(), RegistryConfig { shards: 2, hot_capacity: 2 });
     for user in 0..enrolled {
         let mut rng = StdRng::seed_from_u64(100 + user as u64);
         let (dim, classes) = (dataset.space.dim(), dataset.n_locations());
@@ -248,7 +232,7 @@ fn tiny_fleet_runs_are_the_recorded_ones() {
         Scenario::builder(Scale::Tiny, SpatialLevel::Building).seed(19).personal_users(3).build();
     let fleet = |cloud| FleetConfig {
         traffic: TrafficConfig { requests: 600, seed: 5, ..TrafficConfig::default() },
-        cloud,
+        serve: SimServeConfig { network: cloud, ..SimServeConfig::default() },
         ..FleetConfig::default()
     };
     let on_device = run_fleet(&scenario, &fleet(None)).expect("envelopes decode");
@@ -331,7 +315,8 @@ fn tiny_enrolment_is_the_recorded_one() {
     // three epochs each, audited and published.
     let (dataset, general, users) = tiny_setting();
     let jobs = cohort_jobs(&dataset, users, 0.8);
-    let registry = store_backed_registry(&general, 8);
+    let registry =
+        ShardedRegistry::new(general.clone(), RegistryConfig { shards: 2, hot_capacity: 8 });
     let mut config = live_config().pipeline;
     config.personalization.train.epochs = 3;
     let report = run_pipeline(config, &general, &dataset.space, &jobs, &registry);

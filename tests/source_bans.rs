@@ -15,12 +15,14 @@
 //!   names every defense, a model holds exactly one and
 //!   `SequenceModel::set_defense` is the one place it is checked and
 //!   installed; one `interest_locations` probes any `BlackBox`.
+//! * A storeless registry: every `ShardedRegistry` publishes through a
+//!   durable store, so no caller checks for a missing one.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// `(pattern, use instead)`.
-const BANS: [(&str, &str); 15] = [
+const BANS: [(&str, &str); 16] = [
     (".tanh()", "pelican_tensor::ops::tanh"),
     ("f32::tanh", "pelican_tensor::ops::tanh"),
     ("thread_local!", "state passed in and returned, not kept per thread"),
@@ -36,6 +38,10 @@ const BANS: [(&str, &str); 15] = [
     ("Postprocess", "DefenseKind::{OutputNoise, Rounding}, the model's one defense"),
     ("set_temperature", "SequenceModel::set_defense(DefenseKind::Temperature { .. })"),
     ("set_postprocess", "SequenceModel::set_defense, which replaces the whole defense"),
+    (
+        "NoStore",
+        "every `ShardedRegistry` has a store; `ShardedRegistry::new` opens an in-memory one",
+    ),
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -96,4 +102,5 @@ fn the_scan_flags_each_pattern_and_skips_comments() {
     assert_eq!(banned_uses(path, "m.set_postprocess(Postprocess::None);").len(), 2);
     assert_eq!(banned_uses(path, "    model.set_temperature(1e-3);").len(), 1);
     assert!(banned_uses(path, "Err(ModelCodecError::UnknownDefenseTag(t))").is_empty());
+    assert_eq!(banned_uses(path, "        return Err(UpdateError::NoStore);").len(), 1);
 }

@@ -26,9 +26,9 @@ const REASONS: [&str; 3] = ["doc example", "test hook kept by Decisions", "forma
 const ALLOWED: [(&str, &str); 1] =
     [("link_count", "doc example: `Simulator::new`'s doc test counts the links it built")];
 
-/// Settable fields in `crates/*/src` (98 after the retired config fields
-/// became constants).
-const SETTABLE_FIELDS: usize = 98;
+/// Settable fields in `crates/*/src` (96 after the retired config fields
+/// became constants and `FleetConfig` took one `SimServeConfig`).
+const SETTABLE_FIELDS: usize = 96;
 
 /// Directories whose files count as callers.
 const SEARCHED: [&str; 5] = ["crates", "src", "tests", "examples", "benchmark/src"];
