@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use pelican_mobility::{entry_slot, FeatureSpace, DURATION_BINS, ENTRY_SLOTS, MINUTES_PER_DAY};
 use pelican_nn::{Sequence, Step};
-use pelican_tensor::{softmax_temperature_in_place, Matrix};
+use pelican_tensor::{descending, softmax_temperature_in_place, Matrix};
 
 use crate::adversary::Instance;
 use crate::oracle::BlackBox;
@@ -26,10 +26,11 @@ pub struct Ranking {
 }
 
 impl Ranking {
-    /// Builds a ranking from per-location scores.
+    /// Builds a ranking from per-location scores, in
+    /// [`pelican_tensor::descending`] order: ties by location, NaNs last.
     fn from_scores(scores: Vec<f64>) -> Self {
         let mut pairs: Vec<(usize, f64)> = scores.into_iter().enumerate().collect();
-        pairs.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        pairs.sort_by(|a, b| descending(&a.1, &b.1));
         Self { scores: pairs }
     }
 
@@ -440,6 +441,11 @@ mod tests {
         assert_eq!(r.top_k(3), vec![1, 2, 0]);
         assert!(r.hit(1, 1));
         assert!(!r.hit(0, 2));
+        // NaN scores rank below every number, ties and `±0.0` by location.
+        let scores = (0..24).map(|l| [f64::NAN, 0.0, -0.0, 0.0, -0.0][l % 5]);
+        let r = Ranking::from_scores(scores.collect());
+        let numbers = (0..24).filter(|l| l % 5 != 0);
+        assert_eq!(r.top_k(24), numbers.chain((0..24).step_by(5)).collect::<Vec<_>>());
     }
 
     #[test]

@@ -322,12 +322,6 @@ impl ServedAdversary {
         &self.latencies_us
     }
 
-    /// The interest set derived from served probe answers (empty until
-    /// probing completes).
-    pub fn interest(&self) -> &[usize] {
-        &self.interest
-    }
-
     /// Scores the attack from served answers alone.
     ///
     /// # Panics
@@ -392,18 +386,15 @@ impl ServedAdversary {
 }
 
 /// Truncates a served confidence vector to its top-k entries, zeroing the
-/// rest — the serving tier's answer-minimization knob. Ties at the k-th
-/// score keep the lowest class indices, so truncation is deterministic.
+/// rest — the serving tier's answer-minimization knob. The entries kept
+/// are [`pelican_tensor::top_k`]'s: ties at the k-th score keep the lowest
+/// class indices and a NaN is kept last, so truncation is deterministic.
 pub fn truncate_top_k(probs: &[f32], k: usize) -> Step {
     if k >= probs.len() {
         return probs.to_vec();
     }
-    let mut order: Vec<usize> = (0..probs.len()).collect();
-    order.sort_by(|&a, &b| {
-        probs[b].partial_cmp(&probs[a]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-    });
     let mut out = vec![0.0; probs.len()];
-    for &i in order.iter().take(k) {
+    for i in pelican_tensor::top_k(probs, k) {
         out[i] = probs[i];
     }
     out
@@ -488,7 +479,7 @@ mod tests {
         // The oracle baseline: same probes, same attack, model in hand.
         let probes = random_probes(&space, 8, 5);
         let interest = interest_locations(&mut model, &probes, 0.01);
-        assert_eq!(adv.interest(), &interest[..], "probing through serving finds the same set");
+        assert_eq!(adv.interest, interest, "probing through serving finds the same set");
         let direct = evaluate_attack(
             &AttackMethod::TimeBased(TimeBased::default()),
             &mut model,
@@ -537,6 +528,11 @@ mod tests {
         assert_eq!(truncate_top_k(&probs, 4), probs);
         let tied = vec![0.25; 4];
         assert_eq!(truncate_top_k(&tied, 2), vec![0.25, 0.25, 0.0, 0.0], "ties break low-index");
+        let poisoned: Vec<f32> =
+            (0..24).map(|i| if i % 5 == 0 { f32::NAN } else { i as f32 / 24.0 }).collect();
+        let kept: Vec<usize> =
+            (0..24).filter(|&i| truncate_top_k(&poisoned, 3)[i] != 0.0).collect();
+        assert_eq!(kept, [21, 22, 23], "NaNs rank below every number");
     }
 
     #[test]

@@ -237,7 +237,7 @@ pub fn table(run: &AbReportRun) -> Table {
     t
 }
 
-/// How [`crate::report::before`] matches an ab-report record: the same
+/// How `report::before` matches an ab-report record: the same
 /// seed, enrolment and fingerprint, rows by pool width.
 pub const KEYS: RecordKeys =
     RecordKeys { identity: &["seed", "enrolled", "fingerprint"], rows: "runs", row_id: "workers" };

@@ -248,7 +248,7 @@ pub fn table(run: &LiveReportRun) -> Table {
     t
 }
 
-/// How [`crate::report::before`] matches a live-report record: the same
+/// How `report::before` matches a live-report record: the same
 /// seed, cohort and fingerprint, rows by pool width.
 pub const KEYS: RecordKeys =
     RecordKeys { identity: &["seed", "users", "fingerprint"], rows: "runs", row_id: "workers" };

@@ -163,7 +163,7 @@ pub fn table(run: &SimScaleRun) -> Table {
     t
 }
 
-/// How [`crate::report::before`] matches a sim-scale record: the same
+/// How `report::before` matches a sim-scale record: the same
 /// seed, rows by population.
 pub const KEYS: RecordKeys =
     RecordKeys { identity: &["seed"], rows: "populations", row_id: "devices" };

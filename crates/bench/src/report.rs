@@ -3,7 +3,7 @@
 //!
 //! A tracked record is a [`Value`] stamped with the host it was taken on
 //! ([`crate::host::stamp`]). [`write_tracked`] prints every one of them
-//! the same way, and [`before`] is the one rule for what the record it
+//! the same way, and `before` is the one rule for what the record it
 //! replaces leaves in it. `crates/bench/tests/tracked_records.rs` checks
 //! the committed files.
 
@@ -74,7 +74,7 @@ pub fn pct(fraction: f64) -> String {
     format!("{:.1}", fraction * 100.0)
 }
 
-/// How [`before`] recognises a tracked record of the same run and
+/// How `before` recognises a tracked record of the same run and
 /// matches its rows: every `identity` field equal in both records, rows
 /// (the objects of the `rows` array) matched by their `row_id` field.
 pub struct RecordKeys {
@@ -116,7 +116,7 @@ fn rows<'a>(record: &'a Value, key: &str) -> &'a [Value] {
 /// passes on its own `before`. `null` when there is nothing to compare
 /// with: no previous record, another run, no host stamp, no row in
 /// common.
-pub fn before(previous: Option<&Value>, record: &Value, keys: &RecordKeys) -> Value {
+fn before(previous: Option<&Value>, record: &Value, keys: &RecordKeys) -> Value {
     let same_run = |p: &&Value| keys.identity.iter().all(|key| p.get(key) == record.get(key));
     let Some(previous) = previous.filter(same_run) else { return Value::Null };
     let host = match previous.get("host") {
@@ -162,7 +162,7 @@ pub(crate) fn render(record: &Value) -> String {
 }
 
 /// Writes `record` to the tracked file `path` and says so on stdout.
-/// Its `before` field is filled in here by [`before`], from the record
+/// Its `before` field is filled in here by `before`, from the record
 /// `path` held until now.
 ///
 /// # Panics

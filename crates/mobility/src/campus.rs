@@ -78,7 +78,7 @@ impl CampusConfig {
     ///
     /// Returns a human-readable message if any field is implausible (too
     /// few buildings to assign roles, zero users, etc.).
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.buildings < 5 {
             return Err(format!("need at least 5 buildings for all roles, got {}", self.buildings));
         }
@@ -116,7 +116,8 @@ impl Campus {
     ///
     /// # Panics
     ///
-    /// Panics if `config.validate()` fails; call it first for a `Result`.
+    /// Panics if `config` is implausible: fewer than 5 buildings (one per
+    /// role), no access point per building, no users or no weeks.
     pub fn new(config: CampusConfig) -> Self {
         if let Err(msg) = config.validate() {
             panic!("invalid campus config: {msg}");

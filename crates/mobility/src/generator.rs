@@ -53,7 +53,7 @@ impl TraceGenerator {
     ///
     /// # Panics
     ///
-    /// Panics if the config is invalid (see [`CampusConfig::validate`]).
+    /// Panics if the config is invalid (see [`Campus::new`]).
     pub fn new(config: CampusConfig, seed: u64) -> Self {
         Self { campus: Campus::new(config), seed }
     }

@@ -5,7 +5,7 @@ use rand::{RngExt as _, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::chunk::ChunkBatch;
-use crate::{Sequence, Step};
+use crate::Sequence;
 
 /// Inverted dropout: active during training, identity at inference.
 ///
@@ -49,11 +49,6 @@ impl Dropout {
     /// The configured drop probability.
     pub fn rate(&self) -> f32 {
         self.rate
-    }
-
-    /// Batched inference-mode forward pass: the identity on every sequence.
-    pub fn infer_batch<S: AsRef<[Step]>>(&self, xs: &[S]) -> Vec<Sequence> {
-        xs.iter().map(|s| s.as_ref().to_vec()).collect()
     }
 
     /// Training-mode forward pass; samples and caches a mask per timestep.
@@ -179,9 +174,9 @@ mod tests {
 
     #[test]
     fn inference_is_identity() {
-        let d = Dropout::new(0.5, 1);
+        let model = crate::SequenceModel::from_layers(vec![Dropout::new(0.5, 1).into()]);
         let xs = vec![vec![1.0, 2.0, 3.0]];
-        assert_eq!(d.infer_batch(&[&xs]), [xs]);
+        assert_eq!(model.logits_batch(&[&xs]), xs);
     }
 
     #[test]

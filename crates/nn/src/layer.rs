@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use pelican_tensor::Matrix;
 
 use crate::chunk::ChunkBatch;
-use crate::{Dropout, Linear, Lstm, Sequence, Step};
+use crate::{Dropout, Linear, Lstm, Sequence};
 
 /// One layer of a [`crate::SequenceModel`].
 ///
@@ -24,25 +24,14 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// Batched inference over independent sequences sharing this layer's
-    /// parameters; see [`Lstm::infer_batch`]. Outputs are bit-identical to
-    /// a batch of one per sequence.
-    pub fn infer_batch<S: AsRef<[Step]>>(&self, xs: &[S]) -> Vec<Sequence> {
+    /// Inference over one matrix per timestep, a row per sequence or one
+    /// row every sequence shares (see [`crate::sweep`]); each sequence's
+    /// output is bit-identical to [`Layer::forward`] on it without
+    /// dropout. See [`Lstm::infer`].
+    pub(crate) fn infer(&self, xs: Vec<Matrix>) -> Vec<Matrix> {
         match self {
-            Layer::Lstm(l) => l.infer_batch(xs),
-            Layer::Linear(l) => l.infer_batch(xs),
-            Layer::Dropout(d) => d.infer_batch(xs),
-        }
-    }
-
-    /// Inference over the candidates of a sweep, one matrix per timestep
-    /// (see [`crate::sweep`]); every candidate's output is bit-identical
-    /// to [`Layer::infer_batch`] on its assembled sequence. See
-    /// [`Lstm::infer_sweep`].
-    pub(crate) fn infer_sweep(&self, xs: Vec<Matrix>) -> Vec<Matrix> {
-        match self {
-            Layer::Lstm(l) => l.infer_sweep(&xs),
-            Layer::Linear(l) => l.infer_sweep(&xs),
+            Layer::Lstm(l) => l.infer(&xs),
+            Layer::Linear(l) => l.infer(&xs),
             Layer::Dropout(_) => xs,
         }
     }

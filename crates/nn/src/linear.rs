@@ -91,21 +91,8 @@ impl Linear {
         &self.b
     }
 
-    fn apply(&self, x: &Step) -> Step {
-        let mut y = self.w.matvec(x);
-        for (yv, &bv) in y.iter_mut().zip(&self.b) {
-            *yv += bv;
-        }
-        y
-    }
-
-    /// Inference-mode forward pass (no caches are written).
-    pub fn infer(&self, xs: &[Step]) -> Sequence {
-        xs.iter().map(|x| self.apply(x)).collect()
-    }
-
     /// `W·x + b` for every row of `x`, each output row with the bits of
-    /// [`Linear::infer`] on it. Finite weights go through
+    /// [`Linear::forward`] on it. Finite weights go through
     /// [`Matrix::matmul_transpose_sparse`] — hidden states are dense, so
     /// they take its dense kernel, blocked from four rows up — and
     /// non-finite ones through the dense product; finiteness
@@ -125,30 +112,10 @@ impl Linear {
         ys
     }
 
-    /// Batched inference: every timestep of every sequence is packed into
-    /// one matrix and answered by one product — from four rows up a
-    /// register-blocked kernel vectorised across the rows, below that
-    /// four accumulator chains per row, instead of a matrix–vector
-    /// product's one. Bit-identical to per-sequence [`Linear::infer`].
-    pub fn infer_batch<S: AsRef<[Step]>>(&self, xs: &[S]) -> Vec<Sequence> {
-        let total_steps: usize = xs.iter().map(|s| s.as_ref().len()).sum();
-        let mut packed = Matrix::zeros(total_steps, self.input_dim());
-        let mut r = 0;
-        for seq in xs {
-            for step in seq.as_ref() {
-                packed.row_mut(r).copy_from_slice(step);
-                r += 1;
-            }
-        }
-        let ys = self.infer_rows(&packed);
-        let mut rows = ys.as_slice().chunks_exact(self.b.len()).map(<[f32]>::to_vec);
-        xs.iter().map(|seq| rows.by_ref().take(seq.as_ref().len()).collect()).collect()
-    }
-
-    /// Inference over the candidates of a sweep (see [`crate::sweep`]):
-    /// a timestep every candidate shares is one row and answered once,
-    /// each row bit-identical to [`Linear::infer`].
-    pub(crate) fn infer_sweep(&self, xs: &[Matrix]) -> Vec<Matrix> {
+    /// Inference over one matrix per timestep (see [`crate::sweep`]):
+    /// one product per timestep, where a step every sequence shares is one
+    /// row, answered once. Each row bit-identical to [`Linear::forward`].
+    pub(crate) fn infer(&self, xs: &[Matrix]) -> Vec<Matrix> {
         xs.iter().map(|x| self.infer_rows(x)).collect()
     }
 
@@ -160,7 +127,11 @@ impl Linear {
     /// Training-mode forward pass; caches inputs for [`Linear::backward`].
     pub fn forward(&mut self, xs: &Sequence) -> Sequence {
         self.cache_inputs = xs.clone();
-        self.infer(xs)
+        let apply = |x: &Step| {
+            let y = self.w.matvec(x);
+            y.iter().zip(&self.b).map(|(&yv, &bv)| yv + bv).collect()
+        };
+        xs.iter().map(apply).collect()
     }
 
     /// Backpropagates `grad_out` (one gradient per timestep), accumulating
@@ -197,7 +168,7 @@ impl Linear {
     /// inputs (by move — no clone) for [`Linear::backward_chunk_packed`].
     ///
     /// One GEMM over every timestep of every sample plus a per-row bias
-    /// add — the [`Linear::infer_batch`] discipline — so outputs are
+    /// add, as in [`Linear::infer`] — so outputs are
     /// bit-identical to calling [`Linear::forward`] per sample.
     pub(crate) fn forward_chunk_packed(&mut self, x: ChunkBatch) -> ChunkBatch {
         let mut ys = x.rows.matmul_transpose(&self.w);
@@ -325,7 +296,7 @@ mod tests {
             plus[0][j] += eps;
             let mut minus = xs.clone();
             minus[0][j] -= eps;
-            let f = |s: &Sequence| l.infer(s)[0].iter().sum::<f32>();
+            let f = |s: &Sequence| l.clone().forward(s)[0].iter().sum::<f32>();
             let fd = (f(&plus) - f(&minus)) / (2.0 * eps);
             assert!(
                 (grad[0][j] - fd).abs() < 1e-2,
@@ -360,9 +331,9 @@ mod tests {
             vec![vec![1.0, 0.5, -1.5], vec![0.0, 0.25, 0.125]],
             vec![vec![-0.3, 0.9, 0.1], vec![0.2, 0.2, 0.2], vec![0.6, -0.6, 0.0]],
         ];
-        let batched = l.infer_batch(&seqs);
-        for (seq, got) in seqs.iter().zip(&batched) {
-            assert_eq!(&l.infer(seq), got);
+        let batched = crate::model::tests::infer_every_step(l.clone(), &seqs);
+        for (seq, got) in seqs.iter().zip(batched) {
+            assert_eq!(l.clone().forward(seq), got);
         }
     }
 }

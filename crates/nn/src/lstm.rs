@@ -318,75 +318,16 @@ impl Lstm {
         (h_new, c_new)
     }
 
-    /// Inference-mode forward pass over a sequence; returns hidden states
-    /// for every timestep. No caches are written: this is the one-row
-    /// case of [`Lstm::infer_batch`], bit-identical to the training-mode
-    /// [`Lstm::forward`].
-    pub fn infer(&self, xs: &[Step]) -> Sequence {
-        self.infer_batch(&[xs]).pop().expect("one sequence in, one out")
-    }
-
-    /// Batched inference over `B` sequences through the *same* parameters.
-    ///
-    /// The sequences still active at timestep `t` advance together
-    /// through `Lstm::infer_step`: their inputs and states are packed
-    /// into matrices once, so no per-sequence vectors are allocated along
-    /// the way, and rows too dense to skip anything run on
-    /// [`Matrix::matmul_transpose`]'s kernels instead of the single serial
-    /// chain of a matrix–vector product: from four dense rows up a
-    /// register-blocked kernel that reads the weights once per eight rows
-    /// (2.5× the row kernel at `H` = 64 on a 2-core x86-64 host), below
-    /// that four accumulator chains per row. Per-element accumulation
-    /// order is that of
-    /// [`Lstm::forward`], so the returned hidden states are bit-identical
-    /// to running each sequence alone.
-    ///
-    /// Sequences may have different lengths (shorter ones simply drop out
-    /// of the active set). Returns one hidden-state sequence per input.
-    pub fn infer_batch<S: AsRef<[Step]>>(&self, xs: &[S]) -> Vec<Sequence> {
-        let mut out: Vec<Sequence> =
-            xs.iter().map(|s| Vec::with_capacity(s.as_ref().len())).collect();
-        // The sequences still running; row `r` of the state is `active[r]`'s.
-        let mut active: Vec<usize> = (0..xs.len()).collect();
-        let mut h = Matrix::zeros(xs.len(), self.hidden);
-        let mut c = Matrix::zeros(xs.len(), self.hidden);
-        for t in 0.. {
-            let running: Vec<usize> =
-                (0..active.len()).filter(|&r| t < xs[active[r]].as_ref().len()).collect();
-            if running.is_empty() {
-                break;
-            }
-            if running.len() < active.len() {
-                let keep = |state: &Matrix| {
-                    let mut kept = Matrix::zeros(running.len(), self.hidden);
-                    for (r, &old) in running.iter().enumerate() {
-                        kept.row_mut(r).copy_from_slice(state.row(old));
-                    }
-                    kept
-                };
-                (h, c) = (keep(&h), keep(&c));
-                active = running.iter().map(|&r| active[r]).collect();
-            }
-            let mut x_t = Matrix::zeros(active.len(), self.input_dim());
-            for (r, &i) in active.iter().enumerate() {
-                x_t.row_mut(r).copy_from_slice(&xs[i].as_ref()[t]);
-            }
-            (h, c) = self.infer_step(&x_t, &h, &c);
-            for (r, &i) in active.iter().enumerate() {
-                out[i].push(h.row(r).to_vec());
-            }
-        }
-        out
-    }
-
-    /// Inference over the candidates of a sweep (see [`crate::sweep`]):
-    /// [`Lstm::infer_step`] with whatever no candidate has touched yet —
-    /// the state before the varied slot, the input of a known later step
-    /// — carried as a single shared row, so each half of the gate
-    /// pre-activation is computed once while its operand is shared and
-    /// once per candidate after that. Candidate `r`'s hidden states are
-    /// bit-identical to inferring its assembled sequence alone.
-    pub(crate) fn infer_sweep(&self, xs: &[Matrix]) -> Vec<Matrix> {
+    /// Inference over one matrix per timestep (see [`crate::sweep`]): row
+    /// `r` of each is sequence `r`'s step, a 1-row matrix a step every
+    /// sequence shares. Each timestep is one [`Lstm::infer_step`], and
+    /// whatever no sequence has touched yet — the zero state before the
+    /// first step, the state before a sweep's varied slot, the input of a
+    /// known later step — stays one shared row, so each half of the gate
+    /// pre-activation is computed once while its operand is shared. A
+    /// sequence's hidden states are bit-identical to [`Lstm::forward`] of
+    /// it alone.
+    pub(crate) fn infer(&self, xs: &[Matrix]) -> Vec<Matrix> {
         let mut h = Matrix::zeros(1, self.hidden);
         let mut c = Matrix::zeros(1, self.hidden);
         xs.iter()
@@ -425,7 +366,7 @@ impl Lstm {
     /// pre-activations of the whole chunk run as one product up front (the
     /// input side has no recurrent dependence on `t`), and per timestep
     /// only the recurrent half runs — one product over the active samples'
-    /// previous hidden states (the [`Lstm::infer_batch`] discipline). Both
+    /// previous hidden states, as in [`Lstm::infer`]. Both
     /// go through [`Lstm::project`], so what a training sample is pays off
     /// as it does for a served query: a 4-hot input row gathers four
     /// columns of `W_ih`, and the all-zero state at `t = 0` reads nothing
@@ -736,6 +677,7 @@ impl Lstm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::tests::infer_every_step;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -746,14 +688,14 @@ mod tests {
     fn scalar_objective(l: &Lstm, xs: &Sequence) -> f32 {
         // Sum of the final hidden state: a simple scalar loss for checking
         // gradients by finite differences.
-        l.infer(xs).last().expect("nonempty sequence").iter().sum()
+        l.clone().forward(xs).last().expect("nonempty sequence").iter().sum()
     }
 
     #[test]
     fn output_shape_matches_sequence() {
         let l = lstm(5, 7);
         let xs = vec![vec![0.1; 5]; 3];
-        let hs = l.infer(&xs);
+        let hs = infer_every_step(l, &[xs]).pop().unwrap();
         assert_eq!(hs.len(), 3);
         assert!(hs.iter().all(|h| h.len() == 7));
     }
@@ -762,7 +704,7 @@ mod tests {
     fn hidden_states_are_bounded() {
         let l = lstm(4, 6);
         let xs = vec![vec![100.0; 4]; 4];
-        for h in l.infer(&xs) {
+        for h in infer_every_step(l, &[xs]).pop().unwrap() {
             assert!(h.iter().all(|v| v.abs() <= 1.0), "tanh·sigmoid bounds |h| by 1");
         }
     }
@@ -852,23 +794,23 @@ mod tests {
     #[test]
     fn batched_inference_is_bit_identical_to_sequential() {
         let l = lstm(4, 6);
-        // Ragged lengths exercise the active-set handling.
+        // Ragged lengths put the prefixes in groups of every size 1–5.
         let seqs: Vec<Sequence> = (0..5)
             .map(|i| {
                 (0..=i).map(|t| (0..4).map(|j| ((i + t * 3 + j) as f32).sin()).collect()).collect()
             })
             .collect();
-        let batched = l.infer_batch(&seqs);
+        let batched = infer_every_step(l.clone(), &seqs);
         for (seq, batch_out) in seqs.iter().zip(&batched) {
-            assert_eq!(&l.infer(seq), batch_out, "batched hidden states must match exactly");
+            let alone = l.clone().forward(seq);
+            assert_eq!(&alone, batch_out, "batched hidden states must match exactly");
         }
     }
 
     #[test]
     fn empty_batch_yields_no_outputs() {
         let l = lstm(3, 4);
-        let none: Vec<Sequence> = Vec::new();
-        assert!(l.infer_batch(&none).is_empty());
+        assert!(infer_every_step(l, &[]).is_empty());
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! [`SequenceModel`]: an ordered stack of layers with a classification head.
 
+use std::ops::Range;
+
 use rand::{Rng, RngExt as _};
 use serde::{Deserialize, Serialize};
 
@@ -288,29 +290,54 @@ impl SequenceModel {
     }
 
     /// Batched [`SequenceModel::logits`]: one final-timestep logit vector
-    /// per input sequence, all sequences advancing together through every
-    /// layer (see [`Lstm::infer_batch`]); the layers above the last LSTM
-    /// see only each sequence's final timestep. Bit-identical per row to
-    /// the training-mode [`SequenceModel::forward`] without dropout; the
-    /// logits cost [`SequenceModel::infer_cost`] of every timestep.
+    /// per input sequence, in input order. The sequences of one length run
+    /// together as a sweep that shares no step — one matrix per timestep,
+    /// a row per sequence (see [`SequenceModel::logits_sweep`]).
+    /// Bit-identical per row to the training-mode
+    /// [`SequenceModel::forward`] without dropout; the logits cost
+    /// [`SequenceModel::infer_cost`] of every timestep.
     pub fn logits_batch<S: AsRef<[Step]>>(&self, xs: &[S]) -> Vec<Step> {
         assert!(
             xs.iter().all(|s| !s.as_ref().is_empty()),
             "cannot run a model on an empty sequence"
         );
-        let head = self.head_start();
-        let mut cur: Vec<Sequence> = xs.iter().map(|s| s.as_ref().to_vec()).collect();
-        for (i, layer) in self.layers.iter().enumerate() {
-            if i == head {
-                for seq in &mut cur {
-                    seq.drain(..seq.len() - 1);
-                }
+        let len = |i: &usize| xs[*i].as_ref().len();
+        let mut order: Vec<usize> = (0..xs.len()).collect();
+        order.sort_by_key(len);
+        let mut out = vec![Vec::new(); xs.len()];
+        for group in order.chunk_by(|a, b| len(a) == len(b)) {
+            let steps = (0..len(&group[0]))
+                .map(|t| {
+                    let width = xs[group[0]].as_ref()[t].len();
+                    let mut x = Matrix::zeros(group.len(), width);
+                    for (r, &i) in group.iter().enumerate() {
+                        x.row_mut(r).copy_from_slice(&xs[i].as_ref()[t]);
+                    }
+                    x
+                })
+                .collect();
+            let logits =
+                self.infer_layers(steps, 0..self.layers.len()).pop().expect("one step out");
+            for (r, &i) in group.iter().enumerate() {
+                out[i] = logits.row(r).to_vec();
             }
-            cur = layer.infer_batch(&cur);
         }
-        cur.into_iter()
-            .map(|mut seq| seq.pop().expect("sequence length preserved by all layers"))
-            .collect()
+        out
+    }
+
+    /// Runs `layers` of the stack over one matrix per timestep, a row per
+    /// sequence or one row they all share (see [`Layer::infer`]). The
+    /// layers above the last LSTM get the final timestep alone, the only
+    /// one the logits read.
+    fn infer_layers(&self, mut cur: Vec<Matrix>, layers: Range<usize>) -> Vec<Matrix> {
+        let head = self.head_start();
+        for i in layers {
+            if i == head {
+                cur.drain(..cur.len() - 1);
+            }
+            cur = self.layers[i].infer(cur);
+        }
+        cur
     }
 
     /// Number of leading layers a re-train of this model cannot change
@@ -362,9 +389,9 @@ impl SequenceModel {
     /// `template[..slot]` once, computes once every pre-activation half
     /// no candidate has influenced yet, projects the candidate rows at
     /// O(non-zeros) each, and carries all candidates through the
-    /// remaining layers as one batch (the crate-private
-    /// `Lstm::infer_sweep`). Layers above the last LSTM see only the final
-    /// timestep, the only one the logits read.
+    /// remaining layers as one batch (the crate-private `Lstm::infer`).
+    /// Layers above the last LSTM see only the final timestep, the only
+    /// one the logits read.
     ///
     /// Row `i` is bit-identical to `logits` of the assembled sequence,
     /// and the sweep costs what the independent calls cost
@@ -445,22 +472,13 @@ impl SequenceModel {
             cur.push(to_run);
             cur.extend(template[slot + 1..].iter().map(shared));
         }
-        for layer in &self.layers[..prefix] {
-            cur = layer.infer_sweep(cur);
-        }
+        cur = self.infer_layers(cur, 0..prefix);
         if let Some((tier, starts, missing)) = &mut tier {
             tier.store(starts, missing, &cur[slot..]);
             cur.truncate(slot);
             cur.extend(tier.gather(starts, kept, width));
         }
-        let head = self.head_start();
-        for (i, layer) in self.layers.iter().enumerate().skip(prefix) {
-            if i == head {
-                cur.drain(..cur.len() - 1);
-            }
-            cur = layer.infer_sweep(cur);
-        }
-        let logits = cur.pop().expect("sequence length preserved by all layers");
+        let logits = self.infer_layers(cur, prefix..self.layers.len()).pop().expect("one step out");
         if logits.rows() == n {
             return logits;
         }
@@ -701,10 +719,20 @@ impl ModelBuilder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Every timestep's output of `layer` for each of `seqs`: a model of
+    /// that layer alone answers each prefix `xs[..=t]`.
+    pub(crate) fn infer_every_step(layer: impl Into<Layer>, seqs: &[Sequence]) -> Vec<Sequence> {
+        let model = SequenceModel::from_layers(vec![layer.into()]);
+        let prefixes: Vec<&[Step]> =
+            seqs.iter().flat_map(|xs| (1..=xs.len()).map(|t| &xs[..t])).collect();
+        let mut outs = model.logits_batch(&prefixes).into_iter();
+        seqs.iter().map(|xs| outs.by_ref().take(xs.len()).collect()).collect()
+    }
 
     fn tiny_model() -> SequenceModel {
         let mut rng = StdRng::seed_from_u64(5);

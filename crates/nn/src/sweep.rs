@@ -9,7 +9,9 @@
 //! so a sweep carries each timestep's activations as a matrix with one
 //! row per candidate, or a single row while every candidate still shares
 //! it, and every layer keeps shared work shared for as long as it can
-//! (see [`crate::SequenceModel::logits_sweep`]).
+//! (see [`crate::SequenceModel::logits_sweep`]). A served batch
+//! ([`crate::SequenceModel::logits_batch`]) is a sweep that shares no
+//! step: its queries of one length run the same pass, a row each.
 //!
 //! A transfer-learned model also shares work *across versions of
 //! itself*: re-training moves only the layers above its frozen prefix,

@@ -20,7 +20,8 @@ fn model() -> SequenceModel {
 }
 
 /// Deterministic query pool with varied values and ragged lengths (1–4
-/// timesteps) so the batch path's active-set handling is exercised.
+/// timesteps), so a batch runs as several same-length groups whose rows
+/// must come back in input order.
 fn queries(n: usize) -> Vec<Sequence> {
     (0..n)
         .map(|i| {

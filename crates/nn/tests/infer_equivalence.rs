@@ -1,9 +1,12 @@
 //! Inference answers with the bits of the training-mode forward pass.
 //!
-//! `Lstm::infer`, `Lstm::infer_batch`, `SequenceModel::logits` and
-//! `SequenceModel::logits_batch` all run one routine that reads the
-//! weights only where an input row is non-zero, skips the recurrent
-//! product of a zero state and feeds the head the final timestep alone.
+//! `SequenceModel::logits` and `SequenceModel::logits_batch` run the
+//! sweep's layer pass — one matrix per timestep, a row per query of one
+//! length — which reads the weights only where an input row is non-zero,
+//! skips the recurrent product of a zero state and feeds the head the
+//! final timestep alone. A headless one-LSTM model exposes every
+//! timestep of that pass: its logits for `q[..=t]` are the hidden state
+//! at `t`.
 //! The oracle shares none of that: `Lstm::forward` /
 //! `SequenceModel::forward` with dropout 0 run the dense per-step
 //! matrix–vector products of training on every timestep of every layer.
@@ -129,17 +132,25 @@ fn assert_model_matches_forward(model: &SequenceModel, qs: &[Sequence]) {
     }
 }
 
-/// `Lstm::infer` / `infer_batch` against `Lstm::forward`, every timestep.
+/// A headless one-LSTM model against `Lstm::forward`, every timestep: it
+/// answers each query's prefixes `q[..=t]`, one at a time and as the
+/// prefixes of the first 1 / 2 / 17 queries in one batch.
 fn assert_layer_matches_forward(layer: &Lstm, qs: &[Sequence]) {
     let mut oracle = layer.clone();
     let expected: Vec<Sequence> = qs.iter().map(|q| oracle.forward(q)).collect();
-    let hidden_bits = |hs: &Sequence| hs.iter().map(|h| bits(h)).collect::<Vec<_>>();
+    let model = SequenceModel::from_layers(vec![layer.clone().into()]);
+    let hidden_bits = |hs: &[Step]| hs.iter().map(|h| bits(h)).collect::<Vec<_>>();
+    let prefixes = |q: &Sequence| (1..=q.len()).map(|t| q[..t].to_vec()).collect::<Vec<_>>();
     for (q, want) in qs.iter().zip(&expected) {
-        assert_eq!(hidden_bits(&layer.infer(q)), hidden_bits(want), "infer diverged from forward");
+        let alone: Sequence = prefixes(q).iter().map(|p| model.logits(p)).collect();
+        assert_eq!(hidden_bits(&alone), hidden_bits(want), "logits diverged from forward");
     }
     for b in [1usize, 2, 17] {
-        for (r, (got, want)) in layer.infer_batch(&qs[..b]).iter().zip(&expected).enumerate() {
-            assert_eq!(hidden_bits(got), hidden_bits(want), "row {r} of batch {b}");
+        let batch: Vec<Sequence> = qs[..b].iter().flat_map(prefixes).collect();
+        let mut got = model.logits_batch(&batch).into_iter();
+        for (r, want) in expected[..b].iter().enumerate() {
+            let hs: Sequence = got.by_ref().take(want.len()).collect();
+            assert_eq!(hidden_bits(&hs), hidden_bits(want), "row {r} of batch {b}");
         }
     }
 }
@@ -193,6 +204,25 @@ fn a_non_finite_weight_surfaces_as_in_forward() {
         let model = linear_only(&mut rng, |w| w[(1, skip)] = bad);
         assert_model_matches_forward(&model, &queries(8, Some(skip), &mut rng));
     }
+}
+
+#[test]
+fn top_k_of_a_model_with_nan_weights_ranks_those_classes_last() {
+    // A NaN weight in every 5th of 40 head rows makes that class's
+    // logit NaN; given an order that is not total, the sort panics.
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut w = Linear::new(4, 40, &mut rng).weight().clone();
+    for class in (0..40).step_by(5) {
+        w[(class, 1)] = f32::NAN;
+    }
+    let m = SequenceModel::from_layers(vec![Linear::from_parts(w, vec![0.0; 40]).into()]);
+    let xs = vec![vec![0.5, 0.0, -0.25, 1.0]];
+    let logits = m.logits(&xs);
+    let mut want: Vec<usize> = (0..40).filter(|&c| !logits[c].is_nan()).collect();
+    want.sort_by(|&a, &b| logits[b].partial_cmp(&logits[a]).expect("finite").then(a.cmp(&b)));
+    want.extend((0..40).step_by(5));
+    assert_eq!(m.predict_top_k(&xs, 40), want);
+    assert_eq!(m.predict_top_k(&xs, 3), want[..3]);
 }
 
 /// A model that is nothing but a linear layer over the raw input, the

@@ -239,11 +239,6 @@ impl DirBackend {
         Ok(Self { root })
     }
 
-    /// The backing directory.
-    pub fn root(&self) -> &std::path::Path {
-        &self.root
-    }
-
     fn path(&self, name: &str) -> PathBuf {
         self.root.join(name)
     }

@@ -357,11 +357,6 @@ impl EnvelopeStore {
         self.recovery
     }
 
-    /// The backend this store appends to (a restart reopens it).
-    pub fn backend(&self) -> &Arc<dyn StorageBackend> {
-        &self.backend
-    }
-
     /// Number of storage shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()

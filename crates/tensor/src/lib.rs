@@ -34,6 +34,6 @@ pub mod ops;
 pub use init::xavier_uniform;
 pub use matrix::Matrix;
 pub use ops::{
-    argmax, inverse_temperature, log_softmax_in_place, nearest_rank, sigmoid, softmax,
+    argmax, descending, inverse_temperature, log_softmax_in_place, nearest_rank, sigmoid, softmax,
     softmax_temperature_in_place, tanh, tanh_in_place, top_k, SoftmaxNorm,
 };

@@ -60,7 +60,8 @@ impl Matrix {
     }
 
     /// Creates a `rows × cols` matrix with every element set to `value`.
-    pub fn filled(rows: usize, cols: usize, value: f32) -> Self {
+    #[cfg(test)]
+    fn filled(rows: usize, cols: usize, value: f32) -> Self {
         Self { rows, cols, data: vec![value; rows * cols] }
     }
 
@@ -539,7 +540,7 @@ impl Matrix {
     /// in exactly the order the sequential calls would apply them (pair
     /// `0`, then pair `1`, …), and the same `rowₚ[i] == 0.0` skip applies,
     /// so the accumulated bits are identical. This is the backward-pass
-    /// analogue of the `infer_batch` lockstep discipline.
+    /// analogue of inference answering a timestep's rows in one product.
     ///
     /// # Panics
     ///

@@ -3,6 +3,8 @@
 //! These free functions operate on slices so they can be applied to matrix
 //! rows, hidden-state vectors and raw logit buffers alike.
 
+use std::cmp::Ordering;
+
 /// Numerically-stable logistic sigmoid.
 ///
 /// # Example
@@ -265,10 +267,21 @@ pub fn argmax(x: &[f32]) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// Indices of the `k` largest elements in descending value order.
+/// The one descending order of scores: larger first, and every NaN after
+/// every number. Equal values (`-0.0` and `+0.0` among them) and two NaNs
+/// compare equal, so a stable sort keeps them in index order. Unlike
+/// `partial_cmp(..).unwrap_or(Equal)` this is a total order, which a
+/// sort needs: given a NaN, that comparison makes it panic or mis-rank.
+pub fn descending<T: PartialOrd>(a: &T, b: &T) -> Ordering {
+    let is_nan = |x: &T| x.partial_cmp(x).is_none();
+    b.partial_cmp(a).unwrap_or_else(|| is_nan(a).cmp(&is_nan(b)))
+}
+
+/// Indices of the `k` largest elements in [`descending`] order.
 ///
 /// Returns fewer than `k` indices if the slice is shorter than `k`. Ties
-/// resolve to lower indices first, so results are deterministic.
+/// resolve to lower indices first and NaNs come last, so results are
+/// deterministic whatever the input.
 ///
 /// # Example
 ///
@@ -278,9 +291,7 @@ pub fn argmax(x: &[f32]) -> Option<usize> {
 /// ```
 pub fn top_k(x: &[f32], k: usize) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..x.len()).collect();
-    idx.sort_by(|&a, &b| {
-        x[b].partial_cmp(&x[a]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-    });
+    idx.sort_by(|&a, &b| descending(&x[a], &x[b]));
     idx.truncate(k);
     idx
 }
@@ -436,6 +447,30 @@ mod tests {
         assert_eq!(top_k(&[0.5, 0.0, 0.0, 0.5, 0.0], 5), vec![0, 3, 1, 2, 4]);
         let sharpened = [0.0f32, 1.0, 0.0, 0.0];
         assert_eq!(top_k(&sharpened, 4), vec![1, 0, 2, 3]);
+    }
+
+    #[test]
+    fn top_k_ranks_nan_after_every_number_at_any_length() {
+        // A NaN in every 5th entry; ties, `±0.0` and `±∞` among the rest.
+        // Given an order that is not total, the standard sort panics at
+        // 24 and 150 entries and mis-ranks silently at 12.
+        for n in [12usize, 24, 150] {
+            let x: Vec<f32> = (0..n)
+                .map(|i| match (i % 5, i % 7) {
+                    (0, _) => f32::NAN,
+                    (_, 0) => -0.0,
+                    (_, 1) => 0.0,
+                    (_, 2) if i > 100 => f32::INFINITY,
+                    (_, 3) if i > 100 => f32::NEG_INFINITY,
+                    (_, k) => (k as f32 - 3.0) * 1.5,
+                })
+                .collect();
+            let mut want: Vec<usize> = (0..n).filter(|&i| !x[i].is_nan()).collect();
+            want.sort_by(|&a, &b| x[b].partial_cmp(&x[a]).expect("no NaN").then(a.cmp(&b)));
+            want.extend((0..n).step_by(5));
+            assert_eq!(top_k(&x, n), want, "{n} entries");
+            assert_eq!(top_k(&x, 3), want[..3], "{n} entries, k = 3");
+        }
     }
 
     #[test]

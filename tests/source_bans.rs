@@ -17,12 +17,14 @@
 //!   installed; one `interest_locations` probes any `BlackBox`.
 //! * A storeless registry: every `ShardedRegistry` publishes through a
 //!   durable store, so no caller checks for a missing one.
+//! * A second inference layout: a served batch runs the sweep's pass, one
+//!   matrix per timestep, through the one `Layer::infer`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// `(pattern, use instead)`.
-const BANS: [(&str, &str); 16] = [
+const BANS: [(&str, &str); 17] = [
     (".tanh()", "pelican_tensor::ops::tanh"),
     ("f32::tanh", "pelican_tensor::ops::tanh"),
     ("thread_local!", "state passed in and returned, not kept per thread"),
@@ -42,6 +44,7 @@ const BANS: [(&str, &str); 16] = [
         "NoStore",
         "every `ShardedRegistry` has a store; `ShardedRegistry::new` opens an in-memory one",
     ),
+    ("infer_batch", "SequenceModel::logits_batch, which runs the sweep's layer pass"),
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -103,4 +106,5 @@ fn the_scan_flags_each_pattern_and_skips_comments() {
     assert_eq!(banned_uses(path, "    model.set_temperature(1e-3);").len(), 1);
     assert!(banned_uses(path, "Err(ModelCodecError::UnknownDefenseTag(t))").is_empty());
     assert_eq!(banned_uses(path, "        return Err(UpdateError::NoStore);").len(), 1);
+    assert_eq!(banned_uses(path, "    cur = layer.infer_batch(&cur);").len(), 1);
 }

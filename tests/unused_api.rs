@@ -7,7 +7,9 @@
 //!   under `crates/`, `src/`, `tests/`, `examples/` or `benchmark/src` (the
 //!   benchmark calls the API, so it counts as a caller). Only code names
 //!   it: a mention in a comment, a doc comment or a `use`/`pub use`
-//!   declaration calls nothing. A name that only its own file uses is
+//!   declaration calls nothing, and a method (a `pub fn` in an `impl`)
+//!   is called only as `.name` or `::name`: a field or a local of the
+//!   same name calls nothing either. A name that only its own file uses is
 //!   dead code or need not be `pub`. The exceptions are in `ALLOWED`,
 //!   each with its reason.
 //! * The settable fields — pub fields of pub `*Config`/`*Network`/`*Policy`
@@ -169,8 +171,37 @@ fn pub_signatures(code: &[(usize, &str)], skip: usize) -> String {
     out
 }
 
+/// Whether `text` calls the method `name`: `.name` or `::name`, not the
+/// bare word, which a field or a local of that name would be.
+fn calls_method(text: &str, name: &str) -> bool {
+    text.match_indices(name).any(|(at, _)| {
+        (text[..at].ends_with('.') || text[..at].ends_with("::"))
+            && !text[at + name.len()..].starts_with(is_ident)
+    })
+}
+
+/// Whether `line` sits in an `impl` block, `above` being the code above
+/// it: the sources are rustfmt'd, so the nearest line above that is
+/// indented less — past a `where` clause and its `{` — opens the block.
+fn in_impl(above: &[(usize, &str)], line: &str) -> bool {
+    let indent = |line: &str| line.len() - line.trim_start().len();
+    above
+        .iter()
+        .rev()
+        .map(|&(_, l)| l)
+        .find(|l| {
+            let item = l.trim_start();
+            indent(l) < indent(line)
+                && !item.is_empty()
+                && item != "{"
+                && !item.starts_with("where")
+        })
+        .is_some_and(|l| l.trim_start().starts_with("impl"))
+}
+
 /// `path:line: pub kind name` for each name `sources` declare that no
-/// other file of `sources` or `others` names in code.
+/// other file of `sources` or `others` names in code; a method (a `pub
+/// fn` in an `impl`) must be called there as `.name` or `::name`.
 fn unused(sources: &[Source], others: &[Source]) -> Vec<String> {
     let callers: Vec<(&PathBuf, String)> =
         sources.iter().chain(others).map(|(p, t)| (p, calling_code(t))).collect();
@@ -181,13 +212,15 @@ fn unused(sources: &[Source], others: &[Source]) -> Vec<String> {
             .enumerate()
             .filter(|(_, line)| !line.trim_start().starts_with("//"))
             .collect();
-        for &(i, line) in &code {
+        for (pos, &(i, line)) in code.iter().enumerate() {
             let Some((kind, name)) = declared(line) else { continue };
             if matches!(kind, "struct" | "enum" | "trait") && names(&pub_signatures(&code, i), name)
             {
                 continue;
             }
-            let elsewhere = callers.iter().any(|(p, t)| *p != path && names(t, name));
+            let method = kind == "fn" && in_impl(&code[..pos], line);
+            let called = |t: &str| if method { calls_method(t, name) } else { names(t, name) };
+            let elsewhere = callers.iter().any(|(p, t)| *p != path && called(t));
             if !elsewhere {
                 found.push(format!("{}:{}: pub {kind} {name}", path.display(), i + 1));
             }
@@ -286,6 +319,23 @@ fn the_scan_flags_a_planted_name() {
     );
     let caller = file("b.rs", "planted_name(); Loose; take; LIMIT");
     assert!(unused(&[planted], &[caller]).is_empty());
+}
+
+#[test]
+fn a_field_or_local_of_a_methods_name_is_no_call() {
+    let file = |path: &str, text: &str| -> Source { (PathBuf::from(path), text.to_string()) };
+    let planted = file(
+        "a.rs",
+        "pub struct Store {\n    pub backend: u8,\n}\n\n\
+         impl<T> Wrap<T>\nwhere\n    T: Copy,\n{\n    pub fn backend(&self) -> u8 {\n        0\n    }\n}\n\n\
+         pub fn root() {}\n",
+    );
+    let caller = file("b.rs", "let backend = 1; let s = Store { backend }; root();\n");
+    assert_eq!(unused(std::slice::from_ref(&planted), &[caller]), ["a.rs:9: pub fn backend"]);
+    for call in ["w.backend()", "xs.map(Wrap::backend)"] {
+        let caller = file("b.rs", &format!("let s = Store {{ backend: 1 }}; root(); {call};\n"));
+        assert!(unused(std::slice::from_ref(&planted), &[caller]).is_empty(), "{call}");
+    }
 }
 
 #[test]
