@@ -16,8 +16,8 @@
 //!    through the serving interface: its query batches ride a WAN uplink
 //!    job onto the event heap, get injected into the scheduler
 //!    ([`ServeFlow::inject`]), wait in shard batches behind background
-//!    traffic, and come back as top-k truncated served vectors stamped
-//!    with real virtual-clock latency. No adversary ever holds a model.
+//!    traffic, and come back as top-k truncated served vectors after
+//!    real virtual-clock latency. No adversary ever holds a model.
 //! 4. **Verdict** — a checkpoint timer fires on the same clock; once
 //!    every attack is home the [`VerdictEngine`] compares per-arm
 //!    *advantage* (attack hit rate minus each user's own prior baseline)
@@ -54,8 +54,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 use pelican::DefenseKind;
-use pelican_attacks::{truncate_top_k, ServedAdversary, ServedAnswer, ServedConfig, ServedQuery};
-use pelican_attacks::{Prior, PriorKind};
+use pelican_attacks::{truncate_top_k, ServedAdversary, ServedAnswer, ServedQuery};
 use pelican_live::{bootstrap_jobs, live_stream, LiveConfig};
 use pelican_mobility::MobilityDataset;
 use pelican_nn::{ModelEnvelope, SequenceModel};
@@ -69,7 +68,7 @@ use pelican_train::{count_degraded_after_swap, FleetTrainer, PipelineConfig, Sta
 use crate::publisher::{defended, publish_arms, ArmPublication};
 use crate::report::{AbxOutcome, AttackRecord, PublicationRecord, SwapKind, SwapRecord};
 use crate::splitter::{Arm, CohortSplit, CohortSplitter};
-use crate::verdict::{prior_hit_rate, Verdict, VerdictConfig, VerdictEngine};
+use crate::verdict::{Verdict, VerdictConfig, VerdictEngine};
 
 /// Job kind of adversary uplink batches (the serving flow owns 0–2; the
 /// live loop uses 8).
@@ -114,10 +113,12 @@ const LATENCY_MARGIN_US: u64 = 1_000_000;
 /// Everything one experiment needs beyond the dataset and the registry.
 #[derive(Debug, Clone)]
 pub struct AbxConfig {
-    /// Trainer pool and audit red-team knobs. The served adversary
-    /// derives its probes, method, prior and cutoffs from
-    /// `pipeline.audit`, so the front-door attack audits with the same
-    /// configuration the offline gate would.
+    /// Trainer pool and audit red-team knobs. The served adversary runs
+    /// the red-team recipe of `pipeline.audit` — its instances, prior,
+    /// probes, method and cutoffs — so the front-door attack audits with
+    /// the same configuration the offline gate would. Its prior may not
+    /// be [`PriorKind::Predict`](pelican_attacks::PriorKind::Predict),
+    /// which needs the model in hand.
     pub pipeline: PipelineConfig,
     /// Sim-driven serving knobs (scheduler, tier, optional network).
     pub serve: SimServeConfig,
@@ -147,8 +148,6 @@ struct AttackState {
     user_id: usize,
     arm: Arm,
     adversary: ServedAdversary,
-    /// The user's prior-only hit rate at the audit cutoff.
-    baseline: f64,
     done: bool,
 }
 
@@ -230,14 +229,16 @@ impl AbxFlow<'_> {
             let state = &mut self.attacks[slot];
             state.done = true;
             let eval = state.adversary.evaluation();
-            let accuracy = eval.accuracy(self.config.pipeline.audit.audit_k);
+            let audit_k = self.config.pipeline.audit.audit_k;
+            let accuracy = eval.accuracy(audit_k);
+            let baseline = state.adversary.baseline(audit_k);
             let wire = state.adversary.queries_sent() as u64;
-            self.engine.record_attack(state.arm, accuracy, state.baseline, wire);
+            self.engine.record_attack(state.arm, accuracy, baseline, wire);
             self.attack_records.push(AttackRecord {
                 user_id: state.user_id,
                 arm: state.arm,
                 accuracy,
-                baseline: state.baseline,
+                baseline,
                 wire_queries: wire,
                 logical_queries: eval.queries,
                 done_us: sim.now(),
@@ -278,7 +279,6 @@ impl AbxFlow<'_> {
                 self.attacks[slot].adversary.absorb(ServedAnswer {
                     id: query_id,
                     probs: truncate_top_k(&c.probs, RESPONSE_TOP_K),
-                    latency_us,
                 });
                 touched.push(slot);
             }
@@ -427,7 +427,8 @@ impl Workload for AbxFlow<'_> {
 ///
 /// Panics on invalid configuration (zero `max_batch`, a
 /// gradient-descent audit method — the served interface exposes no
-/// gradients) and if the cohort split fails its disjointness check.
+/// gradients — or a predicted audit prior, which is built from a model
+/// in hand) and if the cohort split fails its disjointness check.
 pub fn run_abx(
     dataset: &MobilityDataset,
     users: Range<usize>,
@@ -460,7 +461,7 @@ pub fn run_abx(
         publications.iter().enumerate().map(|(i, p)| (p.user_id, i)).collect();
 
     // Phase 3: front-door adversaries over the lowest user ids of each
-    // treatment cohort, red-teamed with the audit gate's configuration.
+    // treatment cohort, red-teamed with the audit gate's recipe.
     let audit = &config.pipeline.audit;
     let mut attacks: Vec<AttackState> = Vec::new();
     for arm in [Arm::A, Arm::B] {
@@ -469,34 +470,8 @@ pub fn run_abx(
                 .binary_search(&user_id)
                 .unwrap_or_else(|_| panic!("attacked user {user_id} is enrolled"))]
             .subject;
-            let instances: Vec<_> = subject
-                .holdout
-                .iter()
-                .take(audit.max_instances)
-                .map(|t| audit.adversary.instance(t, space.location_of(&t[2])))
-                .collect();
-            let prior = match audit.prior {
-                PriorKind::None => Prior::uniform(space.n_locations),
-                _ => Prior::from_history(space, &subject.history),
-            };
-            let baseline = prior_hit_rate(&prior, space, &instances, audit.audit_k);
-            attacks.push(AttackState {
-                user_id,
-                arm,
-                adversary: ServedAdversary::new(
-                    *space,
-                    prior,
-                    instances,
-                    audit.method.clone(),
-                    ServedConfig {
-                        probe_count: audit.probe_count,
-                        probe_seed: audit.seed ^ 0x1f,
-                        ks: audit.ks.clone(),
-                    },
-                ),
-                baseline,
-                done: false,
-            });
+            let adversary = ServedAdversary::new(*space, audit, subject);
+            attacks.push(AttackState { user_id, arm, adversary, done: false });
         }
     }
 

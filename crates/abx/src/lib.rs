@@ -36,4 +36,4 @@ pub use flow::{run_abx, AbxConfig, FRACTIONS, SPLIT_SEED};
 pub use publisher::{defended, publish_arms, ArmPublication};
 pub use report::{AbxOutcome, AttackRecord, PublicationRecord, SwapKind, SwapRecord};
 pub use splitter::{Arm, CohortSplit, CohortSplitter};
-pub use verdict::{prior_hit_rate, ArmStats, Verdict, VerdictConfig, VerdictEngine};
+pub use verdict::{ArmStats, Verdict, VerdictConfig, VerdictEngine};

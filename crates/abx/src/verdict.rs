@@ -20,9 +20,6 @@
 //!   the privacy win costs too much tail latency and the verdict is
 //!   null too.
 
-use pelican_attacks::{Instance, Prior};
-use pelican_mobility::FeatureSpace;
-
 use crate::splitter::Arm;
 
 /// Decision thresholds.
@@ -118,33 +115,6 @@ impl std::fmt::Display for Verdict {
             }
         }
     }
-}
-
-/// Fraction of instances whose true location sits in the prior's top-k —
-/// what an adversary scores *without ever querying the model*. Ties at
-/// the cutoff keep the lowest location indices, mirroring
-/// [`pelican_attacks::truncate_top_k`].
-pub fn prior_hit_rate(
-    prior: &Prior,
-    space: &FeatureSpace,
-    instances: &[Instance],
-    k: usize,
-) -> f64 {
-    if instances.is_empty() {
-        return 0.0;
-    }
-    let mut order: Vec<usize> = (0..prior.len()).collect();
-    order.sort_by(|&a, &b| {
-        prior
-            .prob(b)
-            .partial_cmp(&prior.prob(a))
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    let top = &order[..k.min(order.len())];
-    let hits =
-        instances.iter().filter(|inst| top.contains(&space.location_of(&inst.truth))).count();
-    hits as f64 / instances.len() as f64
 }
 
 #[derive(Debug, Clone, Default)]
@@ -259,8 +229,6 @@ impl VerdictEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pelican_attacks::Adversary;
-    use pelican_mobility::{Session, SpatialLevel};
 
     fn engine(null_margin: f64) -> VerdictEngine {
         VerdictEngine::new(
@@ -312,31 +280,6 @@ mod tests {
         assert!(verdict.is_null(), "a 5 ms tail regression must veto: {verdict}");
         assert_eq!(stats[1].latency_p95_us, 6_000);
         assert_eq!(stats[1].served, 20);
-    }
-
-    #[test]
-    fn prior_hit_rate_ranks_ties_low_index_first() {
-        let space = FeatureSpace::new(SpatialLevel::Building, 4);
-        let mk = |b: usize| Session {
-            user: 0,
-            building: b,
-            ap: b,
-            day: 1,
-            entry_minutes: 600,
-            duration_minutes: 30,
-        };
-        // A1 reconstructs the *middle* step, so vary that one.
-        let instances: Vec<Instance> =
-            (0..4).map(|b| Adversary::A1.instance(&[mk(0), mk(b), mk(3)], 3)).collect();
-        // Uniform prior: top-2 under low-index tie-breaking is {0, 1}.
-        let uniform = Prior::uniform(4);
-        assert_eq!(prior_hit_rate(&uniform, &space, &instances, 2), 0.5);
-        assert_eq!(prior_hit_rate(&uniform, &space, &instances, 4), 1.0);
-        assert_eq!(prior_hit_rate(&uniform, &space, &[], 2), 0.0);
-        // A history concentrated on location 3 pulls it into the top-1.
-        let history: Vec<Session> = (0..6).map(|_| mk(3)).collect();
-        let skewed = Prior::from_history(&space, &history);
-        assert_eq!(prior_hit_rate(&skewed, &space, &instances[3..], 1), 1.0);
     }
 
     #[test]

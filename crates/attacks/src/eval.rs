@@ -44,11 +44,6 @@ impl AttackEvaluation {
         }
     }
 
-    /// The evaluated k values.
-    pub fn ks(&self) -> &[usize] {
-        &self.ks
-    }
-
     /// Mean model queries per instance.
     pub fn queries_per_instance(&self) -> f64 {
         if self.total == 0 {

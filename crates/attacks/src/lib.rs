@@ -21,12 +21,20 @@
 //!
 //! The three adversaries A1/A2/A3 of Table I differ only in which timesteps
 //! they observe; see [`Adversary`].
+//!
+//! One red-team recipe mounts them on a user ([`recipe`]): an
+//! [`AuditConfig`] builds the attack instances, the prior and the
+//! interest probes for an [`AuditSubject`] and runs the attack over any
+//! [`BlackBox`]. The training tier's audit gate, the experiment
+//! workbench and the [`ServedAdversary`] that attacks through the
+//! serving interface all take it from there.
 
 pub mod adversary;
 pub mod eval;
 pub mod methods;
 pub mod oracle;
 pub mod prior;
+pub mod recipe;
 pub mod served;
 
 pub use adversary::{Adversary, Instance};
@@ -36,5 +44,6 @@ pub use methods::{
     INTEREST_THRESHOLD,
 };
 pub use oracle::{BlackBox, CachedBlackBox, LogitCache};
-pub use prior::{Prior, PriorKind};
-pub use served::{truncate_top_k, ServedAdversary, ServedAnswer, ServedConfig, ServedQuery};
+pub use prior::{prior_hit_rate, Prior, PriorKind};
+pub use recipe::{AuditConfig, AuditSubject};
+pub use served::{truncate_top_k, ServedAdversary, ServedAnswer, ServedQuery};

@@ -13,6 +13,9 @@ use serde::{Deserialize, Serialize};
 
 use pelican_mobility::{FeatureSpace, Session};
 use pelican_nn::SequenceModel;
+use pelican_tensor::descending;
+
+use crate::adversary::Instance;
 
 /// How the adversary obtained its prior (§IV-B3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -110,18 +113,24 @@ impl Prior {
     /// Builds the prior of a given kind for one user's attack setting.
     ///
     /// `history` is the user's training sessions (true marginals);
-    /// `probe_seed` drives random probe generation for [`PriorKind::Predict`].
+    /// `model` answers, and `probe_seed` drives, the random probes of a
+    /// [`PriorKind::Predict`] prior, which no other kind reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`PriorKind::Predict`] without a model.
     pub fn of_kind(
         kind: PriorKind,
         space: &FeatureSpace,
         history: &[Session],
-        model: &SequenceModel,
+        model: Option<&SequenceModel>,
         probe_seed: u64,
     ) -> Self {
         match kind {
             PriorKind::True => Self::from_history(space, history),
             PriorKind::None => Self::uniform(space.n_locations),
             PriorKind::Predict => {
+                let model = model.expect("a predicted prior needs the model under attack");
                 let probes = random_probes(space, PREDICT_PROBES, probe_seed);
                 Self::predicted(model, &probes)
             }
@@ -169,6 +178,28 @@ impl Prior {
     }
 }
 
+/// Fraction of instances whose true location sits in the prior's top-k —
+/// what an adversary scores *without ever querying the model*. Locations
+/// rank in [`pelican_tensor::descending`] order of probability, so ties
+/// at the cutoff keep the lowest location indices, as
+/// [`crate::truncate_top_k`] does.
+pub fn prior_hit_rate(
+    prior: &Prior,
+    space: &FeatureSpace,
+    instances: &[Instance],
+    k: usize,
+) -> f64 {
+    if instances.is_empty() {
+        return 0.0;
+    }
+    let mut order: Vec<usize> = (0..prior.len()).collect();
+    order.sort_by(|&a, &b| descending(&prior.prob(a), &prior.prob(b)));
+    let top = &order[..k.min(order.len())];
+    let hits =
+        instances.iter().filter(|inst| top.contains(&space.location_of(&inst.truth))).count();
+    hits as f64 / instances.len() as f64
+}
+
 /// Generates random plausible probe inputs for black-box interrogation.
 pub fn random_probes(space: &FeatureSpace, count: usize, seed: u64) -> Vec<Vec<Vec<f32>>> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -190,6 +221,7 @@ pub fn random_probes(space: &FeatureSpace, count: usize, seed: u64) -> Vec<Vec<V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::Adversary;
     use pelican_mobility::SpatialLevel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -247,6 +279,31 @@ mod tests {
         let p = Prior::predicted(&model, &probes);
         assert_eq!(p.len(), 6);
         assert!((p.as_slice().iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn prior_hit_rate_ranks_ties_low_index_first() {
+        let space = FeatureSpace::new(SpatialLevel::Building, 4);
+        let mk = |b: usize| Session {
+            user: 0,
+            building: b,
+            ap: b,
+            day: 1,
+            entry_minutes: 600,
+            duration_minutes: 30,
+        };
+        // A1 reconstructs the *middle* step, so vary that one.
+        let instances: Vec<Instance> =
+            (0..4).map(|b| Adversary::A1.instance(&[mk(0), mk(b), mk(3)], 3)).collect();
+        // Uniform prior: top-2 under low-index tie-breaking is {0, 1}.
+        let uniform = Prior::uniform(4);
+        assert_eq!(prior_hit_rate(&uniform, &space, &instances, 2), 0.5);
+        assert_eq!(prior_hit_rate(&uniform, &space, &instances, 4), 1.0);
+        assert_eq!(prior_hit_rate(&uniform, &space, &[], 2), 0.0);
+        // A history concentrated on location 3 pulls it into the top-1.
+        let history: Vec<Session> = (0..6).map(|_| mk(3)).collect();
+        let skewed = Prior::from_history(&space, &history);
+        assert_eq!(prior_hit_rate(&skewed, &space, &instances[3..], 1), 1.0);
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! `predict_proba` is a synchronous call and answers arrive instantly and
 //! in full precision. A production adversary has neither luxury — queries
 //! travel a client uplink, wait in a shard batch, and come back as the
-//! *served* confidence vector (possibly top-k truncated), stamped with
-//! real response latency. [`ServedAdversary`] reshapes the attack into
-//! that mold: a poll-based state machine that *emits* query batches and
-//! *absorbs* served answers, never touching a model.
+//! *served* confidence vector (possibly top-k truncated).
+//! [`ServedAdversary`] reshapes the attack into that mold: a poll-based
+//! state machine that *emits* query batches and *absorbs* served
+//! answers, never touching a model. What it attacks with is the red-team
+//! recipe's ([`AuditConfig`]): the same instances, prior, probes and
+//! scoring the audit gate uses.
 //!
 //! The reshaping is sound because the enumeration attacks are
 //! **answer-independent**: the query set of [`BruteForce`] and
@@ -22,7 +24,8 @@
 //!
 //! The gradient-descent attack has no served analogue: `input_gradient`
 //! is a white-box oracle no serving tier exposes, which is precisely why
-//! Table II's cheap attack is not a deployment threat.
+//! Table II's cheap attack is not a deployment threat. Nor has the
+//! predicted prior, which is built from a model in hand.
 //!
 //! [`BruteForce`]: crate::BruteForce
 //! [`TimeBased`]: crate::TimeBased
@@ -34,10 +37,11 @@ use pelican_nn::{query_hash, sweep_query_hashes, Sequence, Step};
 use pelican_tensor::Matrix;
 
 use crate::adversary::Instance;
-use crate::eval::{evaluate_attack, AttackEvaluation};
+use crate::eval::AttackEvaluation;
 use crate::methods::{interest_locations, AttackMethod, INTEREST_THRESHOLD};
 use crate::oracle::BlackBox;
-use crate::prior::{random_probes, Prior};
+use crate::prior::{prior_hit_rate, Prior, PriorKind};
+use crate::recipe::{AuditConfig, AuditSubject};
 
 /// One query the adversary wants served: an opaque id (echoed back in the
 /// answer) and the model input.
@@ -57,25 +61,6 @@ pub struct ServedAnswer {
     /// The served confidence vector — already through the deployed
     /// defense, and possibly top-k truncated by the serving tier.
     pub probs: Step,
-    /// Arrival-to-response latency on the serving clock.
-    pub latency_us: u64,
-}
-
-/// Shape of the served attack.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServedConfig {
-    /// Random probes sent to map the model's locations of interest.
-    pub probe_count: usize,
-    /// Seed for probe generation.
-    pub probe_seed: u64,
-    /// Top-k cutoffs to evaluate.
-    pub ks: Vec<usize>,
-}
-
-impl Default for ServedConfig {
-    fn default() -> Self {
-        Self { probe_count: 24, probe_seed: 0x5EED ^ 0x1f, ks: vec![1, 3] }
-    }
 }
 
 /// Records every distinct query an attack issues while answering
@@ -203,55 +188,48 @@ enum Phase {
 #[derive(Debug)]
 pub struct ServedAdversary {
     space: FeatureSpace,
+    config: AuditConfig,
     prior: Prior,
     instances: Vec<Instance>,
-    method: AttackMethod,
-    config: ServedConfig,
-    probes: Vec<Sequence>,
     phase: Phase,
     issued: bool,
     /// Outstanding query ids → their inputs.
     pending: HashMap<usize, Sequence>,
     /// Served answers by query fingerprint.
     answers: HashMap<u64, Step>,
-    latencies_us: Vec<u64>,
     next_id: usize,
     interest: Vec<usize>,
 }
 
 impl ServedAdversary {
-    /// Sets up the adversary for a batch of instances against one user's
-    /// served model.
+    /// Sets up the red-team recipe's attack of `subject` through one
+    /// user's served model.
     ///
     /// # Panics
     ///
-    /// Panics if `method` is the gradient-descent attack: its oracle
-    /// ([`BlackBox::input_gradient`]) does not exist behind a serving
-    /// interface.
-    pub fn new(
-        space: FeatureSpace,
-        prior: Prior,
-        instances: Vec<Instance>,
-        method: AttackMethod,
-        config: ServedConfig,
-    ) -> Self {
+    /// Panics if `config.method` is the gradient-descent attack: its
+    /// oracle ([`BlackBox::input_gradient`]) does not exist behind a
+    /// serving interface. Panics on a [`PriorKind::Predict`] prior too:
+    /// it is built from a model in hand, which a served adversary never
+    /// holds.
+    pub fn new(space: FeatureSpace, config: &AuditConfig, subject: &AuditSubject) -> Self {
         assert!(
-            !matches!(method, AttackMethod::GradientDescent(_)),
+            !matches!(config.method, AttackMethod::GradientDescent(_)),
             "gradient descent needs a white-box oracle the serving interface never exposes"
         );
-        let probes = random_probes(&space, config.probe_count, config.probe_seed);
+        assert!(
+            config.prior != PriorKind::Predict,
+            "a predicted prior needs the model in hand, which the serving interface never exposes"
+        );
         Self {
             space,
-            prior,
-            instances,
-            method,
-            config,
-            probes,
+            config: config.clone(),
+            prior: config.prior(&space, subject, None),
+            instances: config.instances(&space, subject),
             phase: Phase::Probing,
             issued: false,
             pending: HashMap::new(),
             answers: HashMap::new(),
-            latencies_us: Vec::new(),
             next_id: 0,
             interest: Vec::new(),
         }
@@ -266,7 +244,7 @@ impl ServedAdversary {
         }
         match self.phase {
             Phase::Probing => {
-                let batch = self.issue(self.probes.clone());
+                let batch = self.issue(self.config.probes(&self.space));
                 if batch.is_empty() {
                     // Zero probes configured: the interest set stays
                     // empty and enumeration proceeds directly.
@@ -298,7 +276,6 @@ impl ServedAdversary {
             .remove(&answer.id)
             .expect("served answer for a query this adversary has in flight");
         self.answers.insert(query_hash(&xs), answer.probs);
-        self.latencies_us.push(answer.latency_us);
         if self.pending.is_empty() {
             self.advance();
         }
@@ -316,13 +293,14 @@ impl ServedAdversary {
         self.next_id
     }
 
-    /// Response latencies observed so far, in absorb order — the timing
-    /// side-channel a network observer gets for free.
-    pub fn latencies_us(&self) -> &[u64] {
-        &self.latencies_us
+    /// The hit rate at top-`k` of this adversary's prior alone: what it
+    /// scores without a single query ([`prior_hit_rate`]).
+    pub fn baseline(&self, k: usize) -> f64 {
+        prior_hit_rate(&self.prior, &self.space, &self.instances, k)
     }
 
-    /// Scores the attack from served answers alone.
+    /// Scores the attack from served answers alone: the recipe's
+    /// [`AuditConfig::attack`] over the served responses.
     ///
     /// # Panics
     ///
@@ -330,15 +308,7 @@ impl ServedAdversary {
     pub fn evaluation(&self) -> AttackEvaluation {
         assert!(self.is_done(), "evaluation needs every served answer home");
         let mut replay = ReplayBlackBox::new(self.space.n_locations, &self.answers);
-        evaluate_attack(
-            &self.method,
-            &mut replay,
-            &self.space,
-            &self.prior,
-            &self.interest,
-            &self.instances,
-            &self.config.ks,
-        )
+        self.config.attack(&mut replay, &self.space, &self.prior, &self.instances)
     }
 
     /// Issues a batch, skipping inputs whose fingerprint already has an
@@ -366,7 +336,8 @@ impl ServedAdversary {
         match self.phase {
             Phase::Probing => {
                 let mut replay = ReplayBlackBox::new(self.space.n_locations, &self.answers);
-                self.interest = interest_locations(&mut replay, &self.probes, INTEREST_THRESHOLD);
+                let probes = self.config.probes(&self.space);
+                self.interest = interest_locations(&mut replay, &probes, INTEREST_THRESHOLD);
                 self.phase = Phase::Enumerating;
             }
             Phase::Enumerating => self.phase = Phase::Done,
@@ -379,7 +350,8 @@ impl ServedAdversary {
     fn enumerate_candidates(&self) -> Vec<Sequence> {
         let mut recorder = RecordingBlackBox::new(self.space.n_locations);
         for inst in &self.instances {
-            let _ = self.method.run(&mut recorder, &self.space, &self.prior, &self.interest, inst);
+            let method = &self.config.method;
+            let _ = method.run(&mut recorder, &self.space, &self.prior, &self.interest, inst);
         }
         recorder.into_queries()
     }
@@ -403,7 +375,7 @@ pub fn truncate_top_k(probs: &[f32], k: usize) -> Step {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::Adversary;
+    use crate::eval::evaluate_attack;
     use crate::methods::TimeBased;
     use pelican_mobility::{Session, SpatialLevel};
     use pelican_nn::SequenceModel;
@@ -429,66 +401,59 @@ mod tests {
             }
             for q in batch {
                 let probs = truncate_top_k(&model.predict_proba(&q.xs), top_k);
-                adversary.absorb(ServedAnswer { id: q.id, probs, latency_us: 0 });
+                adversary.absorb(ServedAnswer { id: q.id, probs });
                 served += 1;
             }
         }
         served
     }
 
-    fn setup() -> (SequenceModel, FeatureSpace, Prior, Vec<Instance>) {
+    fn session(b: usize, e: u32) -> Session {
+        Session { user: 0, building: b, ap: b, day: 2, entry_minutes: e, duration_minutes: 55 }
+    }
+
+    /// A model, and three held-out triples attacked by A1 with a uniform
+    /// prior and 8 interest probes.
+    fn setup() -> (SequenceModel, FeatureSpace, AuditConfig, AuditSubject) {
         let space = FeatureSpace::new(SpatialLevel::Building, N);
         let mut rng = StdRng::seed_from_u64(33);
         let model = SequenceModel::general_lstm(space.dim(), 12, N, 0.0, &mut rng);
-        let prior = Prior::uniform(N);
-        let mk = |b: usize, e: u32| Session {
-            user: 0,
-            building: b,
-            ap: b,
-            day: 2,
-            entry_minutes: e,
-            duration_minutes: 55,
-        };
-        let instances = (0..3)
-            .map(|i| {
-                let triple = [mk(1 + i, 540), mk((4 + i) % N, 600), mk(6, 660)];
-                Adversary::A1.instance(&triple, 6)
-            })
+        let holdout = (0..3)
+            .map(|i| [session(1 + i, 540), session((4 + i) % N, 600), session(6, 660)])
             .collect();
-        (model, space, prior, instances)
+        let subject = AuditSubject { history: Vec::new(), holdout };
+        let config =
+            AuditConfig { prior: PriorKind::None, probe_count: 8, ..AuditConfig::default() };
+        (model, space, config, subject)
     }
 
-    fn adversary(space: &FeatureSpace, prior: &Prior, instances: &[Instance]) -> ServedAdversary {
-        ServedAdversary::new(
-            *space,
-            prior.clone(),
-            instances.to_vec(),
-            AttackMethod::TimeBased(TimeBased::default()),
-            ServedConfig { probe_count: 8, probe_seed: 5, ..ServedConfig::default() },
-        )
+    /// The in-hand attack the served one must reproduce: `config`'s
+    /// probes, `prior` and instances, answered by the model itself.
+    fn in_hand(
+        model: &mut SequenceModel,
+        space: &FeatureSpace,
+        config: &AuditConfig,
+        prior: &Prior,
+        subject: &AuditSubject,
+    ) -> (Vec<usize>, AttackEvaluation) {
+        let interest = interest_locations(model, &config.probes(space), 0.01);
+        let instances = config.instances(space, subject);
+        let method = AttackMethod::TimeBased(TimeBased::default());
+        let eval = evaluate_attack(&method, model, space, prior, &interest, &instances, &[1, 3]);
+        (interest, eval)
     }
 
     #[test]
     fn served_attack_matches_the_in_hand_attack_exactly() {
-        let (mut model, space, prior, instances) = setup();
-        let mut adv = adversary(&space, &prior, &instances);
+        let (mut model, space, config, subject) = setup();
+        let mut adv = ServedAdversary::new(space, &config, &subject);
         serve_locally(&mut adv, &mut model, N);
         assert!(adv.is_done());
         let served = adv.evaluation();
 
         // The oracle baseline: same probes, same attack, model in hand.
-        let probes = random_probes(&space, 8, 5);
-        let interest = interest_locations(&mut model, &probes, 0.01);
+        let (interest, direct) = in_hand(&mut model, &space, &config, &Prior::uniform(N), &subject);
         assert_eq!(adv.interest, interest, "probing through serving finds the same set");
-        let direct = evaluate_attack(
-            &AttackMethod::TimeBased(TimeBased::default()),
-            &mut model,
-            &space,
-            &prior,
-            &interest,
-            &instances,
-            &[1, 3],
-        );
         assert_eq!(served.total, direct.total);
         assert_eq!(served.accuracy(1), direct.accuracy(1));
         assert_eq!(served.accuracy(3), direct.accuracy(3));
@@ -496,9 +461,34 @@ mod tests {
     }
 
     #[test]
+    fn an_estimated_prior_is_the_one_the_adversary_attacks_with() {
+        let (mut model, space, _, mut subject) = setup();
+        // Locations 5, 6 and 7 are the history's top three; the estimate
+        // keeps 5 and ranks 0 and 1 next. The attacked (middle) steps sit
+        // at 4, 5 and 6.
+        subject.history = [5, 5, 5, 6, 6, 7].map(|b| session(b, 600)).to_vec();
+        let config = AuditConfig { prior: PriorKind::Estimate, ..setup().2 };
+        let mut adv = ServedAdversary::new(space, &config, &subject);
+        serve_locally(&mut adv, &mut model, N);
+
+        let estimated = Prior::of_kind(PriorKind::Estimate, &space, &subject.history, None, 0);
+        let instances = config.instances(&space, &subject);
+        assert_eq!(adv.baseline(3), prior_hit_rate(&estimated, &space, &instances, 3));
+        let truth = Prior::from_history(&space, &subject.history);
+        assert_ne!(adv.baseline(3), prior_hit_rate(&truth, &space, &instances, 3));
+        let (_, direct) = in_hand(&mut model, &space, &config, &estimated, &subject);
+        let served = adv.evaluation();
+        assert_eq!(
+            (served.accuracy(1), served.accuracy(3)),
+            (direct.accuracy(1), direct.accuracy(3))
+        );
+        assert_eq!(served.queries, direct.queries);
+    }
+
+    #[test]
     fn deduplication_makes_the_wire_cheaper_than_the_logical_count() {
-        let (mut model, space, prior, instances) = setup();
-        let mut adv = adversary(&space, &prior, &instances);
+        let (mut model, space, config, subject) = setup();
+        let mut adv = ServedAdversary::new(space, &config, &subject);
         let sent = serve_locally(&mut adv, &mut model, N);
         assert_eq!(sent, adv.queries_sent());
         let logical = adv.evaluation().queries as usize + 8; // attack + probes
@@ -507,15 +497,14 @@ mod tests {
             "wire count {} must not exceed logical count {logical}",
             adv.queries_sent()
         );
-        assert_eq!(adv.latencies_us().len(), sent, "every response is timed");
     }
 
     #[test]
     fn generous_truncation_changes_nothing() {
-        let (mut model, space, prior, instances) = setup();
-        let mut full = adversary(&space, &prior, &instances);
+        let (mut model, space, config, subject) = setup();
+        let mut full = ServedAdversary::new(space, &config, &subject);
         serve_locally(&mut full, &mut model, N);
-        let mut wide = adversary(&space, &prior, &instances);
+        let mut wide = ServedAdversary::new(space, &config, &subject);
         serve_locally(&mut wide, &mut model, usize::MAX);
         let (a, b) = (full.evaluation(), wide.evaluation());
         assert_eq!(a.accuracy(3), b.accuracy(3));
@@ -537,19 +526,19 @@ mod tests {
 
     #[test]
     fn phases_drain_in_order_and_batches_emit_once() {
-        let (_, space, prior, instances) = setup();
-        let mut adv = adversary(&space, &prior, &instances);
+        let (_, space, config, subject) = setup();
+        let mut adv = ServedAdversary::new(space, &config, &subject);
         let probes = adv.next_queries();
         assert_eq!(probes.len(), 8);
         assert!(adv.next_queries().is_empty(), "no new batch while probes are in flight");
         for q in probes {
-            adv.absorb(ServedAnswer { id: q.id, probs: vec![1.0 / N as f32; N], latency_us: 7 });
+            adv.absorb(ServedAnswer { id: q.id, probs: vec![1.0 / N as f32; N] });
         }
         let candidates = adv.next_queries();
         assert!(!candidates.is_empty(), "uniform probes keep every location interesting");
         assert!(!adv.is_done());
         for q in candidates {
-            adv.absorb(ServedAnswer { id: q.id, probs: vec![1.0 / N as f32; N], latency_us: 9 });
+            adv.absorb(ServedAnswer { id: q.id, probs: vec![1.0 / N as f32; N] });
         }
         assert!(adv.is_done());
         assert!(adv.next_queries().is_empty());
@@ -558,13 +547,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "white-box oracle")]
     fn gradient_descent_is_rejected_at_the_door() {
-        let (_, space, prior, instances) = setup();
-        ServedAdversary::new(
-            space,
-            prior,
-            instances,
-            AttackMethod::GradientDescent(crate::methods::GradientDescent::default()),
-            ServedConfig::default(),
-        );
+        let (_, space, config, subject) = setup();
+        let method = AttackMethod::GradientDescent(crate::methods::GradientDescent::default());
+        ServedAdversary::new(space, &AuditConfig { method, ..config }, &subject);
+    }
+
+    #[test]
+    #[should_panic(expected = "predicted prior needs the model in hand")]
+    fn a_predicted_prior_is_rejected_at_the_door() {
+        let (_, space, config, subject) = setup();
+        ServedAdversary::new(space, &AuditConfig { prior: PriorKind::Predict, ..config }, &subject);
     }
 }

@@ -12,8 +12,8 @@
 use pelican::defenses::COMPARISON_SUITE;
 use pelican::{personalize, DefenseKind, PersonalizationConfig, PersonalizationMethod};
 use pelican_attacks::{
-    evaluate_attack, interest_locations, Adversary, AttackMethod, GradientDescent, PriorKind,
-    TimeBased,
+    evaluate_attack, interest_locations, Adversary, AttackMethod, AuditConfig, GradientDescent,
+    PriorKind, TimeBased,
 };
 use pelican_mobility::SpatialLevel;
 use pelican_nn::metrics::evaluate_top_k;
@@ -92,10 +92,17 @@ pub fn defense_compare(config: &RunConfig) -> Table {
 }
 
 /// Interest-threshold ablation: sweep the locations-of-interest confidence
-/// cutoff and report search-space size vs attack accuracy.
+/// cutoff and report search-space size vs attack accuracy. Everything else
+/// is the red-team recipe's default attack at the scenario's seed.
 pub fn interest_threshold(config: &RunConfig) -> Table {
     let scenario = super::scenario(config, SpatialLevel::Building);
-    let method = AttackMethod::TimeBased(TimeBased::default());
+    let space = &scenario.dataset.space;
+    let red_team = AuditConfig {
+        ks: vec![3],
+        max_instances: config.instances_per_user,
+        seed: scenario.seed,
+        ..AuditConfig::default()
+    };
     let mut t =
         Table::new(&["threshold", "mean interest size", "queries/instance", "attack top-3 (%)"]);
     for threshold in [0.0f32, 0.001, 0.01, 0.05, 0.2] {
@@ -103,24 +110,19 @@ pub fn interest_threshold(config: &RunConfig) -> Table {
         let mut interest_sum = 0usize;
         for user in &scenario.personal {
             let mut model = user.model.clone();
-            let prior = scenario.prior(user, PriorKind::True);
-            let probes = pelican_attacks::prior::random_probes(
-                &scenario.dataset.space,
-                24,
-                scenario.seed ^ 0x1f,
-            );
-            let interest = interest_locations(&mut model, &probes, threshold);
+            let subject = user.subject();
+            let prior = red_team.prior(space, &subject, Some(&model));
+            let interest = interest_locations(&mut model, &red_team.probes(space), threshold);
             interest_sum += interest.len();
-            let instances =
-                scenario.attack_instances(user, Adversary::A1, config.instances_per_user);
+            let instances = red_team.instances(space, &subject);
             let eval = evaluate_attack(
-                &method,
+                &red_team.method,
                 &mut model,
-                &scenario.dataset.space,
+                space,
                 &prior,
                 &interest,
                 &instances,
-                &[3],
+                &red_team.ks,
             );
             eval_total.merge(&eval);
         }

@@ -7,8 +7,7 @@
 //! devices; attacks then target the personalized models.
 
 use pelican_attacks::{
-    evaluate_attack, interest_locations, Adversary, AttackEvaluation, AttackMethod, Instance,
-    Prior, PriorKind, INTEREST_THRESHOLD,
+    Adversary, AttackEvaluation, AttackMethod, AuditConfig, AuditSubject, PriorKind,
 };
 use pelican_mobility::{
     train_test_split, within_weeks, CampusConfig, DatasetBuilder, MobilityDataset, Scale, Session,
@@ -70,10 +69,14 @@ pub struct PersonalUser {
 }
 
 impl PersonalUser {
-    /// The user's training sessions (hidden-step marginals for the true
-    /// prior are computed from these).
-    fn train_sessions(&self) -> Vec<Session> {
-        self.train_triples.iter().flat_map(|t| t.iter().copied()).collect()
+    /// The user as the red-team recipe attacks them: the training
+    /// sessions (hidden-step marginals for the true prior come from
+    /// these) and the held-out triples.
+    pub fn subject(&self) -> AuditSubject {
+        AuditSubject {
+            history: self.train_triples.iter().flat_map(|t| t.iter().copied()).collect(),
+            holdout: self.test_triples.clone(),
+        }
     }
 
     /// Top-k test accuracy of the personalized model.
@@ -118,35 +121,10 @@ impl Scenario {
         }
     }
 
-    /// Builds the attack instances an adversary sees for one user's
-    /// held-out triples, capped at `max_instances`.
-    pub fn attack_instances(
-        &self,
-        user: &PersonalUser,
-        adversary: Adversary,
-        max_instances: usize,
-    ) -> Vec<Instance> {
-        user.test_triples
-            .iter()
-            .take(max_instances)
-            .map(|t| adversary.instance(t, self.dataset.space.location_of(&t[2])))
-            .collect()
-    }
-
-    /// Builds the prior of `kind` for one user.
-    pub fn prior(&self, user: &PersonalUser, kind: PriorKind) -> Prior {
-        Prior::of_kind(
-            kind,
-            &self.dataset.space,
-            &user.train_sessions(),
-            &user.model,
-            self.seed ^ 0x9d,
-        )
-    }
-
     /// Runs an attack against one user's personalized model, with
     /// `defense` installed on a copy of it, and aggregates top-k attack
-    /// accuracy.
+    /// accuracy: the red-team recipe ([`AuditConfig`]) at the scenario's
+    /// seed, over the user's first `max_instances` held-out triples.
     #[allow(clippy::too_many_arguments)]
     pub fn attack_user(
         &self,
@@ -158,14 +136,20 @@ impl Scenario {
         max_instances: usize,
         defense: DefenseKind,
     ) -> AttackEvaluation {
+        let config = AuditConfig {
+            adversary,
+            method: method.clone(),
+            prior: prior_kind,
+            ks: ks.to_vec(),
+            max_instances,
+            seed: self.seed,
+            ..AuditConfig::default()
+        };
         let mut model = user.model.clone();
         model.set_defense(defense);
-        let prior = self.prior(user, prior_kind);
-        let probes =
-            pelican_attacks::prior::random_probes(&self.dataset.space, 24, self.seed ^ 0x1f);
-        let interest = interest_locations(&mut model, &probes, INTEREST_THRESHOLD);
-        let instances = self.attack_instances(user, adversary, max_instances);
-        evaluate_attack(method, &mut model, &self.dataset.space, &prior, &interest, &instances, ks)
+        let (space, subject) = (&self.dataset.space, user.subject());
+        let prior = config.prior(space, &subject, Some(&model));
+        config.attack(&mut model, space, &prior, &config.instances(space, &subject))
     }
 
     /// Runs an attack across all personalization users and merges results —

@@ -151,13 +151,6 @@ impl FeatureSpace {
     }
 }
 
-/// Encodes a session at the given spatial level within `space`.
-///
-/// Convenience free function mirroring [`FeatureSpace::encode_session`].
-pub fn encode_session(space: &FeatureSpace, s: &Session) -> Step {
-    space.encode_session(s)
-}
-
 /// Per-user data: the raw session triples the learning task is built from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UserData {

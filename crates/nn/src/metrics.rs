@@ -73,11 +73,6 @@ impl TopKAccuracy {
     pub fn total(&self) -> usize {
         self.total
     }
-
-    /// The registered `k` values.
-    pub fn ks(&self) -> &[usize] {
-        &self.ks
-    }
 }
 
 /// Evaluates a model's top-k accuracy on labelled samples using its
@@ -114,7 +109,8 @@ mod tests {
 
     #[test]
     fn accuracy_is_monotone_in_k() {
-        let mut acc = TopKAccuracy::new(&[1, 2, 3, 5]);
+        let ks = [1, 2, 3, 5];
+        let mut acc = TopKAccuracy::new(&ks);
         let scores = [
             (vec![0.4, 0.3, 0.2, 0.05, 0.05], 3),
             (vec![0.4, 0.3, 0.2, 0.05, 0.05], 1),
@@ -124,7 +120,7 @@ mod tests {
             acc.observe(s, *t);
         }
         let mut prev = 0.0;
-        for &k in acc.ks() {
+        for k in ks {
             let a = acc.accuracy(k);
             assert!(a >= prev, "top-k accuracy must be monotone in k");
             prev = a;

@@ -144,7 +144,7 @@ pub enum Stage {
 
 impl Stage {
     /// The stage's report label.
-    pub fn label(&self) -> &'static str {
+    fn label(&self) -> &'static str {
         match self {
             Stage::Compute { label, .. } | Stage::Transfer { label, .. } => label,
         }
@@ -513,13 +513,6 @@ impl SimulatorBuilder {
     /// a longer one.
     pub fn links(mut self, links: impl IntoIterator<Item = LinkSpec>) -> Self {
         self.links = links.into_iter().collect();
-        self
-    }
-
-    /// Appends one link and returns the builder (the link's index is the
-    /// number of links set before the call).
-    pub fn link(mut self, link: LinkSpec) -> Self {
-        self.links.push(link);
         self
     }
 

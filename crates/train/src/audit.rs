@@ -33,83 +33,13 @@
 //! cost — are those of an audit from nothing.
 
 use pelican::DefenseKind;
-use pelican_attacks::prior::random_probes;
-use pelican_attacks::{
-    evaluate_attack, interest_locations, Adversary, AttackEvaluation, AttackMethod, CachedBlackBox,
-    Instance, LogitCache, Prior, PriorKind, TimeBased, INTEREST_THRESHOLD,
-};
-use pelican_mobility::{FeatureSpace, Session};
+use pelican_attacks::{AttackEvaluation, AuditConfig, AuditSubject, CachedBlackBox, LogitCache};
+use pelican_mobility::FeatureSpace;
 use pelican_nn::{PrefixTier, SequenceModel};
-
-/// Everything the gate needs to know about the user being audited.
-///
-/// Mirrors the threat model of §III-B: the provider red-teams with the
-/// user's *training-time* marginals as the prior and attacks held-out
-/// triples the model never saw.
-#[derive(Debug, Clone)]
-pub struct AuditSubject {
-    /// The user's training sessions (prior marginals come from these).
-    pub history: Vec<Session>,
-    /// Held-out session triples; attack instances are built from them.
-    pub holdout: Vec<[Session; 3]>,
-}
 
 /// Defense every candidate carries into its first audit: none — the gate
 /// measures the model as trained and deploys a rung only when it leaks.
 pub const BASE_DEFENSE: DefenseKind = DefenseKind::None;
-
-/// Red-team configuration of the audit gate.
-#[derive(Debug, Clone)]
-pub struct AuditConfig {
-    /// Which timesteps the simulated adversary observes (Table I).
-    pub adversary: Adversary,
-    /// Attack method run against each candidate.
-    pub method: AttackMethod,
-    /// Prior handed to the attack.
-    pub prior: PriorKind,
-    /// Top-k grid the evaluation scores.
-    pub ks: Vec<usize>,
-    /// The cutoff in `ks` the leakage threshold applies to.
-    pub audit_k: usize,
-    /// Attack instances sampled per audit (cost knob).
-    pub max_instances: usize,
-    /// Maximum tolerated attack accuracy at `audit_k` (fraction in
-    /// `[0, 1]`). Above this, the gate escalates.
-    pub max_leakage: f64,
-    /// Escalation ladder, weakest rung first. Rungs are absolute
-    /// deployments, not increments: each one replaces the previous.
-    pub ladder: Vec<DefenseKind>,
-    /// Random probes used for the locations-of-interest scan.
-    pub probe_count: usize,
-    /// Seed for probe generation and prediction-based priors.
-    pub seed: u64,
-}
-
-impl Default for AuditConfig {
-    /// Audits with the paper's cheapest strong attack (time-based, A1,
-    /// true prior) and escalates through the privacy-temperature sweep of
-    /// Fig. 5b. The budget applies at top-3: that is where the time-based
-    /// attack separates defended from undefended models (top-1 is near
-    /// the noise floor at small scales, Fig. 2a).
-    fn default() -> Self {
-        Self {
-            adversary: Adversary::A1,
-            method: AttackMethod::TimeBased(TimeBased::default()),
-            prior: PriorKind::True,
-            ks: vec![1, 3],
-            audit_k: 3,
-            max_instances: 6,
-            max_leakage: 0.35,
-            ladder: vec![
-                DefenseKind::Temperature { temperature: 1e-1 },
-                DefenseKind::Temperature { temperature: 1e-3 },
-                DefenseKind::Temperature { temperature: 1e-5 },
-            ],
-            probe_count: 24,
-            seed: 0x5EED,
-        }
-    }
-}
 
 /// How a candidate left the gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,10 +92,10 @@ pub struct GateOutcome {
     /// `queries + probe_count * audits - cached`.
     pub cached: u64,
     /// Oracle queries that actually ran a forward pass (the cache
-    /// misses). For a fresh candidate this is the cost of audit #1; for
-    /// a re-audit riding a warm [`LogitCache`] of unchanged weights it
-    /// is zero — the observable form of "unchanged candidates pay zero
-    /// forward passes".
+    /// misses), the gate's forward-pass count. For a fresh candidate this
+    /// is the cost of audit #1; for a re-audit riding a warm
+    /// [`LogitCache`] of unchanged weights it is zero — the observable
+    /// form of "unchanged candidates pay zero forward passes".
     pub cache_misses: u64,
 }
 
@@ -173,12 +103,6 @@ impl GateOutcome {
     /// Whether the published model's leakage is within the gate's budget.
     pub fn within_budget(&self, config: &AuditConfig) -> bool {
         self.final_leakage <= config.max_leakage
-    }
-
-    /// Forward passes the gate actually ran (its cache misses). Always
-    /// equals `queries + probe_count * audits - cached`.
-    pub fn forward_passes(&self) -> u64 {
-        self.cache_misses
     }
 }
 
@@ -216,9 +140,10 @@ impl AuditGate {
         &self.config
     }
 
-    /// Runs one audit: attacks the candidate as-is and returns the
-    /// aggregate evaluation. A subject with no held-out triples yields an
-    /// empty evaluation (leakage 0 — nothing to attack with).
+    /// Runs one audit: attacks the candidate as-is with the red-team
+    /// recipe ([`AuditConfig::attack`]) and returns the aggregate
+    /// evaluation. A subject with no held-out triples yields an empty
+    /// evaluation (leakage 0 — nothing to attack with).
     ///
     /// `cache` is the candidate's logit cache. It keys raw logits by
     /// query fingerprint, so it stays valid across *defense* changes of
@@ -238,20 +163,12 @@ impl AuditGate {
         cache: &mut LogitCache,
     ) -> AttackEvaluation {
         let c = &self.config;
-        let instances: Vec<Instance> = subject
-            .holdout
-            .iter()
-            .take(c.max_instances)
-            .map(|t| c.adversary.instance(t, space.location_of(&t[2])))
-            .collect();
-        let prior = Prior::of_kind(c.prior, space, &subject.history, model, c.seed ^ 0x9d);
+        let instances = c.instances(space, subject);
+        let prior = c.prior(space, subject, Some(model));
         // What the audit runs beside its oracle is priced with it.
         let beside = instances.len() as u64 * c.method.cost_beside_oracle(space);
         cache.flops += c.prior.cost(model) + beside;
-        let probes = random_probes(space, c.probe_count, c.seed ^ 0x1f);
-        let mut oracle = CachedBlackBox::new(model, cache);
-        let interest = interest_locations(&mut oracle, &probes, INTEREST_THRESHOLD);
-        evaluate_attack(&c.method, &mut oracle, space, &prior, &interest, &instances, &c.ks)
+        c.attack(&mut CachedBlackBox::new(model, cache), space, &prior, &instances)
     }
 
     /// The full gate: installs the base defense, audits, escalates along
@@ -344,7 +261,7 @@ impl AuditGate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pelican_mobility::SpatialLevel;
+    use pelican_mobility::{Session, SpatialLevel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -456,7 +373,6 @@ mod tests {
         );
         // The outcome carries the counters directly: forward passes equal
         // audit #1's misses.
-        assert_eq!(outcome.forward_passes(), first.misses);
         assert_eq!(outcome.cache_misses, first.misses);
         // Re-audits still pay (and account) their black-box queries; only
         // the forward passes vanish.

@@ -2,10 +2,9 @@
 
 use std::ops::Range;
 
+use pelican_attacks::AuditSubject;
 use pelican_mobility::{train_test_split, MobilityDataset, Session};
 use pelican_nn::{ModelEnvelope, Sample};
-
-use crate::audit::AuditSubject;
 
 /// Whether a job trains from scratch or warm-starts a deployed model.
 #[derive(Debug, Clone)]

@@ -87,16 +87,18 @@ pub mod report;
 pub mod rollback;
 pub mod staleness;
 
-pub use audit::{AuditConfig, AuditGate, AuditSubject, GateOutcome, GateVerdict, BASE_DEFENSE};
-// The cache type `AuditGate::admit_with_cache` hands back; re-exported so
-// incremental re-audit callers need no direct `pelican_attacks` edge.
+pub use audit::{AuditGate, GateOutcome, GateVerdict, BASE_DEFENSE};
 pub use cosim::{
     cosimulate_fleet, CosimReport, LoopMode, NetworkConfig, Publication, RoundRecord, UplinkMode,
 };
 pub use job::{cohort_jobs, fresh_job, JobKind, TrainJob};
-pub use pelican_attacks::LogitCache;
 pub use pipeline::{run_pipeline, FleetTrainer, PipelineConfig};
 pub use pool::{user_seed, TrainerPool};
 pub use report::{JobOutcome, PublishFailure, TrainReport};
 pub use rollback::{run_rollback_study, RollbackConfig, RollbackOutcome, RollbackReport};
 pub use staleness::{count_degraded_after_swap, StalenessWindow};
+
+// The gate's red-team recipe and the cache type `AuditGate::admit_with_cache`
+// hands back, re-exported so gate callers need no direct `pelican_attacks`
+// edge.
+pub use pelican_attacks::{AuditConfig, AuditSubject, LogitCache};

@@ -26,9 +26,9 @@ use pelican_mobility::FeatureSpace;
 use pelican_nn::{FitReport, ModelEnvelope, SequenceModel};
 use pelican_serve::ShardedRegistry;
 
-use pelican_attacks::LogitCache;
+use pelican_attacks::{AuditConfig, LogitCache};
 
-use crate::audit::{AuditConfig, AuditGate, GateOutcome};
+use crate::audit::{AuditGate, GateOutcome};
 use crate::job::{JobKind, TrainJob};
 use crate::pool::{user_seed, TrainerPool};
 use crate::report::{JobOutcome, PublishFailure, TrainReport};

@@ -36,11 +36,6 @@ impl TrainerPool {
         Self { workers }
     }
 
-    /// Number of worker threads the pool spawns at most.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Runs `worker` over every job, streaming each result to `consume`
     /// **on the calling thread** as soon as it is ready (completion
     /// order). This is the pipeline's publication channel: workers train

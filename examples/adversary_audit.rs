@@ -6,7 +6,7 @@
 
 use pelican::workbench::Scenario;
 use pelican::DefenseKind;
-use pelican_attacks::{Adversary, AttackMethod, PriorKind, TimeBased};
+use pelican_attacks::{Adversary, AttackMethod, AuditConfig, PriorKind, TimeBased};
 use pelican_mobility::{Scale, SpatialLevel};
 
 fn main() {
@@ -37,19 +37,21 @@ fn main() {
             eval.queries_per_instance(),
         );
 
-        // One concrete reconstruction, spelled out.
-        let instances = scenario.attack_instances(user, Adversary::A1, 1);
-        if let Some(inst) = instances.first() {
-            let prior = scenario.prior(user, PriorKind::True);
-            let probes = pelican_attacks::prior::random_probes(&scenario.dataset.space, 24, 5);
+        // One concrete reconstruction, spelled out: the first instance and
+        // the true prior of the red-team recipe, probed by hand.
+        let red_team =
+            AuditConfig { max_instances: 1, seed: scenario.seed, ..AuditConfig::default() };
+        let (space, subject) = (&scenario.dataset.space, user.subject());
+        if let Some(inst) = red_team.instances(space, &subject).first() {
+            let prior = red_team.prior(space, &subject, None);
+            let probes = pelican_attacks::prior::random_probes(space, 24, 5);
             let mut model = user.model.clone();
             let interest = pelican_attacks::interest_locations(
                 &mut model,
                 &probes,
                 pelican_attacks::INTEREST_THRESHOLD,
             );
-            let (ranking, _) =
-                method.run(&mut model, &scenario.dataset.space, &prior, &interest, inst);
+            let (ranking, _) = method.run(&mut model, space, &prior, &interest, inst);
             let guesses = ranking.top_k(3);
             println!(
                 "          example: user was actually in building {}; adversary's top-3 guess: \

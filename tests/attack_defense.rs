@@ -4,8 +4,11 @@
 
 use pelican::workbench::Scenario;
 use pelican::{reduction_in_leakage, DefenseKind, PAPER_DEFENSE};
-use pelican_attacks::{Adversary, AttackMethod, PriorKind, TimeBased};
+use pelican_attacks::{
+    prior_hit_rate, Adversary, AttackMethod, AuditConfig, LogitCache, PriorKind, TimeBased,
+};
 use pelican_mobility::{Scale, SpatialLevel};
+use pelican_train::AuditGate;
 
 fn scenario(seed: u64) -> Scenario {
     Scenario::builder(Scale::Tiny, SpatialLevel::Building).seed(seed).personal_users(3).build()
@@ -30,16 +33,14 @@ fn attack_beats_the_prior_baseline() {
             10,
             DefenseKind::None,
         );
-        let prior = s.prior(user, PriorKind::True);
-        let mut ranked: Vec<usize> = (0..prior.len()).collect();
-        ranked.sort_by(|&a, &b| prior.prob(b).partial_cmp(&prior.prob(a)).unwrap());
-        let top3: Vec<usize> = ranked.into_iter().take(3).collect();
-        for inst in s.attack_instances(user, Adversary::A1, 10) {
-            if top3.contains(&inst.truth.building) {
-                prior_hits += 1;
-            }
-            total += 1;
-        }
+        // The same instances and true prior the attack used.
+        let red_team = AuditConfig { max_instances: 10, seed: s.seed, ..AuditConfig::default() };
+        let (space, subject) = (&s.dataset.space, user.subject());
+        let prior = red_team.prior(space, &subject, None);
+        let instances = red_team.instances(space, &subject);
+        let rate = prior_hit_rate(&prior, space, &instances, 3);
+        prior_hits += (rate * instances.len() as f64).round() as usize;
+        total += instances.len();
         attack_hits += (eval.accuracy(3) * eval.total as f64).round() as usize;
     }
     assert!(
@@ -48,6 +49,43 @@ fn attack_beats_the_prior_baseline() {
          ({prior_hits}/{total})"
     );
     assert!(attack_hits > 0, "attack should recover something");
+}
+
+#[test]
+fn the_workbench_and_the_gate_mount_one_attack() {
+    // The workbench's attack of a model is the audit gate's audit of it
+    // under the same red-team configuration: undefended with the true
+    // prior, and under the paper's defense, which collapses the interest
+    // set to the argmaxes so that the probes matter, with a predicted
+    // prior, which draws its own probes from the seed.
+    let s = scenario(36);
+    let user = &s.personal[0];
+    for (defense, prior) in
+        [(DefenseKind::None, PriorKind::True), (PAPER_DEFENSE, PriorKind::Predict)]
+    {
+        let config =
+            AuditConfig { prior, max_instances: 5, seed: s.seed, ..AuditConfig::default() };
+        let workbench = s.attack_user(
+            user,
+            config.adversary,
+            &config.method,
+            config.prior,
+            &config.ks,
+            config.max_instances,
+            defense,
+        );
+        let mut model = user.model.clone();
+        model.set_defense(defense);
+        let gate = AuditGate::new(config);
+        let audit =
+            gate.audit_cached(&model, &s.dataset.space, &user.subject(), &mut LogitCache::new());
+        assert!(workbench.total > 0);
+        assert_eq!(workbench.total, audit.total, "{defense:?}");
+        assert_eq!(workbench.queries, audit.queries, "{defense:?}");
+        for &k in &gate.config().ks {
+            assert_eq!(workbench.accuracy(k), audit.accuracy(k), "{defense:?} top-{k}");
+        }
+    }
 }
 
 #[test]

@@ -19,12 +19,15 @@
 //!   durable store, so no caller checks for a missing one.
 //! * A second inference layout: a served batch runs the sweep's pass, one
 //!   matrix per timestep, through the one `Layer::infer`.
+//! * A second red-team configuration: the served adversary attacks with
+//!   the audit gate's `AuditConfig`, so its probes, prior and cutoffs
+//!   cannot drift from the gate's.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// `(pattern, use instead)`.
-const BANS: [(&str, &str); 17] = [
+const BANS: [(&str, &str); 18] = [
     (".tanh()", "pelican_tensor::ops::tanh"),
     ("f32::tanh", "pelican_tensor::ops::tanh"),
     ("thread_local!", "state passed in and returned, not kept per thread"),
@@ -45,6 +48,7 @@ const BANS: [(&str, &str); 17] = [
         "every `ShardedRegistry` has a store; `ShardedRegistry::new` opens an in-memory one",
     ),
     ("infer_batch", "SequenceModel::logits_batch, which runs the sweep's layer pass"),
+    ("ServedConfig", "AuditConfig, the red-team recipe the served adversary shares with the gate"),
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -107,4 +111,5 @@ fn the_scan_flags_each_pattern_and_skips_comments() {
     assert!(banned_uses(path, "Err(ModelCodecError::UnknownDefenseTag(t))").is_empty());
     assert_eq!(banned_uses(path, "        return Err(UpdateError::NoStore);").len(), 1);
     assert_eq!(banned_uses(path, "    cur = layer.infer_batch(&cur);").len(), 1);
+    assert_eq!(banned_uses(path, "    let config = ServedConfig::default();").len(), 1);
 }

@@ -12,10 +12,9 @@
 //! predecessor's prefix tier instead of from nothing.
 
 use pelican::{prepare, DefenseKind, PersonalizationConfig, PersonalizationMethod};
-use pelican_attacks::prior::random_probes;
 use pelican_attacks::{
-    evaluate_attack, interest_locations, Adversary, AttackEvaluation, AttackMethod, BlackBox,
-    BruteForce, CachedBlackBox, Instance, LogitCache, Prior, TimeBased, INTEREST_THRESHOLD,
+    Adversary, AttackEvaluation, AttackMethod, BlackBox, BruteForce, CachedBlackBox, Instance,
+    LogitCache, Prior, TimeBased,
 };
 use pelican_mobility::{FeatureSpace, Session, SpatialLevel};
 use pelican_nn::{fit, Sample, Sequence, SequenceModel, Step, TrainConfig};
@@ -170,7 +169,8 @@ fn a_cached_sweep_leaves_the_cache_as_the_loop_would() {
     }
 }
 
-/// `AuditGate::audit_cached` over the loop oracle.
+/// `AuditGate::audit_cached` over the loop oracle: the red-team recipe
+/// asking one candidate at a time.
 fn reference_audit(
     c: &AuditConfig,
     model: &SequenceModel,
@@ -178,17 +178,9 @@ fn reference_audit(
     cache: &mut LogitCache,
 ) -> AttackEvaluation {
     let space = space();
-    let instances: Vec<Instance> = subject
-        .holdout
-        .iter()
-        .take(c.max_instances)
-        .map(|t| c.adversary.instance(t, space.location_of(&t[2])))
-        .collect();
-    let prior = Prior::of_kind(c.prior, &space, &subject.history, model, c.seed ^ 0x9d);
-    let probes = random_probes(&space, c.probe_count, c.seed ^ 0x1f);
-    let mut oracle = OneAtATime(CachedBlackBox::new(model, cache));
-    let interest = interest_locations(&mut oracle, &probes, INTEREST_THRESHOLD);
-    evaluate_attack(&c.method, &mut oracle, &space, &prior, &interest, &instances, &c.ks)
+    let prior = c.prior(&space, subject, Some(model));
+    let instances = c.instances(&space, subject);
+    c.attack(&mut OneAtATime(CachedBlackBox::new(model, cache)), &space, &prior, &instances)
 }
 
 /// `AuditGate::admit_with_cache` over the loop oracle.

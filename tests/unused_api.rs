@@ -7,9 +7,11 @@
 //!   under `crates/`, `src/`, `tests/`, `examples/` or `benchmark/src` (the
 //!   benchmark calls the API, so it counts as a caller). Only code names
 //!   it: a mention in a comment, a doc comment or a `use`/`pub use`
-//!   declaration calls nothing, and a method (a `pub fn` in an `impl`)
-//!   is called only as `.name` or `::name`: a field or a local of the
-//!   same name calls nothing either. A name that only its own file uses is
+//!   declaration calls nothing, a method (a `pub fn` in an `impl`) is
+//!   called only as `.name(`, `::name(` or either with a turbofish, and a
+//!   free `pub fn` only by a mention not preceded by `.`: a field read, a
+//!   module path or a local of the same name, or a call of a same-named
+//!   method, calls nothing either. A name that only its own file uses is
 //!   dead code or need not be `pub`. The exceptions are in `ALLOWED`,
 //!   each with its reason.
 //! * The settable fields — pub fields of pub `*Config`/`*Network`/`*Policy`
@@ -28,9 +30,11 @@ const REASONS: [&str; 3] = ["doc example", "test hook kept by Decisions", "forma
 const ALLOWED: [(&str, &str); 1] =
     [("link_count", "doc example: `Simulator::new`'s doc test counts the links it built")];
 
-/// Settable fields in `crates/*/src` (96 after the retired config fields
-/// became constants and `FleetConfig` took one `SimServeConfig`).
-const SETTABLE_FIELDS: usize = 96;
+/// Settable fields in `crates/*/src` (93 after the retired config fields
+/// became constants, `FleetConfig` took one `SimServeConfig` and the
+/// served adversary took the red-team recipe's `AuditConfig` instead of a
+/// `ServedConfig` of its own).
+const SETTABLE_FIELDS: usize = 93;
 
 /// Directories whose files count as callers.
 const SEARCHED: [&str; 5] = ["crates", "src", "tests", "examples", "benchmark/src"];
@@ -85,6 +89,15 @@ fn is_ident(c: char) -> bool {
 fn names(text: &str, word: &str) -> bool {
     text.match_indices(word).any(|(at, _)| {
         !text[..at].ends_with(is_ident) && !text[at + word.len()..].starts_with(is_ident)
+    })
+}
+
+/// Whether `text` names the free function `name`: as a whole word not
+/// preceded by `.`, which would make it a call of a same-named method.
+fn calls_free(text: &str, name: &str) -> bool {
+    text.match_indices(name).any(|(at, _)| {
+        !text[..at].ends_with(|c| is_ident(c) || c == '.')
+            && !text[at + name.len()..].starts_with(is_ident)
     })
 }
 
@@ -171,12 +184,14 @@ fn pub_signatures(code: &[(usize, &str)], skip: usize) -> String {
     out
 }
 
-/// Whether `text` calls the method `name`: `.name` or `::name`, not the
-/// bare word, which a field or a local of that name would be.
+/// Whether `text` calls the method `name`: `.name(`, `::name(` or either
+/// with a turbofish, not the bare word or `.name`, which a local or a
+/// field read of that name would be.
 fn calls_method(text: &str, name: &str) -> bool {
     text.match_indices(name).any(|(at, _)| {
+        let after = &text[at + name.len()..];
         (text[..at].ends_with('.') || text[..at].ends_with("::"))
-            && !text[at + name.len()..].starts_with(is_ident)
+            && (after.starts_with('(') || after.starts_with("::<"))
     })
 }
 
@@ -201,7 +216,8 @@ fn in_impl(above: &[(usize, &str)], line: &str) -> bool {
 
 /// `path:line: pub kind name` for each name `sources` declare that no
 /// other file of `sources` or `others` names in code; a method (a `pub
-/// fn` in an `impl`) must be called there as `.name` or `::name`.
+/// fn` in an `impl`) must be called there as `.name(` or `::name(` (a
+/// turbofish may come between), a free `pub fn` named not after a `.`.
 fn unused(sources: &[Source], others: &[Source]) -> Vec<String> {
     let callers: Vec<(&PathBuf, String)> =
         sources.iter().chain(others).map(|(p, t)| (p, calling_code(t))).collect();
@@ -219,7 +235,11 @@ fn unused(sources: &[Source], others: &[Source]) -> Vec<String> {
                 continue;
             }
             let method = kind == "fn" && in_impl(&code[..pos], line);
-            let called = |t: &str| if method { calls_method(t, name) } else { names(t, name) };
+            let called = |t: &str| match kind {
+                "fn" if method => calls_method(t, name),
+                "fn" => calls_free(t, name),
+                _ => names(t, name),
+            };
             let elsewhere = callers.iter().any(|(p, t)| *p != path && called(t));
             if !elsewhere {
                 found.push(format!("{}:{}: pub {kind} {name}", path.display(), i + 1));
@@ -332,10 +352,21 @@ fn a_field_or_local_of_a_methods_name_is_no_call() {
     );
     let caller = file("b.rs", "let backend = 1; let s = Store { backend }; root();\n");
     assert_eq!(unused(std::slice::from_ref(&planted), &[caller]), ["a.rs:9: pub fn backend"]);
-    for call in ["w.backend()", "xs.map(Wrap::backend)"] {
+    for read in ["s.backend", "let b = s.backend + 1", "a::backend::Kind", "Wrap::<u8>::backend"] {
+        let caller = file("b.rs", &format!("let s = Store {{ backend: 1 }}; root(); {read};\n"));
+        let found = unused(std::slice::from_ref(&planted), &[caller]);
+        assert_eq!(found, ["a.rs:9: pub fn backend"], "counted as a call: {read}");
+    }
+    for call in ["w.backend()", "Wrap::backend(&w)", "w.backend::<u8>()", "Wrap::backend::<u8>(&w)"]
+    {
         let caller = file("b.rs", &format!("let s = Store {{ backend: 1 }}; root(); {call};\n"));
         assert!(unused(std::slice::from_ref(&planted), &[caller]).is_empty(), "{call}");
     }
+    // A free function is no method: `x.root()` calls some other `root`.
+    let caller = file("b.rs", "Store; w.backend(); space.root(); x.root;\n");
+    assert_eq!(unused(std::slice::from_ref(&planted), &[caller]), ["a.rs:14: pub fn root"]);
+    let caller = file("b.rs", "Store; w.backend(); a::root(); xs.map(root);\n");
+    assert!(unused(&[planted], &[caller]).is_empty());
 }
 
 #[test]
