@@ -246,6 +246,14 @@ impl ModelEnvelope {
         &self.bytes
     }
 
+    /// The bytes as a shared handle: a clone of the handle, not of the
+    /// bytes. A holder of it (the durable store's in-memory backend
+    /// keeps it as a record's payload) shares this envelope's
+    /// allocation and keeps it alive.
+    pub fn shared_bytes(&self) -> Bytes {
+        self.bytes.clone()
+    }
+
     /// Wraps raw bytes received from a peer.
     pub fn from_bytes(bytes: impl Into<Bytes>) -> Self {
         Self { bytes: bytes.into() }

@@ -3,15 +3,20 @@
 //! The log itself ([`crate::EnvelopeStore`]) only ever performs a handful
 //! of whole-file operations — append, ranged read, truncate, list — so the
 //! backing medium hides behind one small object-safe trait. Reads hand
-//! out [`Bytes`] and appends take the caller's buffer by value, so a
-//! backend that can keep what it was given never copies a byte. Two
-//! implementations ship:
+//! out [`Bytes`], and an append takes one record (or one compacted
+//! segment) as a short list of [`Bytes`] parts in one call: the store
+//! frames a publication around the publisher's own buffer rather than
+//! copying it into a fresh one, so a backend that can keep what it was
+//! given never copies a byte. Two implementations ship:
 //!
 //! * [`MemBackend`] — every file is a list of immutable [`Bytes`] chunks,
-//!   one per append, behind one mutex. An append keeps the caller's
-//!   buffer as its chunk; a ranged read inside one chunk is a window onto
-//!   it, and only a read that spans chunks (recovery's whole-file
-//!   [`StorageBackend::read`]) concatenates. Truncation re-windows the
+//!   one per appended part, behind one mutex. An append keeps each of
+//!   the caller's parts as its own chunk; a ranged read inside one chunk
+//!   is a window onto it, and only a read that spans chunks (recovery's
+//!   whole-file [`StorageBackend::read`]) concatenates. The store reads
+//!   a record back as its head, payload and tail, one chunk each, so a
+//!   fetched payload is a window onto the buffer its publisher handed
+//!   over. Truncation re-windows the
 //!   last chunk it keeps and never writes into one, so a window handed
 //!   out earlier keeps its bytes whatever later happens to the file.
 //!   Cloning a `MemBackend` shares the map, which is exactly what a
@@ -53,9 +58,11 @@ pub trait StorageBackend: std::fmt::Debug + Send + Sync {
     /// the file was mutilated behind the store's back.
     fn read_range(&self, name: &str, offset: u64, len: usize) -> io::Result<Bytes>;
 
-    /// Appends bytes to a file, creating it when missing. The buffer is
-    /// handed over: a backend may keep it rather than copy it.
-    fn append(&self, name: &str, bytes: Bytes) -> io::Result<()>;
+    /// Appends `parts`, in order, to a file, creating it when missing:
+    /// one call per record or compacted segment, however many parts it
+    /// comes in. The parts are handed over: a backend may keep them (as
+    /// [`MemBackend`] does, each as its own chunk) rather than copy them.
+    fn append(&self, name: &str, parts: &[Bytes]) -> io::Result<()>;
 
     /// Durability barrier: blocks until every byte previously appended to
     /// the file is as durable as the medium can make it.
@@ -196,8 +203,13 @@ impl StorageBackend for MemBackend {
         })
     }
 
-    fn append(&self, name: &str, bytes: Bytes) -> io::Result<()> {
-        self.with(|m| m.entry(name.to_string()).or_default().push(bytes));
+    fn append(&self, name: &str, parts: &[Bytes]) -> io::Result<()> {
+        self.with(|m| {
+            let file = m.entry(name.to_string()).or_default();
+            for part in parts {
+                file.push(part.clone());
+            }
+        });
         Ok(())
     }
 
@@ -257,9 +269,9 @@ impl StorageBackend for DirBackend {
         Ok(buf.into())
     }
 
-    fn append(&self, name: &str, bytes: Bytes) -> io::Result<()> {
+    fn append(&self, name: &str, parts: &[Bytes]) -> io::Result<()> {
         let mut file = OpenOptions::new().create(true).append(true).open(self.path(name))?;
-        file.write_all(&bytes)
+        parts.iter().try_for_each(|part| file.write_all(part))
     }
 
     fn sync(&self, name: &str) -> io::Result<()> {
@@ -304,10 +316,11 @@ mod tests {
     /// The contract both backends keep. `fork` returns an independent
     /// copy of `backend`'s files as they are now: a crash's frozen disk.
     fn exercise(backend: &dyn StorageBackend, fork: &dyn Fn() -> Box<dyn StorageBackend>) {
-        backend.append("b.log", b(&[9])).unwrap();
-        backend.append("a.log", b(&[1, 2, 3])).unwrap();
-        backend.append("a.log", b(&[4, 5])).unwrap();
-        backend.append("a.log", b(&[])).unwrap();
+        backend.append("b.log", &[b(&[9])]).unwrap();
+        backend.append("a.log", &[b(&[1, 2, 3])]).unwrap();
+        // Parts land in order, an empty one and an empty list included.
+        backend.append("a.log", &[b(&[4]), b(&[]), b(&[5])]).unwrap();
+        backend.append("a.log", &[]).unwrap();
         backend.sync("a.log").unwrap();
         assert_eq!(&backend.read("a.log").unwrap()[..], [1, 2, 3, 4, 5]);
         assert_eq!(&backend.read_range("a.log", 1, 3).unwrap()[..], [2, 3, 4], "straddles");
@@ -321,7 +334,7 @@ mod tests {
         // the live file alone.
         let crash = fork();
         crash.truncate("a.log", 4).unwrap();
-        crash.append("a.log", b(&[7, 8])).unwrap();
+        crash.append("a.log", &[b(&[7]), b(&[8])]).unwrap();
         assert_eq!(&crash.read("a.log").unwrap()[..], [1, 2, 3, 4, 7, 8]);
         assert_eq!(&crash.read_range("a.log", 2, 3).unwrap()[..], [3, 4, 7]);
         assert_eq!(&backend.read("a.log").unwrap()[..], [1, 2, 3, 4, 5], "the fork tore alone");
@@ -331,7 +344,7 @@ mod tests {
         let before = backend.read_range("a.log", 0, 3).unwrap();
         backend.truncate("a.log", 2).unwrap();
         assert_eq!(&backend.read("a.log").unwrap()[..], [1, 2]);
-        backend.append("a.log", b(&[6])).unwrap();
+        backend.append("a.log", &[b(&[6])]).unwrap();
         assert_eq!(&backend.read("a.log").unwrap()[..], [1, 2, 6]);
         assert_eq!(&backend.read_range("a.log", 1, 2).unwrap()[..], [2, 6]);
         assert_eq!(backend.size("a.log").unwrap(), 3);
@@ -387,11 +400,11 @@ mod tests {
     #[test]
     fn clones_share_but_snapshots_fork() {
         let disk = MemBackend::new();
-        disk.append("seg", b(&[1, 2, 3, 4])).unwrap();
+        disk.append("seg", &[b(&[1, 2, 3, 4])]).unwrap();
         let restart = disk.clone();
         let crash = disk.snapshot();
         crash.truncate("seg", 1).unwrap();
-        disk.append("seg", b(&[5])).unwrap();
+        disk.append("seg", &[b(&[5])]).unwrap();
         assert_eq!(&restart.read("seg").unwrap()[..], [1, 2, 3, 4, 5], "clone sees live writes");
         assert_eq!(&crash.read("seg").unwrap()[..], [1], "snapshot froze, then tore");
     }
@@ -400,8 +413,8 @@ mod tests {
     fn mem_reads_inside_one_append_are_windows_onto_it() {
         let disk = MemBackend::new();
         let first = b(&[1, 2, 3, 4]);
-        disk.append("seg", first.clone()).unwrap();
-        disk.append("seg", b(&[5, 6])).unwrap();
+        // One append of two parts: each is its own chunk.
+        disk.append("seg", &[first.clone(), b(&[5, 6])]).unwrap();
         let at = first.as_ptr();
         let window = disk.read_range("seg", 1, 3).unwrap();
         assert_eq!(window.as_ptr(), at.wrapping_add(1), "the append's own buffer");

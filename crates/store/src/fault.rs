@@ -35,9 +35,9 @@ pub enum Method {
 pub enum Fault {
     /// Fails before the operation touches the disk.
     Error,
-    /// An `append` writes the first `k` bytes of its buffer (all of it
-    /// when shorter), then fails. Any other method fails as for
-    /// [`Fault::Error`].
+    /// An `append` writes the first `k` bytes of its parts, taken across
+    /// them in order (all of them when shorter), then fails. Any other
+    /// method fails as for [`Fault::Error`].
     ShortWrite(usize),
     /// The operation takes effect, then the call fails anyway.
     ErrorAfter,
@@ -126,13 +126,21 @@ impl StorageBackend for FaultPlan {
         self.call(Method::ReadRange, || self.disk.read_range(name, offset, len))
     }
 
-    fn append(&self, name: &str, bytes: Bytes) -> io::Result<()> {
+    fn append(&self, name: &str, parts: &[Bytes]) -> io::Result<()> {
         match self.strike(Method::Append) {
-            Some(Fault::ShortWrite(k)) => {
-                self.disk.append(name, bytes.slice(..k.min(bytes.len())))?;
+            Some(Fault::ShortWrite(mut k)) => {
+                let prefix: Vec<Bytes> = parts
+                    .iter()
+                    .map(|part| {
+                        let n = k.min(part.len());
+                        k -= n;
+                        part.slice(..n)
+                    })
+                    .collect();
+                self.disk.append(name, &prefix)?;
                 Err(injected(Method::Append))
             }
-            fault => suffer(Method::Append, fault, || self.disk.append(name, bytes)),
+            fault => suffer(Method::Append, fault, || self.disk.append(name, parts)),
         }
     }
 
@@ -167,16 +175,21 @@ mod tests {
     fn each_fault_leaves_the_disk_as_it_promises() {
         // (fault on the second append from arming, bytes of that append
         // on the disk after it, whether it panics, whether the third
-        // append fails too).
+        // append fails too). Each append is one record of three parts,
+        // 4 + 0 + 6 bytes: a short write stops inside the first, at the
+        // empty one, or inside the last.
         let table = [
             (Fault::Error, 0, false, false),
             (Fault::ShortWrite(3), 3, false, false),
+            (Fault::ShortWrite(4), 4, false, false),
+            (Fault::ShortWrite(7), 7, false, false),
             (Fault::ShortWrite(99), 10, false, false),
             (Fault::ErrorAfter, 10, false, false),
             (Fault::Panic, 0, true, false),
             (Fault::Broken, 0, false, true),
         ];
-        let ten = || Bytes::from(vec![7u8; 10]);
+        let parts = [vec![7u8; 4], vec![], vec![8u8; 6]].map(Bytes::from);
+        let ten = || &parts[..];
         for (fault, landed, panics, sticks) in table {
             let disk = MemBackend::new();
             let plan = FaultPlan::new(disk.clone());
@@ -198,6 +211,8 @@ mod tests {
                 Err(_) => assert!(panics, "{fault:?}"),
             }
             assert_eq!(disk.size("f").unwrap(), 20 + landed, "{fault:?}");
+            let tail = disk.read_range("f", 20, landed as usize).unwrap();
+            assert_eq!(tail[..], [&[7u8; 4][..], &[8; 6]].concat()[..landed as usize], "{fault:?}");
             assert_eq!(plan.append("f", ten()).is_err(), sticks, "{fault:?}: fires again");
         }
     }

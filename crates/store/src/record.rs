@@ -14,9 +14,9 @@
 //! All integers are little-endian. `flags` bit 0 marks an
 //! LZSS-compressed payload (`len` stored bytes inflate to `raw_len`).
 //! The CRC (CRC-32/IEEE, `crc32`) covers every byte between the record
-//! magic and the CRC field itself (user through payload), so one pass
-//! over `29 - 4 + len` bytes seals or verifies a record; nothing else is
-//! checksummed.
+//! magic and the CRC field itself (user through payload), so sealing or
+//! verifying a record checksums each of its `29 - 4 + len` body bytes
+//! once; nothing else is checksummed.
 //!
 //! That pass is most of what a store operation costs, so `crc32` does
 //! not run the table loop over the whole of a span of 6 KiB or more. It
@@ -29,26 +29,29 @@
 //! the span, so the fold leaves no trace on disk.
 //!
 //! A decoded [`Record`] is a *view*: its payload borrows the buffer it
-//! was decoded from ([`decode_record`], [`scan_segment`]), and
-//! [`encode_record`] writes from a borrowed payload. Nothing in this
-//! module copies payload bytes except the one `extend_from_slice` into
-//! the output of `encode_record`. A caller that read the record into a
-//! shared [`bytes::Bytes`] and needs the payload past the view's life
-//! keeps a window onto it instead: the record's bytes from
-//! [`PAYLOAD_OFFSET`] on, taken after the record verified.
+//! was decoded from ([`decode_record`], [`scan_segment`]) or the window
+//! it was read as ([`decode_frame`]). Nothing in this module copies
+//! payload bytes. [`frame`] writes only what surrounds a payload, the
+//! head in front of it and the CRC/commit tail behind it, and seals the
+//! record by joining the head's CRC to the payload's (zlib's
+//! `crc32_combine`), so a writer hands the payload's own buffer to the
+//! backend as the record's middle part. A reader verifies the same three
+//! windows with [`decode_frame`], and keeps the payload window past the
+//! view's life if it needs it.
 //!
 //! Because the CRC covers the whole body and the framing around it is
 //! constant (magic in front, commit byte behind), a record's encoding is
-//! a function of its fields alone: re-encoding a verified view yields
+//! a function of its fields alone: re-framing a verified view yields
 //! the bytes it was decoded from. Compaction relies on this to move a
-//! survivor by verifying its stored bytes and appending them verbatim,
-//! where decode → re-encode would checksum and copy the payload twice to
+//! survivor by verifying its stored windows and appending them as they
+//! are, where decode → re-encode would checksum the payload twice to
 //! write the same bytes.
 //!
 //! **The trailing commit byte is the write-ahead commit record.** A
 //! publication is durable if and only if its commit byte (preceded by a
 //! matching CRC) reached storage: the store appends the whole record in
-//! one write and syncs before the publication becomes visible, so after
+//! one backend call (head, payload and tail as its parts) and syncs
+//! before the publication becomes visible, so after
 //! a crash the tail of a segment is either a complete committed record
 //! or torn garbage. Recovery ([`scan_segment`]) walks records from the
 //! front and stops at the first byte that cannot be part of a committed
@@ -69,9 +72,11 @@ pub const HEADER_LEN: usize = 4 + 2 + 4 + 8;
 /// Where a record's payload starts: magic + user + version + flags +
 /// raw_len + len come first.
 pub const PAYLOAD_OFFSET: usize = 4 + 8 + 8 + 1 + 4 + 4;
-/// Fixed record overhead: the [`PAYLOAD_OFFSET`] bytes up front, crc +
-/// commit behind the payload.
-pub const RECORD_OVERHEAD: usize = PAYLOAD_OFFSET + 4 + 1;
+/// What follows a record's payload: crc + commit.
+pub const TAIL_LEN: usize = 4 + 1;
+/// Fixed record overhead: the [`PAYLOAD_OFFSET`] bytes up front, the
+/// [`TAIL_LEN`] behind the payload.
+pub const RECORD_OVERHEAD: usize = PAYLOAD_OFFSET + TAIL_LEN;
 
 /// `flags` bit 0: payload is LZSS-compressed.
 pub const FLAG_COMPRESSED: u8 = 0b0000_0001;
@@ -261,6 +266,59 @@ const fn build_crc_tables() -> [[u32; 256]; 16] {
     tables
 }
 
+/// `X8N[i]` is x^(8·2^i) mod P: the operator that appends 2^i zero
+/// bytes.
+static X8N: [u32; 32] = build_x8n();
+
+/// a·b mod P in the reflected representation, where bit 31 is x⁰:
+/// zlib's `multmodp`, one shift/xor step per bit of `a`.
+const fn multmodp(mut a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    while a != 0 {
+        if a & 1 << 31 != 0 {
+            p ^= b;
+        }
+        a <<= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+    }
+    p
+}
+
+/// x^(8·n) mod P: the operator that appends `n` zero bytes, one
+/// product per set bit of `n`. The table wraps after 32 entries
+/// because x^(2^32) = x mod P.
+fn x8nmodp(mut n: usize) -> u32 {
+    let mut p = 1 << 31;
+    let mut i = 0;
+    while n != 0 {
+        if n & 1 != 0 {
+            p = multmodp(X8N[i % 32], p);
+        }
+        n >>= 1;
+        i += 1;
+    }
+    p
+}
+
+const fn build_x8n() -> [u32; 32] {
+    let mut table = [0u32; 32];
+    table[0] = 1 << 23; // x^8
+    let mut i = 1;
+    while i < 32 {
+        table[i] = multmodp(table[i - 1], table[i - 1]);
+        i += 1;
+    }
+    table
+}
+
+/// The CRC-32 of `a ++ b` from `crc32(a)`, `crc32(b)` and `b`'s length:
+/// zlib's `crc32_combine`. Moving `a`'s CRC past `b_len` bytes is one
+/// product with x^(8·b_len) mod P, a few hundred shifts whatever the
+/// lengths.
+fn crc32_combine(a: u32, b: u32, b_len: usize) -> u32 {
+    multmodp(x8nmodp(b_len), a) ^ b
+}
+
 /// Encodes a segment header.
 pub fn encode_header(shard: u32, seq: u64) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN);
@@ -300,20 +358,61 @@ pub enum HeaderError {
     UnsupportedVersion(u16),
 }
 
-/// Appends one record's encoding to `out`.
-pub fn encode_record(out: &mut Vec<u8>, record: &Record) {
+/// A record's framing around its payload: the head (magic through
+/// `len`, [`PAYLOAD_OFFSET`] bytes) and the tail (CRC and commit byte,
+/// [`TAIL_LEN`] bytes). The record is `head ++ payload ++ tail`, so a
+/// writer hands the payload over as it is and copies none of it. The
+/// CRC of the body is the head's joined to the payload's
+/// (zlib's `crc32_combine`), the value one pass over the contiguous record
+/// gives.
+pub fn frame(record: &Record) -> ([u8; PAYLOAD_OFFSET], [u8; TAIL_LEN]) {
     debug_assert!(record.payload.len() <= u32::MAX as usize);
-    out.extend_from_slice(RECORD_MAGIC);
-    let body_start = out.len();
-    out.extend_from_slice(&record.user.to_le_bytes());
-    out.extend_from_slice(&record.version.to_le_bytes());
-    out.push(record.flags);
-    out.extend_from_slice(&record.raw_len.to_le_bytes());
-    out.extend_from_slice(&(record.payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(record.payload);
-    let crc = crc32(&out[body_start..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.push(COMMIT_BYTE);
+    let mut head = [0; PAYLOAD_OFFSET];
+    head[..4].copy_from_slice(RECORD_MAGIC);
+    head[4..12].copy_from_slice(&record.user.to_le_bytes());
+    head[12..20].copy_from_slice(&record.version.to_le_bytes());
+    head[20] = record.flags;
+    head[21..25].copy_from_slice(&record.raw_len.to_le_bytes());
+    head[25..29].copy_from_slice(&(record.payload.len() as u32).to_le_bytes());
+    let crc = body_crc(&head, record.payload);
+    let mut tail = [COMMIT_BYTE; TAIL_LEN];
+    tail[..4].copy_from_slice(&crc.to_le_bytes());
+    (head, tail)
+}
+
+/// The CRC a record's tail carries: over the head past its magic, then
+/// the payload.
+fn body_crc(head: &[u8; PAYLOAD_OFFSET], payload: &[u8]) -> u32 {
+    crc32_combine(crc32(&head[4..]), crc32(payload), payload.len())
+}
+
+/// The payload length a record head declares.
+fn declared_len(head: &[u8; PAYLOAD_OFFSET]) -> usize {
+    u32::from_le_bytes(head[25..29].try_into().expect("4 bytes")) as usize
+}
+
+/// Verifies one record given as its three windows: `head`, `payload`
+/// and `tail`, the split [`frame`] writes. Returns the record, its
+/// payload borrowing `payload`, only when `head` is a record head that
+/// declares `payload.len()` bytes, `tail` ends in the commit byte, and
+/// its CRC matches; `None` otherwise.
+pub fn decode_frame<'a>(head: &[u8], payload: &'a [u8], tail: &[u8]) -> Option<Record<'a>> {
+    let head: &[u8; PAYLOAD_OFFSET] = head.try_into().ok()?;
+    let tail: &[u8; TAIL_LEN] = tail.try_into().ok()?;
+    if &head[..4] != RECORD_MAGIC
+        || declared_len(head) != payload.len()
+        || tail[4] != COMMIT_BYTE
+        || body_crc(head, payload).to_le_bytes() != tail[..4]
+    {
+        return None;
+    }
+    Some(Record {
+        user: u64::from_le_bytes(head[4..12].try_into().expect("8 bytes")),
+        version: u64::from_le_bytes(head[12..20].try_into().expect("8 bytes")),
+        flags: head[20],
+        raw_len: u32::from_le_bytes(head[21..25].try_into().expect("4 bytes")),
+        payload,
+    })
 }
 
 /// Attempts to decode one committed record starting at `offset`.
@@ -325,32 +424,11 @@ pub fn encode_record(out: &mut Vec<u8>, record: &Record) {
 /// ends here). The record's payload borrows `bytes`, and
 /// `bytes[offset..next_offset]` is the record's verified encoding.
 pub fn decode_record(bytes: &[u8], offset: usize) -> Option<(Record<'_>, usize)> {
-    if bytes.len() < offset + PAYLOAD_OFFSET {
-        return None;
-    }
-    let at = &bytes[offset..];
-    if &at[..4] != RECORD_MAGIC {
-        return None;
-    }
-    let user = u64::from_le_bytes(at[4..12].try_into().expect("8 bytes"));
-    let version = u64::from_le_bytes(at[12..20].try_into().expect("8 bytes"));
-    let flags = at[20];
-    let raw_len = u32::from_le_bytes(at[21..25].try_into().expect("4 bytes"));
-    let len = u32::from_le_bytes(at[25..29].try_into().expect("4 bytes")) as usize;
-    let total = RECORD_OVERHEAD + len;
-    if bytes.len() < offset + total {
-        return None;
-    }
-    let payload_end = PAYLOAD_OFFSET + len;
-    let payload = &at[PAYLOAD_OFFSET..payload_end];
-    let stored_crc = u32::from_le_bytes(at[payload_end..payload_end + 4].try_into().expect("crc"));
-    if crc32(&at[4..payload_end]) != stored_crc {
-        return None;
-    }
-    if at[total - 1] != COMMIT_BYTE {
-        return None;
-    }
-    Some((Record { user, version, flags, raw_len, payload }, offset + total))
+    let at = bytes.get(offset..)?;
+    let (head, rest) = at.split_first_chunk::<PAYLOAD_OFFSET>()?;
+    let len = declared_len(head);
+    let (payload, tail) = rest.get(..len + TAIL_LEN)?.split_at(len);
+    Some((decode_frame(head, payload, tail)?, offset + RECORD_OVERHEAD + len))
 }
 
 /// Walks a segment's records from just past the header, yielding each
@@ -390,57 +468,28 @@ mod tests {
         !register_bytewise(0xFFFF_FFFF, bytes)
     }
 
+    /// One record's encoding in one buffer, its CRC one `crc32` pass over
+    /// the contiguous body: the oracle [`frame`] is held to.
+    fn encode_record(out: &mut Vec<u8>, record: &Record) {
+        out.extend_from_slice(RECORD_MAGIC);
+        let body_start = out.len();
+        out.extend_from_slice(&record.user.to_le_bytes());
+        out.extend_from_slice(&record.version.to_le_bytes());
+        out.push(record.flags);
+        out.extend_from_slice(&record.raw_len.to_le_bytes());
+        out.extend_from_slice(&(record.payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(record.payload);
+        let crc = crc32(&out[body_start..]);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out.push(COMMIT_BYTE);
+    }
+
     /// The raw CRC register run over `bytes` one byte at a time.
     fn register_bytewise(mut reg: u32, bytes: &[u8]) -> u32 {
         for &b in bytes {
             reg = (reg >> 8) ^ TABLES[0][((reg ^ b as u32) & 0xFF) as usize];
         }
         reg
-    }
-
-    /// `X8N[i]` is x^(8·2^i) mod P: the operator that appends 2^i zero
-    /// bytes.
-    static X8N: [u32; 32] = build_x8n();
-
-    /// a·b mod P in the reflected representation, where bit 31 is x⁰:
-    /// zlib's `multmodp`, one shift/xor step per bit of `a`.
-    const fn multmodp(mut a: u32, mut b: u32) -> u32 {
-        let mut p = 0;
-        while a != 0 {
-            if a & 1 << 31 != 0 {
-                p ^= b;
-            }
-            a <<= 1;
-            b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
-        }
-        p
-    }
-
-    /// x^(8·n) mod P: the operator that appends `n` zero bytes, one
-    /// product per set bit of `n`. The table wraps after 32 entries
-    /// because x^(2^32) = x mod P.
-    fn x8nmodp(mut n: usize) -> u32 {
-        let mut p = 1 << 31;
-        let mut i = 0;
-        while n != 0 {
-            if n & 1 != 0 {
-                p = multmodp(X8N[i % 32], p);
-            }
-            n >>= 1;
-            i += 1;
-        }
-        p
-    }
-
-    const fn build_x8n() -> [u32; 32] {
-        let mut table = [0u32; 32];
-        table[0] = 1 << 23; // x^8
-        let mut i = 1;
-        while i < 32 {
-            table[i] = multmodp(table[i - 1], table[i - 1]);
-            i += 1;
-        }
-        table
     }
 
     #[test]
@@ -573,6 +622,42 @@ mod tests {
             assert_eq!(multmodp(X8N[i], seed), reg, "2^{i} zero bytes from {seed:#x}");
             assert_eq!(x8nmodp(1 << i), X8N[i]);
         }
+    }
+
+    #[test]
+    fn a_framed_record_is_the_contiguous_encoding_across_the_cut_over_and_at_331k() {
+        // The joined CRC against one pass over the contiguous body, at
+        // every payload length that puts the payload, the body (25 bytes
+        // longer) or both on either side of the fold's cut-over, and at
+        // the hidden-64 envelope's size.
+        let buf = noise(0xC0FFEE, 331 * 1024);
+        let lens = (0..=FOLD_MIN + 32).chain([331 * 1024 - 1, 331 * 1024]);
+        for len in lens {
+            let mut r = record(u64::MAX - len as u64, len as u64, &buf[..len]);
+            r.flags = len as u8 & FLAG_COMPRESSED;
+            let mut contiguous = Vec::new();
+            encode_record(&mut contiguous, &r);
+            let (head, tail) = frame(&r);
+            assert_eq!(contiguous[..PAYLOAD_OFFSET], head, "len {len}");
+            assert_eq!(contiguous[PAYLOAD_OFFSET + len..], tail, "len {len}");
+            assert_eq!(decode_frame(&head, r.payload, &tail), Some(r), "len {len}");
+        }
+    }
+
+    #[test]
+    fn a_frame_whose_windows_disagree_is_not_a_record() {
+        let r = record(3, 4, b"twelve bytes");
+        let (head, tail) = frame(&r);
+        assert_eq!(decode_frame(&head, r.payload, &tail), Some(r));
+        // A payload window one byte short or long, a head or tail window
+        // cut short, or a tail without its commit byte.
+        assert_eq!(decode_frame(&head, &r.payload[1..], &tail), None);
+        assert_eq!(decode_frame(&head, b"twelve bytes!", &tail), None);
+        assert_eq!(decode_frame(&head[1..], r.payload, &tail), None);
+        assert_eq!(decode_frame(&head, r.payload, &tail[..TAIL_LEN - 1]), None);
+        let mut uncommitted = tail;
+        uncommitted[4] = 0;
+        assert_eq!(decode_frame(&head, r.payload, &uncommitted), None);
     }
 
     #[test]

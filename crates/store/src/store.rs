@@ -30,13 +30,14 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use bytes::Bytes;
 use pelican_nn::ModelEnvelope;
 
 use crate::backend::StorageBackend;
 use crate::compress::{compress, decompress};
 use crate::record::{
-    decode_header, decode_record, encode_header, encode_record, scan_segment, Record, ScanEnd,
-    FLAG_COMPRESSED, HEADER_LEN, PAYLOAD_OFFSET,
+    decode_frame, decode_header, encode_header, frame, scan_segment, Record, ScanEnd,
+    FLAG_COMPRESSED, HEADER_LEN, PAYLOAD_OFFSET, RECORD_OVERHEAD, TAIL_LEN,
 };
 
 /// Sizing and behaviour knobs for [`EnvelopeStore`].
@@ -94,6 +95,20 @@ pub struct VersionEntry {
     pub raw_len: u32,
     /// Whether the payload is LZSS-compressed on disk.
     pub compressed: bool,
+}
+
+impl VersionEntry {
+    /// Where `record` lives: at `offset` of segment `segment`.
+    fn of(record: &Record, segment: u64, offset: u64) -> Self {
+        Self {
+            version: record.version,
+            segment,
+            offset,
+            stored_len: record.encoded_len() as u32,
+            raw_len: record.raw_len,
+            compressed: record.is_compressed(),
+        }
+    }
 }
 
 /// Failures talking to the store.
@@ -330,7 +345,7 @@ impl EnvelopeStore {
             for (offset, record) in records {
                 recovery.committed_records += 1;
                 max_version = max_version.max(record.version);
-                push_entry(&mut shard.index, &record, seq, offset);
+                push_entry(&mut shard.index, record.user, VersionEntry::of(&record, seq, offset));
             }
         }
 
@@ -387,11 +402,19 @@ impl EnvelopeStore {
         self.shards[shard].lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Durably appends one publication: encodes the record (compressing
+    /// Durably appends one publication: frames the record (compressing
     /// the payload when configured and profitable), appends it to the
     /// shard's active segment, **syncs the backend**, and only then
     /// indexes the new version. When `append` returns, the publication
     /// survives any crash.
+    ///
+    /// An uncompressed record's payload is the envelope's own buffer
+    /// ([`ModelEnvelope::shared_bytes`]): the store frames it, and copies
+    /// none of it. On [`MemBackend`] the stored record keeps that
+    /// allocation alive for as long as the record stays in the log, so
+    /// the publisher's envelope and the store share one copy.
+    ///
+    /// [`MemBackend`]: crate::MemBackend
     ///
     /// Versions are assigned by the caller (the registry's monotone
     /// counter) and must be strictly increasing per user; the index
@@ -415,40 +438,43 @@ impl EnvelopeStore {
         let shard_no = self.shard_of(user);
         let mut shard = self.lock(shard_no);
 
-        // The record borrows its payload: the envelope's own bytes, or
-        // the compressed form when that is actually smaller.
-        let raw = envelope.as_bytes();
-        let packed = self.config.compress.then(|| compress(raw)).filter(|p| p.len() < raw.len());
-        let record = Record {
-            user,
-            version,
-            flags: if packed.is_some() { FLAG_COMPRESSED } else { 0 },
-            raw_len: raw.len() as u32,
-            payload: packed.as_deref().unwrap_or(raw),
-        };
+        // The payload is the envelope's own buffer, or the compressed
+        // form when that is actually smaller.
+        let raw = envelope.shared_bytes();
+        let raw_len = raw.len() as u32;
+        let (flags, payload) =
+            match self.config.compress.then(|| compress(&raw)).filter(|p| p.len() < raw.len()) {
+                Some(packed) => (FLAG_COMPRESSED, Bytes::from(packed)),
+                None => (0, raw),
+            };
+        let record = Record { user, version, flags, raw_len, payload: &payload };
 
         // Roll the active segment before appending so a record never
         // splits across files. A fresh segment's header travels in the
-        // same synced append as its first record.
-        let mut buf = Vec::with_capacity(record.encoded_len() + HEADER_LEN);
+        // same synced append as its first record, in front of its head.
+        let mut front = Vec::with_capacity(HEADER_LEN + PAYLOAD_OFFSET);
         if shard.active_len() == 0 {
-            buf.extend_from_slice(&encode_header(shard_no as u32, shard.active));
+            front.extend_from_slice(&encode_header(shard_no as u32, shard.active));
         } else if shard.active_len() + record.encoded_len() as u64 > self.config.segment_bytes {
             shard.active += 1;
-            buf.extend_from_slice(&encode_header(shard_no as u32, shard.active));
+            front.extend_from_slice(&encode_header(shard_no as u32, shard.active));
         }
-        let offset = shard.active_len() + buf.len() as u64;
-        encode_record(&mut buf, &record);
+        let entry =
+            VersionEntry::of(&record, shard.active, shard.active_len() + front.len() as u64);
+        let (head, tail) = frame(&record);
+        front.extend_from_slice(&head);
+        let parts = [front.into(), payload, Bytes::copy_from_slice(&tail)];
 
         // The bytes are in the segment once `append` returns, so its
         // length is recorded before the sync: a sync that fails or
         // panics must not leave the next record indexed at this one's
         // offset. The index entry waits for the sync. The backend takes
-        // the buffer over.
+        // the parts over, in one call.
         let name = segment_name(shard_no as u32, shard.active);
         let active = shard.active;
-        let (old_len, appended) = (shard.active_len(), buf.len() as u64);
-        if let Err(e) = self.backend.append(&name, buf.into()) {
+        let old_len = shard.active_len();
+        let appended = parts.iter().map(|part| part.len() as u64).sum::<u64>();
+        if let Err(e) = self.backend.append(&name, &parts) {
             // The append may have written a prefix of the record. Unless
             // the backend says the segment still ends where it did, a
             // record appended after those stray bytes would be served
@@ -466,7 +492,7 @@ impl EnvelopeStore {
         shard.segments.insert(active, old_len + appended);
         self.backend.sync(&name)?; // the durability barrier
 
-        let entry = push_entry(&mut shard.index, &record, active, offset);
+        push_entry(&mut shard.index, user, entry);
         self.max_version.fetch_max(version, Ordering::Relaxed);
         self.appended_records.fetch_add(1, Ordering::Relaxed);
         self.appended_bytes.fetch_add(appended, Ordering::Relaxed);
@@ -495,9 +521,10 @@ impl EnvelopeStore {
     ///
     /// An uncompressed envelope is a window onto the bytes the backend
     /// handed out and the read verified, not a copy: on [`MemBackend`]
-    /// it shares the allocation of the append that wrote it, and keeps
-    /// that allocation alive (through compaction and removal of its
-    /// segment) for as long as the envelope lives.
+    /// it is the buffer the publisher handed to [`EnvelopeStore::append`]
+    /// (through compactions and rollbacks, which move the buffer, not
+    /// its bytes), and keeps that allocation alive (through removal of
+    /// its segment) for as long as the envelope lives.
     ///
     /// [`MemBackend`]: crate::MemBackend
     ///
@@ -555,19 +582,49 @@ impl EnvelopeStore {
     }
 
     /// Reads and verifies one of `user`'s indexed records, inflating
-    /// when needed; a raw payload is a window onto the verified record
-    /// (its bytes from [`PAYLOAD_OFFSET`] on), not a copy.
+    /// when needed; a raw payload is the verified payload window, not a
+    /// copy.
     fn read_entry(&self, user: u64, entry: &VersionEntry) -> Result<ModelEnvelope, StoreError> {
-        let corrupt = || StoreError::Corrupt { segment: entry.segment, offset: entry.offset };
-        let name = segment_name(self.shard_of(user) as u32, entry.segment);
-        let bytes = self.backend.read_range(&name, entry.offset, entry.stored_len as usize)?;
-        let (record, _) = decode_entry(&bytes, user, entry)?;
-        let payload = if record.is_compressed() {
-            decompress(record.payload, record.raw_len as usize).map_err(|_| corrupt())?.into()
+        let [_, payload, _] = self.read_record(user, entry)?;
+        let payload = if entry.compressed {
+            decompress(&payload, entry.raw_len as usize)
+                .map_err(|_| StoreError::Corrupt { segment: entry.segment, offset: entry.offset })?
+                .into()
         } else {
-            bytes.slice(PAYLOAD_OFFSET..PAYLOAD_OFFSET + record.payload.len())
+            payload
         };
         Ok(ModelEnvelope::from_bytes(payload))
+    }
+
+    /// Reads the record `entry` points at as three windows, its head,
+    /// payload and tail (on [`MemBackend`], each a window onto the part
+    /// that was appended for it, so nothing is concatenated), and
+    /// verifies them: CRC and commit byte, and the record must be
+    /// `user`'s and say what `entry` says. A record that verifies but is
+    /// not the one the index names is as wrong as one that fails its
+    /// CRC: the index points at the wrong bytes.
+    ///
+    /// [`MemBackend`]: crate::MemBackend
+    fn read_record(&self, user: u64, entry: &VersionEntry) -> Result<[Bytes; 3], StoreError> {
+        let name = segment_name(self.shard_of(user) as u32, entry.segment);
+        let mut at = entry.offset;
+        let mut read = |len: usize| {
+            let window = self.backend.read_range(&name, at, len);
+            at += len as u64;
+            window
+        };
+        let head = read(PAYLOAD_OFFSET)?;
+        let payload = read(entry.stored_len as usize - RECORD_OVERHEAD)?;
+        let tail = read(TAIL_LEN)?;
+        match decode_frame(&head, &payload, &tail) {
+            Some(record)
+                if record.user == user
+                    && VersionEntry::of(&record, entry.segment, entry.offset) == *entry =>
+            {
+                Ok([head, payload, tail])
+            }
+            _ => Err(StoreError::Corrupt { segment: entry.segment, offset: entry.offset }),
+        }
     }
 
     /// Compacts one shard: rewrites the newest
@@ -617,32 +674,32 @@ impl EnvelopeStore {
         let first = shard.active + 1;
         let mut seq = first;
         let rewrite = || -> Result<(), StoreError> {
-            let mut buf: Vec<u8> = encode_header(shard_no as u32, seq);
+            // A fresh segment is one append: its header, then each
+            // survivor's verified windows as they were read. Re-framing a
+            // verified record writes these same bytes (see
+            // `crate::record`), so none is copied or checksummed again.
+            let mut parts: Vec<Bytes> = vec![encode_header(shard_no as u32, seq).into()];
+            let mut len = HEADER_LEN as u64;
             for (user, entry) in survivors {
-                let name = segment_name(shard_no as u32, entry.segment);
-                let bytes =
-                    self.backend.read_range(&name, entry.offset, entry.stored_len as usize)?;
-                // Verify the survivor (CRC + commit byte), then move its
-                // stored bytes verbatim: re-encoding a verified record
-                // writes these same bytes (see `crate::record`).
-                let (record, end) = decode_entry(&bytes, user, &entry)?;
-                if buf.len() as u64 + end as u64 > self.config.segment_bytes
-                    && buf.len() > HEADER_LEN
-                {
+                let windows = self.read_record(user, &entry)?;
+                let stored = entry.stored_len as u64;
+                if len + stored > self.config.segment_bytes && len > HEADER_LEN as u64 {
                     let name = segment_name(shard_no as u32, seq);
-                    let full = std::mem::replace(&mut buf, encode_header(shard_no as u32, seq + 1));
-                    fresh_segments.insert(seq, full.len() as u64);
-                    self.backend.append(&name, full.into())?;
+                    fresh_segments.insert(seq, len);
+                    self.backend.append(&name, &parts)?;
                     self.backend.sync(&name)?;
                     seq += 1;
+                    parts = vec![encode_header(shard_no as u32, seq).into()];
+                    len = HEADER_LEN as u64;
                 }
-                let offset = buf.len() as u64;
-                buf.extend_from_slice(&bytes[..end]);
-                push_entry(&mut fresh_index, &record, seq, offset);
+                let moved = VersionEntry { segment: seq, offset: len, ..entry };
+                push_entry(&mut fresh_index, user, moved);
+                parts.extend(windows);
+                len += stored;
             }
             let name = segment_name(shard_no as u32, seq);
-            fresh_segments.insert(seq, buf.len() as u64);
-            self.backend.append(&name, buf.into())?;
+            fresh_segments.insert(seq, len);
+            self.backend.append(&name, &parts)?;
             self.backend.sync(&name)?;
             Ok(())
         };
@@ -714,8 +771,7 @@ impl EnvelopeStore {
                 retained += history.len() as u64;
                 for e in history {
                     stats.live_raw_bytes += e.raw_len as u64;
-                    stats.live_stored_bytes +=
-                        e.stored_len as u64 - crate::record::RECORD_OVERHEAD as u64;
+                    stats.live_stored_bytes += e.stored_len as u64 - RECORD_OVERHEAD as u64;
                 }
             }
             stats.retained_versions += retained;
@@ -725,38 +781,11 @@ impl EnvelopeStore {
     }
 }
 
-/// Decodes the record `entry` points at from `bytes`, read at its
-/// offset. A record that verifies but is not `user`'s `entry.version`
-/// is as wrong as one that fails its CRC: the index points at the wrong
-/// bytes.
-fn decode_entry<'a>(
-    bytes: &'a [u8],
-    user: u64,
-    entry: &VersionEntry,
-) -> Result<(Record<'a>, usize), StoreError> {
-    decode_record(bytes, 0)
-        .filter(|(record, _)| (record.user, record.version) == (user, entry.version))
-        .ok_or(StoreError::Corrupt { segment: entry.segment, offset: entry.offset })
-}
-
-/// Indexes one committed record, keeping the user's history
+/// Indexes one committed record of `user`'s, keeping the user's history
 /// version-sorted (replay after an out-of-order compaction interleave
 /// stays correct).
-fn push_entry(
-    index: &mut HashMap<u64, Vec<VersionEntry>>,
-    record: &Record,
-    segment: u64,
-    offset: u64,
-) -> VersionEntry {
-    let entry = VersionEntry {
-        version: record.version,
-        segment,
-        offset,
-        stored_len: record.encoded_len() as u32,
-        raw_len: record.raw_len,
-        compressed: record.is_compressed(),
-    };
-    let history = index.entry(record.user).or_default();
+fn push_entry(index: &mut HashMap<u64, Vec<VersionEntry>>, user: u64, entry: VersionEntry) {
+    let history = index.entry(user).or_default();
     match history.last() {
         Some(last) if last.version >= entry.version => {
             // A duplicate or out-of-order copy (post-crash compaction
@@ -769,7 +798,6 @@ fn push_entry(
         }
         _ => history.push(entry),
     }
-    entry
 }
 
 #[cfg(test)]
@@ -796,7 +824,7 @@ mod tests {
         let mut bytes = disk.read(name).unwrap().to_vec();
         bytes[pos as usize] ^= 0x01;
         disk.truncate(name, 0).unwrap();
-        disk.append(name, bytes.into()).unwrap();
+        disk.append(name, &[bytes.into()]).unwrap();
     }
 
     #[test]
@@ -826,6 +854,48 @@ mod tests {
         let (a, b) = (store.fetch(7, 1).unwrap(), store.fetch_latest(7).unwrap().unwrap());
         assert_eq!(a.as_bytes(), &vec![0xAA; 300][..]);
         assert_eq!(a.as_bytes().as_ptr(), b.as_bytes().as_ptr(), "both share the append's bytes");
+    }
+
+    #[test]
+    fn a_published_envelope_is_the_one_resident_copy_through_compaction_and_rollback() {
+        let config = StoreConfig {
+            shards: 1,
+            segment_bytes: 1_000,
+            compaction: CompactionPolicy { retain_versions: 2 },
+            ..StoreConfig::default()
+        };
+        let (store, backend) = open_mem(config);
+        let published: Vec<ModelEnvelope> = (1..=3).map(|v| envelope(v, 300)).collect();
+        let at = |v: u64| published[v as usize - 1].as_bytes().as_ptr();
+        let latest = || store.fetch_latest(5).unwrap().unwrap().as_bytes().as_ptr();
+        // Three records roll into two segments: 18 + 334 + 334, 18 + 334.
+        let disk = 2 * HEADER_LEN as u64 + 3 * (RECORD_OVERHEAD as u64 + 300);
+        for (v, envelope) in (1..).zip(&published) {
+            store.append(5, v, envelope).unwrap();
+            assert_eq!(latest(), at(v), "publish v{v}: the publisher's buffer");
+            assert_eq!(store.fetch(5, v).unwrap().as_bytes().as_ptr(), at(v));
+        }
+        assert_eq!(backend.total_bytes(), disk, "the framing adds no byte to the disk");
+
+        // Compaction keeps v2 and v3 as they were: two records, one segment.
+        let reclaimed = store.compact().unwrap();
+        assert_eq!(reclaimed, HEADER_LEN as u64 + RECORD_OVERHEAD as u64 + 300);
+        assert_eq!(backend.total_bytes(), disk - reclaimed);
+        assert_eq!(latest(), at(3), "after a compaction");
+        assert_eq!(store.fetch(5, 2).unwrap().as_bytes().as_ptr(), at(2));
+
+        // A rollback re-publishes what it fetched: v2's buffer again. It
+        // rolls to a fresh segment, so the disk holds what it held before
+        // the compaction: three records in two segments.
+        store.append(5, 4, &store.fetch(5, 2).unwrap()).unwrap();
+        assert_eq!(latest(), at(2), "after a rollback");
+        assert_eq!(backend.total_bytes(), disk);
+
+        // The log replays to the same bytes.
+        let reopened = EnvelopeStore::open(Arc::new(backend), config).unwrap();
+        for (v, want) in [(2, 2), (3, 3), (4, 2)] {
+            assert_eq!(reopened.fetch(5, v).unwrap(), published[want - 1], "v{v}");
+        }
     }
 
     #[test]
@@ -952,7 +1022,7 @@ mod tests {
         let name = segment_name(0, entry.segment);
         flip_bit(&disk, &name, entry.offset + PAYLOAD + 100);
 
-        // Compaction copies stored bytes verbatim, so it must verify
+        // Compaction moves stored windows as they are, so it must verify
         // them first: the flipped bit is an error, never a "survivor".
         assert!(matches!(
             victim.compact(),
@@ -1023,7 +1093,7 @@ mod tests {
         let crash = backend.snapshot();
         let name = segment_name(0, 0);
         let committed = crash.size(&name).unwrap();
-        crash.append(&name, b"PLOG torn half-record junk"[..].into()).unwrap();
+        crash.append(&name, &[b"PLOG torn half-record junk"[..].into()]).unwrap();
 
         let recovered = EnvelopeStore::open(Arc::new(crash.clone()), config).expect("recover");
         assert_eq!(recovered.recovery().torn_segments, 1);
@@ -1063,7 +1133,7 @@ mod tests {
     #[test]
     fn foreign_files_are_rejected() {
         let backend = MemBackend::new();
-        backend.append("notes.txt", b"hello"[..].into()).unwrap();
+        backend.append("notes.txt", &[b"hello"[..].into()]).unwrap();
         let err = EnvelopeStore::open(Arc::new(backend), StoreConfig::default());
         assert!(matches!(err, Err(StoreError::BadSegment { .. })));
     }

@@ -15,14 +15,17 @@
 //! flipped bit in a committed record (only the CRC can see it), and
 //! backend faults injected by a [`FaultPlan`]: a panic inside `append`
 //! or `sync`, an `append` that writes a prefix of the record and then
-//! returns an error, the `n`th append or sync of a compaction failing,
-//! and a compaction whose removal of an old segment fails.
+//! returns an error (a prefix of every length, across the record's head,
+//! payload and tail parts), the `n`th append or sync of a compaction
+//! failing, and a compaction whose removal of an old segment fails.
+//! Last, a mutation loop: no byte mutant or truncation of a segment
+//! makes the open or a fetch panic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use pelican_nn::ModelEnvelope;
-use pelican_store::record::{decode_record, HEADER_LEN};
+use pelican_store::record::{decode_record, HEADER_LEN, PAYLOAD_OFFSET, TAIL_LEN};
 use pelican_store::{
     CompactionPolicy, EnvelopeStore, Fault, FaultPlan, MemBackend, Method, StorageBackend,
     StoreConfig, StoreError,
@@ -195,7 +198,7 @@ fn flip_bit(disk: &MemBackend, name: &str, pos: u64) {
     let mut bytes = disk.read(name).unwrap().to_vec();
     bytes[pos as usize] ^= 0x04;
     disk.truncate(name, 0).unwrap();
-    disk.append(name, bytes.into()).unwrap();
+    disk.append(name, &[bytes.into()]).unwrap();
 }
 
 #[test]
@@ -357,6 +360,92 @@ fn an_append_error_after_a_partial_write_leaves_the_next_publish_served_and_dura
         assert_eq!(reopened.fetch(1, 3).unwrap().as_bytes(), envelope(3).as_bytes(), "{case}");
         let in_place = if segments == 1 { next.stored_len as u64 } else { 0 };
         assert_eq!(disk.size(SEGMENT).unwrap(), committed + in_place, "{case}");
+    }
+}
+
+#[test]
+fn a_short_write_of_any_prefix_of_a_records_parts_is_cut_and_the_next_publish_kept() {
+    // The bytes publishing version 2 appends after version 1, as a clean
+    // log holds them: head, payload and tail, three parts of one call.
+    let clean = MemBackend::new();
+    let store = EnvelopeStore::open(Arc::new(clean.clone()), config(false)).unwrap();
+    store.append(1, 1, &envelope(1)).unwrap();
+    let second = store.append(1, 2, &envelope(2)).unwrap();
+    let log = clean.read(SEGMENT).unwrap();
+    let committed = second.offset as usize;
+    assert_eq!(log.len() - committed, PAYLOAD_OFFSET + 200 + TAIL_LEN);
+
+    // Every prefix, so both boundaries between parts and each side of
+    // them: plan the next append to write `k` bytes and fail.
+    for k in 0..log.len() - committed {
+        let case = format!("a short write of {k} bytes");
+        let disk = MemBackend::new();
+        let plan = Arc::new(FaultPlan::new(disk.clone()));
+        let store = EnvelopeStore::open(plan.clone(), config(false)).unwrap();
+        store.append(1, 1, &envelope(1)).unwrap();
+        plan.arm(Method::Append, 1, Fault::ShortWrite(k));
+        assert!(matches!(store.append(1, 2, &envelope(2)), Err(StoreError::Io(_))), "{case}");
+        assert_eq!(disk.read(SEGMENT).unwrap()[..], log[..committed + k], "{case}");
+        assert_eq!(store.versions(1), vec![1], "{case}");
+
+        // The next publish is served, and survives a reopen that cuts
+        // the stray bytes. It takes the segment in place only when no
+        // byte strayed.
+        let next = store.append(1, 3, &envelope(3)).unwrap();
+        let latest = store.fetch_latest(1).unwrap().unwrap();
+        assert_eq!(latest.as_bytes(), envelope(3).as_bytes(), "{case}");
+        drop(store);
+        let reopened = EnvelopeStore::open(Arc::new(disk.clone()), config(false)).unwrap();
+        assert_eq!(reopened.recovery().torn_bytes, k as u64, "{case}");
+        let in_place = if k == 0 { next.stored_len as usize } else { 0 };
+        assert_eq!(disk.size(SEGMENT).unwrap(), (committed + in_place) as u64, "{case}");
+        assert_eq!(reopened.versions(1), vec![1, 3], "{case}");
+        assert_eq!(reopened.fetch(1, 3).unwrap().as_bytes(), envelope(3).as_bytes(), "{case}");
+    }
+}
+
+#[test]
+fn no_mutant_of_a_two_record_segment_panics_the_open_or_a_fetch() {
+    let disk = MemBackend::new();
+    let store = EnvelopeStore::open(Arc::new(disk.clone()), config(false)).unwrap();
+    let first = store.append(1, 1, &envelope(1)).unwrap();
+    store.append(2, 2, &envelope(2)).unwrap();
+    drop(store);
+    let log = disk.read(SEGMENT).unwrap();
+
+    // Each byte of the segment header and of the first record's head and
+    // tail, set to several values; then every truncation.
+    let (start, end) = (first.offset as usize, (first.offset + first.stored_len as u64) as usize);
+    let bytes = (0..HEADER_LEN).chain(start..start + PAYLOAD_OFFSET).chain(end - TAIL_LEN..end);
+    let mut mutants = Vec::new();
+    for at in bytes {
+        let was = log[at];
+        for value in [0x00, 0xFF, was ^ 0x01, was ^ 0x80, was.wrapping_add(1)] {
+            let mut mutant = log.to_vec();
+            mutant[at] = value;
+            mutants.push((format!("byte {at} set to {value:#04x}"), mutant));
+        }
+    }
+    mutants.extend((0..=log.len()).map(|cut| (format!("cut at {cut}"), log[..cut].to_vec())));
+
+    for (case, mutant) in mutants {
+        let disk = MemBackend::new();
+        disk.append(SEGMENT, &[mutant.into()]).unwrap();
+        let opened =
+            catch_unwind(AssertUnwindSafe(|| EnvelopeStore::open(Arc::new(disk), config(false))));
+        let Ok(store) = opened.unwrap_or_else(|_| panic!("{case}: the open panicked")) else {
+            continue; // an error is an answer
+        };
+        for user in [1, 2] {
+            for version in store.versions(user) {
+                let fetched = catch_unwind(AssertUnwindSafe(|| store.fetch(user, version)))
+                    .unwrap_or_else(|_| panic!("{case}: fetching v{version} panicked"));
+                match fetched {
+                    Ok(got) => assert_eq!(got, envelope(version), "{case}: v{version}"),
+                    Err(e) => assert!(matches!(e, StoreError::Corrupt { .. }), "{case}: {e}"),
+                }
+            }
+        }
     }
 }
 

@@ -8,7 +8,8 @@
 //! the replayed index and every payload are identical, and that the
 //! LZSS coder is lossless on its own. Below the store, `MemBackend` (a
 //! file is a list of immutable chunks) is driven against a plain
-//! `Vec<u8>` with random appends, truncates, ranged reads and forks.
+//! `Vec<u8>` with random multi-part appends, truncates, ranged reads and
+//! forks.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,7 +23,8 @@ use pelican_store::{compress, decompress, EnvelopeStore, MemBackend, StorageBack
 /// a little past the file's length, so most land inside it.
 #[derive(Debug, Clone)]
 enum FileOp {
-    Append(Vec<u8>),
+    /// One append of up to three parts, any of them empty.
+    Append(Vec<Vec<u8>>),
     Truncate(u64),
     ReadRange(u64, usize),
     /// Go on with a snapshot; the forked-from backend must keep its bytes.
@@ -30,9 +32,17 @@ enum FileOp {
 }
 
 fn file_op() -> impl Strategy<Value = FileOp> {
-    let bytes = prop::collection::vec(0u8..=255, 0..48);
-    (0u8..8, bytes, 0u64..1_000, 0usize..1_000).prop_map(|(kind, bytes, at, len)| match kind {
-        0..=2 => FileOp::Append(bytes),
+    // A quarter of the parts are empty.
+    let part = (0u8..4, prop::collection::vec(0u8..=255, 1..48)).prop_map(|(kind, bytes)| {
+        if kind == 0 {
+            Vec::new()
+        } else {
+            bytes
+        }
+    });
+    let parts = prop::collection::vec(part, 0..4);
+    (0u8..8, parts, 0u64..1_000, 0usize..1_000).prop_map(|(kind, parts, at, len)| match kind {
+        0..=2 => FileOp::Append(parts),
         3 => FileOp::Truncate(at),
         4..=6 => FileOp::ReadRange(at, len),
         _ => FileOp::Fork,
@@ -123,7 +133,7 @@ proptest! {
     fn mem_backend_matches_a_byte_vector_model(ops in prop::collection::vec(file_op(), 1..64)) {
         const FILE: &str = "seg";
         let mut disk = MemBackend::new();
-        disk.append(FILE, Vec::new().into()).unwrap();
+        disk.append(FILE, &[]).unwrap();
         let mut model: Vec<u8> = Vec::new();
         // Every range read and fork so far, with what it must still hold.
         let mut reads = Vec::new();
@@ -131,9 +141,9 @@ proptest! {
         for op in ops {
             let room = model.len() as u64 + 2;
             match op {
-                FileOp::Append(bytes) => {
-                    model.extend_from_slice(&bytes);
-                    disk.append(FILE, bytes.into()).unwrap();
+                FileOp::Append(parts) => {
+                    model.extend(parts.concat());
+                    disk.append(FILE, &parts.into_iter().map(Into::into).collect::<Vec<_>>()).unwrap();
                 }
                 FileOp::Truncate(len) => {
                     let len = len % room;
